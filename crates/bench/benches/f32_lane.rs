@@ -109,8 +109,12 @@ fn bench(c: &mut Criterion) {
 
     // The frozen PR 5 exact-path record this lane's ≥2x gate is measured
     // against (the exact decode as it stood when the lane was specified).
-    let pr5_exact_ns = perf::baseline_pr5("score_tables/c2_batch_decode")
-        .expect("BENCH_PR5.json score_tables/c2_batch_decode baseline");
+    let pr5_exact_ns = perf::baseline(
+        "BENCH_PR5.json",
+        "score_tables/c2_batch_decode",
+        "per_tick_ns",
+    )
+    .expect("BENCH_PR5.json score_tables/c2_batch_decode baseline");
     let speedup_vs_pr5 = pr5_exact_ns / fast_ns.max(1e-9);
 
     // ---------- Tolerance half: agreement + accuracy on the test split --

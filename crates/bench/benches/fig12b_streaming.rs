@@ -10,14 +10,15 @@
 
 use cace_behavior::ObservedTick;
 use cace_bench::{cace_corpus, header};
-use cace_core::{stream_session, CaceConfig, CaceEngine, Lag, StreamRouter};
+use cace_core::{stream_session, CaceConfig, CaceEngine, Lag, ShardedRouter};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn bench(c: &mut Criterion) {
     let (train, test) = cace_corpus(1, 10, 250, 14002);
-    let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
+    let engine = Arc::new(CaceEngine::train(&train, &CaceConfig::default()).unwrap());
     let session = &test[0];
     let batch = engine.recognize(session).unwrap();
     let batch_acc = batch.accuracy(session);
@@ -53,14 +54,20 @@ fn bench(c: &mut Criterion) {
     }
     println!("(paper anchor: Fig 12's incremental story — performance as data arrives)");
 
-    // Multi-home throughput snapshot.
+    // Multi-home throughput snapshot (every home replays one session).
     let homes = 8usize;
-    let mut router = StreamRouter::with_homes(&engine, homes, Lag::Fixed(10));
+    let mut router = ShardedRouter::new();
+    router.register_model("c2", Arc::clone(&engine)).unwrap();
+    for id in 0..homes as u64 {
+        router.add_home(id, "c2", Lag::Fixed(10)).unwrap();
+    }
     let rounds = session.len();
     let t0 = Instant::now();
     for t in 0..rounds {
-        let inputs: Vec<Option<&ObservedTick>> = vec![Some(&session.ticks[t].observed); homes];
-        router.push_round(&inputs).unwrap();
+        let round: Vec<(u64, &ObservedTick)> = (0..homes as u64)
+            .map(|id| (id, &session.ticks[t].observed))
+            .collect();
+        router.push_round(&round).unwrap();
     }
     for (_, result) in router.finish() {
         result.unwrap();

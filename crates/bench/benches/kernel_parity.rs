@@ -121,7 +121,7 @@ fn bench(c: &mut Criterion) {
             f32_batch,
         ),
     ] {
-        let pr7_ns = perf::baseline_pr7(baseline_id)
+        let pr7_ns = perf::baseline("BENCH_PR7.json", baseline_id, "per_tick_ns")
             .unwrap_or_else(|| panic!("BENCH_PR7.json is missing the {baseline_id} record"));
         let ratio = now_ns / pr7_ns;
         println!("{short:>28} {pr7_ns:>12.0} {now_ns:>12.0} {ratio:>8.3}");

@@ -4,7 +4,12 @@
 //! Every home is a fixed-lag stream over the tiny CACE-sim model; each
 //! round delivers one tick to every home through `push_round`, so one
 //! "home-tick" is one full online decode step behind the router's shard
-//! fan-out. Two serving modes are measured at each fleet size:
+//! fan-out. The homes replay the test split's two sessions, so co-resident
+//! homes are handed the same ticks, which stay hot in cache: these rows
+//! are the **shared-tick best case**. The deployment-shaped number,
+//! one session per home, is the serving benchmark's `fleet-live`
+//! workload (`servebench/`). Two serving modes are measured at each
+//! fleet size:
 //!
 //! * **uncapped** — every home keeps its decoder live (the memory-rich
 //!   deployment: fleet-size × live trellis state resident);
@@ -71,18 +76,10 @@ fn run_fleet(
     sessions: &[Session],
     size: usize,
     live_cap: Option<usize>,
-    binary_parking: bool,
 ) -> FleetRun {
     let mut router = ShardedRouter::new();
     if let Some(cap) = live_cap {
         router = router.with_live_cap(cap);
-    }
-    // Binary parking is the router default now; the JSON arm of the
-    // park-thrash codec comparison opts out explicitly.
-    if binary_parking {
-        router = router.with_binary_parking();
-    } else {
-        router = router.with_json_parking();
     }
     router
         .register_model(MODEL, Arc::clone(engine))
@@ -151,7 +148,10 @@ fn bench(c: &mut Criterion) {
         &[100, 1_000, 10_000, 100_000]
     };
 
-    header("router_scale — sharded serving tier, fleet sweep (1 tick/home/round)");
+    header(
+        "router_scale — sharded serving tier, fleet sweep (1 tick/home/round, \
+         shared-tick best case)",
+    );
     println!(
         "{:>8} {:>9} {:>12} {:>12} {:>12} {:>9} {:>11}",
         "homes", "mode", "homes/s", "p50 ns/push", "p99 ns/push", "parks", "rehydrates"
@@ -160,8 +160,8 @@ fn bench(c: &mut Criterion) {
     let mut records = Vec::new();
     let mut gate_identity_checked = false;
     for &size in sizes {
-        let uncapped = run_fleet(&engine, &test, size, None, true);
-        let capped = run_fleet(&engine, &test, size, Some(LIVE_CAP), true);
+        let uncapped = run_fleet(&engine, &test, size, None);
+        let capped = run_fleet(&engine, &test, size, Some(LIVE_CAP));
         for (mode, run) in [("uncapped", &uncapped), ("capped", &capped)] {
             println!(
                 "{size:>8} {mode:>9} {:>12.0} {:>12.0} {:>12.0} {:>9} {:>11}",
@@ -181,6 +181,23 @@ fn bench(c: &mut Criterion) {
                 "{size} homes with a {LIVE_CAP}/shard cap must park and rehydrate"
             );
         }
+        if size == 10_000 {
+            // The 10⁴-home capped fleet doubles as the park-thrash row:
+            // 256 live decoders fleet-wide, so ~97% of pushes pay a full
+            // binary park/rehydrate cycle.
+            records.push(PerfRecord {
+                id: "router_scale/thrash_10k_bin".into(),
+                per_tick_ns: capped.p50_push_ns,
+                speedup_vs_naive: None,
+                allocs_per_tick: None,
+                homes_per_s: Some(capped.homes_per_s),
+                note: format!(
+                    "{size} homes, cap {LIVE_CAP}/shard, binary (kind=stream-bin) parking: \
+                     p99 {:.0} ns/push, {} parks / {} rehydrations",
+                    capped.p99_push_ns, capped.parks, capped.rehydrations
+                ),
+            });
+        }
         assert!(
             capped.homes_per_s.is_finite() && capped.homes_per_s > 0.0,
             "{size} homes: degenerate throughput measurement"
@@ -197,9 +214,10 @@ fn bench(c: &mut Criterion) {
             allocs_per_tick: None,
             homes_per_s: Some(capped.homes_per_s),
             note: format!(
-                "{size} homes, 8 shards, LRU cap {LIVE_CAP}/shard, lag 6, tiny C2 model: \
-                 p99 {:.0} ns/push, {} parks / {} rehydrations over {} rounds (worst-case \
+                "shared-tick best case ({} sessions replayed): {size} homes, 8 shards, \
+                 LRU cap {LIVE_CAP}/shard, lag 6, tiny C2 model: p99 {:.0} ns/push, {} parks / {} rehydrations over {} rounds (worst-case \
                  round-robin churn); decisions bit-identical to uncapped ({:.0} homes/s)",
+                test.len(),
                 capped.p99_push_ns,
                 capped.parks,
                 capped.rehydrations,
@@ -214,8 +232,9 @@ fn bench(c: &mut Criterion) {
             allocs_per_tick: None,
             homes_per_s: Some(uncapped.homes_per_s),
             note: format!(
-                "{size} homes, 8 shards, no live cap, lag 6, tiny C2 model: \
-                 p99 {:.0} ns/push",
+                "shared-tick best case ({} sessions replayed): {size} homes, 8 shards, \
+                 no live cap, lag 6, tiny C2 model: p99 {:.0} ns/push",
+                test.len(),
                 uncapped.p99_push_ns
             ),
         });
@@ -225,49 +244,6 @@ fn bench(c: &mut Criterion) {
         "the sweep must include the 10^4-home acceptance point"
     );
 
-    // Park-thrash codec row: the same worst-case churn fleet (10⁴ homes,
-    // 256 live fleet-wide, so ~97% of pushes pay a full park/rehydrate
-    // cycle), parked as JSON vs the binary snapshot kind. The codec may
-    // only change bytes and speed, never answers — decision streams must
-    // be bit-identical across all three runs.
-    let thrash_size = 10_000usize;
-    let json = run_fleet(&engine, &test, thrash_size, Some(LIVE_CAP), false);
-    let bin = run_fleet(&engine, &test, thrash_size, Some(LIVE_CAP), true);
-    assert_eq!(
-        bin.decisions, json.decisions,
-        "binary parking changed the decision stream"
-    );
-    assert!(
-        bin.parks > 0 && bin.rehydrations > 0,
-        "thrash row must actually churn"
-    );
-    println!();
-    println!(
-        "park-thrash codec ({thrash_size} homes, cap {LIVE_CAP}/shard):          json {:.0} homes/s (p50 {:.0} ns/push) vs bin {:.0} homes/s (p50 {:.0} ns/push)",
-        json.homes_per_s, json.p50_push_ns, bin.homes_per_s, bin.p50_push_ns
-    );
-    records.push(PerfRecord {
-        id: "router_scale/thrash_10k_json".into(),
-        per_tick_ns: json.p50_push_ns,
-        speedup_vs_naive: None,
-        allocs_per_tick: None,
-        homes_per_s: Some(json.homes_per_s),
-        note: format!(
-            "{thrash_size} homes, cap {LIVE_CAP}/shard, JSON parking: p99 {:.0} ns/push,              {} parks / {} rehydrations",
-            json.p99_push_ns, json.parks, json.rehydrations
-        ),
-    });
-    records.push(PerfRecord {
-        id: "router_scale/thrash_10k_bin".into(),
-        per_tick_ns: bin.p50_push_ns,
-        speedup_vs_naive: None,
-        allocs_per_tick: None,
-        homes_per_s: Some(bin.homes_per_s),
-        note: format!(
-            "{thrash_size} homes, cap {LIVE_CAP}/shard, binary (kind=stream-bin) parking:              p99 {:.0} ns/push, {} parks / {} rehydrations; decisions bit-identical to the              JSON row ({:.0} homes/s)",
-            bin.p99_push_ns, bin.parks, bin.rehydrations, json.homes_per_s
-        ),
-    });
     perf::emit(&records);
 
     // Criterion target on the smallest fleet so `--quick`/`--test` runs

@@ -87,8 +87,8 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// [`PerfRecord`](perf::PerfRecord)s keyed by a stable `id`; re-running a bench overwrites
 /// its own records and leaves the others, so the file accumulates one
 /// up-to-date row per measurement across harnesses (`score_tables`,
-/// `beam_sweep`, `f32_lane`, `router_scale`, `fleet_batch`,
-/// `kernel_parity`, `adaptation`). CI's `--quick` smoke refreshes it on
+/// `beam_sweep`, `f32_lane`, `router_scale`, `kernel_parity`,
+/// `adaptation`). CI's `--quick` smoke refreshes it on
 /// every run. The PR 5/6/7/8/9 files (`BENCH_PR5.json` …
 /// `BENCH_PR9.json`) are kept as historical baselines; when
 /// `BENCH_PR10.json` does not exist yet, [`emit`](perf::emit) seeds it
@@ -179,40 +179,14 @@ pub mod perf {
         );
     }
 
-    /// `per_tick_ns` of a record in the frozen PR 5 trajectory file
-    /// (`BENCH_PR5.json`) — the historical baseline acceptance gates
-    /// compare against (e.g. the f32 lane's "≥2x faster than the f64
-    /// exact path" contract is measured against the exact path *as it
-    /// stood when the lane was specified*, so later exact-lane speedups
-    /// don't move the goalposts). Returns `None` if the file or id is
-    /// missing.
-    pub fn baseline_pr5(id: &str) -> Option<f64> {
-        baseline_from("BENCH_PR5.json", id)
-    }
-
-    /// `per_tick_ns` of a record in the frozen PR 7 trajectory file
-    /// (`BENCH_PR7.json`) — the pre-refactor kernel records the
-    /// `kernel_parity` bench gates the generic trellis engine against.
-    /// Returns `None` if the file or id is missing.
-    pub fn baseline_pr7(id: &str) -> Option<f64> {
-        baseline_from("BENCH_PR7.json", id)
-    }
-
-    /// `homes_per_s` of a record in the frozen PR 9 trajectory file
-    /// (`BENCH_PR9.json`) — the serving-throughput baseline the PR 10
-    /// fleet-batching gate compares against (the gate is pinned to the
-    /// throughput *as it stood when batching was specified*, so later
-    /// scalar-path speedups don't move the goalposts). Returns `None` if
-    /// the file, id, or field is missing.
-    pub fn baseline_homes_per_s_pr9(id: &str) -> Option<f64> {
-        field_from("BENCH_PR9.json", id, "homes_per_s")
-    }
-
-    fn baseline_from(file: &str, id: &str) -> Option<f64> {
-        field_from(file, id, "per_tick_ns")
-    }
-
-    fn field_from(file: &str, id: &str, field: &str) -> Option<f64> {
+    /// A numeric `field` of record `id` in a frozen trajectory file at
+    /// the workspace root, e.g. `baseline("BENCH_PR5.json",
+    /// "score_tables/c2_batch_decode", "per_tick_ns")`. Acceptance gates
+    /// compare against a frozen file so they measure a contract against
+    /// the code *as it stood when the contract was specified*, and later
+    /// speedups don't move the goalposts. Returns `None` if the file, id,
+    /// or field is missing.
+    pub fn baseline(file: &str, id: &str, field: &str) -> Option<f64> {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(file);

@@ -17,7 +17,7 @@
 //!    accounting, plus a rayon-parallel multi-session fan-out ([`batch`])
 //!    that shares the trained model read-only across cores, plus an online
 //!    fixed-lag path ([`stream`]) that consumes ticks as they arrive and a
-//!    [`StreamRouter`] that multiplexes many concurrent homes.
+//!    [`ShardedRouter`] that multiplexes many concurrent homes.
 //!
 //! The four pruning strategies of §VII-G (NH, NCR, NCS, C2) are expressed
 //! as [`Strategy`] values; Fig 8(a)'s modality ablations as
@@ -55,11 +55,10 @@ pub use cace_hdbn::{Beam, DecoderConfig, Lag, Precision};
 pub use classifiers::MicroClassifiers;
 pub use engine::{CaceConfig, CaceEngine, Recognition};
 pub use router::{
-    AdaptationPolicy, HomeStatus, RouterStats, ShardStats, ShardedRouter, DEFAULT_SHARDS,
+    AdaptationPolicy, HomeRound, HomeStatus, RouterStats, ShardStats, ShardedRouter, DEFAULT_SHARDS,
 };
 pub use snapshot::ModelRecord;
 pub use strategy::Strategy;
 pub use stream::{
-    push_cohort, resume_shared, stream_session, stream_shared, CohortOutcome, HomeRound,
-    ParkedStream, StreamDecision, StreamRouter, StreamingRecognizer,
+    resume_shared, stream_session, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
 };

@@ -21,8 +21,7 @@ use std::sync::OnceLock;
 
 use cace_hdbn::park::{check, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    BatchLane, BatchedTrellis, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry,
-    TrellisFamily,
+    Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
 use cace_hdbn::{DecoderConfig, Lag, Precision, Scalar, StepScratch, TickInput};
 use cace_model::ModelError;
@@ -489,109 +488,6 @@ impl OnlineFlat {
         decision
     }
 
-    /// Advances every stream in `homes` through one shared tick with a
-    /// single fused kernel pass over all frontiers at once (the NH member
-    /// of the fleet-batched stepping family — see
-    /// `cace_hdbn::trellis::BatchedTrellis`).
-    ///
-    /// `states`/`emit` are the tick's product states and aligned
-    /// emissions, computed once by the caller; they are identical for
-    /// every cohort member by construction (same table, same tick, same
-    /// user). Decisions are bit-identical to pushing each stream alone.
-    ///
-    /// Returns `None` with every stream untouched when the cohort is not
-    /// batchable: fewer than two streams, mismatched decoder or lag, a
-    /// stream before its first tick, an actively-pruned frontier, or
-    /// previous-tick state lists that differ.
-    pub(crate) fn push_batch(
-        homes: &mut [&mut OnlineFlat],
-        table: &FlatTable,
-        states: &[FlatState],
-        emit: &[f64],
-        bt: &mut BatchedTrellis,
-    ) -> Option<Vec<Option<(usize, usize)>>> {
-        if homes.len() < 2 {
-            return None;
-        }
-        let decoder = homes[0].decoder;
-        let lag = homes[0].core.lag();
-        let batchable = homes.iter().all(|h| {
-            h.decoder == decoder
-                && h.core.lag() == lag
-                && h.core.ticks_pushed() >= 1
-                && !h.core.pruned()
-        });
-        if !batchable {
-            return None;
-        }
-        {
-            let first = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            if !homes[1..]
-                .iter()
-                .all(|h| h.core.last_entry().expect("ticks_pushed >= 1").states == first.states)
-            {
-                return None;
-            }
-        }
-        Some(match decoder.precision {
-            Precision::Exact64 => {
-                Self::push_batch_lane::<f64>(homes, table, states, emit, bt, decoder)
-            }
-            Precision::Fast32 => {
-                Self::push_batch_lane::<f32>(homes, table, states, emit, bt, decoder)
-            }
-        })
-    }
-
-    /// Lane-monomorphic body of [`push_batch`](Self::push_batch):
-    /// eligibility already holds.
-    fn push_batch_lane<S: BatchLane + NhScalar>(
-        homes: &mut [&mut OnlineFlat],
-        table: &FlatTable,
-        states: &[FlatState],
-        emit: &[f64],
-        bt: &mut BatchedTrellis,
-        decoder: DecoderConfig,
-    ) -> Vec<Option<(usize, usize)>> {
-        let n_states = states.len() as u64;
-        // One fused kernel pass over every frontier at once. The previous
-        // view's emissions are never read by the dense kernel (they are
-        // already folded into each frontier), so an empty slice suffices —
-        // the same contract `resume` relies on.
-        let charge = {
-            let bs = S::scratch(bt);
-            let prev = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            let pv = FlatView::new(&prev.states, &[], table.n);
-            let cur = FlatView::new(states, emit, table.n);
-            let vs: Vec<&[S]> = homes.iter().map(|h| S::frontier_of(&h.core)).collect();
-            cace_hdbn::step_dense_batch_into(&FlatModel { table }, &pv, &vs, &cur, bs);
-            (states.len() * prev.states.len()) as u64
-        };
-        // Commit per stream: swap in the batched frontier and backpointer
-        // rows, then account and emit exactly as the scalar path does.
-        let bs = S::scratch(bt);
-        let mut decisions = Vec::with_capacity(homes.len());
-        for (h, home) in homes.iter_mut().enumerate() {
-            let mut entry = home.core.take_entry();
-            entry.states.clear();
-            entry.states.extend_from_slice(states);
-            entry.emit.clear();
-            entry.emit.extend_from_slice(emit);
-            std::mem::swap(S::frontier_vec(&mut home.core), &mut bs.v_next[h]);
-            std::mem::swap(&mut entry.back, &mut bs.back[h]);
-            home.core
-                .commit_external_step(entry, n_states, charge, decoder);
-            let decision = home
-                .core
-                .emit_ready(decoder.precision, |e, j, t| (t, e.states[j].0));
-            if let Some((_, macro_id)) = decision {
-                home.emitted.push(macro_id);
-            }
-            decisions.push(decision);
-        }
-        decisions
-    }
-
     /// Ends the stream: `(macro path, states explored, transition ops)`.
     /// Returns `None` if no tick was ever pushed.
     pub(crate) fn finalize(self) -> Option<(Vec<usize>, u64, u64)> {
@@ -615,60 +511,6 @@ impl OnlineFlat {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batched_push_matches_scalar_push_bit_identically() {
-        let rows = vec![
-            vec![-0.1, -2.3, -4.5],
-            vec![-1.0, -0.2, -3.3],
-            vec![-2.2, -1.1, -0.3],
-        ];
-        let table = FlatTable::from_rows(&rows);
-        let mk_states = |c: usize| -> Vec<FlatState> {
-            (0..3).flat_map(|a| (0..c).map(move |m| (a, m))).collect()
-        };
-        for decoder in [
-            DecoderConfig::exact(),
-            DecoderConfig::top_k(100), // covers every frontier: never prunes
-            DecoderConfig::exact().fast32(),
-        ] {
-            let lag = Lag::Fixed(2);
-            let spawn = || -> Vec<OnlineFlat> {
-                (0..4)
-                    .map(|h| {
-                        let mut s = OnlineFlat::new(lag, decoder);
-                        let st = mk_states(2);
-                        // Stagger the first tick so every frontier differs.
-                        let em: Vec<f64> = (0..st.len())
-                            .map(|j| -0.5 * j as f64 - 0.7 * h as f64)
-                            .collect();
-                        s.push(&table, st, em);
-                        s
-                    })
-                    .collect()
-            };
-            let mut batched = spawn();
-            let mut scalar = spawn();
-            let mut bt = BatchedTrellis::new();
-            for t in 1..12usize {
-                let st = mk_states(1 + t % 3);
-                let em: Vec<f64> = st
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(a, _))| -(((a * 7 + j * 3 + t) % 11) as f64) * 0.23)
-                    .collect();
-                let mut refs: Vec<&mut OnlineFlat> = batched.iter_mut().collect();
-                let ds = OnlineFlat::push_batch(&mut refs, &table, &st, &em, &mut bt)
-                    .expect("cohort is batchable");
-                for (s, d) in scalar.iter_mut().zip(ds) {
-                    assert_eq!(s.push(&table, st.clone(), em.clone()), d);
-                }
-            }
-            for (b, s) in batched.into_iter().zip(scalar) {
-                assert_eq!(b.finalize(), s.finalize());
-            }
-        }
-    }
 
     #[test]
     fn flat_table_roundtrips_and_matches_nested_lookup() {

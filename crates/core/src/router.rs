@@ -1,10 +1,9 @@
 //! The sharded serving tier: route millions of homes over a fixed shard
 //! grid, keeping only the hot ones live.
 //!
-//! [`StreamRouter`](crate::StreamRouter) holds every home's decoder state
-//! in memory and borrows its engine, which caps it at "as many homes as
-//! fit in RAM, in one caller's stack frame". A [`ShardedRouter`] removes
-//! both limits:
+//! A [`ShardedRouter`] multiplexes many homes' tick streams: one
+//! [`StreamingRecognizer`] per home, one parallel fan-out per arriving
+//! round of ticks, and only the hot homes' decoder state in memory.
 //!
 //! * **Model registry.** Engines are registered once under a model id and
 //!   [`Arc`]-shared fleet-wide — every home of a model reads the same
@@ -16,26 +15,15 @@
 //!   apply in input order; across shards there is no shared mutable
 //!   state. Results are therefore **bit-identical** under any
 //!   `RAYON_NUM_THREADS`.
-//! * **Fleet-batched stepping.** Within a round, each shard groups its
-//!   live, current-generation homes by (model, tick) into **batch
-//!   cohorts** and advances every cohort through one fused kernel pass
-//!   ([`push_cohort`](crate::stream::push_cohort)): the observation is
-//!   featurized once, the model tables stream through cache once, and
-//!   the trellis step runs over all frontiers at once. Homes a cohort
-//!   cannot absorb — parked, mid-swap, quarantined, repeat occurrences
-//!   of an id, mismatched lag or frontier shape, actively-pruning beams
-//!   — fall back to the scalar path; [`ShardStats::batched_pushes`] and
-//!   [`ShardStats::fallback_pushes`] count both sides. Batched and
-//!   scalar decisions are **bit-identical** (`tests/router_scale.rs`
-//!   and `tests/streaming_equivalence.rs` prove it).
 //! * **LRU live cap.** Each shard keeps at most `live_cap` homes live;
 //!   the least-recently-pushed overflow is transparently **parked** —
-//!   serialized to versioned snapshot bytes (the compact binary kind
-//!   [`ParkedStream::to_snapshot_bytes`] by default; JSON via
-//!   [`with_json_parking`](ShardedRouter::with_json_parking)) — and
-//!   rehydrated on its next push with a bit-identical continuation. A
-//!   capped router's decisions equal an uncapped one's
-//!   (`tests/router_scale.rs` proves it).
+//!   serialized to the compact binary snapshot kind
+//!   ([`ParkedStream::to_snapshot_bytes`]) — and rehydrated on its next
+//!   push with a bit-identical continuation. A capped router's decisions
+//!   equal an uncapped one's (`tests/router_scale.rs` proves it). The
+//!   portable JSON kind is the handover format of
+//!   [`export_home`](ShardedRouter::export_home); rehydration sniffs the
+//!   header, so [`import_home`](ShardedRouter::import_home) takes either.
 //! * **Fault containment.** A failing push, a tampered parked snapshot,
 //!   or a checkpoint that does not match its model **quarantines** that
 //!   home ([`HomeRound::Failed`], then [`HomeRound::Quarantined`]) and
@@ -61,7 +49,7 @@
 //! swaps, LRU repairs, push latency) are exposed through
 //! [`ShardedRouter::stats`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,10 +60,38 @@ use rayon::prelude::*;
 
 use crate::engine::{CaceEngine, Recognition};
 use crate::snapshot::{fnv1a64, ModelRecord};
-use crate::stream::{resume_shared, stream_shared, HomeRound, ParkedStream, StreamingRecognizer};
+use crate::stream::{
+    resume_shared, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
+};
 
 fn config_err(what: impl Into<String>) -> ModelError {
     ModelError::InvalidConfig(what.into())
+}
+
+/// Per-home outcome of one [`ShardedRouter::push_round`].
+#[derive(Debug, Clone)]
+pub enum HomeRound {
+    /// The home's stream advanced; a ripened fixed-lag decision may have
+    /// been emitted.
+    Advanced(Option<StreamDecision>),
+    /// The home's tick failed recognition this round. The home is now
+    /// quarantined: later rounds skip it, and [`ShardedRouter::finish`]
+    /// reports this error instead of a [`Recognition`].
+    Failed(ModelError),
+    /// The home was quarantined by an earlier round; its tick was not
+    /// delivered.
+    Quarantined,
+}
+
+impl HomeRound {
+    /// The decision of an advanced home (`None` for failed/quarantined
+    /// homes as well as rounds that ripened nothing).
+    pub fn decision(&self) -> Option<StreamDecision> {
+        match self {
+            HomeRound::Advanced(d) => *d,
+            _ => None,
+        }
+    }
 }
 
 /// Where one home's decoder state currently lives.
@@ -160,22 +176,12 @@ struct ServeView {
 #[allow(clippy::large_enum_variant)]
 enum SlotState {
     Live(Box<StreamingRecognizer<'static>>),
-    /// Parked snapshot bytes — either kind: the JSON envelope (UTF-8) or
-    /// the binary `kind=stream-bin` envelope. Rehydration sniffs the
-    /// header, so a router accepts imports of both regardless of which
-    /// kind it writes itself.
+    /// Parked snapshot bytes — either kind: the binary `kind=stream-bin`
+    /// envelope the router parks in, or the JSON envelope (UTF-8) an
+    /// [`import_home`](ShardedRouter::import_home) may hand it.
+    /// Rehydration sniffs the header.
     Parked(Vec<u8>),
     Quarantined(ModelError),
-}
-
-/// Encodes a live stream's checkpoint in the router's configured kind.
-fn park_bytes(stream: &StreamingRecognizer<'_>, binary: bool) -> Vec<u8> {
-    let parked = stream.park();
-    if binary {
-        parked.to_snapshot_bytes()
-    } else {
-        parked.to_snapshot_string().into_bytes()
-    }
 }
 
 /// Monotonically growing counters of one shard. Deterministic for a given
@@ -203,14 +209,6 @@ pub struct ShardStats {
     pub lru_repairs: u64,
     /// Ticks pushed through this shard.
     pub pushes: u64,
-    /// Ticks advanced through a fused batch-cohort kernel pass.
-    pub batched_pushes: u64,
-    /// Ticks that took the scalar path instead — parked or mid-swap
-    /// homes, repeat occurrences of an id within a round, cohorts of
-    /// one, or cohort members the kernel refused (mismatched lag or
-    /// frontier shape, an actively-pruning beam). Every push is counted
-    /// exactly once: `pushes == batched_pushes + fallback_pushes`.
-    pub fallback_pushes: u64,
     /// Total wall time spent inside pushes, in nanoseconds (includes any
     /// rehydration the push triggered).
     pub push_nanos: u64,
@@ -268,17 +266,6 @@ impl RouterStats {
         self.sum(|s| s.pushes)
     }
 
-    /// Total ticks advanced through fused batch-cohort kernel passes.
-    pub fn batched_pushes(&self) -> u64 {
-        self.sum(|s| s.batched_pushes)
-    }
-
-    /// Total ticks that took the scalar fallback path (see
-    /// [`ShardStats::fallback_pushes`] for what lands there).
-    pub fn fallback_pushes(&self) -> u64 {
-        self.sum(|s| s.fallback_pushes)
-    }
-
     /// Mean wall time per push, in nanoseconds (0 before the first push).
     pub fn mean_push_nanos(&self) -> u64 {
         self.sum::<u64>(|s| s.push_nanos)
@@ -305,8 +292,6 @@ struct Shard {
     swaps: u64,
     lru_repairs: u64,
     pushes: u64,
-    batched_pushes: u64,
-    fallback_pushes: u64,
     push_nanos: u64,
 }
 
@@ -318,8 +303,6 @@ impl Shard {
             swaps: self.swaps,
             lru_repairs: self.lru_repairs,
             pushes: self.pushes,
-            batched_pushes: self.batched_pushes,
-            fallback_pushes: self.fallback_pushes,
             push_nanos: self.push_nanos,
             ..ShardStats::default()
         };
@@ -346,10 +329,21 @@ impl Shard {
             .count()
     }
 
+    /// Parks `slot` in the binary snapshot kind if it is live; returns
+    /// whether it was.
+    fn park_slot(&mut self, slot: usize) -> bool {
+        let SlotState::Live(stream) = &self.slots[slot].state else {
+            return false;
+        };
+        self.slots[slot].state = SlotState::Parked(stream.park().to_snapshot_bytes());
+        self.parks += 1;
+        true
+    }
+
     /// Parks least-recently-touched live homes until at most `cap` remain
     /// live. Deterministic: eviction order is touch order, which is
     /// in-shard push order.
-    fn enforce_cap(&mut self, cap: usize, binary: bool) {
+    fn enforce_cap(&mut self, cap: usize) {
         let mut live = self.live_count();
         while live > cap {
             let Some((touch, slot)) = self.lru.pop_front() else {
@@ -370,25 +364,16 @@ impl Shard {
                 let Some(slot) = victim else {
                     break; // nothing live after all — nothing to park
                 };
-                if let SlotState::Live(stream) = &self.slots[slot].state {
-                    let bytes = park_bytes(stream, binary);
-                    self.slots[slot].state = SlotState::Parked(bytes);
-                    self.parks += 1;
-                    self.lru_repairs += 1;
-                    live -= 1;
-                }
+                self.park_slot(slot);
+                self.lru_repairs += 1;
+                live -= 1;
                 continue;
             };
-            if self.slots[slot].touch != touch {
-                continue; // stale entry — the home was touched again later
-            }
-            if let SlotState::Live(stream) = &self.slots[slot].state {
-                let bytes = park_bytes(stream, binary);
-                self.slots[slot].state = SlotState::Parked(bytes);
-                self.parks += 1;
+            // A stale entry (the home was touched again later) or a
+            // parked/quarantined slot's entry is simply consumed.
+            if self.slots[slot].touch == touch && self.park_slot(slot) {
                 live -= 1;
             }
-            // A parked/quarantined slot's entry is simply consumed.
         }
     }
 
@@ -397,166 +382,88 @@ impl Shard {
     /// Never panics: every failure quarantines this home only.
     fn push(&mut self, slot: usize, views: &[ServeView], tick: &ObservedTick) -> HomeRound {
         let start = Instant::now();
-        let view = &views[self.slots[slot].model];
-        // Rehydrate a parked home. Tampered or mismatched snapshot bytes
-        // surface here as a Persistence error → quarantine, not a panic.
-        // A checkpoint from a *known* other generation of this model is
-        // migrated explicitly (roll forward after a publish, roll back
-        // after a rollback); an unknown fingerprint falls through to the
-        // resume gate and quarantines.
-        if let SlotState::Parked(bytes) = &self.slots[slot].state {
-            let rehydrated = ParkedStream::from_snapshot_any(bytes).and_then(|parked| {
-                let fp = parked.model_fingerprint();
-                if fp != view.engine.params.fingerprint() && view.known_fps.contains(&fp) {
-                    let migrated = parked.migrated_to(&view.engine);
-                    resume_shared(&view.engine, &migrated).map(|s| (s, true))
-                } else {
-                    resume_shared(&view.engine, &parked).map(|s| (s, false))
-                }
-            });
-            match rehydrated {
-                Ok((stream, swapped)) => {
-                    self.slots[slot].state = SlotState::Live(Box::new(stream));
-                    self.slots[slot].generation = view.generation;
+        let home = &mut self.slots[slot];
+        let view = &views[home.model];
+        // Take the home's state out of its slot: every branch below puts
+        // one back.
+        let mut stream = match std::mem::replace(&mut home.state, SlotState::Parked(Vec::new())) {
+            SlotState::Live(stream) => stream,
+            // Tampered or mismatched snapshot bytes surface here as a
+            // Persistence error → quarantine, not a panic.
+            SlotState::Parked(bytes) => match rehydrate(&bytes, view) {
+                Ok((stream, migrated)) => {
+                    home.generation = view.generation;
                     self.rehydrations += 1;
-                    self.swaps += u64::from(swapped);
+                    self.swaps += u64::from(migrated);
+                    Box::new(stream)
                 }
                 Err(e) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
+                    home.state = SlotState::Quarantined(e.clone());
                     return HomeRound::Failed(e);
                 }
+            },
+            SlotState::Quarantined(e) => {
+                home.state = SlotState::Quarantined(e);
+                self.pushes += 1;
+                self.push_nanos += start.elapsed().as_nanos() as u64;
+                return HomeRound::Quarantined;
             }
-        }
+        };
         // Lazy hot swap: a live home whose generation lags the registry
         // swaps here, at the decision boundary before this push, so every
         // already-emitted decision stays untouched.
-        if self.slots[slot].generation != view.generation {
-            let swapped = match &mut self.slots[slot].state {
-                SlotState::Live(stream) => Some(stream.swap_model(&view.engine)),
-                _ => None,
-            };
-            match swapped {
-                Some(Ok(())) => {
-                    self.slots[slot].generation = view.generation;
-                    self.swaps += 1;
-                }
-                Some(Err(e)) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
-                    return HomeRound::Failed(e);
-                }
-                None => {}
+        if home.generation != view.generation {
+            if let Err(e) = stream.swap_model(&view.engine) {
+                home.state = SlotState::Quarantined(e.clone());
+                return HomeRound::Failed(e);
             }
+            home.generation = view.generation;
+            self.swaps += 1;
         }
         // Late-enable drift capture on homes that went live before the
         // model's adaptation policy was set.
-        if let (Some(window), SlotState::Live(stream)) =
-            (view.capture_window, &mut self.slots[slot].state)
-        {
+        if let Some(window) = view.capture_window {
             if !stream.drift_capture_enabled() {
                 stream.capture_drift(window);
             }
         }
-        let outcome = match &mut self.slots[slot].state {
-            SlotState::Quarantined(_) => HomeRound::Quarantined,
-            SlotState::Parked(_) => unreachable!("rehydrated or quarantined above"),
-            SlotState::Live(stream) => match stream.push(tick) {
-                Ok(decision) => HomeRound::Advanced(decision),
-                Err(e) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
-                    HomeRound::Failed(e)
-                }
-            },
+        let outcome = match stream.push(tick) {
+            Ok(decision) => {
+                home.state = SlotState::Live(stream);
+                HomeRound::Advanced(decision)
+            }
+            Err(e) => {
+                home.state = SlotState::Quarantined(e.clone());
+                HomeRound::Failed(e)
+            }
         };
         if matches!(outcome, HomeRound::Advanced(_)) {
             self.touch(slot);
         }
         self.pushes += 1;
-        self.fallback_pushes += 1;
         self.push_nanos += start.elapsed().as_nanos() as u64;
         outcome
     }
+}
 
-    /// Advances a cohort of live, current-generation homes sharing one
-    /// observed tick through the fused batched kernel
-    /// ([`crate::stream::push_cohort`]). Members that lost live status
-    /// since cohort formation (an earlier cohort's cap enforcement can
-    /// park them) drop to the scalar [`Shard::push`] path. Outcomes are
-    /// aligned `(input position, round)` pairs.
-    fn push_cohort_members(
-        &mut self,
-        members: &[(usize, usize)],
-        views: &[ServeView],
-        tick: &ObservedTick,
-    ) -> Vec<(usize, HomeRound)> {
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(members.len());
-        let mut live: Vec<(usize, usize)> = Vec::with_capacity(members.len());
-        let mut demoted: Vec<(usize, usize)> = Vec::new();
-        for &(pos, slot) in members {
-            if matches!(self.slots[slot].state, SlotState::Live(_)) {
-                live.push((pos, slot));
-            } else {
-                demoted.push((pos, slot));
-            }
-        }
-        if live.len() < 2 {
-            // Nothing left to fuse — run the whole group scalar, in
-            // input order.
-            live.clear();
-            demoted = members.to_vec();
-        }
-        // Late-enable drift capture exactly where the scalar path does:
-        // before the push.
-        for &(_, slot) in &live {
-            let view = &views[self.slots[slot].model];
-            if let (Some(window), SlotState::Live(stream)) =
-                (view.capture_window, &mut self.slots[slot].state)
-            {
-                if !stream.drift_capture_enabled() {
-                    stream.capture_drift(window);
-                }
-            }
-        }
-        // Lift the member streams out of their slots so the cohort can
-        // borrow all of them mutably at once; every slot gets its state
-        // written back (or a quarantine) below.
-        let mut streams: Vec<Box<StreamingRecognizer<'static>>> = live
-            .iter()
-            .map(|&(_, slot)| {
-                match std::mem::replace(&mut self.slots[slot].state, SlotState::Parked(Vec::new()))
-                {
-                    SlotState::Live(stream) => stream,
-                    _ => unreachable!("liveness checked above"),
-                }
-            })
-            .collect();
-        if !streams.is_empty() {
-            let mut refs: Vec<&mut StreamingRecognizer<'static>> =
-                streams.iter_mut().map(|b| &mut **b).collect();
-            let outcome = crate::stream::push_cohort(&mut refs, tick);
-            self.batched_pushes += outcome.batched as u64;
-            self.fallback_pushes += outcome.fallback as u64;
-            for ((&(pos, slot), stream), result) in live.iter().zip(streams).zip(outcome.results) {
-                match result {
-                    Ok(decision) => {
-                        self.slots[slot].state = SlotState::Live(stream);
-                        self.touch(slot);
-                        out.push((pos, HomeRound::Advanced(decision)));
-                    }
-                    Err(e) => {
-                        self.slots[slot].state = SlotState::Quarantined(e.clone());
-                        out.push((pos, HomeRound::Failed(e)));
-                    }
-                }
-            }
-            self.pushes += live.len() as u64;
-            self.push_nanos += start.elapsed().as_nanos() as u64;
-        }
-        for (pos, slot) in demoted {
-            let round = self.push(slot, views, tick);
-            out.push((pos, round));
-        }
-        out
+/// Rehydrates a parked home under the round's view of its model. A
+/// checkpoint from a *known* other generation of the model is migrated
+/// explicitly (roll forward after a publish, roll back after a
+/// rollback), which the returned flag reports; an unknown fingerprint
+/// falls through to the resume gate and fails.
+fn rehydrate(
+    bytes: &[u8],
+    view: &ServeView,
+) -> Result<(StreamingRecognizer<'static>, bool), ModelError> {
+    let parked = ParkedStream::from_snapshot_any(bytes)?;
+    let fp = parked.model_fingerprint();
+    if fp != view.engine.params.fingerprint() && view.known_fps.contains(&fp) {
+        Ok((
+            resume_shared(&view.engine, &parked.migrated_to(&view.engine))?,
+            true,
+        ))
+    } else {
+        Ok((resume_shared(&view.engine, &parked)?, false))
     }
 }
 
@@ -568,9 +475,6 @@ pub struct ShardedRouter {
     shards: Vec<Shard>,
     /// Max live homes per shard; overflow is parked, oldest first.
     live_cap: usize,
-    /// Park in the compact binary snapshot kind (the default) instead
-    /// of JSON.
-    binary_parking: bool,
 }
 
 /// Default shard count: a fixed grid (never derived from the machine's
@@ -593,7 +497,6 @@ impl ShardedRouter {
             models: Vec::new(),
             shards: (0..shards).map(|_| Shard::default()).collect(),
             live_cap: usize::MAX,
-            binary_parking: true,
         }
     }
 
@@ -602,28 +505,6 @@ impl ShardedRouter {
     /// Applies to current and future homes from the next push on.
     pub fn with_live_cap(mut self, cap: usize) -> Self {
         self.live_cap = cap.max(1);
-        self
-    }
-
-    /// Parks evicted homes in the compact binary snapshot kind
-    /// ([`ParkedStream::to_snapshot_bytes`]) — several times smaller and
-    /// cheaper per park/rehydrate cycle than JSON, with bit-identical
-    /// continuations. This is the **default**; the method is kept so
-    /// explicit configuration keeps compiling.
-    pub fn with_binary_parking(mut self) -> Self {
-        self.binary_parking = true;
-        self
-    }
-
-    /// Parks evicted homes as the portable JSON snapshot kind
-    /// ([`ParkedStream::to_snapshot_string`]) instead of the compact
-    /// binary default — human-inspectable parked bytes at a size and
-    /// speed cost. Rehydration always sniffs the header, so flipping
-    /// parking kinds between runs (or importing the other kind) is
-    /// safe, and [`export_home`](Self::export_home) emits JSON under
-    /// either setting.
-    pub fn with_json_parking(mut self) -> Self {
-        self.binary_parking = false;
         self
     }
 
@@ -749,7 +630,7 @@ impl ShardedRouter {
         shard.index.insert(id, slot);
         if matches!(shard.slots[slot].state, SlotState::Live(_)) {
             shard.touch(slot);
-            shard.enforce_cap(self.live_cap, self.binary_parking);
+            shard.enforce_cap(self.live_cap);
         }
         Ok(())
     }
@@ -810,22 +691,17 @@ impl ShardedRouter {
             .get(&id)
             .ok_or_else(|| config_err(format!("home id {id} is not routed")))?;
         match &shard.slots[slot].state {
-            SlotState::Parked(_) => Ok(()),
             SlotState::Quarantined(e) => Err(e.clone()),
-            SlotState::Live(stream) => {
-                let bytes = park_bytes(stream, self.binary_parking);
-                shard.slots[slot].state = SlotState::Parked(bytes);
-                shard.parks += 1;
+            _ => {
+                shard.park_slot(slot);
                 Ok(())
             }
         }
     }
 
     /// The parked snapshot of the given home as the portable JSON kind —
-    /// parking it first if it is live, re-encoding if it was parked in
-    /// the binary kind. This is the migration/handover export; JSON is
-    /// the interchange format regardless of how this router parks
-    /// internally.
+    /// parking it first if it is live, re-encoding the binary kind the
+    /// router parks in. This is the migration/handover export.
     ///
     /// # Errors
     /// Those of [`park_home`](Self::park_home), plus
@@ -1092,70 +968,27 @@ impl ShardedRouter {
             by_shard[shard].push((pos, slot));
         }
         let live_cap = self.live_cap;
-        let binary = self.binary_parking;
         let views = self.serve_views();
         let views = &views;
         let mut work: Vec<(&mut Shard, Vec<(usize, usize)>)> =
             self.shards.iter_mut().zip(by_shard).collect();
-        let mut outcomes: Vec<Vec<(usize, HomeRound)>> = work
+        let per_shard: Vec<Vec<(usize, HomeRound)>> = work
             .par_iter_mut()
             .map(|(shard, work)| {
-                let mut out = Vec::with_capacity(work.len());
-                // Cohort formation: the first occurrence of each live,
-                // current-generation home joins the cohort of its
-                // (model, tick) pair; everything else — parked,
-                // mid-swap, quarantined, repeat occurrences of an id —
-                // takes the scalar path afterwards, in input order.
-                // Grouping is a pure function of the input list and the
-                // slot states at the top of the round, so outcomes stay
-                // bit-identical under any thread count.
-                let mut claimed: HashSet<usize> = HashSet::new();
-                let mut cohorts: Vec<((usize, *const ObservedTick), Vec<(usize, usize)>)> =
-                    Vec::new();
-                let mut scalar: Vec<(usize, usize)> = Vec::new();
-                for &(pos, slot) in work.iter() {
-                    let s = &shard.slots[slot];
-                    let view = &views[s.model];
-                    if matches!(s.state, SlotState::Live(_))
-                        && s.generation == view.generation
-                        && claimed.insert(slot)
-                    {
-                        let key = (s.model, ticks[pos].1 as *const ObservedTick);
-                        match cohorts.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, members)) => members.push((pos, slot)),
-                            None => cohorts.push((key, vec![(pos, slot)])),
-                        }
-                    } else {
-                        scalar.push((pos, slot));
-                    }
-                }
-                for (_, members) in cohorts {
-                    let tick = ticks[members[0].0].1;
-                    if members.len() >= 2 {
-                        out.extend(shard.push_cohort_members(&members, views, tick));
-                        shard.enforce_cap(live_cap, binary);
-                    } else {
-                        for (pos, slot) in members {
-                            out.push((pos, shard.push(slot, views, tick)));
-                            shard.enforce_cap(live_cap, binary);
-                        }
-                    }
-                }
-                for (pos, slot) in scalar {
-                    out.push((pos, shard.push(slot, views, ticks[pos].1)));
-                    shard.enforce_cap(live_cap, binary);
-                }
-                out
+                work.iter()
+                    .map(|&(pos, slot)| {
+                        let round = shard.push(slot, views, ticks[pos].1);
+                        shard.enforce_cap(live_cap);
+                        (pos, round)
+                    })
+                    .collect()
             })
             .collect();
-        let mut aligned: Vec<Option<HomeRound>> = vec![None; ticks.len()];
-        for (pos, round) in outcomes.drain(..).flatten() {
-            aligned[pos] = Some(round);
-        }
-        Ok(aligned
-            .into_iter()
-            .map(|r| r.expect("every input position got an outcome"))
-            .collect())
+        // Every input position sits in exactly one shard's list, so
+        // sorting by position realigns the outcomes with `ticks`.
+        let mut outcomes: Vec<(usize, HomeRound)> = per_shard.into_iter().flatten().collect();
+        outcomes.sort_unstable_by_key(|&(pos, _)| pos);
+        Ok(outcomes.into_iter().map(|(_, round)| round).collect())
     }
 
     /// Finishes every home in parallel (rehydrating parked ones),
@@ -1348,6 +1181,78 @@ mod tests {
     }
 
     #[test]
+    fn failing_push_quarantines_only_that_home() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let session = &test[0];
+        let mut router = ShardedRouter::with_shards(1);
+        router.register_model("cace", Arc::clone(&engine)).unwrap();
+        for id in [7, 8, 9, 10] {
+            router.add_home(id, "cace", Lag::Unbounded).unwrap();
+        }
+        let poison_at = 3usize;
+        let slot = router.shards[0].index[&8];
+        match &mut router.shards[0].slots[slot].state {
+            SlotState::Live(stream) => stream.poison_tick = Some(poison_at),
+            _ => panic!("a fresh home is live"),
+        }
+        // An unknown id aborts the round before any home advances.
+        let tick = &session.ticks[0].observed;
+        assert!(matches!(
+            router.push_round(&[(7, tick), (99, tick)]),
+            Err(ModelError::InvalidConfig(_))
+        ));
+
+        for (t, tick) in session.ticks.iter().enumerate() {
+            let round = router
+                .push_round(&[
+                    (7, &tick.observed),
+                    (8, &tick.observed),
+                    (9, &tick.observed),
+                ])
+                .unwrap();
+            // The healthy homes advance on every round, including the one
+            // where their neighbour fails.
+            assert!(matches!(round[0], HomeRound::Advanced(_)), "tick {t}");
+            assert!(matches!(round[2], HomeRound::Advanced(_)), "tick {t}");
+            match t.cmp(&poison_at) {
+                std::cmp::Ordering::Less => {
+                    assert!(matches!(round[1], HomeRound::Advanced(_)), "tick {t}")
+                }
+                std::cmp::Ordering::Equal => assert!(
+                    matches!(
+                        round[1],
+                        HomeRound::Failed(ModelError::EmptyStateSpace { .. })
+                    ),
+                    "poisoned tick must fail, got {:?}",
+                    round[1]
+                ),
+                std::cmp::Ordering::Greater => assert!(
+                    matches!(round[1], HomeRound::Quarantined),
+                    "tick {t}: failed home must stay quarantined"
+                ),
+            }
+        }
+        let quarantined = router.quarantined();
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].0, 8);
+
+        // The healthy homes finish with the exact batch answer, the
+        // faulted home reports its error, and a home that never got a
+        // tick reports its own empty-stream error — per home, never a
+        // router-wide abort.
+        let batch = engine.recognize(session).unwrap();
+        for (id, result) in router.finish() {
+            match id {
+                7 | 9 => assert_eq!(result.unwrap().macros, batch.macros),
+                8 => assert!(matches!(result, Err(ModelError::EmptyStateSpace { .. }))),
+                10 => assert!(matches!(result, Err(ModelError::InsufficientData { .. }))),
+                _ => panic!("unexpected home id {id}"),
+            }
+        }
+    }
+
+    #[test]
     fn tampered_parked_bytes_quarantine_only_that_home() {
         let (train, test) = corpus();
         let engine = arc_engine(&train);
@@ -1399,115 +1304,73 @@ mod tests {
     }
 
     #[test]
-    fn binary_parking_matches_json_parking_bit_identically() {
+    fn json_snapshot_import_continues_bit_identically() {
         let (train, test) = corpus();
         let engine = arc_engine(&train);
+        let session = &test[0];
         let lag = Lag::Fixed(4);
         let n_homes = 6u64;
 
-        // Binary parking is the default; JSON stays available (and
-        // readable) via the explicit opt-out.
-        let mut json = ShardedRouter::with_shards(2)
-            .with_live_cap(1)
-            .with_json_parking();
-        let mut bin = ShardedRouter::with_shards(2).with_live_cap(1);
-        for router in [&mut json, &mut bin] {
-            router.register_model("cace", Arc::clone(&engine)).unwrap();
-            for id in 0..n_homes {
-                router.add_home(id, "cace", lag).unwrap();
-            }
+        // Every home starts from the JSON checkpoint of a stream that has
+        // consumed 20 ticks; a cap of 1 live home per shard then cycles
+        // each one through the router's own binary parking.
+        let mut reference = stream_shared(&engine, lag);
+        for tick in &session.ticks[..20] {
+            reference.push(&tick.observed).unwrap();
         }
-        let session = &test[0];
-        for tick in &session.ticks {
+        let json = reference.park().to_snapshot_string();
+        let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
+        router.register_model("cace", Arc::clone(&engine)).unwrap();
+        for id in 0..n_homes {
+            router.import_home(id, "cace", json.clone()).unwrap();
+        }
+        for tick in &session.ticks[20..] {
+            let want = reference.push(&tick.observed).unwrap();
             let round: Vec<(u64, &ObservedTick)> =
                 (0..n_homes).map(|id| (id, &tick.observed)).collect();
-            let a = json.push_round(&round).unwrap();
-            let b = bin.push_round(&round).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.decision(), y.decision());
+            for r in router.push_round(&round).unwrap() {
+                assert!(matches!(r, HomeRound::Advanced(_)));
+                assert_eq!(r.decision(), want);
             }
         }
-        assert!(bin.stats().parks() > 0 && bin.stats().rehydrations() > 0);
-        assert!(json.stats().parks() > 0 && json.stats().rehydrations() > 0);
+        let stats = router.stats();
+        assert!(stats.parks() > 0 && stats.rehydrations() > 0);
 
         // A binary-parked home exports as portable JSON, loadable by the
         // plain JSON reader.
-        let exported = bin.export_home(0).unwrap();
+        let exported = router.export_home(0).unwrap();
         assert!(exported.starts_with("CACE-SNAPSHOT v3 fnv1a64="));
         assert!(ParkedStream::from_snapshot_str(&exported).is_ok());
 
-        let a = json.finish();
-        let b = bin.finish();
-        for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
-            assert_eq!(id_a, id_b);
-            let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
-            assert_eq!(rec_a.macros, rec_b.macros);
-            assert_eq!(rec_a.states_explored, rec_b.states_explored);
-            assert_eq!(rec_a.transition_ops, rec_b.transition_ops);
+        let want = reference.finish().unwrap();
+        for (_, rec) in router.finish() {
+            let rec = rec.unwrap();
+            assert_eq!(rec.macros, want.macros);
+            assert_eq!(rec.states_explored, want.states_explored);
+            assert_eq!(rec.transition_ops, want.transition_ops);
         }
     }
 
     #[test]
-    fn round_cohorts_match_per_home_rounds_and_count_batched_pushes() {
+    fn repeated_ids_in_one_round_apply_in_input_order() {
         let (train, test) = corpus();
         let engine = arc_engine(&train);
-        let lag = Lag::Fixed(4);
-        let n_homes = 6u64;
-
-        let mut fused = ShardedRouter::with_shards(2);
-        let mut scalar = ShardedRouter::with_shards(2);
-        for router in [&mut fused, &mut scalar] {
+        let mut once = ShardedRouter::with_shards(2);
+        let mut split = ShardedRouter::with_shards(2);
+        for router in [&mut once, &mut split] {
             router.register_model("cace", Arc::clone(&engine)).unwrap();
-            for id in 0..n_homes {
-                router.add_home(id, "cace", lag).unwrap();
+            for id in 0..2 {
+                router.add_home(id, "cace", Lag::Fixed(0)).unwrap();
             }
         }
-        let session = &test[0];
-        for tick in &session.ticks {
-            let round: Vec<(u64, &ObservedTick)> =
-                (0..n_homes).map(|id| (id, &tick.observed)).collect();
-            let a = fused.push_round(&round).unwrap();
-            // The reference delivers the same ticks one home per round,
-            // so every push takes the proven scalar path.
-            let b: Vec<HomeRound> = (0..n_homes)
-                .map(|id| {
-                    scalar
-                        .push_round(&[(id, &tick.observed)])
-                        .unwrap()
-                        .remove(0)
-                })
-                .collect();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.decision(), y.decision());
-                assert!(matches!(x, HomeRound::Advanced(_)));
-            }
-        }
-        let fs = fused.stats();
-        let ss = scalar.stats();
-        assert!(fs.batched_pushes() > 0, "uniform fleet must batch: {fs:?}");
-        assert_eq!(fs.pushes(), fs.batched_pushes() + fs.fallback_pushes());
-        assert_eq!(ss.batched_pushes(), 0);
-        assert_eq!(ss.pushes(), ss.fallback_pushes());
-
-        // A repeated id in one round batches its first occurrence only;
-        // the repeat applies afterwards, in order, via the scalar path.
-        let (t0, t1) = (&session.ticks[0].observed, &session.ticks[1].observed);
-        let a = fused.push_round(&[(0, t0), (1, t0), (0, t1)]).unwrap();
-        let b0 = scalar.push_round(&[(0, t0), (1, t0)]).unwrap();
-        let b1 = scalar.push_round(&[(0, t1)]).unwrap();
+        let (t0, t1) = (&test[0].ticks[0].observed, &test[0].ticks[1].observed);
+        let a = once.push_round(&[(0, t0), (1, t0), (0, t1)]).unwrap();
+        let b0 = split.push_round(&[(0, t0), (1, t0)]).unwrap();
+        let b1 = split.push_round(&[(0, t1)]).unwrap();
         assert_eq!(a[0].decision(), b0[0].decision());
         assert_eq!(a[1].decision(), b0[1].decision());
         assert_eq!(a[2].decision(), b1[0].decision());
-
-        let a = fused.finish();
-        let b = scalar.finish();
-        for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
-            assert_eq!(id_a, id_b);
-            let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
-            assert_eq!(rec_a.macros, rec_b.macros);
-            assert_eq!(rec_a.states_explored, rec_b.states_explored);
-            assert_eq!(rec_a.transition_ops, rec_b.transition_ops);
-        }
+        assert_eq!(a[2].decision().map(|d| d.tick), Some(1));
     }
 
     #[test]
@@ -1523,7 +1386,7 @@ mod tests {
         // above the cap with an empty LRU queue. The shard must repair
         // itself — park the stalest live home — not panic.
         router.shards[0].lru.clear();
-        router.shards[0].enforce_cap(1, false);
+        router.shards[0].enforce_cap(1);
         assert_eq!(router.home_status(1), Some(HomeStatus::Parked));
         assert_eq!(router.home_status(2), Some(HomeStatus::Live));
         assert_eq!(router.stats().lru_repairs(), 1);
@@ -1538,7 +1401,7 @@ mod tests {
         router.park_home(1).unwrap();
         router.park_home(2).unwrap();
         router.shards[0].lru.clear();
-        router.shards[0].enforce_cap(0, false);
+        router.shards[0].enforce_cap(0);
         assert_eq!(router.stats().lru_repairs(), 1);
     }
 

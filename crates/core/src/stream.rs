@@ -43,8 +43,9 @@
 //! inputs into windows for the incremental EM loop
 //! ([`cace_hdbn::DriftAccumulator`]).
 //!
-//! [`StreamRouter`] multiplexes many concurrent homes over rayon: one
-//! recognizer per home, one parallel fan-out per arriving round of ticks.
+//! The [`ShardedRouter`](crate::ShardedRouter) multiplexes many
+//! concurrent homes over rayon: one recognizer per home, one parallel
+//! fan-out per arriving round of ticks.
 //!
 //! ```no_run
 //! use cace_behavior::{cace_grammar, generate_cace_dataset, SessionConfig};
@@ -69,11 +70,10 @@ use std::time::Instant;
 use cace_behavior::{ObservedTick, Session};
 use cace_features::extract_tick;
 use cace_hdbn::{
-    BatchedTrellis, CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi,
-    ParkedChain, ParkedCoupled, SingleHdbn, SmoothedChain, TickInput,
+    CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, ParkedChain,
+    ParkedCoupled, SingleHdbn, TickInput,
 };
 use cace_model::ModelError;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{CaceEngine, Recognition};
@@ -125,18 +125,6 @@ impl Deref for EngineRef<'_> {
     }
 }
 
-impl<'a> EngineRef<'a> {
-    /// A second handle to the same engine (reference copy or `Arc` clone),
-    /// independent of the borrow it was taken through — lets the cohort
-    /// path hold the shared engine while mutating the member streams.
-    fn clone_ref(&self) -> EngineRef<'a> {
-        match self {
-            EngineRef::Borrowed(e) => EngineRef::Borrowed(e),
-            EngineRef::Shared(e) => EngineRef::Shared(Arc::clone(e)),
-        }
-    }
-}
-
 /// Opt-in side buffer for online adaptation: the prepared tick inputs of
 /// a live stream, collected into fixed-size windows that a
 /// [`DriftAccumulator`](cace_hdbn::DriftAccumulator) later folds into
@@ -175,7 +163,7 @@ pub struct StreamingRecognizer<'a> {
     /// failure unreachable from a well-formed engine, so the router's
     /// failure containment is exercised through this hook.
     #[cfg(test)]
-    poison_tick: Option<usize>,
+    pub(crate) poison_tick: Option<usize>,
 }
 
 /// Builds the per-strategy decoder state for a fresh stream.
@@ -642,335 +630,6 @@ fn advance_decoder(
     }
 }
 
-/// Whether this home must take its own scalar [`StreamingRecognizer::push`]
-/// this round (the fault-injection hook only exists under test).
-fn takes_scalar_path(h: &StreamingRecognizer<'_>) -> bool {
-    #[cfg(test)]
-    return h.poison_tick == Some(h.pushed);
-    #[cfg(not(test))]
-    {
-        let _ = h;
-        false
-    }
-}
-
-/// Per-home results of one [`push_cohort`] call.
-#[derive(Debug)]
-pub struct CohortOutcome {
-    /// One push result per home, aligned with the input slice.
-    pub results: Vec<Result<Option<StreamDecision>, ModelError>>,
-    /// Homes advanced through the fused batched kernel this call.
-    pub batched: usize,
-    /// Homes advanced through the per-home scalar path this call.
-    pub fallback: usize,
-}
-
-/// Advances a cohort of co-resident streams through one *shared* observed
-/// tick, running the per-tick preparation pipeline (feature extraction,
-/// classifier scoring, rule pruning, candidate beaming) **once** for the
-/// whole cohort and fusing the trellis step of every eligible stream into
-/// one batched kernel pass ([`cace_hdbn::BatchedTrellis`]).
-///
-/// Decisions, overhead accounting, park/resume state, and
-/// [`finish`](StreamingRecognizer::finish) results are **bit-identical**
-/// to pushing each stream individually — only `wall_seconds` (wall-clock,
-/// never part of the equivalence contract) differs.
-///
-/// Cohort formation rules — a home shares the fused pass only when it
-/// matches the first (non-diverted) home on all of:
-/// - the same engine (same `&CaceEngine` / `Arc`, hence same model
-///   parameters, strategy, and decoder config),
-/// - the same smoothing lag,
-/// - the same lag-1 evidence state (so one `prepare` serves all).
-///
-/// Everything else falls back to the scalar per-home push, as does a
-/// cohort the decoder kernels refuse (a stream before its first tick, an
-/// actively-pruning beam, previous frontiers whose candidate shapes
-/// diverged) — those still reuse the shared prepared tick. The outcome
-/// reports how many homes went through the fused kernel (`batched`) vs
-/// the scalar path (`fallback`).
-pub fn push_cohort<'e>(
-    homes: &mut [&mut StreamingRecognizer<'e>],
-    observed: &ObservedTick,
-) -> CohortOutcome {
-    let n = homes.len();
-    let mut results: Vec<Option<Result<Option<StreamDecision>, ModelError>>> = vec![None; n];
-    let mut batched = 0usize;
-    let mut fallback = 0usize;
-
-    // Anchor the cohort on the first home that can share at all.
-    let anchor = homes.iter().position(|h| !takes_scalar_path(h));
-    let (engine_ref, lag, prev0) = match anchor {
-        Some(i) => (homes[i].engine.clone_ref(), homes[i].lag, homes[i].prev),
-        None => {
-            let results = homes.iter_mut().map(|h| h.push(observed)).collect();
-            return CohortOutcome {
-                results,
-                batched: 0,
-                fallback: n,
-            };
-        }
-    };
-    let engine: &CaceEngine = &engine_ref;
-    let mask: Vec<bool> = homes
-        .iter()
-        .map(|h| {
-            !takes_scalar_path(h)
-                && std::ptr::eq::<CaceEngine>(&*h.engine, engine)
-                && h.lag == lag
-                && h.prev == prev0
-        })
-        .collect();
-    let n_eligible = mask.iter().filter(|&&m| m).count();
-    if n_eligible < 2 {
-        let results = homes.iter_mut().map(|h| h.push(observed)).collect();
-        return CohortOutcome {
-            results,
-            batched: 0,
-            fallback: n,
-        };
-    }
-    // Homes outside the cohort take their own full scalar push.
-    for (i, h) in homes.iter_mut().enumerate() {
-        if !mask[i] {
-            results[i] = Some(h.push(observed));
-            fallback += 1;
-        }
-    }
-
-    // Shared preparation: one feature extraction, one prepare, for the
-    // whole cohort (identical per home by construction — `prepare` is
-    // pure in (engine, tick, lag-1 evidence)).
-    let start = Instant::now();
-    let features = extract_tick(observed);
-    let preparer = engine.runtime_preparer();
-    let mut prev = prev0;
-    let prepared = preparer.prepare(observed, &features, &mut prev);
-    let strategy = engine.config.strategy;
-    let n_macro = engine.n_macro;
-
-    // Per-home pre-kernel accounting, in exactly the order the scalar push
-    // performs it (lag-1 evidence is committed before the decoder
-    // advances, so an error mid-decode leaves the same state behind).
-    for (i, h) in homes.iter_mut().enumerate() {
-        if !mask[i] {
-            continue;
-        }
-        h.rules_fired += prepared.rules_fired;
-        if strategy.uses_correlation_pruning() {
-            h.joint_size_sum += prepared.joint_size as f64;
-        } else {
-            h.joint_size_sum += (prepared.input.joint_states(n_macro) as u128) as f64;
-        }
-        if strategy == Strategy::NaiveCorrelation {
-            let sqrt = (prepared.input.joint_states(n_macro) as f64).sqrt() as u64;
-            if h.pushed > 0 {
-                h.ncr_ops += h.ncr_prev_sqrt * sqrt;
-            }
-            h.ncr_prev_sqrt = sqrt;
-        }
-        h.prev = prev;
-    }
-
-    // One fused kernel pass per decoder lane; a refused cohort falls back
-    // to per-home scalar steps over the already-shared prepared tick.
-    let mut bt = BatchedTrellis::new();
-    let mut fully_batched = false;
-    let cohort_results: Vec<Result<Option<StreamDecision>, ModelError>> = match strategy {
-        Strategy::NaiveConstraint | Strategy::CorrelationConstraint => {
-            let kernel = {
-                let mut cs: Vec<&mut OnlineCoupledViterbi> = homes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| mask[*i])
-                    .map(|(_, h)| match &mut h.decoder {
-                        Decoder::Coupled(c) => c,
-                        _ => unreachable!("cohort homes share one engine strategy"),
-                    })
-                    .collect();
-                OnlineCoupledViterbi::push_batch(&mut cs, &prepared.input, &mut bt)
-            };
-            match kernel {
-                Ok(Some(ds)) => {
-                    fully_batched = true;
-                    ds.into_iter()
-                        .map(|d| {
-                            Ok(d.map(|d| StreamDecision {
-                                tick: d.tick,
-                                macros: d.macros,
-                            }))
-                        })
-                        .collect()
-                }
-                Ok(None) => homes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| mask[*i])
-                    .map(|(_, h)| match &mut h.decoder {
-                        Decoder::Coupled(c) => {
-                            Ok(c.push(&prepared.input)?.map(|d| StreamDecision {
-                                tick: d.tick,
-                                macros: d.macros,
-                            }))
-                        }
-                        _ => unreachable!("cohort homes share one engine strategy"),
-                    })
-                    .collect(),
-                Err(e) => (0..n_eligible).map(|_| Err(e.clone())).collect(),
-            }
-        }
-        Strategy::NaiveCorrelation => {
-            let mut user_batched = [false, false];
-            let mut per_user: [Vec<Result<Option<SmoothedChain>, ModelError>>; 2] =
-                [Vec::new(), Vec::new()];
-            for u in 0..2 {
-                if u == 1 && per_user[0].iter().any(|r| r.is_err()) {
-                    // The scalar push never advances the second chain
-                    // after a first-chain error; mirror it. (Reachable
-                    // only through a malformed tick, which fails both
-                    // users' validation before any mutation.)
-                    break;
-                }
-                let mut cu: Vec<&mut OnlineSingleViterbi> = homes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| mask[*i])
-                    .map(|(_, h)| match &mut h.decoder {
-                        Decoder::Single(cs) => &mut cs[u],
-                        _ => unreachable!("cohort homes share one engine strategy"),
-                    })
-                    .collect();
-                per_user[u] =
-                    match OnlineSingleViterbi::push_batch(&mut cu, &prepared.input, &mut bt) {
-                        Ok(Some(ds)) => {
-                            user_batched[u] = true;
-                            ds.into_iter().map(Ok).collect()
-                        }
-                        Ok(None) => cu.iter_mut().map(|c| c.push(&prepared.input)).collect(),
-                        Err(e) => (0..n_eligible).map(|_| Err(e.clone())).collect(),
-                    };
-            }
-            fully_batched = user_batched[0] && user_batched[1];
-            let [r0, r1] = per_user;
-            if r1.is_empty() {
-                let e = r0
-                    .iter()
-                    .find_map(|r| r.as_ref().err().cloned())
-                    .expect("user 1 is skipped only on a user-0 error");
-                r0.into_iter()
-                    .map(|r| match r {
-                        Err(err) => Err(err),
-                        Ok(_) => Err(e.clone()),
-                    })
-                    .collect()
-            } else {
-                r0.into_iter()
-                    .zip(r1)
-                    .map(|pair| match pair {
-                        (Ok(d0), Ok(d1)) => Ok(d0.zip(d1).map(|(a, b)| {
-                            debug_assert_eq!(a.tick, b.tick);
-                            StreamDecision {
-                                tick: a.tick,
-                                macros: [a.macro_id, b.macro_id],
-                            }
-                        })),
-                        (Err(e), _) | (_, Err(e)) => Err(e),
-                    })
-                    .collect()
-            }
-        }
-        Strategy::NaiveHmm => {
-            let macro_lp = preparer.nh_macro_emissions(&features);
-            let mut user_batched = [false, false];
-            let mut per_user: [Vec<Option<(usize, usize)>>; 2] = [Vec::new(), Vec::new()];
-            for (u, out) in per_user.iter_mut().enumerate() {
-                let states = nh::states(&prepared.input, u, n_macro);
-                let emit = nh::emissions(&prepared.input, u, &states, &macro_lp[u]);
-                let mut fu: Vec<&mut OnlineFlat> = homes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| mask[*i])
-                    .map(|(_, h)| match &mut h.decoder {
-                        Decoder::Nh(fs) => &mut fs[u],
-                        _ => unreachable!("cohort homes share one engine strategy"),
-                    })
-                    .collect();
-                *out = match OnlineFlat::push_batch(
-                    &mut fu,
-                    &engine.nh_log_trans,
-                    &states,
-                    &emit,
-                    &mut bt,
-                ) {
-                    Some(ds) => {
-                        user_batched[u] = true;
-                        ds
-                    }
-                    None => fu
-                        .iter_mut()
-                        .map(|f| f.push(&engine.nh_log_trans, states.clone(), emit.clone()))
-                        .collect(),
-                };
-            }
-            fully_batched = user_batched[0] && user_batched[1];
-            let [r0, r1] = per_user;
-            r0.into_iter()
-                .zip(r1)
-                .map(|(a, b)| {
-                    Ok(a.zip(b).map(|((tick, m0), (_, m1))| StreamDecision {
-                        tick,
-                        macros: [m0, m1],
-                    }))
-                })
-                .collect()
-        }
-    };
-
-    // Per-home commit: drift capture, cursor, wall clock — the same
-    // post-decode steps the scalar push performs, in the same order.
-    let elapsed = start.elapsed().as_secs_f64();
-    let mut it = cohort_results.into_iter();
-    for (i, h) in homes.iter_mut().enumerate() {
-        if !mask[i] {
-            continue;
-        }
-        let r = it.next().expect("one kernel result per cohort home");
-        if fully_batched {
-            batched += 1;
-        } else {
-            fallback += 1;
-        }
-        match r {
-            Ok(decision) => {
-                if let Some(buf) = h.drift.as_deref_mut() {
-                    buf.pending.push(prepared.input.clone());
-                    if buf.pending.len() >= buf.window_ticks {
-                        let window = std::mem::replace(
-                            &mut buf.pending,
-                            Vec::with_capacity(buf.window_ticks),
-                        );
-                        buf.completed.push(window);
-                    }
-                }
-                h.pushed += 1;
-                h.wall_seconds += elapsed;
-                results[i] = Some(Ok(decision));
-            }
-            Err(e) => {
-                results[i] = Some(Err(e));
-            }
-        }
-    }
-    CohortOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every home is visited exactly once"))
-            .collect(),
-        batched,
-        fallback,
-    }
-}
-
 /// The parked per-strategy decoder state inside a [`ParkedStream`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[allow(clippy::large_enum_variant)]
@@ -1047,192 +706,6 @@ impl ParkedStream {
     }
 }
 
-/// Per-home outcome of one [`StreamRouter::push_round`].
-#[derive(Debug, Clone)]
-pub enum HomeRound {
-    /// The home's stream advanced; a ripened fixed-lag decision may have
-    /// been emitted.
-    Advanced(Option<StreamDecision>),
-    /// The home's tick failed recognition this round. The home is now
-    /// quarantined: later rounds skip it, and [`StreamRouter::finish`]
-    /// reports this error instead of a [`Recognition`].
-    Failed(ModelError),
-    /// The home was quarantined by an earlier round; its tick (if any) was
-    /// not delivered.
-    Quarantined,
-}
-
-impl HomeRound {
-    /// The decision of an advanced home (`None` for failed/quarantined
-    /// homes as well as rounds that ripened nothing).
-    pub fn decision(&self) -> Option<StreamDecision> {
-        match self {
-            HomeRound::Advanced(d) => *d,
-            _ => None,
-        }
-    }
-}
-
-/// One home slot inside the router.
-struct Home<'a> {
-    id: u64,
-    stream: StreamingRecognizer<'a>,
-    /// The first recognition error this home hit, if any. A faulted home
-    /// is quarantined: its stream stops receiving ticks (so the *other*
-    /// homes keep serving) and `finish` surfaces the fault.
-    fault: Option<ModelError>,
-}
-
-/// Multiplexes many concurrent homes' tick streams over rayon.
-///
-/// Each home owns an independent [`StreamingRecognizer`]; a
-/// [`push_round`](Self::push_round) fans the arriving ticks out across all
-/// cores while every recognizer aliases the one read-only trained engine.
-/// Throughput therefore scales with cores × homes, which is the serving
-/// story `examples/streaming_demo.rs` measures.
-///
-/// Failures are isolated per home: a tick that empties one home's state
-/// space quarantines *that* home (reported as [`HomeRound::Failed`], then
-/// [`HomeRound::Quarantined`]) while every other home's stream keeps
-/// advancing — no home is left desynchronized by a neighbour's bad sensor
-/// data, and the serving loop never panics on malformed rounds.
-pub struct StreamRouter<'a> {
-    homes: Vec<Home<'a>>,
-}
-
-impl<'a> StreamRouter<'a> {
-    /// An empty router.
-    pub fn new() -> Self {
-        Self { homes: Vec::new() }
-    }
-
-    /// A router serving `n` homes (ids `0..n`) with one recognizer each.
-    pub fn with_homes(engine: &'a CaceEngine, n: usize, lag: Lag) -> Self {
-        let mut router = Self::new();
-        for id in 0..n as u64 {
-            router
-                .add_home(id, engine.stream(lag))
-                .expect("ids 0..n are distinct");
-        }
-        router
-    }
-
-    /// Registers a home's stream. Ids are caller-chosen and reported back
-    /// by [`finish`](Self::finish).
-    ///
-    /// # Errors
-    /// [`ModelError::InvalidConfig`] when `id` is already registered —
-    /// silently shadowing a live home would desynchronize its stream.
-    pub fn add_home(&mut self, id: u64, stream: StreamingRecognizer<'a>) -> Result<(), ModelError> {
-        if self.homes.iter().any(|h| h.id == id) {
-            return Err(ModelError::InvalidConfig(format!(
-                "router home id {id} is already registered"
-            )));
-        }
-        self.homes.push(Home {
-            id,
-            stream,
-            fault: None,
-        });
-        Ok(())
-    }
-
-    /// Number of homes currently routed (healthy and quarantined).
-    pub fn len(&self) -> usize {
-        self.homes.len()
-    }
-
-    /// Whether the router has no homes.
-    pub fn is_empty(&self) -> bool {
-        self.homes.is_empty()
-    }
-
-    /// Ids and errors of the homes quarantined so far, in registration
-    /// order.
-    pub fn quarantined(&self) -> Vec<(u64, &ModelError)> {
-        self.homes
-            .iter()
-            .filter_map(|h| h.fault.as_ref().map(|e| (h.id, e)))
-            .collect()
-    }
-
-    /// Delivers one round of ticks — `inputs[i]` to home `i`, `None` for a
-    /// home with no tick this round — in parallel across all cores.
-    /// Returns each home's outcome, aligned with `inputs`.
-    ///
-    /// A failing home is quarantined and reported in its slot; the other
-    /// homes' streams still advance in the same round, so the router never
-    /// desynchronizes (`ticks_pushed` only ever differs for quarantined
-    /// homes).
-    ///
-    /// # Errors
-    /// [`ModelError::LengthMismatch`] when `inputs` does not have exactly
-    /// one slot per routed home (per-home failures are *not* errors here —
-    /// they come back as [`HomeRound::Failed`]).
-    pub fn push_round(
-        &mut self,
-        inputs: &[Option<&ObservedTick>],
-    ) -> Result<Vec<HomeRound>, ModelError> {
-        if inputs.len() != self.homes.len() {
-            return Err(ModelError::LengthMismatch {
-                what: "router input slots vs routed homes".into(),
-                left: inputs.len(),
-                right: self.homes.len(),
-            });
-        }
-        let mut work: Vec<(&mut Home<'a>, Option<&ObservedTick>)> =
-            self.homes.iter_mut().zip(inputs.iter().copied()).collect();
-        let outcomes: Vec<HomeRound> = work
-            .par_iter_mut()
-            .map(|(home, tick)| {
-                if home.fault.is_some() {
-                    return HomeRound::Quarantined;
-                }
-                match tick {
-                    None => HomeRound::Advanced(None),
-                    Some(t) => match home.stream.push(t) {
-                        Ok(decision) => HomeRound::Advanced(decision),
-                        Err(e) => {
-                            home.fault = Some(e.clone());
-                            HomeRound::Failed(e)
-                        }
-                    },
-                }
-            })
-            .collect();
-        Ok(outcomes)
-    }
-
-    /// Finishes every stream in parallel, returning per-home results in
-    /// registration order: the session-level [`Recognition`] for healthy
-    /// homes, the quarantining error for faulted ones (finalization
-    /// failures of healthy homes are likewise reported in their slot).
-    pub fn finish(self) -> Vec<(u64, Result<Recognition, ModelError>)> {
-        let mut slots: Vec<(u64, Option<ModelError>, Option<StreamingRecognizer<'a>>)> = self
-            .homes
-            .into_iter()
-            .map(|h| (h.id, h.fault, Some(h.stream)))
-            .collect();
-        slots
-            .par_iter_mut()
-            .map(|(id, fault, slot)| {
-                let stream = slot.take().expect("finish visits each slot once");
-                let result = match fault.take() {
-                    Some(e) => Err(e),
-                    None => stream.finish(),
-                };
-                (*id, result)
-            })
-            .collect()
-    }
-}
-
-impl Default for StreamRouter<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Drives a recorded session through a streaming recognizer tick by tick —
 /// the test/bench harness for batch-vs-streaming comparisons.
 ///
@@ -1305,148 +778,6 @@ mod tests {
             assert_eq!(streamed.macros[0][d.tick], d.macros[0]);
             assert_eq!(streamed.macros[1][d.tick], d.macros[1]);
         }
-    }
-
-    #[test]
-    fn router_matches_individual_streams() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let mut router = StreamRouter::new();
-        for (i, _) in test.iter().enumerate() {
-            router
-                .add_home(i as u64 + 100, engine.stream(Lag::Unbounded))
-                .unwrap();
-        }
-        let max_len = test.iter().map(Session::len).max().unwrap();
-        for t in 0..max_len {
-            let inputs: Vec<Option<&ObservedTick>> = test
-                .iter()
-                .map(|s| s.ticks.get(t).map(|tick| &tick.observed))
-                .collect();
-            let round = router.push_round(&inputs).unwrap();
-            assert!(round.iter().all(|r| matches!(r, HomeRound::Advanced(_))));
-        }
-        assert!(router.quarantined().is_empty());
-        let finished = router.finish();
-        assert_eq!(finished.len(), test.len());
-        for ((id, result), session) in finished.iter().zip(&test) {
-            assert!(*id >= 100);
-            let streamed = result.as_ref().unwrap();
-            let batch = engine.recognize(session).unwrap();
-            assert_eq!(streamed.macros, batch.macros);
-        }
-    }
-
-    #[test]
-    fn router_rejects_mismatched_slot_count_without_panicking() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let mut router = StreamRouter::with_homes(&engine, 2, Lag::Unbounded);
-        let inputs = vec![Some(&test[0].ticks[0].observed)];
-        assert!(matches!(
-            router.push_round(&inputs),
-            Err(ModelError::LengthMismatch {
-                left: 1,
-                right: 2,
-                ..
-            })
-        ));
-        // The malformed round must not have advanced anyone.
-        let ok_inputs = vec![Some(&test[0].ticks[0].observed), None];
-        let round = router.push_round(&ok_inputs).unwrap();
-        assert!(matches!(round[0], HomeRound::Advanced(_)));
-    }
-
-    #[test]
-    fn router_quarantines_failing_home_and_keeps_serving_the_rest() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-
-        let poison_at = 3usize;
-        let mut poisoned_stream = engine.stream(Lag::Unbounded);
-        poisoned_stream.poison_tick = Some(poison_at);
-
-        let mut router = StreamRouter::new();
-        router.add_home(7, engine.stream(Lag::Unbounded)).unwrap();
-        router.add_home(8, poisoned_stream).unwrap();
-        router.add_home(9, engine.stream(Lag::Unbounded)).unwrap();
-
-        let session = &test[0];
-        for (t, tick) in session.ticks.iter().enumerate() {
-            let inputs = vec![Some(&tick.observed); 3];
-            let round = router.push_round(&inputs).unwrap();
-            // The healthy homes advance on every round, including the one
-            // where their neighbour fails.
-            assert!(matches!(round[0], HomeRound::Advanced(_)), "tick {t}");
-            assert!(matches!(round[2], HomeRound::Advanced(_)), "tick {t}");
-            if t < poison_at {
-                assert!(matches!(round[1], HomeRound::Advanced(_)), "tick {t}");
-            } else if t == poison_at {
-                assert!(
-                    matches!(
-                        round[1],
-                        HomeRound::Failed(ModelError::EmptyStateSpace { .. })
-                    ),
-                    "poisoned tick must fail, got {:?}",
-                    round[1]
-                );
-            } else {
-                assert!(
-                    matches!(round[1], HomeRound::Quarantined),
-                    "tick {t}: failed home must stay quarantined"
-                );
-            }
-        }
-        let quarantined = router.quarantined();
-        assert_eq!(quarantined.len(), 1);
-        assert_eq!(quarantined[0].0, 8);
-
-        // The healthy homes were never desynchronized by the failure and
-        // finish with the exact batch answer; the faulted home reports its
-        // error instead of a bogus recognition.
-        let finished = router.finish();
-        let batch = engine.recognize(session).unwrap();
-        for (id, result) in &finished {
-            match id {
-                7 | 9 => assert_eq!(result.as_ref().unwrap().macros, batch.macros),
-                8 => assert!(matches!(result, Err(ModelError::EmptyStateSpace { .. }))),
-                _ => panic!("unexpected home id {id}"),
-            }
-        }
-    }
-
-    #[test]
-    fn router_finish_reports_per_home_failures() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let mut router = StreamRouter::with_homes(&engine, 2, Lag::Unbounded);
-        // Home 0 receives ticks, home 1 never does — finishing an empty
-        // stream is a per-home error, not a router-wide abort.
-        for tick in &test[0].ticks[..10] {
-            router.push_round(&[Some(&tick.observed), None]).unwrap();
-        }
-        let finished = router.finish();
-        assert!(finished[0].1.is_ok());
-        assert!(matches!(
-            finished[1].1,
-            Err(ModelError::InsufficientData { .. })
-        ));
-    }
-
-    #[test]
-    fn add_home_rejects_duplicate_ids() {
-        let (train, _) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let mut router = StreamRouter::new();
-        router.add_home(42, engine.stream(Lag::Unbounded)).unwrap();
-        assert!(matches!(
-            router.add_home(42, engine.stream(Lag::Unbounded)),
-            Err(ModelError::InvalidConfig(_))
-        ));
-        // The failed registration left the router intact.
-        assert_eq!(router.len(), 1);
-        router.add_home(43, engine.stream(Lag::Unbounded)).unwrap();
-        assert_eq!(router.len(), 2);
     }
 
     #[test]
@@ -1689,131 +1020,5 @@ mod tests {
             engine.stream(Lag::Unbounded).finish(),
             Err(ModelError::InsufficientData { .. })
         ));
-    }
-
-    #[test]
-    fn cohort_push_is_bit_identical_to_scalar_pushes_for_every_strategy() {
-        let (train, test) = corpus();
-        let session = &test[0];
-        for strategy in [
-            Strategy::NaiveHmm,
-            Strategy::NaiveCorrelation,
-            Strategy::NaiveConstraint,
-            Strategy::CorrelationConstraint,
-        ] {
-            let config = CaceConfig {
-                strategy,
-                ..CaceConfig::default()
-            };
-            let engine = CaceEngine::train(&train, &config).unwrap();
-            let lag = Lag::Fixed(5);
-            let n = 5;
-            let mut cohort: Vec<StreamingRecognizer<'_>> =
-                (0..n).map(|_| engine.stream(lag)).collect();
-            let mut scalar: Vec<StreamingRecognizer<'_>> =
-                (0..n).map(|_| engine.stream(lag)).collect();
-            let mut total_batched = 0usize;
-            for tick in &session.ticks {
-                let mut refs: Vec<&mut StreamingRecognizer<'_>> = cohort.iter_mut().collect();
-                let outcome = push_cohort(&mut refs, &tick.observed);
-                assert_eq!(outcome.batched + outcome.fallback, n, "{strategy:?}");
-                total_batched += outcome.batched;
-                for (s, r) in scalar.iter_mut().zip(outcome.results) {
-                    assert_eq!(s.push(&tick.observed).unwrap(), r.unwrap(), "{strategy:?}");
-                }
-            }
-            // The very first tick has no frontier to batch; every later
-            // tick must go through the fused kernel under the default
-            // exact decoder.
-            assert_eq!(
-                total_batched,
-                n * (session.len() - 1),
-                "{strategy:?}: cohort should batch every post-init tick"
-            );
-            for (c, s) in cohort.into_iter().zip(scalar) {
-                let got = c.finish().unwrap();
-                let want = s.finish().unwrap();
-                assert_eq!(got.macros, want.macros, "{strategy:?}");
-                assert_eq!(got.states_explored, want.states_explored, "{strategy:?}");
-                assert_eq!(got.transition_ops, want.transition_ops, "{strategy:?}");
-                assert_eq!(got.rules_fired, want.rules_fired, "{strategy:?}");
-                assert_eq!(got.mean_joint_size, want.mean_joint_size, "{strategy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn cohort_push_diverts_mismatched_homes_to_the_scalar_path() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let session = &test[0];
-        // Two lag-6 homes can share; the lag-2 home must be diverted.
-        let mut a = engine.stream(Lag::Fixed(6));
-        let mut b = engine.stream(Lag::Fixed(6));
-        let mut c = engine.stream(Lag::Fixed(2));
-        let mut want_a = engine.stream(Lag::Fixed(6));
-        let mut want_c = engine.stream(Lag::Fixed(2));
-        for (t, tick) in session.ticks.iter().take(20).enumerate() {
-            let mut refs: Vec<&mut StreamingRecognizer<'_>> = vec![&mut a, &mut b, &mut c];
-            let outcome = push_cohort(&mut refs, &tick.observed);
-            if t == 0 {
-                assert_eq!(outcome.batched, 0, "no frontier to batch on tick 0");
-            } else {
-                assert_eq!(outcome.batched, 2, "the lag-6 pair batches");
-                assert_eq!(outcome.fallback, 1, "the lag-2 home is diverted");
-            }
-            let wa = want_a.push(&tick.observed).unwrap();
-            let wc = want_c.push(&tick.observed).unwrap();
-            let mut rs = outcome.results.into_iter();
-            assert_eq!(rs.next().unwrap().unwrap(), wa);
-            assert_eq!(rs.next().unwrap().unwrap(), wa);
-            assert_eq!(rs.next().unwrap().unwrap(), wc);
-        }
-        let got = a.finish().unwrap();
-        let want = want_a.finish().unwrap();
-        assert_eq!(got.macros, want.macros);
-        assert_eq!(got.transition_ops, want.transition_ops);
-        assert_eq!(c.finish().unwrap().macros, want_c.finish().unwrap().macros);
-    }
-
-    #[test]
-    fn cohort_push_preserves_park_resume_and_poison_containment() {
-        let (train, test) = corpus();
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let session = &test[0];
-        // A poisoned home inside a cohort fails alone; its neighbours'
-        // batched decisions and subsequent park/resume state are
-        // untouched.
-        let mut healthy = engine.stream(Lag::Fixed(4));
-        let mut healthy2 = engine.stream(Lag::Fixed(4));
-        let mut poisoned = engine.stream(Lag::Fixed(4));
-        poisoned.poison_tick = Some(3);
-        let mut reference = engine.stream(Lag::Fixed(4));
-        for (t, tick) in session.ticks.iter().take(10).enumerate() {
-            let mut refs: Vec<&mut StreamingRecognizer<'_>> =
-                vec![&mut healthy, &mut poisoned, &mut healthy2];
-            let outcome = push_cohort(&mut refs, &tick.observed);
-            let want = reference.push(&tick.observed).unwrap();
-            assert_eq!(*outcome.results[0].as_ref().unwrap(), want, "tick {t}");
-            assert_eq!(*outcome.results[2].as_ref().unwrap(), want, "tick {t}");
-            if t == 3 {
-                assert!(matches!(
-                    outcome.results[1],
-                    Err(ModelError::EmptyStateSpace { .. })
-                ));
-            }
-        }
-        // The cohort-pushed stream parks and resumes bit-identically.
-        let parked = healthy.park();
-        let mut resumed = engine.resume(&parked).unwrap();
-        for tick in &session.ticks[10..] {
-            let want = reference.push(&tick.observed).unwrap();
-            assert_eq!(resumed.push(&tick.observed).unwrap(), want);
-        }
-        let got = resumed.finish().unwrap();
-        let want = reference.finish().unwrap();
-        assert_eq!(got.macros, want.macros);
-        assert_eq!(got.states_explored, want.states_explored);
-        assert_eq!(got.transition_ops, want.transition_ops);
     }
 }

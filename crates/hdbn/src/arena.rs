@@ -107,17 +107,6 @@ impl Slice {
         self.slots.clear();
         self.runs.clear();
     }
-
-    /// Whether two slices enumerate the same *state structure*: equal pair
-    /// ids and equal activity runs. Everything else a step kernel reads
-    /// from a **source** slice (lengths, slots, distinct pairs) is derived
-    /// from those two columns, so structural equality is exactly the
-    /// precondition under which a batched kernel may share one transition
-    /// lookup across streams (emissions may differ — source emissions are
-    /// already folded into the frontier and never re-read).
-    pub(crate) fn same_shape(&self, other: &Slice) -> bool {
-        self.pairs == other.pairs && self.runs == other.runs
-    }
 }
 
 /// Fills `out` with one user's trellis slice for a tick, reusing its
@@ -263,64 +252,5 @@ impl TrellisArena {
     /// An empty arena (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Scratch of one *fleet-batched* step (see
-/// [`BatchedTrellis`](crate::trellis::BatchedTrellis)): the stacked
-/// home-blocked SoA buffers the batched kernels fold through, plus the
-/// per-home output frontiers and backpointer rows they fan out into.
-///
-/// Layouts are column-major like the unbatched kernels' transposes, with
-/// the home index as the innermost (contiguous) dimension: element
-/// `[col][home]` lives at `col * B + home`, so one `sweep_*` call over a
-/// `B`-long (or `B·k`-long) row advances every stream of the cohort with
-/// each transition score loaded exactly once. Buffers grow to the
-/// high-water cohort size and stay there — one allocation per router
-/// shard, reused every round.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch<S> {
-    /// Stacked (and, for the joint kernel, transposed) source frontiers:
-    /// chain kernel `vb[jp·B + h]`, joint kernel
-    /// `vtb[j2p·(B·k1) + h·k1 + j1p]`.
-    pub(crate) vt: Vec<S>,
-    /// Pass-1 fold per destination slot, home-blocked
-    /// (`w[s·B + h]` / `w[s2·(B·k1) + h·k1 + j1p]`), and its argmax.
-    pub(crate) w: Vec<S>,
-    pub(crate) w_arg: Vec<u32>,
-    /// Joint pass-1 fold transposed for pass 2:
-    /// `wt[j1p·(B·d2) + h·d2 + s2]`.
-    pub(crate) wt: Vec<S>,
-    /// Joint pass-2 fold `w2[s1·(B·d2) + h·d2 + s2]` and its recovered
-    /// full-frontier backpointer.
-    pub(crate) w2: Vec<S>,
-    pub(crate) w2_arg: Vec<u32>,
-    /// Home-blocked switch-candidate run caches (same roles as the
-    /// unbatched `StepScratch::run_max`/`run_arg`, widened by `B`).
-    pub(crate) run_max: Vec<S>,
-    pub(crate) run_arg: Vec<u32>,
-    /// Joint pass-2 per-`(home, slot2)` running argmax of one `slot1` row.
-    pub(crate) acc_arg: Vec<u32>,
-    /// One home's pass-2 fold, unstacked (`[d1 × d2]`) for the shared
-    /// joint fan-out.
-    pub(crate) w2h: Vec<S>,
-    pub(crate) w2h_arg: Vec<u32>,
-    /// Fan-out rows borrowed by the shared joint fan-out (chain-2
-    /// emissions / coupling row), reused across the cohort.
-    pub(crate) gcol: Vec<S>,
-    pub(crate) crow: Vec<S>,
-    /// Per-home next frontiers the batched kernels write (index = cohort
-    /// position). The driver swaps each into its stream's live frontier.
-    pub v_next: Vec<Vec<S>>,
-    /// Per-home backpointer rows the batched kernels write, paired with
-    /// [`BatchScratch::v_next`].
-    pub back: Vec<Vec<u32>>,
-}
-
-impl<S> BatchScratch<S> {
-    /// Ensures the per-home output buffers cover a cohort of `b` streams.
-    pub(crate) fn ensure_homes(&mut self, b: usize) {
-        self.v_next.resize_with(b.max(self.v_next.len()), Vec::new);
-        self.back.resize_with(b.max(self.back.len()), Vec::new);
     }
 }

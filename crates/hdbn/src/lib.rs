@@ -69,7 +69,7 @@ pub mod trellis;
 pub mod viterbi;
 pub mod wire;
 
-pub use arena::{BatchScratch, StepScratch, TrellisArena};
+pub use arena::{StepScratch, TrellisArena};
 pub use beam::{Beam, BeamScratch, DecoderConfig};
 pub use em::{e_step, fit_em, fit_em_shared, DriftAccumulator, EmConfig, EmOutcome};
 pub use forward::log_sum_exp;
@@ -81,7 +81,7 @@ pub use scalar::{Precision, Scalar};
 pub use single::SingleHdbn;
 pub use tables::{ScoreTables, ScoreTablesF32};
 pub use trellis::{
-    step_dense_batch_into, BatchLane, BatchedTrellis, Dest, HierModel, OnlineTrellis,
-    PosteriorModel, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
+    Dest, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
+    TrellisFamily,
 };
 pub use viterbi::{CoupledHdbn, JointPath};

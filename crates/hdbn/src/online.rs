@@ -68,15 +68,12 @@ use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{fill_slice, Slice, StepScratch};
-use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
 use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
-use crate::scalar::{Precision, Scalar};
+use crate::scalar::Scalar;
 use crate::single::{self, SingleHdbn, SinglePath};
-use crate::trellis::{
-    self, BatchLane, BatchedTrellis, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily,
-};
+use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
 use crate::viterbi::{self, CoupledHdbn, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
@@ -271,7 +268,7 @@ fn decode_joint(entry: &JointEntry, flat: usize) -> ([usize; 2], [MicroCandidate
 
 impl OnlineCoupledViterbi {
     /// Starts an empty stream against a trained model (the model's
-    /// [`DecoderConfig`] governs beam pruning).
+    /// [`DecoderConfig`](crate::DecoderConfig) governs beam pruning).
     pub fn new(model: CoupledHdbn, lag: Lag) -> Self {
         let params = model.shared_params();
         Self {
@@ -341,13 +338,6 @@ impl OnlineCoupledViterbi {
         let decoder = self.model.decoder();
         self.core
             .push_entry(&CoupledFamily { p: &self.params }, decoder, entry, n_states);
-        Ok(self.emit_after_push())
-    }
-
-    /// The decision tail every push (scalar or batched) ends with: ripen
-    /// the fixed-lag decision, record it in the emitted history.
-    fn emit_after_push(&mut self) -> Option<SmoothedJoint> {
-        let decoder = self.model.decoder();
         let emitted = &self.emitted_macros;
         let decision = self.core.emit_ready(decoder.precision, |entry, flat, t| {
             debug_assert_eq!(t, emitted[0].len());
@@ -364,133 +354,7 @@ impl OnlineCoupledViterbi {
                 self.emitted_micros[u].push(d.micros[u]);
             }
         }
-        decision
-    }
-
-    /// Fleet-batched push: advances every stream in `homes` by the same
-    /// tick through **one** fused kernel pass
-    /// ([`crate::viterbi`]'s batched joint step), with each shared-table
-    /// transition score loaded once and swept across the whole cohort.
-    /// Per-home backpointer windows, decision cursors, beam state, and
-    /// overhead accounting advance exactly as under per-home
-    /// [`push`](Self::push) — decisions are bit-identical in the `f64`
-    /// lane (f32 within the fast-lane tolerance contract).
-    ///
-    /// Returns `Ok(None)` — no stream touched — when the cohort is not
-    /// batchable: fewer than two streams, parameters not literally shared
-    /// (`Arc` identity), mismatched decoder config or lag, a stream
-    /// before its first tick, an actively-pruning beam (divergent
-    /// survivor sets), or structurally diverged previous slices. The
-    /// caller then falls back to per-home pushes.
-    ///
-    /// # Errors
-    /// [`ModelError::EmptyStateSpace`] if the tick has no candidates for
-    /// some user; no stream is touched.
-    pub fn push_batch(
-        homes: &mut [&mut OnlineCoupledViterbi],
-        tick: &TickInput,
-        bt: &mut BatchedTrellis,
-    ) -> Result<Option<Vec<Option<SmoothedJoint>>>, ModelError> {
-        if homes.len() < 2 {
-            return Ok(None);
-        }
-        let params = Arc::clone(&homes[0].params);
-        let decoder = homes[0].model.decoder();
-        let lag = homes[0].core.lag();
-        let batchable = homes.iter().all(|h| {
-            Arc::ptr_eq(&h.params, &params)
-                && h.model.decoder() == decoder
-                && h.core.lag() == lag
-                && h.core.ticks_pushed() >= 1
-                && !h.core.pruned()
-        });
-        if !batchable {
-            return Ok(None);
-        }
-        {
-            let first = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            if !homes[1..].iter().all(|h| {
-                let e = h.core.last_entry().expect("ticks_pushed >= 1");
-                e.s1.same_shape(&first.s1) && e.s2.same_shape(&first.s2)
-            }) {
-                return Ok(None);
-            }
-        }
-        viterbi::validate_tick(tick, homes[0].core.ticks_pushed())?;
-        let decisions = match decoder.precision {
-            Precision::Exact64 => Self::push_batch_lane::<f64>(homes, tick, bt, &params, decoder),
-            Precision::Fast32 => Self::push_batch_lane::<f32>(homes, tick, bt, &params, decoder),
-        };
-        Ok(Some(decisions))
-    }
-
-    /// Lane-monomorphic body of [`push_batch`](Self::push_batch):
-    /// eligibility and validation already hold.
-    fn push_batch_lane<S: BatchLane>(
-        homes: &mut [&mut OnlineCoupledViterbi],
-        tick: &TickInput,
-        bt: &mut BatchedTrellis,
-        params: &Arc<HdbnParams>,
-        decoder: DecoderConfig,
-    ) -> Vec<Option<SmoothedJoint>> {
-        // Phase A: fill each home's window entry from the shared tick
-        // (identical slices by construction — `fill_slice` is pure in
-        // (params, tick, user)).
-        let mut entries: Vec<JointEntry> = Vec::with_capacity(homes.len());
-        for home in homes.iter_mut() {
-            let mut entry = home.core.take_entry();
-            fill_slice(
-                params,
-                tick,
-                0,
-                home.core.scratch_macro_ids(),
-                &mut entry.s1,
-            );
-            fill_slice(
-                params,
-                tick,
-                1,
-                home.core.scratch_macro_ids(),
-                &mut entry.s2,
-            );
-            for u in 0..2 {
-                entry.cands[u].clear();
-                entry.cands[u].extend_from_slice(&tick.candidates[u]);
-            }
-            entries.push(entry);
-        }
-        let (m1, m2) = (entries[0].s1.len(), entries[0].s2.len());
-        let n_states = (m1 * m2) as u64;
-
-        // Phase B: one fused kernel pass over every frontier at once.
-        let charge = {
-            let bs = S::scratch(bt);
-            let prev = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            let vs: Vec<&[S]> = homes.iter().map(|h| S::frontier_of(&h.core)).collect();
-            viterbi::joint_step_batch_into(
-                params,
-                &prev.s1,
-                &prev.s2,
-                &vs,
-                &entries[0].s1,
-                &entries[0].s2,
-                bs,
-            );
-            (prev.s1.len() as u64 * prev.s2.len() as u64) * (m1 as u64 + m2 as u64)
-        };
-
-        // Phase C: per-home frontier swap, window commit (same ordering
-        // as the scalar push), decision ripening.
-        let bs = S::scratch(bt);
-        let mut decisions = Vec::with_capacity(homes.len());
-        for (h, (home, mut entry)) in homes.iter_mut().zip(entries).enumerate() {
-            std::mem::swap(S::frontier_vec(&mut home.core), &mut bs.v_next[h]);
-            std::mem::swap(&mut entry.back, &mut bs.back[h]);
-            home.core
-                .commit_external_step(entry, n_states, charge, decoder);
-            decisions.push(home.emit_after_push());
-        }
-        decisions
+        Ok(decision)
     }
 
     /// Checkpoints the stream: everything the decode depends on — the
@@ -641,7 +505,7 @@ pub struct OnlineSingleViterbi {
 
 impl OnlineSingleViterbi {
     /// Starts an empty stream decoding `user`'s chain (the model's
-    /// [`DecoderConfig`] governs beam pruning).
+    /// [`DecoderConfig`](crate::DecoderConfig) governs beam pruning).
     pub fn new(model: SingleHdbn, user: usize, lag: Lag) -> Self {
         let params = model.shared_params();
         Self {
@@ -695,12 +559,6 @@ impl OnlineSingleViterbi {
         let decoder = self.model.decoder();
         self.core
             .push_entry(&ChainFamily { p: &self.params }, decoder, entry, n_states);
-        Ok(self.emit_after_push())
-    }
-
-    /// The decision tail every push (scalar or batched) ends with.
-    fn emit_after_push(&mut self) -> Option<SmoothedChain> {
-        let decoder = self.model.decoder();
         let decision = self
             .core
             .emit_ready(decoder.precision, |entry, j, t| SmoothedChain {
@@ -712,108 +570,7 @@ impl OnlineSingleViterbi {
             self.emitted_macros.push(d.macro_id);
             self.emitted_micros.push(d.micro);
         }
-        decision
-    }
-
-    /// Fleet-batched push over the generic batched chain kernel
-    /// ([`trellis::step_dense_batch_into`]) — the single-chain analogue
-    /// of [`OnlineCoupledViterbi::push_batch`], with the same eligibility
-    /// rules plus same-`user` (the decoded chain must match for the
-    /// slices to be shared). Returns `Ok(None)` untouched when the cohort
-    /// is not batchable.
-    ///
-    /// # Errors
-    /// [`ModelError::EmptyStateSpace`] if the tick has no candidates for
-    /// the decoded user; no stream is touched.
-    pub fn push_batch(
-        homes: &mut [&mut OnlineSingleViterbi],
-        tick: &TickInput,
-        bt: &mut BatchedTrellis,
-    ) -> Result<Option<Vec<Option<SmoothedChain>>>, ModelError> {
-        if homes.len() < 2 {
-            return Ok(None);
-        }
-        let params = Arc::clone(&homes[0].params);
-        let decoder = homes[0].model.decoder();
-        let lag = homes[0].core.lag();
-        let user = homes[0].user;
-        let batchable = homes.iter().all(|h| {
-            Arc::ptr_eq(&h.params, &params)
-                && h.model.decoder() == decoder
-                && h.core.lag() == lag
-                && h.user == user
-                && h.core.ticks_pushed() >= 1
-                && !h.core.pruned()
-        });
-        if !batchable {
-            return Ok(None);
-        }
-        {
-            let first = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            if !homes[1..].iter().all(|h| {
-                let e = h.core.last_entry().expect("ticks_pushed >= 1");
-                e.slice.same_shape(&first.slice)
-            }) {
-                return Ok(None);
-            }
-        }
-        single::validate_tick_user(tick, homes[0].core.ticks_pushed(), user)?;
-        let decisions = match decoder.precision {
-            Precision::Exact64 => Self::push_batch_lane::<f64>(homes, tick, bt, &params, decoder),
-            Precision::Fast32 => Self::push_batch_lane::<f32>(homes, tick, bt, &params, decoder),
-        };
-        Ok(Some(decisions))
-    }
-
-    /// Lane-monomorphic body of [`push_batch`](Self::push_batch).
-    fn push_batch_lane<S: BatchLane>(
-        homes: &mut [&mut OnlineSingleViterbi],
-        tick: &TickInput,
-        bt: &mut BatchedTrellis,
-        params: &Arc<HdbnParams>,
-        decoder: DecoderConfig,
-    ) -> Vec<Option<SmoothedChain>> {
-        let user = homes[0].user;
-        let mut entries: Vec<ChainEntry> = Vec::with_capacity(homes.len());
-        for home in homes.iter_mut() {
-            let mut entry = home.core.take_entry();
-            fill_slice(
-                params,
-                tick,
-                user,
-                home.core.scratch_macro_ids(),
-                &mut entry.slice,
-            );
-            entry.cands.clear();
-            entry.cands.extend_from_slice(&tick.candidates[user]);
-            entries.push(entry);
-        }
-        let n_states = entries[0].slice.len() as u64;
-
-        let charge = {
-            let bs = S::scratch(bt);
-            let prev = homes[0].core.last_entry().expect("ticks_pushed >= 1");
-            let vs: Vec<&[S]> = homes.iter().map(|h| S::frontier_of(&h.core)).collect();
-            trellis::step_dense_batch_into(
-                &HierModel::new(params),
-                &prev.slice,
-                &vs,
-                &entries[0].slice,
-                bs,
-            );
-            (prev.slice.len() * entries[0].slice.len()) as u64
-        };
-
-        let bs = S::scratch(bt);
-        let mut decisions = Vec::with_capacity(homes.len());
-        for (h, (home, mut entry)) in homes.iter_mut().zip(entries).enumerate() {
-            std::mem::swap(S::frontier_vec(&mut home.core), &mut bs.v_next[h]);
-            std::mem::swap(&mut entry.back, &mut bs.back[h]);
-            home.core
-                .commit_external_step(entry, n_states, charge, decoder);
-            decisions.push(home.emit_after_push());
-        }
-        decisions
+        Ok(decision)
     }
 
     /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
@@ -1279,157 +1036,6 @@ mod tests {
             OnlineCoupledViterbi::resume(model_pruned.clone(), Lag::Unbounded, &bad),
             Err(ModelError::Persistence { .. })
         ));
-    }
-
-    #[test]
-    fn batched_cohort_is_bit_identical_to_dedicated_streams_coupled() {
-        use crate::beam::DecoderConfig;
-        let ticks = glitchy_ticks();
-        for config in [
-            DecoderConfig::exact(),
-            DecoderConfig::top_k(16), // covers the 16-state joint frontier: never prunes
-            DecoderConfig::exact().fast32(),
-        ] {
-            let model = CoupledHdbn::new(toy_params(true)).with_decoder(config);
-            let lag = Lag::Fixed(3);
-            let n = 4;
-            // Stagger the first tick so every cohort frontier differs.
-            let spawn = || -> Vec<OnlineCoupledViterbi> {
-                (0..n)
-                    .map(|i| {
-                        let mut s = OnlineCoupledViterbi::new(model.clone(), lag);
-                        s.push(&obs_tick(i % 2, 1.0 + i as f64)).unwrap();
-                        s
-                    })
-                    .collect()
-            };
-            let mut batched = spawn();
-            let mut scalar = spawn();
-            let mut bt = BatchedTrellis::new();
-            for tick in &ticks {
-                let mut refs: Vec<&mut OnlineCoupledViterbi> = batched.iter_mut().collect();
-                let ds = OnlineCoupledViterbi::push_batch(&mut refs, tick, &mut bt)
-                    .unwrap()
-                    .expect("cohort is batchable");
-                for (s, d) in scalar.iter_mut().zip(ds) {
-                    assert_eq!(s.push(tick).unwrap(), d, "{config:?}");
-                }
-            }
-            for (b, s) in batched.into_iter().zip(scalar) {
-                assert_eq!(
-                    b.finalize().unwrap(),
-                    s.finalize().unwrap(),
-                    "{config:?}: floats and accounting"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_cohort_is_bit_identical_to_dedicated_streams_single() {
-        use crate::beam::DecoderConfig;
-        let ticks = glitchy_ticks();
-        let model = SingleHdbn::new(toy_params(false)).with_decoder(DecoderConfig::top_k(4));
-        let lag = Lag::Fixed(2);
-        let n = 3;
-        let spawn = |user: usize| -> Vec<OnlineSingleViterbi> {
-            (0..n)
-                .map(|i| {
-                    let mut s = OnlineSingleViterbi::new(model.clone(), user, lag);
-                    s.push(&obs_tick(i % 2, 2.0)).unwrap();
-                    s
-                })
-                .collect()
-        };
-        for user in 0..2 {
-            let mut batched = spawn(user);
-            let mut scalar = spawn(user);
-            let mut bt = BatchedTrellis::new();
-            for tick in &ticks {
-                let mut refs: Vec<&mut OnlineSingleViterbi> = batched.iter_mut().collect();
-                let ds = OnlineSingleViterbi::push_batch(&mut refs, tick, &mut bt)
-                    .unwrap()
-                    .expect("cohort is batchable");
-                for (s, d) in scalar.iter_mut().zip(ds) {
-                    assert_eq!(s.push(tick).unwrap(), d, "user {user}");
-                }
-            }
-            for (b, s) in batched.into_iter().zip(scalar) {
-                assert_eq!(b.finalize().unwrap(), s.finalize().unwrap(), "user {user}");
-            }
-        }
-    }
-
-    #[test]
-    fn unbatchable_cohorts_are_refused_untouched() {
-        use crate::beam::DecoderConfig;
-        let model = CoupledHdbn::new(toy_params(true));
-        let tick = obs_tick(0, 2.0);
-        let mut bt = BatchedTrellis::new();
-
-        // Fewer than two streams.
-        let mut lone = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        lone.push(&tick).unwrap();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut lone];
-        assert!(OnlineCoupledViterbi::push_batch(&mut refs, &tick, &mut bt)
-            .unwrap()
-            .is_none());
-
-        // Mismatched lag.
-        let mut a = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        let mut b = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(5));
-        a.push(&tick).unwrap();
-        b.push(&tick).unwrap();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut a, &mut b];
-        assert!(OnlineCoupledViterbi::push_batch(&mut refs, &tick, &mut bt)
-            .unwrap()
-            .is_none());
-
-        // Parameters trained separately (equal values, different Arc).
-        let twin = CoupledHdbn::new(toy_params(true));
-        let mut a = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        let mut b = OnlineCoupledViterbi::new(twin, Lag::Fixed(2));
-        a.push(&tick).unwrap();
-        b.push(&tick).unwrap();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut a, &mut b];
-        assert!(OnlineCoupledViterbi::push_batch(&mut refs, &tick, &mut bt)
-            .unwrap()
-            .is_none());
-
-        // A stream before its first tick.
-        let mut a = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        let mut b = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        a.push(&tick).unwrap();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut a, &mut b];
-        assert!(OnlineCoupledViterbi::push_batch(&mut refs, &tick, &mut bt)
-            .unwrap()
-            .is_none());
-
-        // An actively-pruning beam (TopK(2) prunes the 16-state frontier).
-        let pruning = model.clone().with_decoder(DecoderConfig::top_k(2));
-        let mut a = OnlineCoupledViterbi::new(pruning.clone(), Lag::Fixed(2));
-        let mut b = OnlineCoupledViterbi::new(pruning, Lag::Fixed(2));
-        a.push(&tick).unwrap();
-        b.push(&tick).unwrap();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut a, &mut b];
-        assert!(OnlineCoupledViterbi::push_batch(&mut refs, &tick, &mut bt)
-            .unwrap()
-            .is_none());
-
-        // An invalid tick errors without touching any stream.
-        let mut a = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        let mut b = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        a.push(&tick).unwrap();
-        b.push(&tick).unwrap();
-        let mut bad = obs_tick(0, 1.0);
-        bad.candidates[1].clear();
-        let mut refs: Vec<&mut OnlineCoupledViterbi> = vec![&mut a, &mut b];
-        assert!(matches!(
-            OnlineCoupledViterbi::push_batch(&mut refs, &bad, &mut bt),
-            Err(ModelError::EmptyStateSpace { .. })
-        ));
-        assert_eq!(a.ticks_pushed(), 1);
-        assert_eq!(b.ticks_pushed(), 1);
     }
 
     #[test]

@@ -235,111 +235,6 @@ pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
     }
 }
 
-/// One *fleet-batched* dense chain step: advances `B = vs.len()` co-model
-/// streams — same score model, structurally identical previous state
-/// spaces, same current tick — in one fused pass, with each transition
-/// score loaded from the shared tables exactly once and swept across all
-/// `B` lanes via the branchless [`Scalar`] sweeps.
-///
-/// The frontiers are stacked into an SoA matrix with the home index
-/// innermost (`vb[jp·B + h]`, column-major like the joint kernel's
-/// transpose), so a destination's fold over source `jp` is one contiguous
-/// `B`-wide sweep per source instead of `B` separate scalar folds.
-/// Candidates are visited in the unbatched kernel's exact order (runs in
-/// slice order, sources ascending within a continue run, strict `>`
-/// first-win), and the sweeps are elementwise independent, so each home's
-/// output in `bs.v_next[h]` / `bs.back[h]` is **bit-identical** to a
-/// dedicated [`step_dense_into`] run on that home alone, per lane.
-pub fn step_dense_batch_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
-    model: &M,
-    prev: &Sp,
-    vs: &[&[S]],
-    cur: &Sp,
-    bs: &mut crate::arena::BatchScratch<S>,
-) {
-    let b = vs.len();
-    let k = prev.len();
-    let m = cur.len();
-    let d = cur.n_slots();
-    bs.ensure_homes(b);
-    let runs = prev.runs();
-
-    // Stack the cohort's frontiers home-innermost: vb[jp][h] = V_h[jp].
-    let vb = &mut bs.vt;
-    vb.clear();
-    vb.resize(k * b, S::NEG_INFINITY);
-    for (h, v) in vs.iter().enumerate() {
-        for (jp, &x) in v.iter().enumerate() {
-            vb[jp * b + h] = x;
-        }
-    }
-
-    // Home-blocked switch-candidate run cache (first-max per run per
-    // home; all-`−∞` runs keep the run start, like `fold_max`).
-    if M::SWITCH {
-        let n_runs = runs.len();
-        bs.run_max.clear();
-        bs.run_max.resize(n_runs * b, S::NEG_INFINITY);
-        bs.run_arg.clear();
-        bs.run_arg.resize(n_runs * b, 0);
-        for (r, &(_, start, end)) in runs.iter().enumerate() {
-            let rm = &mut bs.run_max[r * b..][..b];
-            let ra = &mut bs.run_arg[r * b..][..b];
-            ra.fill(start);
-            for jp in start as usize..end as usize {
-                scalar::sweep_max(&vb[jp * b..][..b], jp as u32, rm, ra);
-            }
-        }
-    }
-
-    // Per destination slot: one transition-score load per source, swept
-    // across the whole cohort. The flattened ascending sweep over a
-    // continue run is bit-identical to the unbatched per-run
-    // `fold_max_sum` + cross-run strict-`>` (both keep the first global
-    // maximum over the same candidate order and per-candidate sums).
-    bs.w.clear();
-    bs.w.resize(d * b, S::NEG_INFINITY);
-    bs.w_arg.clear();
-    bs.w_arg.resize(d * b, 0);
-    for s in 0..d {
-        let dest = model.dest(cur.slot_pair(s));
-        let acc = &mut bs.w[s * b..][..b];
-        let acc_arg = &mut bs.w_arg[s * b..][..b];
-        for (r, &(gr, start, end)) in runs.iter().enumerate() {
-            if !M::SWITCH || gr == dest.group {
-                for jp in start as usize..end as usize {
-                    let g = dest.cont[prev.pair(jp) as usize];
-                    scalar::sweep_add_max(&vb[jp * b..][..b], g, jp as u32, acc, acc_arg);
-                }
-            } else {
-                let sw = dest.switch[gr as usize];
-                scalar::sweep_add_max_arg(
-                    &bs.run_max[r * b..][..b],
-                    sw,
-                    &bs.run_arg[r * b..][..b],
-                    acc,
-                    acc_arg,
-                );
-            }
-        }
-    }
-
-    // Per-home fan-out (same addition tree as the unbatched kernel).
-    for h in 0..b {
-        let v_next = &mut bs.v_next[h];
-        let back = &mut bs.back[h];
-        v_next.clear();
-        v_next.resize(m, S::NEG_INFINITY);
-        back.clear();
-        back.resize(m, 0);
-        for j in 0..m {
-            let s = cur.slot(j) as usize;
-            v_next[j] = bs.w[s * b + h] + S::from_f64(cur.emission(j));
-            back[j] = bs.w_arg[s * b + h];
-        }
-    }
-}
-
 /// [`step_dense_into`] restricted to a pruned previous frontier: only the
 /// survivors in `keep` (state indices sorted ascending) may be
 /// transitioned out of. Backpointers stay in full-frontier coordinates,
@@ -869,37 +764,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.pushed += 1;
     }
 
-    /// The newest retained window entry — the `prev` a batched step folds
-    /// out of (`None` before the first push).
-    pub fn last_entry(&self) -> Option<&E> {
-        self.window.back()
-    }
-
-    /// Commits one externally computed DP step (the fleet-batched path):
-    /// the caller has already advanced this stream's frontier in place
-    /// (via [`BatchLane::frontier_vec`]) and filled `entry`'s
-    /// backpointers; this performs the rest of
-    /// [`push_entry`](Self::push_entry) in the exact same order —
-    /// exploration charge, transition charge, beam selection on the new
-    /// frontier, window append, cursor advance — so accounting and
-    /// pruning state stay bit-identical to the unbatched push.
-    pub fn commit_external_step(
-        &mut self,
-        entry: E,
-        n_states: u64,
-        charge: u64,
-        decoder: DecoderConfig,
-    ) {
-        self.states_explored += n_states;
-        self.transition_ops += charge;
-        self.pruned = match decoder.precision {
-            Precision::Exact64 => decoder.beam.select_log(&self.v, &mut self.arena.beam),
-            Precision::Fast32 => decoder.beam.select_log(&self.v32, &mut self.arena.beam),
-        };
-        self.window.push_back(entry);
-        self.pushed += 1;
-    }
-
     /// Argmax of the live frontier, in whichever lane the decoder runs.
     ///
     /// # Panics
@@ -982,70 +846,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         }
         tail.reverse();
         (tail, log_prob)
-    }
-}
-
-/// Shared scratch of a *fleet-batched* stepping pass: one
-/// [`BatchScratch`](crate::arena::BatchScratch) per scoring lane, owned
-/// by whoever drives cohorts of co-model streams (one per router shard in
-/// the serving tier). Allocated once, reused across rounds; only the lane
-/// a cohort actually runs in ever grows.
-#[derive(Debug, Clone, Default)]
-pub struct BatchedTrellis {
-    s64: crate::arena::BatchScratch<f64>,
-    s32: crate::arena::BatchScratch<f32>,
-}
-
-impl BatchedTrellis {
-    /// An empty batched-stepping scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Lane selection for the fleet-batched step drivers: maps a [`Scalar`]
-/// lane onto its [`BatchedTrellis`] scratch half and its
-/// [`OnlineTrellis`] frontier vector, so batch drivers can be written
-/// once, generic over the lane.
-pub trait BatchLane: Scalar {
-    /// This lane's half of the batched scratch.
-    #[doc(hidden)]
-    fn scratch(bt: &mut BatchedTrellis) -> &mut crate::arena::BatchScratch<Self>;
-
-    /// This lane's live frontier of an online core (read side).
-    #[doc(hidden)]
-    fn frontier_of<E>(core: &OnlineTrellis<E>) -> &[Self];
-
-    /// This lane's live frontier of an online core (write-back side).
-    #[doc(hidden)]
-    fn frontier_vec<E>(core: &mut OnlineTrellis<E>) -> &mut Vec<Self>;
-}
-
-impl BatchLane for f64 {
-    fn scratch(bt: &mut BatchedTrellis) -> &mut crate::arena::BatchScratch<f64> {
-        &mut bt.s64
-    }
-
-    fn frontier_of<E>(core: &OnlineTrellis<E>) -> &[f64] {
-        &core.v
-    }
-
-    fn frontier_vec<E>(core: &mut OnlineTrellis<E>) -> &mut Vec<f64> {
-        &mut core.v
-    }
-}
-
-impl BatchLane for f32 {
-    fn scratch(bt: &mut BatchedTrellis) -> &mut crate::arena::BatchScratch<f32> {
-        &mut bt.s32
-    }
-
-    fn frontier_of<E>(core: &OnlineTrellis<E>) -> &[f32] {
-        &core.v32
-    }
-
-    fn frontier_vec<E>(core: &mut OnlineTrellis<E>) -> &mut Vec<f32> {
-        &mut core.v32
     }
 }
 

@@ -325,210 +325,6 @@ fn joint_fan_out<S: Scalar>(
     }
 }
 
-/// One *fleet-batched* joint DP step: advances `B = vs.len()` co-model
-/// streams — same parameters, same structurally-identical previous slices
-/// (`Slice::same_shape`), same current tick — through one fused pass over
-/// the shared [`ScoreTables`](crate::ScoreTables).
-///
-/// The kernel mirrors [`joint_step_into`] sweep for sweep, with every
-/// buffer widened by the home dimension (innermost, contiguous — see
-/// [`BatchScratch`](crate::arena::BatchScratch)): each `into_row` gather,
-/// switch constant, and coupling row is loaded **once** and swept across
-/// all `B` lanes via the branchless [`crate::scalar`] sweeps. Because the
-/// sweeps are elementwise-independent and candidates are visited in the
-/// exact order of the unbatched kernel (runs in slice order, sources
-/// ascending, strict `>` first-win), home `h`'s slice of every
-/// accumulator evolves exactly as its dedicated [`joint_step_into`] run
-/// would — the per-home outputs in `bs.v_next[h]` / `bs.back[h]` are
-/// bit-identical to the unbatched path, per lane.
-pub(crate) fn joint_step_batch_into<S: Scalar>(
-    p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
-    vs: &[&[S]],
-    cur1: &Slice,
-    cur2: &Slice,
-    bs: &mut crate::arena::BatchScratch<S>,
-) {
-    let t = S::tables(p);
-    let b = vs.len();
-    let (k1, k2) = (prev1.len(), prev2.len());
-    let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
-    bs.ensure_homes(b);
-
-    // Gather every stream's frontier directly into the home-blocked
-    // transpose: vtb[j2p][h][j1p] = V_h[j1p][j2p].
-    let bk1 = b * k1;
-    let vtb = &mut bs.vt;
-    vtb.clear();
-    vtb.resize(k2 * bk1, S::NEG_INFINITY);
-    for (h, v) in vs.iter().enumerate() {
-        for j1p in 0..k1 {
-            let row = &v[j1p * k2..][..k2];
-            for (j2p, &x) in row.iter().enumerate() {
-                vtb[j2p * bk1 + h * k1 + j1p] = x;
-            }
-        }
-    }
-
-    // Chain-2 switch-candidate cache, home-blocked: per chain-2 run r,
-    // run_max[r][h][j1p] = first-max over the run's j2p of V_h[j1p][j2p]
-    // (all-`−∞` runs keep the run start, like the unbatched cache).
-    let nr2 = prev2.runs.len();
-    bs.run_max.clear();
-    bs.run_max.resize(nr2 * bk1, S::NEG_INFINITY);
-    bs.run_arg.clear();
-    bs.run_arg.resize(nr2 * bk1, 0);
-    for (r, &(_, start, end)) in prev2.runs.iter().enumerate() {
-        let rm = &mut bs.run_max[r * bk1..][..bk1];
-        let ra = &mut bs.run_arg[r * bk1..][..bk1];
-        ra.fill(start);
-        for j2p in start..end {
-            sweep_max(&vtb[j2p as usize * bk1..][..bk1], j2p, rm, ra);
-        }
-    }
-
-    // Pass 1 — fold chain 2 for all homes at once, per distinct chain-2
-    // dst pair: each transition score is computed once and swept across
-    // the B·k1-wide home-blocked row.
-    bs.w.clear();
-    bs.w.resize(d2 * bk1, S::NEG_INFINITY);
-    bs.w_arg.clear();
-    bs.w_arg.resize(d2 * bk1, 0);
-    for (s2, &dp2) in cur2.uniq_pairs.iter().enumerate() {
-        let a2 = t.activity_of(dp2);
-        let row = t.into_row(dp2);
-        let srow = t.switch_row(a2);
-        let wrow = &mut bs.w[s2 * bk1..][..bk1];
-        let warow = &mut bs.w_arg[s2 * bk1..][..bk1];
-        for (r, &(ar, start, end)) in prev2.runs.iter().enumerate() {
-            if ar as usize == a2 {
-                for j2p in start as usize..end as usize {
-                    let g = row[prev2.pairs[j2p] as usize];
-                    sweep_add_max(&vtb[j2p * bk1..][..bk1], g, j2p as u32, wrow, warow);
-                }
-            } else {
-                let sw = srow[ar as usize];
-                sweep_add_max_arg(
-                    &bs.run_max[r * bk1..][..bk1],
-                    sw,
-                    &bs.run_arg[r * bk1..][..bk1],
-                    wrow,
-                    warow,
-                );
-            }
-        }
-    }
-
-    // Transpose W once: wtb[j1p][h][s2] = W[s2][h][j1p], so pass 2
-    // accumulates s2-contiguously per home.
-    let bd2 = b * d2;
-    bs.wt.clear();
-    bs.wt.resize(k1 * bd2, S::NEG_INFINITY);
-    for s2 in 0..d2 {
-        for h in 0..b {
-            let src = &bs.w[s2 * bk1 + h * k1..][..k1];
-            for (j1p, &x) in src.iter().enumerate() {
-                bs.wt[j1p * bd2 + h * d2 + s2] = x;
-            }
-        }
-    }
-
-    // Chain-1 switch-candidate cache over the transposed pass-1 fold.
-    let nr1 = prev1.runs.len();
-    bs.run_max.clear();
-    bs.run_max.resize(nr1 * bd2, S::NEG_INFINITY);
-    bs.run_arg.clear();
-    bs.run_arg.resize(nr1 * bd2, 0);
-    for (r, &(_, start, end)) in prev1.runs.iter().enumerate() {
-        let rm = &mut bs.run_max[r * bd2..][..bd2];
-        let ra = &mut bs.run_arg[r * bd2..][..bd2];
-        ra.fill(start);
-        for j1p in start as usize..end as usize {
-            sweep_max(&bs.wt[j1p * bd2..][..bd2], j1p as u32, rm, ra);
-        }
-    }
-
-    // Pass 2 — fold chain 1 for all homes, per distinct chain-1 dst pair,
-    // then recover each home's flattened full-frontier backpointer.
-    bs.w2.clear();
-    bs.w2.resize(d1 * bd2, S::NEG_INFINITY);
-    bs.w2_arg.clear();
-    bs.w2_arg.resize(d1 * bd2, 0);
-    for (s1, &dp1) in cur1.uniq_pairs.iter().enumerate() {
-        let a1 = t.activity_of(dp1);
-        let row = t.into_row(dp1);
-        let srow = t.switch_row(a1);
-        let acc = &mut bs.w2[s1 * bd2..][..bd2];
-        bs.acc_arg.clear();
-        bs.acc_arg.resize(bd2, 0);
-        for (r, &(ar, start, end)) in prev1.runs.iter().enumerate() {
-            if ar as usize == a1 {
-                for j1p in start as usize..end as usize {
-                    let g = row[prev1.pairs[j1p] as usize];
-                    sweep_add_max(
-                        &bs.wt[j1p * bd2..][..bd2],
-                        g,
-                        j1p as u32,
-                        acc,
-                        &mut bs.acc_arg,
-                    );
-                }
-            } else {
-                let sw = srow[ar as usize];
-                sweep_add_max_arg(
-                    &bs.run_max[r * bd2..][..bd2],
-                    sw,
-                    &bs.run_arg[r * bd2..][..bd2],
-                    acc,
-                    &mut bs.acc_arg,
-                );
-            }
-        }
-        for h in 0..b {
-            for s2 in 0..d2 {
-                let best_j1p = bs.acc_arg[h * d2 + s2];
-                let j2p = bs.w_arg[s2 * bk1 + h * k1 + best_j1p as usize];
-                bs.w2_arg[s1 * bd2 + h * d2 + s2] = best_j1p * (k2 as u32) + j2p;
-            }
-        }
-    }
-
-    // Per-home fan-out through the *shared* joint fan-out, so the batched
-    // expansion stays bit-identical to the unbatched kernels by
-    // construction (same addition tree, same slot gathers).
-    for h in 0..b {
-        bs.w2h.clear();
-        bs.w2h_arg.clear();
-        for s1 in 0..d1 {
-            let src = &bs.w2[s1 * bd2 + h * d2..][..d2];
-            bs.w2h.extend_from_slice(src);
-            let srca = &bs.w2_arg[s1 * bd2 + h * d2..][..d2];
-            bs.w2h_arg.extend_from_slice(srca);
-        }
-        let crate::arena::BatchScratch {
-            w2h,
-            w2h_arg,
-            gcol,
-            crow,
-            v_next,
-            back,
-            ..
-        } = bs;
-        joint_fan_out(
-            t,
-            cur1,
-            cur2,
-            w2h,
-            w2h_arg,
-            gcol,
-            crow,
-            &mut v_next[h],
-            &mut back[h],
-        );
-    }
-}
-
 /// Reusable work buffers of [`joint_step_pruned_into`], owned by the
 /// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
 /// decode (batch) or stream (online), reused across ticks — the pruned

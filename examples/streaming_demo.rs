@@ -1,5 +1,5 @@
 //! Streaming recognition demo: per-tick latency, the lag/accuracy
-//! trade-off, and multi-home throughput through the `StreamRouter`.
+//! trade-off, and multi-home throughput through the `ShardedRouter`.
 //!
 //! ```text
 //! cargo run --release --example streaming_demo
@@ -15,11 +15,12 @@
 //! 3. **Router throughput** — N concurrent homes streaming in lockstep
 //!    rounds over all cores; reports aggregate ticks/second.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cace::behavior::session::train_test_split;
 use cace::behavior::{cace_grammar, generate_cace_dataset, SessionConfig};
-use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, StreamRouter};
+use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, ShardedRouter};
 
 fn main() {
     let grammar = cace_grammar();
@@ -32,7 +33,8 @@ fn main() {
     );
     let (train, test) = train_test_split(sessions, 0.8);
     println!("training C2 engine on {} sessions ...", train.len());
-    let engine = CaceEngine::train(&train, &CaceConfig::default()).expect("training succeeds");
+    let engine =
+        Arc::new(CaceEngine::train(&train, &CaceConfig::default()).expect("training succeeds"));
     let session = &test[0];
     let batch = engine.recognize(session).expect("batch recognition");
 
@@ -99,17 +101,26 @@ fn main() {
                 .expect("one session")
         })
         .collect();
-    let mut router = StreamRouter::with_homes(&engine, homes, Lag::Fixed(lag));
+    let mut router = ShardedRouter::new();
+    router
+        .register_model("c2", Arc::clone(&engine))
+        .expect("fresh registry");
+    for id in 0..homes as u64 {
+        router
+            .add_home(id, "c2", Lag::Fixed(lag))
+            .expect("distinct home ids");
+    }
     let rounds = per_home.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut total_ticks = 0usize;
     let t0 = Instant::now();
     for t in 0..rounds {
-        let inputs: Vec<_> = per_home
+        let round: Vec<_> = per_home
             .iter()
-            .map(|s| s.ticks.get(t).map(|tick| &tick.observed))
+            .enumerate()
+            .filter_map(|(id, s)| s.ticks.get(t).map(|tick| (id as u64, &tick.observed)))
             .collect();
-        total_ticks += inputs.iter().flatten().count();
-        router.push_round(&inputs).expect("round succeeds");
+        total_ticks += round.len();
+        router.push_round(&round).expect("every home is routed");
     }
     assert!(
         router.quarantined().is_empty(),

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use cace::behavior::{ObservedTick, Session};
 use cace::core::{
     stream_session, CaceConfig, CaceEngine, DecoderConfig, HomeRound, HomeStatus, Lag,
-    ShardedRouter, Strategy, StreamDecision, StreamRouter,
+    ShardedRouter, Strategy, StreamDecision,
 };
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine, engine_with, tiny_corpus};
@@ -192,23 +192,20 @@ proptest! {
         prop_assert_eq!(a.stats().quarantined_homes(), 0);
     }
 
-    /// PR 10 fleet-batching contract: a router whose rounds share tick
-    /// references (so every shard fuses its homes into `(model, tick)`
-    /// cohorts) produces decision schedules and final recognitions
-    /// bit-identical to dedicated per-home streams, for all four
-    /// strategies under exact and wide-TopK beams — and actually batches.
-    /// The `CACE_FAST32=1` CI sweep replays the same assertions on the
-    /// f32 lane (router and reference share one engine, so bit-identity
-    /// holds within either lane).
+    /// A router whose rounds hand several homes the same tick reference
+    /// produces decision schedules and final recognitions bit-identical
+    /// to dedicated per-home streams, for all four strategies under exact
+    /// and wide-TopK beams. The `CACE_FAST32=1` CI sweep replays the same
+    /// assertions on the f32 lane (router and reference share one engine,
+    /// so bit-identity holds within either lane).
     #[test]
-    fn batched_cohorts_are_bit_identical_to_dedicated_streams(
+    fn shared_tick_rounds_are_bit_identical_to_dedicated_streams(
         ticks in 36usize..48,
         seed in 0u64..1_000,
         beam_case in 0u8..2,
     ) {
         let decoder = match beam_case {
             0 => DecoderConfig::default(),
-            // Wide enough to never prune, so the beam stays batchable.
             _ => DecoderConfig::top_k(100_000),
         };
         let (train, test) = tiny_corpus(6, ticks, seed);
@@ -225,18 +222,6 @@ proptest! {
             let mut router = router_with_homes(&engine, &ids, lag, 2, None);
             let decisions = drive(&mut router, &homes);
 
-            let stats = router.stats();
-            prop_assert!(
-                stats.batched_pushes() > 0,
-                "{}: shared-tick rounds must fuse cohorts",
-                strategy
-            );
-            prop_assert_eq!(
-                stats.pushes(),
-                stats.batched_pushes() + stats.fallback_pushes(),
-                "every push is batched or fallback, exactly once"
-            );
-
             for (id, result) in router.finish() {
                 let session = homes.iter().find(|(h, _)| *h == id).expect("tracked").1;
                 let (want_decisions, want) =
@@ -250,7 +235,7 @@ proptest! {
                 assert_recognitions_identical(
                     &result.expect("healthy home finishes"),
                     &want,
-                    &format!("{strategy} home {id} batched vs dedicated"),
+                    &format!("{strategy} home {id} routed vs dedicated"),
                 );
             }
         }
@@ -340,6 +325,8 @@ fn tampered_parked_bytes_quarantine_the_home_without_panicking() {
 
 #[test]
 fn duplicate_home_ids_are_rejected_by_both_router_tiers() {
+    // Both ways into the router — a fresh live stream and an imported
+    // parked snapshot — reject an id that is already routed.
     let (engine, _) = fleet(30, 4);
 
     let mut sharded = ShardedRouter::new();
@@ -354,26 +341,17 @@ fn duplicate_home_ids_are_rejected_by_both_router_tiers() {
         Err(ModelError::InvalidConfig(_))
     ));
     assert_eq!(sharded.len(), 1);
-
-    let mut flat = StreamRouter::new();
-    flat.add_home(7, engine.stream(Lag::Fixed(5))).unwrap();
-    assert!(matches!(
-        flat.add_home(7, engine.stream(Lag::Fixed(5))),
-        Err(ModelError::InvalidConfig(_))
-    ));
-    assert_eq!(flat.len(), 1);
 }
 
 #[test]
-fn mid_round_swap_fragments_cohorts_without_changing_decisions() {
+fn mid_round_swap_leaves_decisions_unchanged() {
     // A model publish lands mid-drive and half the fleet is advanced one
-    // extra tick so its homes hot-swap first. The next full round is then
-    // *fragmented*: the already-swapped half fuses into cohorts while the
-    // lagging half takes the scalar path to swap — batched and swap
-    // counters both move in that one round — and every home's decision
-    // schedule still matches a dedicated stream bit for bit (the
-    // published twin is independently trained on the same corpus, so its
-    // parameters are identical and no decision may move).
+    // extra tick so its homes hot-swap first. The next full round then
+    // mixes already-swapped homes with lagging ones that swap inside the
+    // round, and every home's decision schedule still matches a dedicated
+    // stream bit for bit (the published twin is independently trained on
+    // the same corpus, so its parameters are identical and no decision
+    // may move).
     let (train, test) = tiny_corpus(6, 50, 13);
     let base = Arc::new(engine(&train, Strategy::CorrelationConstraint));
     let twin = Arc::new(engine(&train, Strategy::CorrelationConstraint));
@@ -409,38 +387,28 @@ fn mid_round_swap_fragments_cohorts_without_changing_decisions() {
         advance(&mut router, &all, &mut cursors, &mut decisions);
     }
     assert_eq!(router.publish_model(MODEL, Arc::clone(&twin)).unwrap(), 1);
-    // The front half swaps onto generation 1 (scalar path, one swap each).
+    // The front half swaps onto generation 1 (one swap each).
     advance(&mut router, &front, &mut cursors, &mut decisions);
     let mid = router.stats();
     assert_eq!(mid.swaps(), front.len() as u64);
 
-    // The fragmented round: front homes are current-generation and fuse,
-    // back homes lag and go scalar to swap — in the same push_round.
+    // The mixed round: front homes are current-generation, back homes
+    // lag and swap — in the same push_round.
     advance(&mut router, &all, &mut cursors, &mut decisions);
-    let frag = router.stats();
-    assert!(
-        frag.batched_pushes() > mid.batched_pushes(),
-        "fragmented round must still fuse the swapped half: {frag:?}"
-    );
     assert_eq!(
-        frag.swaps(),
+        router.stats().swaps(),
         ids.len() as u64,
-        "fragmented round must swap the lagging half"
+        "mixed round must swap the lagging half"
     );
 
-    // Drain every home to the end of the session; cohorts re-form.
+    // Drain every home to the end of the session.
     while cursors.iter().any(|&c| c < session.len()) {
         let due: Vec<usize> = (0..ids.len())
             .filter(|&i| cursors[i] < session.len())
             .collect();
         advance(&mut router, &due, &mut cursors, &mut decisions);
     }
-    let done = router.stats();
-    assert_eq!(
-        done.pushes(),
-        done.batched_pushes() + done.fallback_pushes()
-    );
-    assert_eq!(done.quarantined_homes(), 0);
+    assert_eq!(router.stats().quarantined_homes(), 0);
 
     let (want_decisions, want) = stream_session(&base, session, lag).expect("dedicated stream");
     for (id, result) in router.finish() {

@@ -8,9 +8,7 @@
 use proptest::prelude::*;
 
 use cace::behavior::Session;
-use cace::core::{
-    push_cohort, stream_session, CaceConfig, DecoderConfig, Lag, Strategy, StreamingRecognizer,
-};
+use cace::core::{stream_session, CaceConfig, DecoderConfig, Lag, Strategy};
 use cace_testkit::{
     assert_recognitions_identical, engine, engine_with, stream_session_with_parks, tiny_corpus,
 };
@@ -117,89 +115,6 @@ proptest! {
                     &want,
                     &format!("{strategy} {decoder:?} parked at every tick"),
                 );
-            }
-        }
-    }
-
-    /// Fleet-batched stepping differential, at the `push_cohort` layer
-    /// (below the router): a cohort of streams sharing one engine and one
-    /// observation per tick advances tick-for-tick identically to the same
-    /// streams pushed one by one. Covers all four strategies under exact,
-    /// wide-TopK (never prunes — stays on the fused kernels) and narrow
-    /// TopK (prunes — the cohort must *fall back* per home, and still
-    /// match). Every push is accounted batched or fallback exactly once.
-    /// The `CACE_FAST32=1` CI sweep replays this suite on the f32 lane,
-    /// where both sides share the lane so the identity still holds bit
-    /// for bit within the PR 6 tolerance contract.
-    #[test]
-    fn cohort_pushes_equal_scalar_pushes_across_strategies(
-        ticks in 40usize..60,
-        seed in 0u64..1_000,
-        beam_case in 0u8..3,
-    ) {
-        let (decoder, may_batch) = match beam_case {
-            // Exact and never-pruning wide beams keep uniform frontiers,
-            // so the cohort fuses from the second tick on.
-            0 => (DecoderConfig::default(), true),
-            1 => (DecoderConfig::top_k(100_000), true),
-            // A beam narrow enough to actually prune diverges the
-            // frontier shapes: the fused pass refuses and every push runs
-            // scalar — correctness must not depend on fusing.
-            _ => (DecoderConfig::top_k(12), false),
-        };
-        let (train, test) = corpus(ticks, seed);
-        let lag = Lag::Fixed(6);
-        let n = 4usize;
-        for strategy in Strategy::ALL {
-            let config = CaceConfig::default()
-                .with_strategy(strategy)
-                .with_decoder(decoder);
-            let engine = engine_with(&train, &config);
-            for session in &test {
-                let mut cohort: Vec<StreamingRecognizer> =
-                    (0..n).map(|_| engine.stream(lag)).collect();
-                let mut solo: Vec<StreamingRecognizer> =
-                    (0..n).map(|_| engine.stream(lag)).collect();
-                let mut batched_total = 0usize;
-                for tick in &session.ticks {
-                    let mut refs: Vec<&mut StreamingRecognizer> =
-                        cohort.iter_mut().collect();
-                    let outcome = push_cohort(&mut refs, &tick.observed);
-                    prop_assert_eq!(
-                        outcome.batched + outcome.fallback,
-                        n,
-                        "{} {:?}: every cohort member is pushed exactly once",
-                        strategy,
-                        decoder
-                    );
-                    batched_total += outcome.batched;
-                    for (i, (got, s)) in
-                        outcome.results.into_iter().zip(&mut solo).enumerate()
-                    {
-                        let want = s.push(&tick.observed).expect("scalar push");
-                        prop_assert_eq!(
-                            got.expect("cohort push"),
-                            want,
-                            "{} {:?}: member {} decision diverged",
-                            strategy,
-                            decoder,
-                            i
-                        );
-                    }
-                }
-                if may_batch {
-                    prop_assert!(
-                        batched_total > 0,
-                        "{strategy} {decoder:?}: a uniform cohort must fuse"
-                    );
-                }
-                for (i, (c, s)) in cohort.into_iter().zip(solo).enumerate() {
-                    assert_recognitions_identical(
-                        &c.finish().expect("cohort finish"),
-                        &s.finish().expect("scalar finish"),
-                        &format!("{strategy} {decoder:?} cohort member {i}"),
-                    );
-                }
             }
         }
     }
