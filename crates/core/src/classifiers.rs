@@ -120,19 +120,21 @@ impl MicroClassifiers {
 
     /// Postural log-probabilities of one tick's phone features (uniform
     /// when the frame was dropped).
-    pub fn postural_log_proba(&self, phone: Option<&[f64]>) -> Vec<f64> {
-        match phone {
-            Some(f) => self.postural.predict_log_proba(f),
-            None => vec![-(Postural::COUNT as f64).ln(); Postural::COUNT],
+    pub fn postural_log_proba(&self, phone: Option<&[f64]>) -> [f64; Postural::COUNT] {
+        let mut out = [-(Postural::COUNT as f64).ln(); Postural::COUNT];
+        if let Some(f) = phone {
+            self.postural.predict_log_proba_into(f, &mut out);
         }
+        out
     }
 
     /// Gestural log-probabilities (uniform when dropped or untrained).
-    pub fn gestural_log_proba(&self, tag: Option<&[f64]>) -> Vec<f64> {
-        match (&self.gestural, tag) {
-            (Some(model), Some(f)) => model.predict_log_proba(f),
-            _ => vec![-(Gestural::COUNT as f64).ln(); Gestural::COUNT],
+    pub fn gestural_log_proba(&self, tag: Option<&[f64]>) -> [f64; Gestural::COUNT] {
+        let mut out = [-(Gestural::COUNT as f64).ln(); Gestural::COUNT];
+        if let (Some(model), Some(f)) = (&self.gestural, tag) {
+            model.predict_log_proba_into(f, &mut out);
         }
+        out
     }
 
     /// NH-style macro log-probabilities from concatenated features.

@@ -52,19 +52,48 @@ fn top1(log_proba: &[f64]) -> (usize, f64) {
     (idx, lp.exp())
 }
 
-/// Builds the sorted evidence item list of one tick.
+/// Most evidence items one tick can assert: per user a location and its
+/// room, a postural and a gestural state, and two lag-1 items.
+const MAX_EVIDENCE: usize = 12;
+
+/// One tick's evidence items, sorted and deduplicated, held inline so the
+/// serving path builds them without touching the heap.
+#[derive(Debug, Clone, Copy)]
+pub struct TickEvidence {
+    items: [ItemId; MAX_EVIDENCE],
+    len: usize,
+}
+
+impl TickEvidence {
+    fn push(&mut self, id: ItemId) {
+        self.items[self.len] = id;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for TickEvidence {
+    type Target = [ItemId];
+    fn deref(&self) -> &[ItemId] {
+        &self.items[..self.len]
+    }
+}
+
+/// Builds the sorted, deduplicated evidence items of one tick.
 ///
 /// `postural_lp` / `gestural_lp` are per-user classifier log-probabilities
 /// (gestural entries `None` when the modality is absent).
 pub fn build_evidence(
     space: &AtomSpace,
     observed: &ObservedTick,
-    postural_lp: &[Vec<f64>; 2],
-    gestural_lp: &[Option<Vec<f64>>; 2],
+    postural_lp: [&[f64]; 2],
+    gestural_lp: [Option<&[f64]>; 2],
     prev: &[PrevState; 2],
     config: &EvidenceConfig,
-) -> Vec<ItemId> {
-    let mut evidence = Vec::with_capacity(12);
+) -> TickEvidence {
+    let mut evidence = TickEvidence {
+        items: [ItemId(0); MAX_EVIDENCE],
+        len: 0,
+    };
     for u in 0..2u8 {
         let uu = u as usize;
         // Location evidence: beacon (CACE) or unique sub-location motion
@@ -86,7 +115,7 @@ pub fn build_evidence(
             }
         }
         // Classifier evidence.
-        let (p_idx, p_conf) = top1(&postural_lp[uu]);
+        let (p_idx, p_conf) = top1(postural_lp[uu]);
         if p_conf >= config.postural_confidence {
             evidence.push(space.encode(Item {
                 user: u,
@@ -94,7 +123,7 @@ pub fn build_evidence(
                 atom: Atom::Postural(p_idx as u16),
             }));
         }
-        if let Some(glp) = &gestural_lp[uu] {
+        if let Some(glp) = gestural_lp[uu] {
             let (g_idx, g_conf) = top1(glp);
             if g_conf >= config.gestural_confidence {
                 evidence.push(space.encode(Item {
@@ -120,8 +149,16 @@ pub fn build_evidence(
             }));
         }
     }
-    evidence.sort_unstable();
-    evidence.dedup();
+    let items = &mut evidence.items[..evidence.len];
+    items.sort_unstable();
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if kept == 0 || items[i] != items[kept - 1] {
+            items[kept] = items[i];
+            kept += 1;
+        }
+    }
+    evidence.len = kept;
     evidence
 }
 
@@ -144,8 +181,8 @@ mod tests {
         let evidence = build_evidence(
             &space,
             &tick.observed,
-            &postural_lp,
-            &gestural_lp,
+            [&postural_lp[0], &postural_lp[1]],
+            gestural_lp,
             &[PrevState::default(), PrevState::default()],
             &EvidenceConfig::default(),
         );
@@ -173,8 +210,8 @@ mod tests {
         let evidence = build_evidence(
             &space,
             &observed,
-            &[uniform.clone(), uniform],
-            &[None, None],
+            [&uniform, &uniform],
+            [None, None],
             &[PrevState::default(), PrevState::default()],
             &EvidenceConfig::default(),
         );
@@ -197,8 +234,8 @@ mod tests {
         let evidence = build_evidence(
             &space,
             &observed,
-            &[confident, uniform],
-            &[None, None],
+            [&confident, &uniform],
+            [None, None],
             &[PrevState::default(), PrevState::default()],
             &EvidenceConfig::default(),
         );
@@ -229,8 +266,8 @@ mod tests {
         let evidence = build_evidence(
             &space,
             &observed,
-            &[uniform.clone(), uniform],
-            &[None, None],
+            [&uniform, &uniform],
+            [None, None],
             &prev,
             &EvidenceConfig::default(),
         );

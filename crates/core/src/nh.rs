@@ -390,7 +390,10 @@ impl ParkedFlat {
 pub(crate) struct OnlineFlat {
     decoder: DecoderConfig,
     core: OnlineTrellis<FlatEntry>,
-    emitted: Vec<usize>,
+    /// Emitted macro ids, 16 bits each: every id indexes the flat table,
+    /// which is as wide as the model's macro count, and `HdbnParams::new`
+    /// rejects models with more than 65 535 macros.
+    emitted: Vec<u16>,
 }
 
 impl OnlineFlat {
@@ -417,7 +420,7 @@ impl OnlineFlat {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted: self.emitted.clone(),
+            emitted: self.emitted.iter().map(|&m| usize::from(m)).collect(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: self.core.pruned(),
@@ -438,6 +441,14 @@ impl OnlineFlat {
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
         parked.validate(table, decoder.precision, lag)?;
+        let emitted = parked
+            .emitted
+            .iter()
+            .map(|&m| u16::try_from(m))
+            .collect::<Result<_, _>>()
+            .map_err(|_| ModelError::Persistence {
+                what: "parked NH stream: emitted macro id out of range".into(),
+            })?;
         let window: VecDeque<FlatEntry> = parked
             .window
             .iter()
@@ -461,7 +472,7 @@ impl OnlineFlat {
                 parked.pruned,
                 &parked.keep,
             ),
-            emitted: parked.emitted.clone(),
+            emitted,
         })
     }
 
@@ -483,7 +494,7 @@ impl OnlineFlat {
             .core
             .emit_ready(self.decoder.precision, |e, j, t| (t, e.states[j].0));
         if let Some((_, macro_id)) = decision {
-            self.emitted.push(macro_id);
+            self.emitted.push(macro_id as u16);
         }
         decision
     }
@@ -498,7 +509,7 @@ impl OnlineFlat {
         let (tail, _log_prob) =
             self.core
                 .resolve_tail(self.decoder.precision, committed, |e, j| e.states[j].0);
-        let mut macros = self.emitted;
+        let mut macros: Vec<usize> = self.emitted.iter().map(|&m| usize::from(m)).collect();
         macros.extend(tail);
         Some((
             macros,

@@ -122,6 +122,12 @@ struct HomeSlot {
     state: SlotState,
 }
 
+impl HomeSlot {
+    fn is_live(&self) -> bool {
+        matches!(self.state, SlotState::Live(_))
+    }
+}
+
 /// When and how a model's homes feed the incremental-EM loop. Set per
 /// model id via [`ShardedRouter::enable_adaptation`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,8 +288,13 @@ struct Shard {
     index: HashMap<u64, usize>,
     /// LRU queue of `(touch, slot)` pairs, oldest first. Entries whose
     /// `touch` no longer matches the slot's are stale and skipped — lazy
-    /// deletion keeps touches O(1).
+    /// deletion keeps touches O(1). [`Shard::touch`] drops the stale
+    /// entries once the queue outgrows twice the slot count, so it stays
+    /// bounded even when no cap ever pops it.
     lru: std::collections::VecDeque<(u64, usize)>,
+    /// Number of slots in [`SlotState::Live`], kept in step with every
+    /// state change so [`Shard::enforce_cap`] need not recount.
+    live: usize,
     /// Per-shard logical clock stamping touches. Advances only on
     /// in-shard events, so it is independent of thread interleaving.
     clock: u64,
@@ -320,13 +331,12 @@ impl Shard {
         self.clock += 1;
         self.slots[slot].touch = self.clock;
         self.lru.push_back((self.clock, slot));
-    }
-
-    fn live_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s.state, SlotState::Live(_)))
-            .count()
+        if self.lru.len() > 2 * self.slots.len() {
+            // Stale entries are the ones `enforce_cap` would skip, so
+            // dropping them leaves the eviction order as it was.
+            let slots = &self.slots;
+            self.lru.retain(|&(touch, slot)| slots[slot].touch == touch);
+        }
     }
 
     /// Parks `slot` in the binary snapshot kind if it is live; returns
@@ -337,6 +347,7 @@ impl Shard {
         };
         self.slots[slot].state = SlotState::Parked(stream.park().to_snapshot_bytes());
         self.parks += 1;
+        self.live -= 1;
         true
     }
 
@@ -344,8 +355,7 @@ impl Shard {
     /// live. Deterministic: eviction order is touch order, which is
     /// in-shard push order.
     fn enforce_cap(&mut self, cap: usize) {
-        let mut live = self.live_count();
-        while live > cap {
+        while self.live > cap {
             let Some((touch, slot)) = self.lru.pop_front() else {
                 // Invariant breach: more live homes than the cap allows,
                 // but the LRU queue has no entry left for any of them.
@@ -366,13 +376,12 @@ impl Shard {
                 };
                 self.park_slot(slot);
                 self.lru_repairs += 1;
-                live -= 1;
                 continue;
             };
             // A stale entry (the home was touched again later) or a
             // parked/quarantined slot's entry is simply consumed.
-            if self.slots[slot].touch == touch && self.park_slot(slot) {
-                live -= 1;
+            if self.slots[slot].touch == touch {
+                self.park_slot(slot);
             }
         }
     }
@@ -381,6 +390,14 @@ impl Shard {
     /// hot-swapping it onto the current model generation if it lags.
     /// Never panics: every failure quarantines this home only.
     fn push(&mut self, slot: usize, views: &[ServeView], tick: &ObservedTick) -> HomeRound {
+        let was_live = usize::from(self.slots[slot].is_live());
+        let outcome = self.advance(slot, views, tick);
+        self.live = self.live - was_live + usize::from(self.slots[slot].is_live());
+        outcome
+    }
+
+    /// [`push`](Self::push) without the live-count bookkeeping.
+    fn advance(&mut self, slot: usize, views: &[ServeView], tick: &ObservedTick) -> HomeRound {
         let start = Instant::now();
         let home = &mut self.slots[slot];
         let view = &views[home.model];
@@ -628,7 +645,8 @@ impl ShardedRouter {
             state,
         });
         shard.index.insert(id, slot);
-        if matches!(shard.slots[slot].state, SlotState::Live(_)) {
+        if shard.slots[slot].is_live() {
+            shard.live += 1;
             shard.touch(slot);
             shard.enforce_cap(self.live_cap);
         }
@@ -1403,6 +1421,41 @@ mod tests {
         router.shards[0].lru.clear();
         router.shards[0].enforce_cap(0);
         assert_eq!(router.stats().lru_repairs(), 1);
+    }
+
+    #[test]
+    fn uncapped_lru_queue_stays_bounded_and_live_count_tracks_slots() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let mut router = ShardedRouter::with_shards(1);
+        router.register_model("cace", engine).unwrap();
+        let homes = [1, 2, 3, 4];
+        for id in homes {
+            router.add_home(id, "cace", Lag::Fixed(2)).unwrap();
+        }
+        let ticks = &test[0].ticks;
+        for r in 0..10_000 / homes.len() {
+            let tick = &ticks[r % ticks.len()].observed;
+            let round: Vec<(u64, &ObservedTick)> = homes.iter().map(|&id| (id, tick)).collect();
+            router.push_round(&round).unwrap();
+            let shard = &router.shards[0];
+            assert!(shard.lru.len() <= 2 * shard.slots.len(), "round {r}");
+        }
+        let recount = |router: &ShardedRouter| {
+            let shard = &router.shards[0];
+            (
+                shard.live,
+                shard.slots.iter().filter(|s| s.is_live()).count(),
+            )
+        };
+        assert_eq!(recount(&router), (4, 4));
+        router.park_home(2).unwrap();
+        assert_eq!(recount(&router), (3, 3));
+        router.shards[0].enforce_cap(1);
+        assert_eq!(recount(&router), (1, 1));
+        let tick = &ticks[0].observed;
+        router.push_round(&[(2, tick)]).unwrap();
+        assert_eq!(recount(&router), (2, 2));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use cace_behavior::ObservedTick;
 use cace_features::TickFeatures;
 use cace_mining::{AtomSpace, CandidateTick, PruningEngine, UserCandidates};
-use cace_model::{Postural, StateMask, SubLocation};
+use cace_model::{Gestural, Postural, StateMask, SubLocation};
 
 use cace_hdbn::TickInput;
 
@@ -38,9 +38,9 @@ const BEACON_SIGMA: f64 = 1.2;
 #[derive(Debug, Clone)]
 pub struct TickScores {
     /// Postural classifier log-probabilities per user.
-    pub postural_lp: [Vec<f64>; 2],
+    pub postural_lp: [[f64; Postural::COUNT]; 2],
     /// Gestural classifier log-probabilities per user (`None` = absent).
-    pub gestural_lp: [Option<Vec<f64>>; 2],
+    pub gestural_lp: [Option<[f64; Gestural::COUNT]>; 2],
 }
 
 /// Location log-score of sub-location `l` for `user`, combining beacon
@@ -96,18 +96,35 @@ pub fn micro_score(
     location: usize,
     mask: StateMask,
 ) -> f64 {
+    let p = Postural::from_index(postural).expect("postural in range");
+    let l = SubLocation::from_index(location).expect("location in range");
+    classifier_score(scores, user, postural, gestural, mask)
+        + location_score(observed, user, p, l, mask)
+}
+
+/// The classifier half of [`micro_score`].
+fn classifier_score(
+    scores: &TickScores,
+    user: usize,
+    postural: usize,
+    gestural: Option<usize>,
+    mask: StateMask,
+) -> f64 {
     let mut total = scores.postural_lp[user][postural];
     if mask.gestural {
         if let (Some(g), Some(glp)) = (gestural, &scores.gestural_lp[user]) {
             total += glp[g];
         }
     }
-    let p = Postural::from_index(postural).expect("postural in range");
-    let l = SubLocation::from_index(location).expect("location in range");
-    total + location_score(observed, user, p, l, mask)
+    total
 }
 
 /// Builds the tick's inference input from (possibly pruned) candidates.
+///
+/// Scores every tuple as [`micro_score`] does, bit for bit, but takes the
+/// location term — which depends on the postural state only through
+/// whether it is moving — once per `(user, location, moving)` instead of
+/// once per tuple.
 pub fn build_tick_input(
     space: &AtomSpace,
     observed: &ObservedTick,
@@ -117,12 +134,21 @@ pub fn build_tick_input(
     use_gestural: bool,
     beam: usize,
 ) -> TickInput {
+    // Filled on first use: after pruning, most locations never come up.
+    let mut location_terms = [[[None; SubLocation::COUNT]; 2]; 2];
     TickInput::from_candidates(
         space,
         pruned,
         use_gestural && mask.gestural,
         beam,
-        |u, p, g, l| micro_score(observed, scores, u, p, g, l, mask),
+        |u, p, g, l| {
+            let postural = Postural::ALL[p];
+            let term =
+                location_terms[u][usize::from(postural.is_moving())][l].get_or_insert_with(|| {
+                    location_score(observed, u, postural, SubLocation::ALL[l], mask)
+                });
+            classifier_score(scores, u, p, g, mask) + *term
+        },
     )
 }
 
@@ -235,7 +261,7 @@ impl TickPreparer<'_> {
 
     /// Micro-classifier log-probabilities for one tick's features.
     pub fn scores(&self, features: &[TickFeatures; 2]) -> TickScores {
-        let score_of = |u: usize| -> (Vec<f64>, Option<Vec<f64>>) {
+        let score_of = |u: usize| {
             let f = &features[u];
             let postural = self
                 .classifiers
@@ -295,13 +321,14 @@ impl TickPreparer<'_> {
         }
         let rules_fired = match self.pruner {
             Some(pruner) => {
-                let gestural_lp: [Option<Vec<f64>>; 2] =
-                    [scores.gestural_lp[0].clone(), scores.gestural_lp[1].clone()];
                 let evidence = build_evidence(
                     self.space,
                     &observed,
-                    &scores.postural_lp,
-                    &gestural_lp,
+                    [&scores.postural_lp[0], &scores.postural_lp[1]],
+                    [
+                        scores.gestural_lp[0].as_ref().map(|g| &g[..]),
+                        scores.gestural_lp[1].as_ref().map(|g| &g[..]),
+                    ],
                     prev,
                     &self.evidence,
                 );
@@ -348,8 +375,8 @@ mod tests {
 
     fn uniform_scores() -> TickScores {
         TickScores {
-            postural_lp: [vec![0.0; 6], vec![0.0; 6]],
-            gestural_lp: [Some(vec![0.0; 5]), Some(vec![0.0; 5])],
+            postural_lp: [[0.0; 6], [0.0; 6]],
+            gestural_lp: [Some([0.0; 5]), Some([0.0; 5])],
         }
     }
 

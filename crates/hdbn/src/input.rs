@@ -52,24 +52,25 @@ impl TickInput {
     where
         F: FnMut(usize, usize, Option<usize>, usize) -> f64,
     {
+        let allowed = UserCandidates::allowed_iter;
         let mut out = TickInput::default();
         for u in 0..2 {
             let cand = &pruned[u];
-            let posturals = UserCandidates::allowed(&cand.posturals);
-            let gesturals: Vec<Option<usize>> = if use_gestural {
-                UserCandidates::allowed(&cand.gesturals)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
+            let count = |mask: &[bool]| allowed(mask).count();
+            let n_gestural = if use_gestural {
+                count(&cand.gesturals)
             } else {
-                vec![None]
+                1
             };
-            let locations = UserCandidates::allowed(&cand.locations);
             let mut tuples =
-                Vec::with_capacity(posturals.len() * gesturals.len() * locations.len());
-            for &p in &posturals {
-                for &g in &gesturals {
-                    for &l in &locations {
+                Vec::with_capacity(count(&cand.posturals) * n_gestural * count(&cand.locations));
+            for p in allowed(&cand.posturals) {
+                // `None` alone when the gestural dimension is collapsed.
+                let gesturals = allowed(if use_gestural { &cand.gesturals } else { &[] })
+                    .map(Some)
+                    .chain((!use_gestural).then_some(None));
+                for g in gesturals {
+                    for l in allowed(&cand.locations) {
                         // A NaN log-lik (degenerate classifier, adversarial
                         // feature vector) is clamped to -inf at ingestion —
                         // the same convention `Scalar::from_f64` uses — so it
@@ -86,15 +87,27 @@ impl TickInput {
                     }
                 }
             }
-            tuples.sort_by(|a, b| b.obs_loglik.total_cmp(&a.obs_loglik));
-            tuples.truncate(max_candidates.max(1));
+            // Best first; ties keep generation order, which is ascending
+            // `(postural, gestural, location)`. That makes the order total,
+            // so selecting the top tuples and sorting only those gives the
+            // stable sort's prefix.
+            let order = |a: &MicroCandidate, b: &MicroCandidate| {
+                b.obs_loglik.total_cmp(&a.obs_loglik).then_with(|| {
+                    (a.postural, a.gestural, a.location).cmp(&(b.postural, b.gestural, b.location))
+                })
+            };
+            let keep = max_candidates.max(1);
+            if tuples.len() > keep {
+                tuples.select_nth_unstable_by(keep - 1, order);
+                tuples.truncate(keep);
+            }
+            tuples.sort_unstable_by(order);
             out.candidates[u] = tuples;
 
-            let macros = UserCandidates::allowed(&cand.macros);
-            out.macro_candidates[u] = if macros.len() == space.n_macro {
+            out.macro_candidates[u] = if count(&cand.macros) == space.n_macro {
                 None
             } else {
-                Some(macros)
+                Some(allowed(&cand.macros).collect())
             };
         }
         out

@@ -232,6 +232,115 @@ impl<S: Scalar> TrellisFamily<S> for ChainFamily<'_> {
     }
 }
 
+/// One emitted decision of one chain in 16 bytes (a `usize` macro id
+/// plus a [`MicroCandidate`] take 48): a live stream keeps its whole
+/// decision history, so this is what a serving home accumulates per tick.
+///
+/// Every id fits: a decoded id indexes the model's hierarchy tables, and
+/// [`HdbnParams::new`] rejects models whose tables reach
+/// [`COMPACT_ID_LIMIT`] entries. Parked streams keep the wide form, so
+/// the wire format is unchanged: the history is widened at park and
+/// finalize and packed again at resume.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EmittedDecision {
+    obs_loglik: f64,
+    macro_id: u16,
+    postural: u16,
+    /// [`NO_GESTURAL`] for `None`.
+    gestural: u16,
+    location: u16,
+}
+
+/// The gestural id of a decision without a gestural state.
+const NO_GESTURAL: u16 = u16::MAX;
+
+/// Exclusive bound on every id an [`EmittedDecision`] stores.
+pub(crate) const COMPACT_ID_LIMIT: usize = NO_GESTURAL as usize;
+
+impl EmittedDecision {
+    /// Packs a decision the model decoded (its ids are in range, see the
+    /// type docs).
+    fn pack(macro_id: usize, micro: &MicroCandidate) -> Self {
+        debug_assert!(Self::try_pack(macro_id, micro).is_some());
+        Self {
+            obs_loglik: micro.obs_loglik,
+            macro_id: macro_id as u16,
+            postural: micro.postural as u16,
+            gestural: micro.gestural.map_or(NO_GESTURAL, |g| g as u16),
+            location: micro.location as u16,
+        }
+    }
+
+    /// Packs a decision from an untrusted source; `None` when an id does
+    /// not fit.
+    fn try_pack(macro_id: usize, micro: &MicroCandidate) -> Option<Self> {
+        let id = |v: usize| (v < COMPACT_ID_LIMIT).then_some(v as u16);
+        Some(Self {
+            obs_loglik: micro.obs_loglik,
+            macro_id: id(macro_id)?,
+            postural: id(micro.postural)?,
+            gestural: match micro.gestural {
+                Some(g) => id(g)?,
+                None => NO_GESTURAL,
+            },
+            location: id(micro.location)?,
+        })
+    }
+
+    fn macro_id(&self) -> usize {
+        usize::from(self.macro_id)
+    }
+
+    fn micro(&self) -> MicroCandidate {
+        MicroCandidate {
+            postural: usize::from(self.postural),
+            gestural: (self.gestural != NO_GESTURAL).then_some(usize::from(self.gestural)),
+            location: usize::from(self.location),
+            obs_loglik: self.obs_loglik,
+        }
+    }
+
+    /// The wide `(macros, micros)` form of a history.
+    fn unpack_all<'a>(
+        history: impl ExactSizeIterator<Item = &'a EmittedDecision>,
+    ) -> (Vec<usize>, Vec<MicroCandidate>) {
+        let mut macros = Vec::with_capacity(history.len());
+        let mut micros = Vec::with_capacity(history.len());
+        for d in history {
+            macros.push(d.macro_id());
+            micros.push(d.micro());
+        }
+        (macros, micros)
+    }
+
+    /// The wide per-user form of a two-user history.
+    fn unpack_joint(
+        history: &[[EmittedDecision; 2]],
+    ) -> ([Vec<usize>; 2], [Vec<MicroCandidate>; 2]) {
+        let [(m0, c0), (m1, c1)] = [0, 1].map(|u| Self::unpack_all(history.iter().map(|d| &d[u])));
+        ([m0, m1], [c0, c1])
+    }
+
+    /// Packs a wide history (equal lengths, checked by the caller).
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] when an id does not fit.
+    fn pack_all(
+        macros: &[usize],
+        micros: &[MicroCandidate],
+    ) -> Result<Vec<EmittedDecision>, ModelError> {
+        macros
+            .iter()
+            .zip(micros)
+            .map(|(&m, c)| {
+                Self::try_pack(m, c).ok_or_else(|| ModelError::Persistence {
+                    what: format!("parked decision history: id out of range ({m}, {c:?})"),
+                })
+            })
+            .collect()
+    }
+}
+
 /// Incremental fixed-lag decoder for the loosely-coupled two-chain HDBN.
 ///
 /// Feed ticks with [`push`](Self::push); finish with
@@ -247,9 +356,9 @@ pub struct OnlineCoupledViterbi {
     /// `model`.
     params: Arc<HdbnParams>,
     core: OnlineTrellis<JointEntry>,
-    /// Decisions already emitted (prefix of the stream).
-    emitted_macros: [Vec<usize>; 2],
-    emitted_micros: [Vec<MicroCandidate>; 2],
+    /// Decisions already emitted (prefix of the stream), both users per
+    /// tick.
+    emitted: Vec<[EmittedDecision; 2]>,
 }
 
 /// Decodes one flattened joint state of `entry` into per-user macros and
@@ -275,8 +384,7 @@ impl OnlineCoupledViterbi {
             model,
             params,
             core: OnlineTrellis::new(lag),
-            emitted_macros: [Vec::new(), Vec::new()],
-            emitted_micros: [Vec::new(), Vec::new()],
+            emitted: Vec::new(),
         }
     }
 
@@ -297,10 +405,7 @@ impl OnlineCoupledViterbi {
     /// this, decision history growth still amortizes to O(1) allocations
     /// per tick).
     pub fn reserve_ticks(&mut self, additional: usize) {
-        for u in 0..2 {
-            self.emitted_macros[u].reserve(additional);
-            self.emitted_micros[u].reserve(additional);
-        }
+        self.emitted.reserve(additional);
     }
 
     /// Consumes one tick, advancing the frontier by one DP step; returns
@@ -338,9 +443,9 @@ impl OnlineCoupledViterbi {
         let decoder = self.model.decoder();
         self.core
             .push_entry(&CoupledFamily { p: &self.params }, decoder, entry, n_states);
-        let emitted = &self.emitted_macros;
+        let emitted = &self.emitted;
         let decision = self.core.emit_ready(decoder.precision, |entry, flat, t| {
-            debug_assert_eq!(t, emitted[0].len());
+            debug_assert_eq!(t, emitted.len());
             let (macros, micros) = decode_joint(entry, flat);
             SmoothedJoint {
                 tick: t,
@@ -349,10 +454,8 @@ impl OnlineCoupledViterbi {
             }
         });
         if let Some(d) = &decision {
-            for u in 0..2 {
-                self.emitted_macros[u].push(d.macros[u]);
-                self.emitted_micros[u].push(d.micros[u]);
-            }
+            self.emitted
+                .push([0, 1].map(|u| EmittedDecision::pack(d.macros[u], &d.micros[u])));
         }
         Ok(decision)
     }
@@ -364,6 +467,7 @@ impl OnlineCoupledViterbi {
     /// [`resume`](Self::resume) re-attaches one, so a fleet of parked
     /// homes shares a single `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
+        let (emitted_macros, emitted_micros) = EmittedDecision::unpack_joint(&self.emitted);
         ParkedCoupled {
             v: self.core.frontier().to_vec(),
             v32: self.core.frontier32().to_vec(),
@@ -379,8 +483,8 @@ impl OnlineCoupledViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros: self.emitted_macros.clone(),
-            emitted_micros: self.emitted_micros.clone(),
+            emitted_macros,
+            emitted_micros,
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: self.core.pruned(),
@@ -407,6 +511,10 @@ impl OnlineCoupledViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, model.decoder().precision, lag)?;
+        let [h0, h1] = [0, 1].map(|u| {
+            EmittedDecision::pack_all(&parked.emitted_macros[u], &parked.emitted_micros[u])
+        });
+        let emitted = h0?.into_iter().zip(h1?).map(|(a, b)| [a, b]).collect();
         let window: VecDeque<JointEntry> = parked
             .window
             .iter()
@@ -432,8 +540,7 @@ impl OnlineCoupledViterbi {
                 parked.pruned,
                 &parked.keep,
             ),
-            emitted_macros: parked.emitted_macros.clone(),
-            emitted_micros: parked.emitted_micros.clone(),
+            emitted,
         })
     }
 
@@ -446,7 +553,7 @@ impl OnlineCoupledViterbi {
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
-    pub fn finalize(mut self) -> Result<JointPath, ModelError> {
+    pub fn finalize(self) -> Result<JointPath, ModelError> {
         if self.core.ticks_pushed() == 0 {
             return Err(ModelError::InsufficientData {
                 what: "viterbi decoding".into(),
@@ -454,12 +561,11 @@ impl OnlineCoupledViterbi {
                 required: 1,
             });
         }
-        let committed = self.emitted_macros[0].len();
+        let committed = self.emitted.len();
         let (tail, log_prob) =
             self.core
                 .resolve_tail(self.model.decoder().precision, committed, decode_joint);
-        let mut macros = std::mem::take(&mut self.emitted_macros);
-        let mut micros = std::mem::take(&mut self.emitted_micros);
+        let (mut macros, mut micros) = EmittedDecision::unpack_joint(&self.emitted);
         for (m, c) in tail {
             for u in 0..2 {
                 macros[u].push(m[u]);
@@ -499,8 +605,7 @@ pub struct OnlineSingleViterbi {
     params: Arc<HdbnParams>,
     user: usize,
     core: OnlineTrellis<ChainEntry>,
-    emitted_macros: Vec<usize>,
-    emitted_micros: Vec<MicroCandidate>,
+    emitted: Vec<EmittedDecision>,
 }
 
 impl OnlineSingleViterbi {
@@ -513,8 +618,7 @@ impl OnlineSingleViterbi {
             params,
             user,
             core: OnlineTrellis::new(lag),
-            emitted_macros: Vec::new(),
-            emitted_micros: Vec::new(),
+            emitted: Vec::new(),
         }
     }
 
@@ -531,8 +635,7 @@ impl OnlineSingleViterbi {
     /// Pre-reserves the emitted-decision history for `additional` more
     /// ticks (see [`OnlineCoupledViterbi::reserve_ticks`]).
     pub fn reserve_ticks(&mut self, additional: usize) {
-        self.emitted_macros.reserve(additional);
-        self.emitted_micros.reserve(additional);
+        self.emitted.reserve(additional);
     }
 
     /// Consumes one tick; returns the newly ripened decision, if any.
@@ -567,14 +670,15 @@ impl OnlineSingleViterbi {
                 micro: entry.cands[entry.slice.cands[j]],
             });
         if let Some(d) = &decision {
-            self.emitted_macros.push(d.macro_id);
-            self.emitted_micros.push(d.micro);
+            self.emitted
+                .push(EmittedDecision::pack(d.macro_id, &d.micro));
         }
         Ok(decision)
     }
 
     /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
     pub fn park(&self) -> ParkedChain {
+        let (emitted_macros, emitted_micros) = EmittedDecision::unpack_all(self.emitted.iter());
         ParkedChain {
             v: self.core.frontier().to_vec(),
             v32: self.core.frontier32().to_vec(),
@@ -589,8 +693,8 @@ impl OnlineSingleViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros: self.emitted_macros.clone(),
-            emitted_micros: self.emitted_micros.clone(),
+            emitted_macros,
+            emitted_micros,
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: self.core.pruned(),
@@ -613,6 +717,7 @@ impl OnlineSingleViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, model.decoder().precision, lag)?;
+        let emitted = EmittedDecision::pack_all(&parked.emitted_macros, &parked.emitted_micros)?;
         let window: VecDeque<ChainEntry> = parked
             .window
             .iter()
@@ -638,8 +743,7 @@ impl OnlineSingleViterbi {
                 parked.pruned,
                 &parked.keep,
             ),
-            emitted_macros: parked.emitted_macros.clone(),
-            emitted_micros: parked.emitted_micros.clone(),
+            emitted,
         })
     }
 
@@ -648,7 +752,7 @@ impl OnlineSingleViterbi {
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
-    pub fn finalize(mut self) -> Result<SinglePath, ModelError> {
+    pub fn finalize(self) -> Result<SinglePath, ModelError> {
         if self.core.ticks_pushed() == 0 {
             return Err(ModelError::InsufficientData {
                 what: "single-chain inference".into(),
@@ -656,14 +760,13 @@ impl OnlineSingleViterbi {
                 required: 1,
             });
         }
-        let committed = self.emitted_macros.len();
+        let committed = self.emitted.len();
         let (tail, log_prob) =
             self.core
                 .resolve_tail(self.model.decoder().precision, committed, |entry, j| {
                     (entry.slice.activities[j], entry.cands[entry.slice.cands[j]])
                 });
-        let mut macros = std::mem::take(&mut self.emitted_macros);
-        let mut micros = std::mem::take(&mut self.emitted_micros);
+        let (mut macros, mut micros) = EmittedDecision::unpack_all(self.emitted.iter());
         for (m, c) in tail {
             macros.push(m);
             micros.push(c);
@@ -741,6 +844,47 @@ mod tests {
                 obs_tick(if t % 11 == 5 { 1 - m } else { m }, strength)
             })
             .collect()
+    }
+
+    #[test]
+    fn finalized_paths_keep_every_emitted_decision_exactly() {
+        // The emitted history is stored packed; finalize must widen it
+        // back to exactly the decisions push returned, gestural `None`
+        // and `Some` alike.
+        let ticks: Vec<TickInput> = glitchy_ticks()
+            .into_iter()
+            .enumerate()
+            .map(|(t, mut tick)| {
+                if t % 3 == 0 {
+                    for c in tick.candidates.iter_mut().flatten() {
+                        c.gestural = None;
+                    }
+                }
+                tick
+            })
+            .collect();
+        let mut coupled =
+            OnlineCoupledViterbi::new(CoupledHdbn::new(toy_params(true)), Lag::Fixed(2));
+        let mut single =
+            OnlineSingleViterbi::new(SingleHdbn::new(toy_params(false)), 1, Lag::Fixed(2));
+        let (mut joint_decisions, mut chain_decisions) = (Vec::new(), Vec::new());
+        for tick in &ticks {
+            joint_decisions.extend(coupled.push(tick).unwrap());
+            chain_decisions.extend(single.push(tick).unwrap());
+        }
+        assert_eq!(joint_decisions.len(), ticks.len() - 2);
+        let path = coupled.finalize().unwrap();
+        for d in &joint_decisions {
+            for u in 0..2 {
+                assert_eq!(path.macros[u][d.tick], d.macros[u]);
+                assert_eq!(path.micros[u][d.tick], d.micros[u]);
+            }
+        }
+        let chain = single.finalize().unwrap();
+        for d in &chain_decisions {
+            assert_eq!(chain.macros[d.tick], d.macro_id);
+            assert_eq!(chain.micros[d.tick], d.micro);
+        }
     }
 
     #[test]
@@ -1019,6 +1163,14 @@ mod tests {
 
         let mut bad = parked.clone();
         bad.emitted_macros[0].pop(); // emit schedule out of step with lag
+        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+
+        // Emitted ids that do not fit the packed history.
+        let mut bad = parked.clone();
+        bad.emitted_macros[0][0] = 70_000;
+        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        let mut bad = parked.clone();
+        bad.emitted_micros[1][0].location = usize::MAX;
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
 
         // A pruned stream with a corrupted survivor set is also rejected.

@@ -106,10 +106,27 @@ impl HdbnParams {
     /// Builds log tables from mined statistics.
     ///
     /// # Errors
-    /// Propagates [`HierarchicalStats::validate`] failures.
+    /// Propagates [`HierarchicalStats::validate`] failures, and returns
+    /// [`ModelError::InvalidConfig`] for a model whose hierarchy tables
+    /// reach 65 535 entries: the online decoders store decoded ids, which
+    /// index those tables, in 16 bits.
     pub fn new(stats: HierarchicalStats, config: HdbnConfig) -> Result<Self, ModelError> {
         stats.validate()?;
         let n = stats.n_macro;
+        let widest = n.saturating_mul(
+            stats
+                .n_postural
+                .max(stats.n_gestural)
+                .max(stats.n_location)
+                .max(1),
+        );
+        if widest > crate::online::COMPACT_ID_LIMIT {
+            return Err(ModelError::InvalidConfig(format!(
+                "model too large: a hierarchy table of {widest} entries, but decision \
+                 histories store ids below {}",
+                crate::online::COMPACT_ID_LIMIT
+            )));
+        }
 
         let log_prior: Vec<f64> = stats
             .macro_prior
@@ -265,6 +282,10 @@ pub(crate) mod tests {
     use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 
     pub(crate) fn toy_stats() -> HierarchicalStats {
+        toy_stats_with_locations(2)
+    }
+
+    fn toy_stats_with_locations(n_location: usize) -> HierarchicalStats {
         // Two activities, strongly self-persistent, always co-occurring.
         let mut macros = Vec::new();
         for r in 0..40 {
@@ -284,9 +305,20 @@ pub(crate) mod tests {
             n_macro: 2,
             n_postural: 2,
             n_gestural: 2,
-            n_location: 2,
+            n_location,
         };
         miner.mine(&[seq]).unwrap()
+    }
+
+    #[test]
+    fn models_too_wide_for_16_bit_decision_ids_are_rejected() {
+        // 2 macros × 30 000 locations: every table index fits 16 bits.
+        assert!(HdbnParams::new(toy_stats_with_locations(30_000), HdbnConfig::default()).is_ok());
+        // 2 × 40 000 does not.
+        assert!(matches!(
+            HdbnParams::new(toy_stats_with_locations(40_000), HdbnConfig::default()),
+            Err(ModelError::InvalidConfig(_))
+        ));
     }
 
     #[test]

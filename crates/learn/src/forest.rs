@@ -115,21 +115,36 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// The trained trees, in fit order.
+    pub fn trees(&self) -> &[DecisionTree] {
+        &self.trees
+    }
+
     /// Averaged class-probability estimate.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_classes];
+        self.predict_proba_into(x, &mut acc);
+        acc
+    }
+
+    /// [`predict_proba`](Self::predict_proba) written into `out`, which
+    /// holds one entry per class ([`n_classes`](Self::n_classes)).
+    ///
+    /// Accumulates each tree's leaf distribution in place, borrowed
+    /// through [`DecisionTree::leaf_dist`]: no allocation.
+    pub fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
         for tree in &self.trees {
-            for (a, p) in acc.iter_mut().zip(tree.predict_proba(x)) {
+            for (a, p) in out.iter_mut().zip(tree.leaf_dist(x)) {
                 *a += p;
             }
         }
-        let total: f64 = acc.iter().sum();
+        let total: f64 = out.iter().sum();
         if total > 0.0 {
-            for a in &mut acc {
+            for a in out.iter_mut() {
                 *a /= total;
             }
         }
-        acc
     }
 
     /// Most likely class.
@@ -139,10 +154,19 @@ impl RandomForest {
 
     /// Log-probabilities with an ε floor (for use as HDBN emission scores).
     pub fn predict_log_proba(&self, x: &[f64]) -> Vec<f64> {
-        self.predict_proba(x)
-            .into_iter()
-            .map(|p| p.max(1e-6).ln())
-            .collect()
+        let mut out = vec![0.0; self.n_classes];
+        self.predict_log_proba_into(x, &mut out);
+        out
+    }
+
+    /// [`predict_log_proba`](Self::predict_log_proba) written into `out`
+    /// (sized as for [`predict_proba_into`](Self::predict_proba_into)),
+    /// mapped in place: no allocation.
+    pub fn predict_log_proba_into(&self, x: &[f64], out: &mut [f64]) {
+        self.predict_proba_into(x, out);
+        for p in out.iter_mut() {
+            *p = p.max(1e-6).ln();
+        }
     }
 
     /// Accuracy on a labeled set.

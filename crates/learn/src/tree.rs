@@ -250,11 +250,20 @@ impl DecisionTree {
     /// # Panics
     /// Panics if `x.len()` differs from the training feature count.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        self.leaf_dist(x).to_vec()
+    }
+
+    /// The class distribution of the leaf `x` falls into, borrowed from
+    /// the tree (what [`predict_proba`](Self::predict_proba) copies out).
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the training feature count.
+    pub fn leaf_dist(&self, x: &[f64]) -> &[f64] {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
         let mut node = 0usize;
         loop {
             match &self.nodes[node] {
-                Node::Leaf { dist } => return dist.clone(),
+                Node::Leaf { dist } => return dist,
                 Node::Split {
                     feature,
                     threshold,

@@ -131,11 +131,12 @@ impl UserCandidates {
 
     /// Indices of allowed values in a dimension.
     pub fn allowed(dim: &[bool]) -> Vec<usize> {
-        dim.iter()
-            .enumerate()
-            .filter(|&(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect()
+        Self::allowed_iter(dim).collect()
+    }
+
+    /// [`allowed`](Self::allowed), without collecting.
+    pub fn allowed_iter(dim: &[bool]) -> impl Iterator<Item = usize> + '_ {
+        dim.iter().enumerate().filter(|&(_, &b)| b).map(|(i, _)| i)
     }
 }
 
@@ -171,16 +172,83 @@ pub struct PruneReport {
     pub removed: usize,
 }
 
+/// Fired-rule indices of one [`PruningEngine::prune`] call fit this stack
+/// array; a tick that could fire more puts the same buffer on the heap.
+const FIRED_STACK: usize = 64;
+
 /// The deterministic pruning engine.
+///
+/// Rules are indexed at construction: each positive rule under the first
+/// item of its antecedent (a rule fires only if that item is in the
+/// evidence), each negative rule under its trigger. A tick then looks up
+/// only the rules keyed by its evidence items instead of scanning the
+/// whole rule set, and applies them in rule-set order, so the outcome is
+/// the linear scan's.
 #[derive(Debug, Clone)]
 pub struct PruningEngine {
     rules: RuleSet,
+    /// `(first antecedent, rule index)`, sorted. Rules whose consequent
+    /// cannot prune at run time (undecodable, or a lag-1 item) are left
+    /// out: the scan skips them anyway.
+    positive_index: Vec<(ItemId, usize)>,
+    /// Positive rules with an empty antecedent: they fire on any evidence.
+    unconditional: Vec<usize>,
+    /// `(trigger, negative rule index)`, sorted, under the same filter.
+    negative_index: Vec<(ItemId, usize)>,
+}
+
+/// Whether `id` decodes to a current-tick item (the only kind a rule
+/// consequent can prune).
+fn prunes_now(space: &AtomSpace, id: ItemId) -> bool {
+    space.decode(id).is_some_and(|item| item.lag == 0)
+}
+
+/// The `index` entries keyed by `key` (the index is sorted by key).
+fn keyed(index: &[(ItemId, usize)], key: ItemId) -> &[(ItemId, usize)] {
+    let lo = index.partition_point(|&(k, _)| k < key);
+    let hi = index.partition_point(|&(k, _)| k <= key);
+    &index[lo..hi]
+}
+
+/// `evidence` without repeats (it is sorted).
+fn distinct(evidence: &[ItemId]) -> impl Iterator<Item = ItemId> + '_ {
+    evidence
+        .iter()
+        .enumerate()
+        .filter(|&(i, e)| i == 0 || evidence[i - 1] != *e)
+        .map(|(_, &e)| e)
 }
 
 impl PruningEngine {
-    /// Wraps a mined (or user-provided) rule set.
+    /// Wraps a mined (or user-provided) rule set and indexes it.
     pub fn new(rules: RuleSet) -> Self {
-        Self { rules }
+        let space = rules.space();
+        let mut positive_index = Vec::new();
+        let mut unconditional = Vec::new();
+        for (i, rule) in rules.rules().iter().enumerate() {
+            if !prunes_now(space, rule.consequent) {
+                continue;
+            }
+            match rule.antecedent.first() {
+                Some(&first) => positive_index.push((first, i)),
+                None => unconditional.push(i),
+            }
+        }
+        let mut negative_index: Vec<(ItemId, usize)> = rules
+            .negatives()
+            .iter()
+            .enumerate()
+            .filter(|(_, neg)| prunes_now(space, neg.then_not))
+            .map(|(i, neg)| (neg.if_item, i))
+            .collect();
+        positive_index.sort_unstable();
+        negative_index.sort_unstable();
+        Self {
+            rules,
+            positive_index,
+            unconditional,
+            negative_index,
+        }
     }
 
     /// The rule set in use.
@@ -192,56 +260,78 @@ impl PruningEngine {
     ///
     /// `evidence` is the sorted list of items known true around this tick
     /// (observed micro states at `t` and the committed states at `t − 1`).
-    /// Iterates to a fixed point (rules can cascade, as in the paper's
-    /// living-room example where a location rule enables a macro rule).
+    /// Rules fire on observed facts only, never on another rule's
+    /// conclusion, so one pass in rule-set order reaches the fixed point.
     pub fn prune(&self, evidence: &[ItemId], tick: &mut CandidateTick) -> PruneReport {
         debug_assert!(
             evidence.windows(2).all(|w| w[0] <= w[1]),
             "evidence must be sorted"
         );
-        let space = self.rules.space().clone();
+        let space = self.rules.space();
+        let positive_bound = self.unconditional.len()
+            + distinct(evidence)
+                .map(|e| keyed(&self.positive_index, e).len())
+                .sum::<usize>();
+        let negative_bound: usize = distinct(evidence)
+            .map(|e| keyed(&self.negative_index, e).len())
+            .sum();
+        let mut stack = [0usize; FIRED_STACK];
+        let mut heap = Vec::new();
+        let buf: &mut [usize] = if positive_bound + negative_bound <= FIRED_STACK {
+            &mut stack[..positive_bound + negative_bound]
+        } else {
+            heap.resize(positive_bound + negative_bound, 0);
+            &mut heap
+        };
+        let (positive_buf, negative_buf) = buf.split_at_mut(positive_bound);
+
+        // Which rules fire depends only on the evidence: gather them, then
+        // apply them in rule-set order.
+        let mut n_positive = 0;
+        let keyed_positive = distinct(evidence).flat_map(|e| keyed(&self.positive_index, e));
+        for i in self
+            .unconditional
+            .iter()
+            .copied()
+            .chain(keyed_positive.map(|&(_, i)| i))
+        {
+            if self.rules.rules()[i].fires_on(evidence) {
+                positive_buf[n_positive] = i;
+                n_positive += 1;
+            }
+        }
+        let positives = &mut positive_buf[..n_positive];
+        positives.sort_unstable();
+        let keyed_negative = distinct(evidence).flat_map(|e| keyed(&self.negative_index, e));
+        for (slot, &(_, i)) in negative_buf.iter_mut().zip(keyed_negative) {
+            *slot = i;
+        }
+        negative_buf.sort_unstable();
+
+        // One pass is the fixed point. The evidence stays fixed and rules
+        // only shrink candidate sets, so a rule that restricted (or was
+        // refused, or found nothing to remove) keeps finding nothing on a
+        // second pass; a forbid refused as the last value stays refused.
         let mut report = PruneReport::default();
-        // Two passes reach the fixed point for cascades whose intermediate
-        // conclusions are candidate restrictions (deeper chains would need
-        // re-deriving evidence, which the engine intentionally avoids: only
-        // observed facts count as evidence).
-        for _ in 0..2 {
-            let mut changed = false;
-            for rule in self.rules.rules() {
-                if !rule.fires_on(evidence) {
-                    continue;
-                }
-                let Some(item) = space.decode(rule.consequent) else {
-                    continue;
-                };
-                if item.lag != 0 {
-                    continue; // past-state consequents carry no runtime prune
-                }
-                let removed = tick.users[item.user as usize].restrict(&space, item.atom);
-                if removed > 0 {
-                    report.positive_fired += 1;
-                    report.removed += removed;
-                    changed = true;
-                }
+        for &i in positives.iter() {
+            let rule = &self.rules.rules()[i];
+            let Some(item) = space.decode(rule.consequent) else {
+                continue;
+            };
+            let removed = tick.users[item.user as usize].restrict(space, item.atom);
+            if removed > 0 {
+                report.positive_fired += 1;
+                report.removed += removed;
             }
-            for neg in self.rules.negatives() {
-                if evidence.binary_search(&neg.if_item).is_err() {
-                    continue;
-                }
-                let Some(item) = space.decode(neg.then_not) else {
-                    continue;
-                };
-                if item.lag != 0 {
-                    continue;
-                }
-                if tick.users[item.user as usize].forbid(&space, item.atom) {
-                    report.negative_fired += 1;
-                    report.removed += 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+        }
+        for &i in negative_buf.iter() {
+            let neg = &self.rules.negatives()[i];
+            let Some(item) = space.decode(neg.then_not) else {
+                continue;
+            };
+            if tick.users[item.user as usize].forbid(space, item.atom) {
+                report.negative_fired += 1;
+                report.removed += 1;
             }
         }
         report

@@ -58,40 +58,80 @@ pub fn goertzel_power(signal: &[f64], target_hz: f64, sample_rate_hz: f64) -> f6
 /// # Panics
 /// As [`goertzel_power`], for each bin in ascending order.
 pub fn goertzel_band(signal: &[f64], sample_rate_hz: f64) -> [f64; 5] {
-    for i in 0..5 {
-        let target_hz = (i + 1) as f64;
-        assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-        assert!(
-            (0.0..=sample_rate_hz / 2.0).contains(&target_hz),
-            "target frequency {target_hz} outside [0, Nyquist]"
-        );
-    }
-    if signal.is_empty() {
-        return [0.0; 5];
-    }
-    let n = signal.len() as f64;
-    let mut coeff = [0.0_f64; 5];
-    for (i, c) in coeff.iter_mut().enumerate() {
-        let k = (n * (i + 1) as f64 / sample_rate_hz).round();
-        let omega = 2.0 * std::f64::consts::PI * k / n;
-        *c = 2.0 * omega.cos();
-    }
-    let mut s_prev = [0.0_f64; 5];
-    let mut s_prev2 = [0.0_f64; 5];
+    let mut bank = GoertzelBank::new(signal.len(), sample_rate_hz);
     for &x in signal {
+        bank.push(x);
+    }
+    bank.powers()
+}
+
+/// The 1–5 Hz recurrences of [`goertzel_band`], fed one sample at a time
+/// so a caller can run them inside its own pass over a frame instead of
+/// materializing the signal first.
+///
+/// Pushing a signal's samples in order and reading [`powers`](Self::powers)
+/// is bit-identical to [`goertzel_band`] on that signal.
+#[derive(Debug, Clone)]
+pub struct GoertzelBank {
+    n: f64,
+    coeff: [f64; 5],
+    s_prev: [f64; 5],
+    s_prev2: [f64; 5],
+}
+
+impl GoertzelBank {
+    /// A bank for a signal of `len` samples at `sample_rate_hz`.
+    ///
+    /// # Panics
+    /// As [`goertzel_power`], for each bin in ascending order.
+    pub fn new(len: usize, sample_rate_hz: f64) -> Self {
         for i in 0..5 {
-            let s = x + coeff[i] * s_prev[i] - s_prev2[i];
-            s_prev2[i] = s_prev[i];
-            s_prev[i] = s;
+            let target_hz = (i + 1) as f64;
+            assert!(sample_rate_hz > 0.0, "sample rate must be positive");
+            assert!(
+                (0.0..=sample_rate_hz / 2.0).contains(&target_hz),
+                "target frequency {target_hz} outside [0, Nyquist]"
+            );
+        }
+        let n = len as f64;
+        let mut coeff = [0.0_f64; 5];
+        for (i, c) in coeff.iter_mut().enumerate() {
+            let k = (n * (i + 1) as f64 / sample_rate_hz).round();
+            let omega = 2.0 * std::f64::consts::PI * k / n;
+            *c = 2.0 * omega.cos();
+        }
+        Self {
+            n,
+            coeff,
+            s_prev: [0.0; 5],
+            s_prev2: [0.0; 5],
         }
     }
-    let mut out = [0.0; 5];
-    for i in 0..5 {
-        let power =
-            s_prev[i] * s_prev[i] + s_prev2[i] * s_prev2[i] - coeff[i] * s_prev[i] * s_prev2[i];
-        out[i] = power / (n * n);
+
+    /// Advances every recurrence by one sample.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        for i in 0..5 {
+            let s = x + self.coeff[i] * self.s_prev[i] - self.s_prev2[i];
+            self.s_prev2[i] = self.s_prev[i];
+            self.s_prev[i] = s;
+        }
     }
-    out
+
+    /// The five normalized bin powers (all zero for an empty signal).
+    pub fn powers(&self) -> [f64; 5] {
+        if self.n == 0.0 {
+            return [0.0; 5];
+        }
+        let n = self.n;
+        let mut out = [0.0; 5];
+        for i in 0..5 {
+            let (s1, s2, c) = (self.s_prev[i], self.s_prev2[i], self.coeff[i]);
+            let power = s1 * s1 + s2 * s2 - c * s1 * s2;
+            out[i] = power / (n * n);
+        }
+        out
+    }
 }
 
 #[cfg(test)]

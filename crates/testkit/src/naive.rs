@@ -1,26 +1,43 @@
-//! Naive-scoring reference decoders: the pre-score-table hot path, kept
-//! as an executable specification.
+//! Naive reference implementations: the historical hot paths, kept as
+//! executable specifications.
 //!
 //! The production decoders in `cace-hdbn` score every trellis edge through
 //! the dense precomputed [`ScoreTables`](cace_hdbn::ScoreTables) and run
-//! their step kernels over reused `TrellisArena` buffers. The functions
-//! here reproduce the *historical* implementations — direct
+//! their step kernels over reused `TrellisArena` buffers. The decoder
+//! functions here reproduce the *historical* implementations — direct
 //! [`HdbnParams::transition_score`] / [`HdbnParams::hierarchy_score`]
 //! calls per edge, fresh fold buffers per column, per-tick `Vec`
 //! allocations — with the exact same fold order and tie-breaking.
 //!
-//! Two consumers:
+//! The serving front end has references of the same kind:
+//! [`frame_features`] (one pass per feature over per-axis `Vec`s),
+//! [`forest_proba`] (one cloned leaf distribution per tree) and
+//! [`prune_linear`] (every rule checked on every tick).
+//!
+//! Consumers:
 //!
 //! * `tests/score_tables.rs` asserts the production decoders are
 //!   **bit-identical** to these references over random mined statistics —
 //!   the differential gate for the dense-table scoring path.
+//! * `tests/front_end_oracles.rs` does the same for the fused frame
+//!   features, the borrowed-leaf forest and the indexed pruner.
 //! * `crates/bench/benches/score_tables.rs` measures them as the "naive
 //!   scoring" baseline that the table path's per-tick speedup is claimed
 //!   against.
 
+use cace_features::FEATURE_COUNT;
 use cace_hdbn::forward::normalize_log;
 use cace_hdbn::single::ExpectedCounts;
 use cace_hdbn::{log_sum_exp, HdbnParams, TickInput};
+use cace_learn::RandomForest;
+use cace_mining::correlation::PruneReport;
+use cace_mining::{CandidateTick, ItemId, RuleSet};
+use cace_sensing::IMU_RATE_HZ;
+use cace_signal::goertzel::goertzel_band;
+use cace_signal::stats::{
+    kurtosis, mean_abs_deviation, mean_crossings, pearson, signal_magnitude_area, skewness, Summary,
+};
+use cace_signal::trajectory::ImuSample;
 
 /// One chain's per-tick state enumeration, exactly as the decoders build
 /// it: macro-major over the tick's allowed macros × candidates.
@@ -396,4 +413,150 @@ pub fn naive_accumulate_counts(
             }
         }
     }
+}
+
+/// The 32 frame features as `FeatureVector::from_frame` computed them
+/// before its passes were fused: one `Vec` per axis, magnitude and tilt,
+/// and each feature from its own [`cace_signal::stats`] function.
+///
+/// # Panics
+/// Panics on a frame whose Goertzel powers are not comparable (a NaN
+/// sample), as the historical code did.
+pub fn frame_features(frame: &[ImuSample]) -> [f64; FEATURE_COUNT] {
+    if frame.is_empty() {
+        return [0.0; FEATURE_COUNT];
+    }
+    let xs: Vec<f64> = frame.iter().map(|s| s.accel.x).collect();
+    let ys: Vec<f64> = frame.iter().map(|s| s.accel.y).collect();
+    let zs: Vec<f64> = frame.iter().map(|s| s.accel.z).collect();
+    let mags: Vec<f64> = frame.iter().map(|s| s.accel.norm()).collect();
+
+    let mag = Summary::of(&mags);
+    let ac: Vec<f64> = mags.iter().map(|m| m - mag.mean).collect();
+    let band = goertzel_band(&ac, IMU_RATE_HZ);
+
+    let sx = Summary::of(&xs);
+    let sy = Summary::of(&ys);
+    let sz = Summary::of(&zs);
+
+    let tilts: Vec<f64> = frame
+        .iter()
+        .zip(&mags)
+        .map(|(s, &n)| {
+            if n == 0.0 {
+                0.0
+            } else {
+                (s.accel.z / n).clamp(-1.0, 1.0).acos()
+            }
+        })
+        .collect();
+    let tilt = Summary::of(&tilts);
+
+    let (dominant_bin, dominant_power) = band
+        .iter()
+        .copied()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite powers"))
+        .expect("band is nonempty");
+
+    let mut v = [0.0; FEATURE_COUNT];
+    v[0] = mag.mean;
+    v[1] = mag.variance;
+    v[2] = mag.std_dev();
+    v[3] = mag.min;
+    v[4] = mag.max;
+    v[5] = mag.range();
+    v[6] = mag.rms;
+    v[7] = mean_abs_deviation(&mags);
+    v[8] = mean_crossings(&mags) as f64;
+    v[9] = skewness(&mags);
+    v[10] = kurtosis(&mags);
+    v[11..16].copy_from_slice(&band);
+    v[16] = sx.mean;
+    v[17] = sx.std_dev();
+    v[18] = sx.variance;
+    v[19] = sy.mean;
+    v[20] = sy.std_dev();
+    v[21] = sy.variance;
+    v[22] = sz.mean;
+    v[23] = sz.std_dev();
+    v[24] = sz.variance;
+    v[25] = pearson(&xs, &ys);
+    v[26] = pearson(&xs, &zs);
+    v[27] = pearson(&ys, &zs);
+    v[28] = signal_magnitude_area(&xs, &ys, &zs);
+    v[29] = tilt.mean;
+    v[30] = tilt.std_dev();
+    v[31] = if dominant_power > 1e-12 {
+        (dominant_bin + 1) as f64
+    } else {
+        0.0
+    };
+    v
+}
+
+/// `RandomForest::predict_proba` as it was before leaves were borrowed:
+/// each tree's distribution cloned out, then summed and normalized.
+pub fn forest_proba(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
+    let mut acc = vec![0.0; forest.n_classes()];
+    for tree in forest.trees() {
+        for (a, p) in acc.iter_mut().zip(tree.predict_proba(x)) {
+            *a += p;
+        }
+    }
+    let total: f64 = acc.iter().sum();
+    if total > 0.0 {
+        for a in &mut acc {
+            *a /= total;
+        }
+    }
+    acc
+}
+
+/// `PruningEngine::prune` as it was before rules were indexed: every
+/// positive and negative rule checked against the evidence, in rule-set
+/// order, on each of the two passes.
+pub fn prune_linear(rules: &RuleSet, evidence: &[ItemId], tick: &mut CandidateTick) -> PruneReport {
+    let space = rules.space().clone();
+    let mut report = PruneReport::default();
+    for _ in 0..2 {
+        let mut changed = false;
+        for rule in rules.rules() {
+            if !rule.fires_on(evidence) {
+                continue;
+            }
+            let Some(item) = space.decode(rule.consequent) else {
+                continue;
+            };
+            if item.lag != 0 {
+                continue;
+            }
+            let removed = tick.users[item.user as usize].restrict(&space, item.atom);
+            if removed > 0 {
+                report.positive_fired += 1;
+                report.removed += removed;
+                changed = true;
+            }
+        }
+        for neg in rules.negatives() {
+            if evidence.binary_search(&neg.if_item).is_err() {
+                continue;
+            }
+            let Some(item) = space.decode(neg.then_not) else {
+                continue;
+            };
+            if item.lag != 0 {
+                continue;
+            }
+            if tick.users[item.user as usize].forbid(&space, item.atom) {
+                report.negative_fired += 1;
+                report.removed += 1;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    report
 }

@@ -1,4 +1,5 @@
-//! Steady-state allocation accounting for the online decoders (PR 5).
+//! Steady-state allocation accounting for the online decoders and for the
+//! whole serving push.
 //!
 //! The `TrellisArena` + pooled-window design promises that a *warmed*
 //! streaming push — slice fill, DP step, beam selection, fixed-lag emit —
@@ -9,11 +10,16 @@
 //! high-water buffer sizes, then drives another window of pushes and
 //! asserts the count stayed at zero.
 //!
-//! The decision history (`emitted_*`) grows by one entry per tick and is
-//! the only amortized allocation left in the loop; `reserve_ticks`
+//! The decision history grows by one packed entry per tick and is the
+//! only amortized allocation left in the decoder loop; `reserve_ticks`
 //! pre-sizes it, which is what a serving loop with a known session length
 //! would do (and what keeps this assertion exact rather than probabilistic
 //! about `Vec` growth boundaries).
+//!
+//! [`warmed_streaming_push_allocation_budget`] extends the count to a
+//! whole `StreamingRecognizer::push`: feature extraction allocates
+//! nothing, and a push allocates at most [`PUSH_RESIDUAL`] (see there for
+//! what those allocations are).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,4 +167,64 @@ fn topk_cases_actually_prune_in_steady_state() {
     assert!(Beam::TopK(4).select_log(&frontier, &mut scratch));
     assert_eq!(scratch.keep().len(), 4);
     assert!(path.log_prob.is_finite());
+}
+
+/// Allocations a warmed `StreamingRecognizer::push` on the serving shape
+/// may make — the per-tick values the push hands to the decoder:
+///
+/// * the `TickInput`'s candidate lists, `candidates[0]` and
+///   `candidates[1]` (2);
+/// * its macro restrictions, `macro_candidates[u]`, on ticks where the
+///   rules narrow a user's macro set (up to 2);
+/// * its `macro_bonus`, on CASAS ticks only (0 here);
+/// * the pruner's `CandidateTick`: four `Vec<bool>` masks per user (8);
+///
+/// plus one amortized reallocation of the decision history on the pushes
+/// where it doubles.
+///
+/// Everything else — frame features, forest scoring, evidence, rule
+/// lookup, tuple scoring, the trellis step — runs on the stack or on
+/// reused buffers.
+const PUSH_RESIDUAL: u64 = 2 + 2 + 8 + 1;
+
+/// Whole-push allocation accounting on the serving shape (`fleet-live`):
+/// a tiny C2 engine with the exact decoder and a fixed lag of 6, warmed
+/// over eight passes of a session and measured over one more.
+#[test]
+fn warmed_streaming_push_allocation_budget() {
+    use cace::core::{CaceConfig, CaceEngine, Lag as StreamLag, Strategy};
+    use cace::features::extract_tick;
+    const _: () = assert!(PUSH_RESIDUAL <= 16);
+
+    let (train, test) = cace_testkit::tiny_corpus(6, 60, 4117);
+    let config = CaceConfig::default()
+        .with_strategy(Strategy::CorrelationConstraint)
+        .with_decoder(DecoderConfig::exact());
+    let engine = CaceEngine::train(&train, &config).expect("training");
+    let session = &test[0];
+    let mut stream = engine.stream(StreamLag::Fixed(6));
+    // The backpointer window's pooled entries meet the session's widest
+    // tick in rotation, so it takes several passes before every entry has
+    // grown to it (the arena's high-water mark, not a per-push cost).
+    for _ in 0..8 {
+        for tick in &session.ticks {
+            stream.push(&tick.observed).expect("warmup push");
+        }
+    }
+    for (t, tick) in session.ticks.iter().enumerate() {
+        let features = count_allocs(|| {
+            std::hint::black_box(extract_tick(std::hint::black_box(&tick.observed)));
+        });
+        assert_eq!(
+            features, 0,
+            "tick {t}: extract_tick allocated {features} times"
+        );
+        let push = count_allocs(|| {
+            stream.push(&tick.observed).expect("measured push");
+        });
+        assert!(
+            push <= PUSH_RESIDUAL,
+            "tick {t}: push allocated {push} times, budget {PUSH_RESIDUAL}"
+        );
+    }
 }
