@@ -7,10 +7,11 @@
 //! this bench guards *latency*: it re-measures the three hot-path rows
 //! whose pre-refactor numbers are frozen in `BENCH_PR7.json` — the
 //! warmed C2 streaming push with the exact and `TopK(56)` beams
-//! (`score_tables/c2_stream_push_*`) and the f32-lane batch decode
-//! (`f32_lane/c2_batch_decode_f32`) — on the identical fig9 workload,
-//! and asserts each is within **5%** of its frozen record. Results land
-//! in `BENCH_PR9.json` as `kernel_parity/*` rows whose notes cite the
+//! (`score_tables/c2_stream_push_*`) and the exact batch decode
+//! (`f32_lane/c2_batch_decode_f64`, the exact-lane row of the since
+//! removed `f32_lane` bench) — on the identical fig9 workload, and
+//! asserts each is within **5%** of its frozen record. Results land
+//! in `BENCH_PR10.json` as `kernel_parity/*` rows whose notes cite the
 //! baseline they were gated against.
 //!
 //! Under `--quick` (the CI smoke) the measurement is shortened and the
@@ -59,8 +60,8 @@ fn stream_push_ns(decoder: &CoupledHdbn, inputs: &[TickInput], repeats: usize) -
 fn bench(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--quick");
     // The fig9 (CASAS-style) C2 workload — corpus shape and seed identical
-    // to the `score_tables` / `f32_lane` benches that produced the frozen
-    // PR 7 rows, so the comparison is like-for-like.
+    // to the `score_tables` and (removed) `f32_lane` benches that produced
+    // the frozen PR 7 rows, so the comparison is like-for-like.
     let cfg = CasasConfig {
         pairs: 4,
         sessions_per_pair: 2,
@@ -73,7 +74,6 @@ fn bench(c: &mut Criterion) {
     let inputs: Vec<TickInput> = engine.tick_inputs(&test[0]);
     let n_ticks = inputs.len();
     let params = Arc::clone(engine.hdbn_params());
-    black_box(params.tables_f32()); // amortized mirror build off the clock
 
     let repeats = if quick { 2 } else { 7 };
     let (tolerance, gate) = if quick {
@@ -92,10 +92,9 @@ fn bench(c: &mut Criterion) {
         &inputs,
         repeats,
     );
-    let fast_decoder =
-        CoupledHdbn::from_shared(Arc::clone(&params)).with_decoder(DecoderConfig::exact().fast32());
-    let f32_batch = best_per_tick_ns(n_ticks, repeats, || {
-        black_box(fast_decoder.viterbi(black_box(&inputs)).expect("decode"));
+    let exact_decoder = CoupledHdbn::from_shared(Arc::clone(&params));
+    let exact_batch = best_per_tick_ns(n_ticks, repeats, || {
+        black_box(exact_decoder.viterbi(black_box(&inputs)).expect("decode"));
     });
 
     header("kernel_parity — generic trellis engine vs frozen pre-refactor records");
@@ -116,9 +115,9 @@ fn bench(c: &mut Criterion) {
             topk_push,
         ),
         (
-            "batch_decode_f32",
-            "f32_lane/c2_batch_decode_f32",
-            f32_batch,
+            "batch_decode_exact",
+            "f32_lane/c2_batch_decode_f64",
+            exact_batch,
         ),
     ] {
         let pr7_ns = perf::baseline("BENCH_PR7.json", baseline_id, "per_tick_ns")

@@ -87,8 +87,8 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// [`PerfRecord`](perf::PerfRecord)s keyed by a stable `id`; re-running a bench overwrites
 /// its own records and leaves the others, so the file accumulates one
 /// up-to-date row per measurement across harnesses (`score_tables`,
-/// `beam_sweep`, `f32_lane`, `router_scale`, `kernel_parity`,
-/// `adaptation`). CI's `--quick` smoke refreshes it on
+/// `beam_sweep`, `router_scale`, `kernel_parity`, `adaptation`). CI's
+/// `--quick` smoke refreshes it on
 /// every run. The PR 5/6/7/8/9 files (`BENCH_PR5.json` …
 /// `BENCH_PR9.json`) are kept as historical baselines; when
 /// `BENCH_PR10.json` does not exist yet, [`emit`](perf::emit) seeds it

@@ -8,7 +8,7 @@ use cace_behavior::Session;
 use cace_features::SessionFeatures;
 use cace_hdbn::{
     fit_em_shared as hdbn_fit_em_shared, trellis, BeamScratch, CoupledHdbn, DecoderConfig,
-    EmConfig, HdbnConfig, HdbnParams, Precision, SingleHdbn, StepScratch, TickInput,
+    EmConfig, HdbnConfig, HdbnParams, SingleHdbn, StepScratch, TickInput,
 };
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_mining::rules::mine_negative_rules;
@@ -705,25 +705,8 @@ impl CaceEngine {
     /// Flat Viterbi over the (macro × micro-beam) product space with no
     /// hierarchical structure — the "all possible states" NH decoder,
     /// driven through the step functions in [`crate::nh`] (shared with the
-    /// streaming path). Dispatches on the configured scoring
-    /// [`Precision`] like the hierarchical decoders.
+    /// streaming path).
     fn flat_product_viterbi(
-        &self,
-        inputs: &[TickInput],
-        macro_emissions: &[Vec<f64>],
-        user: usize,
-    ) -> Result<(Vec<usize>, u64, u64), ModelError> {
-        match self.config.decoder.precision {
-            Precision::Exact64 => {
-                self.flat_product_viterbi_impl::<f64>(inputs, macro_emissions, user)
-            }
-            Precision::Fast32 => {
-                self.flat_product_viterbi_impl::<f32>(inputs, macro_emissions, user)
-            }
-        }
-    }
-
-    fn flat_product_viterbi_impl<S: nh::NhScalar>(
         &self,
         inputs: &[TickInput],
         macro_emissions: &[Vec<f64>],
@@ -748,7 +731,7 @@ impl CaceEngine {
             &all_states[0],
             &macro_emissions[0],
         )];
-        let mut v: Vec<S> = Vec::new();
+        let mut v: Vec<f64> = Vec::new();
         trellis::init_into(
             &model,
             &nh::FlatView::new(&all_states[0], &all_emit[0], n),
@@ -757,7 +740,7 @@ impl CaceEngine {
         let mut states_explored = all_states[0].len() as u64;
         let mut transition_ops = 0u64;
         let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut step: StepScratch<S> = StepScratch::default();
+        let mut step = StepScratch::default();
 
         let beam = self.config.decoder.beam;
         let mut scratch = BeamScratch::new();

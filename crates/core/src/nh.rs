@@ -17,13 +17,12 @@
 //! discipline.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 use cace_hdbn::park::{check, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
     Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
-use cace_hdbn::{DecoderConfig, Lag, Precision, Scalar, StepScratch, TickInput};
+use cace_hdbn::{DecoderConfig, Lag, RetiredF32Frontier, StepScratch, TickInput};
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
@@ -40,9 +39,6 @@ pub(crate) struct FlatTable {
     n: usize,
     /// `to[a * n + ap] = log P(a | ap)`.
     to: Vec<f64>,
-    /// Lazily built `f32` mirror of `to` (the [`Precision::Fast32`] lane;
-    /// never persisted — snapshots keep the nested `f64` rows).
-    to32: OnceLock<Vec<f32>>,
 }
 
 impl FlatTable {
@@ -56,11 +52,7 @@ impl FlatTable {
                 to[a * n + ap] = v;
             }
         }
-        Self {
-            n,
-            to,
-            to32: OnceLock::new(),
-        }
+        Self { n, to }
     }
 
     /// Reconstructs the src-major nested rows (bitwise; used by engine
@@ -71,43 +63,10 @@ impl FlatTable {
             .collect()
     }
 
-    /// The `f32` mirror, built on first fast-lane use (finite-clamping
-    /// entry-wise casts of `to`, like `HdbnParams::tables_f32`).
-    fn to32(&self) -> &[f32] {
-        self.to32.get_or_init(|| {
-            self.to
-                .iter()
-                .map(|&x| <f32 as Scalar>::from_f64(x))
-                .collect()
-        })
-    }
-
-    /// The transition column *into* macro `a`, indexed by previous macro,
-    /// in lane `S`.
+    /// The transition column *into* macro `a`, indexed by previous macro.
     #[inline]
-    pub(crate) fn row<S: NhScalar>(&self, a: usize) -> &[S] {
-        &S::flat(self)[a * self.n..(a + 1) * self.n]
-    }
-}
-
-/// [`Scalar`] extended with this module's flat-table storage accessor —
-/// the NH analogue of `Scalar::tables` (which is tied to `HdbnParams`).
-pub(crate) trait NhScalar: Scalar {
-    /// The dst-major flat transition storage of `t` in this lane.
-    fn flat(t: &FlatTable) -> &[Self];
-}
-
-impl NhScalar for f64 {
-    #[inline(always)]
-    fn flat(t: &FlatTable) -> &[f64] {
-        &t.to
-    }
-}
-
-impl NhScalar for f32 {
-    #[inline(always)]
-    fn flat(t: &FlatTable) -> &[f32] {
-        t.to32()
+    pub(crate) fn row(&self, a: usize) -> &[f64] {
+        &self.to[a * self.n..(a + 1) * self.n]
     }
 }
 
@@ -198,17 +157,17 @@ pub(crate) struct FlatModel<'a> {
     pub(crate) table: &'a FlatTable,
 }
 
-impl<S: NhScalar> ScoreModel<S> for FlatModel<'_> {
+impl ScoreModel for FlatModel<'_> {
     const SWITCH: bool = false;
 
     fn init_score(&self, _group: u32, _pair: u32, emission: f64) -> f64 {
         emission
     }
 
-    fn dest(&self, pair: u32) -> Dest<'_, S> {
+    fn dest(&self, pair: u32) -> Dest<'_> {
         Dest {
             group: pair,
-            cont: self.table.row::<S>(pair as usize),
+            cont: self.table.row(pair as usize),
             switch: &[],
         }
     }
@@ -234,16 +193,15 @@ impl TrellisEntry for FlatEntry {
 }
 
 /// The NH family's [`TrellisFamily`] instantiation: the generic chain
-/// kernels over [`FlatModel`], bounded to [`NhScalar`] lanes (the flat
-/// table owns its own `f32` mirror).
+/// kernels over [`FlatModel`].
 struct FlatFamily<'a> {
     table: &'a FlatTable,
 }
 
-impl<S: NhScalar> TrellisFamily<S> for FlatFamily<'_> {
+impl TrellisFamily for FlatFamily<'_> {
     type Entry = FlatEntry;
 
-    fn init(&self, entry: &mut FlatEntry, v: &mut Vec<S>) {
+    fn init(&self, entry: &mut FlatEntry, v: &mut Vec<f64>) {
         let FlatEntry { states, emit, back } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
         cace_hdbn::trellis::init_into(&FlatModel { table: self.table }, &cur, v);
@@ -253,9 +211,9 @@ impl<S: NhScalar> TrellisFamily<S> for FlatFamily<'_> {
     fn step_dense(
         &self,
         prev: &FlatEntry,
-        v: &[S],
+        v: &[f64],
         entry: &mut FlatEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let FlatEntry { states, emit, back } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
@@ -274,10 +232,10 @@ impl<S: NhScalar> TrellisFamily<S> for FlatFamily<'_> {
     fn step_pruned(
         &self,
         prev: &FlatEntry,
-        v: &[S],
+        v: &[f64],
         keep: &[u32],
         entry: &mut FlatEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let FlatEntry { states, emit, back } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
@@ -308,7 +266,7 @@ pub(crate) struct ParkedFlatEntry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct ParkedFlat {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: Vec<f32>,
+    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedFlatEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
@@ -330,12 +288,7 @@ impl ParkedFlat {
     /// helpers — the same checks, same error shape, as the coupled and
     /// chain families; only the NH-specific per-entry state checks live
     /// here.
-    fn validate(
-        &self,
-        table: &FlatTable,
-        precision: Precision,
-        lag: Lag,
-    ) -> Result<(), ModelError> {
+    fn validate(&self, table: &FlatTable, lag: Lag) -> Result<(), ModelError> {
         let what = "parked NH stream";
         validate_cursor(
             what,
@@ -363,15 +316,7 @@ impl ParkedFlat {
             prev_len = Some(e.states.len());
         }
         if let Some(frontier) = prev_len {
-            validate_frontier(
-                what,
-                frontier,
-                &self.v,
-                &self.v32,
-                precision,
-                self.pruned,
-                &self.keep,
-            )?;
+            validate_frontier(what, frontier, &self.v, self.pruned, &self.keep)?;
         }
         Ok(())
     }
@@ -409,7 +354,7 @@ impl OnlineFlat {
     pub(crate) fn park(&self) -> ParkedFlat {
         ParkedFlat {
             v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
+            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -440,7 +385,7 @@ impl OnlineFlat {
         decoder: DecoderConfig,
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
-        parked.validate(table, decoder.precision, lag)?;
+        parked.validate(table, lag)?;
         let emitted = parked
             .emitted
             .iter()
@@ -463,7 +408,6 @@ impl OnlineFlat {
             core: OnlineTrellis::from_parts(
                 lag,
                 parked.v.clone(),
-                parked.v32.clone(),
                 window,
                 parked.base,
                 parked.pushed,
@@ -489,10 +433,8 @@ impl OnlineFlat {
         entry.emit = emit;
         let n_states = entry.states.len() as u64;
         self.core
-            .push_entry(&FlatFamily { table }, self.decoder, entry, n_states);
-        let decision = self
-            .core
-            .emit_ready(self.decoder.precision, |e, j, t| (t, e.states[j].0));
+            .push_entry(&FlatFamily { table }, self.decoder.beam, entry, n_states);
+        let decision = self.core.emit_ready(|e, j, t| (t, e.states[j].0));
         if let Some((_, macro_id)) = decision {
             self.emitted.push(macro_id as u16);
         }
@@ -506,9 +448,7 @@ impl OnlineFlat {
             return None;
         }
         let committed = self.emitted.len();
-        let (tail, _log_prob) =
-            self.core
-                .resolve_tail(self.decoder.precision, committed, |e, j| e.states[j].0);
+        let (tail, _log_prob) = self.core.resolve_tail(committed, |e, j| e.states[j].0);
         let mut macros: Vec<usize> = self.emitted.iter().map(|&m| usize::from(m)).collect();
         macros.extend(tail);
         Some((
@@ -534,11 +474,7 @@ mod tests {
         assert_eq!(table.to_rows(), rows, "from_rows → to_rows is lossless");
         for (ap, row) in rows.iter().enumerate() {
             for (a, &v) in row.iter().enumerate() {
-                assert_eq!(
-                    table.row::<f64>(a)[ap],
-                    v,
-                    "flat load == nested rows[{ap}][{a}]"
-                );
+                assert_eq!(table.row(a)[ap], v, "flat load == nested rows[{ap}][{a}]");
             }
         }
     }

@@ -339,16 +339,14 @@ impl Shard {
         }
     }
 
-    /// Parks `slot` in the binary snapshot kind if it is live; returns
-    /// whether it was.
-    fn park_slot(&mut self, slot: usize) -> bool {
+    /// Parks `slot` in the binary snapshot kind if it is live.
+    fn park_slot(&mut self, slot: usize) {
         let SlotState::Live(stream) = &self.slots[slot].state else {
-            return false;
+            return;
         };
         self.slots[slot].state = SlotState::Parked(stream.park().to_snapshot_bytes());
         self.parks += 1;
         self.live -= 1;
-        true
     }
 
     /// Parks least-recently-touched live homes until at most `cap` remain
@@ -702,18 +700,27 @@ impl ShardedRouter {
     /// [`ModelError::InvalidConfig`] on an unknown home id;
     /// [`ModelError::Persistence`] when the home is quarantined.
     pub fn park_home(&mut self, id: u64) -> Result<(), ModelError> {
+        self.parked_bytes(id).map(|_| ())
+    }
+
+    /// Parks the given home if it is live and returns its parked snapshot
+    /// bytes (errors as [`park_home`](Self::park_home)).
+    fn parked_bytes(&mut self, id: u64) -> Result<&[u8], ModelError> {
         let shard = self.shard_of(id);
         let shard = &mut self.shards[shard];
         let slot = *shard
             .index
             .get(&id)
             .ok_or_else(|| config_err(format!("home id {id} is not routed")))?;
+        shard.park_slot(slot);
         match &shard.slots[slot].state {
+            SlotState::Parked(bytes) => Ok(bytes),
             SlotState::Quarantined(e) => Err(e.clone()),
-            _ => {
-                shard.park_slot(slot);
-                Ok(())
-            }
+            // `park_slot` parks every live slot, so this arm is never
+            // taken; it stays an error rather than a panic.
+            SlotState::Live(_) => Err(ModelError::Persistence {
+                what: format!("home {id} is still live after parking"),
+            }),
         }
     }
 
@@ -726,15 +733,10 @@ impl ShardedRouter {
     /// [`ModelError::Persistence`] when the parked bytes no longer
     /// decode.
     pub fn export_home(&mut self, id: u64) -> Result<String, ModelError> {
-        self.park_home(id)?;
-        let shard = &self.shards[self.shard_of(id)];
-        let slot = shard.index[&id];
-        match &shard.slots[slot].state {
-            SlotState::Parked(bytes) => match std::str::from_utf8(bytes) {
-                Ok(text) if !text.contains("kind=stream-bin") => Ok(text.to_string()),
-                _ => Ok(ParkedStream::from_snapshot_any(bytes)?.to_snapshot_string()),
-            },
-            _ => unreachable!("park_home left the slot parked"),
+        let bytes = self.parked_bytes(id)?;
+        match std::str::from_utf8(bytes) {
+            Ok(text) if !text.contains("kind=stream-bin") => Ok(text.to_string()),
+            _ => Ok(ParkedStream::from_snapshot_any(bytes)?.to_snapshot_string()),
         }
     }
 

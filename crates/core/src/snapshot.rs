@@ -414,7 +414,7 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
 
 fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     w.write_seq(&f.v, |w, &x| w.write_f64(x));
-    w.write_seq(&f.v32, |w, &x| w.write_f32(x));
+    f.v32.encode_into(w);
     w.write_seq(&f.window, |w, e| {
         w.write_seq(&e.states, |w, &(a, c)| {
             w.write_usize(a);
@@ -434,7 +434,7 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
 fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
     Ok(ParkedFlat {
         v: r.read_seq(8, ByteReader::read_f64)?,
-        v32: r.read_seq(4, ByteReader::read_f32)?,
+        v32: cace_hdbn::RetiredF32Frontier::decode_from(r)?,
         window: r.read_seq(1, |r| {
             Ok(ParkedFlatEntry {
                 states: r.read_seq(2, |r| Ok((r.read_usize()?, r.read_usize()?)))?,

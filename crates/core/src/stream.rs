@@ -28,7 +28,7 @@
 //! [`CaceEngine::resume`] (or [`resume_shared`]) rehydrates it mid-stream
 //! with a **bit-identical** continuation — same decisions, same overhead
 //! accounting, same [`finish`](StreamingRecognizer::finish) result — for
-//! every strategy, beam, and precision lane. Resume is panic-free: a
+//! every strategy and beam. Resume is panic-free: a
 //! tampered or mismatched checkpoint is rejected with
 //! [`ModelError::Persistence`]. The sharded serving tier
 //! ([`crate::router`]) is built on exactly this park/rehydrate cycle.

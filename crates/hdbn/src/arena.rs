@@ -162,90 +162,77 @@ pub(crate) fn fill_slice(
 /// plus the ping-pong frontier the steps emit into. Split from the beam
 /// scratch so a caller can hold the beam's survivor list and the step
 /// buffers mutably at the same time.
-///
-/// Generic over the scoring lane `S` (see [`Scalar`](crate::scalar::Scalar)):
-/// all score-carrying
-/// buffers are `Vec<S>`, so an `f32` decode halves its frontier and fold
-/// traffic. Index buffers and the log-sum-exp accumulator (used only by
-/// the f64-only inference paths) are lane-independent.
 #[derive(Debug, Clone, Default)]
-pub struct StepScratch<S> {
+pub struct StepScratch {
     /// Pruned joint-step group buffers (PR 4's `JointScratch`, absorbed).
-    pub(crate) joint: JointScratch<S>,
+    pub(crate) joint: JointScratch,
     /// Allowed-macro scratch for [`fill_slice`].
     pub(crate) macro_ids: Vec<usize>,
     /// Pass-1 joint fold `W[slot2, j1p]` (per distinct chain-2 dst pair,
     /// slot-major so pass 2 scans each `slot2` row contiguously) and its
     /// argmax; also the chain kernels' per-distinct-pair fold.
-    pub(crate) w: Vec<S>,
+    pub(crate) w: Vec<f64>,
     pub(crate) w_arg: Vec<u32>,
     /// Pass-2 joint fold `V''[slot1, slot2]` (per distinct dst pair of
     /// both chains) and its full-frontier backpointer.
-    pub(crate) w2: Vec<S>,
+    pub(crate) w2: Vec<f64>,
     pub(crate) w2_arg: Vec<u32>,
     /// Per-(source, activity-run) maxima of a fold-source vector and
     /// their first argmax — the switch-candidate cache the low-rank fold
     /// uses (one candidate per run instead of one per state).
-    pub(crate) run_max: Vec<S>,
+    pub(crate) run_max: Vec<f64>,
     pub(crate) run_arg: Vec<u32>,
     /// Activity runs of a *pruned* survivor list (`(activity, start, end)`
     /// half-open into `keep`), rebuilt per pruned step.
     pub(crate) runs_scratch: Vec<(u32, u32, u32)>,
     /// Ping-pong frontier: kernels write the new frontier here; the caller
     /// swaps it with its live frontier vector.
-    pub(crate) v_next: Vec<S>,
+    pub(crate) v_next: Vec<f64>,
     /// Pre-gathered transition column of the dense *chain* kernel: per
     /// distinct dst pair, `gcol[j] = into_row(dst)[prev.pairs[j]]` over
     /// the continue runs, hoisted out of the fold so the inner loop is a
-    /// contiguous `frontier + column` lane fold instead of a gather. The
-    /// joint kernel reuses the buffer for its converted chain-2 emission
-    /// row in the fan-out.
-    pub(crate) gcol: Vec<S>,
+    /// contiguous `frontier + column` lane fold instead of a gather.
+    pub(crate) gcol: Vec<f64>,
     /// Transposed joint frontier `V[j2p][j1p]` — the joint kernel's pass-1
     /// accumulation runs contiguously over `j1p`, so the frontier is
     /// transposed once per tick instead of strided per fold.
-    pub(crate) vt: Vec<S>,
+    pub(crate) vt: Vec<f64>,
     /// Transposed pass-1 fold `W[j1p][slot2]` — pass 2 accumulates
     /// contiguously over `slot2`.
-    pub(crate) wt: Vec<S>,
+    pub(crate) wt: Vec<f64>,
     /// Pass-2 per-`slot2` running argmax (`best_j1p`) of the current
     /// `slot1` row.
     pub(crate) acc_arg: Vec<u32>,
     /// Fan-out coupling row of the current chain-1 activity:
     /// `crow[j2] = g(a1, activities2[j2])`, materialized once per chain-1
     /// run so the fan-out inner loop is a single contiguous zip.
-    pub(crate) crow: Vec<S>,
-    /// Log-sum-exp term accumulator (forward–backward, EM; f64-only
-    /// paths).
+    pub(crate) crow: Vec<f64>,
+    /// Log-sum-exp term accumulator (forward–backward, EM).
     pub(crate) terms: Vec<f64>,
 }
 
-impl<S> StepScratch<S> {
+impl StepScratch {
     /// Swaps the kernel-emitted next frontier (`v_next`) with the
     /// caller's live frontier vector — the ping-pong step every driver
     /// performs after a dense/pruned kernel call.
-    pub fn swap_frontier(&mut self, v: &mut Vec<S>) {
+    pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
         std::mem::swap(&mut self.v_next, v);
     }
 }
 
 /// All reusable trellis memory of one decode (batch) or one stream
-/// (online): beam survivor scratch plus step-kernel scratch, one set per
-/// scoring lane.
+/// (online): beam survivor scratch plus step-kernel scratch.
 ///
 /// Allocated once, reused across ticks; buffers grow to the high-water
 /// frontier size and stay there, so the steady-state per-tick loop is
-/// allocation-free. Only the lane a decoder actually runs in ever grows
-/// (the other stays four empty vectors).
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct TrellisArena {
     /// Beam survivor-selection scratch (kept as its own field so `keep()`
     /// can be borrowed while the step scratch is borrowed mutably).
     pub(crate) beam: BeamScratch,
-    /// Fold buffers and ping-pong frontier, exact (`f64`) lane.
-    pub(crate) step: StepScratch<f64>,
-    /// Fold buffers and ping-pong frontier, fast (`f32`) lane.
-    pub(crate) step32: StepScratch<f32>,
+    /// Fold buffers and ping-pong frontier.
+    pub(crate) step: StepScratch,
 }
 
 impl TrellisArena {

@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::scalar::{Precision, Scalar};
+use crate::park::RETIRED_LANE;
 
 /// Frontier-pruning policy of a decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -70,17 +70,13 @@ impl Beam {
     /// then holds a *strict* subset of indices, sorted ascending — and
     /// `false` when the whole frontier survives (the caller should run its
     /// exact kernel, which is both faster and bit-identical).
-    ///
-    /// Generic over the scoring lane: in the `f64` lane this is the
-    /// historical selection bit for bit; in the `f32` lane the same policy
-    /// applies to the f32 frontier.
-    pub fn select_log<S: Scalar>(&self, scores: &[S], scratch: &mut BeamScratch) -> bool {
+    pub fn select_log(&self, scores: &[f64], scratch: &mut BeamScratch) -> bool {
         match *self {
             Beam::Exact => false,
             Beam::TopK(k) => scratch.top_k(scores, k),
             Beam::LogThreshold(d) => {
                 let best = max_score(scores);
-                scratch.threshold(scores, best - S::from_f64(d.max(0.0)))
+                scratch.threshold(scores, best - d.max(0.0))
             }
         }
     }
@@ -146,31 +142,22 @@ impl Beam {
 /// // ...and on well-separated data it recovers the same activities.
 /// assert_eq!(pruned.macros, exact.macros);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecoderConfig {
     /// Frontier pruning policy.
     pub beam: Beam,
-    /// Scoring lane ([`Precision::Exact64`] `f64`, bit-identical to the
-    /// historical decoders, or [`Precision::Fast32`] `f32`, ~2x faster per
-    /// tick within a measured agreement tolerance). Orthogonal to `beam`:
-    /// the two compose.
-    pub precision: Precision,
 }
 
 impl DecoderConfig {
     /// The exact (unpruned) configuration — same as `Default`.
     pub fn exact() -> Self {
-        Self {
-            beam: Beam::Exact,
-            precision: Precision::Exact64,
-        }
+        Self { beam: Beam::Exact }
     }
 
     /// A top-`k` beam.
     pub fn top_k(k: usize) -> Self {
         Self {
             beam: Beam::TopK(k),
-            ..Self::exact()
         }
     }
 
@@ -178,19 +165,38 @@ impl DecoderConfig {
     pub fn log_threshold(d: f64) -> Self {
         Self {
             beam: Beam::LogThreshold(d),
-            ..Self::exact()
         }
     }
+}
 
-    /// This configuration with an explicit scoring lane.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
+/// The persisted form keeps the `"precision"` field of the layout that
+/// had a second (`f32`) scoring lane, always `"Exact64"`, so snapshots
+/// are byte-identical to before. A snapshot recording `"Fast32"` was
+/// decoded in that lane and is rejected rather than served in `f64`.
+const EXACT_LANE: &str = "Exact64";
+
+impl Serialize for DecoderConfig {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("beam".to_string(), self.beam.serialize()),
+            (
+                "precision".to_string(),
+                serde::Value::Str(EXACT_LANE.to_string()),
+            ),
+        ])
     }
+}
 
-    /// This configuration switched to the `f32` fast lane.
-    pub fn fast32(self) -> Self {
-        self.with_precision(Precision::Fast32)
+impl Deserialize for DecoderConfig {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let beam = Beam::deserialize(value.expect_field("beam", "DecoderConfig")?)?;
+        match value.expect_field("precision", "DecoderConfig")?.as_str()? {
+            EXACT_LANE => Ok(Self { beam }),
+            "Fast32" => Err(serde::Error::msg(RETIRED_LANE)),
+            other => Err(serde::Error::msg(format!(
+                "unknown variant `{other}` for DecoderConfig precision"
+            ))),
+        }
     }
 }
 
@@ -228,7 +234,7 @@ impl BeamScratch {
 
     /// Top-`k` selection; returns `false` (nothing pruned) when `k` covers
     /// the whole frontier.
-    fn top_k<S: Scalar>(&mut self, scores: &[S], k: usize) -> bool {
+    fn top_k(&mut self, scores: &[f64], k: usize) -> bool {
         let n = scores.len();
         let k = k.max(1);
         if k >= n {
@@ -239,16 +245,10 @@ impl BeamScratch {
         // Total order (score desc, index asc): deterministic survivor sets,
         // and nested sets across k for tied scores. A NaN score (degenerate
         // input that slipped past upstream clamps) ranks as -inf — the
-        // `Scalar::from_f64` clamp convention applied at selection — so it
-        // can never displace a finite survivor and the comparator stays
+        // ingestion clamp of `TickInput` building applied at selection — so
+        // it can never displace a finite survivor and the comparator stays
         // total instead of panicking a serving shard.
-        let demote = |s: S| {
-            if s.partial_cmp(&s).is_some() {
-                s
-            } else {
-                S::NEG_INFINITY
-            }
-        };
+        let demote = |s: f64| if s.is_nan() { f64::NEG_INFINITY } else { s };
         let cmp = |a: &u32, b: &u32| {
             demote(scores[*b as usize])
                 .partial_cmp(&demote(scores[*a as usize]))
@@ -264,7 +264,7 @@ impl BeamScratch {
 
     /// Keep every index scoring at least `cut`; returns `false` when all
     /// survive.
-    fn threshold<S: Scalar>(&mut self, scores: &[S], cut: S) -> bool {
+    fn threshold(&mut self, scores: &[f64], cut: f64) -> bool {
         self.keep.clear();
         self.keep
             .extend(scores.iter().enumerate().filter_map(|(i, &s)| {
@@ -278,11 +278,11 @@ impl BeamScratch {
     }
 }
 
-fn max_score<S: Scalar>(scores: &[S]) -> S {
+fn max_score(scores: &[f64]) -> f64 {
     scores
         .iter()
         .copied()
-        .fold(S::NEG_INFINITY, |acc, s| if s > acc { s } else { acc })
+        .fold(f64::NEG_INFINITY, |acc, s| if s > acc { s } else { acc })
 }
 
 #[cfg(test)]
@@ -317,10 +317,6 @@ mod tests {
         let all_nan = [f64::NAN; 5];
         assert!(Beam::TopK(3).select_log(&all_nan, &mut scratch));
         assert_eq!(scratch.keep(), &[0, 1, 2]);
-        // Same contract on the f32 lane.
-        let scores32 = [f32::NAN, 1.0f32, 0.5, f32::NAN];
-        assert!(Beam::TopK(2).select_log(&scores32, &mut scratch));
-        assert_eq!(scratch.keep(), &[1, 2]);
     }
 
     #[test]
@@ -400,30 +396,20 @@ mod tests {
         ));
         assert!(Beam::Exact.is_exact());
         assert!(!Beam::TopK(4).is_exact());
-        // Every constructor defaults to the exact f64 lane; precision is
-        // orthogonal to the beam.
-        assert_eq!(DecoderConfig::exact().precision, Precision::Exact64);
-        assert_eq!(DecoderConfig::top_k(7).precision, Precision::Exact64);
-        let fast = DecoderConfig::top_k(7).fast32();
-        assert_eq!(fast.precision, Precision::Fast32);
-        assert_eq!(fast.beam, Beam::TopK(7));
-        assert_eq!(
-            fast.with_precision(Precision::Exact64),
-            DecoderConfig::top_k(7)
-        );
     }
 
     #[test]
-    fn selection_is_lane_independent() {
-        // The same frontier in f32 picks the same survivors as in f64.
-        let mut s64 = BeamScratch::new();
-        let mut s32 = BeamScratch::new();
-        let scores = [0.5f64, -1.0, 3.0, 2.0, -7.0];
-        let scores32: Vec<f32> = scores.iter().map(|&x| x as f32).collect();
-        for beam in [Beam::TopK(2), Beam::LogThreshold(2.5)] {
-            assert!(beam.select_log(&scores, &mut s64));
-            assert!(beam.select_log(&scores32, &mut s32));
-            assert_eq!(s64.keep(), s32.keep(), "{beam:?}");
+    fn persisted_form_keeps_the_exact_precision_tag_and_rejects_fast32() {
+        for config in [DecoderConfig::exact(), DecoderConfig::top_k(7)] {
+            let value = config.serialize();
+            let text = serde::json::value_to_string(&value);
+            assert!(text.ends_with(",\"precision\":\"Exact64\"}"), "{text}");
+            assert_eq!(DecoderConfig::deserialize(&value).unwrap(), config);
+            let fast = serde::json::value_from_str(&text.replace("Exact64", "Fast32")).unwrap();
+            let err = DecoderConfig::deserialize(&fast).unwrap_err();
+            assert!(err.to_string().contains("f32"), "{err}");
+            let unknown = serde::json::value_from_str(&text.replace("Exact64", "Half")).unwrap();
+            assert!(DecoderConfig::deserialize(&unknown).is_err());
         }
     }
 }

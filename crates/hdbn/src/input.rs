@@ -72,10 +72,9 @@ impl TickInput {
                 for g in gesturals {
                     for l in allowed(&cand.locations) {
                         // A NaN log-lik (degenerate classifier, adversarial
-                        // feature vector) is clamped to -inf at ingestion —
-                        // the same convention `Scalar::from_f64` uses — so it
-                        // ranks below every finite candidate instead of
-                        // poisoning the sort or the decode kernels.
+                        // feature vector) is clamped to -inf at ingestion,
+                        // so it ranks below every finite candidate instead
+                        // of poisoning the sort or the decode kernels.
                         let raw = score(u, p, g, l);
                         let obs_loglik = if raw.is_nan() { f64::NEG_INFINITY } else { raw };
                         tuples.push(MicroCandidate {

@@ -39,13 +39,10 @@
 //! array loads, bit-identical to the naive [`HdbnParams`] scorers they are
 //! built from ([`tables`]). *Allocation*: all step-kernel scratch lives in
 //! a [`TrellisArena`] allocated once per decode or stream, so a warmed
-//! online push performs zero heap allocations per tick ([`arena`]).
-//! On top of both, every step kernel is generic over a [`Scalar`] scoring
-//! lane ([`scalar`]): the default [`Precision::Exact64`] `f64` lane stays
-//! bit-identical to the naive scorers, while the opt-in
-//! [`Precision::Fast32`] lane decodes through a lazily built `f32` table
-//! mirror at roughly twice the per-tick speed, within a measured
-//! agreement tolerance.
+//! online push performs zero heap allocations per tick ([`arena`]). The
+//! kernels' inner loops are fixed-width folds the stable autovectorizer
+//! turns into SIMD without reordering any arithmetic ([`scalar`]), so
+//! every decode stays bit-identical to the naive scorers.
 //!
 //! The crate is deliberately index-based (runtime vocabulary sizes), so the
 //! same machinery serves the 11-activity CACE and 15-activity CASAS
@@ -76,10 +73,9 @@ pub use forward::log_sum_exp;
 pub use input::{MicroCandidate, TickInput};
 pub use online::{Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SmoothedChain, SmoothedJoint};
 pub use params::{HdbnConfig, HdbnParams};
-pub use park::{ParkedChain, ParkedCoupled};
-pub use scalar::{Precision, Scalar};
+pub use park::{ParkedChain, ParkedCoupled, RetiredF32Frontier};
 pub use single::SingleHdbn;
-pub use tables::{ScoreTables, ScoreTablesF32};
+pub use tables::ScoreTables;
 pub use trellis::{
     Dest, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
     TrellisFamily,

@@ -70,8 +70,9 @@ use serde::{Deserialize, Serialize};
 use crate::arena::{fill_slice, Slice, StepScratch};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
-use crate::scalar::Scalar;
+use crate::park::{
+    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredF32Frontier,
+};
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
 use crate::viterbi::{self, CoupledHdbn, JointPath};
@@ -150,10 +151,10 @@ struct CoupledFamily<'a> {
     p: &'a HdbnParams,
 }
 
-impl<S: Scalar> TrellisFamily<S> for CoupledFamily<'_> {
+impl TrellisFamily for CoupledFamily<'_> {
     type Entry = JointEntry;
 
-    fn init(&self, entry: &mut JointEntry, v: &mut Vec<S>) {
+    fn init(&self, entry: &mut JointEntry, v: &mut Vec<f64>) {
         viterbi::joint_init_into(self.p, &entry.s1, &entry.s2, v);
         entry.back.clear();
     }
@@ -161,9 +162,9 @@ impl<S: Scalar> TrellisFamily<S> for CoupledFamily<'_> {
     fn step_dense(
         &self,
         prev: &JointEntry,
-        v: &[S],
+        v: &[f64],
         entry: &mut JointEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let (k1, k2) = (prev.s1.len(), prev.s2.len());
         let JointEntry { s1, s2, back, .. } = entry;
@@ -174,10 +175,10 @@ impl<S: Scalar> TrellisFamily<S> for CoupledFamily<'_> {
     fn step_pruned(
         &self,
         prev: &JointEntry,
-        v: &[S],
+        v: &[f64],
         keep: &[u32],
         entry: &mut JointEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let JointEntry { s1, s2, back, .. } = entry;
         viterbi::joint_step_pruned_into(self.p, &prev.s1, &prev.s2, v, keep, &*s1, &*s2, step, back)
@@ -190,10 +191,10 @@ struct ChainFamily<'a> {
     p: &'a HdbnParams,
 }
 
-impl<S: Scalar> TrellisFamily<S> for ChainFamily<'_> {
+impl TrellisFamily for ChainFamily<'_> {
     type Entry = ChainEntry;
 
-    fn init(&self, entry: &mut ChainEntry, v: &mut Vec<S>) {
+    fn init(&self, entry: &mut ChainEntry, v: &mut Vec<f64>) {
         trellis::init_into(&HierModel::new(self.p), &entry.slice, v);
         entry.back.clear();
     }
@@ -201,9 +202,9 @@ impl<S: Scalar> TrellisFamily<S> for ChainFamily<'_> {
     fn step_dense(
         &self,
         prev: &ChainEntry,
-        v: &[S],
+        v: &[f64],
         entry: &mut ChainEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let ChainEntry { slice, back, .. } = entry;
         trellis::step_dense_into(&HierModel::new(self.p), &prev.slice, v, &*slice, step, back);
@@ -213,10 +214,10 @@ impl<S: Scalar> TrellisFamily<S> for ChainFamily<'_> {
     fn step_pruned(
         &self,
         prev: &ChainEntry,
-        v: &[S],
+        v: &[f64],
         keep: &[u32],
         entry: &mut ChainEntry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64 {
         let ChainEntry { slice, back, .. } = entry;
         trellis::step_pruned_into(
@@ -440,11 +441,11 @@ impl OnlineCoupledViterbi {
             entry.cands[u].extend_from_slice(&tick.candidates[u]);
         }
         let n_states = (entry.s1.len() * entry.s2.len()) as u64;
-        let decoder = self.model.decoder();
+        let beam = self.model.decoder().beam;
         self.core
-            .push_entry(&CoupledFamily { p: &self.params }, decoder, entry, n_states);
+            .push_entry(&CoupledFamily { p: &self.params }, beam, entry, n_states);
         let emitted = &self.emitted;
-        let decision = self.core.emit_ready(decoder.precision, |entry, flat, t| {
+        let decision = self.core.emit_ready(|entry, flat, t| {
             debug_assert_eq!(t, emitted.len());
             let (macros, micros) = decode_joint(entry, flat);
             SmoothedJoint {
@@ -470,7 +471,7 @@ impl OnlineCoupledViterbi {
         let (emitted_macros, emitted_micros) = EmittedDecision::unpack_joint(&self.emitted);
         ParkedCoupled {
             v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
+            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -510,7 +511,7 @@ impl OnlineCoupledViterbi {
         parked: &ParkedCoupled,
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
-        parked.validate(&params, model.decoder().precision, lag)?;
+        parked.validate(&params, lag)?;
         let [h0, h1] = [0, 1].map(|u| {
             EmittedDecision::pack_all(&parked.emitted_macros[u], &parked.emitted_micros[u])
         });
@@ -531,7 +532,6 @@ impl OnlineCoupledViterbi {
             core: OnlineTrellis::from_parts(
                 lag,
                 parked.v.clone(),
-                parked.v32.clone(),
                 window,
                 parked.base,
                 parked.pushed,
@@ -562,9 +562,7 @@ impl OnlineCoupledViterbi {
             });
         }
         let committed = self.emitted.len();
-        let (tail, log_prob) =
-            self.core
-                .resolve_tail(self.model.decoder().precision, committed, decode_joint);
+        let (tail, log_prob) = self.core.resolve_tail(committed, decode_joint);
         let (mut macros, mut micros) = EmittedDecision::unpack_joint(&self.emitted);
         for (m, c) in tail {
             for u in 0..2 {
@@ -659,16 +657,14 @@ impl OnlineSingleViterbi {
         entry.cands.clear();
         entry.cands.extend_from_slice(&tick.candidates[self.user]);
         let n_states = entry.slice.len() as u64;
-        let decoder = self.model.decoder();
+        let beam = self.model.decoder().beam;
         self.core
-            .push_entry(&ChainFamily { p: &self.params }, decoder, entry, n_states);
-        let decision = self
-            .core
-            .emit_ready(decoder.precision, |entry, j, t| SmoothedChain {
-                tick: t,
-                macro_id: entry.slice.activities[j],
-                micro: entry.cands[entry.slice.cands[j]],
-            });
+            .push_entry(&ChainFamily { p: &self.params }, beam, entry, n_states);
+        let decision = self.core.emit_ready(|entry, j, t| SmoothedChain {
+            tick: t,
+            macro_id: entry.slice.activities[j],
+            micro: entry.cands[entry.slice.cands[j]],
+        });
         if let Some(d) = &decision {
             self.emitted
                 .push(EmittedDecision::pack(d.macro_id, &d.micro));
@@ -681,7 +677,7 @@ impl OnlineSingleViterbi {
         let (emitted_macros, emitted_micros) = EmittedDecision::unpack_all(self.emitted.iter());
         ParkedChain {
             v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
+            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -716,7 +712,7 @@ impl OnlineSingleViterbi {
         parked: &ParkedChain,
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
-        parked.validate(&params, model.decoder().precision, lag)?;
+        parked.validate(&params, lag)?;
         let emitted = EmittedDecision::pack_all(&parked.emitted_macros, &parked.emitted_micros)?;
         let window: VecDeque<ChainEntry> = parked
             .window
@@ -734,7 +730,6 @@ impl OnlineSingleViterbi {
             core: OnlineTrellis::from_parts(
                 lag,
                 parked.v.clone(),
-                parked.v32.clone(),
                 window,
                 parked.base,
                 parked.pushed,
@@ -761,11 +756,9 @@ impl OnlineSingleViterbi {
             });
         }
         let committed = self.emitted.len();
-        let (tail, log_prob) =
-            self.core
-                .resolve_tail(self.model.decoder().precision, committed, |entry, j| {
-                    (entry.slice.activities[j], entry.cands[entry.slice.cands[j]])
-                });
+        let (tail, log_prob) = self.core.resolve_tail(committed, |entry, j| {
+            (entry.slice.activities[j], entry.cands[entry.slice.cands[j]])
+        });
         let (mut macros, mut micros) = EmittedDecision::unpack_all(self.emitted.iter());
         for (m, c) in tail {
             macros.push(m);
@@ -1021,32 +1014,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast32_streaming_is_bit_identical_to_fast32_batch() {
-        use crate::beam::DecoderConfig;
-        let ticks = glitchy_ticks();
-        // Both sides decode through the same generic f32 kernels, so the
-        // online/batch equivalence guarantee holds per lane, not just for
-        // the exact lane.
-        let model =
-            CoupledHdbn::new(toy_params(true)).with_decoder(DecoderConfig::exact().fast32());
-        let batch = model.viterbi(&ticks).unwrap();
-        let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
-        for tick in &ticks {
-            assert_eq!(online.push(tick).unwrap(), None);
-        }
-        assert_eq!(online.finalize().unwrap(), batch);
-
-        let model =
-            SingleHdbn::new(toy_params(false)).with_decoder(DecoderConfig::top_k(2).fast32());
-        let batch = model.viterbi(&ticks, 0).unwrap();
-        let mut online = OnlineSingleViterbi::new(model, 0, Lag::Unbounded);
-        for tick in &ticks {
-            assert_eq!(online.push(tick).unwrap(), None);
-        }
-        assert_eq!(online.finalize().unwrap(), batch);
-    }
-
     /// Streams `ticks` through a coupled decoder, parking + resuming at
     /// tick `park_at`; returns (decisions, final path).
     fn coupled_with_park(
@@ -1072,11 +1039,7 @@ mod tests {
     fn park_resume_at_every_tick_is_bit_identical_coupled() {
         use crate::beam::DecoderConfig;
         let ticks = glitchy_ticks();
-        for config in [
-            DecoderConfig::exact(),
-            DecoderConfig::top_k(4),
-            DecoderConfig::exact().fast32(),
-        ] {
+        for config in [DecoderConfig::exact(), DecoderConfig::top_k(4)] {
             for lag in [Lag::Unbounded, Lag::Fixed(4)] {
                 let model = CoupledHdbn::new(toy_params(true)).with_decoder(config);
                 let mut unbroken = OnlineCoupledViterbi::new(model.clone(), lag);
@@ -1098,33 +1061,32 @@ mod tests {
     fn park_resume_at_every_tick_is_bit_identical_single() {
         use crate::beam::DecoderConfig;
         let ticks = glitchy_ticks();
-        for config in [DecoderConfig::top_k(2), DecoderConfig::top_k(2).fast32()] {
-            let lag = Lag::Fixed(3);
-            let model = SingleHdbn::new(toy_params(false)).with_decoder(config);
-            let mut unbroken = OnlineSingleViterbi::new(model.clone(), 1, lag);
-            let mut straight = Vec::new();
-            for tick in &ticks {
-                straight.extend(unbroken.push(tick).unwrap());
-            }
-            let expected = unbroken.finalize().unwrap();
-            for park_at in 0..=ticks.len() {
-                let mut online = OnlineSingleViterbi::new(model.clone(), 1, lag);
-                let mut decisions = Vec::new();
-                for (t, tick) in ticks.iter().enumerate() {
-                    if t == park_at {
-                        let parked = online.park();
-                        online = OnlineSingleViterbi::resume(model.clone(), 1, lag, &parked)
-                            .expect("own park output resumes");
-                    }
-                    decisions.extend(online.push(tick).unwrap());
+        let config = DecoderConfig::top_k(2);
+        let lag = Lag::Fixed(3);
+        let model = SingleHdbn::new(toy_params(false)).with_decoder(config);
+        let mut unbroken = OnlineSingleViterbi::new(model.clone(), 1, lag);
+        let mut straight = Vec::new();
+        for tick in &ticks {
+            straight.extend(unbroken.push(tick).unwrap());
+        }
+        let expected = unbroken.finalize().unwrap();
+        for park_at in 0..=ticks.len() {
+            let mut online = OnlineSingleViterbi::new(model.clone(), 1, lag);
+            let mut decisions = Vec::new();
+            for (t, tick) in ticks.iter().enumerate() {
+                if t == park_at {
+                    let parked = online.park();
+                    online = OnlineSingleViterbi::resume(model.clone(), 1, lag, &parked)
+                        .expect("own park output resumes");
                 }
-                assert_eq!(decisions, straight, "{config:?} park@{park_at}");
-                assert_eq!(
-                    online.finalize().unwrap(),
-                    expected,
-                    "{config:?} park@{park_at}"
-                );
+                decisions.extend(online.push(tick).unwrap());
             }
+            assert_eq!(decisions, straight, "{config:?} park@{park_at}");
+            assert_eq!(
+                online.finalize().unwrap(),
+                expected,
+                "{config:?} park@{park_at}"
+            );
         }
     }
 

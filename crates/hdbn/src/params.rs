@@ -7,7 +7,7 @@ use cace_mining::HierarchicalStats;
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
-use crate::tables::{ScoreTables, ScoreTablesF32};
+use crate::tables::ScoreTables;
 
 /// Structural configuration of the coupled model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,12 +76,6 @@ pub struct HdbnParams {
     /// Every decoder scores through these; the naive methods below are the
     /// reference definition they are built from.
     pub tables: ScoreTables,
-    /// The `f32` mirror of [`Self::tables`], built lazily on the first
-    /// `Fast32` decode ([`Self::tables_f32`]) so mining-only callers that
-    /// construct params but never decode — and every `Exact64` decode —
-    /// pay nothing for it. Like the f64 tables: derived state, never
-    /// persisted, rebuilt (on demand) after snapshot load.
-    tables_f32: OnceLock<ScoreTablesF32>,
     /// Lazily computed model fingerprint ([`Self::fingerprint`]).
     fingerprint: OnceLock<u64>,
 }
@@ -173,7 +167,6 @@ impl HdbnParams {
             stats,
             config,
             tables: ScoreTables::default(),
-            tables_f32: OnceLock::new(),
             fingerprint: OnceLock::new(),
         };
         out.tables = ScoreTables::build(&out);
@@ -183,15 +176,6 @@ impl HdbnParams {
     /// Number of macro activities.
     pub fn n_macro(&self) -> usize {
         self.stats.n_macro
-    }
-
-    /// The `f32` mirror of the dense score tables, building it on first
-    /// use (entry-wise finite-preserving casts of [`Self::tables`] — one
-    /// pass over the tables, amortized over every subsequent `Fast32`
-    /// decode of this model). Thread-safe: concurrent first callers race
-    /// benignly inside the `OnceLock`.
-    pub fn tables_f32(&self) -> &ScoreTablesF32 {
-        self.tables_f32.get_or_init(|| self.tables.to_f32())
     }
 
     /// A 64-bit fingerprint identifying this model's parameters: FNV-1a
@@ -398,29 +382,6 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn f32_mirror_is_lazy_cached_and_matches_entrywise_casts() {
-        let params = HdbnParams::new(toy_stats(), HdbnConfig::default()).unwrap();
-        let t32 = params.tables_f32();
-        let t = &params.tables;
-        for src in 0..t.n_pair() as u32 {
-            for dst in 0..t.n_pair() as u32 {
-                let x = t.transition(src, dst);
-                let y = t32.transition(src, dst);
-                if x.is_finite() {
-                    // Toy scores are far inside f32 range: plain cast.
-                    assert_eq!(y, x as f32);
-                } else {
-                    assert_eq!(y, f32::NEG_INFINITY);
-                }
-            }
-        }
-        // The structural −∞ diagonal survives the cast.
-        assert_eq!(t32.switch_row(0)[0], f32::NEG_INFINITY);
-        // Subsequent calls return the cached build, not a new one.
-        assert!(std::ptr::eq(params.tables_f32(), t32));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! stopped. The types here are the parked mirrors of
 //! [`OnlineCoupledViterbi`](crate::OnlineCoupledViterbi) and
 //! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi): the trellis
-//! frontier (whichever scoring lane is live), the backpointer window with
-//! its per-tick slices and retained candidate tuples, the decision cursor
-//! (`base`/`pushed` plus the emitted history), the overhead counters, and
-//! the pending beam-survivor set a pruned next step would consume.
+//! frontier, the backpointer window with its per-tick slices and retained
+//! candidate tuples, the decision cursor (`base`/`pushed` plus the emitted
+//! history), the overhead counters, and the pending beam-survivor set a
+//! pruned next step would consume.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
 //! the entry free list and the [`TrellisArena`](crate::TrellisArena)
@@ -33,7 +33,39 @@ use crate::arena::Slice;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::params::HdbnParams;
-use crate::scalar::Precision;
+
+/// Message of every rejection of a snapshot taken in the retired `f32`
+/// decoding lane.
+pub(crate) const RETIRED_LANE: &str =
+    "snapshot was decoded in the removed f32 scoring lane; only exact (f64) snapshots resume";
+
+/// The `v32` slot of the parked layouts.
+///
+/// Snapshots once carried the frontier of a reduced-precision `f32`
+/// decoding lane here. That lane is gone; the slot stays so the JSON and
+/// `stream-bin` layouts are unchanged. It always writes as an empty
+/// sequence and reads only an empty one: a non-empty slot is a stream
+/// decoded in a lane this build cannot continue, and resuming its (empty)
+/// `f64` frontier instead would silently change its decisions. The
+/// rejection is explicit because the JSON reader ignores unknown fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredF32Frontier;
+
+impl Serialize for RetiredF32Frontier {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Seq(Vec::new())
+    }
+}
+
+impl Deserialize for RetiredF32Frontier {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        if value.as_seq()?.is_empty() {
+            Ok(Self)
+        } else {
+            Err(serde::Error::msg(RETIRED_LANE))
+        }
+    }
+}
 
 /// Parked form of one chain's per-tick trellis slice (everything the step
 /// kernels read; the pair→slot lookup is per-fill scratch and rebuilt).
@@ -152,7 +184,7 @@ pub(crate) struct ParkedJointEntry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParkedCoupled {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: Vec<f32>,
+    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedJointEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
@@ -173,12 +205,7 @@ impl ParkedCoupled {
     /// Full structural validation against the model this checkpoint is
     /// being re-attached to (see the [module docs](self) for why resume
     /// must be panic-free).
-    pub(crate) fn validate(
-        &self,
-        p: &HdbnParams,
-        precision: Precision,
-        lag: Lag,
-    ) -> Result<(), ModelError> {
+    pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         validate_cursor(
             "parked coupled stream",
             self.base,
@@ -218,8 +245,6 @@ impl ParkedCoupled {
                 "parked coupled stream",
                 frontier,
                 &self.v,
-                &self.v32,
-                precision,
                 self.pruned,
                 &self.keep,
             )?;
@@ -241,7 +266,7 @@ pub(crate) struct ParkedChainEntry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParkedChain {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: Vec<f32>,
+    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedChainEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
@@ -260,12 +285,7 @@ impl ParkedChain {
     }
 
     /// Single-chain counterpart of [`ParkedCoupled::validate`].
-    pub(crate) fn validate(
-        &self,
-        p: &HdbnParams,
-        precision: Precision,
-        lag: Lag,
-    ) -> Result<(), ModelError> {
+    pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         validate_cursor(
             "parked chain stream",
             self.base,
@@ -299,8 +319,6 @@ impl ParkedChain {
                 "parked chain stream",
                 frontier,
                 &self.v,
-                &self.v32,
-                precision,
                 self.pruned,
                 &self.keep,
             )?;
@@ -357,36 +375,23 @@ pub fn validate_cursor(
 }
 
 /// Frontier + pending-survivor invariants shared by every parked decoder
-/// family: the active scoring lane's frontier matches the newest window
-/// entry, carries no NaN (argmax totally orders scores), and a pending
-/// pruned survivor set is a strict, strictly-ascending subset of it.
+/// family: the frontier matches the newest window entry, carries no NaN
+/// (the frontier argmax totally orders scores — see
+/// [`argmax`](crate::trellis::argmax)), and a pending pruned survivor set
+/// is a strict, strictly-ascending subset of it.
 pub fn validate_frontier(
     what: &str,
     frontier: usize,
     v: &[f64],
-    v32: &[f32],
-    precision: Precision,
     pruned: bool,
     keep: &[u32],
 ) -> Result<(), ModelError> {
-    match precision {
-        Precision::Exact64 => {
-            check(v.len() == frontier, || {
-                format!("{what}: frontier length != newest window entry")
-            })?;
-            check(v.iter().all(|s| !s.is_nan()), || {
-                format!("{what}: NaN frontier score")
-            })?;
-        }
-        Precision::Fast32 => {
-            check(v32.len() == frontier, || {
-                format!("{what}: f32 frontier length != newest window entry")
-            })?;
-            check(v32.iter().all(|s| !s.is_nan()), || {
-                format!("{what}: NaN frontier score")
-            })?;
-        }
-    }
+    check(v.len() == frontier, || {
+        format!("{what}: frontier length != newest window entry")
+    })?;
+    check(v.iter().all(|s| !s.is_nan()), || {
+        format!("{what}: NaN frontier score")
+    })?;
     if pruned {
         check(
             !keep.is_empty()

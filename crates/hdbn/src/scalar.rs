@@ -1,280 +1,101 @@
-//! Scoring-precision abstraction: the [`Scalar`] trait the step kernels
-//! are generic over, plus the fixed-width lane folds they share.
+//! The fixed-width folds every step kernel shares.
 //!
 //! Every decode path in this crate advances a trellis frontier with three
 //! primitive folds: a plain running max (the same-activity run caches), a
 //! `frontier + transition-column` max (the dst-major `into_row` gathers),
 //! and an argmax over the final frontier. All three are *selections* —
 //! no arithmetic is reassociated — so they can be evaluated in fixed-width
-//! chunks without changing a single bit of the exact (`f64`) result, while
-//! giving the stable-toolchain autovectorizer a shape it reliably turns
-//! into SIMD: explicit 8-wide accumulator arrays over contiguous slices
-//! (no nightly `std::simd`).
+//! chunks without changing a single bit of the result, while giving the
+//! stable-toolchain autovectorizer a shape it reliably turns into SIMD:
+//! explicit 8-wide accumulator arrays over contiguous slices (no nightly
+//! `std::simd`).
 //!
-//! [`Scalar`] is implemented for `f64` (the exact lane — bit-identical to
-//! the historical decoders) and `f32` (the fast lane — half the memory
-//! traffic and twice the SIMD width, selected per decoder by
-//! [`Precision::Fast32`] on [`DecoderConfig`](crate::DecoderConfig)). The
-//! f32 lane scores through the lazily built
-//! [`ScoreTablesF32`](crate::ScoreTablesF32) mirror; agreement with the
-//! exact lane is held to tolerance by `tests/precision_lane.rs` and the
-//! `cace-testkit` comparison layer, not to bit-identity.
-//!
-//! This trait is deliberately small — a `const`, two conversions, and a
-//! table accessor — because it is the seam the ROADMAP's generic-trellis
-//! refactor will widen: kernels written against `Scalar` today are the
-//! kernels a future integer or fixed-point lane drops into.
+//! The three column-major sweeps of the joint kernel (`sweep_max`,
+//! `sweep_add_max`, `sweep_add_max_arg`) phrase their compare/select
+//! as *integer mask arithmetic* — every store unconditional — which the
+//! loop vectorizer turns into packed compare + blend (`cmpnltpd`/`maxpd`
+//! plus a narrowed mask for the `u32` args); a branchy select form
+//! scalarizes the float stores into per-element branches. Strict `>`
+//! keeps the earlier candidate on ties, exactly like the scalar
+//! `if src[i] > acc[i]` scan. Each sweep is `#[inline(never)]` so its
+//! `&[_]`/`&mut [_]` parameters keep their noalias guarantees — inlined
+//! into the large step kernel the vectorizer loses them and falls back to
+//! scalar code.
 
-use std::fmt::Debug;
-use std::ops::{Add, Sub};
-
-use serde::{Deserialize, Serialize};
-
-use crate::params::HdbnParams;
-use crate::tables::ScoreTablesT;
-
-/// Scoring precision of a decoder — which [`Scalar`] lane the step kernels
-/// run in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Precision {
-    /// Exact `f64` scoring: bit-identical to the historical decoders and
-    /// to the naive reference scorers. The default.
-    #[default]
-    Exact64,
-    /// Reduced-precision `f32` scoring through the lazily built
-    /// [`ScoreTablesF32`](crate::ScoreTablesF32) mirror: ~2x faster per
-    /// tick (half the table/frontier memory traffic, twice the SIMD
-    /// lanes), deterministic, but *not* bit-identical to
-    /// [`Precision::Exact64`] — agreement is a measured tolerance
-    /// (≥99% of per-tick argmax decisions on the fig9 workload), not an
-    /// identity.
-    Fast32,
-}
-
-/// A trellis score type the step kernels can be instantiated over.
-///
-/// Implemented for `f64` (exact) and `f32` (fast). The bounds are exactly
-/// what the Viterbi recursions need: copyable totally-unordered-free
-/// comparison (`PartialOrd` — scores are never NaN), addition for
-/// score accumulation, subtraction for log-threshold beams, and a
-/// `-∞` identity for max folds.
-pub trait Scalar:
-    Copy
-    + Clone
-    + Default
-    + Debug
-    + PartialEq
-    + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Send
-    + Sync
-    + 'static
-{
-    /// The max-fold identity (`-∞`).
-    const NEG_INFINITY: Self;
-
-    /// Converts an `f64` score into this lane.
-    ///
-    /// For `f64` this is the identity (which is what keeps the
-    /// [`Precision::Exact64`] kernels bit-identical to the historical
-    /// monomorphic ones). For `f32`, finite values are clamped into the
-    /// finite `f32` range before the cast, so a legal finite score can
-    /// never saturate to an absorbing `±∞` — in particular the log of the
-    /// smallest positive subnormal `f64` (≈ −744.44) stays finite.
-    fn from_f64(x: f64) -> Self;
-
-    /// Converts a score of this lane back to `f64` (for reported
-    /// log-probabilities and cross-lane comparisons).
-    fn to_f64(self) -> f64;
-
-    /// This lane's dense score tables of a model: the always-present `f64`
-    /// tables for the exact lane, the lazily built mirror
-    /// ([`HdbnParams::tables_f32`]) for the fast lane.
-    fn tables(p: &HdbnParams) -> &ScoreTablesT<Self>;
-
-    /// Compare-and-select max sweep: `acc[i] = max(acc[i], src[i])` with
-    /// `arg[i]` set to the broadcast `j` wherever `src` strictly wins —
-    /// the column-major accumulation primitive of the joint kernel's run
-    /// caches. Strict `>` keeps the earlier candidate on ties, exactly
-    /// like the scalar `if src[i] > acc[i]` scan, so the exact lane stays
-    /// bit-identical to the historical kernels.
-    ///
-    /// Implemented per lane (not generically) so the compare/select can be
-    /// phrased as width-matched *integer mask arithmetic* — every store
-    /// unconditional — which the stable-toolchain loop vectorizer turns
-    /// into packed compare + blend (`cmpnltps`/`maxps` + `andps`/`orps`);
-    /// the generic select form scalarizes the float stores into per-lane
-    /// branches.
-    #[doc(hidden)]
-    fn sweep_max(src: &[Self], j: u32, acc: &mut [Self], arg: &mut [u32]);
-
-    /// [`Scalar::sweep_max`] with a broadcast addend:
-    /// `acc[i] = max(acc[i], src[i] + g)` — the continue-run shape (one
-    /// transition score per source state, swept across a destination row).
-    #[doc(hidden)]
-    fn sweep_add_max(src: &[Self], g: Self, j: u32, acc: &mut [Self], arg: &mut [u32]);
-
-    /// [`Scalar::sweep_add_max`] taking the winning argmax per element
-    /// from `src_arg` instead of a broadcast — the switch-run shape (each
-    /// element carries the first-argmax of its cached run maximum).
-    #[doc(hidden)]
-    fn sweep_add_max_arg(src: &[Self], g: Self, src_arg: &[u32], acc: &mut [Self], arg: &mut [u32]);
-}
-
-impl Scalar for f64 {
-    const NEG_INFINITY: Self = f64::NEG_INFINITY;
-
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-
-    #[inline(always)]
-    fn tables(p: &HdbnParams) -> &ScoreTablesT<f64> {
-        &p.tables
-    }
-
-    // `take ? x : acc` / `take ? j : arg` as bit selects over unconditional
-    // stores: vectorizes 2-wide (`addpd`/`cmpnltpd`/`maxpd`, narrowed mask
-    // for the u32 args). `#[inline(never)]` keeps each monomorphization a
-    // standalone function whose `&[_]`/`&mut [_]` parameters carry noalias
-    // guarantees — inlined into the large step kernel the vectorizer loses
-    // them and falls back to scalar code.
-    #[inline(never)]
-    fn sweep_max(src: &[f64], j: u32, acc: &mut [f64], arg: &mut [u32]) {
-        for ((&x, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-            let take = x > *a;
-            let m = (take as u64).wrapping_neg();
-            let m32 = (take as u32).wrapping_neg();
-            *r = (j & m32) | (*r & !m32);
-            *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
-    }
-
-    #[inline(never)]
-    fn sweep_add_max(src: &[f64], g: f64, j: u32, acc: &mut [f64], arg: &mut [u32]) {
-        for ((&v, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-            let x = v + g;
-            let take = x > *a;
-            let m = (take as u64).wrapping_neg();
-            let m32 = (take as u32).wrapping_neg();
-            *r = (j & m32) | (*r & !m32);
-            *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
-    }
-
-    #[inline(never)]
-    fn sweep_add_max_arg(src: &[f64], g: f64, src_arg: &[u32], acc: &mut [f64], arg: &mut [u32]) {
-        for (((&v, &ja), a), r) in src
-            .iter()
-            .zip(src_arg.iter())
-            .zip(acc.iter_mut())
-            .zip(arg.iter_mut())
-        {
-            let x = v + g;
-            let take = x > *a;
-            let m = (take as u64).wrapping_neg();
-            let m32 = (take as u32).wrapping_neg();
-            *r = (ja & m32) | (*r & !m32);
-            *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
+/// Compare-and-select max sweep: `acc[i] = max(acc[i], src[i])` with
+/// `arg[i]` set to the broadcast `j` wherever `src` strictly wins — the
+/// column-major accumulation primitive of the joint kernel's run caches.
+#[inline(never)]
+pub(crate) fn sweep_max(src: &[f64], j: u32, acc: &mut [f64], arg: &mut [u32]) {
+    for ((&x, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
+        let take = x > *a;
+        let m = (take as u64).wrapping_neg();
+        let m32 = (take as u32).wrapping_neg();
+        *r = (j & m32) | (*r & !m32);
+        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
     }
 }
 
-impl Scalar for f32 {
-    const NEG_INFINITY: Self = f32::NEG_INFINITY;
-
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        // A bare `as` cast saturates finite-but-out-of-range magnitudes to
-        // ±∞, which would turn a legal finite score into an absorbing
-        // infinity; clamp into the finite f32 range instead. Structural
-        // ±∞ (and only those) pass through.
-        if x.is_finite() {
-            x.clamp(f32::MIN as f64, f32::MAX as f64) as f32
-        } else {
-            x as f32
-        }
+/// [`sweep_max`] with a broadcast addend: `acc[i] = max(acc[i], src[i] +
+/// g)` — the continue-run shape (one transition score per source state,
+/// swept across a destination row).
+#[inline(never)]
+pub(crate) fn sweep_add_max(src: &[f64], g: f64, j: u32, acc: &mut [f64], arg: &mut [u32]) {
+    for ((&v, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
+        let x = v + g;
+        let take = x > *a;
+        let m = (take as u64).wrapping_neg();
+        let m32 = (take as u32).wrapping_neg();
+        *r = (j & m32) | (*r & !m32);
+        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
     }
+}
 
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-
-    #[inline(always)]
-    fn tables(p: &HdbnParams) -> &ScoreTablesT<f32> {
-        p.tables_f32()
-    }
-
-    // Same bit-select shape as the f64 lane, u32 masks throughout:
-    // vectorizes 4-wide (`addps`/`cmpnltps`/`maxps` + `andps`/`orps` arg
-    // blends) — twice the f64 lane's elements per chunk at the same
-    // per-chunk instruction count, which is where the fast lane's per-tick
-    // speedup comes from.
-    #[inline(never)]
-    fn sweep_max(src: &[f32], j: u32, acc: &mut [f32], arg: &mut [u32]) {
-        for ((&x, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-            let take = x > *a;
-            let m = (take as u32).wrapping_neg();
-            *r = (j & m) | (*r & !m);
-            *a = f32::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
-    }
-
-    #[inline(never)]
-    fn sweep_add_max(src: &[f32], g: f32, j: u32, acc: &mut [f32], arg: &mut [u32]) {
-        for ((&v, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-            let x = v + g;
-            let take = x > *a;
-            let m = (take as u32).wrapping_neg();
-            *r = (j & m) | (*r & !m);
-            *a = f32::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
-    }
-
-    #[inline(never)]
-    fn sweep_add_max_arg(src: &[f32], g: f32, src_arg: &[u32], acc: &mut [f32], arg: &mut [u32]) {
-        for (((&v, &ja), a), r) in src
-            .iter()
-            .zip(src_arg.iter())
-            .zip(acc.iter_mut())
-            .zip(arg.iter_mut())
-        {
-            let x = v + g;
-            let take = x > *a;
-            let m = (take as u32).wrapping_neg();
-            *r = (ja & m) | (*r & !m);
-            *a = f32::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-        }
+/// [`sweep_add_max`] taking the winning argmax per element from `src_arg`
+/// instead of a broadcast — the switch-run shape (each element carries
+/// the first-argmax of its cached run maximum).
+#[inline(never)]
+pub(crate) fn sweep_add_max_arg(
+    src: &[f64],
+    g: f64,
+    src_arg: &[u32],
+    acc: &mut [f64],
+    arg: &mut [u32],
+) {
+    for (((&v, &ja), a), r) in src
+        .iter()
+        .zip(src_arg.iter())
+        .zip(acc.iter_mut())
+        .zip(arg.iter_mut())
+    {
+        let x = v + g;
+        let take = x > *a;
+        let m = (take as u64).wrapping_neg();
+        let m32 = (take as u32).wrapping_neg();
+        *r = (ja & m32) | (*r & !m32);
+        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
     }
 }
 
 /// Chunk width of the lane folds: 8 explicit accumulators, wide enough to
-/// fill an AVX2 register in f32 and two in f64, and comfortably unrollable
-/// on the SSE2 baseline.
+/// fill two AVX2 registers, and comfortably unrollable on the SSE2
+/// baseline.
 const LANES: usize = 8;
 
 /// First-argmax max fold over a contiguous slice, 8-wide.
 ///
 /// Returns `(best, arg)` where `arg` is the *smallest* index attaining
-/// `best` (`(S::NEG_INFINITY, 0)` for an empty or all-`-∞` slice) —
+/// `best` (`(f64::NEG_INFINITY, 0)` for an empty or all-`-∞` slice) —
 /// bit-identical to the scalar `if v[i] > best` scan: per-lane strict `>`
 /// keeps the first maximum within a lane, and the cross-lane reduction
 /// breaks value ties toward the smaller index.
 #[inline]
-pub(crate) fn fold_max<S: Scalar>(v: &[S]) -> (S, u32) {
+pub(crate) fn fold_max(v: &[f64]) -> (f64, u32) {
     let chunks = v.len() / LANES;
-    let mut best = S::NEG_INFINITY;
+    let mut best = f64::NEG_INFINITY;
     let mut arg = 0u32;
     if chunks > 0 {
-        let mut acc = [S::NEG_INFINITY; LANES];
+        let mut acc = [f64::NEG_INFINITY; LANES];
         let mut acc_arg = [0u32; LANES];
         for c in 0..chunks {
             let base = c * LANES;
@@ -305,17 +126,17 @@ pub(crate) fn fold_max<S: Scalar>(v: &[S]) -> (S, u32) {
 /// First-argmax max fold of `a[i] + b[i]` over two equal-length contiguous
 /// slices, 8-wide — the `frontier + pre-gathered transition column` shape
 /// of the dst-major `into_row` folds. Same tie-breaking contract as
-/// [`fold_max`]; per-element sums are unchanged, so the exact lane stays
+/// [`fold_max`]; per-element sums are unchanged, so the result stays
 /// bit-identical to the scalar scan.
 #[inline]
-pub(crate) fn fold_max_sum<S: Scalar>(a: &[S], b: &[S]) -> (S, u32) {
+pub(crate) fn fold_max_sum(a: &[f64], b: &[f64]) -> (f64, u32) {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len().min(b.len());
     let chunks = n / LANES;
-    let mut best = S::NEG_INFINITY;
+    let mut best = f64::NEG_INFINITY;
     let mut arg = 0u32;
     if chunks > 0 {
-        let mut acc = [S::NEG_INFINITY; LANES];
+        let mut acc = [f64::NEG_INFINITY; LANES];
         let mut acc_arg = [0u32; LANES];
         for c in 0..chunks {
             let base = c * LANES;
@@ -346,43 +167,33 @@ pub(crate) fn fold_max_sum<S: Scalar>(a: &[S], b: &[S]) -> (S, u32) {
     (best, arg)
 }
 
-/// [`Scalar::sweep_max`] as a free function (kernel-side call-site sugar).
-#[inline]
-pub(crate) fn sweep_max<S: Scalar>(src: &[S], j: u32, acc: &mut [S], arg: &mut [u32]) {
-    S::sweep_max(src, j, acc, arg);
-}
-
-/// [`Scalar::sweep_add_max`] as a free function.
-#[inline]
-pub(crate) fn sweep_add_max<S: Scalar>(src: &[S], g: S, j: u32, acc: &mut [S], arg: &mut [u32]) {
-    S::sweep_add_max(src, g, j, acc, arg);
-}
-
-/// [`Scalar::sweep_add_max_arg`] as a free function.
-#[inline]
-pub(crate) fn sweep_add_max_arg<S: Scalar>(
-    src: &[S],
-    g: S,
-    src_arg: &[u32],
-    acc: &mut [S],
-    arg: &mut [u32],
-) {
-    S::sweep_add_max_arg(src, g, src_arg, acc, arg);
-}
-
 /// Last-argmax frontier argmax — the termination rule of every decoder
 /// (`Iterator::max_by` keeps the *last* maximum, and the historical
 /// decoders terminate through it, so this must too).
 ///
-/// # Panics
-/// Panics on an empty frontier (decoders never produce one).
+/// # Invariant
+/// A decoder frontier is never empty and never holds a NaN, so neither
+/// `expect` below can fire on any input:
+/// - *nonempty*: every decoder rejects a tick with no micro candidates
+///   or an empty macro restriction before any kernel runs
+///   (`ModelError::EmptyStateSpace`), and resume rejects an empty parked
+///   slice;
+/// - *NaN-free*: NaN observation log-likelihoods are clamped to `-∞`
+///   when the tick input is built, and the model's log tables hold no
+///   NaN, so a score sum could only turn NaN as `+∞ + -∞`, which no
+///   log-probability produces; resume rejects NaN emissions and NaN
+///   frontier scores ([`crate::park::validate_frontier`]).
+///
+/// `tests/hostile_ticks.rs` parks and resumes every strategy's frontier
+/// after NaN, infinite, empty and all-missing sensor ticks, which
+/// re-checks the NaN half on each of them.
 #[inline]
-pub fn argmax<S: Scalar>(v: &[S]) -> (usize, S) {
+pub fn argmax(v: &[f64]) -> (usize, f64) {
     v.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("frontier scores are never NaN"))
         .map(|(i, &s)| (i, s))
-        .expect("nonempty trellis")
+        .expect("a decoder frontier is never empty")
 }
 
 #[cfg(test)]
@@ -440,25 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn f32_from_f64_clamps_finite_overflow_but_keeps_infinities() {
-        // ln of the smallest positive subnormal f64: deeply negative but
-        // finite, and comfortably inside f32 range.
-        let tiny_log = f64::from_bits(1).ln();
-        assert!(tiny_log < -700.0);
-        assert!(<f32 as Scalar>::from_f64(tiny_log).is_finite());
-        // A finite f64 beyond f32 range clamps instead of saturating.
-        assert_eq!(<f32 as Scalar>::from_f64(-1e300), f32::MIN);
-        assert_eq!(<f32 as Scalar>::from_f64(1e300), f32::MAX);
-        // Structural infinities pass through.
-        assert_eq!(
-            <f32 as Scalar>::from_f64(f64::NEG_INFINITY),
-            f32::NEG_INFINITY
-        );
-    }
-
-    #[test]
     fn argmax_keeps_the_last_maximum_like_max_by() {
         assert_eq!(argmax(&[1.0f64, 3.0, 3.0, 2.0]), (2, 3.0));
-        assert_eq!(argmax(&[5.0f32]), (0, 5.0));
+        assert_eq!(argmax(&[5.0]), (0, 5.0));
+        // `-∞` entries (impossible states) order like any other score.
+        assert_eq!(argmax(&[f64::NEG_INFINITY, -3.0]), (1, -3.0));
+        assert_eq!(argmax(&[f64::NEG_INFINITY; 3]), (2, f64::NEG_INFINITY));
     }
 }

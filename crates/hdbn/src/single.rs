@@ -10,7 +10,7 @@ use crate::arena::{fill_slice, Slice, StepScratch};
 use crate::beam::{BeamScratch, DecoderConfig};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::scalar::{self, Precision, Scalar};
+use crate::scalar;
 use crate::trellis::{self, HierModel};
 
 /// A decoded single-chain trajectory.
@@ -224,29 +224,13 @@ impl SingleHdbn {
 
     /// Viterbi decoding of one user's chain.
     ///
-    /// Dispatches on [`DecoderConfig::precision`]: the default
-    /// [`Precision::Exact64`] lane is bit-identical to the historical
-    /// decoder, [`Precision::Fast32`] decodes through the `f32` table
-    /// mirror.
-    ///
     /// # Errors
     /// Same conditions as [`crate::CoupledHdbn::viterbi`].
     pub fn viterbi(&self, ticks: &[TickInput], user: usize) -> Result<SinglePath, ModelError> {
         self.validate(ticks, user)?;
-        match self.decoder.precision {
-            Precision::Exact64 => self.viterbi_impl::<f64>(ticks, user),
-            Precision::Fast32 => self.viterbi_impl::<f32>(ticks, user),
-        }
-    }
-
-    fn viterbi_impl<S: Scalar>(
-        &self,
-        ticks: &[TickInput],
-        user: usize,
-    ) -> Result<SinglePath, ModelError> {
         let p = &self.params;
         let mut states_explored = 0u64;
-        let mut step: StepScratch<S> = StepScratch::default();
+        let mut step = StepScratch::default();
         let mut beam_scratch = BeamScratch::new();
 
         let mut slices: Vec<Slice> = Vec::with_capacity(ticks.len());
@@ -256,7 +240,7 @@ impl SingleHdbn {
             slices.push(s);
         }
         let model = HierModel::new(p);
-        let mut v: Vec<S> = Vec::new();
+        let mut v: Vec<f64> = Vec::new();
         trellis::init_into(&model, &slices[0], &mut v);
         states_explored += v.len() as u64;
 
@@ -292,8 +276,7 @@ impl SingleHdbn {
             slices.push(cur);
         }
 
-        let (mut j, best) = scalar::argmax(&v);
-        let log_prob = best.to_f64();
+        let (mut j, log_prob) = scalar::argmax(&v);
 
         let t_total = ticks.len();
         let mut macros = vec![0usize; t_total];
@@ -595,26 +578,6 @@ mod tests {
             .unwrap();
         assert_eq!(pruned.macros, exact.macros);
         assert!(pruned.log_prob <= exact.log_prob);
-    }
-
-    #[test]
-    fn fast32_lane_matches_exact_chain_decode_on_toy_data() {
-        let ticks: Vec<TickInput> = (0..20)
-            .map(|t| obs_tick(usize::from(t >= 10), 5.0))
-            .collect();
-        let exact = SingleHdbn::new(toy_params()).viterbi(&ticks, 0).unwrap();
-        let fast = SingleHdbn::new(toy_params())
-            .with_decoder(DecoderConfig::exact().fast32())
-            .viterbi(&ticks, 0)
-            .unwrap();
-        assert_eq!(fast.macros, exact.macros);
-        assert_eq!(fast.states_explored, exact.states_explored);
-        assert!(
-            (fast.log_prob - exact.log_prob).abs() <= 1e-3 * exact.log_prob.abs().max(1.0),
-            "f32 log-prob {} vs f64 {}",
-            fast.log_prob,
-            exact.log_prob
-        );
     }
 
     #[test]

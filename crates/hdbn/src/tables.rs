@@ -61,21 +61,15 @@
 //! ```
 
 use crate::params::HdbnParams;
-use crate::scalar::Scalar;
 
 /// Dense flat score tables over compact `(activity, postural)` pair ids —
-/// see the [module docs](self) for the memory layout — generic over the
-/// scoring lane `S` (see [`Scalar`]).
+/// see the [module docs](self) for the memory layout.
 ///
-/// The canonical instantiation is [`ScoreTables`] (`S = f64`): built once
-/// per model by [`HdbnParams::new`] (and therefore rebuilt on every
-/// snapshot load), shared read-only by all decoders through the params
-/// `Arc`, bit-identical to the naive scorers. The [`ScoreTablesF32`]
-/// mirror is derived from it entry-wise, lazily, on the first `Fast32`
-/// decode ([`HdbnParams::tables_f32`]) — and, like the f64 tables, is
-/// never persisted.
+/// Built once per model by [`HdbnParams::new`] (and therefore rebuilt on
+/// every snapshot load), shared read-only by all decoders through the
+/// params `Arc`, bit-identical to the naive scorers, and never persisted.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScoreTablesT<S> {
+pub struct ScoreTables {
     n_macro: usize,
     n_postural: usize,
     n_gestural: usize,
@@ -83,34 +77,25 @@ pub struct ScoreTablesT<S> {
     /// `n_macro * n_postural` — the compact pair-id space.
     n_pair: usize,
     /// Transition kernel, src-major: `trans[src * n_pair + dst]`.
-    trans: Vec<S>,
+    trans: Vec<f64>,
     /// Transition kernel, dst-major: `trans_to[dst * n_pair + src]` — the
     /// orientation the fold kernels gather from (`into_row`).
-    trans_to: Vec<S>,
+    trans_to: Vec<f64>,
     /// Inter-user coupling, flat: `cooc[a1 * n_macro + a2]`.
-    cooc: Vec<S>,
+    cooc: Vec<f64>,
     /// `log P(postural | macro)` rows, flat: `post[a * n_postural + p]`.
-    post: Vec<S>,
+    post: Vec<f64>,
     /// `log P(gestural | macro)` rows, flat.
-    gest: Vec<S>,
+    gest: Vec<f64>,
     /// `log P(location | macro)` rows, flat.
-    loc: Vec<S>,
+    loc: Vec<f64>,
     /// Switch scores, dst-major: `switch_to[a * n_macro + ap]` is the
     /// transition score `ap → a` for `ap ≠ a` — which is independent of
     /// both posturals (`log_end[ap] + log_switch[ap][a]`), the low-rank
     /// structure the fold kernels exploit. Diagonal entries are `−∞`
     /// (a same-activity step is a *continue*, scored through `trans`).
-    switch_to: Vec<S>,
+    switch_to: Vec<f64>,
 }
-
-/// The exact (`f64`) score tables — the canonical lane every model builds
-/// eagerly and the naive scorers are bitwise-mirrored into.
-pub type ScoreTables = ScoreTablesT<f64>;
-
-/// The fast (`f32`) mirror, derived entry-wise from [`ScoreTables`] with
-/// the finite-preserving cast of [`Scalar::from_f64`]. Built lazily per
-/// model ([`HdbnParams::tables_f32`]); never persisted.
-pub type ScoreTablesF32 = ScoreTablesT<f32>;
 
 impl ScoreTables {
     /// Builds the dense tables by evaluating the naive scorers over the
@@ -176,37 +161,6 @@ impl ScoreTables {
         }
     }
 
-    /// Entry-wise conversion into the `f32` mirror, through the
-    /// finite-preserving cast of [`Scalar::from_f64`]: finite scores clamp
-    /// into the finite `f32` range (never saturating to an absorbing
-    /// `±∞`), structural `−∞` entries (impossible switches, the
-    /// `switch_to` diagonal) stay `−∞`.
-    ///
-    /// Cost: one pass over every table (`2·n_pair² + 3·n_macro·|micro| +
-    /// n_macro²` casts — tens of kilobytes for the paper's vocabularies),
-    /// paid once per model on first use, not at build time
-    /// ([`HdbnParams::tables_f32`]).
-    pub(crate) fn to_f32(&self) -> ScoreTablesF32 {
-        let cvt =
-            |v: &[f64]| -> Vec<f32> { v.iter().map(|&x| <f32 as Scalar>::from_f64(x)).collect() };
-        ScoreTablesT {
-            n_macro: self.n_macro,
-            n_postural: self.n_postural,
-            n_gestural: self.n_gestural,
-            n_location: self.n_location,
-            n_pair: self.n_pair,
-            trans: cvt(&self.trans),
-            trans_to: cvt(&self.trans_to),
-            cooc: cvt(&self.cooc),
-            post: cvt(&self.post),
-            gest: cvt(&self.gest),
-            loc: cvt(&self.loc),
-            switch_to: cvt(&self.switch_to),
-        }
-    }
-}
-
-impl<S: Scalar> ScoreTablesT<S> {
     /// Number of compact pair ids (`n_macro * n_postural`).
     #[inline]
     pub fn n_pair(&self) -> usize {
@@ -221,10 +175,9 @@ impl<S: Scalar> ScoreTablesT<S> {
 
     /// Transition score between two pair ids — the single indexed load the
     /// decoders perform per trellis edge
-    /// (`== HdbnParams::transition_score` on the decoded pairs, bitwise in
-    /// the `f64` lane).
+    /// (`== HdbnParams::transition_score` on the decoded pairs, bitwise).
     #[inline]
-    pub fn transition(&self, src: u32, dst: u32) -> S {
+    pub fn transition(&self, src: u32, dst: u32) -> f64 {
         self.trans[src as usize * self.n_pair + dst as usize]
     }
 
@@ -232,7 +185,7 @@ impl<S: Scalar> ScoreTablesT<S> {
     /// of `src → dst`. One contiguous `n_pair`-entry slice per decoder
     /// column build.
     #[inline]
-    pub fn into_row(&self, dst: u32) -> &[S] {
+    pub fn into_row(&self, dst: u32) -> &[f64] {
         let d = dst as usize * self.n_pair;
         &self.trans_to[d..d + self.n_pair]
     }
@@ -240,7 +193,7 @@ impl<S: Scalar> ScoreTablesT<S> {
     /// The src-major transition row *out of* `src`: `row[dst]` is the
     /// score of `src → dst` (the backward pass's contiguous view).
     #[inline]
-    pub fn from_row(&self, src: u32) -> &[S] {
+    pub fn from_row(&self, src: u32) -> &[f64] {
         let s = src as usize * self.n_pair;
         &self.trans[s..s + self.n_pair]
     }
@@ -256,20 +209,20 @@ impl<S: Scalar> ScoreTablesT<S> {
     /// (postural-independent; the diagonal is `−∞` and never read by the
     /// kernels, which score same-activity steps through [`Self::into_row`]).
     #[inline]
-    pub fn switch_row(&self, a: usize) -> &[S] {
+    pub fn switch_row(&self, a: usize) -> &[f64] {
         &self.switch_to[a * self.n_macro..(a + 1) * self.n_macro]
     }
 
     /// Inter-user coupling score (`== HdbnParams::coupling_score`,
-    /// bitwise in the `f64` lane).
+    /// bitwise).
     #[inline]
-    pub fn coupling(&self, activity_u1: usize, activity_u2: usize) -> S {
+    pub fn coupling(&self, activity_u1: usize, activity_u2: usize) -> f64 {
         self.cooc[activity_u1 * self.n_macro + activity_u2]
     }
 
     /// Hierarchical emission score of a micro tuple
-    /// (`== HdbnParams::hierarchy_score` in the `f64` lane, bitwise: same
-    /// addends, same order).
+    /// (`== HdbnParams::hierarchy_score`, bitwise: same addends, same
+    /// order).
     #[inline]
     pub fn hierarchy(
         &self,
@@ -277,11 +230,11 @@ impl<S: Scalar> ScoreTablesT<S> {
         postural: usize,
         gestural: Option<usize>,
         location: usize,
-    ) -> S {
+    ) -> f64 {
         let mut score = self.post[activity * self.n_postural + postural]
             + self.loc[activity * self.n_location + location];
         if let Some(g) = gestural {
-            score = score + self.gest[activity * self.n_gestural + g];
+            score += self.gest[activity * self.n_gestural + g];
         }
         score
     }

@@ -5,7 +5,7 @@
 //! NH flat product in `cace-core` — carried its own copy of the dense DP
 //! step, the pruned step, the first-tick init, and the online
 //! window/free-list machinery. This module factors the shared shape out
-//! into three axes:
+//! into two axes:
 //!
 //! * [`StateSpace`] — how one tick enumerates its states: how many, which
 //!   *slot* (distinct destination-context id) each belongs to, which
@@ -15,7 +15,6 @@
 //!   and, per destination slot, a [`Dest`] bundle of the continue row
 //!   (indexed by source pair id) and, for hierarchical models, the
 //!   group-switch row (indexed by source group).
-//! * [`Scalar`] — the scoring lane (`f64` exact / `f32` fast), unchanged.
 //!
 //! [`init_into`], [`step_dense_into`], and [`step_pruned_into`] are the
 //! *only* implementations of the chain-shaped recursion; the single-chain
@@ -29,7 +28,7 @@
 //! [`TrellisFamily`].
 //!
 //! The online layer is factored the same way: [`OnlineTrellis`] owns the
-//! frontier lanes, the bounded backpointer window with its pooled free
+//! frontier, the bounded backpointer window with its pooled free
 //! list, the decision cursor, and the overhead counters — written once —
 //! and each family supplies a [`TrellisFamily`] impl that maps a window
 //! entry onto the kernels. [`forward_backward`] is the single scaled
@@ -42,17 +41,17 @@
 //! ascending source order with strict-`>` first-argmax, same-group runs
 //! collapse through `fold_max`/`fold_max_sum` (documented
 //! bit-identical to the scalar ascending scan), and the frontier
-//! termination argmax is the last-max [`argmax`]. The f64 lane of every
-//! instantiation is bit-identical to the per-family kernels it replaced.
+//! termination argmax is the last-max [`argmax`]. Every instantiation is
+//! bit-identical to the per-family kernels it replaced.
 
 use std::collections::VecDeque;
 
 use crate::arena::{StepScratch, TrellisArena};
-use crate::beam::{Beam, BeamScratch, DecoderConfig};
+use crate::beam::Beam;
 use crate::forward::{apply_beam_linear, log_sum_exp, normalize_log};
 use crate::online::Lag;
 use crate::params::HdbnParams;
-use crate::scalar::{self, fold_max, fold_max_sum, Precision, Scalar};
+use crate::scalar::{self, fold_max, fold_max_sum};
 
 pub use crate::scalar::argmax;
 
@@ -96,48 +95,43 @@ pub trait StateSpace {
     fn emission(&self, j: usize) -> f64;
 }
 
-/// The score lookups of one destination slot, in lane `S`.
-pub struct Dest<'a, S> {
+/// The score lookups of one destination slot.
+pub struct Dest<'a> {
     /// Destination group — sources in the same group take the `cont` row,
     /// sources in other groups the `switch` row (ignored when the model
     /// has [`ScoreModel::SWITCH`]` == false`).
     pub group: u32,
     /// Continue-transition row, indexed by source pair id.
-    pub cont: &'a [S],
+    pub cont: &'a [f64],
     /// Group-switch row, indexed by source group (empty when the model
     /// has no switch structure).
-    pub switch: &'a [S],
+    pub switch: &'a [f64],
 }
 
-/// Score lookups of one decoder family in lane `S`: the first-tick init
-/// score plus the per-destination transition rows.
-pub trait ScoreModel<S: Scalar> {
+/// Score lookups of one decoder family: the first-tick init score plus
+/// the per-destination transition rows.
+pub trait ScoreModel {
     /// Whether transitions split into same-group *continue* rows and
     /// group-level *switch* constants. When `false`, every source scores
     /// through [`Dest::cont`] and the kernels skip the run-max switch
     /// cache entirely.
     const SWITCH: bool;
 
-    /// Complete first-tick score of a state (prior term plus emission —
-    /// the model returns the full `f64` so lanes convert exactly once).
+    /// Complete first-tick score of a state (prior term plus emission).
     fn init_score(&self, group: u32, pair: u32, emission: f64) -> f64;
 
     /// Transition rows into the destination context `pair`.
-    fn dest(&self, pair: u32) -> Dest<'_, S>;
+    fn dest(&self, pair: u32) -> Dest<'_>;
 }
 
 /// Writes the first-tick frontier of `cur` into `v`.
 ///
 /// The single init implementation behind every family's first push.
-pub fn init_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(model: &M, cur: &Sp, v: &mut Vec<S>) {
+pub fn init_into<Sp: StateSpace, M: ScoreModel>(model: &M, cur: &Sp, v: &mut Vec<f64>) {
     v.clear();
     v.reserve(cur.len());
     for j in 0..cur.len() {
-        v.push(S::from_f64(model.init_score(
-            cur.group_of(j),
-            cur.pair(j),
-            cur.emission(j),
-        )));
+        v.push(model.init_score(cur.group_of(j), cur.pair(j), cur.emission(j)));
     }
 }
 
@@ -157,12 +151,12 @@ pub fn init_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(model: &M, cur: &S
 ///    constant preserves strict order and first-argmax; runs are visited
 ///    in ascending state order, so tie-breaking matches the naive
 ///    ascending scan.
-pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
+pub fn step_dense_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
     prev: &Sp,
-    v: &[S],
+    v: &[f64],
     cur: &Sp,
-    step: &mut StepScratch<S>,
+    step: &mut StepScratch,
     back: &mut Vec<u32>,
 ) {
     let m = cur.len();
@@ -180,7 +174,7 @@ pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
     if M::SWITCH {
         let n_runs = runs.len();
         run_max.clear();
-        run_max.resize(n_runs, S::NEG_INFINITY);
+        run_max.resize(n_runs, f64::NEG_INFINITY);
         run_arg.clear();
         run_arg.resize(n_runs, 0);
         for (r, &(_, start, end)) in runs.iter().enumerate() {
@@ -190,14 +184,14 @@ pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
         }
     }
     w.clear();
-    w.resize(d, S::NEG_INFINITY);
+    w.resize(d, f64::NEG_INFINITY);
     w_arg.clear();
     w_arg.resize(d, 0);
     gcol.clear();
-    gcol.resize(prev.len(), S::NEG_INFINITY);
+    gcol.resize(prev.len(), f64::NEG_INFINITY);
     for s in 0..d {
         let dest = model.dest(cur.slot_pair(s));
-        let mut best = S::NEG_INFINITY;
+        let mut best = f64::NEG_INFINITY;
         let mut best_arg = 0u32;
         for (r, &(gr, start, end)) in runs.iter().enumerate() {
             if !M::SWITCH || gr == dest.group {
@@ -225,12 +219,12 @@ pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
         w_arg[s] = best_arg;
     }
     v_next.clear();
-    v_next.resize(m, S::NEG_INFINITY);
+    v_next.resize(m, f64::NEG_INFINITY);
     back.clear();
     back.resize(m, 0);
     for j in 0..m {
         let s = cur.slot(j) as usize;
-        v_next[j] = w[s] + S::from_f64(cur.emission(j));
+        v_next[j] = w[s] + cur.emission(j);
         back[j] = w_arg[s];
     }
 }
@@ -240,13 +234,13 @@ pub fn step_dense_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
 /// transitioned out of. Backpointers stay in full-frontier coordinates,
 /// so backtracking is oblivious to pruning; the iteration order over
 /// survivors matches the dense kernel's ascending order.
-pub fn step_pruned_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
+pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
     prev: &Sp,
-    v: &[S],
+    v: &[f64],
     keep: &[u32],
     cur: &Sp,
-    step: &mut StepScratch<S>,
+    step: &mut StepScratch,
     back: &mut Vec<u32>,
 ) {
     let m = cur.len();
@@ -277,11 +271,11 @@ pub fn step_pruned_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
         }
         let n_runs = runs_scratch.len();
         run_max.clear();
-        run_max.resize(n_runs, S::NEG_INFINITY);
+        run_max.resize(n_runs, f64::NEG_INFINITY);
         run_arg.clear();
         run_arg.resize(n_runs, 0);
         for (r, &(_, start, end)) in runs_scratch.iter().enumerate() {
-            let mut best = S::NEG_INFINITY;
+            let mut best = f64::NEG_INFINITY;
             let mut arg = 0u32;
             for &jp in &keep[start as usize..end as usize] {
                 let vv = v[jp as usize];
@@ -297,12 +291,12 @@ pub fn step_pruned_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
         runs_scratch.push((0, 0, keep.len() as u32));
     }
     w.clear();
-    w.resize(d, S::NEG_INFINITY);
+    w.resize(d, f64::NEG_INFINITY);
     w_arg.clear();
     w_arg.resize(d, 0);
     for s in 0..d {
         let dest = model.dest(cur.slot_pair(s));
-        let mut best = S::NEG_INFINITY;
+        let mut best = f64::NEG_INFINITY;
         let mut best_arg = 0u32;
         for (r, &(gr, start, end)) in runs_scratch.iter().enumerate() {
             if !M::SWITCH || gr == dest.group {
@@ -325,12 +319,12 @@ pub fn step_pruned_into<S: Scalar, Sp: StateSpace, M: ScoreModel<S>>(
         w_arg[s] = best_arg;
     }
     v_next.clear();
-    v_next.resize(m, S::NEG_INFINITY);
+    v_next.resize(m, f64::NEG_INFINITY);
     back.clear();
     back.resize(m, 0);
     for j in 0..m {
         let s = cur.slot(j) as usize;
-        v_next[j] = w[s] + S::from_f64(cur.emission(j));
+        v_next[j] = w[s] + cur.emission(j);
         back[j] = w_arg[s];
     }
 }
@@ -352,15 +346,15 @@ impl<'a> HierModel<'a> {
     }
 }
 
-impl<S: Scalar> ScoreModel<S> for HierModel<'_> {
+impl ScoreModel for HierModel<'_> {
     const SWITCH: bool = true;
 
     fn init_score(&self, group: u32, _pair: u32, emission: f64) -> f64 {
         self.p.log_prior[group as usize] + emission
     }
 
-    fn dest(&self, pair: u32) -> Dest<'_, S> {
-        let t = S::tables(self.p);
+    fn dest(&self, pair: u32) -> Dest<'_> {
+        let t = &self.p.tables;
         let a = t.activity_of(pair);
         Dest {
             group: a as u32,
@@ -372,7 +366,7 @@ impl<S: Scalar> ScoreModel<S> for HierModel<'_> {
 
 /// [`ScoreModel`] extension for posterior inference: the outgoing
 /// (source-keyed) transition row the backward recursion scans.
-pub trait PosteriorModel: ScoreModel<f64> {
+pub trait PosteriorModel: ScoreModel {
     /// Transition row *out of* source context `pair`, indexed by
     /// destination pair id.
     fn source(&self, pair: u32) -> &[f64];
@@ -380,14 +374,14 @@ pub trait PosteriorModel: ScoreModel<f64> {
 
 impl PosteriorModel for HierModel<'_> {
     fn source(&self, pair: u32) -> &[f64] {
-        <f64 as Scalar>::tables(self.p).from_row(pair)
+        self.p.tables.from_row(pair)
     }
 }
 
 /// Scaled forward–backward over a sequence of state spaces: returns
 /// per-tick posterior marginals `gamma[t][j]` and the sequence
 /// log-likelihood. The single generic implementation of the alpha/beta
-/// recursion (f64 only — posterior mass has no fast lane).
+/// recursion.
 ///
 /// Under a pruning `beam`, the forward *filtering* distribution is beamed
 /// per tick (see [`crate::forward::apply_beam_linear`]): pruned states
@@ -512,26 +506,26 @@ pub trait TrellisEntry: Default {
     fn back(&self) -> &[u32];
 }
 
-/// One decoder family plugged into the online core in lane `S`: how a
-/// window entry is initialized and stepped. `step_*` return the
-/// transition-op charge of the step (the accounting contract each family
-/// already reported before the refactor).
-pub trait TrellisFamily<S: Scalar> {
+/// One decoder family plugged into the online core: how a window entry is
+/// initialized and stepped. `step_*` return the transition-op charge of
+/// the step (the accounting contract each family already reported before
+/// the refactor).
+pub trait TrellisFamily {
     /// The family's window-entry type.
     type Entry: TrellisEntry;
 
     /// Initializes the frontier from the stream's first entry (and clears
     /// the entry's backpointers).
-    fn init(&self, entry: &mut Self::Entry, v: &mut Vec<S>);
+    fn init(&self, entry: &mut Self::Entry, v: &mut Vec<f64>);
 
     /// One dense DP step from `prev` into `entry`; the new frontier lands
     /// in `step.v_next`. Returns the transition-op charge.
     fn step_dense(
         &self,
         prev: &Self::Entry,
-        v: &[S],
+        v: &[f64],
         entry: &mut Self::Entry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64;
 
     /// One beam-pruned DP step (survivors in `keep`, ascending). Returns
@@ -539,45 +533,16 @@ pub trait TrellisFamily<S: Scalar> {
     fn step_pruned(
         &self,
         prev: &Self::Entry,
-        v: &[S],
+        v: &[f64],
         keep: &[u32],
         entry: &mut Self::Entry,
-        step: &mut StepScratch<S>,
+        step: &mut StepScratch,
     ) -> u64;
 }
 
-/// Advances (or initializes) a frontier by one DP step in lane `S`, then
-/// applies the beam — the single per-[`Precision`] dispatch target behind
-/// [`OnlineTrellis::push_entry`].
-#[allow(clippy::too_many_arguments)]
-fn advance<S: Scalar, F: TrellisFamily<S>>(
-    family: &F,
-    beam: Beam,
-    prev: Option<&F::Entry>,
-    entry: &mut F::Entry,
-    v: &mut Vec<S>,
-    step: &mut StepScratch<S>,
-    beam_scratch: &mut BeamScratch,
-    pruned: &mut bool,
-    transition_ops: &mut u64,
-) {
-    match prev {
-        None => family.init(entry, v),
-        Some(prev) => {
-            *transition_ops += if *pruned {
-                family.step_pruned(prev, v, beam_scratch.keep(), entry, step)
-            } else {
-                family.step_dense(prev, v, entry, step)
-            };
-            std::mem::swap(v, &mut step.v_next);
-        }
-    }
-    *pruned = beam.select_log(v, beam_scratch);
-}
-
-/// The family-independent half of an online fixed-lag decoder: both
-/// frontier lanes, the bounded backpointer window with its pooled free
-/// list, the decision cursor (`base`/`pushed`), the overhead counters,
+/// The family-independent half of an online fixed-lag decoder: the
+/// frontier, the bounded backpointer window with its pooled free list,
+/// the decision cursor (`base`/`pushed`), the overhead counters,
 /// and the [`TrellisArena`] scratch. Written once; each public online
 /// decoder ([`crate::OnlineCoupledViterbi`],
 /// [`crate::OnlineSingleViterbi`], and `cace-core`'s NH frontier) wraps
@@ -585,10 +550,8 @@ fn advance<S: Scalar, F: TrellisFamily<S>>(
 #[derive(Debug, Clone)]
 pub struct OnlineTrellis<E> {
     lag: Lag,
-    /// Live frontier, exact lane (empty under [`Precision::Fast32`]).
+    /// Live frontier.
     v: Vec<f64>,
-    /// Fast-lane frontier (empty under [`Precision::Exact64`]).
-    v32: Vec<f32>,
     /// Backpointer window: entries for ticks `base .. pushed`.
     window: VecDeque<E>,
     /// Recycled window entries (see [`TrellisEntry`]).
@@ -613,7 +576,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         Self {
             lag,
             v: Vec::new(),
-            v32: Vec::new(),
             window: VecDeque::new(),
             free: Vec::new(),
             base: 0,
@@ -632,7 +594,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     pub fn from_parts(
         lag: Lag,
         v: Vec<f64>,
-        v32: Vec<f32>,
         window: VecDeque<E>,
         base: usize,
         pushed: usize,
@@ -646,7 +607,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         Self {
             lag,
             v,
-            v32,
             window,
             free: Vec::new(),
             base,
@@ -699,14 +659,9 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.arena.beam.keep()
     }
 
-    /// The exact-lane frontier (empty under [`Precision::Fast32`]).
+    /// The live frontier.
     pub fn frontier(&self) -> &[f64] {
         &self.v
-    }
-
-    /// The fast-lane frontier (empty under [`Precision::Exact64`]).
-    pub fn frontier32(&self) -> &[f32] {
-        &self.v32
     }
 
     /// The retained window entries, oldest first (for parking).
@@ -727,61 +682,44 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     }
 
     /// Consumes one filled entry, advancing the frontier by one DP step
-    /// in the decoder's configured lane (init on the first tick) and
-    /// charging `n_states` to the exploration counter. The caller follows
-    /// up with [`emit_ready`](Self::emit_ready).
-    pub fn push_entry<F>(&mut self, family: &F, decoder: DecoderConfig, mut entry: E, n_states: u64)
+    /// (init on the first tick) and applying the beam, and charging
+    /// `n_states` to the exploration counter. The caller follows up with
+    /// [`emit_ready`](Self::emit_ready).
+    pub fn push_entry<F>(&mut self, family: &F, beam: Beam, mut entry: E, n_states: u64)
     where
-        F: TrellisFamily<f64, Entry = E> + TrellisFamily<f32, Entry = E>,
+        F: TrellisFamily<Entry = E>,
     {
         self.states_explored += n_states;
-        let prev = self.window.back();
-        match decoder.precision {
-            Precision::Exact64 => advance::<f64, F>(
-                family,
-                decoder.beam,
-                prev,
-                &mut entry,
-                &mut self.v,
-                &mut self.arena.step,
-                &mut self.arena.beam,
-                &mut self.pruned,
-                &mut self.transition_ops,
-            ),
-            Precision::Fast32 => advance::<f32, F>(
-                family,
-                decoder.beam,
-                prev,
-                &mut entry,
-                &mut self.v32,
-                &mut self.arena.step32,
-                &mut self.arena.beam,
-                &mut self.pruned,
-                &mut self.transition_ops,
-            ),
+        match self.window.back() {
+            None => family.init(&mut entry, &mut self.v),
+            Some(prev) => {
+                let step = &mut self.arena.step;
+                self.transition_ops += if self.pruned {
+                    family.step_pruned(prev, &self.v, self.arena.beam.keep(), &mut entry, step)
+                } else {
+                    family.step_dense(prev, &self.v, &mut entry, step)
+                };
+                step.swap_frontier(&mut self.v);
+            }
         }
+        self.pruned = beam.select_log(&self.v, &mut self.arena.beam);
         self.window.push_back(entry);
         self.pushed += 1;
     }
 
-    /// Argmax of the live frontier, in whichever lane the decoder runs.
+    /// Argmax of the live frontier.
     ///
     /// # Panics
-    /// Panics if no tick was ever pushed (empty frontier).
-    pub fn frontier_argmax(&self, precision: Precision) -> (usize, f64) {
-        match precision {
-            Precision::Exact64 => scalar::argmax(&self.v),
-            Precision::Fast32 => {
-                let (i, s) = scalar::argmax(&self.v32);
-                (i, f64::from(s))
-            }
-        }
+    /// Panics if no tick was ever pushed (an empty frontier); the
+    /// decoders check that before they ask (see [`argmax`]).
+    pub fn frontier_argmax(&self) -> (usize, f64) {
+        scalar::argmax(&self.v)
     }
 
     /// Walks the backpointer window from the current frontier argmax down
     /// to window index `idx`, returning the state index there.
-    pub fn state_at(&self, idx: usize, precision: Precision) -> usize {
-        let (mut j, _) = self.frontier_argmax(precision);
+    pub fn state_at(&self, idx: usize) -> usize {
+        let (mut j, _) = self.frontier_argmax();
         for i in (idx + 1..self.window.len()).rev() {
             j = self.window[i].back()[j] as usize;
         }
@@ -795,11 +733,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     /// Returns `None` under [`Lag::Unbounded`] or before the horizon
     /// fills. Must be called after at least one
     /// [`push_entry`](Self::push_entry).
-    pub fn emit_ready<D>(
-        &mut self,
-        precision: Precision,
-        decide: impl FnOnce(&E, usize, usize) -> D,
-    ) -> Option<D> {
+    pub fn emit_ready<D>(&mut self, decide: impl FnOnce(&E, usize, usize) -> D) -> Option<D> {
         let Lag::Fixed(lag) = self.lag else {
             return None;
         };
@@ -809,7 +743,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         }
         let tick = last - lag;
         let idx = tick - self.base;
-        let j = self.state_at(idx, precision);
+        let j = self.state_at(idx);
         let decision = decide(&self.window[idx], j, tick);
         // Entries at or before the emitted tick are never read again —
         // except the newest entry, which the next step needs as `prev`.
@@ -830,11 +764,10 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     /// tick order plus the final frontier log-score.
     pub fn resolve_tail<D>(
         &self,
-        precision: Precision,
         committed: usize,
         mut decide: impl FnMut(&E, usize) -> D,
     ) -> (Vec<D>, f64) {
-        let (mut j, log_prob) = self.frontier_argmax(precision);
+        let (mut j, log_prob) = self.frontier_argmax();
         let mut tail: Vec<D> = Vec::with_capacity(self.pushed - committed);
         for t in (committed..self.pushed).rev() {
             let idx = t - self.base;

@@ -28,8 +28,10 @@ use cace_model::ModelError;
 use crate::beam::{Beam, DecoderConfig};
 use crate::input::MicroCandidate;
 use crate::online::Lag;
-use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
-use crate::scalar::Precision;
+use crate::park::{
+    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice,
+    RetiredF32Frontier, RETIRED_LANE,
+};
 
 fn decode_err(what: impl Into<String>) -> ModelError {
     ModelError::Persistence { what: what.into() }
@@ -87,11 +89,6 @@ impl ByteWriter {
     /// Appends an `f64` as its raw IEEE bits, fixed-width little-endian —
     /// bit-exact round-trip, non-finite values included.
     pub fn write_f64(&mut self, x: f64) {
-        self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-
-    /// Appends an `f32` as its raw IEEE bits, fixed-width little-endian.
-    pub fn write_f32(&mut self, x: f32) {
         self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
     }
 
@@ -233,16 +230,6 @@ impl<'a> ByteReader<'a> {
         )))
     }
 
-    /// Reads an `f32` from fixed-width raw IEEE bits.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on truncated input.
-    pub fn read_f32(&mut self) -> Result<f32, ModelError> {
-        Ok(f32::from_bits(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4"),
-        )))
-    }
-
     /// Reads an `Option<usize>` (presence byte + value).
     ///
     /// # Errors
@@ -307,26 +294,6 @@ pub fn read_lag(r: &mut ByteReader<'_>) -> Result<Lag, ModelError> {
     }
 }
 
-/// Encodes a [`Precision`].
-pub fn write_precision(w: &mut ByteWriter, p: Precision) {
-    w.write_u8(match p {
-        Precision::Exact64 => 0,
-        Precision::Fast32 => 1,
-    });
-}
-
-/// Decodes a [`Precision`].
-///
-/// # Errors
-/// [`ModelError::Persistence`] on truncation or an unknown tag.
-pub fn read_precision(r: &mut ByteReader<'_>) -> Result<Precision, ModelError> {
-    match r.read_u8()? {
-        0 => Ok(Precision::Exact64),
-        1 => Ok(Precision::Fast32),
-        t => Err(decode_err(format!("unknown precision tag {t}"))),
-    }
-}
-
 /// Encodes a [`Beam`].
 pub fn write_beam(w: &mut ByteWriter, beam: Beam) {
     match beam {
@@ -355,21 +322,45 @@ pub fn read_beam(r: &mut ByteReader<'_>) -> Result<Beam, ModelError> {
     }
 }
 
-/// Encodes a [`DecoderConfig`].
+/// Encodes a [`DecoderConfig`]: the beam, then the precision tag `0`
+/// (exact `f64`) of the layout that also had an `f32` lane (tag `1`).
 pub fn write_decoder(w: &mut ByteWriter, d: DecoderConfig) {
     write_beam(w, d.beam);
-    write_precision(w, d.precision);
+    w.write_u8(0);
 }
 
 /// Decodes a [`DecoderConfig`].
 ///
 /// # Errors
-/// [`ModelError::Persistence`] on truncation or an unknown tag.
+/// [`ModelError::Persistence`] on truncation, an unknown tag, or the
+/// precision tag `1` of the removed `f32` lane.
 pub fn read_decoder(r: &mut ByteReader<'_>) -> Result<DecoderConfig, ModelError> {
-    Ok(DecoderConfig {
-        beam: read_beam(r)?,
-        precision: read_precision(r)?,
-    })
+    let beam = read_beam(r)?;
+    match r.read_u8()? {
+        0 => Ok(DecoderConfig { beam }),
+        1 => Err(decode_err(RETIRED_LANE)),
+        t => Err(decode_err(format!("unknown precision tag {t}"))),
+    }
+}
+
+impl RetiredF32Frontier {
+    /// Appends the slot's binary encoding: an empty length-prefixed
+    /// sequence.
+    pub fn encode_into(self, w: &mut ByteWriter) {
+        w.write_u64(0);
+    }
+
+    /// Reads the slot, accepting only an empty sequence.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on truncation or a non-empty `f32`
+    /// frontier.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        match r.read_usize()? {
+            0 => Ok(Self),
+            _ => Err(decode_err(RETIRED_LANE)),
+        }
+    }
 }
 
 /// Encodes a [`MicroCandidate`].
@@ -423,7 +414,7 @@ impl ParkedCoupled {
     /// Appends this checkpoint's binary encoding to `w`.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        w.write_seq(&self.v32, |w, &x| w.write_f32(x));
+        self.v32.encode_into(w);
         w.write_seq(&self.window, |w, e| {
             write_slice(w, &e.s1);
             write_slice(w, &e.s2);
@@ -454,7 +445,7 @@ impl ParkedCoupled {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
             v: r.read_seq(8, ByteReader::read_f64)?,
-            v32: r.read_seq(4, ByteReader::read_f32)?,
+            v32: RetiredF32Frontier::decode_from(r)?,
             window: r.read_seq(1, |r| {
                 Ok(ParkedJointEntry {
                     s1: read_slice(r)?,
@@ -482,7 +473,7 @@ impl ParkedChain {
     /// Appends this checkpoint's binary encoding to `w`.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        w.write_seq(&self.v32, |w, &x| w.write_f32(x));
+        self.v32.encode_into(w);
         w.write_seq(&self.window, |w, e| {
             write_slice(w, &e.slice);
             w.write_seq(&e.back, |w, &x| w.write_u32(x));
@@ -505,7 +496,7 @@ impl ParkedChain {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
             v: r.read_seq(8, ByteReader::read_f64)?,
-            v32: r.read_seq(4, ByteReader::read_f32)?,
+            v32: RetiredF32Frontier::decode_from(r)?,
             window: r.read_seq(1, |r| {
                 Ok(ParkedChainEntry {
                     slice: read_slice(r)?,
@@ -539,7 +530,6 @@ mod tests {
         w.write_usize(42);
         w.write_f64(f64::NEG_INFINITY);
         w.write_f64(-0.0);
-        w.write_f32(f32::INFINITY);
         w.write_opt_usize(None);
         w.write_opt_usize(Some(9));
         w.write_seq(&[1u32, 2, 3], |w, &x| w.write_u32(x));
@@ -553,7 +543,6 @@ mod tests {
         assert_eq!(r.read_usize().unwrap(), 42);
         assert_eq!(r.read_f64().unwrap(), f64::NEG_INFINITY);
         assert_eq!(r.read_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.read_f32().unwrap(), f32::INFINITY);
         assert_eq!(r.read_opt_usize().unwrap(), None);
         assert_eq!(r.read_opt_usize().unwrap(), Some(9));
         assert_eq!(r.read_seq(1, ByteReader::read_u32).unwrap(), vec![1, 2, 3]);
@@ -584,7 +573,7 @@ mod tests {
         // Unknown enum tags.
         assert!(read_lag(&mut ByteReader::new(&[7])).is_err());
         assert!(read_beam(&mut ByteReader::new(&[7])).is_err());
-        assert!(read_precision(&mut ByteReader::new(&[7])).is_err());
+        assert!(read_decoder(&mut ByteReader::new(&[0, 7])).is_err());
     }
 
     #[test]
@@ -593,31 +582,52 @@ mod tests {
         let beams = [Beam::Exact, Beam::TopK(56), Beam::LogThreshold(-3.5)];
         for &lag in &lags {
             for &beam in &beams {
-                for precision in [Precision::Exact64, Precision::Fast32] {
-                    let mut w = ByteWriter::new();
-                    write_lag(&mut w, lag);
-                    write_decoder(&mut w, DecoderConfig { beam, precision });
-                    write_cand(
-                        &mut w,
-                        &MicroCandidate {
-                            postural: 3,
-                            gestural: Some(1),
-                            location: 2,
-                            obs_loglik: -1.25,
-                        },
-                    );
-                    let bytes = w.into_bytes();
-                    let mut r = ByteReader::new(&bytes);
-                    assert_eq!(read_lag(&mut r).unwrap(), lag);
-                    let d = read_decoder(&mut r).unwrap();
-                    assert_eq!(d.beam, beam);
-                    assert_eq!(d.precision, precision);
-                    let c = read_cand(&mut r).unwrap();
-                    assert_eq!((c.postural, c.gestural, c.location), (3, Some(1), 2));
-                    assert_eq!(c.obs_loglik.to_bits(), (-1.25f64).to_bits());
-                    r.expect_end().unwrap();
-                }
+                let mut w = ByteWriter::new();
+                write_lag(&mut w, lag);
+                write_decoder(&mut w, DecoderConfig { beam });
+                write_cand(
+                    &mut w,
+                    &MicroCandidate {
+                        postural: 3,
+                        gestural: Some(1),
+                        location: 2,
+                        obs_loglik: -1.25,
+                    },
+                );
+                let bytes = w.into_bytes();
+                let mut r = ByteReader::new(&bytes);
+                assert_eq!(read_lag(&mut r).unwrap(), lag);
+                let d = read_decoder(&mut r).unwrap();
+                assert_eq!(d.beam, beam);
+                let c = read_cand(&mut r).unwrap();
+                assert_eq!((c.postural, c.gestural, c.location), (3, Some(1), 2));
+                assert_eq!(c.obs_loglik.to_bits(), (-1.25f64).to_bits());
+                r.expect_end().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn retired_f32_lane_fields_write_empty_and_reject_content() {
+        // The decoder config still ends in the exact precision tag 0.
+        let mut w = ByteWriter::new();
+        write_decoder(&mut w, DecoderConfig::top_k(4));
+        assert_eq!(w.into_bytes(), [1, 4, 0]);
+        // Tag 1 was the f32 lane: rejected, never decoded as exact.
+        let err = read_decoder(&mut ByteReader::new(&[0, 1])).unwrap_err();
+        assert!(err.to_string().contains("f32"), "{err}");
+        // The f32-frontier slot is an empty sequence, and only that reads.
+        let mut w = ByteWriter::new();
+        RetiredF32Frontier.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [0]);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            RetiredF32Frontier::decode_from(&mut r).unwrap(),
+            RetiredF32Frontier
+        );
+        r.expect_end().unwrap();
+        let one_score = [1, 0, 0, 0x80, 0x3f];
+        assert!(RetiredF32Frontier::decode_from(&mut ByteReader::new(&one_score)).is_err());
     }
 }

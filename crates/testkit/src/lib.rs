@@ -29,9 +29,7 @@ pub mod toy;
 
 use cace_behavior::session::train_test_split;
 use cace_behavior::{cace_grammar, generate_cace_dataset, Session, SessionConfig};
-use cace_core::{
-    CaceConfig, CaceEngine, Lag, ParkedStream, Precision, Recognition, Strategy, StreamDecision,
-};
+use cace_core::{CaceConfig, CaceEngine, Lag, ParkedStream, Recognition, Strategy, StreamDecision};
 use cace_hdbn::{HdbnConfig, HdbnParams, MicroCandidate, TickInput};
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 
@@ -72,120 +70,10 @@ pub fn engine(train: &[Session], strategy: Strategy) -> CaceEngine {
 
 /// Trains an engine with an explicit configuration.
 ///
-/// Honors the `CACE_FAST32=1` environment gate: when set, the decoder's
-/// scoring precision is flipped to [`Precision::Fast32`] before training,
-/// so the whole integration suite can be swept through the `f32` lane
-/// without touching any test (CI runs the sweep as a separate job; the
-/// exact-lane bit-identity suites that compare against naive `f64`
-/// references are skipped there by name).
-///
 /// # Panics
 /// Panics if training fails (see [`engine`]).
 pub fn engine_with(train: &[Session], config: &CaceConfig) -> CaceEngine {
-    let mut config = config.clone();
-    if std::env::var("CACE_FAST32").is_ok_and(|v| v == "1") {
-        config.decoder.precision = Precision::Fast32;
-    }
-    CaceEngine::train(train, &config).expect("testkit: training succeeds on simulated data")
-}
-
-/// Fraction of per-tick macro decisions on which two recognitions agree,
-/// pooled over both users — the per-tick half of the f32-vs-f64 tolerance
-/// harness.
-///
-/// # Panics
-/// Panics if the two recognitions decode different tick counts.
-pub fn tick_agreement(a: &Recognition, b: &Recognition) -> f64 {
-    let mut total = 0usize;
-    let mut agree = 0usize;
-    for u in 0..2 {
-        assert_eq!(
-            a.macros[u].len(),
-            b.macros[u].len(),
-            "tick_agreement: user {u} path lengths differ"
-        );
-        total += a.macros[u].len();
-        agree += a.macros[u]
-            .iter()
-            .zip(&b.macros[u])
-            .filter(|(x, y)| x == y)
-            .count();
-    }
-    if total == 0 {
-        1.0
-    } else {
-        agree as f64 / total as f64
-    }
-}
-
-/// Macro-averaged per-class accuracy of decoded macros against ground
-/// truth, pooled over both users: mean over classes (that occur in the
-/// truth) of `correct / occurrences` — the paper's fig. 9 metric, shared
-/// by the bench harness and the tolerance tests.
-pub fn macro_accuracy(truth: &[[Vec<usize>; 2]], decoded: &[[Vec<usize>; 2]]) -> f64 {
-    let mut correct = std::collections::HashMap::new();
-    let mut total = std::collections::HashMap::new();
-    for (t, d) in truth.iter().zip(decoded) {
-        for u in 0..2 {
-            for (&gt, &got) in t[u].iter().zip(&d[u]) {
-                *total.entry(gt).or_insert(0u64) += 1;
-                if gt == got {
-                    *correct.entry(gt).or_insert(0u64) += 1;
-                }
-            }
-        }
-    }
-    if total.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = total
-        .iter()
-        .map(|(class, &n)| correct.get(class).copied().unwrap_or(0) as f64 / n as f64)
-        .sum();
-    sum / total.len() as f64
-}
-
-/// Asserts the f32-lane tolerance contract between an exact (`f64`) and a
-/// fast (`f32`) recognition run over the same sessions: per-tick macro
-/// agreement ≥ `min_agreement` (pooled over ticks and users) and
-/// macro-averaged accuracy within `max_accuracy_gap` of the exact lane.
-///
-/// # Panics
-/// Panics with `label` if either bound is violated.
-pub fn assert_lane_tolerance(
-    truth: &[[Vec<usize>; 2]],
-    exact: &[Recognition],
-    fast: &[Recognition],
-    min_agreement: f64,
-    max_accuracy_gap: f64,
-    label: &str,
-) {
-    assert_eq!(exact.len(), fast.len(), "{label}: session counts");
-    let mut agree_num = 0.0;
-    let mut agree_den = 0.0;
-    for (e, f) in exact.iter().zip(fast) {
-        let ticks = (e.macros[0].len() + e.macros[1].len()) as f64;
-        agree_num += tick_agreement(e, f) * ticks;
-        agree_den += ticks;
-    }
-    let agreement = if agree_den > 0.0 {
-        agree_num / agree_den
-    } else {
-        1.0
-    };
-    assert!(
-        agreement >= min_agreement,
-        "{label}: per-tick agreement {agreement:.4} < {min_agreement}"
-    );
-    let exact_paths: Vec<[Vec<usize>; 2]> = exact.iter().map(|r| r.macros.clone()).collect();
-    let fast_paths: Vec<[Vec<usize>; 2]> = fast.iter().map(|r| r.macros.clone()).collect();
-    let acc_exact = macro_accuracy(truth, &exact_paths);
-    let acc_fast = macro_accuracy(truth, &fast_paths);
-    assert!(
-        (acc_exact - acc_fast).abs() <= max_accuracy_gap,
-        "{label}: macro accuracy f64 {acc_exact:.4} vs f32 {acc_fast:.4} \
-         differs by more than {max_accuracy_gap}"
-    );
+    CaceEngine::train(train, config).expect("testkit: training succeeds on simulated data")
 }
 
 /// Asserts two recognitions are bit-identical in every deterministic

@@ -124,14 +124,14 @@ pub struct ToyModel {
     pub switch: Vec<Vec<f64>>,
 }
 
-impl ScoreModel<f64> for ToyModel {
+impl ScoreModel for ToyModel {
     const SWITCH: bool = true;
 
     fn init_score(&self, group: u32, _pair: u32, emission: f64) -> f64 {
         self.prior[group as usize] + emission
     }
 
-    fn dest(&self, pair: u32) -> Dest<'_, f64> {
+    fn dest(&self, pair: u32) -> Dest<'_> {
         Dest {
             group: self.pair_group[pair as usize],
             cont: &self.cont[pair as usize],
@@ -148,14 +148,14 @@ pub struct ToyFlatModel {
     pub cont: Vec<Vec<f64>>,
 }
 
-impl ScoreModel<f64> for ToyFlatModel {
+impl ScoreModel for ToyFlatModel {
     const SWITCH: bool = false;
 
     fn init_score(&self, _group: u32, _pair: u32, emission: f64) -> f64 {
         emission
     }
 
-    fn dest(&self, pair: u32) -> Dest<'_, f64> {
+    fn dest(&self, pair: u32) -> Dest<'_> {
         Dest {
             group: pair,
             cont: &self.cont[pair as usize],
@@ -165,7 +165,7 @@ impl ScoreModel<f64> for ToyFlatModel {
 }
 
 /// First-tick frontier by direct per-state evaluation.
-pub fn naive_init<M: ScoreModel<f64>>(model: &M, cur: &ToySpace) -> Vec<f64> {
+pub fn naive_init<M: ScoreModel>(model: &M, cur: &ToySpace) -> Vec<f64> {
     (0..cur.len())
         .map(|j| model.init_score(cur.group_of(j), cur.pair(j), cur.emission(j)))
         .collect()
@@ -177,7 +177,7 @@ pub fn naive_init<M: ScoreModel<f64>>(model: &M, cur: &ToySpace) -> Vec<f64> {
 /// indices) are scanned; backpointers stay in full-frontier coordinates.
 ///
 /// Returns `(v_next, back)`.
-pub fn naive_step<M: ScoreModel<f64>>(
+pub fn naive_step<M: ScoreModel>(
     model: &M,
     prev: &ToySpace,
     v: &[f64],
@@ -214,7 +214,7 @@ pub fn naive_step<M: ScoreModel<f64>>(
 /// Full naive decode: [`naive_init`], dense [`naive_step`]s, then the
 /// engine's last-max termination tie-break, backtracked to one state
 /// index per tick.
-pub fn naive_decode<M: ScoreModel<f64>>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
+pub fn naive_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
     let mut v = naive_init(model, &ticks[0]);
     let mut backs: Vec<Vec<u32>> = Vec::new();
     for t in 1..ticks.len() {
@@ -237,10 +237,10 @@ pub fn naive_decode<M: ScoreModel<f64>>(model: &M, ticks: &[ToySpace]) -> Vec<us
 
 /// The same decode driven through the generic kernels: `init_into`,
 /// `step_dense_into`, and the engine's termination `argmax`.
-pub fn engine_decode<M: ScoreModel<f64>>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
+pub fn engine_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
     let mut v: Vec<f64> = Vec::new();
     init_into(model, &ticks[0], &mut v);
-    let mut step: StepScratch<f64> = StepScratch::default();
+    let mut step: StepScratch = StepScratch::default();
     let mut backs: Vec<Vec<u32>> = Vec::new();
     for t in 1..ticks.len() {
         let mut back = Vec::new();
@@ -296,7 +296,7 @@ mod tests {
         // One pruned step against the naive survivor scan.
         let v = naive_init(&model, &ticks[0]);
         let keep = [0u32, 2];
-        let mut step: StepScratch<f64> = StepScratch::default();
+        let mut step: StepScratch = StepScratch::default();
         let mut back = Vec::new();
         cace_hdbn::trellis::step_pruned_into(
             &model, &ticks[0], &v, &keep, &ticks[1], &mut step, &mut back,

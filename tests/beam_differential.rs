@@ -229,10 +229,7 @@ fn extreme_beams_still_decode_whole_sessions() {
     let ticks = toy_glitchy_ticks(30);
     for beam in [Beam::TopK(0), Beam::TopK(1), Beam::LogThreshold(0.0)] {
         let path = CoupledHdbn::new(toy_two_activity_params(true))
-            .with_decoder(DecoderConfig {
-                beam,
-                ..DecoderConfig::exact()
-            })
+            .with_decoder(DecoderConfig { beam })
             .viterbi(&ticks)
             .expect("extreme beam decode");
         assert_eq!(path.macros[0].len(), ticks.len(), "{beam:?}");

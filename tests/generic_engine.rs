@@ -114,11 +114,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// Drives the generic kernels tick by tick against [`naive_step`],
 /// asserting bitwise-equal frontiers and equal backpointers. `keeps`
 /// selects the pruned kernel; `None` the dense one.
-fn check_steps<M: ScoreModel<f64>>(model: &M, spaces: &[ToySpace], keeps: Option<&[Vec<u32>]>) {
+fn check_steps<M: ScoreModel>(model: &M, spaces: &[ToySpace], keeps: Option<&[Vec<u32>]>) {
     let mut v = Vec::new();
     init_into(model, &spaces[0], &mut v);
     assert_eq!(bits(&v), bits(&naive_init(model, &spaces[0])));
-    let mut step: StepScratch<f64> = StepScratch::default();
+    let mut step: StepScratch = StepScratch::default();
     for t in 1..spaces.len() {
         let keep = keeps.map(|k| k[t - 1].as_slice());
         let mut back = Vec::new();

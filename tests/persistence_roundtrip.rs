@@ -4,11 +4,19 @@
 //! produces **bit-identical** batch and streaming recognition across all
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters and pruned
 //! decoder beams included.
+//!
+//! Parked streams are held to the same bar across builds: the golden
+//! snapshots under `tests/fixtures/` were written by the build that still
+//! had a reduced-precision `f32` decoding lane, and they must resume and
+//! continue bit-identically here. Snapshots that record that lane are
+//! rejected, never decoded as exact.
 
 use proptest::prelude::*;
 
 use cace::behavior::Session;
-use cace::core::{stream_session, CaceConfig, CaceEngine, DecoderConfig, Lag, Strategy};
+use cace::core::{
+    stream_session, CaceConfig, CaceEngine, DecoderConfig, Lag, ParkedStream, Strategy,
+};
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine_with, tiny_corpus};
 
@@ -59,10 +67,7 @@ proptest! {
             let reloaded = CaceEngine::load(&path).expect("snapshot read");
             std::fs::remove_file(&path).ok();
 
-            // The decoder settings round-trip verbatim. (Compared against
-            // the engine's own config, not the `decoder` literal: the
-            // `CACE_FAST32=1` sweep flips the trained precision, and the
-            // flipped lane must round-trip too.)
+            // The decoder settings round-trip verbatim.
             prop_assert_eq!(
                 reloaded.config().decoder,
                 trained.config().decoder,
@@ -120,9 +125,7 @@ fn pruned_decoder_config_round_trips_through_the_snapshot_text() {
     ] {
         let engine = engine_with(&train, &CaceConfig::default().with_decoder(decoder));
         let reloaded = CaceEngine::from_snapshot_str(&engine.to_snapshot_string()).unwrap();
-        // Against the engine's own config, not the literal: the
-        // `CACE_FAST32=1` sweep flips the trained precision, which must
-        // round-trip too.
+        // The decoder settings round-trip verbatim.
         assert_eq!(
             reloaded.config().decoder,
             engine.config().decoder,
@@ -150,4 +153,191 @@ fn tampered_snapshots_are_rejected() {
         CaceEngine::from_snapshot_str(&good[..good.len() - 10]),
         Err(ModelError::Persistence { .. })
     ));
+}
+
+/// The golden parked streams: `(strategy, fixture stem)`. Each fixture is
+/// the stream of [`golden_engine`] over the first test session, parked
+/// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`], saved both as the
+/// JSON snapshot (`.snapshot`) and as the binary kind (`.stream-bin`).
+const GOLDEN: [(Strategy, &str); 2] = [
+    (Strategy::CorrelationConstraint, "parked_c2"),
+    (Strategy::NaiveCorrelation, "parked_ncr"),
+];
+const GOLDEN_PARK_AT: usize = 30;
+const GOLDEN_LAG: usize = 5;
+
+/// Retrains the engine the golden fixtures were parked under.
+fn golden_engine(strategy: Strategy) -> (CaceEngine, Session) {
+    let (train, test) = tiny_corpus(4, 60, 17);
+    let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+    (engine, test[0].clone())
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+/// 64-bit FNV-1a, the snapshot envelope's checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Re-checksums an edited JSON snapshot, so a reader sees the edit and
+/// not a checksum mismatch.
+fn reseal_text(text: &str) -> String {
+    let payload = text.split_once('\n').expect("header line").1;
+    format!(
+        "CACE-SNAPSHOT v3 fnv1a64={:016x}\n{payload}",
+        fnv1a64(payload.as_bytes())
+    )
+}
+
+/// The payload of a binary snapshot.
+fn bin_payload(bytes: &[u8]) -> &[u8] {
+    let newline = bytes.iter().position(|&b| b == b'\n').expect("header line");
+    &bytes[newline + 1..]
+}
+
+/// Wraps an edited binary payload in a valid envelope.
+fn reseal_bin(payload: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "CACE-SNAPSHOT v3 kind=stream-bin fnv1a64={:016x} len={}\n",
+        fnv1a64(payload),
+        payload.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Asserts `result` is a persistence error naming the removed f32 lane.
+fn assert_f32_lane_rejected<T>(result: Result<T, ModelError>, what: &str) {
+    match result {
+        Err(ModelError::Persistence { what: msg }) => {
+            assert!(
+                msg.contains("f32"),
+                "{what}: rejected for another reason: {msg}"
+            )
+        }
+        Err(e) => panic!("{what}: wrong error kind {e:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn golden_parked_streams_resume_bit_identically() {
+    for (strategy, stem) in GOLDEN {
+        let (engine, session) = golden_engine(strategy);
+        let (straight_decisions, straight) =
+            stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
+        let json = fixture(&format!("{stem}.snapshot"));
+        let bin = fixture(&format!("{stem}.stream-bin"));
+        let from_json = ParkedStream::from_snapshot_str(std::str::from_utf8(&json).unwrap())
+            .expect("golden JSON snapshot reads");
+        let from_bin =
+            ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
+        // The layouts are unchanged: both re-encode to the golden bytes.
+        assert_eq!(
+            from_json.to_snapshot_string().as_bytes(),
+            json,
+            "{stem} JSON layout"
+        );
+        assert_eq!(from_bin.to_snapshot_bytes(), bin, "{stem} binary layout");
+
+        for (kind, parked) in [("JSON", from_json), ("binary", from_bin)] {
+            let label = format!("{stem} {kind}");
+            assert_eq!(parked.ticks_pushed(), GOLDEN_PARK_AT, "{label}");
+            let mut stream = engine.resume(&parked).expect("golden snapshot resumes");
+            let mut decisions = Vec::new();
+            for tick in &session.ticks[GOLDEN_PARK_AT..] {
+                decisions.extend(stream.push(&tick.observed).expect("push"));
+            }
+            let expected: Vec<_> = straight_decisions
+                .iter()
+                .filter(|d| d.tick >= GOLDEN_PARK_AT - GOLDEN_LAG)
+                .copied()
+                .collect();
+            assert_eq!(decisions, expected, "{label}: decisions after resume");
+            let resumed = stream.finish().expect("finish");
+            assert_recognitions_identical(&resumed, &straight, &label);
+        }
+    }
+}
+
+#[test]
+fn snapshots_of_the_removed_f32_lane_are_rejected() {
+    let json = String::from_utf8(fixture("parked_c2.snapshot")).unwrap();
+    let bin = fixture("parked_c2.stream-bin");
+    // The resealed, unedited fixtures still read: each rejection below is
+    // down to its edit.
+    assert!(ParkedStream::from_snapshot_str(&reseal_text(&json)).is_ok());
+    assert!(ParkedStream::from_snapshot_bytes(&reseal_bin(bin_payload(&bin))).is_ok());
+
+    // A stream whose decoder records the f32 lane, in either encoding.
+    // Binary payload: strategy tag, beam tag (`Exact`), precision tag.
+    let mut payload = bin_payload(&bin).to_vec();
+    assert_eq!(payload[1..3], [0, 0], "exact beam, exact precision");
+    payload[2] = 1;
+    assert_f32_lane_rejected(
+        ParkedStream::from_snapshot_bytes(&reseal_bin(&payload)),
+        "binary precision tag 1",
+    );
+    let fast = json.replacen("\"precision\":\"Exact64\"", "\"precision\":\"Fast32\"", 1);
+    assert_ne!(fast, json, "tamper target must exist");
+    assert_f32_lane_rejected(
+        ParkedStream::from_snapshot_str(&reseal_text(&fast)),
+        "JSON stream decoder Fast32",
+    );
+
+    // A non-empty f32 frontier, in either encoding. Binary: the coupled
+    // decoder state follows the lag and its tag; its f64 frontier is a
+    // varint length and that many 8-byte floats, then the f32 frontier's
+    // length, which is 0.
+    let payload = bin_payload(&bin);
+    assert_eq!(
+        payload[3..6],
+        [1, GOLDEN_LAG as u8, 2],
+        "fixed lag, coupled state"
+    );
+    let (mut len, mut at) = (0usize, 6usize);
+    for shift in (0..).step_by(7) {
+        let byte = payload[at];
+        at += 1;
+        len |= usize::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    let v32_at = at + 8 * len;
+    assert_eq!(payload[v32_at], 0, "empty f32 frontier");
+    let mut spliced = payload[..v32_at].to_vec();
+    spliced.push(1);
+    spliced.extend_from_slice(&(-1.5f32).to_bits().to_le_bytes());
+    spliced.extend_from_slice(&payload[v32_at + 1..]);
+    assert_f32_lane_rejected(
+        ParkedStream::from_snapshot_bytes(&reseal_bin(&spliced)),
+        "binary non-empty f32 frontier",
+    );
+    let filled = json.replacen("\"v32\":[]", "\"v32\":[-1.5]", 1);
+    assert_ne!(filled, json, "tamper target must exist");
+    assert_f32_lane_rejected(
+        ParkedStream::from_snapshot_str(&reseal_text(&filled)),
+        "JSON non-empty f32 frontier",
+    );
+
+    // An engine whose decoder records the f32 lane.
+    let (engine, _) = golden_engine(Strategy::CorrelationConstraint);
+    let text = engine.to_snapshot_string();
+    assert!(CaceEngine::from_snapshot_str(&reseal_text(&text)).is_ok());
+    let fast = text.replacen("\"precision\":\"Exact64\"", "\"precision\":\"Fast32\"", 1);
+    assert_ne!(fast, text, "tamper target must exist");
+    assert_f32_lane_rejected(
+        CaceEngine::from_snapshot_str(&reseal_text(&fast)),
+        "engine decoder Fast32",
+    );
 }

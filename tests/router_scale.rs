@@ -195,9 +195,7 @@ proptest! {
     /// A router whose rounds hand several homes the same tick reference
     /// produces decision schedules and final recognitions bit-identical
     /// to dedicated per-home streams, for all four strategies under exact
-    /// and wide-TopK beams. The `CACE_FAST32=1` CI sweep replays the same
-    /// assertions on the f32 lane (router and reference share one engine,
-    /// so bit-identity holds within either lane).
+    /// and wide-TopK beams.
     #[test]
     fn shared_tick_rounds_are_bit_identical_to_dedicated_streams(
         ticks in 36usize..48,

@@ -118,6 +118,66 @@ fn random_ticks(rng: &mut Rng, p: &HdbnParams, len: usize) -> Vec<TickInput> {
         .collect()
 }
 
+/// [`random_params`] with the Laplace mass injected instead of drawn, so
+/// the degenerate-boundary properties can drive it toward zero.
+fn random_params_with_laplace(rng: &mut Rng, config: HdbnConfig, laplace: f64) -> HdbnParams {
+    let n_macro = 2 + rng.below(2); // 2..=3
+    let n_postural = 2 + rng.below(2);
+    let n_gestural = 2;
+    let n_location = 2 + rng.below(2);
+    let len = 60 + rng.below(60);
+    let mut seq = LabeledSequence::default();
+    for u in 0..2 {
+        let mut run = rng.below(n_macro);
+        for t in 0..len {
+            if t % (5 + rng.below(10)) == 0 {
+                run = rng.below(n_macro);
+            }
+            seq.macros[u].push(run);
+            seq.posturals[u].push(rng.below(n_postural));
+            seq.gesturals[u].push(rng.below(n_gestural));
+            seq.locations[u].push(rng.below(n_location));
+        }
+    }
+    let stats = ConstraintMiner {
+        laplace,
+        n_macro,
+        n_postural,
+        n_gestural,
+        n_location,
+    }
+    .mine(&[seq])
+    .expect("random stats mine");
+    HdbnParams::new(stats, config).expect("random params build")
+}
+
+/// [`random_ticks`] without macro restrictions or bonuses.
+fn random_unrestricted_ticks(rng: &mut Rng, p: &HdbnParams, len: usize) -> Vec<TickInput> {
+    let stats = &p.stats;
+    let use_gestural = rng.below(2) == 0;
+    (0..len)
+        .map(|_| {
+            let mut tick = TickInput::default();
+            for u in 0..2 {
+                let n_cand = 1 + rng.below(3);
+                tick.candidates[u] = (0..n_cand)
+                    .map(|_| MicroCandidate {
+                        postural: rng.below(stats.n_postural),
+                        gestural: if use_gestural {
+                            Some(rng.below(stats.n_gestural))
+                        } else {
+                            None
+                        },
+                        location: rng.below(stats.n_location),
+                        obs_loglik: -6.0 * rng.f64(),
+                    })
+                    .collect();
+            }
+            tick
+        })
+        .collect()
+}
+
 /// The configuration extremes the tables must be built correctly under.
 fn configs() -> Vec<HdbnConfig> {
     vec![
@@ -310,5 +370,52 @@ proptest! {
                 Strategy::NaiveHmm => {}
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // The two properties below keep the names they had when they also
+    // checked a reduced-precision `f32` lane: the proptest runner seeds
+    // each property from its name, so the names pin their inputs.
+
+    /// Degenerate-boundary contract: with the Laplace mass driven down to
+    /// the `f64` subnormal regime, rarely-taken `log_end` / `log_switch`
+    /// boundaries bottom out near `ln(5e-324) ≈ −744.4`. The decode must
+    /// still end in a finite log-probability.
+    #[test]
+    fn clamped_end_boundaries_stay_finite_in_both_lanes(
+        seed in 0u64..10_000,
+        len in 8usize..24,
+    ) {
+        let mut rng = Rng::new(seed);
+        for laplace in [1e-9, 1e-30, 1e-300, 5e-324] {
+            let p = random_params_with_laplace(&mut rng, HdbnConfig::default(), laplace);
+            let ticks = random_unrestricted_ticks(&mut rng, &p, len);
+            let exact = CoupledHdbn::new(p)
+                .viterbi(&ticks)
+                .expect("exact decode");
+            prop_assert!(
+                exact.log_prob.is_finite(),
+                "f64 log_prob {} at laplace {laplace:e}", exact.log_prob
+            );
+        }
+    }
+
+    /// The log of every probability down to the smallest positive `f64`
+    /// subnormal is a finite score.
+    #[test]
+    fn subnormal_probabilities_round_trip_without_flushing(
+        exp in 1u32..1074, // 2^-1074 is the smallest positive subnormal
+    ) {
+        // Split the exponent so neither factor leaves normal f64 range
+        // (2^-1073 computed in one powi goes through 2^1073 = inf → 0);
+        // the product is a power of two, hence exact down to 2^-1074.
+        let half = (exp / 2) as i32;
+        let prob = 2f64.powi(-half) * 2f64.powi(half - exp as i32);
+        prop_assert!(prob > 0.0);
+        let log64 = prob.ln();
+        prop_assert!(log64.is_finite());
     }
 }

@@ -78,8 +78,7 @@ proptest! {
     /// once more before finalization) changes nothing — the decision
     /// schedule and the final recognition, overhead counters included, are
     /// bit-identical to the uninterrupted stream. Covers all four
-    /// strategies under exact and TopK beams; the `CACE_FAST32=1` CI sweep
-    /// replays the same suite on the f32 lane.
+    /// strategies under exact and TopK beams.
     #[test]
     fn park_resume_at_every_tick_is_bit_identical(
         ticks in 40usize..60,
