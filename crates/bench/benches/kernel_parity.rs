@@ -4,10 +4,10 @@
 //! The trait-parameterized engine (`cace_hdbn::trellis`) replaced the
 //! per-family copies of the dense/pruned step kernels and the online
 //! window machinery. Bit-identity is guarded by the equivalence suites;
-//! this bench guards *latency*: it re-measures the three hot-path rows
+//! this bench guards *latency*: it re-measures the two hot-path rows
 //! whose pre-refactor numbers are frozen in `BENCH_PR7.json` — the
-//! warmed C2 streaming push with the exact and `TopK(56)` beams
-//! (`score_tables/c2_stream_push_*`) and the exact batch decode
+//! warmed exact C2 streaming push (`score_tables/c2_stream_push_exact`)
+//! and the exact batch decode
 //! (`f32_lane/c2_batch_decode_f64`, the exact-lane row of the since
 //! removed `f32_lane` bench) — on the identical fig9 workload, and
 //! asserts each is within **5%** of its frozen record. Results land
@@ -27,7 +27,7 @@ use cace_behavior::{generate_casas_dataset, CasasConfig};
 use cace_bench::perf::{self, PerfRecord};
 use cace_bench::{header, trained};
 use cace_core::Strategy;
-use cace_hdbn::{CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, TickInput};
+use cace_hdbn::{CoupledHdbn, Lag, OnlineCoupledViterbi, TickInput};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -87,11 +87,6 @@ fn bench(c: &mut Criterion) {
         &inputs,
         repeats,
     );
-    let topk_push = stream_push_ns(
-        &CoupledHdbn::from_shared(Arc::clone(&params)).with_decoder(DecoderConfig::top_k(56)),
-        &inputs,
-        repeats,
-    );
     let exact_decoder = CoupledHdbn::from_shared(Arc::clone(&params));
     let exact_batch = best_per_tick_ns(n_ticks, repeats, || {
         black_box(exact_decoder.viterbi(black_box(&inputs)).expect("decode"));
@@ -108,11 +103,6 @@ fn bench(c: &mut Criterion) {
             "stream_push_exact",
             "score_tables/c2_stream_push_exact",
             exact_push,
-        ),
-        (
-            "stream_push_topk_56",
-            "score_tables/c2_stream_push_topk_56",
-            topk_push,
         ),
         (
             "batch_decode_exact",

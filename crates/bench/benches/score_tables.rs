@@ -7,17 +7,9 @@
 //! naive reference (`cace_testkit::naive`, the pre-table implementation
 //! with per-edge `transition_score` calls and per-column `Vec`s) — and
 //! reports the per-tick speedup (**target ≥2×**), the steady-state
-//! streaming push latency per beam, and the heap allocations per warmed
-//! push (**target 0**). Everything lands in `BENCH_PR6.json` as
-//! machine-readable perf records alongside the `beam_sweep` rows.
-//!
-//! The pruned streaming row uses `TopK(56)` — the width `beam_sweep`
-//! found to hold C2 accuracy within 0 pp of exact. PR 5 measured
-//! `TopK(bound/8)` = `TopK(1800)` here, which is *slower* than exact (the
-//! pruned kernel forgoes the dense kernel's run-max memoization, and a
-//! 1800-wide frontier doesn't shrink the work enough to pay for that);
-//! [`perf::assert_pruned_not_slower`] now guards the emitted records
-//! against that class of regression.
+//! streaming push latency, and the heap allocations per warmed push
+//! (**target 0**). Everything lands in the perf-record file as
+//! machine-readable rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +20,7 @@ use cace_behavior::session::train_test_split;
 use cace_behavior::{generate_casas_dataset, CasasConfig};
 use cace_bench::perf::{self, PerfRecord};
 use cace_bench::{header, trained};
-use cace_core::{DecoderConfig, Strategy};
+use cace_core::Strategy;
 use cace_hdbn::{CoupledHdbn, Lag, OnlineCoupledViterbi, TickInput};
 use cace_testkit::naive::naive_coupled_viterbi;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -142,15 +134,11 @@ fn bench(c: &mut Criterion) {
 
     // ---------- Streaming: warmed push latency + allocations ----------
     header("Score tables — steady-state streaming push (hdbn coupled frontier)");
-    println!("{:>10} {:>12} {:>14}", "beam", "ns/tick", "allocs/tick");
+    println!("{:>10} {:>12} {:>14}", "decoder", "ns/tick", "allocs/tick");
     let mut stream_records = Vec::new();
-    for (tag, decoder) in [
-        ("exact", DecoderConfig::exact()),
-        // beam_sweep's accuracy-holding width — NOT a bound/8 divisor; see
-        // the module docs for why the wide beam is a pessimization.
-        ("topk_56", DecoderConfig::top_k(56)),
-    ] {
-        let model = CoupledHdbn::from_shared(Arc::clone(&params)).with_decoder(decoder);
+    {
+        let tag = "exact";
+        let model = CoupledHdbn::from_shared(Arc::clone(&params));
         let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(10));
         online.reserve_ticks(4 * n_ticks + 1024);
         for tick in &inputs {
@@ -175,7 +163,7 @@ fn bench(c: &mut Criterion) {
             speedup_vs_naive: None,
             allocs_per_tick: Some(allocs_per_tick),
             homes_per_s: None,
-            note: format!("fig9 C2 warmed OnlineCoupledViterbi push, {tag} beam, lag 10"),
+            note: format!("fig9 C2 warmed OnlineCoupledViterbi push, {tag} decoder, lag 10"),
         });
     }
 
@@ -192,11 +180,6 @@ fn bench(c: &mut Criterion) {
         ),
     }];
     records.extend(stream_records);
-    perf::assert_pruned_not_slower(
-        &records,
-        "score_tables/c2_stream_push_exact",
-        "score_tables/c2_stream_push_topk_56",
-    );
     perf::emit(&records);
 
     // ---------- Criterion targets ----------

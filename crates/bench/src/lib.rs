@@ -87,7 +87,7 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// [`PerfRecord`](perf::PerfRecord)s keyed by a stable `id`; re-running a bench overwrites
 /// its own records and leaves the others, so the file accumulates one
 /// up-to-date row per measurement across harnesses (`score_tables`,
-/// `beam_sweep`, `router_scale`, `kernel_parity`, `adaptation`). CI's
+/// `router_scale`, `kernel_parity`, `adaptation`). CI's
 /// `--quick` smoke refreshes it on
 /// every run. The PR 5/6/7/8/9 files (`BENCH_PR5.json` …
 /// `BENCH_PR9.json`) are kept as historical baselines; when
@@ -143,40 +143,6 @@ pub mod perf {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join("BENCH_PR10.json")
-    }
-
-    /// Guard on a record batch about to be emitted: a pruning beam must
-    /// never be *slower* than the exact decode of the same workload — the
-    /// whole point of pruning is trading accuracy for latency. PR 5's
-    /// `score_tables/c2_stream_push_topk_8th` row violated this (a
-    /// `TopK(1800)` beam on C2's 14 400-state frontier keeps the beam so
-    /// wide the pruned kernel, which cannot use the dense kernel's
-    /// run-max memoization, does strictly more work than exact); this
-    /// assertion makes any such row a bench failure instead of a silent
-    /// entry in the trajectory file.
-    ///
-    /// # Panics
-    /// Panics if either id is missing from `records`, or if the pruned
-    /// row's `per_tick_ns` exceeds the exact row's.
-    pub fn assert_pruned_not_slower(records: &[PerfRecord], exact_id: &str, pruned_id: &str) {
-        let find = |id: &str| {
-            records
-                .iter()
-                .find(|r| r.id == id)
-                .unwrap_or_else(|| panic!("perf: no record with id {id}"))
-        };
-        let exact = find(exact_id);
-        let pruned = find(pruned_id);
-        assert!(
-            pruned.per_tick_ns <= exact.per_tick_ns,
-            "perf: pruned record {} ({:.0} ns/tick) is slower than exact record {} \
-             ({:.0} ns/tick) — the beam is too wide to pay for losing the dense \
-             kernel's memoizations",
-            pruned.id,
-            pruned.per_tick_ns,
-            exact.id,
-            exact.per_tick_ns,
-        );
     }
 
     /// A numeric `field` of record `id` in a frozen trajectory file at

@@ -7,8 +7,8 @@ use cace_baselines::Hmm;
 use cace_behavior::Session;
 use cace_features::SessionFeatures;
 use cace_hdbn::{
-    fit_em_shared as hdbn_fit_em_shared, trellis, BeamScratch, CoupledHdbn, DecoderConfig,
-    EmConfig, HdbnConfig, HdbnParams, SingleHdbn, StepScratch, TickInput,
+    fit_em_shared as hdbn_fit_em_shared, trellis, CoupledHdbn, DecoderConfig, EmConfig, HdbnConfig,
+    HdbnParams, SingleHdbn, TickInput, TrellisArena,
 };
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_mining::rules::mine_negative_rules;
@@ -39,12 +39,9 @@ pub struct CaceConfig {
     /// states in the state space"); much larger than `beam` because NH
     /// refuses to exploit any structure to shrink its trellis.
     pub nh_beam: usize,
-    /// Decode-time frontier pruning ([`cace_hdbn::Beam`]): `Exact` by
-    /// default (bit-identical to the historical decoders); `TopK`/
-    /// `LogThreshold` bound the per-tick trellis frontier the decoders
-    /// carry forward, on top of the candidate beams above. Applies to
-    /// every strategy, batch and streaming alike, and round-trips through
-    /// engine snapshots.
+    /// Decode-time configuration. Every decoder is exact (with
+    /// dominance pruning inside each step), so it has no settings; it
+    /// round-trips through engine snapshots as the exact decoder.
     pub decoder: DecoderConfig,
     /// Apriori thresholds (paper defaults: 4 % / 99 %).
     pub apriori: AprioriConfig,
@@ -77,7 +74,7 @@ impl Default for CaceConfig {
             mask: StateMask::FULL,
             beam: 8,
             nh_beam: 64,
-            decoder: DecoderConfig::default(),
+            decoder: DecoderConfig::exact(),
             apriori: AprioriConfig {
                 max_itemset: 3,
                 ..AprioriConfig::paper_default()
@@ -107,7 +104,7 @@ impl CaceConfig {
         self
     }
 
-    /// Builder-style decoder (frontier beam) override.
+    /// Builder-style decoder override.
     pub fn with_decoder(mut self, decoder: DecoderConfig) -> Self {
         self.decoder = decoder;
         self
@@ -442,12 +439,10 @@ impl CaceEngine {
         &self.config
     }
 
-    /// A copy of this engine serving with a different decode-time beam.
-    ///
-    /// The decoder configuration is not trained state — every classifier,
-    /// rule, and CPT is shared unchanged (parameters via `Arc`) — so beam
-    /// sweeps can reuse one trained engine instead of retraining per
-    /// width.
+    /// A copy of this engine serving with a different decoder
+    /// configuration. The configuration is not trained state — every
+    /// classifier, rule, and CPT is shared unchanged (parameters via
+    /// `Arc`).
     pub fn with_decoder(&self, decoder: DecoderConfig) -> Self {
         let mut serving = self.clone();
         serving.config.decoder = decoder;
@@ -499,8 +494,7 @@ impl CaceEngine {
         Ok(serving)
     }
 
-    /// Upper bound on this engine's per-tick decoder-frontier size — the
-    /// yardstick for choosing a [`cace_hdbn::Beam::TopK`] width (see
+    /// Upper bound on this engine's per-tick decoder-frontier size (see
     /// [`Strategy::frontier_bound`]).
     pub fn frontier_bound(&self) -> usize {
         self.config
@@ -593,30 +587,22 @@ impl CaceEngine {
             Strategy::NaiveHmm => self.recognize_nh(session, &features),
             Strategy::NaiveCorrelation => {
                 let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = SingleHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
+                let model = SingleHdbn::from_shared(Arc::clone(&self.params));
                 let mut states = 0u64;
                 let mut ops = 0u64;
                 let mut macros: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
                 for u in 0..2 {
                     let path = model.viterbi(&inputs, u)?;
                     states += path.states_explored;
-                    if self.config.decoder.beam.never_prunes(self.frontier_bound()) {
-                        // Historical input-size convention for the exact
-                        // decoder: single-chain transition work is |S|² per
-                        // tick.
-                        ops += inputs
-                            .windows(2)
-                            .map(|w| {
-                                (w[0].joint_states(self.n_macro) as f64).sqrt() as u64
-                                    * (w[1].joint_states(self.n_macro) as f64).sqrt() as u64
-                            })
-                            .sum::<u64>();
-                    } else {
-                        // Under a beam, report the decoder's own count so
-                        // the overhead tables reflect the pruned frontier.
-                        ops += path.transition_ops;
-                    }
+                    // Historical input-size convention: single-chain
+                    // transition work is |S|² per tick.
+                    ops += inputs
+                        .windows(2)
+                        .map(|w| {
+                            (w[0].joint_states(self.n_macro) as f64).sqrt() as u64
+                                * (w[1].joint_states(self.n_macro) as f64).sqrt() as u64
+                        })
+                        .sum::<u64>();
                     macros[u] = path.macros;
                 }
                 Ok((macros, states, ops, sizes, fired))
@@ -627,8 +613,7 @@ impl CaceEngine {
                     .iter()
                     .map(|i| i.joint_states(self.n_macro) as u128)
                     .collect();
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
+                let model = CoupledHdbn::from_shared(Arc::clone(&self.params));
                 let path = model.viterbi(&inputs)?;
                 Ok((
                     path.macros,
@@ -640,8 +625,7 @@ impl CaceEngine {
             }
             Strategy::CorrelationConstraint => {
                 let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
+                let model = CoupledHdbn::from_shared(Arc::clone(&self.params));
                 let path = model.viterbi(&inputs)?;
                 Ok((
                     path.macros,
@@ -740,11 +724,7 @@ impl CaceEngine {
         let mut states_explored = all_states[0].len() as u64;
         let mut transition_ops = 0u64;
         let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut step = StepScratch::default();
-
-        let beam = self.config.decoder.beam;
-        let mut scratch = BeamScratch::new();
-        let mut pruned = beam.select_log(&v, &mut scratch);
+        let mut arena = TrellisArena::new();
 
         for t in 1..inputs.len() {
             let cur = nh::states(&inputs[t], user, n);
@@ -755,23 +735,10 @@ impl CaceEngine {
             let mut back = Vec::new();
             let pv = nh::FlatView::new(prev, prev_emit, n);
             let cv = nh::FlatView::new(&cur, &emit, n);
-            if pruned {
-                transition_ops += (cur.len() * scratch.keep().len()) as u64;
-                trellis::step_pruned_into(
-                    &model,
-                    &pv,
-                    &v,
-                    scratch.keep(),
-                    &cv,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (cur.len() * prev.len()) as u64;
-                trellis::step_dense_into(&model, &pv, &v, &cv, &mut step, &mut back);
-            }
-            step.swap_frontier(&mut v);
-            pruned = beam.select_log(&v, &mut scratch);
+            transition_ops += (cur.len() * prev.len()) as u64;
+            let dom = self.nh_log_trans.dominance();
+            trellis::step_into(&model, dom, &pv, &v, &cv, &mut arena, &mut back);
+            arena.swap_frontier(&mut v);
             backptrs.push(back);
             all_states.push(cur);
             all_emit.push(emit);
@@ -846,28 +813,6 @@ mod tests {
             "C2 ops {} vs NCS ops {}",
             rec_c2.transition_ops,
             rec_ncs.transition_ops
-        );
-    }
-
-    #[test]
-    fn beamed_decoder_cuts_transition_work_without_losing_the_session() {
-        let sessions = dataset(4, 150, 11);
-        let (train, test) = train_test_split(sessions, 0.75);
-        let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
-        let exact = engine.recognize(&test[0]).unwrap();
-        // Same trained model, beamed frontier: decode-time state only.
-        let beamed_engine = engine.with_decoder(DecoderConfig::top_k(32));
-        let beamed = beamed_engine.recognize(&test[0]).unwrap();
-        assert!(
-            beamed.transition_ops * 2 < exact.transition_ops,
-            "TopK(32) ops {} should be well under exact {}",
-            beamed.transition_ops,
-            exact.transition_ops
-        );
-        let (acc_b, acc_e) = (beamed.accuracy(&test[0]), exact.accuracy(&test[0]));
-        assert!(
-            acc_b >= acc_e - 0.05,
-            "beamed accuracy {acc_b} fell too far below exact {acc_e}"
         );
     }
 

@@ -51,7 +51,7 @@ pub mod stream;
 pub mod transactions;
 
 pub use batch::BatchReport;
-pub use cace_hdbn::{Beam, DecoderConfig, Lag};
+pub use cace_hdbn::{DecoderConfig, Lag};
 pub use classifiers::MicroClassifiers;
 pub use engine::{CaceConfig, CaceEngine, Recognition};
 pub use router::{

@@ -14,15 +14,18 @@
 //! `n_macro`-entry row — no nested `Vec<Vec<f64>>` pointer chase on the
 //! hot path. The step kernels write into reused buffers, and the online
 //! frontier pools its window entries, mirroring the `TrellisArena`
-//! discipline.
+//! discipline. Every step is dominance-pruned over the table's own
+//! [`Dominance`] table, exactly like the hierarchical decoders.
 
 use std::collections::VecDeque;
 
 use cace_hdbn::park::{check, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
+    self, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
-use cace_hdbn::{DecoderConfig, Lag, RetiredF32Frontier, StepScratch, TickInput};
+use cace_hdbn::{
+    Dominance, Lag, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier, TickInput, TrellisArena,
+};
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +42,9 @@ pub(crate) struct FlatTable {
     n: usize,
     /// `to[a * n + ap] = log P(a | ap)`.
     to: Vec<f64>,
+    /// Dominance table over the macro transitions (never persisted: a
+    /// pure function of `to`, rebuilt with it).
+    dominance: Dominance,
 }
 
 impl FlatTable {
@@ -52,7 +58,8 @@ impl FlatTable {
                 to[a * n + ap] = v;
             }
         }
-        Self { n, to }
+        let dominance = Dominance::build(n, |ap, a| to[a * n + ap]);
+        Self { n, to, dominance }
     }
 
     /// Reconstructs the src-major nested rows (bitwise; used by engine
@@ -67,6 +74,11 @@ impl FlatTable {
     #[inline]
     pub(crate) fn row(&self, a: usize) -> &[f64] {
         &self.to[a * self.n..(a + 1) * self.n]
+    }
+
+    /// The dominance table over the macro transitions.
+    pub(crate) fn dominance(&self) -> &Dominance {
+        &self.dominance
     }
 }
 
@@ -208,48 +220,26 @@ impl TrellisFamily for FlatFamily<'_> {
         back.clear();
     }
 
-    fn step_dense(
+    fn step(
         &self,
         prev: &FlatEntry,
         v: &[f64],
         entry: &mut FlatEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
+        arena: &mut TrellisArena,
+    ) -> (u64, usize) {
         let FlatEntry { states, emit, back } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
         let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
-        cace_hdbn::trellis::step_dense_into(
+        let survivors = trellis::step_into(
             &FlatModel { table: self.table },
+            self.table.dominance(),
             &pv,
             v,
             &cur,
-            step,
+            arena,
             back,
         );
-        (states.len() * prev.states.len()) as u64
-    }
-
-    fn step_pruned(
-        &self,
-        prev: &FlatEntry,
-        v: &[f64],
-        keep: &[u32],
-        entry: &mut FlatEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
-        let FlatEntry { states, emit, back } = entry;
-        let cur = FlatView::new(states, emit, self.table.n);
-        let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
-        cace_hdbn::trellis::step_pruned_into(
-            &FlatModel { table: self.table },
-            &pv,
-            v,
-            keep,
-            &cur,
-            step,
-            back,
-        );
-        (states.len() * keep.len()) as u64
+        ((states.len() * prev.states.len()) as u64, survivors)
     }
 }
 
@@ -273,8 +263,8 @@ pub(crate) struct ParkedFlat {
     pub(crate) emitted: Vec<usize>,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: bool,
-    pub(crate) keep: Vec<u32>,
+    pub(crate) pruned: RetiredBeamFlag,
+    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedFlat {
@@ -316,7 +306,7 @@ impl ParkedFlat {
             prev_len = Some(e.states.len());
         }
         if let Some(frontier) = prev_len {
-            validate_frontier(what, frontier, &self.v, self.pruned, &self.keep)?;
+            validate_frontier(what, frontier, &self.v)?;
         }
         Ok(())
     }
@@ -333,7 +323,6 @@ impl ParkedFlat {
 /// from the caller, so one table serves any number of live and parked
 /// frontiers (the fleet-sharing property the serving tier relies on).
 pub(crate) struct OnlineFlat {
-    decoder: DecoderConfig,
     core: OnlineTrellis<FlatEntry>,
     /// Emitted macro ids, 16 bits each: every id indexes the flat table,
     /// which is as wide as the model's macro count, and `HdbnParams::new`
@@ -342,12 +331,17 @@ pub(crate) struct OnlineFlat {
 }
 
 impl OnlineFlat {
-    pub(crate) fn new(lag: Lag, decoder: DecoderConfig) -> Self {
+    pub(crate) fn new(lag: Lag) -> Self {
         Self {
-            decoder,
             core: OnlineTrellis::new(lag),
             emitted: Vec::new(),
         }
+    }
+
+    /// Flat states the last push's DP step folded (see
+    /// `OnlineCoupledViterbi::last_survivors`).
+    pub(crate) fn last_survivors(&self) -> Option<usize> {
+        self.core.last_survivors()
     }
 
     /// Checkpoints the frontier (see `cace_hdbn::park` for the contract).
@@ -368,13 +362,13 @@ impl OnlineFlat {
             emitted: self.emitted.iter().map(|&m| usize::from(m)).collect(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            pruned: RetiredBeamFlag,
+            keep: RetiredBeamKeep,
         }
     }
 
     /// Rehydrates a parked frontier; bit-identical continuation against
-    /// the same `table`, `lag`, and `decoder` the stream was opened with.
+    /// the same `table` and `lag` the stream was opened with.
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state is structurally
@@ -382,7 +376,6 @@ impl OnlineFlat {
     pub(crate) fn resume(
         table: &FlatTable,
         lag: Lag,
-        decoder: DecoderConfig,
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
         parked.validate(table, lag)?;
@@ -404,7 +397,6 @@ impl OnlineFlat {
             })
             .collect();
         Ok(Self {
-            decoder,
             core: OnlineTrellis::from_parts(
                 lag,
                 parked.v.clone(),
@@ -413,8 +405,6 @@ impl OnlineFlat {
                 parked.pushed,
                 parked.states_explored,
                 parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
             ),
             emitted,
         })
@@ -432,8 +422,7 @@ impl OnlineFlat {
         entry.states = states;
         entry.emit = emit;
         let n_states = entry.states.len() as u64;
-        self.core
-            .push_entry(&FlatFamily { table }, self.decoder.beam, entry, n_states);
+        self.core.push_entry(&FlatFamily { table }, entry, n_states);
         let decision = self.core.emit_ready(|e, j, t| (t, e.states[j].0));
         if let Some((_, macro_id)) = decision {
             self.emitted.push(macro_id as u16);

@@ -810,8 +810,7 @@ impl ShardedRouter {
             ))
         })?;
         let engine = Arc::clone(&self.models[idx].engines[self.models[idx].current]);
-        let observer = SingleHdbn::from_shared(Arc::clone(engine.hdbn_params()))
-            .with_decoder(engine.config().decoder);
+        let observer = SingleHdbn::from_shared(Arc::clone(engine.hdbn_params()));
         let mut drift = self.models[idx]
             .drift
             .take()
@@ -853,8 +852,8 @@ impl ShardedRouter {
     ///
     /// # Errors
     /// [`ModelError::InvalidConfig`] on an unknown model or an engine
-    /// whose strategy/decoder configuration differs from the serving
-    /// one's (streams could not swap onto it).
+    /// whose strategy differs from the serving one's (streams could not
+    /// swap onto it).
     pub fn publish_model(
         &mut self,
         model: &str,
@@ -863,11 +862,9 @@ impl ShardedRouter {
         let idx = self.model_index(model)?;
         let entry = &mut self.models[idx];
         let current = &entry.engines[entry.current];
-        if engine.config().strategy != current.config().strategy
-            || engine.config().decoder != current.config().decoder
-        {
+        if engine.config().strategy != current.config().strategy {
             return Err(config_err(format!(
-                "published engine's strategy/decoder config does not match \
+                "published engine's strategy does not match \
                  model `{model}`'s serving configuration"
             )));
         }

@@ -52,10 +52,9 @@ use crate::stream::{ParkedDecoder, ParkedStream};
 const MAGIC: &str = "CACE-SNAPSHOT";
 /// Current snapshot format version. v3 added the leading `"kind"`
 /// discriminator and the parked-stream kind; v2 added the engine's
-/// [`DecoderConfig`](cace_hdbn::DecoderConfig) (frontier beam) to the
-/// persisted configuration. v2 engine payloads (kindless) still load; v1
-/// payloads predate the persisted beam and are rejected rather than
-/// silently defaulted, so a served beam is always the trained one.
+/// [`DecoderConfig`](cace_hdbn::DecoderConfig) (then a frontier beam) to
+/// the persisted configuration. v2 engine payloads (kindless) still load;
+/// v1 payloads predate the persisted decoder and are rejected.
 const VERSION: u32 = 3;
 /// Oldest engine-snapshot version the reader accepts.
 const MIN_ENGINE_VERSION: u32 = 2;
@@ -427,8 +426,8 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     w.write_seq(&f.emitted, |w, &x| w.write_usize(x));
     w.write_u64(f.states_explored);
     w.write_u64(f.transition_ops);
-    w.write_bool(f.pruned);
-    w.write_seq(&f.keep, |w, &x| w.write_u32(x));
+    f.pruned.encode_into(w);
+    f.keep.encode_into(w);
 }
 
 fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
@@ -446,8 +445,8 @@ fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
         emitted: r.read_seq(1, ByteReader::read_usize)?,
         states_explored: r.read_u64()?,
         transition_ops: r.read_u64()?,
-        pruned: r.read_bool()?,
-        keep: r.read_seq(1, ByteReader::read_u32)?,
+        pruned: cace_hdbn::RetiredBeamFlag::decode_from(r)?,
+        keep: cace_hdbn::RetiredBeamKeep::decode_from(r)?,
     })
 }
 

@@ -9,17 +9,14 @@
 //! candidate is one id mapping plus flat-array loads, regardless of how
 //! many DP edges touch it.
 //!
-//! Two distinct "beams" act on a tick, at different stages. The
-//! *candidate* beam here ([`TickPreparer`]'s `beam` field, from
+//! The *candidate* beam here ([`TickPreparer`]'s `beam` field, from
 //! [`CaceConfig::beam`](crate::CaceConfig)) caps how many scored micro
 //! tuples per user enter the decoder at all — it shapes the state space
-//! before inference. The *frontier* beam
-//! ([`CaceConfig::decoder`](crate::CaceConfig), a
-//! [`cace_hdbn::Beam`]) acts later, inside the decoders, bounding how many
-//! of those states' trellis scores are carried from one tick to the next.
-//! They compose: the candidate beam fixes the frontier's width ceiling
-//! (see [`Strategy::frontier_bound`](crate::Strategy::frontier_bound)),
-//! the frontier beam prunes within it.
+//! before inference, and with it the frontier's width ceiling (see
+//! [`Strategy::frontier_bound`](crate::Strategy::frontier_bound)). Inside
+//! the decoders, dominance pruning then skips the states of that frontier
+//! that provably cannot win (`cace_hdbn::dominance`), without changing
+//! any decision.
 
 use cace_behavior::ObservedTick;
 use cace_features::TickFeatures;

@@ -64,9 +64,8 @@ impl Strategy {
     /// tick, given the engine's per-user macro count and micro-candidate
     /// caps (`beam` for the structured strategies, `nh_beam` for NH).
     ///
-    /// This is the frontier a [`cace_hdbn::Beam::TopK`] width is measured
-    /// against: `TopK(k)` with `k` at or above this bound never prunes.
-    /// The coupled strategies (NCS, C2) decode one *joint* frontier — the
+    /// Dominance pruning folds at most this many states per step. The
+    /// coupled strategies (NCS, C2) decode one *joint* frontier — the
     /// product of both users' chains — while NH and NCR decode two
     /// independent per-user frontiers, so the bound is per decoded
     /// frontier, not per home.

@@ -28,7 +28,7 @@
 //! [`CaceEngine::resume`] (or [`resume_shared`]) rehydrates it mid-stream
 //! with a **bit-identical** continuation — same decisions, same overhead
 //! accounting, same [`finish`](StreamingRecognizer::finish) result — for
-//! every strategy and beam. Resume is panic-free: a
+//! every strategy. Resume is panic-free: a
 //! tampered or mismatched checkpoint is rejected with
 //! [`ModelError::Persistence`]. The sharded serving tier
 //! ([`crate::router`]) is built on exactly this park/rehydrate cycle.
@@ -169,21 +169,16 @@ pub struct StreamingRecognizer<'a> {
 /// Builds the per-strategy decoder state for a fresh stream.
 fn fresh_decoder(engine: &CaceEngine, lag: Lag) -> Decoder {
     match engine.config.strategy {
-        Strategy::NaiveHmm => Decoder::Nh([
-            OnlineFlat::new(lag, engine.config.decoder),
-            OnlineFlat::new(lag, engine.config.decoder),
-        ]),
+        Strategy::NaiveHmm => Decoder::Nh([OnlineFlat::new(lag), OnlineFlat::new(lag)]),
         Strategy::NaiveCorrelation => {
-            let model = SingleHdbn::from_shared(Arc::clone(&engine.params))
-                .with_decoder(engine.config.decoder);
+            let model = SingleHdbn::from_shared(Arc::clone(&engine.params));
             Decoder::Single([
                 OnlineSingleViterbi::new(model.clone(), 0, lag),
                 OnlineSingleViterbi::new(model, 1, lag),
             ])
         }
         Strategy::NaiveConstraint | Strategy::CorrelationConstraint => {
-            let model = CoupledHdbn::from_shared(Arc::clone(&engine.params))
-                .with_decoder(engine.config.decoder);
+            let model = CoupledHdbn::from_shared(Arc::clone(&engine.params));
             Decoder::Coupled(OnlineCoupledViterbi::new(model, lag))
         }
     }
@@ -220,11 +215,6 @@ fn resume_impl<'a>(
             "parked stream was recorded under strategy {:?}, engine runs {:?}",
             parked.strategy, e.config.strategy
         )));
-    }
-    if parked.decoder != e.config.decoder {
-        return Err(park_err(
-            "parked stream decoder config does not match the engine's",
-        ));
     }
     // Model identity gate: a checkpoint silently resumed under different
     // parameters would continue with a *valid-looking but wrong* frontier
@@ -265,16 +255,15 @@ fn resume_impl<'a>(
                 return Err(cursor_err());
             }
             Decoder::Nh([
-                OnlineFlat::resume(&e.nh_log_trans, parked.lag, e.config.decoder, &flats[0])?,
-                OnlineFlat::resume(&e.nh_log_trans, parked.lag, e.config.decoder, &flats[1])?,
+                OnlineFlat::resume(&e.nh_log_trans, parked.lag, &flats[0])?,
+                OnlineFlat::resume(&e.nh_log_trans, parked.lag, &flats[1])?,
             ])
         }
         (ParkedDecoder::Single(chains), Strategy::NaiveCorrelation) => {
             if chains.iter().any(|c| c.ticks_pushed() != parked.pushed) {
                 return Err(cursor_err());
             }
-            let model =
-                SingleHdbn::from_shared(Arc::clone(&e.params)).with_decoder(e.config.decoder);
+            let model = SingleHdbn::from_shared(Arc::clone(&e.params));
             Decoder::Single([
                 OnlineSingleViterbi::resume(model.clone(), 0, parked.lag, &chains[0])?,
                 OnlineSingleViterbi::resume(model, 1, parked.lag, &chains[1])?,
@@ -287,8 +276,7 @@ fn resume_impl<'a>(
             if coupled.ticks_pushed() != parked.pushed {
                 return Err(cursor_err());
             }
-            let model =
-                CoupledHdbn::from_shared(Arc::clone(&e.params)).with_decoder(e.config.decoder);
+            let model = CoupledHdbn::from_shared(Arc::clone(&e.params));
             Decoder::Coupled(OnlineCoupledViterbi::resume(model, parked.lag, coupled)?)
         }
         _ => {
@@ -331,8 +319,8 @@ impl CaceEngine {
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state was recorded
-    /// under a different strategy or decoder config, or is structurally
-    /// inconsistent (tampered) — resume never panics on bad bytes.
+    /// under a different strategy, or is structurally inconsistent
+    /// (tampered) — resume never panics on bad bytes.
     pub fn resume(&self, parked: &ParkedStream) -> Result<StreamingRecognizer<'_>, ModelError> {
         resume_impl(EngineRef::Borrowed(self), parked)
     }
@@ -366,6 +354,20 @@ impl StreamingRecognizer<'_> {
     /// Ticks consumed so far.
     pub fn ticks_pushed(&self) -> usize {
         self.pushed
+    }
+
+    /// Frontier states the last push's DP step folded after dominance
+    /// selection, summed over the stream's frontiers (one joint frontier
+    /// for NCS/C2, one per user for NH and NCR). A label-free gauge of how
+    /// ambiguous the decode is; a value near the frontier size means the
+    /// steps ran dense. `None` before the second push and right after a
+    /// resume (it is not parked).
+    pub fn last_survivors(&self) -> Option<usize> {
+        match &self.decoder {
+            Decoder::Coupled(online) => online.last_survivors(),
+            Decoder::Single([c0, c1]) => Some(c0.last_survivors()? + c1.last_survivors()?),
+            Decoder::Nh([f0, f1]) => Some(f0.last_survivors()? + f1.last_survivors()?),
+        }
     }
 
     /// Consumes one observed tick; returns the newly ripened fixed-lag
@@ -471,8 +473,8 @@ impl StreamingRecognizer<'_> {
     /// both halves. Swapping onto an engine with identical parameters is
     /// a bit-identical no-op end to end.
     ///
-    /// The swap is atomic: on error (strategy/decoder-config mismatch,
-    /// incompatible dimensions) the stream is left exactly as it was.
+    /// The swap is atomic: on error (strategy mismatch, incompatible
+    /// dimensions) the stream is left exactly as it was.
     /// Drift-capture state carries across the swap, pending windows
     /// included.
     ///
@@ -527,12 +529,6 @@ impl StreamingRecognizer<'_> {
     pub fn finish(self) -> Result<Recognition, ModelError> {
         let start = Instant::now();
         let pushed = self.pushed;
-        let never_prunes = self
-            .engine
-            .config
-            .decoder
-            .beam
-            .never_prunes(self.engine.frontier_bound());
         let (macros, states_explored, transition_ops) = match self.decoder {
             Decoder::Coupled(online) => {
                 let path = online.finalize()?;
@@ -542,19 +538,12 @@ impl StreamingRecognizer<'_> {
                 let [c0, c1] = chains;
                 let p0 = c0.finalize()?;
                 let p1 = c1.finalize()?;
-                // Mirror the batch path's choice: the |S|²-per-tick
-                // input-size convention (charged once per user) for a
-                // decoder that can never prune, the decoders' own counts
-                // under a live beam.
-                let ops = if never_prunes {
-                    2 * self.ncr_ops
-                } else {
-                    p0.transition_ops + p1.transition_ops
-                };
+                // Mirror the batch path: the |S|²-per-tick input-size
+                // convention, charged once per user.
                 (
                     [p0.macros, p1.macros],
                     p0.states_explored + p1.states_explored,
-                    ops,
+                    2 * self.ncr_ops,
                 )
             }
             Decoder::Nh(flats) => {

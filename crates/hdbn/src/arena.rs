@@ -7,9 +7,9 @@
 //! The arena centralizes that memory: **one allocation per decode (batch)
 //! or per stream (online), reused across ticks**, so the steady-state hot
 //! loop of a warmed online decoder performs zero heap allocations per
-//! pushed tick (`tests/alloc_steady_state.rs` counts them). The beam
-//! survivor scratch and the pruned-step group buffers of PR 4
-//! ([`BeamScratch`], `JointScratch`) live here too, as arena fields.
+//! pushed tick (`tests/alloc_steady_state.rs` counts them). The
+//! dominance survivor list and the survivor kernels' group buffers
+//! (`JointScratch`) live here too, as arena fields.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
 //! `(activity, micro-candidate)` pairs — and carries, per state, the
@@ -18,7 +18,6 @@
 //! per tick when the slice is filled; after that, every transition
 //! evaluation in every kernel is a flat-array load.
 
-use crate::beam::BeamScratch;
 use crate::input::TickInput;
 use crate::params::HdbnParams;
 use crate::viterbi::JointScratch;
@@ -159,13 +158,15 @@ pub(crate) fn fill_slice(
 }
 
 /// Step-kernel scratch: the fold buffers every DP step writes through,
-/// plus the ping-pong frontier the steps emit into. Split from the beam
-/// scratch so a caller can hold the beam's survivor list and the step
-/// buffers mutably at the same time.
+/// plus the ping-pong frontier the steps emit into. Split from the
+/// survivor list so a caller can hold the survivors and the step buffers
+/// mutably at the same time.
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
-    /// Pruned joint-step group buffers (PR 4's `JointScratch`, absorbed).
+    /// Survivor joint-step group buffers.
     pub(crate) joint: JointScratch,
+    /// Chain-2 dominance column of a joint survivor selection.
+    pub(crate) dom_col: Vec<f64>,
     /// Allowed-macro scratch for [`fill_slice`].
     pub(crate) macro_ids: Vec<usize>,
     /// Pass-1 joint fold `W[slot2, j1p]` (per distinct chain-2 dst pair,
@@ -182,8 +183,8 @@ pub struct StepScratch {
     /// uses (one candidate per run instead of one per state).
     pub(crate) run_max: Vec<f64>,
     pub(crate) run_arg: Vec<u32>,
-    /// Activity runs of a *pruned* survivor list (`(activity, start, end)`
-    /// half-open into `keep`), rebuilt per pruned step.
+    /// Activity runs of a survivor list (`(activity, start, end)`
+    /// half-open into `keep`), rebuilt per survivor step.
     pub(crate) runs_scratch: Vec<(u32, u32, u32)>,
     /// Ping-pong frontier: kernels write the new frontier here; the caller
     /// swaps it with its live frontier vector.
@@ -221,16 +222,17 @@ impl StepScratch {
 }
 
 /// All reusable trellis memory of one decode (batch) or one stream
-/// (online): beam survivor scratch plus step-kernel scratch.
+/// (online): the dominance survivor list plus step-kernel scratch.
 ///
 /// Allocated once, reused across ticks; buffers grow to the high-water
 /// frontier size and stay there, so the steady-state per-tick loop is
 /// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct TrellisArena {
-    /// Beam survivor-selection scratch (kept as its own field so `keep()`
-    /// can be borrowed while the step scratch is borrowed mutably).
-    pub(crate) beam: BeamScratch,
+    /// Survivors of the current step's dominance selection, ascending
+    /// (its own field so it can be read while the step scratch is
+    /// borrowed mutably).
+    pub(crate) keep: Vec<u32>,
     /// Fold buffers and ping-pong frontier.
     pub(crate) step: StepScratch,
 }
@@ -239,5 +241,11 @@ impl TrellisArena {
     /// An empty arena (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Swaps the frontier the last step wrote with the caller's live
+    /// frontier (see [`StepScratch::swap_frontier`]).
+    pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
+        self.step.swap_frontier(v);
     }
 }

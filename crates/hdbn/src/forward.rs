@@ -1,7 +1,4 @@
-//! Log-space numerical utilities for the forward–backward algorithm, plus
-//! beam pruning of normalized filtering distributions.
-
-use crate::beam::{Beam, BeamScratch};
+//! Log-space numerical utilities for the forward–backward algorithm.
 
 /// Numerically stable `log Σ exp(xᵢ)`.
 ///
@@ -31,34 +28,6 @@ pub fn normalize_log(xs: &mut [f64]) -> f64 {
         }
     }
     z
-}
-
-/// Beams one normalized filtering distribution in place: the states the
-/// beam prunes are zeroed and the surviving mass is renormalized to sum to
-/// one, so the next filtering step propagates only the surviving lattice.
-///
-/// Returns `true` when anything was pruned; `false` (distribution
-/// untouched) for [`Beam::Exact`] or when the whole frontier survives.
-pub fn apply_beam_linear(beam: Beam, weights: &mut [f64], scratch: &mut BeamScratch) -> bool {
-    if !beam.select_linear(weights, scratch) {
-        return false;
-    }
-    let keep = scratch.keep();
-    let total: f64 = keep.iter().map(|&i| weights[i as usize]).sum();
-    let mut next_kept = keep.iter().peekable();
-    for (i, w) in weights.iter_mut().enumerate() {
-        if next_kept.peek() == Some(&&(i as u32)) {
-            next_kept.next();
-        } else {
-            *w = 0.0;
-        }
-    }
-    if total > 0.0 {
-        for &i in keep {
-            weights[i as usize] /= total;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -98,27 +67,5 @@ mod tests {
         let mut xs = [f64::NEG_INFINITY, f64::NEG_INFINITY];
         normalize_log(&mut xs);
         assert_eq!(xs, [0.5, 0.5]);
-    }
-
-    #[test]
-    fn beamed_filtering_distribution_renormalizes_survivors() {
-        let mut scratch = BeamScratch::new();
-        let mut w = [0.5, 0.3, 0.15, 0.05];
-        assert!(apply_beam_linear(Beam::TopK(2), &mut w, &mut scratch));
-        assert_eq!(w[2], 0.0);
-        assert_eq!(w[3], 0.0);
-        assert!((w[0] + w[1] - 1.0).abs() < 1e-12);
-        assert!((w[0] - 0.5 / 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exact_beam_leaves_the_distribution_untouched() {
-        let mut scratch = BeamScratch::new();
-        let mut w = [0.6, 0.4];
-        assert!(!apply_beam_linear(Beam::Exact, &mut w, &mut scratch));
-        assert_eq!(w, [0.6, 0.4]);
-        // A TopK covering everything is likewise a no-op.
-        assert!(!apply_beam_linear(Beam::TopK(5), &mut w, &mut scratch));
-        assert_eq!(w, [0.6, 0.4]);
     }
 }

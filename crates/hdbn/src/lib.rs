@@ -28,10 +28,10 @@
 //! The same recursion also runs *incrementally*: the [`online`] module
 //! maintains the trellis frontier tick by tick with fixed-lag smoothing,
 //! for run-time recognition on live sensor streams. On top of the
-//! candidate-space pruning, every decoder accepts a [`DecoderConfig`]
-//! whose [`Beam`] restricts the *frontier* itself each tick (top-K or
-//! log-threshold), trading a provably-bounded amount of path quality for
-//! per-tick work proportional to the beam width — see [`beam`].
+//! candidate-space pruning, every DP step is *dominance-pruned*: a
+//! per-model bound proves most frontier states cannot win any destination,
+//! and the step folds only the rest, with output bit-identical to the
+//! dense recursion — see [`dominance`].
 //!
 //! The hot path is memory-engineered on two axes. *Scoring*: every decoder
 //! reads transition/emission factors from the dense precomputed
@@ -53,6 +53,7 @@
 
 pub mod arena;
 pub mod beam;
+pub mod dominance;
 pub mod em;
 pub mod forward;
 pub mod input;
@@ -67,17 +68,18 @@ pub mod viterbi;
 pub mod wire;
 
 pub use arena::{StepScratch, TrellisArena};
-pub use beam::{Beam, BeamScratch, DecoderConfig};
+pub use beam::DecoderConfig;
+pub use dominance::Dominance;
 pub use em::{e_step, fit_em, fit_em_shared, DriftAccumulator, EmConfig, EmOutcome};
 pub use forward::log_sum_exp;
 pub use input::{MicroCandidate, TickInput};
 pub use online::{Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SmoothedChain, SmoothedJoint};
 pub use params::{HdbnConfig, HdbnParams};
-pub use park::{ParkedChain, ParkedCoupled, RetiredF32Frontier};
+pub use park::{ParkedChain, ParkedCoupled, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier};
 pub use single::SingleHdbn;
 pub use tables::ScoreTables;
 pub use trellis::{
     Dest, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
     TrellisFamily,
 };
-pub use viterbi::{CoupledHdbn, JointPath};
+pub use viterbi::{joint_step_pair, CoupledHdbn, JointPath, JointStepPair};

@@ -67,11 +67,12 @@ use std::sync::Arc;
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{fill_slice, Slice, StepScratch};
+use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
 use crate::park::{
-    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredF32Frontier,
+    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
+    RetiredBeamKeep, RetiredF32Frontier,
 };
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
@@ -159,29 +160,18 @@ impl TrellisFamily for CoupledFamily<'_> {
         entry.back.clear();
     }
 
-    fn step_dense(
+    fn step(
         &self,
         prev: &JointEntry,
         v: &[f64],
         entry: &mut JointEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
-        let (k1, k2) = (prev.s1.len(), prev.s2.len());
+        arena: &mut TrellisArena,
+    ) -> (u64, usize) {
         let JointEntry { s1, s2, back, .. } = entry;
-        viterbi::joint_step_into(self.p, &prev.s1, &prev.s2, v, &*s1, &*s2, step, back);
-        (k1 as u64 * k2 as u64) * (s1.len() as u64 + s2.len() as u64)
-    }
-
-    fn step_pruned(
-        &self,
-        prev: &JointEntry,
-        v: &[f64],
-        keep: &[u32],
-        entry: &mut JointEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
-        let JointEntry { s1, s2, back, .. } = entry;
-        viterbi::joint_step_pruned_into(self.p, &prev.s1, &prev.s2, v, keep, &*s1, &*s2, step, back)
+        let survivors =
+            viterbi::joint_step_exact_into(self.p, &prev.s1, &prev.s2, v, s1, s2, arena, back);
+        let ops = viterbi::joint_step_charge(&prev.s1, &prev.s2, s1, s2);
+        (ops, survivors)
     }
 }
 
@@ -199,37 +189,24 @@ impl TrellisFamily for ChainFamily<'_> {
         entry.back.clear();
     }
 
-    fn step_dense(
+    fn step(
         &self,
         prev: &ChainEntry,
         v: &[f64],
         entry: &mut ChainEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
+        arena: &mut TrellisArena,
+    ) -> (u64, usize) {
         let ChainEntry { slice, back, .. } = entry;
-        trellis::step_dense_into(&HierModel::new(self.p), &prev.slice, v, &*slice, step, back);
-        (prev.slice.len() * slice.len()) as u64
-    }
-
-    fn step_pruned(
-        &self,
-        prev: &ChainEntry,
-        v: &[f64],
-        keep: &[u32],
-        entry: &mut ChainEntry,
-        step: &mut StepScratch,
-    ) -> u64 {
-        let ChainEntry { slice, back, .. } = entry;
-        trellis::step_pruned_into(
+        let survivors = trellis::step_into(
             &HierModel::new(self.p),
+            self.p.tables.dominance(),
             &prev.slice,
             v,
-            keep,
-            &*slice,
-            step,
+            slice,
+            arena,
             back,
         );
-        (keep.len() * slice.len()) as u64
+        ((prev.slice.len() * slice.len()) as u64, survivors)
     }
 }
 
@@ -351,10 +328,7 @@ impl EmittedDecision {
 /// state enumeration and the two-user decision bookkeeping.
 #[derive(Debug, Clone)]
 pub struct OnlineCoupledViterbi {
-    model: CoupledHdbn,
-    /// The model's shared parameters, held directly so the hot push path
-    /// can borrow them alongside the core's arena without aliasing
-    /// `model`.
+    /// The model's shared parameters.
     params: Arc<HdbnParams>,
     core: OnlineTrellis<JointEntry>,
     /// Decisions already emitted (prefix of the stream), both users per
@@ -377,12 +351,10 @@ fn decode_joint(entry: &JointEntry, flat: usize) -> ([usize; 2], [MicroCandidate
 }
 
 impl OnlineCoupledViterbi {
-    /// Starts an empty stream against a trained model (the model's
-    /// [`DecoderConfig`](crate::DecoderConfig) governs beam pruning).
+    /// Starts an empty stream against a trained model.
     pub fn new(model: CoupledHdbn, lag: Lag) -> Self {
         let params = model.shared_params();
         Self {
-            model,
             params,
             core: OnlineTrellis::new(lag),
             emitted: Vec::new(),
@@ -400,6 +372,14 @@ impl OnlineCoupledViterbi {
         self.core.window_len()
     }
 
+    /// Joint states the last push's DP step folded after dominance
+    /// selection — a label-free gauge of how ambiguous the decode is.
+    /// `None` before the second push and right after a resume (it is not
+    /// parked).
+    pub fn last_survivors(&self) -> Option<usize> {
+        self.core.last_survivors()
+    }
+
     /// Pre-reserves the emitted-decision history for `additional` more
     /// ticks, so a serving loop with a known stream length performs
     /// *strictly* zero heap allocations per push once warmed (without
@@ -412,7 +392,7 @@ impl OnlineCoupledViterbi {
     /// Consumes one tick, advancing the frontier by one DP step; returns
     /// the newly ripened fixed-lag decision, if any.
     ///
-    /// Steady-state cost: one dense (or beam-pruned) DP step over reused
+    /// Steady-state cost: one dominance-pruned exact DP step over reused
     /// arena buffers and a recycled window entry — zero heap allocations
     /// once the stream is warmed (`tests/alloc_steady_state.rs`).
     ///
@@ -441,9 +421,8 @@ impl OnlineCoupledViterbi {
             entry.cands[u].extend_from_slice(&tick.candidates[u]);
         }
         let n_states = (entry.s1.len() * entry.s2.len()) as u64;
-        let beam = self.model.decoder().beam;
         self.core
-            .push_entry(&CoupledFamily { p: &self.params }, beam, entry, n_states);
+            .push_entry(&CoupledFamily { p: &self.params }, entry, n_states);
         let emitted = &self.emitted;
         let decision = self.core.emit_ready(|entry, flat, t| {
             debug_assert_eq!(t, emitted.len());
@@ -463,8 +442,9 @@ impl OnlineCoupledViterbi {
 
     /// Checkpoints the stream: everything the decode depends on — the
     /// live frontier, the backpointer window, the decision cursor and
-    /// emitted history, the overhead counters, and the pending beam
-    /// survivors — in a serializable form. The model is *not* captured;
+    /// emitted history, and the overhead counters — in a serializable
+    /// form. Dominance survivors are recomputed by the next step, so they
+    /// are not parked. The model is *not* captured;
     /// [`resume`](Self::resume) re-attaches one, so a fleet of parked
     /// homes shares a single `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
@@ -488,8 +468,8 @@ impl OnlineCoupledViterbi {
             emitted_micros,
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            pruned: RetiredBeamFlag,
+            keep: RetiredBeamKeep,
         }
     }
 
@@ -527,7 +507,6 @@ impl OnlineCoupledViterbi {
             })
             .collect();
         Ok(Self {
-            model,
             params,
             core: OnlineTrellis::from_parts(
                 lag,
@@ -537,8 +516,6 @@ impl OnlineCoupledViterbi {
                 parked.pushed,
                 parked.states_explored,
                 parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
             ),
             emitted,
         })
@@ -599,7 +576,6 @@ impl TrellisEntry for ChainEntry {
 /// streaming counterpart of [`SingleHdbn::viterbi`], wrapping the same
 /// [`OnlineTrellis`] core as the coupled decoder.
 pub struct OnlineSingleViterbi {
-    model: SingleHdbn,
     params: Arc<HdbnParams>,
     user: usize,
     core: OnlineTrellis<ChainEntry>,
@@ -607,12 +583,10 @@ pub struct OnlineSingleViterbi {
 }
 
 impl OnlineSingleViterbi {
-    /// Starts an empty stream decoding `user`'s chain (the model's
-    /// [`DecoderConfig`](crate::DecoderConfig) governs beam pruning).
+    /// Starts an empty stream decoding `user`'s chain.
     pub fn new(model: SingleHdbn, user: usize, lag: Lag) -> Self {
         let params = model.shared_params();
         Self {
-            model,
             params,
             user,
             core: OnlineTrellis::new(lag),
@@ -628,6 +602,12 @@ impl OnlineSingleViterbi {
     /// Current backpointer-window length.
     pub fn window_len(&self) -> usize {
         self.core.window_len()
+    }
+
+    /// Chain states the last push's DP step folded (see
+    /// [`OnlineCoupledViterbi::last_survivors`]).
+    pub fn last_survivors(&self) -> Option<usize> {
+        self.core.last_survivors()
     }
 
     /// Pre-reserves the emitted-decision history for `additional` more
@@ -657,9 +637,8 @@ impl OnlineSingleViterbi {
         entry.cands.clear();
         entry.cands.extend_from_slice(&tick.candidates[self.user]);
         let n_states = entry.slice.len() as u64;
-        let beam = self.model.decoder().beam;
         self.core
-            .push_entry(&ChainFamily { p: &self.params }, beam, entry, n_states);
+            .push_entry(&ChainFamily { p: &self.params }, entry, n_states);
         let decision = self.core.emit_ready(|entry, j, t| SmoothedChain {
             tick: t,
             macro_id: entry.slice.activities[j],
@@ -693,8 +672,8 @@ impl OnlineSingleViterbi {
             emitted_micros,
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            pruned: RetiredBeamFlag,
+            keep: RetiredBeamKeep,
         }
     }
 
@@ -724,7 +703,6 @@ impl OnlineSingleViterbi {
             })
             .collect();
         Ok(Self {
-            model,
             params,
             user,
             core: OnlineTrellis::from_parts(
@@ -735,8 +713,6 @@ impl OnlineSingleViterbi {
                 parked.pushed,
                 parked.states_explored,
                 parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
             ),
             emitted,
         })
@@ -983,37 +959,6 @@ mod tests {
         assert_eq!(path.macros.len(), ticks.len());
     }
 
-    #[test]
-    fn beamed_online_coupled_matches_beamed_batch_bit_for_bit() {
-        use crate::beam::DecoderConfig;
-        let ticks = glitchy_ticks();
-        for config in [DecoderConfig::top_k(4), DecoderConfig::log_threshold(3.0)] {
-            let model = CoupledHdbn::new(toy_params(true)).with_decoder(config);
-            let batch = model.viterbi(&ticks).unwrap();
-            let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
-            for tick in &ticks {
-                assert_eq!(online.push(tick).unwrap(), None);
-            }
-            let streamed = online.finalize().unwrap();
-            assert_eq!(streamed, batch, "{config:?}: floats and accounting");
-        }
-    }
-
-    #[test]
-    fn beamed_online_single_matches_beamed_batch_bit_for_bit() {
-        use crate::beam::DecoderConfig;
-        let ticks = glitchy_ticks();
-        let model = SingleHdbn::new(toy_params(false)).with_decoder(DecoderConfig::top_k(2));
-        for user in 0..2 {
-            let batch = model.viterbi(&ticks, user).unwrap();
-            let mut online = OnlineSingleViterbi::new(model.clone(), user, Lag::Unbounded);
-            for tick in &ticks {
-                assert_eq!(online.push(tick).unwrap(), None);
-            }
-            assert_eq!(online.finalize().unwrap(), batch, "user {user}");
-        }
-    }
-
     /// Streams `ticks` through a coupled decoder, parking + resuming at
     /// tick `park_at`; returns (decisions, final path).
     fn coupled_with_park(
@@ -1037,33 +982,28 @@ mod tests {
 
     #[test]
     fn park_resume_at_every_tick_is_bit_identical_coupled() {
-        use crate::beam::DecoderConfig;
         let ticks = glitchy_ticks();
-        for config in [DecoderConfig::exact(), DecoderConfig::top_k(4)] {
-            for lag in [Lag::Unbounded, Lag::Fixed(4)] {
-                let model = CoupledHdbn::new(toy_params(true)).with_decoder(config);
-                let mut unbroken = OnlineCoupledViterbi::new(model.clone(), lag);
-                let mut straight = Vec::new();
-                for tick in &ticks {
-                    straight.extend(unbroken.push(tick).unwrap());
-                }
-                let expected = unbroken.finalize().unwrap();
-                for park_at in 0..=ticks.len() {
-                    let (decisions, path) = coupled_with_park(&model, &ticks, lag, park_at);
-                    assert_eq!(decisions, straight, "{config:?} {lag:?} park@{park_at}");
-                    assert_eq!(path, expected, "{config:?} {lag:?} park@{park_at}");
-                }
+        for lag in [Lag::Unbounded, Lag::Fixed(4)] {
+            let model = CoupledHdbn::new(toy_params(true));
+            let mut unbroken = OnlineCoupledViterbi::new(model.clone(), lag);
+            let mut straight = Vec::new();
+            for tick in &ticks {
+                straight.extend(unbroken.push(tick).unwrap());
+            }
+            let expected = unbroken.finalize().unwrap();
+            for park_at in 0..=ticks.len() {
+                let (decisions, path) = coupled_with_park(&model, &ticks, lag, park_at);
+                assert_eq!(decisions, straight, "{lag:?} park@{park_at}");
+                assert_eq!(path, expected, "{lag:?} park@{park_at}");
             }
         }
     }
 
     #[test]
     fn park_resume_at_every_tick_is_bit_identical_single() {
-        use crate::beam::DecoderConfig;
         let ticks = glitchy_ticks();
-        let config = DecoderConfig::top_k(2);
         let lag = Lag::Fixed(3);
-        let model = SingleHdbn::new(toy_params(false)).with_decoder(config);
+        let model = SingleHdbn::new(toy_params(false));
         let mut unbroken = OnlineSingleViterbi::new(model.clone(), 1, lag);
         let mut straight = Vec::new();
         for tick in &ticks {
@@ -1081,12 +1021,8 @@ mod tests {
                 }
                 decisions.extend(online.push(tick).unwrap());
             }
-            assert_eq!(decisions, straight, "{config:?} park@{park_at}");
-            assert_eq!(
-                online.finalize().unwrap(),
-                expected,
-                "{config:?} park@{park_at}"
-            );
+            assert_eq!(decisions, straight, "park@{park_at}");
+            assert_eq!(online.finalize().unwrap(), expected, "park@{park_at}");
         }
     }
 
@@ -1134,22 +1070,43 @@ mod tests {
         let mut bad = parked.clone();
         bad.emitted_micros[1][0].location = usize::MAX;
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+    }
 
-        // A pruned stream with a corrupted survivor set is also rejected.
-        let model_pruned =
-            CoupledHdbn::new(toy_params(true)).with_decoder(crate::beam::DecoderConfig::top_k(2));
-        let mut online = OnlineCoupledViterbi::new(model_pruned.clone(), Lag::Unbounded);
-        for tick in glitchy_ticks().iter().take(5) {
+    #[test]
+    fn survivor_gauge_is_unparked_and_repeats_exactly() {
+        let model = CoupledHdbn::new(toy_params(true));
+        let ticks = glitchy_ticks();
+        let mut online = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
+        assert_eq!(online.last_survivors(), None);
+        online.push(&ticks[0]).unwrap();
+        assert_eq!(
+            online.last_survivors(),
+            None,
+            "no step before the second push"
+        );
+        let mut gauge = Vec::new();
+        for tick in &ticks[1..] {
             online.push(tick).unwrap();
+            let survivors = online.last_survivors().expect("a step ran");
+            // 2 activities × 2 candidates per chain → 16 joint states.
+            assert!((1..=16).contains(&survivors), "{survivors}");
+            gauge.push(survivors);
         }
-        let parked = online.park();
-        assert!(parked.pruned, "TopK(2) prunes the toy frontier");
-        let mut bad = parked.clone();
-        bad.keep = vec![3, 1]; // not ascending
-        assert!(matches!(
-            OnlineCoupledViterbi::resume(model_pruned.clone(), Lag::Unbounded, &bad),
-            Err(ModelError::Persistence { .. })
-        ));
+        assert!(
+            gauge.iter().any(|&s| s < 16),
+            "dominance prunes the toy frontier"
+        );
+        let resumed = OnlineCoupledViterbi::resume(model.clone(), Lag::Fixed(2), &online.park())
+            .expect("own park output resumes");
+        assert_eq!(resumed.last_survivors(), None, "the gauge is not parked");
+
+        let mut again = OnlineCoupledViterbi::new(model, Lag::Fixed(2));
+        let mut repeat = Vec::new();
+        for tick in &ticks {
+            again.push(tick).unwrap();
+            repeat.extend(again.last_survivors());
+        }
+        assert_eq!(repeat, gauge, "the count repeats exactly");
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi): the trellis
 //! frontier, the backpointer window with its per-tick slices and retained
 //! candidate tuples, the decision cursor (`base`/`pushed` plus the emitted
-//! history), the overhead counters, and the pending beam-survivor set a
-//! pruned next step would consume.
+//! history), and the overhead counters.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
 //! the entry free list and the [`TrellisArena`](crate::TrellisArena)
 //! scratch (rebuilt empty — they only exist to avoid steady-state
-//! allocations), and the model itself (the caller re-attaches it at
+//! allocations), the dominance survivors (recomputed from the frontier by
+//! the next step), and the model itself (the caller re-attaches it at
 //! resume, sharing one `Arc<HdbnParams>` across a whole fleet of parked
 //! homes).
 //!
@@ -38,6 +38,60 @@ use crate::params::HdbnParams;
 /// decoding lane.
 pub(crate) const RETIRED_LANE: &str =
     "snapshot was decoded in the removed f32 scoring lane; only exact (f64) snapshots resume";
+
+/// Message of every rejection of a snapshot that records one of the
+/// removed lossy decoder beams.
+pub(crate) const RETIRED_BEAMS: &str =
+    "snapshot records a removed lossy decoder beam (TopK or LogThreshold); only exact \
+     snapshots resume, because a frontier pruned by such a beam cannot continue exactly";
+
+/// The `pruned` slot of the parked layouts.
+///
+/// Streams decoded under a lossy frontier beam once recorded here whether
+/// their current frontier was beam-restricted. Those beams are gone; the
+/// slot stays so the JSON and `stream-bin` layouts are unchanged. It
+/// always writes `false` and reads only `false`: a pruned frontier is
+/// missing states an exact decode still needs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredBeamFlag;
+
+impl Serialize for RetiredBeamFlag {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Bool(false)
+    }
+}
+
+impl Deserialize for RetiredBeamFlag {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        if value.as_bool()? {
+            Err(serde::Error::msg(RETIRED_BEAMS))
+        } else {
+            Ok(Self)
+        }
+    }
+}
+
+/// The `keep` slot of the parked layouts: the survivor list of a lossy
+/// beam, once. Writes an empty sequence and reads only one, like
+/// [`RetiredBeamFlag`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredBeamKeep;
+
+impl Serialize for RetiredBeamKeep {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Seq(Vec::new())
+    }
+}
+
+impl Deserialize for RetiredBeamKeep {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        if value.as_seq()?.is_empty() {
+            Ok(Self)
+        } else {
+            Err(serde::Error::msg(RETIRED_BEAMS))
+        }
+    }
+}
 
 /// The `v32` slot of the parked layouts.
 ///
@@ -192,8 +246,8 @@ pub struct ParkedCoupled {
     pub(crate) emitted_micros: [Vec<MicroCandidate>; 2],
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: bool,
-    pub(crate) keep: Vec<u32>,
+    pub(crate) pruned: RetiredBeamFlag,
+    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedCoupled {
@@ -241,13 +295,7 @@ impl ParkedCoupled {
             prev_flat = Some(flat);
         }
         if let Some(frontier) = prev_flat {
-            validate_frontier(
-                "parked coupled stream",
-                frontier,
-                &self.v,
-                self.pruned,
-                &self.keep,
-            )?;
+            validate_frontier("parked coupled stream", frontier, &self.v)?;
         }
         Ok(())
     }
@@ -274,8 +322,8 @@ pub struct ParkedChain {
     pub(crate) emitted_micros: Vec<MicroCandidate>,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: bool,
-    pub(crate) keep: Vec<u32>,
+    pub(crate) pruned: RetiredBeamFlag,
+    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedChain {
@@ -315,13 +363,7 @@ impl ParkedChain {
             prev_len = Some(m);
         }
         if let Some(frontier) = prev_len {
-            validate_frontier(
-                "parked chain stream",
-                frontier,
-                &self.v,
-                self.pruned,
-                &self.keep,
-            )?;
+            validate_frontier("parked chain stream", frontier, &self.v)?;
         }
         Ok(())
     }
@@ -374,32 +416,16 @@ pub fn validate_cursor(
     Ok(())
 }
 
-/// Frontier + pending-survivor invariants shared by every parked decoder
-/// family: the frontier matches the newest window entry, carries no NaN
-/// (the frontier argmax totally orders scores — see
-/// [`argmax`](crate::trellis::argmax)), and a pending pruned survivor set
-/// is a strict, strictly-ascending subset of it.
-pub fn validate_frontier(
-    what: &str,
-    frontier: usize,
-    v: &[f64],
-    pruned: bool,
-    keep: &[u32],
-) -> Result<(), ModelError> {
+/// Frontier invariants shared by every parked decoder family: the
+/// frontier matches the newest window entry and carries no NaN (the
+/// frontier argmax totally orders scores — see
+/// [`argmax`](crate::trellis::argmax)).
+pub fn validate_frontier(what: &str, frontier: usize, v: &[f64]) -> Result<(), ModelError> {
     check(v.len() == frontier, || {
         format!("{what}: frontier length != newest window entry")
     })?;
     check(v.iter().all(|s| !s.is_nan()), || {
         format!("{what}: NaN frontier score")
     })?;
-    if pruned {
-        check(
-            !keep.is_empty()
-                && keep.len() < frontier
-                && keep.windows(2).all(|w| w[0] < w[1])
-                && keep.iter().all(|&k| (k as usize) < frontier),
-            || format!("{what}: malformed beam survivor set"),
-        )?;
-    }
     Ok(())
 }

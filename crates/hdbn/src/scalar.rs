@@ -77,6 +77,25 @@ pub(crate) fn sweep_add_max_arg(
     }
 }
 
+/// [`sweep_max`] taking the winning argmax per element from `src_arg` —
+/// merges one partial fold (`src`, `src_arg`) into another with strict
+/// `>`, which equals continuing the fold over the partial's candidates.
+#[inline(never)]
+pub(crate) fn sweep_max_arg(src: &[f64], src_arg: &[u32], acc: &mut [f64], arg: &mut [u32]) {
+    for (((&x, &ja), a), r) in src
+        .iter()
+        .zip(src_arg.iter())
+        .zip(acc.iter_mut())
+        .zip(arg.iter_mut())
+    {
+        let take = x > *a;
+        let m = (take as u64).wrapping_neg();
+        let m32 = (take as u32).wrapping_neg();
+        *r = (ja & m32) | (*r & !m32);
+        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
+    }
+}
+
 /// Chunk width of the lane folds: 8 explicit accumulators, wide enough to
 /// fill two AVX2 registers, and comfortably unrollable on the SSE2
 /// baseline.
@@ -167,33 +186,59 @@ pub(crate) fn fold_max_sum(a: &[f64], b: &[f64]) -> (f64, u32) {
     (best, arg)
 }
 
-/// Last-argmax frontier argmax — the termination rule of every decoder
-/// (`Iterator::max_by` keeps the *last* maximum, and the historical
-/// decoders terminate through it, so this must too).
+/// Last-argmax frontier argmax — the termination rule of every decoder,
+/// and the start of every fixed-lag backtrack: `(index, score)` of the
+/// *last* maximum, as `Iterator::max_by` returns it (the historical
+/// decoders terminate through `max_by`, so this must match it), in the
+/// same 8-wide lane shape as `fold_max`.
 ///
-/// # Invariant
-/// A decoder frontier is never empty and never holds a NaN, so neither
-/// `expect` below can fire on any input:
-/// - *nonempty*: every decoder rejects a tick with no micro candidates
-///   or an empty macro restriction before any kernel runs
-///   (`ModelError::EmptyStateSpace`), and resume rejects an empty parked
-///   slice;
-/// - *NaN-free*: NaN observation log-likelihoods are clamped to `-∞`
-///   when the tick input is built, and the model's log tables hold no
-///   NaN, so a score sum could only turn NaN as `+∞ + -∞`, which no
-///   log-probability produces; resume rejects NaN emissions and NaN
-///   frontier scores ([`crate::park::validate_frontier`]).
-///
-/// `tests/hostile_ticks.rs` parks and resumes every strategy's frontier
-/// after NaN, infinite, empty and all-missing sensor ticks, which
-/// re-checks the NaN half on each of them.
+/// A decoder frontier is never empty and never holds a NaN: every decoder
+/// rejects a tick with no micro candidates or an empty macro restriction
+/// before any kernel runs (`ModelError::EmptyStateSpace`), NaN
+/// observation log-likelihoods are clamped to `-∞` when the tick input is
+/// built, the model's log tables hold no NaN, and resume rejects an empty
+/// parked slice and NaN scores ([`crate::park::validate_frontier`]).
+/// Should either invariant ever break, the fold still returns without
+/// panicking: NaN entries never win, and an empty or all-NaN slice gives
+/// `(0, -∞)`. `tests/hostile_ticks.rs` parks and resumes every strategy's
+/// frontier after NaN, infinite, empty and all-missing sensor ticks.
 #[inline]
 pub fn argmax(v: &[f64]) -> (usize, f64) {
-    v.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("frontier scores are never NaN"))
-        .map(|(i, &s)| (i, s))
-        .expect("a decoder frontier is never empty")
+    let chunks = v.len() / LANES;
+    let mut best = f64::NEG_INFINITY;
+    let mut arg = 0usize;
+    let mut seen = false;
+    if chunks > 0 {
+        let mut acc = [f64::NEG_INFINITY; LANES];
+        let mut acc_arg = [usize::MAX; LANES];
+        for c in 0..chunks {
+            let base = c * LANES;
+            let chunk = &v[base..base + LANES];
+            for l in 0..LANES {
+                // `>=` keeps the last maximum within a lane.
+                if chunk[l] >= acc[l] {
+                    acc[l] = chunk[l];
+                    acc_arg[l] = base + l;
+                }
+            }
+        }
+        for l in 0..LANES {
+            if acc_arg[l] != usize::MAX
+                && (!seen || acc[l] > best || (acc[l] == best && acc_arg[l] > arg))
+            {
+                best = acc[l];
+                arg = acc_arg[l];
+                seen = true;
+            }
+        }
+    }
+    for (i, &x) in v.iter().enumerate().skip(chunks * LANES) {
+        if x >= best {
+            best = x;
+            arg = i;
+        }
+    }
+    (arg, best)
 }
 
 #[cfg(test)]
@@ -257,5 +302,37 @@ mod tests {
         // `-∞` entries (impossible states) order like any other score.
         assert_eq!(argmax(&[f64::NEG_INFINITY, -3.0]), (1, -3.0));
         assert_eq!(argmax(&[f64::NEG_INFINITY; 3]), (2, f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn argmax_matches_max_by_with_ties_and_remainders() {
+        let mut state = 0x2545_F491u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 9 {
+                0 => f64::NEG_INFINITY,
+                1 => -0.0,
+                k => (k % 4) as f64 - 2.0, // few distinct values → many ties
+            }
+        };
+        for len in 1..70 {
+            let v: Vec<f64> = (0..len).map(|_| next()).collect();
+            let want = v
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .map(|(i, &s)| (i, s))
+                .unwrap();
+            let got = argmax(&v);
+            assert_eq!(
+                (got.0, got.1.to_bits()),
+                (want.0, want.1.to_bits()),
+                "len {len}"
+            );
+        }
+        assert_eq!(argmax(&[]), (0, f64::NEG_INFINITY));
+        assert_eq!(argmax(&[f64::NAN, 1.0, f64::NAN]), (1, 1.0));
     }
 }

@@ -6,8 +6,8 @@
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch};
-use crate::beam::{BeamScratch, DecoderConfig};
+use crate::arena::{fill_slice, Slice, TrellisArena};
+use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
 use crate::scalar;
@@ -24,9 +24,9 @@ pub struct SinglePath {
     pub log_prob: f64,
     /// Σ_t |S(t)| states instantiated.
     pub states_explored: u64,
-    /// Σ_t |frontier(t−1)| · |S(t)| transition evaluations performed by
-    /// the decoder (the frontier is the beam survivors under a pruned
-    /// [`DecoderConfig`], the full previous state set under `Exact`).
+    /// Σ_t |S(t−1)| · |S(t)| — the dense transition-evaluation charge
+    /// (dominance pruning skips most of that work without changing the
+    /// charge).
     pub transition_ops: u64,
 }
 
@@ -117,12 +117,10 @@ impl ExpectedCounts {
 /// Parameters are [`Arc`](std::sync::Arc)-shared for the same reason as
 /// [`crate::CoupledHdbn`]: batch recognition decodes many sessions against
 /// one read-only trained model, with per-call trellis scratch. Decoding
-/// and filtering default to the exact recursion;
-/// [`with_decoder`](Self::with_decoder) installs a beam.
+/// and filtering are exact.
 #[derive(Debug, Clone)]
 pub struct SingleHdbn {
     params: std::sync::Arc<HdbnParams>,
-    decoder: DecoderConfig,
 }
 
 /// Rejects a tick that would empty one user's chain trellis.
@@ -142,34 +140,22 @@ pub(crate) fn validate_tick_user(
 }
 
 impl SingleHdbn {
-    /// Wraps parameters (exact decoding).
+    /// Wraps parameters.
     pub fn new(params: HdbnParams) -> Self {
         Self {
             params: std::sync::Arc::new(params),
-            decoder: DecoderConfig::default(),
         }
     }
 
-    /// Wraps an already-shared parameter set without copying it (exact
-    /// decoding).
+    /// Wraps an already-shared parameter set without copying it.
     pub fn from_shared(params: std::sync::Arc<HdbnParams>) -> Self {
-        Self {
-            params,
-            decoder: DecoderConfig::default(),
-        }
+        Self { params }
     }
 
-    /// Installs a decoding configuration (beam pruning policy). Applies to
-    /// [`viterbi`](Self::viterbi) and the forward filtering inside
-    /// [`forward_backward`](Self::forward_backward).
-    pub fn with_decoder(mut self, decoder: DecoderConfig) -> Self {
-        self.decoder = decoder;
+    /// Installs a decoding configuration. There is only the exact one
+    /// ([`DecoderConfig`] has no settings), so this returns `self`.
+    pub fn with_decoder(self, _decoder: DecoderConfig) -> Self {
         self
-    }
-
-    /// The decoding configuration in use.
-    pub fn decoder(&self) -> DecoderConfig {
-        self.decoder
     }
 
     /// The parameters in use.
@@ -230,48 +216,31 @@ impl SingleHdbn {
         self.validate(ticks, user)?;
         let p = &self.params;
         let mut states_explored = 0u64;
-        let mut step = StepScratch::default();
-        let mut beam_scratch = BeamScratch::new();
+        let mut arena = TrellisArena::new();
 
         let mut slices: Vec<Slice> = Vec::with_capacity(ticks.len());
         {
             let mut s = Slice::default();
-            self.slice_into(&ticks[0], user, &mut step.macro_ids, &mut s);
+            self.slice_into(&ticks[0], user, &mut arena.step.macro_ids, &mut s);
             slices.push(s);
         }
         let model = HierModel::new(p);
+        let dom = p.tables.dominance();
         let mut v: Vec<f64> = Vec::new();
         trellis::init_into(&model, &slices[0], &mut v);
         states_explored += v.len() as u64;
-
-        let beam = self.decoder.beam;
-        let mut pruned = beam.select_log(&v, &mut beam_scratch);
         let mut transition_ops = 0u64;
 
         let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
         for tick in ticks.iter().skip(1) {
             let mut cur = Slice::default();
-            self.slice_into(tick, user, &mut step.macro_ids, &mut cur);
+            self.slice_into(tick, user, &mut arena.step.macro_ids, &mut cur);
             let prev = slices.last().expect("nonempty");
             states_explored += cur.len() as u64;
+            transition_ops += (prev.len() * cur.len()) as u64;
             let mut back = Vec::new();
-            if pruned {
-                transition_ops += (beam_scratch.keep().len() * cur.len()) as u64;
-                trellis::step_pruned_into(
-                    &model,
-                    prev,
-                    &v,
-                    beam_scratch.keep(),
-                    &cur,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (prev.len() * cur.len()) as u64;
-                trellis::step_dense_into(&model, prev, &v, &cur, &mut step, &mut back);
-            }
-            std::mem::swap(&mut v, &mut step.v_next);
-            pruned = beam.select_log(&v, &mut beam_scratch);
+            trellis::step_into(&model, dom, prev, &v, &cur, &mut arena, &mut back);
+            arena.swap_frontier(&mut v);
             backptrs.push(back);
             slices.push(cur);
         }
@@ -307,14 +276,6 @@ impl SingleHdbn {
 
     /// Forward–backward posteriors of one user's chain.
     ///
-    /// Under a pruned [`DecoderConfig`] the forward *filtering* pass beams
-    /// each normalized filtering distribution (see
-    /// [`crate::forward::apply_beam_linear`]): pruned states carry zero
-    /// mass forward, the recursion skips them, and the backward pass skips
-    /// them symmetrically, so posteriors concentrate on the surviving
-    /// lattice. [`Beam::Exact`](crate::Beam::Exact) (the default) is
-    /// bit-identical to the historical full recursion.
-    ///
     /// # Errors
     /// Same conditions as [`viterbi`](Self::viterbi).
     pub fn forward_backward(
@@ -335,8 +296,7 @@ impl SingleHdbn {
         user: usize,
     ) -> (Posteriors, Vec<Slice>) {
         let slices = self.slices_of(ticks, user);
-        let (gamma, log_z) =
-            trellis::forward_backward(&HierModel::new(&self.params), &slices, self.decoder.beam);
+        let (gamma, log_z) = trellis::forward_backward(&HierModel::new(&self.params), &slices);
         (
             Posteriors {
                 gamma,
@@ -563,36 +523,6 @@ mod tests {
         // Mostly self-transitions.
         assert!(counts.trans[0][0] > counts.trans[0][1]);
         assert!(counts.log_likelihood.is_finite());
-    }
-
-    #[test]
-    fn beamed_chain_matches_exact_on_clear_data() {
-        use crate::beam::DecoderConfig;
-        let ticks: Vec<TickInput> = (0..24)
-            .map(|t| obs_tick(usize::from(t >= 12), 5.0))
-            .collect();
-        let exact = SingleHdbn::new(toy_params()).viterbi(&ticks, 0).unwrap();
-        let pruned = SingleHdbn::new(toy_params())
-            .with_decoder(DecoderConfig::top_k(1))
-            .viterbi(&ticks, 0)
-            .unwrap();
-        assert_eq!(pruned.macros, exact.macros);
-        assert!(pruned.log_prob <= exact.log_prob);
-    }
-
-    #[test]
-    fn beamed_forward_filtering_stays_confident_and_normalized() {
-        use crate::beam::DecoderConfig;
-        let model = SingleHdbn::new(toy_params()).with_decoder(DecoderConfig::top_k(2));
-        let ticks: Vec<TickInput> = (0..10).map(|_| obs_tick(0, 6.0)).collect();
-        let post = model.forward_backward(&ticks, 0).unwrap();
-        let mid = &post.gamma[5];
-        let mass0: f64 = mid[..2].iter().sum();
-        assert!(mass0 > 0.95, "activity-0 mass {mass0}");
-        for row in &post.gamma {
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
-        assert!(post.log_likelihood.is_finite());
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! `tests/score_tables.rs` holds every entry and every decode path to
 //! that.
 //!
+//! Next to the transition kernel sits its [`Dominance`] table, the bound
+//! the exact decoders prune their frontiers with ([`crate::dominance`]).
+//!
 //! Tables are a pure function of the parameters, so persistence never
 //! stores them: deserializing [`HdbnParams`] rebuilds
 //! them through `HdbnParams::new`, bit-identically:
@@ -60,6 +63,7 @@
 //! assert_eq!(t.transition(src, dst), params.transition_score(0, 1, 1, 0));
 //! ```
 
+use crate::dominance::Dominance;
 use crate::params::HdbnParams;
 
 /// Dense flat score tables over compact `(activity, postural)` pair ids —
@@ -95,6 +99,9 @@ pub struct ScoreTables {
     /// structure the fold kernels exploit. Diagonal entries are `−∞`
     /// (a same-activity step is a *continue*, scored through `trans`).
     switch_to: Vec<f64>,
+    /// Dominance table over `trans` — the exact decoders' survivor
+    /// selection ([`crate::dominance`]).
+    dominance: Dominance,
 }
 
 impl ScoreTables {
@@ -142,6 +149,8 @@ impl ScoreTables {
             }
         }
 
+        let dominance = Dominance::build(n_pair, |src, dst| trans[src * n_pair + dst]);
+
         let flatten = |rows: &[Vec<f64>]| -> Vec<f64> {
             rows.iter().flat_map(|r| r.iter().copied()).collect()
         };
@@ -158,6 +167,7 @@ impl ScoreTables {
             gest: flatten(&p.log_gest),
             loc: flatten(&p.log_loc),
             switch_to,
+            dominance,
         }
     }
 
@@ -196,6 +206,12 @@ impl ScoreTables {
     pub fn from_row(&self, src: u32) -> &[f64] {
         let s = src as usize * self.n_pair;
         &self.trans[s..s + self.n_pair]
+    }
+
+    /// The dominance table over the transition kernel.
+    #[inline]
+    pub fn dominance(&self) -> &Dominance {
+        &self.dominance
     }
 
     /// Macro activity of a pair id.

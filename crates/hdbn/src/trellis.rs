@@ -17,7 +17,10 @@
 //!   group-switch row (indexed by source group).
 //!
 //! [`init_into`], [`step_dense_into`], and [`step_pruned_into`] are the
-//! *only* implementations of the chain-shaped recursion; the single-chain
+//! *only* implementations of the chain-shaped recursion, and
+//! [`step_into`] is the exact step every chain decoder runs: a
+//! [`Dominance`] survivor selection, then the survivor-list kernel (or
+//! the dense one when nothing can be pruned); the single-chain
 //! decoder instantiates them through [`HierModel`] and the NH decoder
 //! through its flat-table model in `cace-core`. The coupled joint step is
 //! the one family that keeps a bespoke kernel
@@ -42,13 +45,15 @@
 //! collapse through `fold_max`/`fold_max_sum` (documented
 //! bit-identical to the scalar ascending scan), and the frontier
 //! termination argmax is the last-max [`argmax`]. Every instantiation is
-//! bit-identical to the per-family kernels it replaced.
+//! bit-identical to the per-family kernels it replaced, and the survivor
+//! kernels are bit-identical to the dense ones on every state dominance
+//! keeps (see [`crate::dominance`]).
 
 use std::collections::VecDeque;
 
 use crate::arena::{StepScratch, TrellisArena};
-use crate::beam::Beam;
-use crate::forward::{apply_beam_linear, log_sum_exp, normalize_log};
+use crate::dominance::Dominance;
+use crate::forward::{log_sum_exp, normalize_log};
 use crate::online::Lag;
 use crate::params::HdbnParams;
 use crate::scalar::{self, fold_max, fold_max_sum};
@@ -229,11 +234,13 @@ pub fn step_dense_into<Sp: StateSpace, M: ScoreModel>(
     }
 }
 
-/// [`step_dense_into`] restricted to a pruned previous frontier: only the
-/// survivors in `keep` (state indices sorted ascending) may be
-/// transitioned out of. Backpointers stay in full-frontier coordinates,
-/// so backtracking is oblivious to pruning; the iteration order over
-/// survivors matches the dense kernel's ascending order.
+/// [`step_dense_into`] restricted to a survivor list: only the states in
+/// `keep` (indices sorted ascending) may be transitioned out of.
+/// Backpointers stay in full-frontier coordinates, so backtracking is
+/// oblivious to pruning. The candidates mirror the dense kernel's —
+/// survivors in ascending order, each switch run collapsed to its
+/// first-maximum survivor — so on a dominance survivor set the result
+/// equals [`step_dense_into`] bit for bit.
 pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
     prev: &Sp,
@@ -254,17 +261,20 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
         runs_scratch,
         ..
     } = step;
-    // Group runs of the survivor list (`keep` is ascending over a
-    // group-major frontier, so same-group survivors are contiguous), then
-    // the same two memoizations as the dense kernel. A switch-free model
-    // folds every survivor through one pseudo-run.
+    // The survivor list cut by the frontier's runs (`keep` is ascending
+    // over a group-major frontier, so each run's survivors are
+    // contiguous), then the same two memoizations as the dense kernel. A
+    // switch-free model folds every survivor through one pseudo-run.
     runs_scratch.clear();
     if M::SWITCH {
-        let mut i = 0usize;
+        let (runs, mut r, mut i) = (prev.runs(), 0usize, 0usize);
         while i < keep.len() {
-            let g = prev.group_of(keep[i] as usize);
+            while runs[r].2 <= keep[i] {
+                r += 1;
+            }
+            let (g, _, run_end) = runs[r];
             let start = i;
-            while i < keep.len() && prev.group_of(keep[i] as usize) == g {
+            while i < keep.len() && keep[i] < run_end {
                 i += 1;
             }
             runs_scratch.push((g, start as u32, i as u32));
@@ -329,6 +339,31 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     }
 }
 
+/// One exact DP step: selects the survivors of `v` against `dom` and runs
+/// [`step_pruned_into`] over them, or [`step_dense_into`] when every state
+/// survives (or `v` has no finite maximum). Either way the result equals
+/// the dense kernel's bit for bit. The new frontier lands in the arena
+/// ([`TrellisArena::swap_frontier`]); returns the number of source states
+/// the kernel folded.
+pub fn step_into<Sp: StateSpace, M: ScoreModel>(
+    model: &M,
+    dom: &Dominance,
+    prev: &Sp,
+    v: &[f64],
+    cur: &Sp,
+    arena: &mut TrellisArena,
+    back: &mut Vec<u32>,
+) -> usize {
+    let TrellisArena { keep, step } = arena;
+    if dom.select(prev, v, keep) {
+        step_pruned_into(model, prev, v, keep, cur, step, back);
+        keep.len()
+    } else {
+        step_dense_into(model, prev, v, cur, step, back);
+        prev.len()
+    }
+}
+
 /// The hierarchical-chain [`ScoreModel`]: macro prior plus emission at
 /// init; dense [`ScoreTables`](crate::ScoreTables) continue rows keyed by
 /// `(activity, postural)` pair id, postural-independent switch rows keyed
@@ -382,18 +417,10 @@ impl PosteriorModel for HierModel<'_> {
 /// per-tick posterior marginals `gamma[t][j]` and the sequence
 /// log-likelihood. The single generic implementation of the alpha/beta
 /// recursion.
-///
-/// Under a pruning `beam`, the forward *filtering* distribution is beamed
-/// per tick (see [`crate::forward::apply_beam_linear`]): pruned states
-/// carry zero mass forward, the recursion skips them, and the backward
-/// pass skips them symmetrically. [`Beam::Exact`] is bit-identical to the
-/// full recursion.
 pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
     model: &M,
     spaces: &[Sp],
-    beam: Beam,
 ) -> (Vec<Vec<f64>>, f64) {
-    let pruned_mode = !beam.is_exact();
     let mut arena = TrellisArena::new();
     let n_ticks = spaces.len();
 
@@ -406,9 +433,6 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
         .map(|j| model.init_score(first.group_of(j), first.pair(j), first.emission(j)))
         .collect();
     log_z += normalize_log(&mut alpha);
-    if pruned_mode {
-        apply_beam_linear(beam, &mut alpha, &mut arena.beam);
-    }
     alphas.push(alpha);
 
     for t in 1..n_ticks {
@@ -423,9 +447,6 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
             let row = model.dest(cur.slot_pair(s)).cont;
             terms.clear();
             for jp in 0..prev.len() {
-                if pruned_mode && alphas[t - 1][jp] <= 0.0 {
-                    continue;
-                }
                 terms.push(alphas[t - 1][jp].max(1e-300).ln() + row[prev.pair(jp) as usize]);
             }
             w[s] = log_sum_exp(terms);
@@ -435,14 +456,10 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
             next[j] = w[cur.slot(j) as usize] + cur.emission(j);
         }
         log_z += normalize_log(&mut next);
-        if pruned_mode {
-            apply_beam_linear(beam, &mut next, &mut arena.beam);
-        }
         alphas.push(next);
     }
 
-    // Backward (scaled); under a beam, states pruned from the forward
-    // lattice are skipped here too (their gamma is zero regardless).
+    // Backward (scaled).
     let mut betas: Vec<Vec<f64>> = vec![Vec::new(); n_ticks];
     let last = n_ticks - 1;
     betas[last] = vec![1.0; spaces[last].len()];
@@ -458,9 +475,6 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
             let row = model.source(cur.slot_pair(s));
             terms.clear();
             for jn in 0..nxt.len() {
-                if pruned_mode && alphas[t + 1][jn] <= 0.0 {
-                    continue;
-                }
                 terms.push(
                     betas[t + 1][jn].max(1e-300).ln()
                         + row[nxt.pair(jn) as usize]
@@ -507,9 +521,7 @@ pub trait TrellisEntry: Default {
 }
 
 /// One decoder family plugged into the online core: how a window entry is
-/// initialized and stepped. `step_*` return the transition-op charge of
-/// the step (the accounting contract each family already reported before
-/// the refactor).
+/// initialized and stepped.
 pub trait TrellisFamily {
     /// The family's window-entry type.
     type Entry: TrellisEntry;
@@ -518,26 +530,17 @@ pub trait TrellisFamily {
     /// the entry's backpointers).
     fn init(&self, entry: &mut Self::Entry, v: &mut Vec<f64>);
 
-    /// One dense DP step from `prev` into `entry`; the new frontier lands
-    /// in `step.v_next`. Returns the transition-op charge.
-    fn step_dense(
+    /// One exact DP step from `prev` into `entry` — dominance selection
+    /// plus the matching kernel; the new frontier lands in the arena.
+    /// Returns the step's transition-op charge under the dense accounting
+    /// convention, and the number of source states the kernel folded.
+    fn step(
         &self,
         prev: &Self::Entry,
         v: &[f64],
         entry: &mut Self::Entry,
-        step: &mut StepScratch,
-    ) -> u64;
-
-    /// One beam-pruned DP step (survivors in `keep`, ascending). Returns
-    /// the transition-op charge.
-    fn step_pruned(
-        &self,
-        prev: &Self::Entry,
-        v: &[f64],
-        keep: &[u32],
-        entry: &mut Self::Entry,
-        step: &mut StepScratch,
-    ) -> u64;
+        arena: &mut TrellisArena,
+    ) -> (u64, usize);
 }
 
 /// The family-independent half of an online fixed-lag decoder: the
@@ -562,12 +565,11 @@ pub struct OnlineTrellis<E> {
     pushed: usize,
     states_explored: u64,
     transition_ops: u64,
-    /// All step-kernel scratch — beam survivors, fold buffers, ping-pong
+    /// All step-kernel scratch — survivors, fold buffers, ping-pong
     /// frontier — allocated once per stream, reused every push.
     arena: TrellisArena,
-    /// Whether the current frontier was restricted (always `false` under
-    /// [`Beam::Exact`]).
-    pruned: bool,
+    /// Source states folded by the last step (never parked).
+    last_survivors: Option<usize>,
 }
 
 impl<E: TrellisEntry> OnlineTrellis<E> {
@@ -583,14 +585,13 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
             states_explored: 0,
             transition_ops: 0,
             arena: TrellisArena::new(),
-            pruned: false,
+            last_survivors: None,
         }
     }
 
-    /// Rebuilds a core from parked state; `keep` seeds the pending
-    /// beam-survivor set (the free list and arena scratch restore empty —
-    /// they only exist to avoid steady-state allocations).
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds a core from parked state (the free list and arena scratch
+    /// restore empty — they only exist to avoid steady-state
+    /// allocations).
     pub fn from_parts(
         lag: Lag,
         v: Vec<f64>,
@@ -599,11 +600,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         pushed: usize,
         states_explored: u64,
         transition_ops: u64,
-        pruned: bool,
-        keep: &[u32],
     ) -> Self {
-        let mut arena = TrellisArena::new();
-        arena.beam.set_keep(keep);
         Self {
             lag,
             v,
@@ -613,8 +610,8 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
             pushed,
             states_explored,
             transition_ops,
-            arena,
-            pruned,
+            arena: TrellisArena::new(),
+            last_survivors: None,
         }
     }
 
@@ -649,14 +646,11 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.transition_ops
     }
 
-    /// Whether the current frontier was beam-restricted.
-    pub fn pruned(&self) -> bool {
-        self.pruned
-    }
-
-    /// The pending beam-survivor set a pruned next step would consume.
-    pub fn keep(&self) -> &[u32] {
-        self.arena.beam.keep()
+    /// Source states the last DP step folded after dominance selection:
+    /// `None` before the second push and right after a resume (the gauge
+    /// is not parked).
+    pub fn last_survivors(&self) -> Option<usize> {
+        self.last_survivors
     }
 
     /// The live frontier.
@@ -681,28 +675,27 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         &mut self.arena.step.macro_ids
     }
 
-    /// Consumes one filled entry, advancing the frontier by one DP step
-    /// (init on the first tick) and applying the beam, and charging
-    /// `n_states` to the exploration counter. The caller follows up with
+    /// Consumes one filled entry, advancing the frontier by one exact DP
+    /// step (init on the first tick) and charging `n_states` to the
+    /// exploration counter. The caller follows up with
     /// [`emit_ready`](Self::emit_ready).
-    pub fn push_entry<F>(&mut self, family: &F, beam: Beam, mut entry: E, n_states: u64)
+    pub fn push_entry<F>(&mut self, family: &F, mut entry: E, n_states: u64)
     where
         F: TrellisFamily<Entry = E>,
     {
         self.states_explored += n_states;
         match self.window.back() {
-            None => family.init(&mut entry, &mut self.v),
+            None => {
+                family.init(&mut entry, &mut self.v);
+                self.last_survivors = None;
+            }
             Some(prev) => {
-                let step = &mut self.arena.step;
-                self.transition_ops += if self.pruned {
-                    family.step_pruned(prev, &self.v, self.arena.beam.keep(), &mut entry, step)
-                } else {
-                    family.step_dense(prev, &self.v, &mut entry, step)
-                };
-                step.swap_frontier(&mut self.v);
+                let (ops, survivors) = family.step(prev, &self.v, &mut entry, &mut self.arena);
+                self.transition_ops += ops;
+                self.last_survivors = Some(survivors);
+                self.arena.swap_frontier(&mut self.v);
             }
         }
-        self.pruned = beam.select_log(&self.v, &mut self.arena.beam);
         self.window.push_back(entry);
         self.pushed += 1;
     }
@@ -749,11 +742,11 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         // except the newest entry, which the next step needs as `prev`.
         // Dropped entries keep their buffers: they go to the free list and
         // the next push refills them in place.
-        while self.base <= tick && self.window.len() > 1 {
-            let entry = self.window.pop_front().expect("nonempty window");
-            self.free.push(entry);
-            self.base += 1;
-        }
+        let ripe = (tick + 1)
+            .saturating_sub(self.base)
+            .min(self.window.len().saturating_sub(1));
+        self.free.extend(self.window.drain(..ripe));
+        self.base += ripe;
         Some(decision)
     }
 

@@ -6,16 +6,23 @@
 //! `O((|S1||S2|)²)` joint recursion folds into two passes of
 //! `O(|S1||S2|(|S1|+|S2|))`. Pruned candidate sets therefore translate
 //! directly into the paper's order-of-magnitude overhead reduction.
+//!
+//! On top of that, every step is dominance-pruned ([`crate::dominance`]):
+//! a source state whose bound shows it cannot win any destination is not
+//! folded at all, and the survivor kernel `joint_step_pruned_into` folds
+//! the rest. The decode stays exact — bit-identical to the dense kernel
+//! `joint_step_into` (see [`joint_step_pair`]) — and on CASAS-sized
+//! frontiers the survivors are a fraction of a percent of the states.
 
 use std::sync::Arc;
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch};
-use crate::beam::{BeamScratch, DecoderConfig};
+use crate::arena::{fill_slice, Slice, StepScratch, TrellisArena};
+use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::scalar::{self, sweep_add_max, sweep_add_max_arg, sweep_max};
+use crate::scalar::{self, sweep_add_max, sweep_add_max_arg, sweep_max, sweep_max_arg};
 use crate::tables::ScoreTables;
 
 /// Rejects a tick that would empty the joint trellis.
@@ -239,11 +246,16 @@ pub(crate) fn joint_step_into(
                 );
             }
         }
-        // Recover j2p chosen inside W for (best_j1p, s2).
+        // Recover j2p chosen inside W for (best_j1p, s2). A destination
+        // no source reaches points at state 0.
         for s2 in 0..d2 {
             let best_j1p = acc_arg[s2] as usize;
             let j2p = w_arg[s2 * k1 + best_j1p];
-            w2_arg[s1 * d2 + s2] = (acc_arg[s2]) * (k2 as u32) + j2p;
+            w2_arg[s1 * d2 + s2] = if acc[s2] == f64::NEG_INFINITY {
+                0
+            } else {
+                acc_arg[s2] * (k2 as u32) + j2p
+            };
         }
     }
 
@@ -319,46 +331,55 @@ fn joint_fan_out(
 
 /// Reusable work buffers of [`joint_step_pruned_into`], owned by the
 /// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
-/// decode (batch) or stream (online), reused across ticks — the pruned
+/// decode (batch) or stream (online), reused across ticks — the survivor
 /// hot path allocates nothing once warmed, exactly like the dense kernel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
-    /// Chain-1 state of each survivor group.
+    /// Chain-1 state of each survivor group (survivors sharing a `j1p`).
     group_j1p: Vec<u32>,
-    /// Half-open `keep` range of each group.
-    group_span: Vec<(u32, u32)>,
-    /// Distinct surviving j2p values, ascending.
-    uniq2: Vec<u32>,
-    /// j2p → slot lookup into `uniq2` (only surviving slots are read, so
-    /// stale entries from earlier ticks are harmless).
-    slot_of: Vec<u32>,
-    /// Per-survivor slot into `uniq2`, hoisted out of pass 1's fold (the
-    /// fold runs once per distinct chain-2 destination pair; the survivor
-    /// → slot mapping is tick-constant).
-    keep_slot: Vec<u32>,
-    /// Pass-1 f2 scores per distinct j2p.
-    f2vals: Vec<f64>,
-    /// Pass-2 f1 scores per group.
-    f1vals: Vec<f64>,
+    /// Half-open range of each group's segments in `segs`.
+    group_segs: Vec<(u32, u32)>,
+    /// Chain-2 run segments of the groups, in `keep` order.
+    segs: Vec<Segment>,
+    /// Chain-1 activity runs over the groups: `(activity, start, end)`,
+    /// half-open group ranges, one per chain-1 run with a survivor.
+    group_runs: Vec<(u32, u32, u32)>,
+    /// Per survivor: its frontier score and chain-2 state.
+    keep_v: Vec<f64>,
+    keep_j2p: Vec<u32>,
+    /// Pass-2 partial folds of one destination activity's switch
+    /// candidates, `d2` wide each, and their group arguments.
+    part: Vec<f64>,
+    part_arg: Vec<u32>,
 }
 
-/// [`joint_step_into`] restricted to a pruned previous frontier: only the
-/// survivors in `keep` (flattened `j1p * |S2_prev| + j2p` indices, sorted
-/// ascending) may be transitioned out of. The new frontier lands in
-/// `step.v_next`, the backpointers (in the *same* full-frontier
-/// coordinates as [`joint_step_into`], so backtracking is oblivious to
-/// pruning) in `back`; returns the transition-op charge for the step under
-/// the overhead experiments' accounting convention —
-/// `|survivors| · (|S1|+|S2|)`, the exact step's `k1·k2·(m1+m2)` with the
-/// survivor count in place of the full previous frontier, so charges stay
-/// comparable across beam widths (and equal the exact charge when nothing
-/// is pruned).
+/// The survivors of one group inside one chain-2 activity run: a
+/// half-open range of `keep`, with the first maximum of their frontier
+/// scores.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    activity: u32,
+    start: u32,
+    end: u32,
+    max: f64,
+    arg: u32,
+}
+
+/// [`joint_step_into`] restricted to a survivor list: only the states in
+/// `keep` (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending)
+/// may be transitioned out of. The new frontier lands in `step.v_next`,
+/// the backpointers (in the *same* full-frontier coordinates as
+/// [`joint_step_into`], so backtracking is oblivious to pruning) in
+/// `back`.
 ///
-/// The fold order mirrors the dense kernel — chain 2 first, then chain 1,
-/// candidates visited in ascending index order — so a `keep` covering the
-/// whole frontier reproduces [`joint_step_into`] bit for bit. (The
-/// decoders never take that path: [`crate::Beam`] selection degrades to
-/// the dense kernel when nothing is pruned.)
+/// Both folds mirror the dense kernel's candidate structure — chain 2
+/// first, then chain 1; same-activity sources one by one in ascending
+/// order, every other activity run collapsed to its first-maximum source
+/// plus the switch score; strict `>` — restricted to the survivors. On a
+/// dominance survivor set every candidate that attains a destination's
+/// maximum survives, with the same value and index as in the dense fold,
+/// so the result equals [`joint_step_into`] bit for bit (see
+/// [`crate::dominance`]).
 pub(crate) fn joint_step_pruned_into(
     p: &HdbnParams,
     prev1: &Slice,
@@ -369,7 +390,7 @@ pub(crate) fn joint_step_pruned_into(
     cur2: &Slice,
     step: &mut StepScratch,
     back: &mut Vec<u32>,
-) -> u64 {
+) {
     let t = &p.tables;
     let StepScratch {
         joint: scratch,
@@ -378,80 +399,97 @@ pub(crate) fn joint_step_pruned_into(
         w2,
         w2_arg,
         v_next,
+        run_max,
+        run_arg,
         crow,
         acc_arg,
         ..
     } = step;
     let JointScratch {
         group_j1p,
-        group_span,
-        uniq2,
-        slot_of,
-        keep_slot,
-        f2vals,
-        f1vals,
+        group_segs,
+        segs,
+        group_runs,
+        keep_v,
+        keep_j2p,
+        part,
+        part_arg,
     } = scratch;
     let k2 = prev2.len() as u32;
-    let (m1, m2) = (cur1.len(), cur2.len());
     // Like the dense kernel, both folds are memoized per distinct
-    // destination pair (slot) — identical arithmetic and tie-breaking,
-    // computed once and fanned out.
+    // destination pair (slot), computed once and fanned out.
     let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
 
-    // Survivors grouped by j1p: `keep` is sorted, so each group is a
-    // contiguous run. `group_j1p[g]` is the chain-1 state of group `g`,
-    // `group_span[g]` its half-open range inside `keep`.
+    // Survivors grouped by j1p (`keep` is sorted, so each group is
+    // contiguous), each group cut into segments by the chain-2 activity
+    // runs its survivors fall in.
+    keep_v.clear();
+    keep_v.extend(keep.iter().map(|&f| v[f as usize]));
+    keep_j2p.clear();
+    keep_j2p.extend(keep.iter().map(|&f| f % k2));
     group_j1p.clear();
-    group_span.clear();
+    group_segs.clear();
+    segs.clear();
     let mut i = 0usize;
     while i < keep.len() {
         let j1p = keep[i] / k2;
-        let start = i;
+        let first_seg = segs.len() as u32;
+        let mut r = 0usize;
         while i < keep.len() && keep[i] / k2 == j1p {
-            i += 1;
+            while prev2.runs[r].2 <= keep_j2p[i] {
+                r += 1;
+            }
+            let (activity, _, run_end) = prev2.runs[r];
+            let start = i;
+            let (mut max, mut arg) = (f64::NEG_INFINITY, keep_j2p[i]);
+            while i < keep.len() && keep[i] / k2 == j1p && keep_j2p[i] < run_end {
+                if keep_v[i] > max {
+                    max = keep_v[i];
+                    arg = keep_j2p[i];
+                }
+                i += 1;
+            }
+            segs.push(Segment {
+                activity,
+                start: start as u32,
+                end: i as u32,
+                max,
+                arg,
+            });
         }
         group_j1p.push(j1p);
-        group_span.push((start as u32, i as u32));
+        group_segs.push((first_seg, segs.len() as u32));
     }
     let n_groups = group_j1p.len();
 
-    // Distinct surviving j2p values, with a j2p → slot lookup so pass 1
-    // scores each f2 edge once per (j2, distinct j2p); the per-survivor
-    // slot is hoisted into `keep_slot` so the fold's inner loop does no
-    // division or double lookup.
-    uniq2.clear();
-    uniq2.extend(keep.iter().map(|&f| f % k2));
-    uniq2.sort_unstable();
-    uniq2.dedup();
-    slot_of.resize(k2 as usize, 0);
-    for (slot, &j2p) in uniq2.iter().enumerate() {
-        slot_of[j2p as usize] = slot as u32;
-    }
-    keep_slot.clear();
-    keep_slot.extend(keep.iter().map(|&f| slot_of[(f % k2) as usize]));
-
-    // Pass 1 — fold chain 2 over the survivors, per (group, distinct
-    // chain-2 pair):
-    // W[g, s2] = max_{(j1p_g, j2p) ∈ keep} V[j1p_g, j2p] + f2(j2p → s2).
-    // Every entry of w/w_arg/f2vals is overwritten below before it is read.
+    // Pass 1 — fold chain 2 over each group, per distinct chain-2 pair:
+    // W[g, s2] = max over the group's survivors of V + f2(j2p → s2).
+    // Every entry of w/w_arg is overwritten below before it is read.
     w.resize(n_groups * d2, f64::NEG_INFINITY);
     w_arg.resize(n_groups * d2, 0);
-    f2vals.resize(uniq2.len(), f64::NEG_INFINITY);
     for (s2, &dp2) in cur2.uniq_pairs.iter().enumerate() {
+        let a2 = t.activity_of(dp2) as u32;
         let row = t.into_row(dp2);
-        for (slot, &j2p) in uniq2.iter().enumerate() {
-            f2vals[slot] = row[prev2.pairs[j2p as usize] as usize];
-        }
-        for g in 0..n_groups {
-            let (start, end) = group_span[g];
+        let srow = t.switch_row(a2 as usize);
+        for (g, &(seg_start, seg_end)) in group_segs.iter().enumerate() {
             let mut best = f64::NEG_INFINITY;
             let mut best_j2p = 0u32;
-            for i in start as usize..end as usize {
-                let slot = keep_slot[i] as usize;
-                let score = v[keep[i] as usize] + f2vals[slot];
-                if score > best {
-                    best = score;
-                    best_j2p = uniq2[slot];
+            for seg in &segs[seg_start as usize..seg_end as usize] {
+                if seg.activity == a2 {
+                    for i in seg.start as usize..seg.end as usize {
+                        let j2p = keep_j2p[i];
+                        let score = keep_v[i] + row[prev2.pairs[j2p as usize] as usize];
+                        if score > best {
+                            best = score;
+                            best_j2p = j2p;
+                        }
+                    }
+                } else {
+                    let score = seg.max + srow[seg.activity as usize];
+                    if score > best {
+                        best = score;
+                        best_j2p = seg.arg;
+                    }
                 }
             }
             w[g * d2 + s2] = best;
@@ -459,41 +497,212 @@ pub(crate) fn joint_step_pruned_into(
         }
     }
 
-    // Pass 2 — fold chain 1 over the surviving groups, per (distinct
-    // chain-1 pair, distinct chain-2 pair). Each group's pass-1 scores
-    // `W[g, ·]` are one contiguous row, so the fold is `n_groups` lane
-    // sweeps (broadcast f1 score per group) instead of a branchy
-    // per-(s2, g) scan — groups are visited ascending with strict `>`,
-    // exactly the scan's order, so selections and backpointers are
-    // unchanged. Backpointers are restored to full-frontier flat
-    // coordinates afterwards.
+    // The groups cut by the chain-1 activity runs they fall in, and per
+    // run the switch-candidate cache
+    // run_max[r][s2] = first max over the run's groups of W[g, s2].
+    group_runs.clear();
+    let (mut g, mut r) = (0usize, 0usize);
+    while g < n_groups {
+        while prev1.runs[r].2 <= group_j1p[g] {
+            r += 1;
+        }
+        let (activity, _, run_end) = prev1.runs[r];
+        let start = g;
+        while g < n_groups && group_j1p[g] < run_end {
+            g += 1;
+        }
+        group_runs.push((activity, start as u32, g as u32));
+    }
+    let nr = group_runs.len();
+    run_max.clear();
+    run_max.resize(nr * d2, f64::NEG_INFINITY);
+    run_arg.clear();
+    run_arg.resize(nr * d2, 0);
+    for (r, &(_, start, end)) in group_runs.iter().enumerate() {
+        let rm = &mut run_max[r * d2..][..d2];
+        let ra = &mut run_arg[r * d2..][..d2];
+        ra.fill(start);
+        for g in start..end {
+            sweep_max(&w[g as usize * d2..][..d2], g, rm, ra);
+        }
+    }
+
+    // Pass 2 — fold chain 1 over the groups, per (distinct chain-1 pair,
+    // distinct chain-2 pair), with group indices as arguments; the
+    // backpointers are restored to full-frontier flat coordinates after.
+    // A switch candidate depends on the destination only through its
+    // activity, so the switch runs between two same-activity runs fold
+    // once per destination activity into a partial, and each destination
+    // pair merges those partials around its own same-activity sweeps.
+    // Merging a partial fold with strict `>` continues the fold, so the
+    // candidate order is the sequential one.
     w2.clear();
     w2.resize(d1 * d2, f64::NEG_INFINITY);
     w2_arg.clear();
     w2_arg.resize(d1 * d2, 0);
-    f1vals.resize(n_groups, f64::NEG_INFINITY);
-    for (s1, &dp1) in cur1.uniq_pairs.iter().enumerate() {
-        let row = t.into_row(dp1);
-        for (g, &j1p) in group_j1p.iter().enumerate() {
-            f1vals[g] = row[prev1.pairs[j1p as usize] as usize];
+    let mut s1 = 0usize;
+    while s1 < d1 {
+        let a1 = t.activity_of(cur1.uniq_pairs[s1]) as u32;
+        let srow = t.switch_row(a1 as usize);
+        part.clear();
+        part.resize(d2, f64::NEG_INFINITY);
+        part_arg.clear();
+        part_arg.resize(d2, 0);
+        for (r, &(ar, _, _)) in group_runs.iter().enumerate() {
+            let at = part.len() - d2;
+            if ar == a1 {
+                part.resize(at + 2 * d2, f64::NEG_INFINITY);
+                part_arg.resize(at + 2 * d2, 0);
+            } else {
+                sweep_add_max_arg(
+                    &run_max[r * d2..][..d2],
+                    srow[ar as usize],
+                    &run_arg[r * d2..][..d2],
+                    &mut part[at..],
+                    &mut part_arg[at..],
+                );
+            }
         }
-        let acc = &mut w2[s1 * d2..][..d2];
-        acc_arg.clear();
-        acc_arg.resize(d2, 0);
-        for (g, &f1) in f1vals.iter().enumerate() {
-            sweep_add_max(&w[g * d2..][..d2], f1, g as u32, acc, acc_arg);
-        }
-        for s2 in 0..d2 {
-            let g = acc_arg[s2] as usize;
-            w2_arg[s1 * d2 + s2] = group_j1p[g] * k2 + w_arg[g * d2 + s2];
+        while s1 < d1 && t.activity_of(cur1.uniq_pairs[s1]) as u32 == a1 {
+            let row = t.into_row(cur1.uniq_pairs[s1]);
+            let acc = &mut w2[s1 * d2..][..d2];
+            acc.copy_from_slice(&part[..d2]);
+            acc_arg.clear();
+            acc_arg.extend_from_slice(&part_arg[..d2]);
+            let mut next_part = d2;
+            for &(ar, start, end) in group_runs.iter() {
+                if ar != a1 {
+                    continue;
+                }
+                for g in start..end {
+                    let f1 = row[prev1.pairs[group_j1p[g as usize] as usize] as usize];
+                    sweep_add_max(&w[g as usize * d2..][..d2], f1, g, acc, acc_arg);
+                }
+                let (p, pa) = (&part[next_part..][..d2], &part_arg[next_part..][..d2]);
+                sweep_max_arg(p, pa, acc, acc_arg);
+                next_part += d2;
+            }
+            // A destination no survivor reaches points at state 0, as in
+            // the dense kernel.
+            for s2 in 0..d2 {
+                let g = acc_arg[s2] as usize;
+                w2_arg[s1 * d2 + s2] = if acc[s2] == f64::NEG_INFINITY {
+                    0
+                } else {
+                    group_j1p[g] * k2 + w_arg[g * d2 + s2]
+                };
+            }
+            s1 += 1;
         }
     }
 
     // Fan out per joint state, plus emissions and coupling — shared with
-    // the dense kernel (same addition tree as the historical per-state
-    // loop here, so decoded paths are unchanged).
+    // the dense kernel.
     joint_fan_out(t, cur1, cur2, w2, w2_arg, crow, v_next, back);
-    keep.len() as u64 * (m1 as u64 + m2 as u64)
+}
+
+/// One exact joint DP step: dominance selection over `v`, then
+/// [`joint_step_pruned_into`] over the survivors — or [`joint_step_into`]
+/// when every state survives or `v` has no finite maximum. Bit-identical
+/// to [`joint_step_into`] either way. The new frontier lands in the
+/// arena; returns the number of source states the kernel folded.
+pub(crate) fn joint_step_exact_into(
+    p: &HdbnParams,
+    prev1: &Slice,
+    prev2: &Slice,
+    v: &[f64],
+    cur1: &Slice,
+    cur2: &Slice,
+    arena: &mut TrellisArena,
+    back: &mut Vec<u32>,
+) -> usize {
+    let TrellisArena { keep, step } = arena;
+    let selected = p
+        .tables
+        .dominance()
+        .select_joint(prev1, prev2, v, &mut step.dom_col, keep);
+    if selected {
+        joint_step_pruned_into(p, prev1, prev2, v, keep, cur1, cur2, step, back);
+        keep.len()
+    } else {
+        joint_step_into(p, prev1, prev2, v, cur1, cur2, step, back);
+        v.len()
+    }
+}
+
+/// The dense transition-op charge of one joint step — the overhead
+/// experiments' accounting convention, `k1·k2·(m1+m2)`, whatever the
+/// dominance selection actually folded.
+pub(crate) fn joint_step_charge(prev1: &Slice, prev2: &Slice, cur1: &Slice, cur2: &Slice) -> u64 {
+    (prev1.len() as u64 * prev2.len() as u64) * (cur1.len() as u64 + cur2.len() as u64)
+}
+
+/// Both joint step kernels run on the same frontier — see
+/// [`joint_step_pair`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct JointStepPair {
+    /// New frontier and backpointers of the dense kernel.
+    pub dense: (Vec<f64>, Vec<u32>),
+    /// New frontier and backpointers of the dominance-pruned exact step.
+    pub exact: (Vec<f64>, Vec<u32>),
+    /// Source states the exact step folded.
+    pub survivors: usize,
+}
+
+/// Runs one joint DP step from tick `prev` to tick `cur` over the
+/// frontier `v` (one score per joint state of `prev`, flattened
+/// `j1 * |S2| + j2`) twice: through the dense kernel, and through the
+/// dominance-pruned exact step every decoder runs. The two must agree on
+/// every frontier bit and every backpointer;
+/// `tests/dominance_differential.rs` drives this with adversarial
+/// frontiers.
+///
+/// # Errors
+/// [`ModelError::EmptyStateSpace`] for a tick with an empty state space,
+/// and [`ModelError::InsufficientData`] when `v` does not match `prev`'s
+/// joint frontier.
+pub fn joint_step_pair(
+    p: &HdbnParams,
+    prev: &TickInput,
+    cur: &TickInput,
+    v: &[f64],
+) -> Result<JointStepPair, ModelError> {
+    validate_tick(prev, 0)?;
+    validate_tick(cur, 1)?;
+    let mut arena = TrellisArena::new();
+    let mut slice = |tick: &TickInput, user: usize| {
+        let mut s = Slice::default();
+        fill_slice(p, tick, user, &mut arena.step.macro_ids, &mut s);
+        s
+    };
+    let (prev1, prev2, cur1, cur2) = (slice(prev, 0), slice(prev, 1), slice(cur, 0), slice(cur, 1));
+    if v.len() != prev1.len() * prev2.len() {
+        return Err(ModelError::InsufficientData {
+            what: "joint frontier scores".into(),
+            available: v.len(),
+            required: prev1.len() * prev2.len(),
+        });
+    }
+    let mut dense_back = Vec::new();
+    joint_step_into(
+        p,
+        &prev1,
+        &prev2,
+        v,
+        &cur1,
+        &cur2,
+        &mut arena.step,
+        &mut dense_back,
+    );
+    let dense = (std::mem::take(&mut arena.step.v_next), dense_back);
+    let mut back = Vec::new();
+    let survivors =
+        joint_step_exact_into(p, &prev1, &prev2, v, &cur1, &cur2, &mut arena, &mut back);
+    Ok(JointStepPair {
+        dense,
+        exact: (std::mem::take(&mut arena.step.v_next), back),
+        survivors,
+    })
 }
 
 /// The decoded joint trajectory plus accounting for the overhead
@@ -520,42 +729,29 @@ pub struct JointPath {
 /// allocates its own trellis, so a shared decoder is safe to use from
 /// multiple threads concurrently.
 ///
-/// Decoding defaults to the exact recursion;
-/// [`with_decoder`](Self::with_decoder) installs a [`DecoderConfig`]
-/// whose beam prunes the joint frontier each tick.
+/// Decoding is always exact, with dominance pruning inside every step.
 #[derive(Debug, Clone)]
 pub struct CoupledHdbn {
     params: Arc<HdbnParams>,
-    decoder: DecoderConfig,
 }
 
 impl CoupledHdbn {
-    /// Wraps trained parameters (exact decoding).
+    /// Wraps trained parameters.
     pub fn new(params: HdbnParams) -> Self {
         Self {
             params: Arc::new(params),
-            decoder: DecoderConfig::default(),
         }
     }
 
-    /// Wraps an already-shared parameter set without copying it (exact
-    /// decoding).
+    /// Wraps an already-shared parameter set without copying it.
     pub fn from_shared(params: Arc<HdbnParams>) -> Self {
-        Self {
-            params,
-            decoder: DecoderConfig::default(),
-        }
+        Self { params }
     }
 
-    /// Installs a decoding configuration (beam pruning policy).
-    pub fn with_decoder(mut self, decoder: DecoderConfig) -> Self {
-        self.decoder = decoder;
+    /// Installs a decoding configuration. There is only the exact one
+    /// ([`DecoderConfig`] has no settings), so this returns `self`.
+    pub fn with_decoder(self, _decoder: DecoderConfig) -> Self {
         self
-    }
-
-    /// The decoding configuration in use.
-    pub fn decoder(&self) -> DecoderConfig {
-        self.decoder
     }
 
     /// The parameters in use.
@@ -591,11 +787,10 @@ impl CoupledHdbn {
         let mut states_explored = 0u64;
         let mut transition_ops = 0u64;
 
-        // All step-kernel scratch — beam survivors, fold buffers, the
+        // All step-kernel scratch — survivors, fold buffers, the
         // ping-pong frontier — is allocated once per decode and reused
         // across ticks.
-        let mut step = StepScratch::default();
-        let mut beam_scratch = BeamScratch::new();
+        let mut arena = TrellisArena::new();
 
         // Per-tick slices, retained for backtracking (no clones: the loop
         // below reads the previous tick's slices in place).
@@ -603,8 +798,8 @@ impl CoupledHdbn {
         {
             let mut s1 = Slice::default();
             let mut s2 = Slice::default();
-            fill_slice(p, &ticks[0], 0, &mut step.macro_ids, &mut s1);
-            fill_slice(p, &ticks[0], 1, &mut step.macro_ids, &mut s2);
+            fill_slice(p, &ticks[0], 0, &mut arena.step.macro_ids, &mut s1);
+            fill_slice(p, &ticks[0], 1, &mut arena.step.macro_ids, &mut s2);
             slices.push((s1, s2));
         }
         states_explored += (slices[0].0.len() * slices[0].1.len()) as u64;
@@ -613,12 +808,6 @@ impl CoupledHdbn {
         let mut v: Vec<f64> = Vec::new();
         joint_init_into(p, &slices[0].0, &slices[0].1, &mut v);
 
-        // `pruned` tracks whether the *current* frontier was restricted
-        // (false under `Beam::Exact`, and on any tick where the whole
-        // frontier survives — the dense kernel then runs unchanged).
-        let beam = self.decoder.beam;
-        let mut pruned = beam.select_log(&v, &mut beam_scratch);
-
         // Backpointers per tick (index into the previous tick's flattened
         // joint trellis).
         let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
@@ -626,33 +815,15 @@ impl CoupledHdbn {
         for tick in ticks.iter().skip(1) {
             let mut cur1 = Slice::default();
             let mut cur2 = Slice::default();
-            fill_slice(p, tick, 0, &mut step.macro_ids, &mut cur1);
-            fill_slice(p, tick, 1, &mut step.macro_ids, &mut cur2);
+            fill_slice(p, tick, 0, &mut arena.step.macro_ids, &mut cur1);
+            fill_slice(p, tick, 1, &mut arena.step.macro_ids, &mut cur2);
             let (prev1, prev2) = slices.last().expect("nonempty");
-            let (k1, k2) = (prev1.len(), prev2.len());
-            let (m1, m2) = (cur1.len(), cur2.len());
-            states_explored += (m1 * m2) as u64;
+            states_explored += (cur1.len() * cur2.len()) as u64;
+            transition_ops += joint_step_charge(prev1, prev2, &cur1, &cur2);
 
             let mut back = Vec::new();
-            if pruned {
-                transition_ops += joint_step_pruned_into(
-                    p,
-                    prev1,
-                    prev2,
-                    &v,
-                    beam_scratch.keep(),
-                    &cur1,
-                    &cur2,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (k1 as u64 * k2 as u64) * (m1 as u64 + m2 as u64);
-                joint_step_into(p, prev1, prev2, &v, &cur1, &cur2, &mut step, &mut back);
-            }
-
-            std::mem::swap(&mut v, &mut step.v_next);
-            pruned = beam.select_log(&v, &mut beam_scratch);
+            joint_step_exact_into(p, prev1, prev2, &v, &cur1, &cur2, &mut arena, &mut back);
+            arena.swap_frontier(&mut v);
             backptrs.push(back);
             slices.push((cur1, cur2));
         }
@@ -882,40 +1053,6 @@ mod tests {
         assert!(pruned_path.transition_ops * 16 <= full_path.transition_ops);
         // And the answer on this easy input is unchanged.
         assert_eq!(pruned_path.macros[0], full_path.macros[0]);
-    }
-
-    #[test]
-    fn beamed_decoder_matches_exact_on_clear_data_with_less_work() {
-        use crate::beam::DecoderConfig;
-        let ticks: Vec<TickInput> = (0..30)
-            .map(|t| obs_tick(usize::from((t / 10) % 2 == 1), 4.0))
-            .collect();
-        let exact = decoder(true).viterbi(&ticks).unwrap();
-        for config in [DecoderConfig::top_k(3), DecoderConfig::log_threshold(2.0)] {
-            let pruned = decoder(true).with_decoder(config).viterbi(&ticks).unwrap();
-            assert_eq!(pruned.macros, exact.macros, "{config:?}");
-            assert!(pruned.log_prob <= exact.log_prob, "{config:?}");
-            assert!(
-                pruned.transition_ops < exact.transition_ops,
-                "{config:?}: {} !< {}",
-                pruned.transition_ops,
-                exact.transition_ops
-            );
-            // Frontier pruning leaves the instantiated-state count alone.
-            assert_eq!(pruned.states_explored, exact.states_explored);
-        }
-    }
-
-    #[test]
-    fn top_k_covering_the_joint_frontier_is_bit_identical_to_exact() {
-        let ticks: Vec<TickInput> = (0..12).map(|t| obs_tick(t % 2, 1.5)).collect();
-        let exact = decoder(true).viterbi(&ticks).unwrap();
-        // 2 activities × 2 candidates per chain → 16 joint states.
-        let wide = decoder(true)
-            .with_decoder(crate::beam::DecoderConfig::top_k(16))
-            .viterbi(&ticks)
-            .unwrap();
-        assert_eq!(wide, exact, "full-width beam degrades to the exact kernel");
     }
 
     #[test]

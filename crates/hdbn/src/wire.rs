@@ -19,18 +19,18 @@
 //! for JSON payloads; this layer only guarantees the bytes parse.)
 //!
 //! The [`ByteWriter`]/[`ByteReader`] primitives and the codecs for the
-//! crate-public config types ([`Lag`], [`Beam`], [`DecoderConfig`],
+//! crate-public config types ([`Lag`], [`DecoderConfig`],
 //! [`MicroCandidate`]) are public so `cace-core` can embed the parked
 //! decoder payloads written here inside its own stream envelope.
 
 use cace_model::ModelError;
 
-use crate::beam::{Beam, DecoderConfig};
+use crate::beam::DecoderConfig;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::park::{
-    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice,
-    RetiredF32Frontier, RETIRED_LANE,
+    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
+    RetiredBeamKeep, RetiredF32Frontier, RETIRED_BEAMS, RETIRED_LANE,
 };
 
 fn decode_err(what: impl Into<String>) -> ModelError {
@@ -132,17 +132,32 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
+    fn truncated(&self, n: usize) -> ModelError {
+        decode_err(format!(
+            "binary payload truncated: need {n} bytes at offset {}, {} remain",
+            self.pos,
+            self.remaining()
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], ModelError> {
         if self.remaining() < n {
-            return Err(decode_err(format!(
-                "binary payload truncated: need {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let bytes = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(bytes)
+    }
+
+    /// [`take`](Self::take) of a fixed-size chunk.
+    fn take_chunk<const N: usize>(&mut self) -> Result<&'a [u8; N], ModelError> {
+        let buf: &'a [u8] = self.buf;
+        let chunk = buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<N>)
+            .ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(chunk)
     }
 
     /// Fails unless every payload byte was consumed — trailing garbage is
@@ -225,9 +240,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     /// [`ModelError::Persistence`] on truncated input.
     pub fn read_f64(&mut self) -> Result<f64, ModelError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8"),
-        )))
+        Ok(f64::from_bits(u64::from_le_bytes(*self.take_chunk()?)))
     }
 
     /// Reads an `Option<usize>` (presence byte + value).
@@ -294,50 +307,28 @@ pub fn read_lag(r: &mut ByteReader<'_>) -> Result<Lag, ModelError> {
     }
 }
 
-/// Encodes a [`Beam`].
-pub fn write_beam(w: &mut ByteWriter, beam: Beam) {
-    match beam {
-        Beam::Exact => w.write_u8(0),
-        Beam::TopK(k) => {
-            w.write_u8(1);
-            w.write_usize(k);
-        }
-        Beam::LogThreshold(d) => {
-            w.write_u8(2);
-            w.write_f64(d);
-        }
-    }
-}
-
-/// Decodes a [`Beam`].
-///
-/// # Errors
-/// [`ModelError::Persistence`] on truncation or an unknown tag.
-pub fn read_beam(r: &mut ByteReader<'_>) -> Result<Beam, ModelError> {
-    match r.read_u8()? {
-        0 => Ok(Beam::Exact),
-        1 => Ok(Beam::TopK(r.read_usize()?)),
-        2 => Ok(Beam::LogThreshold(r.read_f64()?)),
-        t => Err(decode_err(format!("unknown beam tag {t}"))),
-    }
-}
-
-/// Encodes a [`DecoderConfig`]: the beam, then the precision tag `0`
-/// (exact `f64`) of the layout that also had an `f32` lane (tag `1`).
-pub fn write_decoder(w: &mut ByteWriter, d: DecoderConfig) {
-    write_beam(w, d.beam);
+/// Encodes a [`DecoderConfig`]: the beam tag `0` (exact) of the layout
+/// that also had lossy beams (tags `1` and `2`), then the precision tag
+/// `0` (exact `f64`) of the layout that also had an `f32` lane (tag `1`).
+pub fn write_decoder(w: &mut ByteWriter, _d: DecoderConfig) {
+    w.write_u8(0);
     w.write_u8(0);
 }
 
 /// Decodes a [`DecoderConfig`].
 ///
 /// # Errors
-/// [`ModelError::Persistence`] on truncation, an unknown tag, or the
-/// precision tag `1` of the removed `f32` lane.
+/// [`ModelError::Persistence`] on truncation, an unknown tag, the beam
+/// tags `1` (`TopK`) and `2` (`LogThreshold`) of the removed lossy beams,
+/// or the precision tag `1` of the removed `f32` lane.
 pub fn read_decoder(r: &mut ByteReader<'_>) -> Result<DecoderConfig, ModelError> {
-    let beam = read_beam(r)?;
     match r.read_u8()? {
-        0 => Ok(DecoderConfig { beam }),
+        0 => {}
+        1 | 2 => return Err(decode_err(RETIRED_BEAMS)),
+        t => return Err(decode_err(format!("unknown beam tag {t}"))),
+    }
+    match r.read_u8()? {
+        0 => Ok(DecoderConfig),
         1 => Err(decode_err(RETIRED_LANE)),
         t => Err(decode_err(format!("unknown precision tag {t}"))),
     }
@@ -359,6 +350,45 @@ impl RetiredF32Frontier {
         match r.read_usize()? {
             0 => Ok(Self),
             _ => Err(decode_err(RETIRED_LANE)),
+        }
+    }
+}
+
+impl RetiredBeamFlag {
+    /// Appends the slot's binary encoding: a `false` bool byte.
+    pub fn encode_into(self, w: &mut ByteWriter) {
+        w.write_bool(false);
+    }
+
+    /// Reads the slot, accepting only `false`.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on truncation, a non-bool byte, or a
+    /// frontier marked pruned by a removed lossy beam.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        match r.read_bool()? {
+            false => Ok(Self),
+            true => Err(decode_err(RETIRED_BEAMS)),
+        }
+    }
+}
+
+impl RetiredBeamKeep {
+    /// Appends the slot's binary encoding: an empty length-prefixed
+    /// sequence.
+    pub fn encode_into(self, w: &mut ByteWriter) {
+        w.write_u64(0);
+    }
+
+    /// Reads the slot, accepting only an empty sequence.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on truncation or a non-empty survivor
+    /// list of a removed lossy beam.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        match r.read_usize()? {
+            0 => Ok(Self),
+            _ => Err(decode_err(RETIRED_BEAMS)),
         }
     }
 }
@@ -433,8 +463,8 @@ impl ParkedCoupled {
         }
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
-        w.write_bool(self.pruned);
-        w.write_seq(&self.keep, |w, &x| w.write_u32(x));
+        self.pruned.encode_into(w);
+        self.keep.encode_into(w);
     }
 
     /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
@@ -463,8 +493,8 @@ impl ParkedCoupled {
             emitted_micros: [r.read_seq(11, read_cand)?, r.read_seq(11, read_cand)?],
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
-            pruned: r.read_bool()?,
-            keep: r.read_seq(1, ByteReader::read_u32)?,
+            pruned: RetiredBeamFlag::decode_from(r)?,
+            keep: RetiredBeamKeep::decode_from(r)?,
         })
     }
 }
@@ -485,8 +515,8 @@ impl ParkedChain {
         w.write_seq(&self.emitted_micros, write_cand);
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
-        w.write_bool(self.pruned);
-        w.write_seq(&self.keep, |w, &x| w.write_u32(x));
+        self.pruned.encode_into(w);
+        self.keep.encode_into(w);
     }
 
     /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
@@ -510,8 +540,8 @@ impl ParkedChain {
             emitted_micros: r.read_seq(11, read_cand)?,
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
-            pruned: r.read_bool()?,
-            keep: r.read_seq(1, ByteReader::read_u32)?,
+            pruned: RetiredBeamFlag::decode_from(r)?,
+            keep: RetiredBeamKeep::decode_from(r)?,
         })
     }
 }
@@ -572,47 +602,70 @@ mod tests {
         assert!(r.expect_end().is_err());
         // Unknown enum tags.
         assert!(read_lag(&mut ByteReader::new(&[7])).is_err());
-        assert!(read_beam(&mut ByteReader::new(&[7])).is_err());
+        assert!(read_decoder(&mut ByteReader::new(&[7, 0])).is_err());
         assert!(read_decoder(&mut ByteReader::new(&[0, 7])).is_err());
     }
 
     #[test]
     fn config_enums_round_trip() {
-        let lags = [Lag::Unbounded, Lag::Fixed(5)];
-        let beams = [Beam::Exact, Beam::TopK(56), Beam::LogThreshold(-3.5)];
-        for &lag in &lags {
-            for &beam in &beams {
-                let mut w = ByteWriter::new();
-                write_lag(&mut w, lag);
-                write_decoder(&mut w, DecoderConfig { beam });
-                write_cand(
-                    &mut w,
-                    &MicroCandidate {
-                        postural: 3,
-                        gestural: Some(1),
-                        location: 2,
-                        obs_loglik: -1.25,
-                    },
-                );
-                let bytes = w.into_bytes();
-                let mut r = ByteReader::new(&bytes);
-                assert_eq!(read_lag(&mut r).unwrap(), lag);
-                let d = read_decoder(&mut r).unwrap();
-                assert_eq!(d.beam, beam);
-                let c = read_cand(&mut r).unwrap();
-                assert_eq!((c.postural, c.gestural, c.location), (3, Some(1), 2));
-                assert_eq!(c.obs_loglik.to_bits(), (-1.25f64).to_bits());
-                r.expect_end().unwrap();
-            }
+        for lag in [Lag::Unbounded, Lag::Fixed(5)] {
+            let mut w = ByteWriter::new();
+            write_lag(&mut w, lag);
+            write_decoder(&mut w, DecoderConfig::exact());
+            write_cand(
+                &mut w,
+                &MicroCandidate {
+                    postural: 3,
+                    gestural: Some(1),
+                    location: 2,
+                    obs_loglik: -1.25,
+                },
+            );
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(read_lag(&mut r).unwrap(), lag);
+            assert_eq!(read_decoder(&mut r).unwrap(), DecoderConfig::exact());
+            let c = read_cand(&mut r).unwrap();
+            assert_eq!((c.postural, c.gestural, c.location), (3, Some(1), 2));
+            assert_eq!(c.obs_loglik.to_bits(), (-1.25f64).to_bits());
+            r.expect_end().unwrap();
         }
     }
 
     #[test]
-    fn retired_f32_lane_fields_write_empty_and_reject_content() {
-        // The decoder config still ends in the exact precision tag 0.
+    fn retired_beam_fields_write_exact_and_reject_content() {
+        // The exact decoder writes beam tag 0; tags 1 (TopK, then a
+        // varint) and 2 (LogThreshold, then an f64) are rejected by name.
         let mut w = ByteWriter::new();
-        write_decoder(&mut w, DecoderConfig::top_k(4));
-        assert_eq!(w.into_bytes(), [1, 4, 0]);
+        write_decoder(&mut w, DecoderConfig::exact());
+        assert_eq!(w.into_bytes(), [0, 0]);
+        for bytes in [&[1u8, 56, 0][..], &[2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0]] {
+            let err = read_decoder(&mut ByteReader::new(bytes)).unwrap_err();
+            assert!(err.to_string().contains("TopK or LogThreshold"), "{err}");
+        }
+        // The parked `pruned`/`keep` slots write `false` and `[]`, and read
+        // nothing else.
+        let mut w = ByteWriter::new();
+        RetiredBeamFlag.encode_into(&mut w);
+        RetiredBeamKeep.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [0, 0]);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            RetiredBeamFlag::decode_from(&mut r).unwrap(),
+            RetiredBeamFlag
+        );
+        assert_eq!(
+            RetiredBeamKeep::decode_from(&mut r).unwrap(),
+            RetiredBeamKeep
+        );
+        r.expect_end().unwrap();
+        assert!(RetiredBeamFlag::decode_from(&mut ByteReader::new(&[1])).is_err());
+        assert!(RetiredBeamKeep::decode_from(&mut ByteReader::new(&[1, 3])).is_err());
+    }
+
+    #[test]
+    fn retired_f32_lane_fields_write_empty_and_reject_content() {
         // Tag 1 was the f32 lane: rejected, never decoded as exact.
         let err = read_decoder(&mut ByteReader::new(&[0, 1])).unwrap_err();
         assert!(err.to_string().contains("f32"), "{err}");

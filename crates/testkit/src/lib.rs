@@ -5,7 +5,7 @@
 //! trained-engine constructors that used to be copy-pasted across the
 //! files under `tests/`, plus the strict bit-identity assertion the
 //! equivalence suites (`batch == sequential`, `streamed == batch`,
-//! `reloaded == trained`, `pruned-streamed == pruned-batch`) all share.
+//! `reloaded == trained`) all share.
 //!
 //! Nothing here is clever — that is the point. A fixture duplicated per
 //! test file drifts (each copy picks its own seeds, split ratios, and

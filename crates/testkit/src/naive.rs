@@ -77,8 +77,8 @@ fn naive_slice(p: &HdbnParams, tick: &TickInput, user: usize) -> NaiveSlice {
 /// A faithful copy of the pre-score-table dense two-pass fold — chain 2
 /// then chain 1, `f2_col`/`f1_col` collected fresh per column via
 /// [`HdbnParams::transition_score`] — so the production
-/// [`CoupledHdbn::viterbi`](cace_hdbn::CoupledHdbn::viterbi) (under
-/// `Beam::Exact`) must match it float for float.
+/// [`CoupledHdbn::viterbi`](cace_hdbn::CoupledHdbn::viterbi) must match
+/// it float for float.
 ///
 /// # Panics
 /// Panics on empty input or a tick with no candidates (the references

@@ -9,6 +9,10 @@
 //! hook. [`ToyFlatModel`] is the switch-free variant exercising the
 //! `SWITCH == false` path (the shape of the NH flat-product decoder).
 //!
+//! Both models build their [`Dominance`] table from their explicit
+//! transition tables, so the dominance-pruned exact step
+//! ([`cace_hdbn::trellis::step_into`]) runs over them too.
+//!
 //! [`naive_step`] is the executable specification: a per-destination ×
 //! per-source scan with strict-`>` first-argmax and no memoization at
 //! all. The property tests in the repo root (`tests/generic_engine.rs`)
@@ -17,7 +21,7 @@
 //! tie is a true tie).
 
 use cace_hdbn::trellis::{argmax, init_into, step_dense_into};
-use cace_hdbn::{Dest, ScoreModel, StateSpace, StepScratch};
+use cace_hdbn::{Dest, Dominance, ScoreModel, StateSpace, StepScratch};
 
 /// One toy tick: an explicit group-major state list.
 #[derive(Debug, Clone)]
@@ -140,6 +144,22 @@ impl ScoreModel for ToyModel {
     }
 }
 
+impl ToyModel {
+    /// The dominance table over this model's pair ids: `T(q → d)` is the
+    /// continue entry when `q` and `d` share a group, the switch entry of
+    /// `q`'s group otherwise — exactly what the kernels read.
+    pub fn dominance(&self) -> Dominance {
+        Dominance::build(self.pair_group.len(), |q, d| {
+            let g = self.pair_group[q];
+            if g == self.pair_group[d] {
+                self.cont[d][q]
+            } else {
+                self.switch[d][g as usize]
+            }
+        })
+    }
+}
+
 /// Switch-free toy model: every source scores through the continue row,
 /// as in the NH flat-product family.
 #[derive(Debug, Clone)]
@@ -161,6 +181,13 @@ impl ScoreModel for ToyFlatModel {
             cont: &self.cont[pair as usize],
             switch: &[],
         }
+    }
+}
+
+impl ToyFlatModel {
+    /// The dominance table over this model's pair ids.
+    pub fn dominance(&self) -> Dominance {
+        Dominance::build(self.cont.len(), |q, d| self.cont[d][q])
     }
 }
 

@@ -1,13 +1,13 @@
 //! Pruning explorer: watch the correlation miner shrink the joint state
-//! space tick by tick, compare the four strategies of Fig 11, and sweep
-//! the decoder's frontier beam on top (latency vs macro accuracy per
-//! strategy — the two pruning levers compose).
+//! space tick by tick, compare the four strategies of Fig 11, and see how
+//! much of the remaining trellis frontier dominance pruning skips inside
+//! each exact DP step (the two pruning levers compose).
 //!
 //! Run with: `cargo run --release --example pruning_explorer`
 
 use cace::behavior::session::train_test_split;
 use cace::behavior::{cace_grammar, generate_cace_dataset, SessionConfig};
-use cace::core::{CaceConfig, CaceEngine, DecoderConfig, Strategy};
+use cace::core::{CaceConfig, CaceEngine, Lag, Strategy};
 use cace::eval::mean_duration_error;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,47 +62,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ncs as f64 / c2.max(1) as f64
     );
 
-    // Second lever: beam-prune the decoder *frontier* on top of the mined
-    // candidate pruning. `TopK(k)` keeps the k best trellis states per
-    // tick; `k >=` the strategy's frontier bound never prunes (== exact).
-    println!(
-        "\n{:<5} {:>12} {:>10} {:>8} {:>16} {:>10}",
-        "strat", "beam", "accuracy", "Δacc", "transition ops", "wall (s)"
-    );
-    for strategy in Strategy::ALL {
-        let engine = CaceEngine::train(&train, &CaceConfig::default().with_strategy(strategy))?;
-        let bound = engine.frontier_bound();
-        let exact = engine.recognize(session)?;
-        let exact_acc = exact.accuracy(session);
-        println!(
-            "{:<5} {:>12} {:>9.1}% {:>8} {:>16} {:>10.4}",
-            strategy.label(),
-            "exact",
-            100.0 * exact_acc,
-            "-",
-            exact.transition_ops,
-            exact.wall_seconds
-        );
-        for divisor in [8usize, 32, 128] {
-            let k = (bound / divisor).max(1);
-            let beamed = engine.with_decoder(DecoderConfig::top_k(k));
-            let rec = beamed.recognize(session)?;
-            let acc = rec.accuracy(session);
-            println!(
-                "{:<5} {:>12} {:>9.1}% {:>+7.1}pp {:>16} {:>10.4}",
-                strategy.label(),
-                format!("TopK({k})"),
-                100.0 * acc,
-                100.0 * (acc - exact_acc),
-                rec.transition_ops,
-                rec.wall_seconds
-            );
+    // Inside every DP step, dominance pruning then skips the frontier
+    // states that provably cannot win, without changing any decision.
+    let engine = CaceEngine::train(&train, &CaceConfig::default())?;
+    let inputs = engine.tick_inputs(session);
+    let mut stream = engine.stream(Lag::Fixed(10));
+    let (mut survivors, mut frontier) = (0u64, 0u64);
+    for (t, tick) in session.ticks.iter().enumerate() {
+        stream.push(&tick.observed)?;
+        if let Some(s) = stream.last_survivors() {
+            survivors += s as u64;
+            frontier += inputs[t - 1].joint_states(engine.n_macro());
         }
     }
     println!(
-        "\n(frontier beams compose with the rule pruning above; \
-         `cargo bench -p cace-bench --bench beam_sweep` has the per-tick \
-         latency story)"
+        "dominance pruning folded {survivors} of {frontier} C2 frontier states \
+         ({:.1}%) with bit-identical decisions",
+        100.0 * survivors as f64 / frontier.max(1) as f64
     );
     Ok(())
 }

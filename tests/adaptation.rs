@@ -1,7 +1,7 @@
 //! Hot model swap handoff guarantee, stated as executable properties.
 //!
 //! A live stream that swaps models at a decision boundary must satisfy
-//! two equalities, for every strategy and under exact and pruned beams:
+//! two equalities, for every strategy:
 //!
 //! 1. **Pre-swap identity** — every decision emitted before the swap is
 //!    bit-identical to an unswapped stream's (adaptation is invisible
@@ -22,8 +22,8 @@ use proptest::prelude::*;
 
 use cace::behavior::Session;
 use cace::core::{
-    resume_shared, stream_shared, CaceConfig, CaceEngine, DecoderConfig, Lag, Strategy,
-    StreamDecision, StreamingRecognizer,
+    resume_shared, stream_shared, CaceConfig, CaceEngine, Lag, Strategy, StreamDecision,
+    StreamingRecognizer,
 };
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine_with, tiny_corpus};
@@ -114,23 +114,16 @@ fn assert_handoff_at_every_boundary(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Random session shapes × all four strategies × exact and TopK
-    /// beams: the handoff guarantee holds at *every* decision boundary.
+    /// Random session shapes × all four strategies: the handoff
+    /// guarantee holds at *every* decision boundary.
     #[test]
     fn hot_swap_handoff_holds_at_every_boundary(
         ticks in 40usize..52,
         seed in 0u64..1_000,
-        beam_case in 0u8..2,
     ) {
-        let decoder = match beam_case {
-            0 => DecoderConfig::default(),
-            _ => DecoderConfig::top_k(12),
-        };
         let (train_v1, train_v2, test) = corpora(ticks, seed);
         for strategy in Strategy::ALL {
-            let config = CaceConfig::default()
-                .with_strategy(strategy)
-                .with_decoder(decoder);
+            let config = CaceConfig::default().with_strategy(strategy);
             let v1 = Arc::new(engine_with(&train_v1, &config));
             let v2 = Arc::new(engine_with(&train_v2, &config));
             prop_assert_ne!(
@@ -138,37 +131,24 @@ proptest! {
                 v2.hdbn_params().fingerprint(),
                 "the two corpora must train distinguishable models"
             );
-            assert_handoff_at_every_boundary(
-                &v1,
-                &v2,
-                &test[0],
-                &format!("{strategy} {decoder:?}"),
-            );
+            assert_handoff_at_every_boundary(&v1, &v2, &test[0], &format!("{strategy}"));
         }
     }
 
     /// Swapping to a model with *identical* parameters (a twin trained on
     /// the same corpus) is a no-op at the bit level: decisions, final
-    /// recognition, and overhead counters all match the unswapped stream,
-    /// under a pruned beam too.
+    /// recognition, and overhead counters all match the unswapped stream.
     #[test]
     fn swap_to_identical_params_is_invisible(
         ticks in 40usize..52,
         seed in 0u64..1_000,
         swap_frac in 0.0f64..1.0,
-        beam_case in 0u8..2,
     ) {
-        let decoder = match beam_case {
-            0 => DecoderConfig::default(),
-            _ => DecoderConfig::top_k(16),
-        };
         let (train, _, test) = corpora(ticks, seed);
         let session = &test[0];
         let t = (swap_frac * session.len() as f64) as usize;
         for strategy in Strategy::ALL {
-            let config = CaceConfig::default()
-                .with_strategy(strategy)
-                .with_decoder(decoder);
+            let config = CaceConfig::default().with_strategy(strategy);
             let v1 = Arc::new(engine_with(&train, &config));
             let twin = Arc::new(engine_with(&train, &config));
             prop_assert_eq!(
@@ -184,8 +164,8 @@ proptest! {
             swapped.swap_model(&twin).expect("twin swaps");
             got.extend(push_all(&mut swapped, session, t..session.len()));
 
-            prop_assert_eq!(&got, &want, "{} {:?}: twin swap at {} changed decisions",
-                strategy, decoder, t);
+            prop_assert_eq!(&got, &want, "{}: twin swap at {} changed decisions",
+                strategy, t);
             assert_recognitions_identical(
                 &swapped.finish().expect("swapped finishes"),
                 &plain.finish().expect("plain finishes"),
@@ -233,7 +213,7 @@ fn swap_composes_with_park_resume_cycles() {
     // Park/resume the stream around and after the swap: the interruptions
     // must change nothing relative to an uninterrupted swapped stream.
     let (train_v1, train_v2, test) = corpora(50, 23);
-    let config = CaceConfig::default().with_decoder(DecoderConfig::top_k(12));
+    let config = CaceConfig::default();
     let v1 = Arc::new(engine_with(&train_v1, &config));
     let v2 = Arc::new(engine_with(&train_v2, &config));
     let session = &test[0];
@@ -277,10 +257,10 @@ fn swap_composes_with_park_resume_cycles() {
 fn swap_rejects_incompatible_configurations_atomically() {
     let (train_v1, _, test) = corpora(44, 5);
     let v1 = Arc::new(engine_with(&train_v1, &CaceConfig::default()));
-    // Same data, different HDBN beam config → different swap target class.
+    // Same data, different strategy → different swap target class.
     let other = Arc::new(engine_with(
         &train_v1,
-        &CaceConfig::default().with_decoder(DecoderConfig::top_k(8)),
+        &CaceConfig::default().with_strategy(Strategy::NaiveCorrelation),
     ));
     let session = &test[0];
 
@@ -288,7 +268,7 @@ fn swap_rejects_incompatible_configurations_atomically() {
     let pre = push_all(&mut stream, session, 0..session.len() / 2);
     assert!(
         stream.swap_model(&other).is_err(),
-        "a swap across decoder configs must be refused"
+        "a swap across strategies must be refused"
     );
     // The refusal is atomic: the stream keeps serving under v1 exactly as
     // if the swap was never attempted.

@@ -2,9 +2,9 @@
 //! whole serving push.
 //!
 //! The `TrellisArena` + pooled-window design promises that a *warmed*
-//! streaming push — slice fill, DP step, beam selection, fixed-lag emit —
-//! performs **zero heap allocations per tick**, for the exact decoder and
-//! under an actively-pruning `TopK` beam alike. This suite counts every
+//! streaming push — slice fill, dominance selection, DP step, fixed-lag
+//! emit — performs **zero heap allocations per tick**, on steps that fold
+//! a survivor list and steps that run dense alike. This suite counts every
 //! allocator call (alloc / realloc / alloc_zeroed) through a wrapping
 //! global allocator with a per-thread counter, warms each decoder past its
 //! high-water buffer sizes, then drives another window of pushes and
@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cace::hdbn::{
-    Beam, CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SingleHdbn,
+    CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SingleHdbn,
     TickInput,
 };
 use cace_testkit::{toy_glitchy_ticks, toy_two_activity_params};
@@ -85,88 +85,87 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 const WARMUP: usize = 64;
 const MEASURED: usize = 64;
 
-fn decoder_configs() -> [(&'static str, DecoderConfig); 2] {
-    // The toy coupled frontier is 16 joint states (single: 4), so TopK(4)
-    // (TopK(2) for single) genuinely prunes every tick — the pruned
-    // kernels and survivor selection are in the measured loop.
-    [
-        ("exact", DecoderConfig::exact()),
-        ("topk", DecoderConfig::top_k(4)),
-    ]
-}
-
 fn stream_ticks() -> Vec<TickInput> {
     toy_glitchy_ticks(WARMUP + MEASURED)
 }
 
 #[test]
 fn warmed_coupled_stream_push_allocates_nothing() {
-    for (label, decoder) in decoder_configs() {
-        let model = CoupledHdbn::new(toy_two_activity_params(true)).with_decoder(decoder);
-        let ticks = stream_ticks();
-        let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(5));
-        online.reserve_ticks(WARMUP + MEASURED);
-        for tick in &ticks[..WARMUP] {
-            online.push(tick).expect("warmup push");
-        }
-        let allocs = count_allocs(|| {
-            for tick in &ticks[WARMUP..] {
-                online.push(tick).expect("measured push");
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "{label}: warmed coupled push must be allocation-free \
-             ({allocs} allocations over {MEASURED} ticks)"
-        );
-        // The stream is still correct after the measured window.
-        let path = online.finalize().expect("finalize");
-        assert_eq!(path.macros[0].len(), WARMUP + MEASURED);
+    let model = CoupledHdbn::new(toy_two_activity_params(true));
+    let ticks = stream_ticks();
+    let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(5));
+    online.reserve_ticks(WARMUP + MEASURED);
+    for tick in &ticks[..WARMUP] {
+        online.push(tick).expect("warmup push");
     }
+    let allocs = count_allocs(|| {
+        for tick in &ticks[WARMUP..] {
+            online.push(tick).expect("measured push");
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warmed coupled push must be allocation-free \
+         ({allocs} allocations over {MEASURED} ticks)"
+    );
+    // The stream is still correct after the measured window.
+    let path = online.finalize().expect("finalize");
+    assert_eq!(path.macros[0].len(), WARMUP + MEASURED);
 }
 
 #[test]
 fn warmed_single_stream_push_allocates_nothing() {
-    for (label, decoder) in [
-        ("exact", DecoderConfig::exact()),
-        ("topk", DecoderConfig::top_k(2)),
-    ] {
-        let model = SingleHdbn::new(toy_two_activity_params(false)).with_decoder(decoder);
-        let ticks = stream_ticks();
-        let mut online = OnlineSingleViterbi::new(model, 0, Lag::Fixed(5));
-        online.reserve_ticks(WARMUP + MEASURED);
-        for tick in &ticks[..WARMUP] {
-            online.push(tick).expect("warmup push");
-        }
-        let allocs = count_allocs(|| {
-            for tick in &ticks[WARMUP..] {
-                online.push(tick).expect("measured push");
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "{label}: warmed single-chain push must be allocation-free \
-             ({allocs} allocations over {MEASURED} ticks)"
-        );
-        let path = online.finalize().expect("finalize");
-        assert_eq!(path.macros.len(), WARMUP + MEASURED);
+    let model = SingleHdbn::new(toy_two_activity_params(false));
+    let ticks = stream_ticks();
+    let mut online = OnlineSingleViterbi::new(model, 0, Lag::Fixed(5));
+    online.reserve_ticks(WARMUP + MEASURED);
+    for tick in &ticks[..WARMUP] {
+        online.push(tick).expect("warmup push");
     }
+    let allocs = count_allocs(|| {
+        for tick in &ticks[WARMUP..] {
+            online.push(tick).expect("measured push");
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warmed single-chain push must be allocation-free \
+         ({allocs} allocations over {MEASURED} ticks)"
+    );
+    let path = online.finalize().expect("finalize");
+    assert_eq!(path.macros.len(), WARMUP + MEASURED);
 }
 
-/// The TopK beams above genuinely prune (strict subset survives), so the
-/// zero-allocation claim covers the pruned kernels, not just the dense
-/// ones.
+/// Dominance pruning genuinely prunes the measured window of both tests
+/// above (strict subsets survive), so the zero-allocation claim covers
+/// the survivor selection and survivor kernels, not just the dense ones.
 #[test]
-fn topk_cases_actually_prune_in_steady_state() {
-    let mut scratch = cace::hdbn::BeamScratch::new();
-    let model = CoupledHdbn::new(toy_two_activity_params(true));
+fn dominance_actually_prunes_in_steady_state() {
     let ticks = stream_ticks();
-    let path = model.viterbi(&ticks).expect("decode");
-    // 16-state joint frontier vs TopK(4): selection must report pruning.
-    let frontier: Vec<f64> = (0..16).map(|i| -(i as f64)).collect();
-    assert!(Beam::TopK(4).select_log(&frontier, &mut scratch));
-    assert_eq!(scratch.keep().len(), 4);
-    assert!(path.log_prob.is_finite());
+    let mut coupled = OnlineCoupledViterbi::new(
+        CoupledHdbn::new(toy_two_activity_params(true)),
+        Lag::Fixed(5),
+    );
+    let mut single = OnlineSingleViterbi::new(
+        SingleHdbn::new(toy_two_activity_params(false)),
+        0,
+        Lag::Fixed(5),
+    );
+    let (mut coupled_pruned, mut single_pruned) = (0, 0);
+    for (t, tick) in ticks.iter().enumerate() {
+        coupled.push(tick).expect("coupled push");
+        single.push(tick).expect("single push");
+        if t >= WARMUP {
+            // 2 activities × 2 candidates: 16 joint states, 4 chain states.
+            coupled_pruned += usize::from(coupled.last_survivors().expect("a step ran") < 16);
+            single_pruned += usize::from(single.last_survivors().expect("a step ran") < 4);
+        }
+    }
+    assert!(
+        coupled_pruned > MEASURED / 2,
+        "{coupled_pruned} pruned steps"
+    );
+    assert!(single_pruned > MEASURED / 2, "{single_pruned} pruned steps");
 }
 
 /// Allocations a warmed `StreamingRecognizer::push` on the serving shape

@@ -1,0 +1,578 @@
+//! Differential suite for dominance pruning: the exact step every decoder
+//! runs — a dominance survivor selection, then the survivor-list kernel —
+//! against the dense kernel it replaces, on the same inputs, for the
+//! joint, chain and NH (switch-free) kernels. Every state's new frontier
+//! score must match bit for bit, and so must its backpointer.
+//!
+//! Random cases draw their scores from a palette built to break a sloppy
+//! bound: dyadic values (exact ties across sources), values a few ulps
+//! below the frontier maximum (the selection slack's rounding cases),
+//! `−∞` entries and whole `−∞` frontier rows, subnormal and very large
+//! finite magnitudes, `−∞` transition scores (including a source pair
+//! with no finite outgoing transition, and destinations no source
+//! reaches), and single-state slices. Hand-built cases pin the rounding
+//! and unreachable-destination rules on their own.
+//!
+//! The suite ends with the efficacy gauge: on a small CASAS corpus the
+//! steps fold a small fraction of the frontier.
+
+use proptest::prelude::*;
+
+use cace::behavior::session::train_test_split;
+use cace::behavior::{generate_casas_dataset, CasasConfig};
+use cace::core::{CaceConfig, CaceEngine, Lag};
+use cace::hdbn::trellis::{step_dense_into, step_into};
+use cace::hdbn::{
+    joint_step_pair, Dominance, HdbnConfig, HdbnParams, MicroCandidate, ScoreModel, StateSpace,
+    StepScratch, TickInput, TrellisArena,
+};
+use cace::mining::HierarchicalStats;
+use cace_testkit::toy::{ToyFlatModel, ToyModel, ToySpace};
+
+/// xorshift64*, seeded per case.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Self(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn chance(&mut self, one_in: usize) -> bool {
+        self.below(one_in) == 0
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// One score-magnitude regime, fixed per case so that values of one case
+/// are comparable (ties and near-ties need a shared scale).
+#[derive(Debug, Clone, Copy)]
+enum Regime {
+    /// Multiples of ⅛ in [−8, 0]: every sum exact, many true ties.
+    Dyadic,
+    /// Arbitrary log-probability-like values in [−60, 0].
+    Ordinary,
+    /// Subnormal magnitudes.
+    Subnormal,
+    /// Finite magnitudes near 1e300.
+    Huge,
+}
+
+impl Regime {
+    fn draw(rng: &mut Rng) -> Self {
+        match rng.below(4) {
+            0 => Regime::Dyadic,
+            1 => Regime::Ordinary,
+            2 => Regime::Subnormal,
+            _ => Regime::Huge,
+        }
+    }
+
+    fn value(self, rng: &mut Rng) -> f64 {
+        match self {
+            Regime::Dyadic => -(rng.below(65) as f64) / 8.0,
+            Regime::Ordinary => -60.0 * rng.unit(),
+            Regime::Subnormal => -(rng.below(64) as f64) * 5e-324,
+            Regime::Huge => -1e300 * (1.0 + rng.unit()),
+        }
+    }
+}
+
+/// A frontier over `n` states: regime values with ties, near-ties below
+/// the maximum, `−∞` entries and (`row`-wide) `−∞` rows.
+fn frontier(rng: &mut Rng, regime: Regime, n: usize, row: usize) -> Vec<f64> {
+    let mut v: Vec<f64> = (0..n).map(|_| regime.value(rng)).collect();
+    for j in 0..n {
+        match rng.below(10) {
+            0 => v[j] = f64::NEG_INFINITY,
+            1 => v[j] = v[rng.below(n)],
+            _ => {}
+        }
+    }
+    if rng.chance(3) {
+        let r = rng.below(n.div_ceil(row));
+        for x in v.iter_mut().skip(r * row).take(row) {
+            *x = f64::NEG_INFINITY;
+        }
+    }
+    // Near-ties: a few states a handful of ulps below the maximum.
+    let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max.is_finite() {
+        for _ in 0..rng.below(4) {
+            let j = rng.below(n);
+            let ulps = rng.below(8) as u64;
+            v[j] = if max > 0.0 {
+                f64::from_bits(max.to_bits().saturating_sub(ulps))
+            } else if max == 0.0 {
+                -(ulps as f64) * 5e-324
+            } else {
+                f64::from_bits(max.to_bits() + ulps)
+            };
+        }
+    }
+    v
+}
+
+fn assert_same_step(what: &str, dense: (&[f64], &[u32]), exact: (&[f64], &[u32])) {
+    assert_eq!(dense.0.len(), exact.0.len(), "{what}: frontier length");
+    for (j, (d, e)) in dense.0.iter().zip(exact.0).enumerate() {
+        assert_eq!(
+            d.to_bits(),
+            e.to_bits(),
+            "{what}: frontier bits of state {j}"
+        );
+    }
+    assert_eq!(dense.1, exact.1, "{what}: backpointers");
+}
+
+// ---------------------------------------------------------------------
+// Chain and NH kernels, through the toy models.
+// ---------------------------------------------------------------------
+
+/// A toy world: `n_groups` groups of 1–3 pair ids each.
+fn toy_pairs(rng: &mut Rng) -> Vec<u32> {
+    let n_groups = 1 + rng.below(4);
+    let mut pair_group = Vec::new();
+    for g in 0..n_groups {
+        for _ in 0..1 + rng.below(3) {
+            pair_group.push(g as u32);
+        }
+    }
+    pair_group
+}
+
+/// A random group-major tick over the pairs (a single state one time in
+/// six); duplicate pair ids exercise the slot fan-out.
+fn toy_tick(rng: &mut Rng, pair_group: &[u32], regime: Regime) -> ToySpace {
+    let n = if rng.chance(6) { 1 } else { 1 + rng.below(9) };
+    let mut states: Vec<(u32, u32, f64)> = (0..n)
+        .map(|_| {
+            let pair = rng.below(pair_group.len()) as u32;
+            let emission = if rng.chance(12) {
+                f64::NEG_INFINITY
+            } else {
+                regime.value(rng)
+            };
+            (pair_group[pair as usize], pair, emission)
+        })
+        .collect();
+    states.sort_by_key(|s| s.0);
+    ToySpace::new(&states)
+}
+
+/// A transition score: mostly regime values, sometimes `−∞`.
+fn toy_score(rng: &mut Rng, regime: Regime) -> f64 {
+    if rng.chance(7) {
+        f64::NEG_INFINITY
+    } else {
+        regime.value(rng)
+    }
+}
+
+fn toy_model(rng: &mut Rng, pair_group: &[u32], regime: Regime) -> ToyModel {
+    let n = pair_group.len();
+    let n_groups = *pair_group.last().unwrap() as usize + 1;
+    let mut model = ToyModel {
+        prior: vec![0.0; n_groups],
+        pair_group: pair_group.to_vec(),
+        cont: (0..n)
+            .map(|_| (0..n).map(|_| toy_score(rng, regime)).collect())
+            .collect(),
+        switch: (0..n)
+            .map(|_| (0..n_groups).map(|_| toy_score(rng, regime)).collect())
+            .collect(),
+    };
+    if rng.chance(3) {
+        // A source pair with no finite outgoing transition.
+        let q = rng.below(n);
+        let g = pair_group[q] as usize;
+        for d in 0..n {
+            model.cont[d][q] = f64::NEG_INFINITY;
+            if pair_group[d] as usize != g {
+                model.switch[d][g] = f64::NEG_INFINITY;
+            }
+        }
+    }
+    model
+}
+
+/// The dense kernel and the dominance-pruned exact step on one input;
+/// returns the survivor count.
+fn chain_case<M: ScoreModel>(
+    what: &str,
+    model: &M,
+    dom: &Dominance,
+    prev: &ToySpace,
+    v: &[f64],
+    cur: &ToySpace,
+) -> usize {
+    let mut step = StepScratch::default();
+    let mut dense_back = Vec::new();
+    step_dense_into(model, prev, v, cur, &mut step, &mut dense_back);
+    let mut dense_v = Vec::new();
+    step.swap_frontier(&mut dense_v);
+
+    let mut arena = TrellisArena::new();
+    let mut back = Vec::new();
+    let survivors = step_into(model, dom, prev, v, cur, &mut arena, &mut back);
+    let mut exact_v = Vec::new();
+    arena.swap_frontier(&mut exact_v);
+    assert_same_step(what, (&dense_v, &dense_back), (&exact_v, &back));
+    survivors
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The hierarchical chain kernel (continue rows plus group-level
+    /// switch scores, the single-chain decoder's shape) and the
+    /// switch-free NH shape, on the same random worlds.
+    #[test]
+    fn chain_and_nh_steps_match_the_dense_kernel(seed in 0u64..u64::MAX) {
+        let mut rng = Rng::new(seed);
+        let regime = Regime::draw(&mut rng);
+        let pair_group = toy_pairs(&mut rng);
+        let model = toy_model(&mut rng, &pair_group, regime);
+        let flat = ToyFlatModel { cont: model.cont.clone() };
+        let prev = toy_tick(&mut rng, &pair_group, regime);
+        let cur = toy_tick(&mut rng, &pair_group, regime);
+        let row = 1 + rng.below(3);
+        let v = frontier(&mut rng, regime, prev.len(), row);
+        let what = format!("seed {seed} {regime:?}");
+        chain_case(&format!("chain {what}"), &model, &model.dominance(), &prev, &v, &cur);
+        chain_case(&format!("NH {what}"), &flat, &flat.dominance(), &prev, &v, &cur);
+    }
+}
+
+/// The random worlds above exercise the survivor kernels, not only the
+/// dense fallback: most cases prune some states.
+#[test]
+fn random_cases_mostly_prune() {
+    let (mut chain, mut joint) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = Rng::new(seed);
+        let regime = Regime::draw(&mut rng);
+        let pair_group = toy_pairs(&mut rng);
+        let model = toy_model(&mut rng, &pair_group, regime);
+        let prev = toy_tick(&mut rng, &pair_group, regime);
+        let cur = toy_tick(&mut rng, &pair_group, regime);
+        let row = 1 + rng.below(3);
+        let v = frontier(&mut rng, regime, prev.len(), row);
+        let survivors = chain_case("coverage", &model, &model.dominance(), &prev, &v, &cur);
+        chain += usize::from(survivors < prev.len());
+
+        let mut rng = Rng::new(seed);
+        let regime = Regime::draw(&mut rng);
+        let p = joint_params(&mut rng);
+        let prev = joint_tick(&mut rng, &p, regime);
+        let cur = joint_tick(&mut rng, &p, regime);
+        let k2 = slice_len(&p, &prev, 1);
+        let v = frontier(&mut rng, regime, slice_len(&p, &prev, 0) * k2, k2);
+        let pair = joint_step_pair(&p, &prev, &cur, &v).expect("valid ticks");
+        joint += usize::from(pair.survivors < v.len());
+    }
+    assert!(
+        chain >= 200 && joint >= 200,
+        "pruned cases: chain {chain}, joint {joint} of 400"
+    );
+}
+
+/// The slack covers the kernels' rounding: `1 − 2⁻⁵³` plus `1.0` rounds
+/// to exactly `b`'s `1.0 + 1.0`, so the lower-index state ties `b` and
+/// wins the first-argmax — though its exact bound `v + D` falls short of
+/// `v(b)` by one ulp.
+#[test]
+fn rounding_ties_within_the_slack_keep_their_state() {
+    let model = ToyFlatModel {
+        cont: vec![vec![1.0]],
+    };
+    let prev = ToySpace::new(&[(0, 0, 0.0), (0, 0, 0.0)]);
+    let cur = ToySpace::new(&[(0, 0, 0.0)]);
+    let v = [1.0 - f64::EPSILON / 2.0, 1.0];
+    let mut arena = TrellisArena::new();
+    let mut back = Vec::new();
+    step_into(
+        &model,
+        &model.dominance(),
+        &prev,
+        &v,
+        &cur,
+        &mut arena,
+        &mut back,
+    );
+    assert_eq!(back, [0], "the rounded tie goes to the first source");
+    let mut step = StepScratch::default();
+    let mut dense_back = Vec::new();
+    step_dense_into(&model, &prev, &v, &cur, &mut step, &mut dense_back);
+    assert_eq!(dense_back, back);
+}
+
+/// An all-zero model at a zero maximum has no slack: the exact ties at the
+/// cut itself must survive (`≥`, not `>`).
+#[test]
+fn exact_ties_at_a_zero_cut_survive() {
+    let model = ToyFlatModel {
+        cont: vec![vec![0.0, 0.0], vec![0.0, 0.0]],
+    };
+    let prev = ToySpace::new(&[(0, 0, 0.0), (1, 1, 0.0), (1, 1, 0.0)]);
+    let cur = ToySpace::new(&[(0, 0, 0.0), (1, 1, 0.0)]);
+    let v = [-1.0, 0.0, 0.0];
+    let mut arena = TrellisArena::new();
+    let mut back = Vec::new();
+    let survivors = step_into(
+        &model,
+        &model.dominance(),
+        &prev,
+        &v,
+        &cur,
+        &mut arena,
+        &mut back,
+    );
+    assert_eq!(survivors, 2, "state 0 is dominated, the tied pair is not");
+    assert_eq!(back, [1, 1]);
+}
+
+// ---------------------------------------------------------------------
+// The joint kernel, through real parameter tables.
+// ---------------------------------------------------------------------
+
+/// A random normalized row of `n` entries (zeros allowed).
+fn dist(rng: &mut Rng, n: usize, zeros: bool) -> Vec<f64> {
+    let mut row: Vec<f64> = (0..n)
+        .map(|_| {
+            if zeros && rng.chance(3) {
+                0.0
+            } else {
+                0.05 + rng.unit()
+            }
+        })
+        .collect();
+    if row.iter().all(|&x| x == 0.0) {
+        row[0] = 1.0;
+    }
+    let total: f64 = row.iter().sum();
+    row.iter_mut().for_each(|x| *x /= total);
+    row
+}
+
+/// Random mined statistics: some activities end episodes never or always,
+/// and some never switch to another activity — a `−∞` switch score, so
+/// their pairs reach nothing outside their activity.
+fn joint_params(rng: &mut Rng) -> HdbnParams {
+    let n_macro = 1 + rng.below(4);
+    let n_postural = 1 + rng.below(3);
+    let (n_gestural, n_location) = (2, 1 + rng.below(3));
+    let rows = |rng: &mut Rng, n: usize, m: usize, zeros: bool| -> Vec<Vec<f64>> {
+        (0..n).map(|_| dist(rng, m, zeros)).collect()
+    };
+    let mut intra_trans = rows(rng, n_macro, n_macro, false);
+    for (i, row) in intra_trans.iter_mut().enumerate() {
+        if rng.chance(3) {
+            row.iter_mut().for_each(|x| *x = 0.0);
+            row[i] = 1.0;
+        }
+    }
+    let stats = HierarchicalStats {
+        n_macro,
+        n_postural,
+        n_gestural,
+        n_location,
+        macro_prior: dist(rng, n_macro, false),
+        intra_trans,
+        inter_cooc: rows(rng, n_macro, n_macro, true),
+        end_prob: (0..n_macro)
+            .map(|_| [0.0, 1.0, rng.unit()][rng.below(3)])
+            .collect(),
+        postural_given_macro: rows(rng, n_macro, n_postural, true),
+        gestural_given_macro: rows(rng, n_macro, n_gestural, false),
+        location_given_macro: rows(rng, n_macro, n_location, true),
+        postural_trans: rows(rng, n_postural, n_postural, true),
+    };
+    let config = HdbnConfig {
+        coupling_weight: [0.0, 1.0, 3.5][rng.below(3)],
+        hierarchy_weight: [0.0, 1.0, 0.25][rng.below(3)],
+        persistence_bonus: [0.0, 0.7, -2.0, 1e300, f64::NEG_INFINITY][rng.below(5)],
+    };
+    HdbnParams::new(stats, config).expect("random stats are normalized")
+}
+
+/// A random tick of the joint model: 1–3 candidates per user, macro
+/// restrictions (a single macro one time in three, so slices of one
+/// state occur), and observation scores from the case's regime.
+fn joint_tick(rng: &mut Rng, p: &HdbnParams, regime: Regime) -> TickInput {
+    let stats = &p.stats;
+    let mut user = || {
+        let cands: Vec<MicroCandidate> = (0..1 + rng.below(3))
+            .map(|_| MicroCandidate {
+                postural: rng.below(stats.n_postural),
+                gestural: rng.chance(2).then(|| rng.below(stats.n_gestural)),
+                location: rng.below(stats.n_location),
+                obs_loglik: if rng.chance(10) {
+                    f64::NEG_INFINITY
+                } else {
+                    regime.value(rng)
+                },
+            })
+            .collect();
+        let macros = match rng.below(3) {
+            0 => None,
+            1 => Some(vec![rng.below(stats.n_macro)]),
+            _ => {
+                let mut m: Vec<usize> = (0..stats.n_macro).filter(|_| rng.chance(2)).collect();
+                if m.is_empty() {
+                    m.push(0);
+                }
+                Some(m)
+            }
+        };
+        (cands, macros)
+    };
+    let (c0, m0) = user();
+    let (c1, m1) = user();
+    TickInput {
+        candidates: [c0, c1],
+        macro_candidates: [m0, m1],
+        macro_bonus: Vec::new(),
+    }
+}
+
+/// Joint states of one user's slice for `tick`.
+fn slice_len(p: &HdbnParams, tick: &TickInput, user: usize) -> usize {
+    let macros = tick.macro_candidates[user]
+        .as_ref()
+        .map_or(p.n_macro(), Vec::len);
+    macros * tick.candidates[user].len()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The coupled joint kernel: two chains, `(v + f2) + f1`, with the
+    /// per-run switch collapse in both passes.
+    #[test]
+    fn joint_steps_match_the_dense_kernel(seed in 0u64..u64::MAX) {
+        let mut rng = Rng::new(seed);
+        let regime = Regime::draw(&mut rng);
+        let p = joint_params(&mut rng);
+        let prev = joint_tick(&mut rng, &p, regime);
+        let cur = joint_tick(&mut rng, &p, regime);
+        let k2 = slice_len(&p, &prev, 1);
+        let v = frontier(&mut rng, regime, slice_len(&p, &prev, 0) * k2, k2);
+        let pair = joint_step_pair(&p, &prev, &cur, &v).expect("valid ticks");
+        assert_same_step(
+            &format!("joint seed {seed} {regime:?}"),
+            (&pair.dense.0, &pair.dense.1),
+            (&pair.exact.0, &pair.exact.1),
+        );
+    }
+}
+
+/// A destination no source reaches gets backpointer 0 from both kernels,
+/// even when dominance prunes the frontier's first row away.
+#[test]
+fn unreachable_destinations_point_at_state_zero() {
+    // Activity 0 never switches, so nothing in it reaches activity 1.
+    let stats = HierarchicalStats {
+        n_macro: 2,
+        n_postural: 1,
+        n_gestural: 1,
+        n_location: 1,
+        macro_prior: vec![0.5, 0.5],
+        intra_trans: vec![vec![1.0, 0.0], vec![0.5, 0.5]],
+        inter_cooc: vec![vec![0.5, 0.5], vec![0.5, 0.5]],
+        end_prob: vec![0.1, 0.1],
+        postural_given_macro: vec![vec![1.0], vec![1.0]],
+        gestural_given_macro: vec![vec![1.0], vec![1.0]],
+        location_given_macro: vec![vec![1.0], vec![1.0]],
+        postural_trans: vec![vec![1.0]],
+    };
+    let p = HdbnParams::new(stats, HdbnConfig::default()).unwrap();
+    let cand = |obs_loglik| MicroCandidate {
+        postural: 0,
+        gestural: None,
+        location: 0,
+        obs_loglik,
+    };
+    // Previous tick: chain 2 confined to activity 0; chain 1 has both.
+    let prev = TickInput {
+        candidates: [vec![cand(0.0)], vec![cand(0.0), cand(0.0)]],
+        macro_candidates: [None, Some(vec![0])],
+        macro_bonus: Vec::new(),
+    };
+    let cur = TickInput {
+        candidates: [vec![cand(0.0)], vec![cand(0.0)]],
+        macro_candidates: [None, None],
+        macro_bonus: Vec::new(),
+    };
+    // Frontier rows j1 = 0 (activity 0) and 1 (activity 1); row 0 is −∞.
+    let v = [f64::NEG_INFINITY, f64::NEG_INFINITY, -1.0, -30.0];
+    let pair = joint_step_pair(&p, &prev, &cur, &v).unwrap();
+    assert!(pair.survivors < v.len(), "dominance prunes this frontier");
+    assert_eq!(pair.exact, pair.dense);
+    // Joint destinations (a1, a2) in order; chain 2 cannot reach a2 = 1.
+    for j in [1, 3] {
+        assert_eq!(pair.dense.0[j], f64::NEG_INFINITY, "destination {j}");
+        assert_eq!(pair.dense.1[j], 0, "destination {j}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Efficacy: the decode-health gauge on CASAS-sized frontiers.
+// ---------------------------------------------------------------------
+
+/// On a small CASAS corpus the C2 steps fold at most 5% of the frontier —
+/// a silent fallback to dense stepping (say, a dominance table gone all
+/// `+∞`) fails here. The gauge repeats exactly on a second stream.
+#[test]
+fn casas_steps_fold_a_small_fraction_of_the_frontier() {
+    let cfg = CasasConfig {
+        pairs: 2,
+        sessions_per_pair: 2,
+        ticks: 120,
+        ..CasasConfig::default()
+    };
+    let (train, test) = train_test_split(generate_casas_dataset(&cfg, 5), 0.75);
+    let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
+    let session = &test[0];
+    let inputs = engine.tick_inputs(session);
+    let gauge = |engine: &CaceEngine| {
+        let mut stream = engine.stream(Lag::Fixed(10));
+        let mut survivors = Vec::new();
+        for tick in &session.ticks {
+            stream.push(&tick.observed).unwrap();
+            survivors.extend(stream.last_survivors());
+        }
+        let resumed = engine.resume(&stream.park()).unwrap();
+        assert_eq!(resumed.last_survivors(), None, "the gauge is not parked");
+        survivors
+    };
+    let survivors = gauge(&engine);
+    assert_eq!(
+        survivors.len(),
+        session.len() - 1,
+        "one step per push after the first"
+    );
+    let frontier: u64 = inputs[..inputs.len() - 1]
+        .iter()
+        .map(|i| i.joint_states(engine.n_macro()))
+        .sum();
+    let folded: u64 = survivors.iter().map(|&s| s as u64).sum();
+    assert!(
+        folded * 20 <= frontier,
+        "steps folded {folded} of {frontier} frontier states (> 5%)"
+    );
+    assert_eq!(gauge(&engine), survivors, "the gauge repeats exactly");
+}

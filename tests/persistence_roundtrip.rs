@@ -2,21 +2,21 @@
 //! serving: a trained engine saved to disk and reloaded in a fresh
 //! "process" (a fresh `CaceEngine` value that never saw the training data)
 //! produces **bit-identical** batch and streaming recognition across all
-//! four strategies (NH/NCR/NCS/C2), EM-refined parameters and pruned
-//! decoder beams included.
+//! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
 //! Parked streams are held to the same bar across builds: the golden
 //! snapshots under `tests/fixtures/` were written by the build that still
-//! had a reduced-precision `f32` decoding lane, and they must resume and
-//! continue bit-identically here. Snapshots that record that lane are
-//! rejected, never decoded as exact.
+//! had a reduced-precision `f32` decoding lane and lossy decoder beams.
+//! A fresh stream parks to exactly those bytes, and they resume and
+//! continue bit-identically here. Snapshots that record the `f32` lane or
+//! a lossy beam are rejected, never decoded as exact.
 
 use proptest::prelude::*;
 
 use cace::behavior::Session;
-use cace::core::{
-    stream_session, CaceConfig, CaceEngine, DecoderConfig, Lag, ParkedStream, Strategy,
-};
+use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, ParkedStream, Strategy};
+use cace::hdbn::wire::{self, ByteReader, ByteWriter};
+use cace::hdbn::ParkedCoupled;
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine_with, tiny_corpus};
 
@@ -37,32 +37,22 @@ proptest! {
 
     /// Random corpus shapes × all four strategies: save → load → recognize
     /// and save → load → stream are bit-identical to the trained engine.
-    /// One case in three serves with a pruned decoder beam, which must
-    /// survive the round trip exactly (config included).
     #[test]
     fn saved_and_loaded_engine_serves_identically(
         ticks in 45usize..70,
         seed in 0u64..1_000,
         em_flag in 0u8..2,
-        beam_case in 0u8..3,
     ) {
         let run_em = em_flag == 1;
-        let decoder = match beam_case {
-            0 => DecoderConfig::exact(),
-            1 => DecoderConfig::top_k(24),
-            _ => DecoderConfig::log_threshold(5.0),
-        };
         let (train, test) = corpus(ticks, seed);
         for strategy in Strategy::ALL {
             let config = CaceConfig {
                 run_em,
-                ..CaceConfig::default()
-                    .with_strategy(strategy)
-                    .with_decoder(decoder)
+                ..CaceConfig::default().with_strategy(strategy)
             };
             let trained = engine_with(&train, &config);
 
-            let path = snapshot_path(&format!("{strategy}_{ticks}_{seed}_{beam_case}"));
+            let path = snapshot_path(&format!("{strategy}_{ticks}_{seed}_{em_flag}"));
             trained.save(&path).expect("snapshot write");
             let reloaded = CaceEngine::load(&path).expect("snapshot read");
             std::fs::remove_file(&path).ok();
@@ -76,7 +66,7 @@ proptest! {
             );
 
             for (i, session) in test.iter().enumerate() {
-                let label = format!("{strategy} {decoder:?} session {i}");
+                let label = format!("{strategy} session {i}");
                 // Batch recognition.
                 let original = trained.recognize(session).expect("batch on trained");
                 let from_disk = reloaded.recognize(session).expect("batch on reloaded");
@@ -113,25 +103,6 @@ fn snapshot_reload_survives_a_second_generation() {
     let a = engine.recognize(&test[0]).unwrap();
     let b = gen2.recognize(&test[0]).unwrap();
     assert_recognitions_identical(&b, &a, "second generation");
-}
-
-#[test]
-fn pruned_decoder_config_round_trips_through_the_snapshot_text() {
-    let (train, _) = corpus(50, 43);
-    for decoder in [
-        DecoderConfig::exact(),
-        DecoderConfig::top_k(7),
-        DecoderConfig::log_threshold(2.5),
-    ] {
-        let engine = engine_with(&train, &CaceConfig::default().with_decoder(decoder));
-        let reloaded = CaceEngine::from_snapshot_str(&engine.to_snapshot_string()).unwrap();
-        // The decoder settings round-trip verbatim.
-        assert_eq!(
-            reloaded.config().decoder,
-            engine.config().decoder,
-            "{decoder:?}"
-        );
-    }
 }
 
 #[test]
@@ -339,5 +310,133 @@ fn snapshots_of_the_removed_f32_lane_are_rejected() {
     assert_f32_lane_rejected(
         CaceEngine::from_snapshot_str(&reseal_text(&fast)),
         "engine decoder Fast32",
+    );
+}
+
+/// The golden bytes with `wall_seconds` — the one field that records
+/// wall-clock time, not decode state — spliced in from `golden`: the JSON
+/// token, or the 8 raw bytes before the trailing model-fingerprint varint.
+fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64, binary: bool) -> Vec<u8> {
+    if !binary {
+        let token = |bytes: &[u8]| {
+            let text = std::str::from_utf8(bytes).unwrap().to_string();
+            let at = text.find("\"wall_seconds\":").expect("wall_seconds field");
+            let end = at + text[at..].find([',', '}']).expect("field end");
+            (text, at, end)
+        };
+        let (fresh, at, end) = token(fresh);
+        let (golden, g_at, g_end) = token(golden);
+        let spliced = format!("{}{}{}", &fresh[..at], &golden[g_at..g_end], &fresh[end..]);
+        return reseal_text(&spliced).into_bytes();
+    }
+    let mut fp = ByteWriter::new();
+    fp.write_u64(model_fp);
+    let tail = fp.into_bytes().len() + 8;
+    let mut payload = bin_payload(fresh).to_vec();
+    let golden = bin_payload(golden);
+    let (at, g_at) = (payload.len() - tail, golden.len() - tail);
+    payload[at..at + 8].copy_from_slice(&golden[g_at..g_at + 8]);
+    reseal_bin(&payload)
+}
+
+#[test]
+fn fresh_parks_reproduce_the_golden_bytes() {
+    for (strategy, stem) in GOLDEN {
+        let (engine, session) = golden_engine(strategy);
+        let mut stream = engine.stream(Lag::Fixed(GOLDEN_LAG));
+        for tick in &session.ticks[..GOLDEN_PARK_AT] {
+            stream.push(&tick.observed).expect("push");
+        }
+        let parked = stream.park();
+        let fp = engine.hdbn_params().fingerprint();
+        for (ext, fresh, binary) in [
+            ("snapshot", parked.to_snapshot_string().into_bytes(), false),
+            ("stream-bin", parked.to_snapshot_bytes(), true),
+        ] {
+            let golden = fixture(&format!("{stem}.{ext}"));
+            assert!(
+                with_golden_wall_clock(&fresh, &golden, fp, binary) == golden,
+                "{stem}.{ext}: a fresh park differs from the golden bytes"
+            );
+        }
+    }
+}
+
+/// Asserts `result` is a persistence error naming the removed lossy
+/// decoder beams.
+fn assert_retired_beam_rejected<T>(result: Result<T, ModelError>, what: &str) {
+    match result {
+        Err(ModelError::Persistence { what: msg }) => assert!(
+            msg.contains("TopK or LogThreshold"),
+            "{what}: rejected for another reason: {msg}"
+        ),
+        Err(e) => panic!("{what}: wrong error kind {e:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn snapshots_of_the_removed_lossy_beams_are_rejected() {
+    // Engine JSON: a decoder recording either beam.
+    let (engine, _) = golden_engine(Strategy::CorrelationConstraint);
+    let text = engine.to_snapshot_string();
+    for beam in [r#"{"TopK":56}"#, r#"{"LogThreshold":2.5}"#] {
+        let edited = text.replacen(r#""beam":"Exact""#, &format!(r#""beam":{beam}"#), 1);
+        assert_ne!(edited, text, "tamper target must exist");
+        assert_retired_beam_rejected(
+            CaceEngine::from_snapshot_str(&reseal_text(&edited)),
+            &format!("engine decoder {beam}"),
+        );
+    }
+
+    // Parked JSON: the decoder, a pruned frontier, a survivor list.
+    let json = String::from_utf8(fixture("parked_c2.snapshot")).unwrap();
+    for (from, to) in [
+        (r#""beam":"Exact""#, r#""beam":{"TopK":56}"#),
+        (r#""beam":"Exact""#, r#""beam":{"LogThreshold":2.5}"#),
+        (r#""pruned":false"#, r#""pruned":true"#),
+        (r#""keep":[]"#, r#""keep":[3]"#),
+    ] {
+        let edited = json.replacen(from, to, 1);
+        assert_ne!(edited, json, "tamper target must exist");
+        assert_retired_beam_rejected(
+            ParkedStream::from_snapshot_str(&reseal_text(&edited)),
+            &format!("parked JSON {to}"),
+        );
+    }
+
+    // stream-bin: strategy tag, beam tag, precision tag, lag, state tag.
+    let bin = fixture("parked_c2.stream-bin");
+    let payload = bin_payload(&bin);
+    assert_eq!(payload[1..3], [0, 0], "exact beam, exact precision");
+    let splice = |at: usize, cut: usize, with: &[u8]| {
+        let mut edited = payload[..at].to_vec();
+        edited.extend_from_slice(with);
+        edited.extend_from_slice(&payload[at + cut..]);
+        reseal_bin(&edited)
+    };
+    let log_threshold = [&[2u8][..], &2.5f64.to_le_bytes()].concat();
+    for (name, tag) in [("TopK", &[1u8, 56][..]), ("LogThreshold", &log_threshold)] {
+        assert_retired_beam_rejected(
+            ParkedStream::from_snapshot_bytes(&splice(1, 1, tag)),
+            &format!("stream-bin beam {name}"),
+        );
+    }
+    // The coupled state ends with the `pruned` byte and the `keep` length.
+    let mut r = ByteReader::new(payload);
+    r.read_u8().unwrap();
+    wire::read_decoder(&mut r).unwrap();
+    wire::read_lag(&mut r).unwrap();
+    assert_eq!(r.read_u8().unwrap(), 2, "coupled state");
+    ParkedCoupled::decode_from(&mut r).unwrap();
+    let end = payload.len() - r.remaining();
+    assert_eq!(payload[end - 2..end], [0, 0], "not pruned, no survivors");
+    assert_retired_beam_rejected(
+        ParkedStream::from_snapshot_bytes(&splice(end - 2, 1, &[1])),
+        "stream-bin pruned=true",
+    );
+    assert_retired_beam_rejected(
+        ParkedStream::from_snapshot_bytes(&splice(end - 1, 1, &[1, 3])),
+        "stream-bin keep=[3]",
     );
 }

@@ -1,14 +1,13 @@
 //! Streaming recognition must be a faithful online rendition of the batch
 //! engine: with a lag covering the whole session, `StreamingRecognizer` is
 //! bit-identical to `CaceEngine::recognize` — decoded macros *and* the
-//! deterministic overhead accounting — for every pruning strategy, and for
-//! every decoder beam (the pruned frontier is advanced by the same shared
-//! step kernels, so pruning never desynchronizes the two paths).
+//! deterministic overhead accounting — for every pruning strategy (both
+//! paths advance the frontier through the same shared step kernels).
 
 use proptest::prelude::*;
 
 use cace::behavior::Session;
-use cace::core::{stream_session, CaceConfig, DecoderConfig, Lag, Strategy};
+use cace::core::{stream_session, CaceConfig, Lag, Strategy};
 use cace_testkit::{
     assert_recognitions_identical, engine, engine_with, stream_session_with_parks, tiny_corpus,
 };
@@ -40,61 +39,21 @@ proptest! {
         }
     }
 
-    /// The same equivalence under pruned decoder beams: whatever the beam
-    /// does to the frontier, it does identically to both paths.
-    #[test]
-    fn pruned_streamed_equals_pruned_batch_across_strategies(
-        ticks in 45usize..70,
-        seed in 0u64..1_000,
-        beam_case in 0u8..3,
-    ) {
-        let decoder = match beam_case {
-            0 => DecoderConfig::top_k(12),
-            1 => DecoderConfig::top_k(48),
-            _ => DecoderConfig::log_threshold(4.0),
-        };
-        let (train, test) = corpus(ticks, seed);
-        for strategy in Strategy::ALL {
-            let config = CaceConfig::default()
-                .with_strategy(strategy)
-                .with_decoder(decoder);
-            let engine = engine_with(&train, &config);
-            for session in &test {
-                let batch = engine.recognize(session).expect("pruned batch");
-                let (decisions, streamed) =
-                    stream_session(&engine, session, Lag::Unbounded).expect("pruned stream");
-                prop_assert!(decisions.is_empty());
-                assert_recognitions_identical(
-                    &streamed,
-                    &batch,
-                    &format!("{strategy} {decoder:?}"),
-                );
-            }
-        }
-    }
-
     /// Park/resume differential: interrupting the stream with a
     /// park → serialize → rehydrate cycle before *every single* tick (and
     /// once more before finalization) changes nothing — the decision
     /// schedule and the final recognition, overhead counters included, are
     /// bit-identical to the uninterrupted stream. Covers all four
-    /// strategies under exact and TopK beams.
+    /// strategies.
     #[test]
     fn park_resume_at_every_tick_is_bit_identical(
         ticks in 40usize..60,
         seed in 0u64..1_000,
-        beam_case in 0u8..2,
     ) {
-        let decoder = match beam_case {
-            0 => DecoderConfig::default(),
-            _ => DecoderConfig::top_k(12),
-        };
         let (train, test) = corpus(ticks, seed);
         let lag = Lag::Fixed(7);
         for strategy in Strategy::ALL {
-            let config = CaceConfig::default()
-                .with_strategy(strategy)
-                .with_decoder(decoder);
+            let config = CaceConfig::default().with_strategy(strategy);
             let engine = engine_with(&train, &config);
             for session in &test {
                 let (want_decisions, want) =
@@ -105,14 +64,13 @@ proptest! {
                 prop_assert_eq!(
                     &got_decisions,
                     &want_decisions,
-                    "{} {:?}: parked decision schedule diverged",
-                    strategy,
-                    decoder
+                    "{}: parked decision schedule diverged",
+                    strategy
                 );
                 assert_recognitions_identical(
                     &got,
                     &want,
-                    &format!("{strategy} {decoder:?} parked at every tick"),
+                    &format!("{strategy} parked at every tick"),
                 );
             }
         }
@@ -207,22 +165,6 @@ fn short_lag_emits_a_decision_per_ripened_tick_for_every_strategy() {
             assert_eq!(streamed.macros[1][d.tick], d.macros[1], "{strategy}");
         }
         assert_eq!(streamed.macros[0].len(), session.len(), "{strategy}");
-    }
-}
-
-#[test]
-fn short_lag_emits_on_schedule_under_a_pruned_beam_too() {
-    let (train, test) = corpus(60, 8);
-    let lag = 5;
-    let config = CaceConfig::default().with_decoder(DecoderConfig::top_k(16));
-    let engine = engine_with(&train, &config);
-    let session = &test[0];
-    let (decisions, streamed) =
-        stream_session(&engine, session, Lag::Fixed(lag)).expect("pruned fixed-lag stream");
-    assert_eq!(decisions.len(), session.len() - lag);
-    for d in &decisions {
-        assert_eq!(streamed.macros[0][d.tick], d.macros[0]);
-        assert_eq!(streamed.macros[1][d.tick], d.macros[1]);
     }
 }
 
