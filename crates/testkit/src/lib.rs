@@ -150,6 +150,59 @@ pub fn stream_session_with_parks(
     (decisions, recognition)
 }
 
+/// Streams `session` through `engine` and counts the DP steps whose
+/// dominance selection folded a strict subset of the previous tick's
+/// frontier: `(pruned steps, steps)`. Equivalence suites use it as a
+/// witness that the decode they compare really ran pruned.
+///
+/// The frontier is the strategy's: the joint product for NCS/C2, the two
+/// per-user chains for NCR, and the two unrestricted flat HMMs for NH.
+///
+/// # Panics
+/// Panics if a push fails, if the gauge is missing after the first push,
+/// or if a step reports more survivors than its frontier holds.
+pub fn dominance_pruned_steps(engine: &CaceEngine, session: &Session) -> (usize, usize) {
+    let n_macro = engine.n_macro();
+    let strategy = engine.config().strategy;
+    let frontier = |input: &TickInput| -> u64 {
+        if strategy.coupled() {
+            return input.joint_states(n_macro);
+        }
+        (0..2)
+            .map(|u| {
+                let macros = match (strategy, &input.macro_candidates[u]) {
+                    (Strategy::NaiveCorrelation, Some(m)) => m.len(),
+                    _ => n_macro,
+                };
+                (macros * input.candidates[u].len().max(1)) as u64
+            })
+            .sum()
+    };
+    let inputs = engine.tick_inputs(session);
+    let mut stream = engine.stream(Lag::Unbounded);
+    let (mut pruned, mut steps) = (0, 0);
+    for (t, tick) in session.ticks.iter().enumerate() {
+        stream.push(&tick.observed).expect("testkit: stream push");
+        if t == 0 {
+            assert_eq!(
+                stream.last_survivors(),
+                None,
+                "no step before the second push"
+            );
+            continue;
+        }
+        let survivors = stream.last_survivors().expect("testkit: a step ran") as u64;
+        let states = frontier(&inputs[t - 1]);
+        assert!(
+            survivors <= states,
+            "{strategy}: tick {t} folded {survivors} of {states} frontier states"
+        );
+        steps += 1;
+        pruned += usize::from(survivors < states);
+    }
+    (pruned, steps)
+}
+
 /// Toy HDBN parameters over a two-activity world where activity `k` pairs
 /// with posture `k` and location `k`, both residents synchronized in runs
 /// of 10 ticks — the standard decoder-level fixture (mirrors the in-crate

@@ -4,7 +4,9 @@
 
 use cace::behavior::Session;
 use cace::core::{CaceConfig, CaceEngine, Strategy};
-use cace_testkit::{assert_recognitions_identical, engine, tiny_corpus_split};
+use cace_testkit::{
+    assert_recognitions_identical, dominance_pruned_steps, engine, engine_with, tiny_corpus_split,
+};
 
 fn corpus() -> (Vec<Session>, Vec<Session>) {
     tiny_corpus_split(6, 90, 20260727, 0.5)
@@ -34,6 +36,35 @@ fn batch_matches_sequential_for_every_strategy() {
                 &batch[i],
                 &sequential,
                 &format!("{strategy}: session {i}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_matches_sequential_under_a_pruned_decoder() {
+    // Every exact decoder prunes by dominance; a wide candidate beam makes
+    // the frontiers large enough that the selection drops most of them.
+    let (train, test) = corpus();
+    for strategy in Strategy::ALL {
+        let config = CaceConfig {
+            beam: 12,
+            ..CaceConfig::default()
+        }
+        .with_strategy(strategy);
+        let engine = engine_with(&train, &config);
+        let batch = engine.recognize_batch(&test).expect("pruned batch");
+        for (i, session) in test.iter().enumerate() {
+            let (pruned, steps) = dominance_pruned_steps(&engine, session);
+            assert!(
+                pruned > 0,
+                "{strategy}: session {i} never pruned ({steps} steps)"
+            );
+            let sequential = engine.recognize(session).expect("pruned sequential");
+            assert_recognitions_identical(
+                &batch[i],
+                &sequential,
+                &format!("{strategy} beam 12: session {i}"),
             );
         }
     }

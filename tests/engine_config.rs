@@ -61,6 +61,29 @@ fn wider_beam_explores_more_states() {
 }
 
 #[test]
+fn narrower_frontier_beam_does_less_transition_work() {
+    // The candidate beam bounds the frontier (`Strategy::frontier_bound`);
+    // each narrower beam must shrink the bound and do strictly less
+    // transition work on this workload.
+    let (train, test) = split(25);
+    let mut bounds = Vec::new();
+    let mut ops = Vec::new();
+    for beam in [12, 8, 4, 2] {
+        let config = CaceConfig {
+            beam,
+            ..CaceConfig::default()
+        };
+        let engine = engine_with(&train, &config);
+        bounds.push(engine.frontier_bound());
+        ops.push(engine.recognize(&test[0]).unwrap().transition_ops);
+    }
+    for (b, o) in bounds.windows(2).zip(ops.windows(2)) {
+        assert!(b[1] < b[0], "narrower beam must cut the bound: {bounds:?}");
+        assert!(o[1] < o[0], "narrower beam must cut work: {ops:?}");
+    }
+}
+
+#[test]
 fn frontier_bound_matches_decoded_shapes() {
     let (train, _) = split(26);
     let c2 = engine_with(&train, &CaceConfig::default());

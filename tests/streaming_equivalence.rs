@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use cace::behavior::Session;
 use cace::core::{stream_session, CaceConfig, Lag, Strategy};
 use cace_testkit::{
-    assert_recognitions_identical, engine, engine_with, stream_session_with_parks, tiny_corpus,
+    assert_recognitions_identical, dominance_pruned_steps, engine, engine_with,
+    stream_session_with_parks, tiny_corpus,
 };
 
 fn corpus(ticks: usize, seed: u64) -> (Vec<Session>, Vec<Session>) {
@@ -36,6 +37,45 @@ proptest! {
                 prop_assert!(decisions.is_empty(), "{strategy}: unbounded lag never emits");
                 assert_recognitions_identical(&streamed, &batch, strategy.label());
             }
+        }
+    }
+
+    /// The same equivalence with dominance pruning witnessed: across
+    /// candidate-beam widths, every strategy's stream folds a strict subset
+    /// of some frontier, and still reproduces batch bit for bit.
+    #[test]
+    fn pruned_streamed_equals_pruned_batch_across_strategies(
+        ticks in 45usize..70,
+        seed in 0u64..1_000,
+        beam_case in 0u8..3,
+    ) {
+        let beam = match beam_case {
+            0 => 2,
+            1 => 6,
+            _ => 12,
+        };
+        let (train, test) = corpus(ticks, seed);
+        for strategy in Strategy::ALL {
+            let config = CaceConfig {
+                beam,
+                ..CaceConfig::default()
+            }
+            .with_strategy(strategy);
+            let engine = engine_with(&train, &config);
+            let mut pruned = 0;
+            for session in &test {
+                pruned += dominance_pruned_steps(&engine, session).0;
+                let batch = engine.recognize(session).expect("pruned batch");
+                let (decisions, streamed) =
+                    stream_session(&engine, session, Lag::Unbounded).expect("pruned stream");
+                prop_assert!(decisions.is_empty());
+                assert_recognitions_identical(
+                    &streamed,
+                    &batch,
+                    &format!("{strategy} beam {beam}"),
+                );
+            }
+            prop_assert!(pruned > 0, "{} beam {}: no step pruned", strategy, beam);
         }
     }
 
@@ -165,6 +205,28 @@ fn short_lag_emits_a_decision_per_ripened_tick_for_every_strategy() {
             assert_eq!(streamed.macros[1][d.tick], d.macros[1], "{strategy}");
         }
         assert_eq!(streamed.macros[0].len(), session.len(), "{strategy}");
+    }
+}
+
+#[test]
+fn short_lag_emits_on_schedule_under_a_pruned_beam_too() {
+    // A narrow candidate beam, with dominance pruning inside each step.
+    let (train, test) = corpus(60, 8);
+    let lag = 5;
+    let config = CaceConfig {
+        beam: 2,
+        ..CaceConfig::default()
+    };
+    let engine = engine_with(&train, &config);
+    let session = &test[0];
+    let (pruned, steps) = dominance_pruned_steps(&engine, session);
+    assert!(pruned > 0, "no step pruned ({steps} steps)");
+    let (decisions, streamed) =
+        stream_session(&engine, session, Lag::Fixed(lag)).expect("pruned fixed-lag stream");
+    assert_eq!(decisions.len(), session.len() - lag);
+    for d in &decisions {
+        assert_eq!(streamed.macros[0][d.tick], d.macros[0]);
+        assert_eq!(streamed.macros[1][d.tick], d.macros[1]);
     }
 }
 
