@@ -8,7 +8,7 @@
 //! or per stream (online), reused across ticks**, so the steady-state hot
 //! loop of a warmed online decoder performs zero heap allocations per
 //! pushed tick (`tests/alloc_steady_state.rs` counts them). The
-//! dominance survivor list and the survivor kernels' group buffers
+//! dominance survivor list and the joint kernel's survivor-group buffers
 //! (`JointScratch`) live here too, as arena fields.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
@@ -169,9 +169,10 @@ pub struct StepScratch {
     pub(crate) dom_col: Vec<f64>,
     /// Allowed-macro scratch for [`fill_slice`].
     pub(crate) macro_ids: Vec<usize>,
-    /// Pass-1 joint fold `W[slot2, j1p]` (per distinct chain-2 dst pair,
-    /// slot-major so pass 2 scans each `slot2` row contiguously) and its
-    /// argmax; also the chain kernels' per-distinct-pair fold.
+    /// Pass-1 joint fold `W[group, slot2]` (per survivor group and
+    /// distinct chain-2 dst pair, group-major so pass 2 sweeps each group
+    /// row contiguously) and its argmax; also the chain kernel's
+    /// per-distinct-pair fold.
     pub(crate) w: Vec<f64>,
     pub(crate) w_arg: Vec<u32>,
     /// Pass-2 joint fold `V''[slot1, slot2]` (per distinct dst pair of
@@ -189,20 +190,8 @@ pub struct StepScratch {
     /// Ping-pong frontier: kernels write the new frontier here; the caller
     /// swaps it with its live frontier vector.
     pub(crate) v_next: Vec<f64>,
-    /// Pre-gathered transition column of the dense *chain* kernel: per
-    /// distinct dst pair, `gcol[j] = into_row(dst)[prev.pairs[j]]` over
-    /// the continue runs, hoisted out of the fold so the inner loop is a
-    /// contiguous `frontier + column` lane fold instead of a gather.
-    pub(crate) gcol: Vec<f64>,
-    /// Transposed joint frontier `V[j2p][j1p]` — the joint kernel's pass-1
-    /// accumulation runs contiguously over `j1p`, so the frontier is
-    /// transposed once per tick instead of strided per fold.
-    pub(crate) vt: Vec<f64>,
-    /// Transposed pass-1 fold `W[j1p][slot2]` — pass 2 accumulates
-    /// contiguously over `slot2`.
-    pub(crate) wt: Vec<f64>,
-    /// Pass-2 per-`slot2` running argmax (`best_j1p`) of the current
-    /// `slot1` row.
+    /// Pass-2 per-`slot2` running argmax (a survivor group) of the
+    /// current `slot1` row.
     pub(crate) acc_arg: Vec<u32>,
     /// Fan-out coupling row of the current chain-1 activity:
     /// `crow[j2] = g(a1, activities2[j2])`, materialized once per chain-1
@@ -215,7 +204,7 @@ pub struct StepScratch {
 impl StepScratch {
     /// Swaps the kernel-emitted next frontier (`v_next`) with the
     /// caller's live frontier vector — the ping-pong step every driver
-    /// performs after a dense/pruned kernel call.
+    /// performs after a kernel call.
     pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
         std::mem::swap(&mut self.v_next, v);
     }

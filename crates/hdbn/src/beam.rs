@@ -5,7 +5,7 @@
 //! [`crate::online`], and the NH frontier in `cace-core` — runs the exact
 //! recursion, with dominance pruning inside every step
 //! ([`crate::dominance`]): states that provably cannot win are skipped,
-//! and the output stays bit-identical to the dense recursion.
+//! and the output stays bit-identical to the full-frontier recursion.
 //!
 //! Earlier builds also offered lossy frontier beams, `TopK(k)` and
 //! `LogThreshold(d)`, which kept only part of the frontier each tick.

@@ -23,13 +23,19 @@
 //!
 //! (one `D` term for the chain and NH families) and run the survivor-list
 //! kernel over them. The step stays exact: frontier bits and
-//! backpointers equal the dense kernel's, which
-//! `tests/dominance_differential.rs` checks state by state.
+//! backpointers equal those of the same kernel over the whole frontier,
+//! which `tests/dominance_differential.rs` checks state by state against
+//! the naive references `cace_testkit::toy::{naive_step,
+//! naive_joint_step}`.
 //!
 //! # Why the step stays bit-identical
 //!
 //! * **Ties.** The test is `≥`, so every source that ties `b` survives, and
-//!   first-argmax tie-breaking sees the same candidates.
+//!   first-argmax tie-breaking sees the same candidates. A switch run
+//!   collapses to `v(s*)` plus the switch score, `s*` its first-maximum
+//!   source; if that candidate can win a destination, `s*` scores at least
+//!   `b`'s into it and survives, so the pruned run collapses to the same
+//!   candidate.
 //! * **Rounding.** The kernels round each addition: `(v + f₂) + f₁` in the
 //!   joint kernel, `v + T` in the chain kernel, and the bound itself is
 //!   rounded. `slack` absorbs all of it, so a pruned state scores
@@ -61,9 +67,9 @@
 //!   which is right: one chain of that state reaches no destination.
 //!   A `+∞` or NaN transition score makes every entry `+∞`, and a
 //!   frontier without a finite maximum, or magnitudes near `f64::MAX`,
-//!   skip selection. In those cases the dense kernel runs.
+//!   keep every state. In those cases the step folds the whole frontier.
 //! * **Destinations nobody reaches.** A destination whose every candidate
-//!   scores `−∞` gets backpointer 0 from both kernels.
+//!   scores `−∞` gets backpointer 0, whichever survivors were folded.
 //!
 //! # Accounting
 //!
@@ -137,7 +143,7 @@ impl Dominance {
     }
 
     /// The keep threshold `v(b) − slack` for a frontier maximum `best`,
-    /// or `None` when the step must run dense: no finite maximum, or
+    /// or `None` when every state must be kept: no finite maximum, or
     /// magnitudes so large that a kernel sum could overflow.
     fn cut(&self, best: f64) -> Option<f64> {
         let scale = best.abs() + 4.0 * self.t_max;
@@ -145,22 +151,21 @@ impl Dominance {
     }
 
     /// Selects the survivors of a chain-shaped frontier `v` over the
-    /// states of `prev` into `keep` (ascending). Returns `true` when some
-    /// state was pruned; `false` means the caller runs the dense kernel
-    /// (`keep` is then unspecified).
-    pub fn select<Sp: StateSpace>(&self, prev: &Sp, v: &[f64], keep: &mut Vec<u32>) -> bool {
+    /// states of `prev` into `keep` (ascending): every state when the cut
+    /// is undefined.
+    pub fn select<Sp: StateSpace>(&self, prev: &Sp, v: &[f64], keep: &mut Vec<u32>) {
+        keep.clear();
         let (best, b) = fold_max(v);
         let Some(cut) = self.cut(best) else {
-            return false;
+            keep.extend(0..v.len() as u32);
+            return;
         };
         let col = self.against(prev.pair(b as usize));
-        keep.clear();
         for (j, &x) in v.iter().enumerate() {
             if x + col[prev.pair(j) as usize] >= cut {
                 keep.push(j as u32);
             }
         }
-        keep.len() < v.len()
     }
 
     /// [`select`](Self::select) for the coupled joint frontier
@@ -173,10 +178,12 @@ impl Dominance {
         v: &[f64],
         d2: &mut Vec<f64>,
         keep: &mut Vec<u32>,
-    ) -> bool {
+    ) {
+        keep.clear();
         let (best, b) = fold_max(v);
         let Some(cut) = self.cut(best) else {
-            return false;
+            keep.extend(0..v.len() as u32);
+            return;
         };
         let k2 = prev2.len();
         let (b1, b2) = (b as usize / k2, b as usize % k2);
@@ -184,7 +191,6 @@ impl Dominance {
         let col2 = self.against(prev2.pairs[b2]);
         d2.clear();
         d2.extend(prev2.pairs.iter().map(|&q| col2[q as usize]));
-        keep.clear();
         for (j1, row) in v.chunks_exact(k2).enumerate() {
             let d1 = col1[prev1.pairs[j1] as usize];
             // Most rows hold no survivor: a lane-folded row maximum of the
@@ -199,7 +205,6 @@ impl Dominance {
                 }
             }
         }
-        keep.len() < v.len()
     }
 }
 

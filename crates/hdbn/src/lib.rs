@@ -31,7 +31,7 @@
 //! candidate-space pruning, every DP step is *dominance-pruned*: a
 //! per-model bound proves most frontier states cannot win any destination,
 //! and the step folds only the rest, with output bit-identical to the
-//! dense recursion — see [`dominance`].
+//! full-frontier recursion — see [`dominance`].
 //!
 //! The hot path is memory-engineered on two axes. *Scoring*: every decoder
 //! reads transition/emission factors from the dense precomputed
@@ -82,4 +82,4 @@ pub use trellis::{
     Dest, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
     TrellisFamily,
 };
-pub use viterbi::{joint_step_pair, CoupledHdbn, JointPath, JointStepPair};
+pub use viterbi::{joint_step, CoupledHdbn, JointPath, JointStep};

@@ -1,17 +1,16 @@
 //! The fixed-width folds every step kernel shares.
 //!
-//! Every decode path in this crate advances a trellis frontier with three
-//! primitive folds: a plain running max (the same-activity run caches), a
-//! `frontier + transition-column` max (the dst-major `into_row` gathers),
-//! and an argmax over the final frontier. All three are *selections* —
-//! no arithmetic is reassociated — so they can be evaluated in fixed-width
-//! chunks without changing a single bit of the result, while giving the
-//! stable-toolchain autovectorizer a shape it reliably turns into SIMD:
-//! explicit 8-wide accumulator arrays over contiguous slices (no nightly
-//! `std::simd`).
+//! Two lane folds serve every decoder: a first-argmax running max
+//! (`fold_max`, the frontier maximum a dominance selection cuts
+//! against) and the last-argmax [`argmax`] over the final frontier. Both
+//! are *selections* — no arithmetic is reassociated — so they can be
+//! evaluated in fixed-width chunks without changing a single bit of the
+//! result, while giving the stable-toolchain autovectorizer a shape it
+//! reliably turns into SIMD: explicit 8-wide accumulator arrays over
+//! contiguous slices (no nightly `std::simd`).
 //!
-//! The three column-major sweeps of the joint kernel (`sweep_max`,
-//! `sweep_add_max`, `sweep_add_max_arg`) phrase their compare/select
+//! The four row sweeps of the joint kernel (`sweep_max`, `sweep_add_max`,
+//! `sweep_add_max_arg`, `sweep_max_arg`) phrase their compare/select
 //! as *integer mask arithmetic* — every store unconditional — which the
 //! loop vectorizer turns into packed compare + blend (`cmpnltpd`/`maxpd`
 //! plus a narrowed mask for the `u32` args); a branchy select form
@@ -24,7 +23,7 @@
 
 /// Compare-and-select max sweep: `acc[i] = max(acc[i], src[i])` with
 /// `arg[i]` set to the broadcast `j` wherever `src` strictly wins — the
-/// column-major accumulation primitive of the joint kernel's run caches.
+/// row-wise accumulation primitive of the joint kernel's run caches.
 #[inline(never)]
 pub(crate) fn sweep_max(src: &[f64], j: u32, acc: &mut [f64], arg: &mut [u32]) {
     for ((&x, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
@@ -142,50 +141,6 @@ pub(crate) fn fold_max(v: &[f64]) -> (f64, u32) {
     (best, arg)
 }
 
-/// First-argmax max fold of `a[i] + b[i]` over two equal-length contiguous
-/// slices, 8-wide — the `frontier + pre-gathered transition column` shape
-/// of the dst-major `into_row` folds. Same tie-breaking contract as
-/// [`fold_max`]; per-element sums are unchanged, so the result stays
-/// bit-identical to the scalar scan.
-#[inline]
-pub(crate) fn fold_max_sum(a: &[f64], b: &[f64]) -> (f64, u32) {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let chunks = n / LANES;
-    let mut best = f64::NEG_INFINITY;
-    let mut arg = 0u32;
-    if chunks > 0 {
-        let mut acc = [f64::NEG_INFINITY; LANES];
-        let mut acc_arg = [0u32; LANES];
-        for c in 0..chunks {
-            let base = c * LANES;
-            let ca = &a[base..base + LANES];
-            let cb = &b[base..base + LANES];
-            for l in 0..LANES {
-                let x = ca[l] + cb[l];
-                if x > acc[l] {
-                    acc[l] = x;
-                    acc_arg[l] = (base + l) as u32;
-                }
-            }
-        }
-        for l in 0..LANES {
-            if acc[l] > best || (acc[l] == best && acc_arg[l] < arg) {
-                best = acc[l];
-                arg = acc_arg[l];
-            }
-        }
-    }
-    for i in chunks * LANES..n {
-        let x = a[i] + b[i];
-        if x > best {
-            best = x;
-            arg = i as u32;
-        }
-    }
-    (best, arg)
-}
-
 /// Last-argmax frontier argmax — the termination rule of every decoder,
 /// and the start of every fixed-lag backtrack: `(index, score)` of the
 /// *last* maximum, as `Iterator::max_by` returns it (the historical
@@ -276,14 +231,6 @@ mod tests {
             let w: Vec<f64> = v.iter().map(|&x| -x).collect();
             assert_eq!(fold_max(&w), scalar_fold(&w), "len {len} negated");
         }
-    }
-
-    #[test]
-    fn fold_max_sum_matches_scalar_scan() {
-        let a: Vec<f64> = (0..37).map(|i| ((i * 7) % 5) as f64).collect();
-        let b: Vec<f64> = (0..37).map(|i| ((i * 3) % 4) as f64 - 1.0).collect();
-        let sums: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        assert_eq!(fold_max_sum(&a, &b), scalar_fold(&sums));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! by every decoder family.
 //!
 //! Historically each decoder family — coupled joint, single chain, and the
-//! NH flat product in `cace-core` — carried its own copy of the dense DP
-//! step, the pruned step, the first-tick init, and the online
-//! window/free-list machinery. This module factors the shared shape out
-//! into two axes:
+//! NH flat product in `cace-core` — carried its own copy of the DP step,
+//! the first-tick init, and the online window/free-list machinery. This
+//! module factors the shared shape out into two axes:
 //!
 //! * [`StateSpace`] — how one tick enumerates its states: how many, which
 //!   *slot* (distinct destination-context id) each belongs to, which
@@ -16,19 +15,17 @@
 //!   (indexed by source pair id) and, for hierarchical models, the
 //!   group-switch row (indexed by source group).
 //!
-//! [`init_into`], [`step_dense_into`], and [`step_pruned_into`] are the
-//! *only* implementations of the chain-shaped recursion, and
-//! [`step_into`] is the exact step every chain decoder runs: a
-//! [`Dominance`] survivor selection, then the survivor-list kernel (or
-//! the dense one when nothing can be pruned); the single-chain
-//! decoder instantiates them through [`HierModel`] and the NH decoder
-//! through its flat-table model in `cace-core`. The coupled joint step is
-//! the one family that keeps a bespoke kernel
+//! [`init_into`] and [`step_pruned_into`] are the *only* implementations
+//! of the chain-shaped recursion, and [`step_into`] is the exact step
+//! every chain decoder runs: a [`Dominance`] survivor selection (the whole
+//! frontier when nothing can be pruned), then the survivor-list kernel.
+//! The single-chain decoder instantiates them through [`HierModel`] and
+//! the NH decoder through its flat-table model in `cace-core`. The coupled
+//! joint step is the one family that keeps a bespoke kernel
 //! ([`crate::viterbi`]'s two-pass factored fold over the product space —
 //! its `O(|S1||S2|(|S1|+|S2|))` shape cannot be expressed as a single
-//! per-destination fold without losing both the complexity bound and
-//! bit-identity), so it plugs into the engine one level up, as a
-//! [`TrellisFamily`].
+//! per-destination fold without losing the complexity bound), so it plugs
+//! into the engine one level up, as a [`TrellisFamily`].
 //!
 //! The online layer is factored the same way: [`OnlineTrellis`] owns the
 //! frontier, the bounded backpointer window with its pooled free
@@ -37,17 +34,15 @@
 //! entry onto the kernels. [`forward_backward`] is the single scaled
 //! alpha/beta recursion, parameterized over [`PosteriorModel`].
 //!
-//! # Bit-identity contract
+//! # Tie-breaking contract
 //!
-//! Every kernel here preserves the repo-wide tie-breaking and memoization
-//! contracts (see `scalar.rs`): per-destination candidates are visited in
-//! ascending source order with strict-`>` first-argmax, same-group runs
-//! collapse through `fold_max`/`fold_max_sum` (documented
-//! bit-identical to the scalar ascending scan), and the frontier
-//! termination argmax is the last-max [`argmax`]. Every instantiation is
-//! bit-identical to the per-family kernels it replaced, and the survivor
-//! kernels are bit-identical to the dense ones on every state dominance
-//! keeps (see [`crate::dominance`]).
+//! Per destination, candidates are visited in ascending source order with
+//! strict-`>` first-argmax, and each same-group switch run collapses to
+//! its first-maximum source plus the switch constant (the *run collapse*
+//! of [`step_pruned_into`]). The frontier termination argmax is the
+//! last-max [`argmax`]. Dominance only removes sources that cannot win, so
+//! a pruned step equals the full-frontier step bit for bit (see
+//! [`crate::dominance`]).
 
 use std::collections::VecDeque;
 
@@ -56,7 +51,7 @@ use crate::dominance::Dominance;
 use crate::forward::{log_sum_exp, normalize_log};
 use crate::online::Lag;
 use crate::params::HdbnParams;
-use crate::scalar::{self, fold_max, fold_max_sum};
+use crate::scalar;
 
 pub use crate::scalar::argmax;
 
@@ -140,107 +135,30 @@ pub fn init_into<Sp: StateSpace, M: ScoreModel>(model: &M, cur: &Sp, v: &mut Vec
     }
 }
 
-/// One dense DP step: the new frontier lands in `step.v_next` (the caller
-/// swaps — see [`StepScratch::swap_frontier`]) and per-state backpointers
-/// into the previous tick's frontier in `back`.
+/// One DP step over a survivor list: only the states in `keep` (indices
+/// sorted ascending) are transitioned out of. The new frontier lands in
+/// `step.v_next` (the caller swaps — see [`StepScratch::swap_frontier`])
+/// and per-state backpointers into the previous tick's frontier in
+/// `back`. Backpointers stay in full-frontier coordinates, so backtracking
+/// is oblivious to pruning; with `keep = 0..prev.len()` the step folds the
+/// whole frontier.
 ///
-/// Two memoizations, both bit-identical to the per-state × per-source
-/// scan they replace:
+/// Two memoizations shape the candidates:
 ///
 /// 1. The fold into a new state depends on it only through its pair id —
-///    compute once per distinct pair (slot), fan out.
-/// 2. Under [`ScoreModel::SWITCH`], switch transitions are
-///    within-group-independent, so a whole same-group run of the previous
-///    frontier collapses to one candidate: (run max of `v`, first argmax)
-///    plus the switch constant. Within a run, adding the same finite
-///    constant preserves strict order and first-argmax; runs are visited
-///    in ascending state order, so tie-breaking matches the naive
-///    ascending scan.
-pub fn step_dense_into<Sp: StateSpace, M: ScoreModel>(
-    model: &M,
-    prev: &Sp,
-    v: &[f64],
-    cur: &Sp,
-    step: &mut StepScratch,
-    back: &mut Vec<u32>,
-) {
-    let m = cur.len();
-    let d = cur.n_slots();
-    let StepScratch {
-        w,
-        w_arg,
-        v_next,
-        run_max,
-        run_arg,
-        gcol,
-        ..
-    } = step;
-    let runs = prev.runs();
-    if M::SWITCH {
-        let n_runs = runs.len();
-        run_max.clear();
-        run_max.resize(n_runs, f64::NEG_INFINITY);
-        run_arg.clear();
-        run_arg.resize(n_runs, 0);
-        for (r, &(_, start, end)) in runs.iter().enumerate() {
-            let (best, arg) = fold_max(&v[start as usize..end as usize]);
-            run_max[r] = best;
-            run_arg[r] = start + arg;
-        }
-    }
-    w.clear();
-    w.resize(d, f64::NEG_INFINITY);
-    w_arg.clear();
-    w_arg.resize(d, 0);
-    gcol.clear();
-    gcol.resize(prev.len(), f64::NEG_INFINITY);
-    for s in 0..d {
-        let dest = model.dest(cur.slot_pair(s));
-        let mut best = f64::NEG_INFINITY;
-        let mut best_arg = 0u32;
-        for (r, &(gr, start, end)) in runs.iter().enumerate() {
-            if !M::SWITCH || gr == dest.group {
-                // Continue run: source-dependent. Gather the transition
-                // column once, then lane-fold the contiguous
-                // `frontier + column` segment.
-                let (start, end) = (start as usize, end as usize);
-                for jp in start..end {
-                    gcol[jp] = dest.cont[prev.pair(jp) as usize];
-                }
-                let (score, arg) = fold_max_sum(&v[start..end], &gcol[start..end]);
-                if score > best {
-                    best = score;
-                    best_arg = start as u32 + arg;
-                }
-            } else {
-                let score = run_max[r] + dest.switch[gr as usize];
-                if score > best {
-                    best = score;
-                    best_arg = run_arg[r];
-                }
-            }
-        }
-        w[s] = best;
-        w_arg[s] = best_arg;
-    }
-    v_next.clear();
-    v_next.resize(m, f64::NEG_INFINITY);
-    back.clear();
-    back.resize(m, 0);
-    for j in 0..m {
-        let s = cur.slot(j) as usize;
-        v_next[j] = w[s] + cur.emission(j);
-        back[j] = w_arg[s];
-    }
-}
-
-/// [`step_dense_into`] restricted to a survivor list: only the states in
-/// `keep` (indices sorted ascending) may be transitioned out of.
-/// Backpointers stay in full-frontier coordinates, so backtracking is
-/// oblivious to pruning. The candidates mirror the dense kernel's —
-/// survivors in ascending order, each switch run collapsed to its
-/// first-maximum survivor — so on a dominance survivor set the result
-/// equals [`step_dense_into`] bit for bit.
+///    computed once per distinct pair (slot), fanned out.
+/// 2. **Run collapse.** Under [`ScoreModel::SWITCH`], a switch score
+///    depends on the source only through its group, so each same-group
+///    run of survivors contributes one candidate: its first-maximum
+///    survivor plus the switch constant. Continue-run survivors are
+///    candidates one by one, ascending. Runs are visited in ascending
+///    order, and strict `>` decides every comparison.
+///
+/// The collapse is not a per-state scan in floating point: two sources of
+/// one switch run whose sums with the switch constant round equal are a
+/// tie to a per-state scan (the earlier source wins) but not to the
+/// collapse, which names the run's maximum. `cace_testkit::toy::naive_step`
+/// is the executable statement of this contract.
 pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
     prev: &Sp,
@@ -263,8 +181,8 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     } = step;
     // The survivor list cut by the frontier's runs (`keep` is ascending
     // over a group-major frontier, so each run's survivors are
-    // contiguous), then the same two memoizations as the dense kernel. A
-    // switch-free model folds every survivor through one pseudo-run.
+    // contiguous), then the two memoizations. A switch-free model folds
+    // every survivor through one pseudo-run.
     runs_scratch.clear();
     if M::SWITCH {
         let (runs, mut r, mut i) = (prev.runs(), 0usize, 0usize);
@@ -339,10 +257,9 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     }
 }
 
-/// One exact DP step: selects the survivors of `v` against `dom` and runs
-/// [`step_pruned_into`] over them, or [`step_dense_into`] when every state
-/// survives (or `v` has no finite maximum). Either way the result equals
-/// the dense kernel's bit for bit. The new frontier lands in the arena
+/// One exact DP step: selects the survivors of `v` against `dom` (every
+/// state when nothing can be pruned) and runs [`step_pruned_into`] over
+/// them. The new frontier lands in the arena
 /// ([`TrellisArena::swap_frontier`]); returns the number of source states
 /// the kernel folded.
 pub fn step_into<Sp: StateSpace, M: ScoreModel>(
@@ -355,13 +272,9 @@ pub fn step_into<Sp: StateSpace, M: ScoreModel>(
     back: &mut Vec<u32>,
 ) -> usize {
     let TrellisArena { keep, step } = arena;
-    if dom.select(prev, v, keep) {
-        step_pruned_into(model, prev, v, keep, cur, step, back);
-        keep.len()
-    } else {
-        step_dense_into(model, prev, v, cur, step, back);
-        prev.len()
-    }
+    dom.select(prev, v, keep);
+    step_pruned_into(model, prev, v, keep, cur, step, back);
+    keep.len()
 }
 
 /// The hierarchical-chain [`ScoreModel`]: macro prior plus emission at
@@ -531,7 +444,7 @@ pub trait TrellisFamily {
     fn init(&self, entry: &mut Self::Entry, v: &mut Vec<f64>);
 
     /// One exact DP step from `prev` into `entry` — dominance selection
-    /// plus the matching kernel; the new frontier lands in the arena.
+    /// plus the survivor-list kernel; the new frontier lands in the arena.
     /// Returns the step's transition-op charge under the dense accounting
     /// convention, and the number of source states the kernel folded.
     fn step(

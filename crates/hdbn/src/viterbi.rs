@@ -7,12 +7,27 @@
 //! `O(|S1||S2|(|S1|+|S2|))`. Pruned candidate sets therefore translate
 //! directly into the paper's order-of-magnitude overhead reduction.
 //!
+//! Both passes share two memoizations:
+//!
+//! 1. A fold depends on the destination state only through its pair id —
+//!    computed once per *distinct* pair (slot), fanned out.
+//! 2. **Run collapse.** Switch transitions are postural-independent, so
+//!    each same-activity run of sources contributes one candidate: its
+//!    first-maximum source plus the switch score. Same-activity sources
+//!    are candidates one by one, ascending; runs are visited in ascending
+//!    order, and strict `>` decides every comparison. In floating point
+//!    this is not a per-state scan: two sources of one switch run whose
+//!    sums with the switch score round equal are a tie to a per-state scan
+//!    but not to the collapse, which names the run's maximum.
+//!
 //! On top of that, every step is dominance-pruned ([`crate::dominance`]):
 //! a source state whose bound shows it cannot win any destination is not
 //! folded at all, and the survivor kernel `joint_step_pruned_into` folds
-//! the rest. The decode stays exact — bit-identical to the dense kernel
-//! `joint_step_into` (see [`joint_step_pair`]) — and on CASAS-sized
-//! frontiers the survivors are a fraction of a percent of the states.
+//! the rest — the whole frontier when nothing can be pruned. The decode
+//! stays exact, and on CASAS-sized frontiers the survivors are a fraction
+//! of a percent of the states. [`joint_step`] exposes one step for the
+//! differential suite, which checks it against the naive reference
+//! `cace_testkit::toy::naive_joint_step`.
 
 use std::sync::Arc;
 
@@ -59,213 +74,7 @@ pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Ve
     }
 }
 
-/// One joint DP step: folds chain 2 then chain 1 exactly as documented in
-/// the module header. The new frontier lands in `step.v_next` (the caller
-/// swaps it with its live frontier) and the per-state flattened
-/// backpointers into the previous tick's frontier land in `back` — all
-/// buffers reused, so a warmed caller allocates nothing.
-///
-/// Transition scores are flat loads from the dense
-/// [`ScoreTables`](crate::ScoreTables): the per-`j` transition column is a
-/// gather from one contiguous `into_row` slice via the slices' precomputed
-/// pair ids (bit-identical to evaluating
-/// [`HdbnParams::transition_score`] per edge, which is how the table was
-/// built).
-///
-/// This is the single implementation of the recursion; the batch
-/// [`CoupledHdbn::viterbi`] and the incremental
-/// [`crate::online::OnlineCoupledViterbi`] both call it, which is what
-/// makes the streamed path bit-identical to the batch path. It is also
-/// bit-identical to the historical per-state kernel: the lane folds and
-/// the hoisted gather reorder only *selections* and *loads*, never
-/// arithmetic.
-pub(crate) fn joint_step_into(
-    p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
-    v: &[f64],
-    cur1: &Slice,
-    cur2: &Slice,
-    step: &mut StepScratch,
-    back: &mut Vec<u32>,
-) {
-    let t = &p.tables;
-    let StepScratch {
-        w,
-        w_arg,
-        w2,
-        w2_arg,
-        v_next,
-        run_max,
-        run_arg,
-        vt,
-        wt,
-        acc_arg,
-        crow,
-        ..
-    } = step;
-    let (k1, k2) = (prev1.len(), prev2.len());
-    // Two memoizations per pass, both bit-identical to the per-state
-    // recursion they replace:
-    // 1. A fold depends on the destination state only through its pair
-    //    id — compute once per *distinct* pair (slot), fan out.
-    // 2. Switch transitions are postural-independent, so a whole
-    //    same-activity run of the source frontier collapses to one
-    //    candidate (run max + switch constant); adding the same finite
-    //    constant preserves strict order and first-argmax, and runs are
-    //    visited in ascending state order, so tie-breaking matches the
-    //    naive ascending scan.
-    // On top of both, the folds are *column-major*: instead of reducing
-    // one short run segment at a time (≈ candidates-per-activity wide,
-    // too short to amortize a lane fold), each pass accumulates a whole
-    // frontier row of destinations at once — `j1p`-contiguous in pass 1,
-    // `slot2`-contiguous in pass 2 — against one broadcast transition
-    // score per source. The inner loops are long contiguous
-    // compare-and-select sweeps the stable-toolchain autovectorizer turns
-    // into SIMD. Candidate visit order per destination is *unchanged*
-    // (runs in slice order; within a continue run, sources ascending;
-    // strict `>` keeps the first maximum), so the result stays
-    // bit-identical to the naive ascending scan.
-    let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
-
-    // Transpose the frontier once per tick: vt[j2p][j1p] = V[j1p][j2p].
-    vt.clear();
-    vt.resize(k1 * k2, f64::NEG_INFINITY);
-    for j2p in 0..k2 {
-        let col = &mut vt[j2p * k1..][..k1];
-        for (j1p, x) in col.iter_mut().enumerate() {
-            *x = v[j1p * k2 + j2p];
-        }
-    }
-
-    // Chain-2 switch-candidate cache, j1p-contiguous: per chain-2 run r,
-    // run_max[r][j1p] = first-max over the run's j2p of V[j1p][j2p]
-    // (all-`−∞` runs keep the run start as argmax, like the fold helper).
-    let nr2 = prev2.runs.len();
-    run_max.clear();
-    run_max.resize(nr2 * k1, f64::NEG_INFINITY);
-    run_arg.clear();
-    run_arg.resize(nr2 * k1, 0);
-    for (r, &(_, start, end)) in prev2.runs.iter().enumerate() {
-        let rm = &mut run_max[r * k1..][..k1];
-        let ra = &mut run_arg[r * k1..][..k1];
-        ra.fill(start);
-        for j2p in start..end {
-            sweep_max(&vt[j2p as usize * k1..][..k1], j2p, rm, ra);
-        }
-    }
-
-    // Pass 1 — fold chain 2, per distinct chain-2 dst pair:
-    // W[s2, j1p] = max_{j2p} V[j1p, j2p] + f2(j2p → pair(s2)), slot-major.
-    // Continue runs sweep one transposed frontier column per source j2p
-    // (transition score broadcast); switch runs sweep the cached run max.
-    w.clear();
-    w.resize(d2 * k1, f64::NEG_INFINITY);
-    w_arg.clear();
-    w_arg.resize(d2 * k1, 0);
-    for (s2, &dp2) in cur2.uniq_pairs.iter().enumerate() {
-        let a2 = t.activity_of(dp2);
-        let row = t.into_row(dp2);
-        let srow = t.switch_row(a2);
-        let wrow = &mut w[s2 * k1..][..k1];
-        let warow = &mut w_arg[s2 * k1..][..k1];
-        for (r, &(ar, start, end)) in prev2.runs.iter().enumerate() {
-            if ar as usize == a2 {
-                for j2p in start as usize..end as usize {
-                    let g = row[prev2.pairs[j2p] as usize];
-                    sweep_add_max(&vt[j2p * k1..][..k1], g, j2p as u32, wrow, warow);
-                }
-            } else {
-                let sw = srow[ar as usize];
-                sweep_add_max_arg(
-                    &run_max[r * k1..][..k1],
-                    sw,
-                    &run_arg[r * k1..][..k1],
-                    wrow,
-                    warow,
-                );
-            }
-        }
-    }
-
-    // Transpose W once: wt[j1p][s2] = W[s2, j1p], so pass 2 accumulates
-    // s2-contiguously.
-    wt.clear();
-    wt.resize(k1 * d2, f64::NEG_INFINITY);
-    for j1p in 0..k1 {
-        let row = &mut wt[j1p * d2..][..d2];
-        for (s2, x) in row.iter_mut().enumerate() {
-            *x = w[s2 * k1 + j1p];
-        }
-    }
-
-    // Chain-1 switch-candidate cache, s2-contiguous: per chain-1 run r,
-    // run_max[r][s2] = first-max over the run's j1p of W[s2, j1p].
-    let nr1 = prev1.runs.len();
-    run_max.clear();
-    run_max.resize(nr1 * d2, f64::NEG_INFINITY);
-    run_arg.clear();
-    run_arg.resize(nr1 * d2, 0);
-    for (r, &(_, start, end)) in prev1.runs.iter().enumerate() {
-        let rm = &mut run_max[r * d2..][..d2];
-        let ra = &mut run_arg[r * d2..][..d2];
-        ra.fill(start);
-        for j1p in start as usize..end as usize {
-            sweep_max(&wt[j1p * d2..][..d2], j1p as u32, rm, ra);
-        }
-    }
-
-    // Pass 2 — fold chain 1, per (distinct chain-1 pair, distinct
-    // chain-2 pair): V''[s1, s2] = max_{j1p} W[s2, j1p] + f1(j1p → s1),
-    // with the backpointer restored to full-frontier coordinates.
-    w2.clear();
-    w2.resize(d1 * d2, f64::NEG_INFINITY);
-    w2_arg.clear();
-    w2_arg.resize(d1 * d2, 0);
-    for (s1, &dp1) in cur1.uniq_pairs.iter().enumerate() {
-        let a1 = t.activity_of(dp1);
-        let row = t.into_row(dp1);
-        let srow = t.switch_row(a1);
-        let acc = &mut w2[s1 * d2..][..d2];
-        acc_arg.clear();
-        acc_arg.resize(d2, 0);
-        for (r, &(ar, start, end)) in prev1.runs.iter().enumerate() {
-            if ar as usize == a1 {
-                for j1p in start as usize..end as usize {
-                    let g = row[prev1.pairs[j1p] as usize];
-                    sweep_add_max(&wt[j1p * d2..][..d2], g, j1p as u32, acc, acc_arg);
-                }
-            } else {
-                let sw = srow[ar as usize];
-                sweep_add_max_arg(
-                    &run_max[r * d2..][..d2],
-                    sw,
-                    &run_arg[r * d2..][..d2],
-                    acc,
-                    acc_arg,
-                );
-            }
-        }
-        // Recover j2p chosen inside W for (best_j1p, s2). A destination
-        // no source reaches points at state 0.
-        for s2 in 0..d2 {
-            let best_j1p = acc_arg[s2] as usize;
-            let j2p = w_arg[s2 * k1 + best_j1p];
-            w2_arg[s1 * d2 + s2] = if acc[s2] == f64::NEG_INFINITY {
-                0
-            } else {
-                acc_arg[s2] * (k2 as u32) + j2p
-            };
-        }
-    }
-
-    // Fan out: per joint state, the memoized fold plus emissions and
-    // coupling — shared with the pruned kernel, so both step kernels'
-    // expansions stay bit-identical by construction.
-    joint_fan_out(t, cur1, cur2, w2, w2_arg, crow, v_next, back);
-}
-
-/// Shared fan-out of both joint step kernels: expands the pass-2 fold
+/// Fan-out of the joint step: expands the pass-2 fold
 /// `V''[s1, s2]` (`w2`/`w2_arg`, per distinct destination pair) to the
 /// full `m1 × m2` joint frontier, adding emissions and coupling.
 ///
@@ -331,8 +140,8 @@ fn joint_fan_out(
 
 /// Reusable work buffers of [`joint_step_pruned_into`], owned by the
 /// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
-/// decode (batch) or stream (online), reused across ticks — the survivor
-/// hot path allocates nothing once warmed, exactly like the dense kernel.
+/// decode (batch) or stream (online), reused across ticks — the step
+/// allocates nothing once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
     /// Chain-1 state of each survivor group (survivors sharing a `j1p`).
@@ -365,21 +174,26 @@ struct Segment {
     arg: u32,
 }
 
-/// [`joint_step_into`] restricted to a survivor list: only the states in
-/// `keep` (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending)
-/// may be transitioned out of. The new frontier lands in `step.v_next`,
-/// the backpointers (in the *same* full-frontier coordinates as
-/// [`joint_step_into`], so backtracking is oblivious to pruning) in
-/// `back`.
+/// One joint DP step over a survivor list: only the states in `keep`
+/// (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending) are
+/// transitioned out of. The new frontier lands in `step.v_next` (the
+/// caller swaps it with its live frontier) and the per-state flattened
+/// backpointers, in full-frontier coordinates so backtracking is
+/// oblivious to pruning, in `back` — all buffers reused, so a warmed
+/// caller allocates nothing.
 ///
-/// Both folds mirror the dense kernel's candidate structure — chain 2
-/// first, then chain 1; same-activity sources one by one in ascending
-/// order, every other activity run collapsed to its first-maximum source
-/// plus the switch score; strict `>` — restricted to the survivors. On a
-/// dominance survivor set every candidate that attains a destination's
-/// maximum survives, with the same value and index as in the dense fold,
-/// so the result equals [`joint_step_into`] bit for bit (see
-/// [`crate::dominance`]).
+/// Folds chain 2, then chain 1, each with the run collapse of the module
+/// docs, restricted to the survivors. On a dominance survivor set every
+/// candidate that attains a destination's maximum survives, with the same
+/// value and index as in the full-frontier fold, so the result is the
+/// same bit for bit (see [`crate::dominance`]).
+///
+/// Transition scores are flat loads from the dense
+/// [`ScoreTables`](crate::ScoreTables), bit-identical to evaluating
+/// [`HdbnParams::transition_score`] per edge (which is how the table was
+/// built). The batch [`CoupledHdbn::viterbi`] and the incremental
+/// [`crate::online::OnlineCoupledViterbi`] both step through it, which is
+/// what makes the streamed path bit-identical to the batch path.
 pub(crate) fn joint_step_pruned_into(
     p: &HdbnParams,
     prev1: &Slice,
@@ -416,8 +230,8 @@ pub(crate) fn joint_step_pruned_into(
         part_arg,
     } = scratch;
     let k2 = prev2.len() as u32;
-    // Like the dense kernel, both folds are memoized per distinct
-    // destination pair (slot), computed once and fanned out.
+    // Both folds are memoized per distinct destination pair (slot),
+    // computed once and fanned out.
     let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
 
     // Survivors grouped by j1p (`keep` is sorted, so each group is
@@ -582,8 +396,7 @@ pub(crate) fn joint_step_pruned_into(
                 sweep_max_arg(p, pa, acc, acc_arg);
                 next_part += d2;
             }
-            // A destination no survivor reaches points at state 0, as in
-            // the dense kernel.
+            // A destination no survivor reaches points at state 0.
             for s2 in 0..d2 {
                 let g = acc_arg[s2] as usize;
                 w2_arg[s1 * d2 + s2] = if acc[s2] == f64::NEG_INFINITY {
@@ -596,16 +409,14 @@ pub(crate) fn joint_step_pruned_into(
         }
     }
 
-    // Fan out per joint state, plus emissions and coupling — shared with
-    // the dense kernel.
+    // Fan out per joint state, plus emissions and coupling.
     joint_fan_out(t, cur1, cur2, w2, w2_arg, crow, v_next, back);
 }
 
-/// One exact joint DP step: dominance selection over `v`, then
-/// [`joint_step_pruned_into`] over the survivors — or [`joint_step_into`]
-/// when every state survives or `v` has no finite maximum. Bit-identical
-/// to [`joint_step_into`] either way. The new frontier lands in the
-/// arena; returns the number of source states the kernel folded.
+/// One exact joint DP step: dominance selection over `v` (every state
+/// when nothing can be pruned), then [`joint_step_pruned_into`] over the
+/// survivors. The new frontier lands in the arena; returns the number of
+/// source states the kernel folded.
 pub(crate) fn joint_step_exact_into(
     p: &HdbnParams,
     prev1: &Slice,
@@ -617,17 +428,11 @@ pub(crate) fn joint_step_exact_into(
     back: &mut Vec<u32>,
 ) -> usize {
     let TrellisArena { keep, step } = arena;
-    let selected = p
-        .tables
+    p.tables
         .dominance()
         .select_joint(prev1, prev2, v, &mut step.dom_col, keep);
-    if selected {
-        joint_step_pruned_into(p, prev1, prev2, v, keep, cur1, cur2, step, back);
-        keep.len()
-    } else {
-        joint_step_into(p, prev1, prev2, v, cur1, cur2, step, back);
-        v.len()
-    }
+    joint_step_pruned_into(p, prev1, prev2, v, keep, cur1, cur2, step, back);
+    keep.len()
 }
 
 /// The dense transition-op charge of one joint step — the overhead
@@ -637,36 +442,33 @@ pub(crate) fn joint_step_charge(prev1: &Slice, prev2: &Slice, cur1: &Slice, cur2
     (prev1.len() as u64 * prev2.len() as u64) * (cur1.len() as u64 + cur2.len() as u64)
 }
 
-/// Both joint step kernels run on the same frontier — see
-/// [`joint_step_pair`].
+/// One exact joint step, as [`joint_step`] returns it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JointStepPair {
-    /// New frontier and backpointers of the dense kernel.
-    pub dense: (Vec<f64>, Vec<u32>),
-    /// New frontier and backpointers of the dominance-pruned exact step.
-    pub exact: (Vec<f64>, Vec<u32>),
-    /// Source states the exact step folded.
+pub struct JointStep {
+    /// New frontier, flattened `j1 * |S2| + j2` over `cur`'s joint states.
+    pub frontier: Vec<f64>,
+    /// Per-state backpointers into the flattened input frontier.
+    pub back: Vec<u32>,
+    /// Source states the step folded after dominance selection.
     pub survivors: usize,
 }
 
-/// Runs one joint DP step from tick `prev` to tick `cur` over the
-/// frontier `v` (one score per joint state of `prev`, flattened
-/// `j1 * |S2| + j2`) twice: through the dense kernel, and through the
-/// dominance-pruned exact step every decoder runs. The two must agree on
-/// every frontier bit and every backpointer;
-/// `tests/dominance_differential.rs` drives this with adversarial
-/// frontiers.
+/// Runs one exact joint DP step — the dominance-pruned step every decoder
+/// runs — from tick `prev` to tick `cur` over the frontier `v` (one score
+/// per joint state of `prev`, flattened `j1 * |S2| + j2`).
+/// `tests/dominance_differential.rs` drives it with adversarial frontiers
+/// against a naive reference.
 ///
 /// # Errors
 /// [`ModelError::EmptyStateSpace`] for a tick with an empty state space,
 /// and [`ModelError::InsufficientData`] when `v` does not match `prev`'s
 /// joint frontier.
-pub fn joint_step_pair(
+pub fn joint_step(
     p: &HdbnParams,
     prev: &TickInput,
     cur: &TickInput,
     v: &[f64],
-) -> Result<JointStepPair, ModelError> {
+) -> Result<JointStep, ModelError> {
     validate_tick(prev, 0)?;
     validate_tick(cur, 1)?;
     let mut arena = TrellisArena::new();
@@ -683,24 +485,14 @@ pub fn joint_step_pair(
             required: prev1.len() * prev2.len(),
         });
     }
-    let mut dense_back = Vec::new();
-    joint_step_into(
-        p,
-        &prev1,
-        &prev2,
-        v,
-        &cur1,
-        &cur2,
-        &mut arena.step,
-        &mut dense_back,
-    );
-    let dense = (std::mem::take(&mut arena.step.v_next), dense_back);
     let mut back = Vec::new();
     let survivors =
         joint_step_exact_into(p, &prev1, &prev2, v, &cur1, &cur2, &mut arena, &mut back);
-    Ok(JointStepPair {
-        dense,
-        exact: (std::mem::take(&mut arena.step.v_next), back),
+    let mut frontier = Vec::new();
+    arena.swap_frontier(&mut frontier);
+    Ok(JointStep {
+        frontier,
+        back,
         survivors,
     })
 }

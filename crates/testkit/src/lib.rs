@@ -7,6 +7,12 @@
 //! equivalence suites (`batch == sequential`, `streamed == batch`,
 //! `reloaded == trained`) all share.
 //!
+//! Two modules hold executable references: [`toy`] has the naive DP steps
+//! (`naive_step` for the chain and NH kernels, `naive_joint_step` for the
+//! coupled joint kernel) that the differential suites hold every step
+//! kernel to, and [`naive`] has the historical scoring paths the
+//! dense-table decoders and the fused front end are checked against.
+//!
 //! Nothing here is clever — that is the point. A fixture duplicated per
 //! test file drifts (each copy picks its own seeds, split ratios, and
 //! assertion strictness); a fixture imported from one crate cannot.

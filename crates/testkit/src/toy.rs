@@ -1,5 +1,5 @@
-//! A toy decoder family over the generic trellis engine, plus a naive
-//! reference implementation of its recursion.
+//! A toy decoder family over the generic trellis engine, plus naive
+//! reference implementations of the chain and joint DP steps.
 //!
 //! [`ToySpace`] and [`ToyModel`] form the smallest complete instantiation
 //! of the engine's [`StateSpace`] + [`ScoreModel`] axes: a hand-specified
@@ -13,15 +13,25 @@
 //! transition tables, so the dominance-pruned exact step
 //! ([`cace_hdbn::trellis::step_into`]) runs over them too.
 //!
-//! [`naive_step`] is the executable specification: a per-destination ×
-//! per-source scan with strict-`>` first-argmax and no memoization at
-//! all. The property tests in the repo root (`tests/generic_engine.rs`)
-//! assert the generic kernels match it bit-for-bit on dyadic-lattice
-//! scores (multiples of ⅛, so every floating-point sum is exact and every
-//! tie is a true tie).
+//! [`naive_step`] and [`naive_joint_step`] are the executable
+//! specifications of the step kernels: a per-destination scan with no
+//! memoization beyond the *run collapse* the kernels' contract names —
+//! each switch run of sources contributes its first-maximum source plus
+//! the switch constant, continue-run sources are scanned one by one,
+//! ascending, and strict `>` decides every comparison. The collapse is
+//! part of the contract, not an optimization: in floating point, two
+//! sources of one switch run can round to the same sum with the switch
+//! constant, and the collapse then names the run's maximum where a
+//! per-state scan would name the earlier source.
+//!
+//! Consumers: `tests/generic_engine.rs` asserts the generic kernels match
+//! [`naive_step`] bit for bit on dyadic-lattice scores (multiples of ⅛, so
+//! every floating-point sum is exact and every tie is a true tie), and
+//! `tests/dominance_differential.rs` holds the dominance-pruned exact
+//! steps of every family to both references on adversarial frontiers.
 
-use cace_hdbn::trellis::{argmax, init_into, step_dense_into};
-use cace_hdbn::{Dest, Dominance, ScoreModel, StateSpace, StepScratch};
+use cace_hdbn::trellis::{argmax, init_into, step_pruned_into};
+use cace_hdbn::{Dest, Dominance, HdbnParams, ScoreModel, StateSpace, StepScratch, TickInput};
 
 /// One toy tick: an explicit group-major state list.
 #[derive(Debug, Clone)]
@@ -198,8 +208,10 @@ pub fn naive_init<M: ScoreModel>(model: &M, cur: &ToySpace) -> Vec<f64> {
         .collect()
 }
 
-/// One DP step by the naive per-destination × per-source scan: no slot
-/// sharing, no run-max cache — ascending sources, strict-`>`
+/// One DP step by the naive per-destination scan: no slot sharing, no
+/// survivor bookkeeping — for each destination, the sources in ascending
+/// order, each same-group switch run collapsed to its first-maximum source
+/// plus the switch constant (see the [module docs](self)), strict-`>`
 /// first-argmax. With `keep`, only the listed survivors (ascending state
 /// indices) are scanned; backpointers stay in full-frontier coordinates.
 ///
@@ -217,23 +229,156 @@ pub fn naive_step<M: ScoreModel>(
     let mut back = Vec::with_capacity(cur.len());
     for j in 0..cur.len() {
         let dest = model.dest(cur.pair(j));
-        let mut best = f64::NEG_INFINITY;
-        let mut arg = 0u32;
-        for &jp in sources {
-            let jp_us = jp as usize;
-            let edge = if !M::SWITCH || prev.group_of(jp_us) == dest.group {
-                dest.cont[prev.pair(jp_us) as usize]
+        let mut fold = Fold::new();
+        for run in sources.chunk_by(|&a, &b| prev.group_of(a as usize) == prev.group_of(b as usize))
+        {
+            let group = prev.group_of(run[0] as usize);
+            if !M::SWITCH || group == dest.group {
+                for &jp in run {
+                    fold.offer(
+                        v[jp as usize] + dest.cont[prev.pair(jp as usize) as usize],
+                        jp,
+                    );
+                }
             } else {
-                dest.switch[prev.group_of(jp_us) as usize]
-            };
-            let score = v[jp_us] + edge;
-            if score > best {
-                best = score;
-                arg = jp;
+                let (max, arg) = first_max(run.iter().map(|&jp| (v[jp as usize], jp)));
+                fold.offer(max + dest.switch[group as usize], arg);
             }
         }
-        v_next.push(best + cur.emission(j));
-        back.push(arg);
+        v_next.push(fold.best + cur.emission(j));
+        back.push(fold.arg);
+    }
+    (v_next, back)
+}
+
+/// A strict-`>` first-argmax fold, starting from `(−∞, 0)`.
+struct Fold {
+    best: f64,
+    arg: u32,
+}
+
+impl Fold {
+    fn new() -> Self {
+        Self {
+            best: f64::NEG_INFINITY,
+            arg: 0,
+        }
+    }
+
+    fn offer(&mut self, score: f64, arg: u32) {
+        if score > self.best {
+            self.best = score;
+            self.arg = arg;
+        }
+    }
+}
+
+/// First maximum of a run of `(score, index)` candidates (`(−∞, 0)` when
+/// every score is `−∞`).
+fn first_max(run: impl Iterator<Item = (f64, u32)>) -> (f64, u32) {
+    let mut fold = Fold::new();
+    run.for_each(|(x, j)| fold.offer(x, j));
+    (fold.best, fold.arg)
+}
+
+/// One user's joint-model states for a tick, macro-major as the decoders
+/// enumerate them: `(activity, postural, emission)`, one run per allowed
+/// macro. Returns the states and the run boundaries.
+fn naive_chain(
+    p: &HdbnParams,
+    tick: &TickInput,
+    user: usize,
+) -> (Vec<(usize, usize, f64)>, Vec<usize>) {
+    let mut states = Vec::new();
+    let mut run_starts = Vec::new();
+    for a in tick.macros_for(user, p.n_macro()) {
+        run_starts.push(states.len());
+        for c in &tick.candidates[user] {
+            let hier = p.hierarchy_score(a, c.postural, c.gestural, c.location);
+            states.push((a, c.postural, c.obs_loglik + tick.bonus(a) + hier));
+        }
+    }
+    run_starts.push(states.len());
+    (states, run_starts)
+}
+
+/// One chain's fold for one destination `(a, pn)`: sources `src` with
+/// scores `score(j)`, visited run by run with the run collapse. Returns
+/// `(best, source index)`.
+fn naive_chain_fold(
+    p: &HdbnParams,
+    src: &[(usize, usize, f64)],
+    run_starts: &[usize],
+    score: impl Fn(usize) -> f64,
+    (a, pn): (usize, usize),
+) -> (f64, u32) {
+    let mut fold = Fold::new();
+    for bounds in run_starts.windows(2) {
+        let run = bounds[0]..bounds[1];
+        let ap = src[run.start].0;
+        if ap == a {
+            for j in run {
+                fold.offer(score(j) + p.transition_score(ap, src[j].1, a, pn), j as u32);
+            }
+        } else {
+            let (max, arg) = first_max(run.map(|j| (score(j), j as u32)));
+            fold.offer(
+                max + p.transition_score(ap, src[arg as usize].1, a, pn),
+                arg,
+            );
+        }
+    }
+    (fold.best, fold.arg)
+}
+
+/// One coupled joint DP step by the naive scan, scoring every edge through
+/// [`HdbnParams`]' direct scorers: chain 2 is folded first, for every
+/// previous chain-1 state, then chain 1 — each per destination state and
+/// with the run collapse of the [module docs](self) — and the fold fans out
+/// to every joint destination with its emissions and coupling. `v` is the
+/// previous joint frontier, flattened `j1 * |S2| + j2`; a destination no
+/// source reaches points at state 0.
+///
+/// Returns `(v_next, back)`, flattened the same way over `cur`.
+///
+/// # Panics
+/// Panics if a tick has an empty state space or `v` does not cover
+/// `prev`'s joint frontier.
+pub fn naive_joint_step(
+    p: &HdbnParams,
+    prev: &TickInput,
+    cur: &TickInput,
+    v: &[f64],
+) -> (Vec<f64>, Vec<u32>) {
+    let (prev1, runs1) = naive_chain(p, prev, 0);
+    let (prev2, runs2) = naive_chain(p, prev, 1);
+    let (cur1, _) = naive_chain(p, cur, 0);
+    let (cur2, _) = naive_chain(p, cur, 1);
+    let k2 = prev2.len();
+    assert_eq!(v.len(), prev1.len() * k2, "joint frontier size");
+    // Pass 1: w[j1p][j2] = max over j2p of V[j1p, j2p] + f2(j2p → j2).
+    let w: Vec<Vec<(f64, u32)>> = (0..prev1.len())
+        .map(|j1p| {
+            cur2.iter()
+                .map(|&(a, pn, _)| {
+                    naive_chain_fold(p, &prev2, &runs2, |j2p| v[j1p * k2 + j2p], (a, pn))
+                })
+                .collect()
+        })
+        .collect();
+    // Pass 2 and fan-out.
+    let mut v_next = Vec::with_capacity(cur1.len() * cur2.len());
+    let mut back = Vec::with_capacity(cur1.len() * cur2.len());
+    for &(a1, pn1, e1) in &cur1 {
+        for (j2, &(a2, _, e2)) in cur2.iter().enumerate() {
+            let (best, j1p) = naive_chain_fold(p, &prev1, &runs1, |j1p| w[j1p][j2].0, (a1, pn1));
+            v_next.push(best + ((e1 + e2) + p.coupling_score(a1, a2)));
+            back.push(if best == f64::NEG_INFINITY {
+                0
+            } else {
+                j1p * k2 as u32 + w[j1p as usize][j2].1
+            });
+        }
     }
     (v_next, back)
 }
@@ -263,7 +408,8 @@ pub fn naive_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> 
 }
 
 /// The same decode driven through the generic kernels: `init_into`,
-/// `step_dense_into`, and the engine's termination `argmax`.
+/// `step_pruned_into` over every state of each frontier, and the engine's
+/// termination `argmax`.
 pub fn engine_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
     let mut v: Vec<f64> = Vec::new();
     init_into(model, &ticks[0], &mut v);
@@ -271,7 +417,16 @@ pub fn engine_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize>
     let mut backs: Vec<Vec<u32>> = Vec::new();
     for t in 1..ticks.len() {
         let mut back = Vec::new();
-        step_dense_into(model, &ticks[t - 1], &v, &ticks[t], &mut step, &mut back);
+        let every: Vec<u32> = (0..ticks[t - 1].len() as u32).collect();
+        step_pruned_into(
+            model,
+            &ticks[t - 1],
+            &v,
+            &every,
+            &ticks[t],
+            &mut step,
+            &mut back,
+        );
         step.swap_frontier(&mut v);
         backs.push(back);
     }
@@ -325,7 +480,7 @@ mod tests {
         let keep = [0u32, 2];
         let mut step: StepScratch = StepScratch::default();
         let mut back = Vec::new();
-        cace_hdbn::trellis::step_pruned_into(
+        step_pruned_into(
             &model, &ticks[0], &v, &keep, &ticks[1], &mut step, &mut back,
         );
         let mut got = Vec::new();

@@ -1,8 +1,10 @@
 //! Differential suite for dominance pruning: the exact step every decoder
 //! runs — a dominance survivor selection, then the survivor-list kernel —
-//! against the dense kernel it replaces, on the same inputs, for the
-//! joint, chain and NH (switch-free) kernels. Every state's new frontier
-//! score must match bit for bit, and so must its backpointer.
+//! against a naive dense reference on the same inputs, for the joint,
+//! chain and NH (switch-free) kernels. The references
+//! (`cace_testkit::toy::{naive_step, naive_joint_step}`) scan every
+//! source with the kernels' run collapse and no pruning. Every state's new
+//! frontier score must match bit for bit, and so must its backpointer.
 //!
 //! Random cases draw their scores from a palette built to break a sloppy
 //! bound: dyadic values (exact ties across sources), values a few ulps
@@ -10,8 +12,10 @@
 //! `−∞` entries and whole `−∞` frontier rows, subnormal and very large
 //! finite magnitudes, `−∞` transition scores (including a source pair
 //! with no finite outgoing transition, and destinations no source
-//! reaches), and single-state slices. Hand-built cases pin the rounding
-//! and unreachable-destination rules on their own.
+//! reaches), and single-state slices. Some cases fold the whole frontier —
+//! no finite maximum, or every state survives — and the suite counts them,
+//! so the full-list path stays covered. Hand-built cases pin the rounding,
+//! run-collapse and unreachable-destination rules on their own.
 //!
 //! The suite ends with the efficacy gauge: on a small CASAS corpus the
 //! steps fold a small fraction of the frontier.
@@ -21,13 +25,13 @@ use proptest::prelude::*;
 use cace::behavior::session::train_test_split;
 use cace::behavior::{generate_casas_dataset, CasasConfig};
 use cace::core::{CaceConfig, CaceEngine, Lag};
-use cace::hdbn::trellis::{step_dense_into, step_into};
+use cace::hdbn::trellis::step_into;
 use cace::hdbn::{
-    joint_step_pair, Dominance, HdbnConfig, HdbnParams, MicroCandidate, ScoreModel, StateSpace,
-    StepScratch, TickInput, TrellisArena,
+    joint_step, Dominance, HdbnConfig, HdbnParams, MicroCandidate, ScoreModel, StateSpace,
+    TickInput, TrellisArena,
 };
 use cace::mining::HierarchicalStats;
-use cace_testkit::toy::{ToyFlatModel, ToyModel, ToySpace};
+use cace_testkit::toy::{naive_joint_step, naive_step, ToyFlatModel, ToyModel, ToySpace};
 
 /// xorshift64*, seeded per case.
 struct Rng(u64);
@@ -69,6 +73,10 @@ enum Regime {
     Subnormal,
     /// Finite magnitudes near 1e300.
     Huge,
+    /// Finite magnitudes within 8× of `f64::MAX`: the selection cut is
+    /// undefined, so the step folds the whole frontier. Never drawn at
+    /// random; `near_max_frontiers_fold_every_state` runs it.
+    NearMax,
 }
 
 impl Regime {
@@ -87,6 +95,7 @@ impl Regime {
             Regime::Ordinary => -60.0 * rng.unit(),
             Regime::Subnormal => -(rng.below(64) as f64) * 5e-324,
             Regime::Huge => -1e300 * (1.0 + rng.unit()),
+            Regime::NearMax => -(f64::MAX / 8.0) * (1.0 + rng.unit()),
         }
     }
 }
@@ -126,16 +135,16 @@ fn frontier(rng: &mut Rng, regime: Regime, n: usize, row: usize) -> Vec<f64> {
     v
 }
 
-fn assert_same_step(what: &str, dense: (&[f64], &[u32]), exact: (&[f64], &[u32])) {
-    assert_eq!(dense.0.len(), exact.0.len(), "{what}: frontier length");
-    for (j, (d, e)) in dense.0.iter().zip(exact.0).enumerate() {
+fn assert_same_step(what: &str, naive: (&[f64], &[u32]), exact: (&[f64], &[u32])) {
+    assert_eq!(naive.0.len(), exact.0.len(), "{what}: frontier length");
+    for (j, (d, e)) in naive.0.iter().zip(exact.0).enumerate() {
         assert_eq!(
             d.to_bits(),
             e.to_bits(),
             "{what}: frontier bits of state {j}"
         );
     }
-    assert_eq!(dense.1, exact.1, "{what}: backpointers");
+    assert_eq!(naive.1, exact.1, "{what}: backpointers");
 }
 
 // ---------------------------------------------------------------------
@@ -209,7 +218,7 @@ fn toy_model(rng: &mut Rng, pair_group: &[u32], regime: Regime) -> ToyModel {
     model
 }
 
-/// The dense kernel and the dominance-pruned exact step on one input;
+/// The naive reference and the dominance-pruned exact step on one input;
 /// returns the survivor count.
 fn chain_case<M: ScoreModel>(
     what: &str,
@@ -219,18 +228,13 @@ fn chain_case<M: ScoreModel>(
     v: &[f64],
     cur: &ToySpace,
 ) -> usize {
-    let mut step = StepScratch::default();
-    let mut dense_back = Vec::new();
-    step_dense_into(model, prev, v, cur, &mut step, &mut dense_back);
-    let mut dense_v = Vec::new();
-    step.swap_frontier(&mut dense_v);
-
+    let (naive_v, naive_back) = naive_step(model, prev, v, None, cur);
     let mut arena = TrellisArena::new();
     let mut back = Vec::new();
     let survivors = step_into(model, dom, prev, v, cur, &mut arena, &mut back);
     let mut exact_v = Vec::new();
     arena.swap_frontier(&mut exact_v);
-    assert_same_step(what, (&dense_v, &dense_back), (&exact_v, &back));
+    assert_same_step(what, (&naive_v, &naive_back), (&exact_v, &back));
     survivors
 }
 
@@ -239,7 +243,8 @@ proptest! {
 
     /// The hierarchical chain kernel (continue rows plus group-level
     /// switch scores, the single-chain decoder's shape) and the
-    /// switch-free NH shape, on the same random worlds.
+    /// switch-free NH shape, on the same random worlds, against the naive
+    /// dense reference.
     #[test]
     fn chain_and_nh_steps_match_the_dense_kernel(seed in 0u64..u64::MAX) {
         let mut rng = Rng::new(seed);
@@ -257,11 +262,13 @@ proptest! {
     }
 }
 
-/// The random worlds above exercise the survivor kernels, not only the
-/// dense fallback: most cases prune some states.
+/// The random worlds above exercise both sides of the selection: most
+/// cases prune some states, and some fold the whole frontier (no finite
+/// maximum, magnitudes near `f64::MAX`, or every state survives).
 #[test]
 fn random_cases_mostly_prune() {
     let (mut chain, mut joint) = (0, 0);
+    let (mut chain_full, mut joint_full) = (0, 0);
     for seed in 0..400u64 {
         let mut rng = Rng::new(seed);
         let regime = Regime::draw(&mut rng);
@@ -273,6 +280,7 @@ fn random_cases_mostly_prune() {
         let v = frontier(&mut rng, regime, prev.len(), row);
         let survivors = chain_case("coverage", &model, &model.dominance(), &prev, &v, &cur);
         chain += usize::from(survivors < prev.len());
+        chain_full += usize::from(survivors == prev.len());
 
         let mut rng = Rng::new(seed);
         let regime = Regime::draw(&mut rng);
@@ -281,13 +289,64 @@ fn random_cases_mostly_prune() {
         let cur = joint_tick(&mut rng, &p, regime);
         let k2 = slice_len(&p, &prev, 1);
         let v = frontier(&mut rng, regime, slice_len(&p, &prev, 0) * k2, k2);
-        let pair = joint_step_pair(&p, &prev, &cur, &v).expect("valid ticks");
-        joint += usize::from(pair.survivors < v.len());
+        let step = joint_step(&p, &prev, &cur, &v).expect("valid ticks");
+        let naive = naive_joint_step(&p, &prev, &cur, &v);
+        assert_same_step(
+            "coverage",
+            (&naive.0, &naive.1),
+            (&step.frontier, &step.back),
+        );
+        joint += usize::from(step.survivors < v.len());
+        joint_full += usize::from(step.survivors == v.len());
     }
     assert!(
         chain >= 200 && joint >= 200,
         "pruned cases: chain {chain}, joint {joint} of 400"
     );
+    assert!(
+        chain_full > 0 && joint_full > 0,
+        "whole-frontier cases: chain {chain_full}, joint {joint_full} of 400"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Magnitudes so close to `f64::MAX` that a kernel sum could overflow
+    /// leave the selection cut undefined: the exact step keeps every state
+    /// and still matches the naive reference, for every kernel.
+    #[test]
+    fn near_max_frontiers_fold_every_state(seed in 0u64..u64::MAX) {
+        let mut rng = Rng::new(seed);
+        let regime = Regime::NearMax;
+        let pair_group = toy_pairs(&mut rng);
+        let model = toy_model(&mut rng, &pair_group, regime);
+        let flat = ToyFlatModel { cont: model.cont.clone() };
+        let prev = toy_tick(&mut rng, &pair_group, regime);
+        let cur = toy_tick(&mut rng, &pair_group, regime);
+        let row = 1 + rng.below(3);
+        let v = frontier(&mut rng, regime, prev.len(), row);
+        for (what, survivors) in [
+            ("chain", chain_case("chain", &model, &model.dominance(), &prev, &v, &cur)),
+            ("NH", chain_case("NH", &flat, &flat.dominance(), &prev, &v, &cur)),
+        ] {
+            assert_eq!(survivors, prev.len(), "{what} seed {seed}");
+        }
+
+        let p = joint_params(&mut rng);
+        let prev = joint_tick(&mut rng, &p, regime);
+        let cur = joint_tick(&mut rng, &p, regime);
+        let k2 = slice_len(&p, &prev, 1);
+        let v = frontier(&mut rng, regime, slice_len(&p, &prev, 0) * k2, k2);
+        let step = joint_step(&p, &prev, &cur, &v).expect("valid ticks");
+        let naive = naive_joint_step(&p, &prev, &cur, &v);
+        assert_same_step(
+            &format!("joint seed {seed}"),
+            (&naive.0, &naive.1),
+            (&step.frontier, &step.back),
+        );
+        assert_eq!(step.survivors, v.len(), "joint seed {seed}");
+    }
 }
 
 /// The slack covers the kernels' rounding: `1 − 2⁻⁵³` plus `1.0` rounds
@@ -314,10 +373,40 @@ fn rounding_ties_within_the_slack_keep_their_state() {
         &mut back,
     );
     assert_eq!(back, [0], "the rounded tie goes to the first source");
-    let mut step = StepScratch::default();
-    let mut dense_back = Vec::new();
-    step_dense_into(&model, &prev, &v, &cur, &mut step, &mut dense_back);
-    assert_eq!(dense_back, back);
+    assert_eq!(naive_step(&model, &prev, &v, None, &cur).1, back);
+}
+
+/// The run collapse is not a per-state scan: two sources of one switch run
+/// one ulp apart round to the same sum with the switch constant, a tie
+/// that a per-state scan would give to the first source. The run collapses
+/// to its maximum first, so the backpointer names the later source.
+#[test]
+fn switch_run_rounding_ties_name_the_run_maximum() {
+    // Pair 0 in group 0, pair 1 in group 1; group 0 → pair 1 scores 1.0.
+    let model = ToyModel {
+        prior: vec![0.0, 0.0],
+        pair_group: vec![0, 1],
+        cont: vec![vec![0.0, 0.0], vec![0.0, 0.0]],
+        switch: vec![vec![0.0, 0.0], vec![1.0, 0.0]],
+    };
+    let prev = ToySpace::new(&[(0, 0, 0.0), (0, 0, 0.0)]);
+    let cur = ToySpace::new(&[(1, 1, 0.0)]);
+    let v = [1.0 - f64::EPSILON / 2.0, 1.0];
+    assert_eq!(v[0] + 1.0, v[1] + 1.0, "the sums round equal");
+    let mut arena = TrellisArena::new();
+    let mut back = Vec::new();
+    let survivors = step_into(
+        &model,
+        &model.dominance(),
+        &prev,
+        &v,
+        &cur,
+        &mut arena,
+        &mut back,
+    );
+    assert_eq!(survivors, 2, "both sources are within the slack");
+    assert_eq!(back, [1], "the run's maximum, not its first tie");
+    assert_eq!(naive_step(&model, &prev, &v, None, &cur).1, back);
 }
 
 /// An all-zero model at a zero maximum has no slack: the exact ties at the
@@ -461,7 +550,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The coupled joint kernel: two chains, `(v + f2) + f1`, with the
-    /// per-run switch collapse in both passes.
+    /// per-run switch collapse in both passes, against the naive dense
+    /// reference.
     #[test]
     fn joint_steps_match_the_dense_kernel(seed in 0u64..u64::MAX) {
         let mut rng = Rng::new(seed);
@@ -471,17 +561,18 @@ proptest! {
         let cur = joint_tick(&mut rng, &p, regime);
         let k2 = slice_len(&p, &prev, 1);
         let v = frontier(&mut rng, regime, slice_len(&p, &prev, 0) * k2, k2);
-        let pair = joint_step_pair(&p, &prev, &cur, &v).expect("valid ticks");
+        let step = joint_step(&p, &prev, &cur, &v).expect("valid ticks");
+        let (naive_v, naive_back) = naive_joint_step(&p, &prev, &cur, &v);
         assert_same_step(
             &format!("joint seed {seed} {regime:?}"),
-            (&pair.dense.0, &pair.dense.1),
-            (&pair.exact.0, &pair.exact.1),
+            (&naive_v, &naive_back),
+            (&step.frontier, &step.back),
         );
     }
 }
 
-/// A destination no source reaches gets backpointer 0 from both kernels,
-/// even when dominance prunes the frontier's first row away.
+/// A destination no source reaches gets backpointer 0, even when dominance
+/// prunes the frontier's first row away.
 #[test]
 fn unreachable_destinations_point_at_state_zero() {
     // Activity 0 never switches, so nothing in it reaches activity 1.
@@ -519,13 +610,18 @@ fn unreachable_destinations_point_at_state_zero() {
     };
     // Frontier rows j1 = 0 (activity 0) and 1 (activity 1); row 0 is −∞.
     let v = [f64::NEG_INFINITY, f64::NEG_INFINITY, -1.0, -30.0];
-    let pair = joint_step_pair(&p, &prev, &cur, &v).unwrap();
-    assert!(pair.survivors < v.len(), "dominance prunes this frontier");
-    assert_eq!(pair.exact, pair.dense);
+    let step = joint_step(&p, &prev, &cur, &v).unwrap();
+    assert!(step.survivors < v.len(), "dominance prunes this frontier");
+    let naive = naive_joint_step(&p, &prev, &cur, &v);
+    assert_same_step(
+        "unreachable",
+        (&naive.0, &naive.1),
+        (&step.frontier, &step.back),
+    );
     // Joint destinations (a1, a2) in order; chain 2 cannot reach a2 = 1.
     for j in [1, 3] {
-        assert_eq!(pair.dense.0[j], f64::NEG_INFINITY, "destination {j}");
-        assert_eq!(pair.dense.1[j], 0, "destination {j}");
+        assert_eq!(step.frontier[j], f64::NEG_INFINITY, "destination {j}");
+        assert_eq!(step.back[j], 0, "destination {j}");
     }
 }
 
@@ -534,8 +630,8 @@ fn unreachable_destinations_point_at_state_zero() {
 // ---------------------------------------------------------------------
 
 /// On a small CASAS corpus the C2 steps fold at most 5% of the frontier —
-/// a silent fallback to dense stepping (say, a dominance table gone all
-/// `+∞`) fails here. The gauge repeats exactly on a second stream.
+/// a silent fall back to whole-frontier steps (say, a dominance table gone
+/// all `+∞`) fails here. The gauge repeats exactly on a second stream.
 #[test]
 fn casas_steps_fold_a_small_fraction_of_the_frontier() {
     let cfg = CasasConfig {

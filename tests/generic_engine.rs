@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use cace::hdbn::trellis::{init_into, step_dense_into, step_pruned_into};
+use cace::hdbn::trellis::{init_into, step_pruned_into};
 use cace::hdbn::{ScoreModel, StateSpace, StepScratch};
 use cace_testkit::toy::{
     engine_decode, naive_decode, naive_init, naive_step, ToyFlatModel, ToyModel, ToySpace,
@@ -111,9 +111,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Drives the generic kernels tick by tick against [`naive_step`],
+/// Drives the generic kernel tick by tick against [`naive_step`],
 /// asserting bitwise-equal frontiers and equal backpointers. `keeps`
-/// selects the pruned kernel; `None` the dense one.
+/// gives each step's survivor list; `None` folds the whole frontier.
 fn check_steps<M: ScoreModel>(model: &M, spaces: &[ToySpace], keeps: Option<&[Vec<u32>]>) {
     let mut v = Vec::new();
     init_into(model, &spaces[0], &mut v);
@@ -121,19 +121,17 @@ fn check_steps<M: ScoreModel>(model: &M, spaces: &[ToySpace], keeps: Option<&[Ve
     let mut step: StepScratch = StepScratch::default();
     for t in 1..spaces.len() {
         let keep = keeps.map(|k| k[t - 1].as_slice());
+        let every: Vec<u32> = (0..spaces[t - 1].len() as u32).collect();
         let mut back = Vec::new();
-        match keep {
-            Some(k) => step_pruned_into(
-                model,
-                &spaces[t - 1],
-                &v,
-                k,
-                &spaces[t],
-                &mut step,
-                &mut back,
-            ),
-            None => step_dense_into(model, &spaces[t - 1], &v, &spaces[t], &mut step, &mut back),
-        }
+        step_pruned_into(
+            model,
+            &spaces[t - 1],
+            &v,
+            keep.unwrap_or(&every),
+            &spaces[t],
+            &mut step,
+            &mut back,
+        );
         let mut next = Vec::new();
         step.swap_frontier(&mut next);
         let (want_v, want_back) = naive_step(model, &spaces[t - 1], &v, keep, &spaces[t]);
