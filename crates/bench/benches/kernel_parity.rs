@@ -46,7 +46,6 @@ fn best_per_tick_ns(ticks: usize, repeats: usize, mut f: impl FnMut()) -> f64 {
 /// measured passes over the session.
 fn stream_push_ns(decoder: &CoupledHdbn, inputs: &[TickInput], repeats: usize) -> f64 {
     let mut online = OnlineCoupledViterbi::new(decoder.clone(), Lag::Fixed(10));
-    online.reserve_ticks((repeats + 2) * inputs.len() + 1024);
     for tick in inputs {
         online.push(tick).expect("warmup push");
     }

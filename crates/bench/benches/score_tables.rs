@@ -140,7 +140,6 @@ fn bench(c: &mut Criterion) {
         let tag = "exact";
         let model = CoupledHdbn::from_shared(Arc::clone(&params));
         let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(10));
-        online.reserve_ticks(4 * n_ticks + 1024);
         for tick in &inputs {
             online.push(tick).expect("warmup push");
         }

@@ -60,5 +60,6 @@ pub use router::{
 pub use snapshot::ModelRecord;
 pub use strategy::Strategy;
 pub use stream::{
-    resume_shared, stream_session, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
+    resume_shared, stream_session, stream_shared, ParkedStream, StreamDecision, StreamTail,
+    StreamingRecognizer,
 };

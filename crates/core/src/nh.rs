@@ -24,7 +24,8 @@ use cace_hdbn::trellis::{
     self, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
 use cace_hdbn::{
-    Dominance, Lag, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier, TickInput, TrellisArena,
+    Dominance, Lag, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier, RetiredHistory,
+    TickInput, TrellisArena,
 };
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
@@ -260,7 +261,7 @@ pub(crate) struct ParkedFlat {
     pub(crate) window: Vec<ParkedFlatEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted: Vec<usize>,
+    pub(crate) emitted: RetiredHistory,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
     pub(crate) pruned: RetiredBeamFlag,
@@ -280,14 +281,8 @@ impl ParkedFlat {
     /// here.
     fn validate(&self, table: &FlatTable, lag: Lag) -> Result<(), ModelError> {
         let what = "parked NH stream";
-        validate_cursor(
-            what,
-            self.base,
-            self.pushed,
-            self.window.len(),
-            self.emitted.len(),
-            lag,
-        )?;
+        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
+        RetiredHistory::validate(&[self.emitted], what, self.pushed, lag)?;
         let mut prev_len = None;
         for (i, e) in self.window.iter().enumerate() {
             check(!e.states.is_empty(), || {
@@ -315,26 +310,21 @@ impl ParkedFlat {
 /// Streaming NH frontier for one user, wrapping the same generic
 /// [`OnlineTrellis`] core as the hierarchical online decoders: push
 /// per-tick (states, emissions), emit fixed-lag macro decisions, finalize
-/// into the full macro path plus overhead accounting. Window entries are
-/// pooled and the frontier ping-pongs through the core's arena, so a
-/// warmed push allocates only what its caller hands it.
+/// into the unemitted tail of the macro path plus overhead accounting.
+/// Window entries are pooled and the frontier ping-pongs through the
+/// core's arena, so a warmed push allocates only what its caller hands it.
 ///
 /// The flat table is *not* captured: every [`push`](Self::push) borrows it
 /// from the caller, so one table serves any number of live and parked
 /// frontiers (the fleet-sharing property the serving tier relies on).
 pub(crate) struct OnlineFlat {
     core: OnlineTrellis<FlatEntry>,
-    /// Emitted macro ids, 16 bits each: every id indexes the flat table,
-    /// which is as wide as the model's macro count, and `HdbnParams::new`
-    /// rejects models with more than 65 535 macros.
-    emitted: Vec<u16>,
 }
 
 impl OnlineFlat {
     pub(crate) fn new(lag: Lag) -> Self {
         Self {
             core: OnlineTrellis::new(lag),
-            emitted: Vec::new(),
         }
     }
 
@@ -359,7 +349,7 @@ impl OnlineFlat {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted: self.emitted.iter().map(|&m| usize::from(m)).collect(),
+            emitted: RetiredHistory::default(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: RetiredBeamFlag,
@@ -379,14 +369,6 @@ impl OnlineFlat {
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
         parked.validate(table, lag)?;
-        let emitted = parked
-            .emitted
-            .iter()
-            .map(|&m| u16::try_from(m))
-            .collect::<Result<_, _>>()
-            .map_err(|_| ModelError::Persistence {
-                what: "parked NH stream: emitted macro id out of range".into(),
-            })?;
         let window: VecDeque<FlatEntry> = parked
             .window
             .iter()
@@ -406,7 +388,6 @@ impl OnlineFlat {
                 parked.states_explored,
                 parked.transition_ops,
             ),
-            emitted,
         })
     }
 
@@ -423,25 +404,19 @@ impl OnlineFlat {
         entry.emit = emit;
         let n_states = entry.states.len() as u64;
         self.core.push_entry(&FlatFamily { table }, entry, n_states);
-        let decision = self.core.emit_ready(|e, j, t| (t, e.states[j].0));
-        if let Some((_, macro_id)) = decision {
-            self.emitted.push(macro_id as u16);
-        }
-        decision
+        self.core.emit_ready(|e, j, t| (t, e.states[j].0))
     }
 
-    /// Ends the stream: `(macro path, states explored, transition ops)`.
-    /// Returns `None` if no tick was ever pushed.
+    /// Ends the stream: `(tail, states explored, transition ops)`, where
+    /// the tail is the macro path over the ticks never emitted. Returns
+    /// `None` if no tick was ever pushed.
     pub(crate) fn finalize(self) -> Option<(Vec<usize>, u64, u64)> {
         if self.core.ticks_pushed() == 0 {
             return None;
         }
-        let committed = self.emitted.len();
-        let (tail, _log_prob) = self.core.resolve_tail(committed, |e, j| e.states[j].0);
-        let mut macros: Vec<usize> = self.emitted.iter().map(|&m| usize::from(m)).collect();
-        macros.extend(tail);
+        let (tail, _log_prob) = self.core.resolve_tail(|e, j| e.states[j].0);
         Some((
-            macros,
+            tail,
             self.core.states_explored(),
             self.core.transition_ops(),
         ))

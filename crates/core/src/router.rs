@@ -58,10 +58,10 @@ use cace_hdbn::{DriftAccumulator, Lag, SingleHdbn};
 use cace_model::ModelError;
 use rayon::prelude::*;
 
-use crate::engine::{CaceEngine, Recognition};
+use crate::engine::CaceEngine;
 use crate::snapshot::{fnv1a64, ModelRecord};
 use crate::stream::{
-    resume_shared, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
+    resume_shared, stream_shared, ParkedStream, StreamDecision, StreamTail, StreamingRecognizer,
 };
 
 fn config_err(what: impl Into<String>) -> ModelError {
@@ -76,7 +76,7 @@ pub enum HomeRound {
     Advanced(Option<StreamDecision>),
     /// The home's tick failed recognition this round. The home is now
     /// quarantined: later rounds skip it, and [`ShardedRouter::finish`]
-    /// reports this error instead of a [`Recognition`].
+    /// reports this error instead of a [`StreamTail`].
     Failed(ModelError),
     /// The home was quarantined by an earlier round; its tick was not
     /// delivered.
@@ -1010,18 +1010,22 @@ impl ShardedRouter {
 
     /// Finishes every home in parallel (rehydrating parked ones),
     /// returning per-home results **sorted by home id**: the
-    /// session-level [`Recognition`] for healthy homes, the quarantining
-    /// error for faulted ones.
+    /// [`StreamTail`] — the decisions not yet emitted, plus the session
+    /// counters — for healthy homes, the quarantining error for faulted
+    /// ones. The router keeps no decision history: a caller that wants a
+    /// home's whole-session [`Recognition`](crate::Recognition) keeps the
+    /// decisions [`push_round`](Self::push_round) returned and hands them
+    /// to [`StreamTail::into_recognition`].
     ///
     /// Finishing never swaps: a parked home resumes under the generation
     /// its checkpoint fingerprint identifies (current or not), so the
     /// result is a pure continuation of the model that actually decoded
     /// its ticks.
-    pub fn finish(self) -> Vec<(u64, Result<Recognition, ModelError>)> {
+    pub fn finish(self) -> Vec<(u64, Result<StreamTail, ModelError>)> {
         let Self { models, shards, .. } = self;
         let models = &models;
         let mut slot_lists: Vec<Vec<HomeSlot>> = shards.into_iter().map(|s| s.slots).collect();
-        let per_shard: Vec<Vec<(u64, Result<Recognition, ModelError>)>> = slot_lists
+        let per_shard: Vec<Vec<(u64, Result<StreamTail, ModelError>)>> = slot_lists
             .par_iter_mut()
             .map(|slots| {
                 std::mem::take(slots)
@@ -1049,7 +1053,7 @@ impl ShardedRouter {
                     .collect()
             })
             .collect();
-        let mut out: Vec<(u64, Result<Recognition, ModelError>)> =
+        let mut out: Vec<(u64, Result<StreamTail, ModelError>)> =
             per_shard.into_iter().flatten().collect();
         out.sort_by_key(|(id, _)| *id);
         out
@@ -1160,7 +1164,7 @@ mod tests {
         for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
             assert_eq!(id_a, id_b);
             let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
-            assert_eq!(rec_a.macros, rec_b.macros);
+            assert_eq!(rec_a.decisions, rec_b.decisions);
             assert_eq!(rec_a.states_explored, rec_b.states_explored);
             assert_eq!(rec_a.transition_ops, rec_b.transition_ops);
         }
@@ -1261,7 +1265,7 @@ mod tests {
         let batch = engine.recognize(session).unwrap();
         for (id, result) in router.finish() {
             match id {
-                7 | 9 => assert_eq!(result.unwrap().macros, batch.macros),
+                7 | 9 => assert_eq!(result.unwrap().into_recognition(&[]).macros, batch.macros),
                 8 => assert!(matches!(result, Err(ModelError::EmptyStateSpace { .. }))),
                 10 => assert!(matches!(result, Err(ModelError::InsufficientData { .. }))),
                 _ => panic!("unexpected home id {id}"),
@@ -1362,7 +1366,7 @@ mod tests {
         let want = reference.finish().unwrap();
         for (_, rec) in router.finish() {
             let rec = rec.unwrap();
-            assert_eq!(rec.macros, want.macros);
+            assert_eq!(rec.decisions, want.decisions);
             assert_eq!(rec.states_explored, want.states_explored);
             assert_eq!(rec.transition_ops, want.transition_ops);
         }
@@ -1503,7 +1507,7 @@ mod tests {
         for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
             assert_eq!(id_a, id_b);
             let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
-            assert_eq!(rec_a.macros, rec_b.macros);
+            assert_eq!(rec_a.decisions, rec_b.decisions);
             assert_eq!(rec_a.states_explored, rec_b.states_explored);
         }
     }
@@ -1678,7 +1682,7 @@ mod tests {
         }
         let finished = target.finish();
         let batch = engine.recognize(session).unwrap();
-        let rec = finished[0].1.as_ref().unwrap();
+        let rec = finished[0].1.clone().unwrap().into_recognition(&[]);
         assert_eq!(rec.macros, batch.macros);
         assert_eq!(rec.states_explored, batch.states_explored);
         assert_eq!(rec.transition_ops, batch.transition_ops);

@@ -423,7 +423,7 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     });
     w.write_usize(f.base);
     w.write_usize(f.pushed);
-    w.write_seq(&f.emitted, |w, &x| w.write_usize(x));
+    f.emitted.encode_into(w);
     w.write_u64(f.states_explored);
     w.write_u64(f.transition_ops);
     f.pruned.encode_into(w);
@@ -442,7 +442,7 @@ fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
         })?,
         base: r.read_usize()?,
         pushed: r.read_usize()?,
-        emitted: r.read_seq(1, ByteReader::read_usize)?,
+        emitted: cace_hdbn::RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
         states_explored: r.read_u64()?,
         transition_ops: r.read_u64()?,
         pruned: cace_hdbn::RetiredBeamFlag::decode_from(r)?,
@@ -650,6 +650,42 @@ mod tests {
     use crate::strategy::Strategy;
     use cace_behavior::{cace_grammar, generate_cace_dataset, SessionConfig};
 
+    /// The NH member of `tests/bounded_state.rs`: a toy flat frontier's
+    /// `stream-bin` park after 20 000 pushes is within 10% of the park
+    /// after 200 (the frontier is crate-private, so the check lives here).
+    #[test]
+    fn nh_park_size_does_not_grow_with_stream_age() {
+        use crate::nh::{FlatTable, OnlineFlat};
+        let table = FlatTable::from_rows(&[vec![-0.1, -2.3], vec![-2.3, -0.1]]);
+        let mut flat = OnlineFlat::new(cace_hdbn::Lag::Fixed(6));
+        let park_len = |flat: &OnlineFlat| {
+            let mut w = ByteWriter::new();
+            write_flat(&mut w, &flat.park());
+            w.into_bytes().len()
+        };
+        let mut short = 0;
+        for t in 0..20_000usize {
+            // Two macros × two candidates, with runs of 100 ticks and a
+            // periodic contradictory observation.
+            let m = (t / 100) % 2;
+            let fav = if t % 11 == 5 { 1 - m } else { m };
+            let states = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
+            let emit = states
+                .iter()
+                .map(|&(a, c)| if a == fav && c == fav { 0.0 } else { -3.0 })
+                .collect();
+            flat.push(&table, states, emit);
+            if t + 1 == 200 {
+                short = park_len(&flat);
+            }
+        }
+        let long = park_len(&flat);
+        assert!(
+            long * 10 <= short * 11,
+            "an NH park is {short} B after 200 pushes and {long} B after 20 000"
+        );
+    }
+
     fn tiny_engine(strategy: Strategy) -> (CaceEngine, Vec<cace_behavior::Session>) {
         let sessions = generate_cace_dataset(
             &cace_grammar(),
@@ -791,7 +827,7 @@ mod tests {
         }
         let a = reference.finish().unwrap();
         let b = resumed.finish().unwrap();
-        assert_eq!(a.macros, b.macros);
+        assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.states_explored, b.states_explored);
         assert_eq!(a.transition_ops, b.transition_ops);
         assert_eq!(a.rules_fired, b.rules_fired);
@@ -839,7 +875,7 @@ mod tests {
             }
             let a = reference.finish().unwrap();
             let b = resumed.finish().unwrap();
-            assert_eq!(a.macros, b.macros);
+            assert_eq!(a.decisions, b.decisions);
             assert_eq!(a.states_explored, b.states_explored);
             assert_eq!(a.transition_ops, b.transition_ops);
             assert_eq!(a.rules_fired, b.rules_fired);

@@ -8,19 +8,22 @@
 //! path ([`TickPreparer`](crate::statespace::TickPreparer)), and advances
 //! an online fixed-lag Viterbi frontier ([`cace_hdbn::online`]) by one DP
 //! step — constant decoding work per tick, a backpointer window bounded at
-//! `lag + 2` ticks, no re-decoding of the growing prefix. (The emitted
-//! decision history does accumulate, one decision per tick, so that
-//! [`finish`](StreamingRecognizer::finish) can return the session-level
-//! [`Recognition`].)
+//! `lag + 2` ticks, no re-decoding of the growing prefix. A fixed-lag
+//! stream's state, live or parked, does not grow with its age: decisions
+//! already emitted belong to the caller, and
+//! [`finish`](StreamingRecognizer::finish) returns only the ticks still
+//! unresolved, as a [`StreamTail`]. A caller that wants the session-level
+//! [`Recognition`] keeps its emitted decisions and hands them to
+//! [`StreamTail::into_recognition`] ([`stream_session`] does exactly that).
 //!
 //! The smoothing [`Lag`] trades latency for accuracy: `Lag::Fixed(0)` is
 //! greedy filtering, larger lags converge on the batch answer, and
-//! [`Lag::Unbounded`] (or any lag at least the stream length) makes
-//! [`finish`](StreamingRecognizer::finish) **bit-identical** to
-//! [`CaceEngine::recognize`] — same macros, same `states_explored`, same
-//! `transition_ops`, same `rules_fired`, same `mean_joint_size` — for every
-//! strategy (NH, NCR, NCS, C2). `tests/streaming_equivalence.rs` asserts
-//! this.
+//! [`Lag::Unbounded`] (or any lag at least the stream length) emits
+//! nothing mid-stream, so the tail is the whole session and its
+//! [`Recognition`] is **bit-identical** to [`CaceEngine::recognize`] —
+//! same macros, same `states_explored`, same `transition_ops`, same
+//! `rules_fired`, same `mean_joint_size` — for every strategy (NH, NCR,
+//! NCS, C2). `tests/streaming_equivalence.rs` asserts this.
 //!
 //! A live stream can also be **parked**: [`StreamingRecognizer::park`]
 //! captures the trellis frontier, backpointer window, decision cursor and
@@ -54,12 +57,15 @@
 //! let sessions = generate_cace_dataset(&cace_grammar(), 1, 3, &SessionConfig::tiny(), 7);
 //! let engine = CaceEngine::train(&sessions[..2], &CaceConfig::default()).unwrap();
 //! let mut stream = engine.stream(Lag::Fixed(5));
+//! let mut decisions = Vec::new();
 //! for tick in &sessions[2].ticks {
 //!     if let Some(decision) = stream.push(&tick.observed).unwrap() {
 //!         println!("tick {}: users doing {:?}", decision.tick, decision.macros);
+//!         decisions.push(decision);
 //!     }
 //! }
-//! let recognition = stream.finish().unwrap(); // full session decode
+//! let tail = stream.finish().unwrap(); // the last 5 ticks
+//! let recognition = tail.into_recognition(&decisions); // the whole session
 //! # let _ = recognition;
 //! ```
 
@@ -92,6 +98,53 @@ pub struct StreamDecision {
     pub tick: usize,
     /// Decoded macro activity per user.
     pub macros: [usize; 2],
+}
+
+/// What [`StreamingRecognizer::finish`] returns: the decisions for the
+/// ticks the stream had not yet emitted, plus the session's counters. A
+/// [`Recognition`] covers a whole session;
+/// [`into_recognition`](Self::into_recognition) builds one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamTail {
+    /// Decisions for the unemitted ticks, in order: none under
+    /// `Lag::Fixed(0)`, the whole session under [`Lag::Unbounded`].
+    pub decisions: Vec<StreamDecision>,
+    /// Σ joint states instantiated over the session (overhead metric 1).
+    pub states_explored: u64,
+    /// Σ transition evaluations over the session (overhead metric 2).
+    pub transition_ops: u64,
+    /// Wall-clock seconds the stream spent in recognition.
+    pub wall_seconds: f64,
+    /// Mean per-tick joint candidate-space size after pruning.
+    pub mean_joint_size: f64,
+    /// Total rule firings during pruning.
+    pub rules_fired: u64,
+    /// Ticks the stream consumed.
+    pushed: usize,
+}
+
+impl StreamTail {
+    /// The session-level [`Recognition`]: `emitted`, the decisions the
+    /// stream's pushes returned, followed by this tail.
+    ///
+    /// # Panics
+    /// Panics unless `emitted` holds exactly the stream's decisions for
+    /// ticks `0..committed`, in order — the ones this tail does not.
+    pub fn into_recognition(self, emitted: &[StreamDecision]) -> Recognition {
+        let path: Vec<&StreamDecision> = emitted.iter().chain(&self.decisions).collect();
+        assert!(
+            path.len() == self.pushed && path.iter().enumerate().all(|(t, d)| d.tick == t),
+            "emitted decisions must be exactly ticks 0..committed, in order"
+        );
+        Recognition {
+            macros: [0, 1].map(|u| path.iter().map(|d| d.macros[u]).collect()),
+            states_explored: self.states_explored,
+            transition_ops: self.transition_ops,
+            wall_seconds: self.wall_seconds,
+            mean_joint_size: self.mean_joint_size,
+            rules_fired: self.rules_fired,
+        }
+    }
 }
 
 /// The per-strategy online decoder state.
@@ -518,18 +571,19 @@ impl StreamingRecognizer<'_> {
     }
 
     /// Ends the stream: resolves every not-yet-committed tick and returns
-    /// the session-level [`Recognition`].
+    /// those decisions with the session counters, as a [`StreamTail`].
     ///
-    /// With `lag >=` the stream length (or [`Lag::Unbounded`]) the result
-    /// is bit-identical to [`CaceEngine::recognize`] on the same ticks,
-    /// except `wall_seconds`, which reports the accumulated streaming time.
+    /// With `lag >=` the stream length (or [`Lag::Unbounded`]) the tail is
+    /// the whole session, and its [`Recognition`] is bit-identical to
+    /// [`CaceEngine::recognize`] on the same ticks, except `wall_seconds`,
+    /// which reports the accumulated streaming time.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
-    pub fn finish(self) -> Result<Recognition, ModelError> {
+    pub fn finish(self) -> Result<StreamTail, ModelError> {
         let start = Instant::now();
         let pushed = self.pushed;
-        let (macros, states_explored, transition_ops) = match self.decoder {
+        let ([m0, m1], states_explored, transition_ops) = match self.decoder {
             Decoder::Coupled(online) => {
                 let path = online.finalize()?;
                 (path.macros, path.states_explored, path.transition_ops)
@@ -563,13 +617,21 @@ impl StreamingRecognizer<'_> {
         } else {
             self.joint_size_sum / pushed as f64
         };
-        Ok(Recognition {
-            macros,
+        let decisions = (self.lag.committed(pushed)..)
+            .zip(m0.into_iter().zip(m1))
+            .map(|(tick, (a, b))| StreamDecision {
+                tick,
+                macros: [a, b],
+            })
+            .collect();
+        Ok(StreamTail {
+            decisions,
             states_explored,
             transition_ops,
             wall_seconds: self.wall_seconds + start.elapsed().as_secs_f64(),
             mean_joint_size,
             rules_fired: self.rules_fired,
+            pushed,
         })
     }
 }
@@ -698,7 +760,8 @@ impl ParkedStream {
 /// Drives a recorded session through a streaming recognizer tick by tick —
 /// the test/bench harness for batch-vs-streaming comparisons.
 ///
-/// Returns the mid-stream decisions and the final [`Recognition`].
+/// Returns the mid-stream decisions and the session's [`Recognition`],
+/// those decisions plus the [`finish`](StreamingRecognizer::finish) tail.
 ///
 /// # Errors
 /// Propagates any per-tick or finalization failure.
@@ -714,7 +777,7 @@ pub fn stream_session(
             decisions.push(d);
         }
     }
-    let recognition = stream.finish()?;
+    let recognition = stream.finish()?.into_recognition(&decisions);
     Ok((decisions, recognition))
 }
 
@@ -805,7 +868,7 @@ mod tests {
                     got_decisions.push(d);
                 }
             }
-            let got = resumed.finish().unwrap();
+            let got = resumed.finish().unwrap().into_recognition(&got_decisions);
             assert_eq!(got_decisions, want_decisions, "{strategy:?}");
             assert_eq!(got.macros, want.macros, "{strategy:?}");
             assert_eq!(got.states_explored, want.states_explored, "{strategy:?}");
@@ -871,7 +934,8 @@ mod tests {
         let parked = stream.park();
         let resumed = resume_shared(&engine, &parked).unwrap();
         let batch = engine.recognize(&test[0]).unwrap();
-        assert_eq!(resumed.finish().unwrap().macros, batch.macros);
+        let streamed = resumed.finish().unwrap().into_recognition(&[]);
+        assert_eq!(streamed.macros, batch.macros);
     }
 
     #[test]
@@ -912,7 +976,7 @@ mod tests {
                     got_decisions.push(d);
                 }
             }
-            let got = stream.finish().unwrap();
+            let got = stream.finish().unwrap().into_recognition(&got_decisions);
             assert_eq!(got_decisions, want_decisions, "{strategy:?}");
             assert_eq!(got.macros, want.macros, "{strategy:?}");
             assert_eq!(got.states_explored, want.states_explored, "{strategy:?}");
@@ -996,7 +1060,7 @@ mod tests {
             "windows drain exactly once"
         );
         // Capture never moved a decision.
-        let got = stream.finish().unwrap();
+        let got = stream.finish().unwrap().into_recognition(&got_decisions);
         assert_eq!(got_decisions, want_decisions);
         assert_eq!(got.macros, want.macros);
     }

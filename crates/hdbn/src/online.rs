@@ -56,9 +56,10 @@
 //!         assert_eq!(decision.macros, [0, 0]);
 //!     }
 //! }
-//! // The tail (the last `lag` ticks) is resolved at finalization.
-//! let path = online.finalize().unwrap();
-//! assert_eq!(path.macros[0].len(), 10);
+//! // The tail (the last `lag` ticks) is resolved at finalization; the
+//! // decisions already emitted are not repeated.
+//! let tail = online.finalize().unwrap();
+//! assert_eq!(tail.macros[0].len(), 2);
 //! ```
 
 use std::collections::VecDeque;
@@ -72,7 +73,7 @@ use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
 use crate::park::{
     ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
-    RetiredBeamKeep, RetiredF32Frontier,
+    RetiredBeamKeep, RetiredF32Frontier, RetiredHistory,
 };
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
@@ -98,6 +99,15 @@ impl Lag {
     /// Whether this lag never emits mid-stream decisions.
     pub fn is_unbounded(&self) -> bool {
         matches!(self, Lag::Unbounded)
+    }
+
+    /// Decisions a stream under this lag has emitted after `pushed`
+    /// ticks: every tick at least `lag` old, none under `Unbounded`.
+    pub fn committed(self, pushed: usize) -> usize {
+        match self {
+            Lag::Unbounded => 0,
+            Lag::Fixed(l) => pushed.saturating_sub(l),
+        }
     }
 }
 
@@ -210,115 +220,6 @@ impl TrellisFamily for ChainFamily<'_> {
     }
 }
 
-/// One emitted decision of one chain in 16 bytes (a `usize` macro id
-/// plus a [`MicroCandidate`] take 48): a live stream keeps its whole
-/// decision history, so this is what a serving home accumulates per tick.
-///
-/// Every id fits: a decoded id indexes the model's hierarchy tables, and
-/// [`HdbnParams::new`] rejects models whose tables reach
-/// [`COMPACT_ID_LIMIT`] entries. Parked streams keep the wide form, so
-/// the wire format is unchanged: the history is widened at park and
-/// finalize and packed again at resume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct EmittedDecision {
-    obs_loglik: f64,
-    macro_id: u16,
-    postural: u16,
-    /// [`NO_GESTURAL`] for `None`.
-    gestural: u16,
-    location: u16,
-}
-
-/// The gestural id of a decision without a gestural state.
-const NO_GESTURAL: u16 = u16::MAX;
-
-/// Exclusive bound on every id an [`EmittedDecision`] stores.
-pub(crate) const COMPACT_ID_LIMIT: usize = NO_GESTURAL as usize;
-
-impl EmittedDecision {
-    /// Packs a decision the model decoded (its ids are in range, see the
-    /// type docs).
-    fn pack(macro_id: usize, micro: &MicroCandidate) -> Self {
-        debug_assert!(Self::try_pack(macro_id, micro).is_some());
-        Self {
-            obs_loglik: micro.obs_loglik,
-            macro_id: macro_id as u16,
-            postural: micro.postural as u16,
-            gestural: micro.gestural.map_or(NO_GESTURAL, |g| g as u16),
-            location: micro.location as u16,
-        }
-    }
-
-    /// Packs a decision from an untrusted source; `None` when an id does
-    /// not fit.
-    fn try_pack(macro_id: usize, micro: &MicroCandidate) -> Option<Self> {
-        let id = |v: usize| (v < COMPACT_ID_LIMIT).then_some(v as u16);
-        Some(Self {
-            obs_loglik: micro.obs_loglik,
-            macro_id: id(macro_id)?,
-            postural: id(micro.postural)?,
-            gestural: match micro.gestural {
-                Some(g) => id(g)?,
-                None => NO_GESTURAL,
-            },
-            location: id(micro.location)?,
-        })
-    }
-
-    fn macro_id(&self) -> usize {
-        usize::from(self.macro_id)
-    }
-
-    fn micro(&self) -> MicroCandidate {
-        MicroCandidate {
-            postural: usize::from(self.postural),
-            gestural: (self.gestural != NO_GESTURAL).then_some(usize::from(self.gestural)),
-            location: usize::from(self.location),
-            obs_loglik: self.obs_loglik,
-        }
-    }
-
-    /// The wide `(macros, micros)` form of a history.
-    fn unpack_all<'a>(
-        history: impl ExactSizeIterator<Item = &'a EmittedDecision>,
-    ) -> (Vec<usize>, Vec<MicroCandidate>) {
-        let mut macros = Vec::with_capacity(history.len());
-        let mut micros = Vec::with_capacity(history.len());
-        for d in history {
-            macros.push(d.macro_id());
-            micros.push(d.micro());
-        }
-        (macros, micros)
-    }
-
-    /// The wide per-user form of a two-user history.
-    fn unpack_joint(
-        history: &[[EmittedDecision; 2]],
-    ) -> ([Vec<usize>; 2], [Vec<MicroCandidate>; 2]) {
-        let [(m0, c0), (m1, c1)] = [0, 1].map(|u| Self::unpack_all(history.iter().map(|d| &d[u])));
-        ([m0, m1], [c0, c1])
-    }
-
-    /// Packs a wide history (equal lengths, checked by the caller).
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] when an id does not fit.
-    fn pack_all(
-        macros: &[usize],
-        micros: &[MicroCandidate],
-    ) -> Result<Vec<EmittedDecision>, ModelError> {
-        macros
-            .iter()
-            .zip(micros)
-            .map(|(&m, c)| {
-                Self::try_pack(m, c).ok_or_else(|| ModelError::Persistence {
-                    what: format!("parked decision history: id out of range ({m}, {c:?})"),
-                })
-            })
-            .collect()
-    }
-}
-
 /// Incremental fixed-lag decoder for the loosely-coupled two-chain HDBN.
 ///
 /// Feed ticks with [`push`](Self::push); finish with
@@ -331,9 +232,6 @@ pub struct OnlineCoupledViterbi {
     /// The model's shared parameters.
     params: Arc<HdbnParams>,
     core: OnlineTrellis<JointEntry>,
-    /// Decisions already emitted (prefix of the stream), both users per
-    /// tick.
-    emitted: Vec<[EmittedDecision; 2]>,
 }
 
 /// Decodes one flattened joint state of `entry` into per-user macros and
@@ -357,7 +255,6 @@ impl OnlineCoupledViterbi {
         Self {
             params,
             core: OnlineTrellis::new(lag),
-            emitted: Vec::new(),
         }
     }
 
@@ -380,13 +277,13 @@ impl OnlineCoupledViterbi {
         self.core.last_survivors()
     }
 
-    /// Pre-reserves the emitted-decision history for `additional` more
-    /// ticks, so a serving loop with a known stream length performs
-    /// *strictly* zero heap allocations per push once warmed (without
-    /// this, decision history growth still amortizes to O(1) allocations
-    /// per tick).
+    /// Pre-reserves the backpointer window for `additional` more ticks,
+    /// capped at the `lag + 2` entries a [`Lag::Fixed`] window ever holds.
+    /// The window is the only per-tick growth a stream has, and it grows
+    /// only under [`Lag::Unbounded`]; a fixed-lag stream performs zero
+    /// heap allocations per push once warmed without this call.
     pub fn reserve_ticks(&mut self, additional: usize) {
-        self.emitted.reserve(additional);
+        self.core.reserve_ticks(additional);
     }
 
     /// Consumes one tick, advancing the frontier by one DP step; returns
@@ -423,32 +320,25 @@ impl OnlineCoupledViterbi {
         let n_states = (entry.s1.len() * entry.s2.len()) as u64;
         self.core
             .push_entry(&CoupledFamily { p: &self.params }, entry, n_states);
-        let emitted = &self.emitted;
-        let decision = self.core.emit_ready(|entry, flat, t| {
-            debug_assert_eq!(t, emitted.len());
+        Ok(self.core.emit_ready(|entry, flat, t| {
             let (macros, micros) = decode_joint(entry, flat);
             SmoothedJoint {
                 tick: t,
                 macros,
                 micros,
             }
-        });
-        if let Some(d) = &decision {
-            self.emitted
-                .push([0, 1].map(|u| EmittedDecision::pack(d.macros[u], &d.micros[u])));
-        }
-        Ok(decision)
+        }))
     }
 
     /// Checkpoints the stream: everything the decode depends on — the
-    /// live frontier, the backpointer window, the decision cursor and
-    /// emitted history, and the overhead counters — in a serializable
-    /// form. Dominance survivors are recomputed by the next step, so they
-    /// are not parked. The model is *not* captured;
-    /// [`resume`](Self::resume) re-attaches one, so a fleet of parked
-    /// homes shares a single `Arc<HdbnParams>`.
+    /// live frontier, the backpointer window, the decision cursor, and
+    /// the overhead counters — in a serializable form. Emitted decisions
+    /// are not kept, so a park's size does not grow with the stream's age.
+    /// Dominance survivors are recomputed by the next step, so they are
+    /// not parked. The model is *not* captured; [`resume`](Self::resume)
+    /// re-attaches one, so a fleet of parked homes shares a single
+    /// `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
-        let (emitted_macros, emitted_micros) = EmittedDecision::unpack_joint(&self.emitted);
         ParkedCoupled {
             v: self.core.frontier().to_vec(),
             v32: RetiredF32Frontier,
@@ -464,8 +354,8 @@ impl OnlineCoupledViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros,
-            emitted_micros,
+            emitted_macros: [RetiredHistory::default(); 2],
+            emitted_micros: [RetiredHistory::default(); 2],
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: RetiredBeamFlag,
@@ -492,10 +382,6 @@ impl OnlineCoupledViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, lag)?;
-        let [h0, h1] = [0, 1].map(|u| {
-            EmittedDecision::pack_all(&parked.emitted_macros[u], &parked.emitted_micros[u])
-        });
-        let emitted = h0?.into_iter().zip(h1?).map(|(a, b)| [a, b]).collect();
         let window: VecDeque<JointEntry> = parked
             .window
             .iter()
@@ -517,16 +403,17 @@ impl OnlineCoupledViterbi {
                 parked.states_explored,
                 parked.transition_ops,
             ),
-            emitted,
         })
     }
 
-    /// Ends the stream: emits every not-yet-committed tick by backtracking
-    /// from the final frontier and returns the full decoded path.
+    /// Ends the stream: resolves every not-yet-committed tick by
+    /// backtracking from the final frontier and returns that tail — ticks
+    /// [`Lag::committed`]`..pushed` — as a path. The decisions
+    /// [`push`](Self::push) already returned are not repeated.
     ///
     /// Under [`Lag::Unbounded`] (or a fixed lag at least as long as the
-    /// stream) the returned [`JointPath`] is bit-identical to
-    /// [`CoupledHdbn::viterbi`] on the same ticks.
+    /// stream) nothing was emitted, so the tail is the whole path and is
+    /// bit-identical to [`CoupledHdbn::viterbi`] on the same ticks.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
@@ -538,9 +425,8 @@ impl OnlineCoupledViterbi {
                 required: 1,
             });
         }
-        let committed = self.emitted.len();
-        let (tail, log_prob) = self.core.resolve_tail(committed, decode_joint);
-        let (mut macros, mut micros) = EmittedDecision::unpack_joint(&self.emitted);
+        let (tail, log_prob) = self.core.resolve_tail(decode_joint);
+        let (mut macros, mut micros) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
         for (m, c) in tail {
             for u in 0..2 {
                 macros[u].push(m[u]);
@@ -579,7 +465,6 @@ pub struct OnlineSingleViterbi {
     params: Arc<HdbnParams>,
     user: usize,
     core: OnlineTrellis<ChainEntry>,
-    emitted: Vec<EmittedDecision>,
 }
 
 impl OnlineSingleViterbi {
@@ -590,7 +475,6 @@ impl OnlineSingleViterbi {
             params,
             user,
             core: OnlineTrellis::new(lag),
-            emitted: Vec::new(),
         }
     }
 
@@ -608,12 +492,6 @@ impl OnlineSingleViterbi {
     /// [`OnlineCoupledViterbi::last_survivors`]).
     pub fn last_survivors(&self) -> Option<usize> {
         self.core.last_survivors()
-    }
-
-    /// Pre-reserves the emitted-decision history for `additional` more
-    /// ticks (see [`OnlineCoupledViterbi::reserve_ticks`]).
-    pub fn reserve_ticks(&mut self, additional: usize) {
-        self.emitted.reserve(additional);
     }
 
     /// Consumes one tick; returns the newly ripened decision, if any.
@@ -639,21 +517,15 @@ impl OnlineSingleViterbi {
         let n_states = entry.slice.len() as u64;
         self.core
             .push_entry(&ChainFamily { p: &self.params }, entry, n_states);
-        let decision = self.core.emit_ready(|entry, j, t| SmoothedChain {
+        Ok(self.core.emit_ready(|entry, j, t| SmoothedChain {
             tick: t,
             macro_id: entry.slice.activities[j],
             micro: entry.cands[entry.slice.cands[j]],
-        });
-        if let Some(d) = &decision {
-            self.emitted
-                .push(EmittedDecision::pack(d.macro_id, &d.micro));
-        }
-        Ok(decision)
+        }))
     }
 
     /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
     pub fn park(&self) -> ParkedChain {
-        let (emitted_macros, emitted_micros) = EmittedDecision::unpack_all(self.emitted.iter());
         ParkedChain {
             v: self.core.frontier().to_vec(),
             v32: RetiredF32Frontier,
@@ -668,8 +540,8 @@ impl OnlineSingleViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros,
-            emitted_micros,
+            emitted_macros: RetiredHistory::default(),
+            emitted_micros: RetiredHistory::default(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
             pruned: RetiredBeamFlag,
@@ -692,7 +564,6 @@ impl OnlineSingleViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, lag)?;
-        let emitted = EmittedDecision::pack_all(&parked.emitted_macros, &parked.emitted_micros)?;
         let window: VecDeque<ChainEntry> = parked
             .window
             .iter()
@@ -714,11 +585,11 @@ impl OnlineSingleViterbi {
                 parked.states_explored,
                 parked.transition_ops,
             ),
-            emitted,
         })
     }
 
-    /// Ends the stream, resolving the uncommitted tail; bit-identical to
+    /// Ends the stream, returning the uncommitted tail as a path (see
+    /// [`OnlineCoupledViterbi::finalize`]); bit-identical to
     /// [`SingleHdbn::viterbi`] when no mid-stream decision was emitted.
     ///
     /// # Errors
@@ -731,15 +602,10 @@ impl OnlineSingleViterbi {
                 required: 1,
             });
         }
-        let committed = self.emitted.len();
-        let (tail, log_prob) = self.core.resolve_tail(committed, |entry, j| {
+        let (tail, log_prob) = self.core.resolve_tail(|entry, j| {
             (entry.slice.activities[j], entry.cands[entry.slice.cands[j]])
         });
-        let (mut macros, mut micros) = EmittedDecision::unpack_all(self.emitted.iter());
-        for (m, c) in tail {
-            macros.push(m);
-            micros.push(c);
-        }
+        let (macros, micros) = tail.into_iter().unzip();
         Ok(SinglePath {
             macros,
             micros,
@@ -816,43 +682,34 @@ mod tests {
     }
 
     #[test]
-    fn finalized_paths_keep_every_emitted_decision_exactly() {
-        // The emitted history is stored packed; finalize must widen it
-        // back to exactly the decisions push returned, gestural `None`
-        // and `Some` alike.
-        let ticks: Vec<TickInput> = glitchy_ticks()
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut tick)| {
-                if t % 3 == 0 {
-                    for c in tick.candidates.iter_mut().flatten() {
-                        c.gestural = None;
-                    }
-                }
-                tick
-            })
-            .collect();
-        let mut coupled =
-            OnlineCoupledViterbi::new(CoupledHdbn::new(toy_params(true)), Lag::Fixed(2));
-        let mut single =
-            OnlineSingleViterbi::new(SingleHdbn::new(toy_params(false)), 1, Lag::Fixed(2));
-        let (mut joint_decisions, mut chain_decisions) = (Vec::new(), Vec::new());
-        for tick in &ticks {
-            joint_decisions.extend(coupled.push(tick).unwrap());
-            chain_decisions.extend(single.push(tick).unwrap());
-        }
-        assert_eq!(joint_decisions.len(), ticks.len() - 2);
-        let path = coupled.finalize().unwrap();
-        for d in &joint_decisions {
-            for u in 0..2 {
-                assert_eq!(path.macros[u][d.tick], d.macros[u]);
-                assert_eq!(path.micros[u][d.tick], d.micros[u]);
+    fn finalize_returns_exactly_the_unemitted_tail() {
+        let ticks = glitchy_ticks();
+        let n = ticks.len();
+        for lag in [0, 2, n - 1, n] {
+            let mut coupled =
+                OnlineCoupledViterbi::new(CoupledHdbn::new(toy_params(true)), Lag::Fixed(lag));
+            let mut single =
+                OnlineSingleViterbi::new(SingleHdbn::new(toy_params(false)), 1, Lag::Fixed(lag));
+            let (mut joint_decisions, mut chain_decisions) = (Vec::new(), Vec::new());
+            for tick in &ticks {
+                joint_decisions.extend(coupled.push(tick).unwrap());
+                chain_decisions.extend(single.push(tick).unwrap());
             }
-        }
-        let chain = single.finalize().unwrap();
-        for d in &chain_decisions {
-            assert_eq!(chain.macros[d.tick], d.macro_id);
-            assert_eq!(chain.micros[d.tick], d.micro);
+            let committed = Lag::Fixed(lag).committed(n);
+            assert_eq!(committed, n.saturating_sub(lag));
+            let want: Vec<usize> = (0..committed).collect();
+            let joint_ticks: Vec<usize> = joint_decisions.iter().map(|d| d.tick).collect();
+            let chain_ticks: Vec<usize> = chain_decisions.iter().map(|d| d.tick).collect();
+            assert_eq!(joint_ticks, want, "lag {lag}");
+            assert_eq!(chain_ticks, want, "lag {lag}");
+            let tail = coupled.finalize().unwrap();
+            let chain = single.finalize().unwrap();
+            for u in 0..2 {
+                assert_eq!(tail.macros[u].len(), n - committed, "lag {lag}");
+                assert_eq!(tail.micros[u].len(), n - committed, "lag {lag}");
+            }
+            assert_eq!(chain.macros.len(), n - committed, "lag {lag}");
+            assert_eq!(chain.micros.len(), n - committed, "lag {lag}");
         }
     }
 
@@ -918,13 +775,10 @@ mod tests {
             );
         }
         assert_eq!(decisions.len(), ticks.len() - lag);
-        let path = online.finalize().unwrap();
-        assert_eq!(path.macros[0].len(), ticks.len());
-        // The emitted prefix is embedded unchanged in the final path.
-        for d in &decisions {
-            assert_eq!(path.macros[0][d.tick], d.macros[0]);
-            assert_eq!(path.macros[1][d.tick], d.macros[1]);
-        }
+        // Finalization resolves only the `lag` ticks never emitted.
+        let tail = online.finalize().unwrap();
+        assert_eq!(tail.macros[0].len(), lag);
+        assert_eq!(tail.macros[1].len(), lag);
     }
 
     #[test]
@@ -955,8 +809,8 @@ mod tests {
             }
             assert!(online.window_len() <= 5);
         }
-        let path = online.finalize().unwrap();
-        assert_eq!(path.macros.len(), ticks.len());
+        let tail = online.finalize().unwrap();
+        assert_eq!(tail.macros.len(), 3);
     }
 
     /// Streams `ticks` through a coupled decoder, parking + resuming at
@@ -1059,17 +913,49 @@ mod tests {
         bad.window[0].s1.pairs[0] = u32::MAX; // pair id outside the tables
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
 
-        let mut bad = parked.clone();
-        bad.emitted_macros[0].pop(); // emit schedule out of step with lag
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
-
-        // Emitted ids that do not fit the packed history.
-        let mut bad = parked.clone();
-        bad.emitted_macros[0][0] = 70_000;
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
-        let mut bad = parked.clone();
-        bad.emitted_micros[1][0].location = usize::MAX;
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        // Decision-history slots, as parks once wrote them: 8 ticks at
+        // lag 2 emitted 6 decisions per chain.
+        let json = serde::json::to_string(&parked);
+        let with_history = |macros: &str, micros: &str| {
+            let text = json
+                .replacen(r#""emitted_macros":[[],[]]"#, macros, 1)
+                .replacen(r#""emitted_micros":[[],[]]"#, micros, 1);
+            assert!(!text.contains("[[],[]]"), "tamper targets must exist");
+            serde::json::from_str::<ParkedCoupled>(&text).expect("old layout reads")
+        };
+        let ids = |n: usize, id: &str| format!("[{}]", vec![id; n].join(","));
+        let cands = |n: usize, location: &str| {
+            let cand = format!(
+                r#"{{"postural":0,"gestural":null,"location":{location},"obs_loglik":0.0}}"#
+            );
+            ids(n, &cand)
+        };
+        let history = |n: usize| {
+            with_history(
+                &format!(r#""emitted_macros":[{},{}]"#, ids(n, "0"), ids(n, "1")),
+                &format!(r#""emitted_micros":[{},{}]"#, cands(n, "0"), cands(n, "0")),
+            )
+        };
+        // A history on schedule is accepted and dropped.
+        assert!(resume(&history(6)).is_ok());
+        // A history out of step with the emit schedule is rejected.
+        for n in [5, 7] {
+            assert!(
+                matches!(resume(&history(n)), Err(ModelError::Persistence { .. })),
+                "{n} decisions"
+            );
+        }
+        // Ids that no model could have decoded are dropped with the
+        // history, unread.
+        let wide = with_history(
+            &format!(r#""emitted_macros":[{},{}]"#, ids(6, "70000"), ids(6, "0")),
+            &format!(
+                r#""emitted_micros":[{},{}]"#,
+                cands(6, "0"),
+                cands(6, &u64::MAX.to_string())
+            ),
+        );
+        assert!(resume(&wide).is_ok());
     }
 
     #[test]

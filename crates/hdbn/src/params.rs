@@ -9,6 +9,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::tables::ScoreTables;
 
+/// Exclusive bound on the entries of a model's widest hierarchy table,
+/// `n_macro × max(n_postural, n_gestural, n_location)`. Every activity and
+/// micro id then stays below `u16::MAX`, so the 16-bit evidence atoms of
+/// `cace-core`'s rule pruner hold them losslessly.
+pub(crate) const TABLE_ENTRY_LIMIT: usize = u16::MAX as usize;
+
 /// Structural configuration of the coupled model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HdbnConfig {
@@ -102,8 +108,8 @@ impl HdbnParams {
     /// # Errors
     /// Propagates [`HierarchicalStats::validate`] failures, and returns
     /// [`ModelError::InvalidConfig`] for a model whose hierarchy tables
-    /// reach 65 535 entries: the online decoders store decoded ids, which
-    /// index those tables, in 16 bits.
+    /// reach 65 535 entries: the rule pruner's evidence atoms store
+    /// activity and micro ids in 16 bits.
     pub fn new(stats: HierarchicalStats, config: HdbnConfig) -> Result<Self, ModelError> {
         stats.validate()?;
         let n = stats.n_macro;
@@ -114,11 +120,10 @@ impl HdbnParams {
                 .max(stats.n_location)
                 .max(1),
         );
-        if widest > crate::online::COMPACT_ID_LIMIT {
+        if widest >= TABLE_ENTRY_LIMIT {
             return Err(ModelError::InvalidConfig(format!(
-                "model too large: a hierarchy table of {widest} entries, but decision \
-                 histories store ids below {}",
-                crate::online::COMPACT_ID_LIMIT
+                "model too large: a hierarchy table of {widest} entries, but evidence \
+                 atoms store ids in 16 bits (tables must stay below {TABLE_ENTRY_LIMIT})"
             )));
         }
 
@@ -266,10 +271,10 @@ pub(crate) mod tests {
     use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 
     pub(crate) fn toy_stats() -> HierarchicalStats {
-        toy_stats_with_locations(2)
+        toy_stats_sized(2, 2)
     }
 
-    fn toy_stats_with_locations(n_location: usize) -> HierarchicalStats {
+    fn toy_stats_sized(n_macro: usize, n_location: usize) -> HierarchicalStats {
         // Two activities, strongly self-persistent, always co-occurring.
         let mut macros = Vec::new();
         for r in 0..40 {
@@ -286,7 +291,7 @@ pub(crate) mod tests {
         };
         let miner = ConstraintMiner {
             laplace: 0.1,
-            n_macro: 2,
+            n_macro,
             n_postural: 2,
             n_gestural: 2,
             n_location,
@@ -297,12 +302,25 @@ pub(crate) mod tests {
     #[test]
     fn models_too_wide_for_16_bit_decision_ids_are_rejected() {
         // 2 macros × 30 000 locations: every table index fits 16 bits.
-        assert!(HdbnParams::new(toy_stats_with_locations(30_000), HdbnConfig::default()).is_ok());
+        assert!(HdbnParams::new(toy_stats_sized(2, 30_000), HdbnConfig::default()).is_ok());
         // 2 × 40 000 does not.
         assert!(matches!(
-            HdbnParams::new(toy_stats_with_locations(40_000), HdbnConfig::default()),
+            HdbnParams::new(toy_stats_sized(2, 40_000), HdbnConfig::default()),
             Err(ModelError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_hierarchy_table_of_65_535_entries_is_rejected() {
+        // 3 macros × 21 845 locations is exactly the limit.
+        let stats = toy_stats_sized(3, 21_845);
+        assert_eq!(stats.n_macro * stats.n_location, TABLE_ENTRY_LIMIT);
+        match HdbnParams::new(stats, HdbnConfig::default()) {
+            Err(ModelError::InvalidConfig(msg)) => {
+                assert!(msg.contains("65535 entries"), "{msg}")
+            }
+            other => panic!("a 65 535-entry table was not rejected: {other:?}"),
+        }
     }
 
     #[test]

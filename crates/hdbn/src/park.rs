@@ -9,8 +9,9 @@
 //! [`OnlineCoupledViterbi`](crate::OnlineCoupledViterbi) and
 //! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi): the trellis
 //! frontier, the backpointer window with its per-tick slices and retained
-//! candidate tuples, the decision cursor (`base`/`pushed` plus the emitted
-//! history), and the overhead counters.
+//! candidate tuples, the decision cursor (`base`/`pushed`), and the
+//! overhead counters. Decisions already emitted are the caller's: a park
+//! holds `O(lag)` state, whatever the stream's age.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
 //! the entry free list and the [`TrellisArena`](crate::TrellisArena)
@@ -118,6 +119,52 @@ impl Deserialize for RetiredF32Frontier {
         } else {
             Err(serde::Error::msg(RETIRED_LANE))
         }
+    }
+}
+
+/// A decision-history slot of the parked layouts (`emitted_macros`,
+/// `emitted_micros`, and NH's `emitted`).
+///
+/// Streams once kept every decision they had emitted and parked it here,
+/// so a park grew with the stream's age. They no longer keep it; the slots
+/// stay so the JSON and `stream-bin` layouts are unchanged. A slot writes
+/// an empty sequence. It reads any sequence and keeps only its length:
+/// resume accepts a slot that is empty or as long as the lag schedule
+/// implies (see [`RetiredHistory::validate`]), then drops it, so parks
+/// written with a history still resume.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetiredHistory {
+    /// Decisions in the history this slot was read from.
+    pub(crate) len: usize,
+}
+
+impl RetiredHistory {
+    /// Checks that every slot is empty or holds exactly the decisions a
+    /// stream under `lag` emits in `pushed` ticks.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] for a history out of step with the
+    /// lag schedule.
+    pub fn validate(slots: &[Self], what: &str, pushed: usize, lag: Lag) -> Result<(), ModelError> {
+        let expected = lag.committed(pushed);
+        check(
+            slots.iter().all(|s| s.len == 0 || s.len == expected),
+            || format!("{what}: history out of step with the lag schedule ({expected} decisions)"),
+        )
+    }
+}
+
+impl Serialize for RetiredHistory {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Seq(Vec::new())
+    }
+}
+
+impl Deserialize for RetiredHistory {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Self {
+            len: value.as_seq()?.len(),
+        })
     }
 }
 
@@ -242,8 +289,8 @@ pub struct ParkedCoupled {
     pub(crate) window: Vec<ParkedJointEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted_macros: [Vec<usize>; 2],
-    pub(crate) emitted_micros: [Vec<MicroCandidate>; 2],
+    pub(crate) emitted_macros: [RetiredHistory; 2],
+    pub(crate) emitted_micros: [RetiredHistory; 2],
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
     pub(crate) pruned: RetiredBeamFlag,
@@ -260,20 +307,10 @@ impl ParkedCoupled {
     /// being re-attached to (see the [module docs](self) for why resume
     /// must be panic-free).
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
-        validate_cursor(
-            "parked coupled stream",
-            self.base,
-            self.pushed,
-            self.window.len(),
-            self.emitted_macros[0].len(),
-            lag,
-        )?;
-        check(
-            self.emitted_macros[1].len() == self.emitted_macros[0].len()
-                && self.emitted_micros[0].len() == self.emitted_macros[0].len()
-                && self.emitted_micros[1].len() == self.emitted_macros[0].len(),
-            || "parked coupled stream: emitted histories disagree in length".to_string(),
-        )?;
+        let what = "parked coupled stream";
+        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
+        let ([m0, m1], [c0, c1]) = (self.emitted_macros, self.emitted_micros);
+        RetiredHistory::validate(&[m0, m1, c0, c1], what, self.pushed, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_flat = None;
         for (i, e) in self.window.iter().enumerate() {
@@ -318,8 +355,8 @@ pub struct ParkedChain {
     pub(crate) window: Vec<ParkedChainEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted_macros: Vec<usize>,
-    pub(crate) emitted_micros: Vec<MicroCandidate>,
+    pub(crate) emitted_macros: RetiredHistory,
+    pub(crate) emitted_micros: RetiredHistory,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
     pub(crate) pruned: RetiredBeamFlag,
@@ -334,18 +371,10 @@ impl ParkedChain {
 
     /// Single-chain counterpart of [`ParkedCoupled::validate`].
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
-        validate_cursor(
-            "parked chain stream",
-            self.base,
-            self.pushed,
-            self.window.len(),
-            self.emitted_macros.len(),
-            lag,
-        )?;
-        check(
-            self.emitted_micros.len() == self.emitted_macros.len(),
-            || "parked chain stream: emitted histories disagree in length".to_string(),
-        )?;
+        let what = "parked chain stream";
+        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
+        let histories = [self.emitted_macros, self.emitted_micros];
+        RetiredHistory::validate(&histories, what, self.pushed, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_len = None;
         for (i, e) in self.window.iter().enumerate() {
@@ -382,16 +411,13 @@ pub fn check(cond: bool, what: impl FnOnce() -> String) -> Result<(), ModelError
 }
 
 /// Decision-cursor invariants shared by every parked decoder family: the
-/// window holds exactly ticks `base..pushed`, the emitted prefix matches
-/// the lag's ripening schedule (so the resumed decoder's `emit_ready`
-/// picks up at the right tick), and finalization can still reach every
-/// uncommitted tick.
+/// window holds exactly ticks `base..pushed`, and finalization can still
+/// reach every tick the lag schedule has not committed.
 pub fn validate_cursor(
     what: &str,
     base: usize,
     pushed: usize,
     window_len: usize,
-    committed: usize,
     lag: Lag,
 ) -> Result<(), ModelError> {
     check(base + window_len == pushed, || {
@@ -400,16 +426,7 @@ pub fn validate_cursor(
     check(pushed == 0 || window_len > 0, || {
         format!("{what}: nonempty stream with empty window")
     })?;
-    let expected = match lag {
-        Lag::Unbounded => 0,
-        Lag::Fixed(l) => pushed.saturating_sub(l),
-    };
-    check(committed == expected, || {
-        format!(
-            "{what}: {committed} committed decisions, lag schedule expects {expected} \
-             after {pushed} ticks"
-        )
-    })?;
+    let committed = lag.committed(pushed);
     check(base <= committed, || {
         format!("{what}: window base {base} past the committed prefix {committed}")
     })?;

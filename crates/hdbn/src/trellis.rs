@@ -549,6 +549,23 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.lag
     }
 
+    /// Decisions emitted so far: ticks `0..committed()` have been
+    /// returned by [`emit_ready`](Self::emit_ready), the rest are left
+    /// for [`resolve_tail`](Self::resolve_tail).
+    pub fn committed(&self) -> usize {
+        self.lag.committed(self.pushed)
+    }
+
+    /// Pre-reserves the window for `additional` more ticks, capped at the
+    /// `lag + 2` entries a [`Lag::Fixed`] window ever holds.
+    pub fn reserve_ticks(&mut self, additional: usize) {
+        let additional = match self.lag {
+            Lag::Fixed(lag) => additional.min((lag + 2).saturating_sub(self.window.len())),
+            Lag::Unbounded => additional,
+        };
+        self.window.reserve(additional);
+    }
+
     /// Σ_t |S(t)| states instantiated so far.
     pub fn states_explored(&self) -> u64 {
         self.states_explored
@@ -664,15 +681,12 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     }
 
     /// Finalization tail walk, shared by every family: resolves the
-    /// uncommitted ticks `committed..pushed` against the final frontier
-    /// argmax (newest first, then reversed into place), building each
-    /// decision via `decide(entry, state)`. Returns the tail decisions in
-    /// tick order plus the final frontier log-score.
-    pub fn resolve_tail<D>(
-        &self,
-        committed: usize,
-        mut decide: impl FnMut(&E, usize) -> D,
-    ) -> (Vec<D>, f64) {
+    /// uncommitted ticks [`committed`](Self::committed)`..pushed` against
+    /// the final frontier argmax (newest first, then reversed into place),
+    /// building each decision via `decide(entry, state)`. Returns the tail
+    /// decisions in tick order plus the final frontier log-score.
+    pub fn resolve_tail<D>(&self, mut decide: impl FnMut(&E, usize) -> D) -> (Vec<D>, f64) {
+        let committed = self.committed();
         let (mut j, log_prob) = self.frontier_argmax();
         let mut tail: Vec<D> = Vec::with_capacity(self.pushed - committed);
         for t in (committed..self.pushed).rev() {

@@ -30,7 +30,7 @@ use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::park::{
     ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
-    RetiredBeamKeep, RetiredF32Frontier, RETIRED_BEAMS, RETIRED_LANE,
+    RetiredBeamKeep, RetiredF32Frontier, RetiredHistory, RETIRED_BEAMS, RETIRED_LANE,
 };
 
 fn decode_err(what: impl Into<String>) -> ModelError {
@@ -393,6 +393,28 @@ impl RetiredBeamKeep {
     }
 }
 
+impl RetiredHistory {
+    /// Appends the slot's binary encoding: an empty length-prefixed
+    /// sequence.
+    pub fn encode_into(self, w: &mut ByteWriter) {
+        w.write_u64(0);
+    }
+
+    /// Reads a history slot whose elements `read` decodes (each at least
+    /// `elem_min_bytes` long), keeping only its length.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on truncation or a malformed element.
+    pub fn decode_from<'a, T>(
+        r: &mut ByteReader<'a>,
+        elem_min_bytes: usize,
+        read: impl FnMut(&mut ByteReader<'a>) -> Result<T, ModelError>,
+    ) -> Result<Self, ModelError> {
+        let len = r.read_seq(elem_min_bytes, read)?.len();
+        Ok(Self { len })
+    }
+}
+
 /// Encodes a [`MicroCandidate`].
 pub fn write_cand(w: &mut ByteWriter, c: &MicroCandidate) {
     w.write_usize(c.postural);
@@ -455,11 +477,8 @@ impl ParkedCoupled {
         });
         w.write_usize(self.base);
         w.write_usize(self.pushed);
-        for emitted in &self.emitted_macros {
-            w.write_seq(emitted, |w, &x| w.write_usize(x));
-        }
-        for emitted in &self.emitted_micros {
-            w.write_seq(emitted, write_cand);
+        for slot in self.emitted_macros.into_iter().chain(self.emitted_micros) {
+            slot.encode_into(w);
         }
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
@@ -487,10 +506,13 @@ impl ParkedCoupled {
             base: r.read_usize()?,
             pushed: r.read_usize()?,
             emitted_macros: [
-                r.read_seq(1, ByteReader::read_usize)?,
-                r.read_seq(1, ByteReader::read_usize)?,
+                RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
+                RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
             ],
-            emitted_micros: [r.read_seq(11, read_cand)?, r.read_seq(11, read_cand)?],
+            emitted_micros: [
+                RetiredHistory::decode_from(r, 11, read_cand)?,
+                RetiredHistory::decode_from(r, 11, read_cand)?,
+            ],
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
             pruned: RetiredBeamFlag::decode_from(r)?,
@@ -511,8 +533,8 @@ impl ParkedChain {
         });
         w.write_usize(self.base);
         w.write_usize(self.pushed);
-        w.write_seq(&self.emitted_macros, |w, &x| w.write_usize(x));
-        w.write_seq(&self.emitted_micros, write_cand);
+        self.emitted_macros.encode_into(w);
+        self.emitted_micros.encode_into(w);
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
         self.pruned.encode_into(w);
@@ -536,8 +558,8 @@ impl ParkedChain {
             })?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
-            emitted_macros: r.read_seq(1, ByteReader::read_usize)?,
-            emitted_micros: r.read_seq(11, read_cand)?,
+            emitted_macros: RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
+            emitted_micros: RetiredHistory::decode_from(r, 11, read_cand)?,
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
             pruned: RetiredBeamFlag::decode_from(r)?,

@@ -152,7 +152,10 @@ pub fn stream_session_with_parks(
     if park_at.contains(&session.len()) {
         stream = park_cycle(&stream);
     }
-    let recognition = stream.finish().expect("testkit: stream finish");
+    let recognition = stream
+        .finish()
+        .expect("testkit: stream finish")
+        .into_recognition(&decisions);
     (decisions, recognition)
 }
 

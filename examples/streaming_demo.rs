@@ -42,21 +42,29 @@ fn main() {
     let lag = 10;
     let mut stream = engine.stream(Lag::Fixed(lag));
     let mut latencies_us = Vec::with_capacity(session.len());
-    let mut decisions = 0usize;
+    let mut decisions = Vec::with_capacity(session.len());
     for tick in &session.ticks {
         let t0 = Instant::now();
         let emitted = stream.push(&tick.observed).expect("push succeeds");
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        decisions += usize::from(emitted.is_some());
+        decisions.extend(emitted);
     }
-    let streamed = stream.finish().expect("finish succeeds");
+    // The stream resolves only its last `lag` ticks at finish; the
+    // session's recognition is the emitted decisions plus that tail.
+    let streamed = stream
+        .finish()
+        .expect("finish succeeds")
+        .into_recognition(&decisions);
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let mean = latencies_us.iter().sum::<f64>() / latencies_us.len() as f64;
     let p95 = latencies_us[(latencies_us.len() * 95) / 100];
     let max = latencies_us.last().copied().unwrap_or(0.0);
     println!("\n-- single stream (lag {lag}) --");
     println!("ticks pushed:        {}", session.len());
-    println!("decisions emitted:   {decisions} (+{lag} resolved at finish)");
+    println!(
+        "decisions emitted:   {} (+{lag} resolved at finish)",
+        decisions.len()
+    );
     println!("per-tick latency:    mean {mean:.1} us, p95 {p95:.1} us, max {max:.1} us");
     println!(
         "stream accuracy:     {:.1}% (batch {:.1}%)",
@@ -112,6 +120,9 @@ fn main() {
     }
     let rounds = per_home.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut total_ticks = 0usize;
+    // The router keeps no decision history: each home's emitted
+    // decisions are collected here, as a consumer would.
+    let mut emitted = vec![Vec::new(); homes];
     let t0 = Instant::now();
     for t in 0..rounds {
         let round: Vec<_> = per_home
@@ -120,7 +131,10 @@ fn main() {
             .filter_map(|(id, s)| s.ticks.get(t).map(|tick| (id as u64, &tick.observed)))
             .collect();
         total_ticks += round.len();
-        router.push_round(&round).expect("every home is routed");
+        let outcomes = router.push_round(&round).expect("every home is routed");
+        for ((id, _), outcome) in round.iter().zip(&outcomes) {
+            emitted[*id as usize].extend(outcome.decision());
+        }
     }
     assert!(
         router.quarantined().is_empty(),
@@ -129,11 +143,11 @@ fn main() {
     let finished = router.finish();
     let wall = t0.elapsed().as_secs_f64();
     let mean_acc: f64 = finished
-        .iter()
-        .zip(&per_home)
-        .map(|((_, rec), session)| {
-            rec.as_ref()
-                .expect("healthy home finishes")
+        .into_iter()
+        .zip(per_home.iter().zip(&emitted))
+        .map(|((_, tail), (session, emitted))| {
+            tail.expect("healthy home finishes")
+                .into_recognition(emitted)
                 .accuracy(session)
         })
         .sum::<f64>()

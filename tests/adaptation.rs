@@ -90,14 +90,20 @@ fn assert_handoff_at_every_boundary(
         );
         swapped.swap_model(v2).expect("same config swaps");
         let post = push_all(&mut swapped, session, t..session.len());
-        let swapped_rec = swapped.finish().expect("swapped stream finishes");
+        let swapped_rec = swapped
+            .finish()
+            .expect("swapped stream finishes")
+            .into_recognition(&[pre, post.clone()].concat());
 
         // Reference: the same frontier explicitly migrated and resumed
         // under v2 — the continuation the handoff guarantee promises.
         let mut reference =
             resume_shared(v2, &parks[t].migrated_to(v2)).expect("migrated frontier resumes");
         let ref_post = push_all(&mut reference, session, t..session.len());
-        let reference_rec = reference.finish().expect("reference stream finishes");
+        let reference_rec = reference
+            .finish()
+            .expect("reference stream finishes")
+            .into_recognition(&[&control_decisions[..decided_by[t]], &ref_post].concat());
 
         assert_eq!(
             post, ref_post,
@@ -167,8 +173,8 @@ proptest! {
             prop_assert_eq!(&got, &want, "{}: twin swap at {} changed decisions",
                 strategy, t);
             assert_recognitions_identical(
-                &swapped.finish().expect("swapped finishes"),
-                &plain.finish().expect("plain finishes"),
+                &swapped.finish().expect("swapped finishes").into_recognition(&got),
+                &plain.finish().expect("plain finishes").into_recognition(&want),
                 &format!("{strategy} twin swap at {t}"),
             );
         }
@@ -223,7 +229,10 @@ fn swap_composes_with_park_resume_cycles() {
     let mut want = push_all(&mut plain, session, 0..t);
     plain.swap_model(&v2).expect("plain swap");
     want.extend(push_all(&mut plain, session, t..session.len()));
-    let want_rec = plain.finish().expect("plain swapped stream finishes");
+    let want_rec = plain
+        .finish()
+        .expect("plain swapped stream finishes")
+        .into_recognition(&want);
 
     let mut cycled = stream_shared(&v1, LAG);
     let mut got = Vec::new();
@@ -247,7 +256,10 @@ fn swap_composes_with_park_resume_cycles() {
         "park/resume cycles around the swap changed decisions"
     );
     assert_recognitions_identical(
-        &cycled.finish().expect("cycled stream finishes"),
+        &cycled
+            .finish()
+            .expect("cycled stream finishes")
+            .into_recognition(&got),
         &want_rec,
         "swap composed with park/resume",
     );
@@ -279,8 +291,14 @@ fn swap_rejects_incompatible_configurations_atomically() {
     got.extend(post);
     assert_eq!(got, want);
     assert_recognitions_identical(
-        &stream.finish().expect("stream finishes"),
-        &control.finish().expect("control finishes"),
+        &stream
+            .finish()
+            .expect("stream finishes")
+            .into_recognition(&got),
+        &control
+            .finish()
+            .expect("control finishes")
+            .into_recognition(&want),
         "rejected swap left state untouched",
     );
 }

@@ -10,11 +10,9 @@
 //! high-water buffer sizes, then drives another window of pushes and
 //! asserts the count stayed at zero.
 //!
-//! The decision history grows by one packed entry per tick and is the
-//! only amortized allocation left in the decoder loop; `reserve_ticks`
-//! pre-sizes it, which is what a serving loop with a known session length
-//! would do (and what keeps this assertion exact rather than probabilistic
-//! about `Vec` growth boundaries).
+//! The streams keep no decision history, and a fixed-lag window holds at
+//! most `lag + 2` entries, so nothing in the decoder loop grows with the
+//! stream's age: the zero holds without pre-reserving anything.
 //!
 //! [`warmed_streaming_push_allocation_budget`] extends the count to a
 //! whole `StreamingRecognizer::push`: feature extraction allocates
@@ -94,7 +92,6 @@ fn warmed_coupled_stream_push_allocates_nothing() {
     let model = CoupledHdbn::new(toy_two_activity_params(true));
     let ticks = stream_ticks();
     let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(5));
-    online.reserve_ticks(WARMUP + MEASURED);
     for tick in &ticks[..WARMUP] {
         online.push(tick).expect("warmup push");
     }
@@ -108,9 +105,9 @@ fn warmed_coupled_stream_push_allocates_nothing() {
         "warmed coupled push must be allocation-free \
          ({allocs} allocations over {MEASURED} ticks)"
     );
-    // The stream is still correct after the measured window.
-    let path = online.finalize().expect("finalize");
-    assert_eq!(path.macros[0].len(), WARMUP + MEASURED);
+    // The stream still finalizes: the tail is the last `lag` ticks.
+    let tail = online.finalize().expect("finalize");
+    assert_eq!(tail.macros[0].len(), 5);
 }
 
 #[test]
@@ -118,7 +115,6 @@ fn warmed_single_stream_push_allocates_nothing() {
     let model = SingleHdbn::new(toy_two_activity_params(false));
     let ticks = stream_ticks();
     let mut online = OnlineSingleViterbi::new(model, 0, Lag::Fixed(5));
-    online.reserve_ticks(WARMUP + MEASURED);
     for tick in &ticks[..WARMUP] {
         online.push(tick).expect("warmup push");
     }
@@ -132,8 +128,8 @@ fn warmed_single_stream_push_allocates_nothing() {
         "warmed single-chain push must be allocation-free \
          ({allocs} allocations over {MEASURED} ticks)"
     );
-    let path = online.finalize().expect("finalize");
-    assert_eq!(path.macros.len(), WARMUP + MEASURED);
+    let tail = online.finalize().expect("finalize");
+    assert_eq!(tail.macros.len(), 5);
 }
 
 /// Dominance pruning genuinely prunes the measured window of both tests
@@ -176,15 +172,13 @@ fn dominance_actually_prunes_in_steady_state() {
 /// * its macro restrictions, `macro_candidates[u]`, on ticks where the
 ///   rules narrow a user's macro set (up to 2);
 /// * its `macro_bonus`, on CASAS ticks only (0 here);
-/// * the pruner's `CandidateTick`: four `Vec<bool>` masks per user (8);
-///
-/// plus one amortized reallocation of the decision history on the pushes
-/// where it doubles.
+/// * the pruner's `CandidateTick`: four `Vec<bool>` masks per user (8).
 ///
 /// Everything else — frame features, forest scoring, evidence, rule
-/// lookup, tuple scoring, the trellis step — runs on the stack or on
-/// reused buffers.
-const PUSH_RESIDUAL: u64 = 2 + 2 + 8 + 1;
+/// lookup, tuple scoring, the trellis step, the fixed-lag emit — runs on
+/// the stack or on reused buffers; the stream keeps no decision history
+/// that could grow.
+const PUSH_RESIDUAL: u64 = 2 + 2 + 8;
 
 /// Whole-push allocation accounting on the serving shape (`fleet-live`):
 /// a tiny C2 engine with the exact decoder and a fixed lag of 6, warmed

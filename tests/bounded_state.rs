@@ -1,0 +1,123 @@
+//! A fixed-lag stream holds `O(lag)` state: its live decoder and its
+//! parked bytes do not grow with the number of ticks it has consumed.
+//!
+//! A stream keeps only the frontier, the `lag + 2`-entry backpointer
+//! window, the decision cursor and a few counters; decisions it has
+//! emitted belong to the caller. These tests park a stream after a short
+//! and a long run and require the `stream-bin` encoding after the long
+//! run to stay within [`SLACK`] of the short one — a per-push
+//! `Vec::push` into anything a park carries breaks that at once.
+//!
+//! The decoder-level checks (coupled and single-chain here, NH in
+//! `cace-core`'s snapshot unit tests) run 20 000 toy ticks, which stays
+//! fast in a debug build. The recognizer-level check covers all four
+//! strategies over the tiny corpus, cycled, for 2 000 ticks; parks of up
+//! to 170 KB make a 10% bound blind to a byte per push there, so it bounds
+//! the growth in bytes instead ([`COUNTER_BYTES`]).
+
+use cace::core::{CaceConfig, Lag as StreamLag, Strategy};
+use cace::hdbn::wire::ByteWriter;
+use cace::hdbn::{CoupledHdbn, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SingleHdbn};
+use cace_testkit::{engine_with, tiny_corpus, toy_glitchy_ticks, toy_two_activity_params};
+
+/// Largest allowed relative growth of a park between the short and the
+/// long run.
+const SLACK: f64 = 0.10;
+const LAG: usize = 6;
+const SHORT: usize = 200;
+const LONG: usize = 20_000;
+/// Bytes a recognizer's park may gain between 200 and 2 000 pushes at the
+/// same position of a cycled session: a few varint counters gain a byte.
+/// One byte per push would add 1 800.
+const COUNTER_BYTES: usize = 32;
+
+/// Asserts `long` is within [`SLACK`] of `short`.
+fn assert_bounded(short: usize, long: usize, label: &str) {
+    let growth = long as f64 / short as f64 - 1.0;
+    assert!(
+        growth.abs() <= SLACK,
+        "{label}: a park is {short} B after the short run and {long} B after the \
+         long one ({:+.1}%)",
+        100.0 * growth
+    );
+}
+
+/// Parked `stream-bin` sizes of a decoder after [`SHORT`] and [`LONG`]
+/// toy pushes: `push` feeds one tick, `park_len` encodes a park.
+fn park_sizes<D>(
+    mut decoder: D,
+    mut push: impl FnMut(&mut D, &cace::hdbn::TickInput),
+    park_len: impl Fn(&D) -> usize,
+) -> (usize, usize) {
+    let ticks = toy_glitchy_ticks(SHORT);
+    let mut short = 0;
+    for t in 0..LONG {
+        push(&mut decoder, &ticks[t % ticks.len()]);
+        if t + 1 == SHORT {
+            short = park_len(&decoder);
+        }
+    }
+    (short, park_len(&decoder))
+}
+
+#[test]
+fn coupled_park_size_does_not_grow_with_stream_age() {
+    let model = CoupledHdbn::new(toy_two_activity_params(true));
+    let (short, long) = park_sizes(
+        OnlineCoupledViterbi::new(model, Lag::Fixed(LAG)),
+        |d, tick| {
+            d.push(tick).expect("push");
+        },
+        |d| {
+            let mut w = ByteWriter::new();
+            d.park().encode_into(&mut w);
+            w.into_bytes().len()
+        },
+    );
+    assert_bounded(short, long, "coupled");
+}
+
+#[test]
+fn chain_park_size_does_not_grow_with_stream_age() {
+    let model = SingleHdbn::new(toy_two_activity_params(false));
+    let (short, long) = park_sizes(
+        OnlineSingleViterbi::new(model, 1, Lag::Fixed(LAG)),
+        |d, tick| {
+            d.push(tick).expect("push");
+        },
+        |d| {
+            let mut w = ByteWriter::new();
+            d.park().encode_into(&mut w);
+            w.into_bytes().len()
+        },
+    );
+    assert_bounded(short, long, "chain");
+}
+
+/// Every strategy's recognizer, over a tiny session replayed in a loop:
+/// a park after 2 000 pushes is as large as one after 200, give or take
+/// its counters.
+#[test]
+fn recognizer_park_size_does_not_grow_with_stream_age() {
+    let (train, test) = tiny_corpus(4, 50, 29);
+    let session = &test[0];
+    let (short_ticks, long_ticks) = (SHORT, 10 * SHORT);
+    for strategy in Strategy::ALL {
+        let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+        let mut stream = engine.stream(StreamLag::Fixed(LAG));
+        let mut short = 0;
+        for t in 0..long_ticks {
+            let tick = &session.ticks[t % session.len()];
+            stream.push(&tick.observed).expect("push");
+            if t + 1 == short_ticks {
+                short = stream.park().to_snapshot_bytes().len();
+            }
+        }
+        let long = stream.park().to_snapshot_bytes().len();
+        assert!(
+            long <= short + COUNTER_BYTES,
+            "{strategy}: a park is {short} B after {short_ticks} pushes and {long} B after \
+             {long_ticks}"
+        );
+    }
+}

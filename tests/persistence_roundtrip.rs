@@ -5,11 +5,15 @@
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
 //! Parked streams are held to the same bar across builds: the golden
-//! snapshots under `tests/fixtures/` were written by the build that still
-//! had a reduced-precision `f32` decoding lane and lossy decoder beams.
-//! A fresh stream parks to exactly those bytes, and they resume and
-//! continue bit-identically here. Snapshots that record the `f32` lane or
-//! a lossy beam are rejected, never decoded as exact.
+//! snapshots `tests/fixtures/parked_{c2,ncr}.*` were written by the build
+//! that still had a reduced-precision `f32` decoding lane, lossy decoder
+//! beams and a parked decision history. They resume and continue
+//! bit-identically here. Their `*_history_free` twins were written from
+//! the same recipe by a build whose streams keep no decision history: a
+//! fresh stream parks to exactly those bytes, and an old fixture, whose
+//! history is dropped on read, re-encodes to its twin. Snapshots that
+//! record the `f32` lane or a lossy beam are rejected, never decoded as
+//! exact.
 
 use proptest::prelude::*;
 
@@ -130,10 +134,13 @@ fn tampered_snapshots_are_rejected() {
 /// the stream of [`golden_engine`] over the first test session, parked
 /// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`], saved both as the
 /// JSON snapshot (`.snapshot`) and as the binary kind (`.stream-bin`).
+/// The stem names the old layout with a decision history; the stem plus
+/// [`TWIN`] names its history-free twin.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
+const TWIN: &str = "_history_free";
 const GOLDEN_PARK_AT: usize = 30;
 const GOLDEN_LAG: usize = 5;
 
@@ -206,36 +213,47 @@ fn golden_parked_streams_resume_bit_identically() {
         let (engine, session) = golden_engine(strategy);
         let (straight_decisions, straight) =
             stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
-        let json = fixture(&format!("{stem}.snapshot"));
-        let bin = fixture(&format!("{stem}.stream-bin"));
-        let from_json = ParkedStream::from_snapshot_str(std::str::from_utf8(&json).unwrap())
-            .expect("golden JSON snapshot reads");
-        let from_bin =
-            ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
-        // The layouts are unchanged: both re-encode to the golden bytes.
-        assert_eq!(
-            from_json.to_snapshot_string().as_bytes(),
-            json,
-            "{stem} JSON layout"
-        );
-        assert_eq!(from_bin.to_snapshot_bytes(), bin, "{stem} binary layout");
+        // Decisions the stream had emitted when it was parked.
+        let committed = GOLDEN_PARK_AT - GOLDEN_LAG;
+        let twin_json = fixture(&format!("{stem}{TWIN}.snapshot"));
+        let twin_bin = fixture(&format!("{stem}{TWIN}.stream-bin"));
+        for file in [stem.to_string(), format!("{stem}{TWIN}")] {
+            let json = fixture(&format!("{file}.snapshot"));
+            let bin = fixture(&format!("{file}.stream-bin"));
+            let from_json = ParkedStream::from_snapshot_str(std::str::from_utf8(&json).unwrap())
+                .expect("golden JSON snapshot reads");
+            let from_bin =
+                ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
+            // The layouts are unchanged: both re-encode to the twin's
+            // bytes, an old fixture with its history slots emptied.
+            assert_eq!(
+                from_json.to_snapshot_string().as_bytes(),
+                twin_json,
+                "{file} JSON layout"
+            );
+            assert_eq!(
+                from_bin.to_snapshot_bytes(),
+                twin_bin,
+                "{file} binary layout"
+            );
 
-        for (kind, parked) in [("JSON", from_json), ("binary", from_bin)] {
-            let label = format!("{stem} {kind}");
-            assert_eq!(parked.ticks_pushed(), GOLDEN_PARK_AT, "{label}");
-            let mut stream = engine.resume(&parked).expect("golden snapshot resumes");
-            let mut decisions = Vec::new();
-            for tick in &session.ticks[GOLDEN_PARK_AT..] {
-                decisions.extend(stream.push(&tick.observed).expect("push"));
+            for (kind, parked) in [("JSON", from_json), ("binary", from_bin)] {
+                let label = format!("{file} {kind}");
+                assert_eq!(parked.ticks_pushed(), GOLDEN_PARK_AT, "{label}");
+                let mut stream = engine.resume(&parked).expect("golden snapshot resumes");
+                let mut decisions = straight_decisions[..committed].to_vec();
+                for tick in &session.ticks[GOLDEN_PARK_AT..] {
+                    decisions.extend(stream.push(&tick.observed).expect("push"));
+                }
+                assert_eq!(
+                    decisions[committed..],
+                    straight_decisions[committed..],
+                    "{label}: decisions after resume"
+                );
+                let resumed = stream.finish().expect("finish");
+                let resumed = resumed.into_recognition(&decisions);
+                assert_recognitions_identical(&resumed, &straight, &label);
             }
-            let expected: Vec<_> = straight_decisions
-                .iter()
-                .filter(|d| d.tick >= GOLDEN_PARK_AT - GOLDEN_LAG)
-                .copied()
-                .collect();
-            assert_eq!(decisions, expected, "{label}: decisions after resume");
-            let resumed = stream.finish().expect("finish");
-            assert_recognitions_identical(&resumed, &straight, &label);
         }
     }
 }
@@ -353,10 +371,10 @@ fn fresh_parks_reproduce_the_golden_bytes() {
             ("snapshot", parked.to_snapshot_string().into_bytes(), false),
             ("stream-bin", parked.to_snapshot_bytes(), true),
         ] {
-            let golden = fixture(&format!("{stem}.{ext}"));
+            let golden = fixture(&format!("{stem}{TWIN}.{ext}"));
             assert!(
                 with_golden_wall_clock(&fresh, &golden, fp, binary) == golden,
-                "{stem}.{ext}: a fresh park differs from the golden bytes"
+                "{stem}{TWIN}.{ext}: a fresh park differs from the golden bytes"
             );
         }
     }

@@ -128,8 +128,6 @@ proptest! {
         {
             prop_assert_eq!(id, cid);
             prop_assert_eq!(id, uid);
-            let capped_rec = capped_rec.expect("healthy home finishes");
-            let uncapped_rec = uncapped_rec.expect("healthy home finishes");
             let (want_decisions, want) =
                 stream_session(&engine, session, lag).expect("dedicated stream");
             let got = &capped_decisions
@@ -138,6 +136,8 @@ proptest! {
                 .expect("home is tracked")
                 .1;
             prop_assert_eq!(got, &want_decisions, "home {}: routed decisions", id);
+            let capped_rec = capped_rec.expect("healthy home finishes").into_recognition(got);
+            let uncapped_rec = uncapped_rec.expect("healthy home finishes").into_recognition(got);
             assert_recognitions_identical(&capped_rec, &want, &format!("home {id} capped"));
             assert_recognitions_identical(&uncapped_rec, &want, &format!("home {id} uncapped"));
         }
@@ -223,7 +223,7 @@ proptest! {
                     .1;
                 prop_assert_eq!(got, &want_decisions, "{}: home {} decisions", strategy, id);
                 assert_recognitions_identical(
-                    &result.expect("healthy home finishes"),
+                    &result.expect("healthy home finishes").into_recognition(got),
                     &want,
                     &format!("{strategy} home {id} routed vs dedicated"),
                 );
@@ -405,7 +405,9 @@ fn mid_round_swap_leaves_decisions_unchanged() {
         let i = ids.iter().position(|&h| h == id).expect("tracked");
         assert_eq!(decisions[i], want_decisions, "home {id}: decisions");
         assert_recognitions_identical(
-            &result.expect("healthy home finishes"),
+            &result
+                .expect("healthy home finishes")
+                .into_recognition(&decisions[i]),
             &want,
             &format!("home {id} across the mid-drive swap"),
         );
@@ -476,7 +478,9 @@ fn export_import_handover_preserves_the_stream_exactly() {
         let got = &decisions.iter().find(|(h, _)| *h == id).unwrap().1;
         assert_eq!(got, &want_decisions, "home {id}: migrated decisions");
         assert_recognitions_identical(
-            &result.expect("migrated home finishes"),
+            &result
+                .expect("migrated home finishes")
+                .into_recognition(got),
             &want,
             &format!("home {id} after handover"),
         );
