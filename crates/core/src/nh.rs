@@ -23,12 +23,9 @@ use cace_hdbn::park::{check, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
     self, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
-use cace_hdbn::{
-    Dominance, Lag, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier, RetiredHistory,
-    TickInput, TrellisArena,
-};
+use cace_hdbn::{Dominance, Lag, TickInput, TrellisArena};
 use cace_model::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// One flat product state: (macro activity, micro-candidate index).
 pub(crate) type FlatState = (usize, usize);
@@ -245,7 +242,7 @@ impl TrellisFamily for FlatFamily<'_> {
 }
 
 /// Parked form of one retained tick of the NH backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub(crate) struct ParkedFlatEntry {
     pub(crate) states: Vec<FlatState>,
     pub(crate) back: Vec<u32>,
@@ -254,18 +251,14 @@ pub(crate) struct ParkedFlatEntry {
 /// Parked [`OnlineFlat`] state — the NH member of the per-strategy parked
 /// decoder family (see `cace_hdbn::park` for the coupled/chain members
 /// and the park/resume contract).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub(crate) struct ParkedFlat {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedFlatEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted: RetiredHistory,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: RetiredBeamFlag,
-    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedFlat {
@@ -282,7 +275,6 @@ impl ParkedFlat {
     fn validate(&self, table: &FlatTable, lag: Lag) -> Result<(), ModelError> {
         let what = "parked NH stream";
         validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
-        RetiredHistory::validate(&[self.emitted], what, self.pushed, lag)?;
         let mut prev_len = None;
         for (i, e) in self.window.iter().enumerate() {
             check(!e.states.is_empty(), || {
@@ -338,7 +330,6 @@ impl OnlineFlat {
     pub(crate) fn park(&self) -> ParkedFlat {
         ParkedFlat {
             v: self.core.frontier().to_vec(),
-            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -349,11 +340,8 @@ impl OnlineFlat {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted: RetiredHistory::default(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: RetiredBeamFlag,
-            keep: RetiredBeamKeep,
         }
     }
 

@@ -17,13 +17,15 @@
 //!   `RAYON_NUM_THREADS`.
 //! * **LRU live cap.** Each shard keeps at most `live_cap` homes live;
 //!   the least-recently-pushed overflow is transparently **parked** —
-//!   serialized to the compact binary snapshot kind
+//!   serialized to the binary parked-stream snapshot
 //!   ([`ParkedStream::to_snapshot_bytes`]) — and rehydrated on its next
 //!   push with a bit-identical continuation. A capped router's decisions
-//!   equal an uncapped one's (`tests/router_scale.rs` proves it). The
-//!   portable JSON kind is the handover format of
-//!   [`export_home`](ShardedRouter::export_home); rehydration sniffs the
-//!   header, so [`import_home`](ShardedRouter::import_home) takes either.
+//!   equal an uncapped one's (`tests/router_scale.rs` proves it).
+//!   [`export_home`](ShardedRouter::export_home) hands those same bytes
+//!   over; [`import_home`](ShardedRouter::import_home) takes them, or a
+//!   park written by a v3 build in either of its kinds, since rehydration
+//!   reads through [`ParkedStream::from_snapshot_any`]. The next park
+//!   writes the current layout.
 //! * **Fault containment.** A failing push, a tampered parked snapshot,
 //!   or a checkpoint that does not match its model **quarantines** that
 //!   home ([`HomeRound::Failed`], then [`HomeRound::Quarantined`]) and
@@ -182,10 +184,9 @@ struct ServeView {
 #[allow(clippy::large_enum_variant)]
 enum SlotState {
     Live(Box<StreamingRecognizer<'static>>),
-    /// Parked snapshot bytes — either kind: the binary `kind=stream-bin`
-    /// envelope the router parks in, or the JSON envelope (UTF-8) an
-    /// [`import_home`](ShardedRouter::import_home) may hand it.
-    /// Rehydration sniffs the header.
+    /// Parked snapshot bytes: the binary envelope the router parks in, or
+    /// whatever parked form an [`import_home`](ShardedRouter::import_home)
+    /// handed it. Rehydration sniffs the header.
     Parked(Vec<u8>),
     Quarantined(ModelError),
 }
@@ -598,8 +599,9 @@ impl ShardedRouter {
     }
 
     /// Registers a home directly from parked snapshot bytes — e.g. state
-    /// handed over from another process. The checkpoint carries its own
-    /// lag and decoder config; the bytes are *not* validated here — a bad
+    /// handed over from another process ([`export_home`](Self::export_home)
+    /// output, or a v3 park in either kind). The checkpoint carries its
+    /// own lag; the bytes are *not* validated here — a bad
     /// checkpoint quarantines the home on its first push (never panics),
     /// exactly like bytes that went bad while parked.
     ///
@@ -610,16 +612,11 @@ impl ShardedRouter {
         &mut self,
         id: u64,
         model: &str,
-        snapshot: String,
+        snapshot: Vec<u8>,
     ) -> Result<(), ModelError> {
         let model = self.model_index(model)?;
         let generation = self.models[model].current;
-        self.insert(
-            id,
-            model,
-            generation,
-            SlotState::Parked(snapshot.into_bytes()),
-        )
+        self.insert(id, model, generation, SlotState::Parked(snapshot))
     }
 
     fn insert(
@@ -724,20 +721,14 @@ impl ShardedRouter {
         }
     }
 
-    /// The parked snapshot of the given home as the portable JSON kind —
-    /// parking it first if it is live, re-encoding the binary kind the
-    /// router parks in. This is the migration/handover export.
+    /// The parked snapshot bytes of the given home, parking it first if
+    /// it is live — the migration/handover export that
+    /// [`import_home`](Self::import_home) takes back.
     ///
     /// # Errors
-    /// Those of [`park_home`](Self::park_home), plus
-    /// [`ModelError::Persistence`] when the parked bytes no longer
-    /// decode.
-    pub fn export_home(&mut self, id: u64) -> Result<String, ModelError> {
-        let bytes = self.parked_bytes(id)?;
-        match std::str::from_utf8(bytes) {
-            Ok(text) if !text.contains("kind=stream-bin") => Ok(text.to_string()),
-            _ => Ok(ParkedStream::from_snapshot_any(bytes)?.to_snapshot_string()),
-        }
+    /// Those of [`park_home`](Self::park_home).
+    pub fn export_home(&mut self, id: u64) -> Result<Vec<u8>, ModelError> {
+        self.parked_bytes(id).map(<[u8]>::to_vec)
     }
 
     /// Turns on online adaptation for `model`: every live home of the
@@ -1290,8 +1281,8 @@ mod tests {
         }
         // Corrupt home 1's parked bytes out-of-band, then re-import them.
         let mut bytes = router.export_home(1).unwrap();
-        let flip_at = bytes.rfind("0.").unwrap();
-        bytes.replace_range(flip_at..flip_at + 1, "9");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
         let mut router2 = ShardedRouter::with_shards(1);
         router2.register_model("cace", Arc::clone(&engine)).unwrap();
         router2.import_home(1, "cace", bytes).unwrap();
@@ -1322,54 +1313,6 @@ mod tests {
         let finished = router2.finish();
         assert!(finished[0].1.is_err());
         assert!(finished[1].1.is_ok());
-    }
-
-    #[test]
-    fn json_snapshot_import_continues_bit_identically() {
-        let (train, test) = corpus();
-        let engine = arc_engine(&train);
-        let session = &test[0];
-        let lag = Lag::Fixed(4);
-        let n_homes = 6u64;
-
-        // Every home starts from the JSON checkpoint of a stream that has
-        // consumed 20 ticks; a cap of 1 live home per shard then cycles
-        // each one through the router's own binary parking.
-        let mut reference = stream_shared(&engine, lag);
-        for tick in &session.ticks[..20] {
-            reference.push(&tick.observed).unwrap();
-        }
-        let json = reference.park().to_snapshot_string();
-        let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
-        router.register_model("cace", Arc::clone(&engine)).unwrap();
-        for id in 0..n_homes {
-            router.import_home(id, "cace", json.clone()).unwrap();
-        }
-        for tick in &session.ticks[20..] {
-            let want = reference.push(&tick.observed).unwrap();
-            let round: Vec<(u64, &ObservedTick)> =
-                (0..n_homes).map(|id| (id, &tick.observed)).collect();
-            for r in router.push_round(&round).unwrap() {
-                assert!(matches!(r, HomeRound::Advanced(_)));
-                assert_eq!(r.decision(), want);
-            }
-        }
-        let stats = router.stats();
-        assert!(stats.parks() > 0 && stats.rehydrations() > 0);
-
-        // A binary-parked home exports as portable JSON, loadable by the
-        // plain JSON reader.
-        let exported = router.export_home(0).unwrap();
-        assert!(exported.starts_with("CACE-SNAPSHOT v3 fnv1a64="));
-        assert!(ParkedStream::from_snapshot_str(&exported).is_ok());
-
-        let want = reference.finish().unwrap();
-        for (_, rec) in router.finish() {
-            let rec = rec.unwrap();
-            assert_eq!(rec.decisions, want.decisions);
-            assert_eq!(rec.states_explored, want.states_explored);
-            assert_eq!(rec.transition_ops, want.transition_ops);
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Versioned snapshots: persist a trained [`CaceEngine`] — and, since v3,
-//! a parked mid-session stream ([`ParkedStream`]) — and reload either in a
-//! fresh serving process. Engines are the "train once, serve many" half of
-//! the paper's pipeline; parked streams are the serving tier's unit of
+//! Versioned snapshots: persist a trained [`CaceEngine`] or a parked
+//! mid-session stream ([`ParkedStream`]) and reload either in a fresh
+//! serving process. Engines are the "train once, serve many" half of the
+//! paper's pipeline; parked streams are the serving tier's unit of
 //! eviction (a cold home's decoder state, rehydratable bit-identically).
 //!
-//! A snapshot is a single text file:
+//! Engines and [`ModelRecord`]s are single text files:
 //!
 //! ```text
 //! CACE-SNAPSHOT v3 fnv1a64=<16-hex checksum of payload>
@@ -12,11 +12,18 @@
 //! ```
 //!
 //! The v3 payload leads with a `"kind"` discriminator (`"engine"` or
-//! `"stream"`), so each reader can reject the other kind's bytes with a
-//! clear error instead of a field-level parse failure. v2 payloads predate
-//! the discriminator and are always engine snapshots; the engine reader
-//! still accepts them (back-compat), while the stream reader — whose kind
-//! did not exist before v3 — does not.
+//! `"model-record"`), so each reader can reject the other kind's bytes
+//! with a clear error instead of a field-level parse failure. v2 payloads
+//! predate the discriminator and are always engine snapshots; the engine
+//! reader still accepts them.
+//!
+//! Parked streams are binary: a header line
+//! `CACE-SNAPSHOT v4 kind=stream-bin fnv1a64=<16-hex> len=<n>`, then the
+//! payload of [`cace_hdbn::wire`] (see
+//! [`ParkedStream::to_snapshot_bytes`]). v3 builds parked in that binary
+//! kind and in a JSON `"kind": "stream"` one, both carrying slots of
+//! mechanisms since removed; [`legacy`] still reads them, and nothing
+//! writes them.
 //!
 //! The engine payload serializes everything recognition depends on — the
 //! engine configuration, atom space, trained forests, mined rule set, the
@@ -37,7 +44,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cace_hdbn::wire::{self, ByteReader, ByteWriter};
-use cace_hdbn::HdbnParams;
+use cace_hdbn::{HdbnParams, ParkedChain, ParkedCoupled};
 use cace_mining::PruningEngine;
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
@@ -48,10 +55,12 @@ use crate::nh::{ParkedFlat, ParkedFlatEntry};
 use crate::strategy::Strategy;
 use crate::stream::{ParkedDecoder, ParkedStream};
 
+pub mod legacy;
+
 /// Leading magic token of the header line.
 const MAGIC: &str = "CACE-SNAPSHOT";
-/// Current snapshot format version. v3 added the leading `"kind"`
-/// discriminator and the parked-stream kind; v2 added the engine's
+/// Version of the JSON snapshot kinds. v3 added the leading `"kind"`
+/// discriminator and the parked-stream kinds; v2 added the engine's
 /// [`DecoderConfig`](cace_hdbn::DecoderConfig) (then a frontier beam) to
 /// the persisted configuration. v2 engine payloads (kindless) still load;
 /// v1 payloads predate the persisted decoder and are rejected.
@@ -90,19 +99,9 @@ fn render_snapshot(payload: &str) -> String {
     format!("{MAGIC} v{VERSION} fnv1a64={checksum:016x}\n{payload}")
 }
 
-/// Parses the header line and verifies the payload checksum; returns the
-/// stated format version and the (verified, still-serialized) payload.
-fn verify_header(text: &str) -> Result<(u32, &str), ModelError> {
-    let (header, payload) = text
-        .split_once('\n')
-        .ok_or_else(|| persist_err("snapshot has no header line"))?;
-    // Tolerate one trailing newline (editors, `>>`, eol normalization):
-    // the payload is a single JSON line, so a bare line ending after it
-    // cannot be content — strip it before hashing.
-    let payload = payload
-        .strip_suffix('\n')
-        .map(|p| p.strip_suffix('\r').unwrap_or(p))
-        .unwrap_or(payload);
+/// Checks the magic token of a header line and parses its version;
+/// returns the version and the tokens after it.
+fn parse_header(header: &str) -> Result<(u32, std::str::SplitWhitespace<'_>), ModelError> {
     let mut tokens = header.split_whitespace();
     if tokens.next() != Some(MAGIC) {
         return Err(persist_err(format!(
@@ -114,17 +113,40 @@ fn verify_header(text: &str) -> Result<(u32, &str), ModelError> {
         .and_then(|t| t.strip_prefix('v'))
         .and_then(|t| t.parse::<u32>().ok())
         .ok_or_else(|| persist_err(format!("malformed version in header `{header}`")))?;
-    let stated = tokens
-        .next()
+    Ok((version, tokens))
+}
+
+/// Verifies `payload` against the header's `fnv1a64=` token.
+fn verify_checksum(token: Option<&str>, header: &str, payload: &[u8]) -> Result<(), ModelError> {
+    let stated = token
         .and_then(|t| t.strip_prefix("fnv1a64="))
         .and_then(|t| u64::from_str_radix(t, 16).ok())
         .ok_or_else(|| persist_err(format!("malformed checksum in header `{header}`")))?;
-    let actual = fnv1a64(payload.as_bytes());
+    let actual = fnv1a64(payload);
     if stated != actual {
         return Err(persist_err(format!(
             "checksum mismatch: header says {stated:016x}, payload hashes to {actual:016x}"
         )));
     }
+    Ok(())
+}
+
+/// Parses the header line of a JSON snapshot and verifies the payload
+/// checksum; returns the stated format version and the (verified,
+/// still-serialized) payload.
+fn verify_header(text: &str) -> Result<(u32, &str), ModelError> {
+    let (header, payload) = text
+        .split_once('\n')
+        .ok_or_else(|| persist_err("snapshot has no header line"))?;
+    // Tolerate one trailing newline (editors, `>>`, eol normalization):
+    // the payload is a single JSON line, so a bare line ending after it
+    // cannot be content — strip it before hashing.
+    let payload = payload
+        .strip_suffix('\n')
+        .map(|p| p.strip_suffix('\r').unwrap_or(p))
+        .unwrap_or(payload);
+    let (version, mut tokens) = parse_header(header)?;
+    verify_checksum(tokens.next(), header, payload.as_bytes())?;
     Ok((version, payload))
 }
 
@@ -252,50 +274,6 @@ impl CaceEngine {
     }
 }
 
-impl ParkedStream {
-    /// Renders the parked stream as a self-contained snapshot string —
-    /// same versioned, checksummed envelope as an engine snapshot, with
-    /// `"kind": "stream"`. This is the byte form a serving tier keeps for
-    /// an evicted home.
-    pub fn to_snapshot_string(&self) -> String {
-        let payload = serde::json::value_to_string(&serde::Value::Map(vec![
-            ("kind".to_string(), serde::Value::Str("stream".to_string())),
-            ("stream".to_string(), self.serialize()),
-        ]));
-        render_snapshot(&payload)
-    }
-
-    /// Reconstructs a parked stream from
-    /// [`to_snapshot_string`](Self::to_snapshot_string) output.
-    ///
-    /// This only checks the envelope (header, checksum, kind) and the
-    /// payload *shape*; the structural validation against a concrete
-    /// engine happens in [`CaceEngine::resume`], which is the first point
-    /// where the model dimensions are known.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on a malformed header, a non-v3
-    /// version (parked streams did not exist before v3), a checksum
-    /// mismatch, a non-stream kind, or an invalid payload.
-    pub fn from_snapshot_str(text: &str) -> Result<Self, ModelError> {
-        let (version, payload) = verify_header(text)?;
-        if version != VERSION {
-            return Err(persist_err(format!(
-                "unsupported stream snapshot version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let payload = serde::json::value_from_str(payload)
-            .map_err(|e| persist_err(format!("payload parse error: {e}")))?;
-        let kind: String = field(&payload, "kind")?;
-        if kind != "stream" {
-            return Err(persist_err(format!(
-                "snapshot kind `{kind}` is not a parked stream"
-            )));
-        }
-        field(&payload, "stream")
-    }
-}
-
 /// One published generation of a named model, as the serving tier
 /// persists it: the registry name, the generation index, and the full
 /// engine serving that generation. This is the unit of **roll forward /
@@ -391,6 +369,12 @@ impl ModelRecord {
 
 /// Binary-kind discriminator token in the snapshot header line.
 const BIN_KIND: &str = "kind=stream-bin";
+/// Version of the binary parked-stream layout this build writes. v4 drops
+/// the slots of removed mechanisms that v3 parks carry; [`legacy`] reads
+/// those.
+const STREAM_VERSION: u32 = 4;
+/// Smallest encoding of an NH window entry: two empty sequences.
+const FLAT_ENTRY_MIN_BYTES: usize = 2;
 
 fn write_strategy(w: &mut ByteWriter, s: Strategy) {
     w.write_u8(match s {
@@ -413,7 +397,6 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
 
 fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     w.write_seq(&f.v, |w, &x| w.write_f64(x));
-    f.v32.encode_into(w);
     w.write_seq(&f.window, |w, e| {
         w.write_seq(&e.states, |w, &(a, c)| {
             w.write_usize(a);
@@ -423,34 +406,29 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     });
     w.write_usize(f.base);
     w.write_usize(f.pushed);
-    f.emitted.encode_into(w);
     w.write_u64(f.states_explored);
     w.write_u64(f.transition_ops);
-    f.pruned.encode_into(w);
-    f.keep.encode_into(w);
+}
+
+fn read_flat_entry(r: &mut ByteReader<'_>) -> Result<ParkedFlatEntry, ModelError> {
+    Ok(ParkedFlatEntry {
+        states: r.read_seq(2, |r| Ok((r.read_usize()?, r.read_usize()?)))?,
+        back: r.read_seq(1, ByteReader::read_u32)?,
+    })
 }
 
 fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
     Ok(ParkedFlat {
         v: r.read_seq(8, ByteReader::read_f64)?,
-        v32: cace_hdbn::RetiredF32Frontier::decode_from(r)?,
-        window: r.read_seq(1, |r| {
-            Ok(ParkedFlatEntry {
-                states: r.read_seq(2, |r| Ok((r.read_usize()?, r.read_usize()?)))?,
-                back: r.read_seq(1, ByteReader::read_u32)?,
-            })
-        })?,
+        window: r.read_seq(FLAT_ENTRY_MIN_BYTES, read_flat_entry)?,
         base: r.read_usize()?,
         pushed: r.read_usize()?,
-        emitted: cace_hdbn::RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
         states_explored: r.read_u64()?,
         transition_ops: r.read_u64()?,
-        pruned: cace_hdbn::RetiredBeamFlag::decode_from(r)?,
-        keep: cace_hdbn::RetiredBeamKeep::decode_from(r)?,
     })
 }
 
-fn write_decoder_state(w: &mut ByteWriter, state: &ParkedDecoder) {
+fn write_state(w: &mut ByteWriter, state: &ParkedDecoder) {
     match state {
         ParkedDecoder::Nh(flats) => {
             w.write_u8(0);
@@ -471,39 +449,81 @@ fn write_decoder_state(w: &mut ByteWriter, state: &ParkedDecoder) {
     }
 }
 
-fn read_decoder_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
+/// Reads the tag-prefixed per-strategy decoder state, each family through
+/// the given reader (the v4 ones, or `legacy`'s for v3).
+fn read_state<'a>(
+    r: &mut ByteReader<'a>,
+    mut flat: impl FnMut(&mut ByteReader<'a>) -> Result<ParkedFlat, ModelError>,
+    mut chain: impl FnMut(&mut ByteReader<'a>) -> Result<ParkedChain, ModelError>,
+    coupled: impl FnOnce(&mut ByteReader<'a>) -> Result<ParkedCoupled, ModelError>,
+) -> Result<ParkedDecoder, ModelError> {
     match r.read_u8()? {
-        0 => Ok(ParkedDecoder::Nh([read_flat(r)?, read_flat(r)?])),
-        1 => Ok(ParkedDecoder::Single([
-            cace_hdbn::ParkedChain::decode_from(r)?,
-            cace_hdbn::ParkedChain::decode_from(r)?,
-        ])),
-        2 => Ok(ParkedDecoder::Coupled(
-            cace_hdbn::ParkedCoupled::decode_from(r)?,
-        )),
+        0 => Ok(ParkedDecoder::Nh([flat(r)?, flat(r)?])),
+        1 => Ok(ParkedDecoder::Single([chain(r)?, chain(r)?])),
+        2 => Ok(ParkedDecoder::Coupled(coupled(r)?)),
         t => Err(persist_err(format!("unknown parked decoder tag {t}"))),
     }
 }
 
+/// Parses and verifies the header of a binary parked stream: magic, a
+/// version this build reads (v4, or v3 for `legacy`), the binary kind,
+/// and the payload's stated length and checksum. Returns the version and
+/// the verified payload.
+fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
+    let newline = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| persist_err("binary snapshot has no header line"))?;
+    let header = std::str::from_utf8(&bytes[..newline])
+        .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
+    let payload = &bytes[newline + 1..];
+    let (version, mut tokens) = parse_header(header)?;
+    if version != STREAM_VERSION && version != legacy::VERSION {
+        return Err(persist_err(format!(
+            "unsupported stream snapshot version {version} \
+             (this build reads v{} and v{STREAM_VERSION})",
+            legacy::VERSION
+        )));
+    }
+    let kind = tokens.next();
+    if kind != Some(BIN_KIND) {
+        return Err(persist_err(format!(
+            "header `{header}` is not a binary parked stream"
+        )));
+    }
+    let checksum = tokens.next();
+    let len = tokens
+        .next()
+        .and_then(|t| t.strip_prefix("len="))
+        .and_then(|t| t.parse::<usize>().ok())
+        .ok_or_else(|| persist_err(format!("malformed length in header `{header}`")))?;
+    if len != payload.len() {
+        return Err(persist_err(format!(
+            "payload length mismatch: header says {len}, {} bytes follow",
+            payload.len()
+        )));
+    }
+    verify_checksum(checksum, header, payload)?;
+    Ok((version, payload))
+}
+
 impl ParkedStream {
-    /// Renders the parked stream as a **binary** snapshot: the same
-    /// checksummed envelope discipline as the JSON form, but with a
-    /// `kind=stream-bin` header token, an explicit payload byte length,
-    /// and the compact little-endian payload of [`cace_hdbn::wire`] —
-    /// floats as raw IEEE bits, so the round trip is bit-exact by
-    /// construction. Several times smaller and cheaper to encode/decode
-    /// than the JSON form; both kinds resume bit-identically.
+    /// Renders the parked stream as a binary snapshot: a checksummed
+    /// header line with a `kind=stream-bin` token and the payload's byte
+    /// length, then the compact little-endian payload of
+    /// [`cace_hdbn::wire`] — floats as raw IEEE bits, so the round trip is
+    /// bit-exact by construction. This is the byte form the serving tier
+    /// keeps for an evicted home.
     ///
     /// ```text
-    /// CACE-SNAPSHOT v3 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
+    /// CACE-SNAPSHOT v4 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
     /// <raw payload bytes>
     /// ```
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         write_strategy(&mut w, self.strategy);
-        wire::write_decoder(&mut w, self.decoder);
         wire::write_lag(&mut w, self.lag);
-        write_decoder_state(&mut w, &self.state);
+        write_state(&mut w, &self.state);
         for prev in &self.prev {
             w.write_opt_usize(prev.macro_id);
             w.write_opt_usize(prev.location);
@@ -518,7 +538,7 @@ impl ParkedStream {
         let payload = w.into_bytes();
         let checksum = fnv1a64(&payload);
         let mut out = format!(
-            "{MAGIC} v{VERSION} {BIN_KIND} fnv1a64={checksum:016x} len={}\n",
+            "{MAGIC} v{STREAM_VERSION} {BIN_KIND} fnv1a64={checksum:016x} len={}\n",
             payload.len()
         )
         .into_bytes();
@@ -527,75 +547,37 @@ impl ParkedStream {
     }
 
     /// Reconstructs a parked stream from
-    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output. Envelope
-    /// checks (magic, version, kind, stated length, checksum) run before
-    /// any payload decode; like the JSON reader, structural validation
-    /// against a concrete engine happens at [`CaceEngine::resume`].
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output, or from a
+    /// binary park written by a v3 build. Envelope checks (magic,
+    /// version, kind, stated length, checksum) run before any payload
+    /// decode; structural validation against a concrete engine happens at
+    /// [`CaceEngine::resume`].
     ///
     /// # Errors
-    /// [`ModelError::Persistence`] on a malformed header, a non-v3
-    /// version, a non-binary kind, a length or checksum mismatch, or
-    /// malformed payload bytes.
+    /// [`ModelError::Persistence`] on a malformed header, a version other
+    /// than v3 or v4, a non-binary kind, a length or checksum mismatch,
+    /// malformed payload bytes, or a v3 park that records a removed
+    /// mechanism (see [`legacy`]).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| persist_err("binary snapshot has no header line"))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
-        let payload = &bytes[newline + 1..];
-        let mut tokens = header.split_whitespace();
-        if tokens.next() != Some(MAGIC) {
-            return Err(persist_err(format!(
-                "not a {MAGIC} file (header `{header}`)"
-            )));
-        }
-        let version = tokens
-            .next()
-            .and_then(|t| t.strip_prefix('v'))
-            .and_then(|t| t.parse::<u32>().ok())
-            .ok_or_else(|| persist_err(format!("malformed version in header `{header}`")))?;
-        if version != VERSION {
-            return Err(persist_err(format!(
-                "unsupported stream snapshot version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let kind = tokens
-            .next()
-            .ok_or_else(|| persist_err(format!("missing kind in header `{header}`")))?;
-        if kind != BIN_KIND {
-            return Err(persist_err(format!(
-                "snapshot token `{kind}` is not a binary parked stream"
-            )));
-        }
-        let stated = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("fnv1a64="))
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| persist_err(format!("malformed checksum in header `{header}`")))?;
-        let len = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("len="))
-            .and_then(|t| t.parse::<usize>().ok())
-            .ok_or_else(|| persist_err(format!("malformed length in header `{header}`")))?;
-        if len != payload.len() {
-            return Err(persist_err(format!(
-                "payload length mismatch: header says {len}, {} bytes follow",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if stated != actual {
-            return Err(persist_err(format!(
-                "checksum mismatch: header says {stated:016x}, payload hashes to {actual:016x}"
-            )));
-        }
+        let (version, payload) = open_binary(bytes)?;
         let mut r = ByteReader::new(payload);
+        let strategy = read_strategy(&mut r)?;
+        let (lag, state) = if version == legacy::VERSION {
+            legacy::read_lag_and_state(&mut r)?
+        } else {
+            let lag = wire::read_lag(&mut r)?;
+            let state = read_state(
+                &mut r,
+                read_flat,
+                ParkedChain::decode_from,
+                ParkedCoupled::decode_from,
+            )?;
+            (lag, state)
+        };
         let parked = Self {
-            strategy: read_strategy(&mut r)?,
-            decoder: wire::read_decoder(&mut r)?,
-            lag: wire::read_lag(&mut r)?,
-            state: read_decoder_state(&mut r)?,
+            strategy,
+            lag,
+            state,
             prev: [
                 PrevState {
                     macro_id: r.read_opt_usize()?,
@@ -618,14 +600,15 @@ impl ParkedStream {
         Ok(parked)
     }
 
-    /// Reconstructs a parked stream from either snapshot kind, sniffing
-    /// the header: a `kind=stream-bin` token routes to the binary reader,
-    /// anything else is treated as the UTF-8 JSON form. This is what a
+    /// Reconstructs a parked stream from any parked form this build
+    /// reads, sniffing the header: a `kind=stream-bin` token routes to
+    /// [`from_snapshot_bytes`](Self::from_snapshot_bytes), anything else
+    /// to the reader of the v3 JSON kind in [`legacy`]. This is what a
     /// serving tier uses on bytes whose provenance it does not control
     /// (imports, handovers).
     ///
     /// # Errors
-    /// Those of the kind-specific reader the bytes route to.
+    /// Those of the reader the bytes route to.
     pub fn from_snapshot_any(bytes: &[u8]) -> Result<Self, ModelError> {
         let header_end = bytes
             .iter()
@@ -638,7 +621,7 @@ impl ParkedStream {
         } else {
             let text = std::str::from_utf8(bytes)
                 .map_err(|_| persist_err("snapshot is neither binary-kind nor UTF-8 text"))?;
-            Self::from_snapshot_str(text)
+            legacy::from_json(text)
         }
     }
 }
@@ -795,52 +778,15 @@ mod tests {
         for tick in &sessions[2].ticks[..8] {
             stream.push(&tick.observed).unwrap();
         }
-        let stream_text = stream.park().to_snapshot_string();
-        assert!(stream_text.starts_with("CACE-SNAPSHOT v3 fnv1a64="));
+        let stream_bytes = stream.park().to_snapshot_bytes();
+        assert!(stream_bytes.starts_with(b"CACE-SNAPSHOT v4 kind=stream-bin fnv1a64="));
 
-        let err = CaceEngine::from_snapshot_str(&stream_text).unwrap_err();
-        assert!(err.to_string().contains("kind `stream`"), "{err}");
-        let err = ParkedStream::from_snapshot_str(&engine.to_snapshot_string()).unwrap_err();
+        let err =
+            CaceEngine::from_snapshot_str(&String::from_utf8_lossy(&stream_bytes)).unwrap_err();
+        assert!(err.to_string().contains("header"), "{err}");
+        let engine_text = engine.to_snapshot_string();
+        let err = ParkedStream::from_snapshot_any(engine_text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("kind `engine`"), "{err}");
-    }
-
-    #[test]
-    fn parked_stream_snapshot_round_trips_to_identical_continuation() {
-        let (engine, sessions) = tiny_engine(Strategy::CorrelationConstraint);
-        let session = &sessions[2];
-        let lag = cace_hdbn::Lag::Fixed(4);
-        let mut reference = engine.stream(lag);
-        let mut interrupted = engine.stream(lag);
-        for tick in &session.ticks[..20] {
-            reference.push(&tick.observed).unwrap();
-            interrupted.push(&tick.observed).unwrap();
-        }
-        let bytes = interrupted.park().to_snapshot_string();
-        drop(interrupted);
-        let parked = ParkedStream::from_snapshot_str(&bytes).unwrap();
-        assert_eq!(parked.ticks_pushed(), 20);
-        let mut resumed = engine.resume(&parked).unwrap();
-        for tick in &session.ticks[20..] {
-            let a = reference.push(&tick.observed).unwrap();
-            let b = resumed.push(&tick.observed).unwrap();
-            assert_eq!(a, b);
-        }
-        let a = reference.finish().unwrap();
-        let b = resumed.finish().unwrap();
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.states_explored, b.states_explored);
-        assert_eq!(a.transition_ops, b.transition_ops);
-        assert_eq!(a.rules_fired, b.rules_fired);
-        assert_eq!(a.mean_joint_size.to_bits(), b.mean_joint_size.to_bits());
-
-        // Tampered parked bytes are rejected by checksum, not decoded.
-        let mut corrupted = bytes.clone();
-        let flip_at = corrupted.rfind("0.").unwrap_or(corrupted.len() - 2);
-        corrupted.replace_range(flip_at..flip_at + 1, "9");
-        assert!(matches!(
-            ParkedStream::from_snapshot_str(&corrupted),
-            Err(ModelError::Persistence { .. })
-        ));
     }
 
     #[test]
@@ -855,15 +801,7 @@ mod tests {
                 reference.push(&tick.observed).unwrap();
                 interrupted.push(&tick.observed).unwrap();
             }
-            let checkpoint = interrupted.park();
-            let json = checkpoint.to_snapshot_string();
-            let bytes = checkpoint.to_snapshot_bytes();
-            assert!(
-                bytes.len() * 2 < json.len(),
-                "binary kind should be far smaller: {} vs {} bytes",
-                bytes.len(),
-                json.len()
-            );
+            let bytes = interrupted.park().to_snapshot_bytes();
             drop(interrupted);
             let parked = ParkedStream::from_snapshot_bytes(&bytes).unwrap();
             assert_eq!(parked.ticks_pushed(), 20);
@@ -881,10 +819,8 @@ mod tests {
             assert_eq!(a.rules_fired, b.rules_fired);
             assert_eq!(a.mean_joint_size.to_bits(), b.mean_joint_size.to_bits());
 
-            // The sniffing reader routes both kinds correctly.
+            // The sniffing reader routes the binary kind.
             let via_any = ParkedStream::from_snapshot_any(&bytes).unwrap();
-            assert_eq!(via_any.ticks_pushed(), 20);
-            let via_any = ParkedStream::from_snapshot_any(json.as_bytes()).unwrap();
             assert_eq!(via_any.ticks_pushed(), 20);
         }
     }
@@ -898,7 +834,7 @@ mod tests {
         }
         let bytes = stream.park().to_snapshot_bytes();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        assert!(bytes.starts_with(b"CACE-SNAPSHOT v3 kind=stream-bin fnv1a64="));
+        assert!(bytes.starts_with(b"CACE-SNAPSHOT v4 kind=stream-bin fnv1a64="));
 
         // Flip one payload byte: checksum mismatch, decode never runs.
         let mut corrupted = bytes.clone();
@@ -911,15 +847,21 @@ mod tests {
         let err = ParkedStream::from_snapshot_bytes(&bytes[..bytes.len() - 3]).unwrap_err();
         assert!(err.to_string().contains("length"), "{err}");
 
+        // A version this build does not read, older or newer.
+        for version in [b'2', b'5'] {
+            let mut other = bytes.clone();
+            other["CACE-SNAPSHOT v".len()] = version;
+            let err = ParkedStream::from_snapshot_bytes(&other).unwrap_err();
+            assert!(err.to_string().contains("version"), "{err}");
+        }
+
         // The engine JSON reader and the binary reader reject each other.
         assert!(ParkedStream::from_snapshot_bytes(engine.to_snapshot_string().as_bytes()).is_err());
-        assert!(
-            ParkedStream::from_snapshot_str(std::str::from_utf8(&bytes).unwrap_or("")).is_err()
-        );
+        assert!(CaceEngine::from_snapshot_str(std::str::from_utf8(&bytes).unwrap_or("")).is_err());
     }
 
     #[test]
-    fn model_fingerprint_survives_both_codecs_and_gates_resume() {
+    fn model_fingerprint_survives_the_codec_and_gates_resume() {
         let (engine, sessions) = tiny_engine(Strategy::CorrelationConstraint);
         let mut stream = engine.stream(cace_hdbn::Lag::Fixed(3));
         for tick in &sessions[2].ticks[..10] {
@@ -928,8 +870,6 @@ mod tests {
         let checkpoint = stream.park();
         let want_fp = checkpoint.model_fingerprint();
 
-        let via_json = ParkedStream::from_snapshot_str(&checkpoint.to_snapshot_string()).unwrap();
-        assert_eq!(via_json.model_fingerprint(), want_fp);
         let via_bin = ParkedStream::from_snapshot_bytes(&checkpoint.to_snapshot_bytes()).unwrap();
         assert_eq!(via_bin.model_fingerprint(), want_fp);
 

@@ -76,11 +76,11 @@ use std::time::Instant;
 use cace_behavior::{ObservedTick, Session};
 use cace_features::extract_tick;
 use cace_hdbn::{
-    CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, ParkedChain,
-    ParkedCoupled, SingleHdbn, TickInput,
+    CoupledHdbn, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, ParkedChain, ParkedCoupled,
+    SingleHdbn, TickInput,
 };
 use cace_model::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::engine::{CaceEngine, Recognition};
 use crate::evidence::PrevState;
@@ -399,11 +399,6 @@ pub fn resume_shared(
 }
 
 impl StreamingRecognizer<'_> {
-    /// The smoothing lag this stream was opened with.
-    pub fn lag(&self) -> Lag {
-        self.lag
-    }
-
     /// Ticks consumed so far.
     pub fn ticks_pushed(&self) -> usize {
         self.pushed
@@ -556,7 +551,6 @@ impl StreamingRecognizer<'_> {
         };
         ParkedStream {
             strategy: engine.config.strategy,
-            decoder: engine.config.decoder,
             lag: self.lag,
             state,
             prev: self.prev,
@@ -682,7 +676,7 @@ fn advance_decoder(
 }
 
 /// The parked per-strategy decoder state inside a [`ParkedStream`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum ParkedDecoder {
     /// NH: one flat product frontier per user.
@@ -699,14 +693,13 @@ pub(crate) enum ParkedDecoder {
 /// re-attached at resume, `Arc`-shared fleet-wide).
 ///
 /// Produced by [`StreamingRecognizer::park`]; serialized through the
-/// versioned snapshot layer ([`ParkedStream::to_snapshot_string`]) so
+/// versioned snapshot layer ([`ParkedStream::to_snapshot_bytes`]) so
 /// parked bytes survive process restarts, and validated structurally on
 /// every resume — tampering yields [`ModelError::Persistence`], never a
 /// panic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct ParkedStream {
     pub(crate) strategy: Strategy,
-    pub(crate) decoder: DecoderConfig,
     pub(crate) lag: Lag,
     pub(crate) state: ParkedDecoder,
     pub(crate) prev: [PrevState; 2],
@@ -730,11 +723,6 @@ impl ParkedStream {
         self.strategy
     }
 
-    /// The smoothing lag the parked stream was opened with.
-    pub fn lag(&self) -> Lag {
-        self.lag
-    }
-
     /// Fingerprint of the model parameters the stream was checkpointed
     /// under ([`cace_hdbn::HdbnParams::fingerprint`]). Resume rejects an
     /// engine whose fingerprint differs — cross-model resumes must go
@@ -748,8 +736,8 @@ impl ParkedStream {
     /// there passes the fingerprint gate. This is the *hot-swap
     /// migration* — the trellis frontier carries over verbatim and all
     /// later ticks score under the new model. Resume still validates
-    /// strategy, decoder config, and dimensions; migration only waives
-    /// the same-model check.
+    /// strategy and dimensions; migration only waives the same-model
+    /// check.
     pub fn migrated_to(&self, engine: &CaceEngine) -> ParkedStream {
         let mut migrated = self.clone();
         migrated.model_fp = engine.params.fingerprint();

@@ -12,14 +12,16 @@
 //! Dominance pruning made the exact step faster than either, so they were
 //! removed. [`DecoderConfig`] stays, with no settings, so engine
 //! configurations, snapshots and callers that name it keep working. Its
-//! persisted form is unchanged: it writes `"beam":"Exact"` (wire beam
-//! tag 0) and the exact precision tag, and a snapshot recording one of the
-//! removed beams is rejected with an error that names them — its frontier
-//! was pruned lossily and cannot continue exactly.
+//! form in engine snapshots is unchanged: it writes `"beam":"Exact"` and
+//! `"precision":"Exact64"`, and an engine snapshot recording one of the
+//! removed beams is rejected with an error that names them. Parked
+//! streams no longer record it; the `v3` parks that do are read, and
+//! their beam and precision tags checked the same way, by
+//! [`park::legacy`](crate::park::legacy).
 
 use serde::{Deserialize, Serialize};
 
-use crate::park::{RETIRED_BEAMS, RETIRED_LANE};
+use crate::park::legacy::{RETIRED_BEAMS, RETIRED_LANE};
 
 /// Decoding-time configuration shared by every decoder in the crate.
 ///

@@ -75,10 +75,7 @@ pub use forward::log_sum_exp;
 pub use input::{MicroCandidate, TickInput};
 pub use online::{Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SmoothedChain, SmoothedJoint};
 pub use params::{HdbnConfig, HdbnParams};
-pub use park::{
-    ParkedChain, ParkedCoupled, RetiredBeamFlag, RetiredBeamKeep, RetiredF32Frontier,
-    RetiredHistory,
-};
+pub use park::{ParkedChain, ParkedCoupled};
 pub use single::SingleHdbn;
 pub use tables::ScoreTables;
 pub use trellis::{

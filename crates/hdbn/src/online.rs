@@ -66,21 +66,18 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cace_model::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::park::{
-    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
-    RetiredBeamKeep, RetiredF32Frontier, RetiredHistory,
-};
+use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
 use crate::viterbi::{self, CoupledHdbn, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum Lag {
     /// Never commit mid-stream; decode everything at finalization.
     /// Bit-identical to the batch Viterbi decoders.
@@ -91,11 +88,6 @@ pub enum Lag {
 }
 
 impl Lag {
-    /// Convenience constructor mirroring `Lag::Fixed`.
-    pub fn ticks(lag: usize) -> Self {
-        Lag::Fixed(lag)
-    }
-
     /// Whether this lag never emits mid-stream decisions.
     pub fn is_unbounded(&self) -> bool {
         matches!(self, Lag::Unbounded)
@@ -341,7 +333,6 @@ impl OnlineCoupledViterbi {
     pub fn park(&self) -> ParkedCoupled {
         ParkedCoupled {
             v: self.core.frontier().to_vec(),
-            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -354,12 +345,8 @@ impl OnlineCoupledViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros: [RetiredHistory::default(); 2],
-            emitted_micros: [RetiredHistory::default(); 2],
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: RetiredBeamFlag,
-            keep: RetiredBeamKeep,
         }
     }
 
@@ -528,7 +515,6 @@ impl OnlineSingleViterbi {
     pub fn park(&self) -> ParkedChain {
         ParkedChain {
             v: self.core.frontier().to_vec(),
-            v32: RetiredF32Frontier,
             window: self
                 .core
                 .entries()
@@ -540,12 +526,8 @@ impl OnlineSingleViterbi {
                 .collect(),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
-            emitted_macros: RetiredHistory::default(),
-            emitted_micros: RetiredHistory::default(),
             states_explored: self.core.states_explored(),
             transition_ops: self.core.transition_ops(),
-            pruned: RetiredBeamFlag,
-            keep: RetiredBeamKeep,
         }
     }
 
@@ -617,12 +599,12 @@ impl OnlineSingleViterbi {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::{HdbnConfig, HdbnParams};
     use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 
-    fn toy_params(coupled: bool) -> HdbnParams {
+    pub(crate) fn toy_params(coupled: bool) -> HdbnParams {
         let mut macros = Vec::new();
         for r in 0..40 {
             for _ in 0..10 {
@@ -671,7 +653,7 @@ mod tests {
         }
     }
 
-    fn glitchy_ticks() -> Vec<TickInput> {
+    pub(crate) fn glitchy_ticks() -> Vec<TickInput> {
         (0..30)
             .map(|t| {
                 let m = usize::from(t >= 15);
@@ -897,6 +879,10 @@ mod tests {
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
 
         let mut bad = parked.clone();
+        bad.base = usize::MAX; // cursor arithmetic must not overflow
+        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+
+        let mut bad = parked.clone();
         bad.v[0] = f64::NAN;
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
 
@@ -912,50 +898,6 @@ mod tests {
         let mut bad = parked.clone();
         bad.window[0].s1.pairs[0] = u32::MAX; // pair id outside the tables
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
-
-        // Decision-history slots, as parks once wrote them: 8 ticks at
-        // lag 2 emitted 6 decisions per chain.
-        let json = serde::json::to_string(&parked);
-        let with_history = |macros: &str, micros: &str| {
-            let text = json
-                .replacen(r#""emitted_macros":[[],[]]"#, macros, 1)
-                .replacen(r#""emitted_micros":[[],[]]"#, micros, 1);
-            assert!(!text.contains("[[],[]]"), "tamper targets must exist");
-            serde::json::from_str::<ParkedCoupled>(&text).expect("old layout reads")
-        };
-        let ids = |n: usize, id: &str| format!("[{}]", vec![id; n].join(","));
-        let cands = |n: usize, location: &str| {
-            let cand = format!(
-                r#"{{"postural":0,"gestural":null,"location":{location},"obs_loglik":0.0}}"#
-            );
-            ids(n, &cand)
-        };
-        let history = |n: usize| {
-            with_history(
-                &format!(r#""emitted_macros":[{},{}]"#, ids(n, "0"), ids(n, "1")),
-                &format!(r#""emitted_micros":[{},{}]"#, cands(n, "0"), cands(n, "0")),
-            )
-        };
-        // A history on schedule is accepted and dropped.
-        assert!(resume(&history(6)).is_ok());
-        // A history out of step with the emit schedule is rejected.
-        for n in [5, 7] {
-            assert!(
-                matches!(resume(&history(n)), Err(ModelError::Persistence { .. })),
-                "{n} decisions"
-            );
-        }
-        // Ids that no model could have decoded are dropped with the
-        // history, unread.
-        let wide = with_history(
-            &format!(r#""emitted_macros":[{},{}]"#, ids(6, "70000"), ids(6, "0")),
-            &format!(
-                r#""emitted_micros":[{},{}]"#,
-                cands(6, "0"),
-                cands(6, &u64::MAX.to_string())
-            ),
-        );
-        assert!(resume(&wide).is_ok());
     }
 
     #[test]

@@ -26,151 +26,27 @@
 //! kernel runs, so a tampered-but-checksummed snapshot surfaces as
 //! [`ModelError::Persistence`] instead of an out-of-bounds panic — the
 //! router quarantines the home and keeps serving its shard-mates.
+//!
+//! These types hold live state only; their `Deserialize` reads the JSON
+//! layout of `v3` parks, which nothing writes any more. Those parks also
+//! carry slots for removed mechanisms (an `f32` frontier, lossy-beam
+//! flags, a decision history); [`legacy`] checks them, and is the only
+//! code that knows them.
 
 use cace_model::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::arena::Slice;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::params::HdbnParams;
 
-/// Message of every rejection of a snapshot taken in the retired `f32`
-/// decoding lane.
-pub(crate) const RETIRED_LANE: &str =
-    "snapshot was decoded in the removed f32 scoring lane; only exact (f64) snapshots resume";
-
-/// Message of every rejection of a snapshot that records one of the
-/// removed lossy decoder beams.
-pub(crate) const RETIRED_BEAMS: &str =
-    "snapshot records a removed lossy decoder beam (TopK or LogThreshold); only exact \
-     snapshots resume, because a frontier pruned by such a beam cannot continue exactly";
-
-/// The `pruned` slot of the parked layouts.
-///
-/// Streams decoded under a lossy frontier beam once recorded here whether
-/// their current frontier was beam-restricted. Those beams are gone; the
-/// slot stays so the JSON and `stream-bin` layouts are unchanged. It
-/// always writes `false` and reads only `false`: a pruned frontier is
-/// missing states an exact decode still needs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredBeamFlag;
-
-impl Serialize for RetiredBeamFlag {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Bool(false)
-    }
-}
-
-impl Deserialize for RetiredBeamFlag {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_bool()? {
-            Err(serde::Error::msg(RETIRED_BEAMS))
-        } else {
-            Ok(Self)
-        }
-    }
-}
-
-/// The `keep` slot of the parked layouts: the survivor list of a lossy
-/// beam, once. Writes an empty sequence and reads only one, like
-/// [`RetiredBeamFlag`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredBeamKeep;
-
-impl Serialize for RetiredBeamKeep {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Seq(Vec::new())
-    }
-}
-
-impl Deserialize for RetiredBeamKeep {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_seq()?.is_empty() {
-            Ok(Self)
-        } else {
-            Err(serde::Error::msg(RETIRED_BEAMS))
-        }
-    }
-}
-
-/// The `v32` slot of the parked layouts.
-///
-/// Snapshots once carried the frontier of a reduced-precision `f32`
-/// decoding lane here. That lane is gone; the slot stays so the JSON and
-/// `stream-bin` layouts are unchanged. It always writes as an empty
-/// sequence and reads only an empty one: a non-empty slot is a stream
-/// decoded in a lane this build cannot continue, and resuming its (empty)
-/// `f64` frontier instead would silently change its decisions. The
-/// rejection is explicit because the JSON reader ignores unknown fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredF32Frontier;
-
-impl Serialize for RetiredF32Frontier {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Seq(Vec::new())
-    }
-}
-
-impl Deserialize for RetiredF32Frontier {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_seq()?.is_empty() {
-            Ok(Self)
-        } else {
-            Err(serde::Error::msg(RETIRED_LANE))
-        }
-    }
-}
-
-/// A decision-history slot of the parked layouts (`emitted_macros`,
-/// `emitted_micros`, and NH's `emitted`).
-///
-/// Streams once kept every decision they had emitted and parked it here,
-/// so a park grew with the stream's age. They no longer keep it; the slots
-/// stay so the JSON and `stream-bin` layouts are unchanged. A slot writes
-/// an empty sequence. It reads any sequence and keeps only its length:
-/// resume accepts a slot that is empty or as long as the lag schedule
-/// implies (see [`RetiredHistory::validate`]), then drops it, so parks
-/// written with a history still resume.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetiredHistory {
-    /// Decisions in the history this slot was read from.
-    pub(crate) len: usize,
-}
-
-impl RetiredHistory {
-    /// Checks that every slot is empty or holds exactly the decisions a
-    /// stream under `lag` emits in `pushed` ticks.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] for a history out of step with the
-    /// lag schedule.
-    pub fn validate(slots: &[Self], what: &str, pushed: usize, lag: Lag) -> Result<(), ModelError> {
-        let expected = lag.committed(pushed);
-        check(
-            slots.iter().all(|s| s.len == 0 || s.len == expected),
-            || format!("{what}: history out of step with the lag schedule ({expected} decisions)"),
-        )
-    }
-}
-
-impl Serialize for RetiredHistory {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Seq(Vec::new())
-    }
-}
-
-impl Deserialize for RetiredHistory {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            len: value.as_seq()?.len(),
-        })
-    }
-}
+pub mod legacy;
 
 /// Parked form of one chain's per-tick trellis slice (everything the step
 /// kernels read; the pair→slot lookup is per-fill scratch and rebuilt).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
+#[cfg_attr(test, derive(serde::Serialize))]
 pub(crate) struct ParkedSlice {
     pub(crate) activities: Vec<usize>,
     pub(crate) cands: Vec<usize>,
@@ -269,7 +145,8 @@ impl ParkedSlice {
 }
 
 /// Parked form of one retained tick of the coupled backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
+#[cfg_attr(test, derive(serde::Serialize))]
 pub(crate) struct ParkedJointEntry {
     pub(crate) s1: ParkedSlice,
     pub(crate) s2: ParkedSlice,
@@ -282,19 +159,14 @@ pub(crate) struct ParkedJointEntry {
 /// Produced by [`park`](crate::OnlineCoupledViterbi::park), consumed by
 /// [`resume`](crate::OnlineCoupledViterbi::resume); the payload is opaque
 /// to callers and versioned by the snapshot layer that embeds it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct ParkedCoupled {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedJointEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted_macros: [RetiredHistory; 2],
-    pub(crate) emitted_micros: [RetiredHistory; 2],
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: RetiredBeamFlag,
-    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedCoupled {
@@ -309,8 +181,6 @@ impl ParkedCoupled {
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         let what = "parked coupled stream";
         validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
-        let ([m0, m1], [c0, c1]) = (self.emitted_macros, self.emitted_micros);
-        RetiredHistory::validate(&[m0, m1, c0, c1], what, self.pushed, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_flat = None;
         for (i, e) in self.window.iter().enumerate() {
@@ -339,7 +209,7 @@ impl ParkedCoupled {
 }
 
 /// Parked form of one retained tick of a single-chain backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub(crate) struct ParkedChainEntry {
     pub(crate) slice: ParkedSlice,
     pub(crate) back: Vec<u32>,
@@ -348,19 +218,14 @@ pub(crate) struct ParkedChainEntry {
 
 /// Parked [`OnlineSingleViterbi`](crate::OnlineSingleViterbi) state — the
 /// single-chain counterpart of [`ParkedCoupled`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct ParkedChain {
     pub(crate) v: Vec<f64>,
-    pub(crate) v32: RetiredF32Frontier,
     pub(crate) window: Vec<ParkedChainEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
-    pub(crate) emitted_macros: RetiredHistory,
-    pub(crate) emitted_micros: RetiredHistory,
     pub(crate) states_explored: u64,
     pub(crate) transition_ops: u64,
-    pub(crate) pruned: RetiredBeamFlag,
-    pub(crate) keep: RetiredBeamKeep,
 }
 
 impl ParkedChain {
@@ -373,8 +238,6 @@ impl ParkedChain {
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         let what = "parked chain stream";
         validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
-        let histories = [self.emitted_macros, self.emitted_micros];
-        RetiredHistory::validate(&histories, what, self.pushed, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_len = None;
         for (i, e) in self.window.iter().enumerate() {
@@ -420,7 +283,7 @@ pub fn validate_cursor(
     window_len: usize,
     lag: Lag,
 ) -> Result<(), ModelError> {
-    check(base + window_len == pushed, || {
+    check(base.checked_add(window_len) == Some(pushed), || {
         format!("{what}: window covers {window_len} ticks but cursor says {base}..{pushed}")
     })?;
     check(pushed == 0 || window_len > 0, || {

@@ -544,11 +544,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.base
     }
 
-    /// The smoothing lag this stream runs under.
-    pub fn lag(&self) -> Lag {
-        self.lag
-    }
-
     /// Decisions emitted so far: ticks `0..committed()` have been
     /// returned by [`emit_ready`](Self::emit_ready), the rest are left
     /// for [`resolve_tail`](Self::resolve_tail).

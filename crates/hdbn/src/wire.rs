@@ -1,9 +1,8 @@
 //! Compact binary codec for parked decoder state.
 //!
-//! The JSON parked-stream payload is self-describing and diffable, but a
-//! serving tier that parks and rehydrates thousands of homes per second
-//! pays for every quote and decimal digit. This module provides the
-//! length-prefixed little-endian binary alternative: floats as raw IEEE
+//! A serving tier that parks and rehydrates thousands of homes per second
+//! pays for every byte it moves. This module is the parked-stream codec:
+//! a length-prefixed little-endian binary layout with floats as raw IEEE
 //! bits (bit-exact by construction, including `±inf` trellis scores),
 //! integers as LEB128 varints (state ids and lengths are small — one
 //! byte almost always), vectors as a varint length prefix followed by
@@ -15,25 +14,23 @@
 //! every length prefix is checked against the bytes actually remaining
 //! before any buffer is reserved, and every read past the end surfaces as
 //! [`ModelError::Persistence`]. (Structural validation against a model —
-//! index bounds, cursor invariants — still happens at resume, exactly as
-//! for JSON payloads; this layer only guarantees the bytes parse.)
+//! index bounds, cursor invariants — still happens at resume; this layer
+//! only guarantees the bytes parse.)
 //!
 //! The [`ByteWriter`]/[`ByteReader`] primitives and the codecs for the
-//! crate-public config types ([`Lag`], [`DecoderConfig`],
-//! [`MicroCandidate`]) are public so `cace-core` can embed the parked
-//! decoder payloads written here inside its own stream envelope.
+//! crate-public types ([`Lag`], [`MicroCandidate`]) are public so
+//! `cace-core` can embed the parked decoder payloads written here inside
+//! its own stream envelope. The layouts here are the current (`v4`)
+//! ones; [`park::legacy`](crate::park::legacy) reads the older `v3`
+//! layouts.
 
 use cace_model::ModelError;
 
-use crate::beam::DecoderConfig;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
-use crate::park::{
-    ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice, RetiredBeamFlag,
-    RetiredBeamKeep, RetiredF32Frontier, RetiredHistory, RETIRED_BEAMS, RETIRED_LANE,
-};
+use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
 
-fn decode_err(what: impl Into<String>) -> ModelError {
+pub(crate) fn decode_err(what: impl Into<String>) -> ModelError {
     ModelError::Persistence { what: what.into() }
 }
 
@@ -307,114 +304,6 @@ pub fn read_lag(r: &mut ByteReader<'_>) -> Result<Lag, ModelError> {
     }
 }
 
-/// Encodes a [`DecoderConfig`]: the beam tag `0` (exact) of the layout
-/// that also had lossy beams (tags `1` and `2`), then the precision tag
-/// `0` (exact `f64`) of the layout that also had an `f32` lane (tag `1`).
-pub fn write_decoder(w: &mut ByteWriter, _d: DecoderConfig) {
-    w.write_u8(0);
-    w.write_u8(0);
-}
-
-/// Decodes a [`DecoderConfig`].
-///
-/// # Errors
-/// [`ModelError::Persistence`] on truncation, an unknown tag, the beam
-/// tags `1` (`TopK`) and `2` (`LogThreshold`) of the removed lossy beams,
-/// or the precision tag `1` of the removed `f32` lane.
-pub fn read_decoder(r: &mut ByteReader<'_>) -> Result<DecoderConfig, ModelError> {
-    match r.read_u8()? {
-        0 => {}
-        1 | 2 => return Err(decode_err(RETIRED_BEAMS)),
-        t => return Err(decode_err(format!("unknown beam tag {t}"))),
-    }
-    match r.read_u8()? {
-        0 => Ok(DecoderConfig),
-        1 => Err(decode_err(RETIRED_LANE)),
-        t => Err(decode_err(format!("unknown precision tag {t}"))),
-    }
-}
-
-impl RetiredF32Frontier {
-    /// Appends the slot's binary encoding: an empty length-prefixed
-    /// sequence.
-    pub fn encode_into(self, w: &mut ByteWriter) {
-        w.write_u64(0);
-    }
-
-    /// Reads the slot, accepting only an empty sequence.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on truncation or a non-empty `f32`
-    /// frontier.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
-        match r.read_usize()? {
-            0 => Ok(Self),
-            _ => Err(decode_err(RETIRED_LANE)),
-        }
-    }
-}
-
-impl RetiredBeamFlag {
-    /// Appends the slot's binary encoding: a `false` bool byte.
-    pub fn encode_into(self, w: &mut ByteWriter) {
-        w.write_bool(false);
-    }
-
-    /// Reads the slot, accepting only `false`.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on truncation, a non-bool byte, or a
-    /// frontier marked pruned by a removed lossy beam.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
-        match r.read_bool()? {
-            false => Ok(Self),
-            true => Err(decode_err(RETIRED_BEAMS)),
-        }
-    }
-}
-
-impl RetiredBeamKeep {
-    /// Appends the slot's binary encoding: an empty length-prefixed
-    /// sequence.
-    pub fn encode_into(self, w: &mut ByteWriter) {
-        w.write_u64(0);
-    }
-
-    /// Reads the slot, accepting only an empty sequence.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on truncation or a non-empty survivor
-    /// list of a removed lossy beam.
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
-        match r.read_usize()? {
-            0 => Ok(Self),
-            _ => Err(decode_err(RETIRED_BEAMS)),
-        }
-    }
-}
-
-impl RetiredHistory {
-    /// Appends the slot's binary encoding: an empty length-prefixed
-    /// sequence.
-    pub fn encode_into(self, w: &mut ByteWriter) {
-        w.write_u64(0);
-    }
-
-    /// Reads a history slot whose elements `read` decodes (each at least
-    /// `elem_min_bytes` long), keeping only its length.
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on truncation or a malformed element.
-    pub fn decode_from<'a, T>(
-        r: &mut ByteReader<'a>,
-        elem_min_bytes: usize,
-        read: impl FnMut(&mut ByteReader<'a>) -> Result<T, ModelError>,
-    ) -> Result<Self, ModelError> {
-        let len = r.read_seq(elem_min_bytes, read)?.len();
-        Ok(Self { len })
-    }
-}
-
 /// Encodes a [`MicroCandidate`].
 pub fn write_cand(w: &mut ByteWriter, c: &MicroCandidate) {
     w.write_usize(c.postural);
@@ -435,6 +324,18 @@ pub fn read_cand(r: &mut ByteReader<'_>) -> Result<MicroCandidate, ModelError> {
         obs_loglik: r.read_f64()?,
     })
 }
+
+/// Smallest encoding of a [`MicroCandidate`]: three one-byte varints and
+/// the 8-byte score.
+pub(crate) const CAND_MIN_BYTES: usize = 11;
+/// Smallest encoding of a parked slice: its seven empty sequences.
+const SLICE_MIN_BYTES: usize = 7;
+/// Smallest encoding of a coupled window entry: two slices, the
+/// backpointers and the two candidate lists, all empty.
+pub(crate) const JOINT_ENTRY_MIN_BYTES: usize = 2 * SLICE_MIN_BYTES + 3;
+/// Smallest encoding of a chain window entry: one slice, the backpointers
+/// and the candidate list, all empty.
+pub(crate) const CHAIN_ENTRY_MIN_BYTES: usize = SLICE_MIN_BYTES + 2;
 
 fn write_slice(w: &mut ByteWriter, s: &ParkedSlice) {
     w.write_seq(&s.activities, |w, &x| w.write_usize(x));
@@ -462,28 +363,51 @@ fn read_slice(r: &mut ByteReader<'_>) -> Result<ParkedSlice, ModelError> {
     })
 }
 
+fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
+    write_slice(w, &e.s1);
+    write_slice(w, &e.s2);
+    w.write_seq(&e.back, |w, &x| w.write_u32(x));
+    for cands in &e.cands {
+        w.write_seq(cands, write_cand);
+    }
+}
+
+pub(crate) fn read_joint_entry(r: &mut ByteReader<'_>) -> Result<ParkedJointEntry, ModelError> {
+    Ok(ParkedJointEntry {
+        s1: read_slice(r)?,
+        s2: read_slice(r)?,
+        back: r.read_seq(1, ByteReader::read_u32)?,
+        cands: [
+            r.read_seq(CAND_MIN_BYTES, read_cand)?,
+            r.read_seq(CAND_MIN_BYTES, read_cand)?,
+        ],
+    })
+}
+
+fn write_chain_entry(w: &mut ByteWriter, e: &ParkedChainEntry) {
+    write_slice(w, &e.slice);
+    w.write_seq(&e.back, |w, &x| w.write_u32(x));
+    w.write_seq(&e.cands, write_cand);
+}
+
+pub(crate) fn read_chain_entry(r: &mut ByteReader<'_>) -> Result<ParkedChainEntry, ModelError> {
+    Ok(ParkedChainEntry {
+        slice: read_slice(r)?,
+        back: r.read_seq(1, ByteReader::read_u32)?,
+        cands: r.read_seq(CAND_MIN_BYTES, read_cand)?,
+    })
+}
+
 impl ParkedCoupled {
-    /// Appends this checkpoint's binary encoding to `w`.
+    /// Appends this checkpoint's binary encoding to `w`: the frontier,
+    /// the window, the cursor and the two overhead counters.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        self.v32.encode_into(w);
-        w.write_seq(&self.window, |w, e| {
-            write_slice(w, &e.s1);
-            write_slice(w, &e.s2);
-            w.write_seq(&e.back, |w, &x| w.write_u32(x));
-            for cands in &e.cands {
-                w.write_seq(cands, write_cand);
-            }
-        });
+        w.write_seq(&self.window, write_joint_entry);
         w.write_usize(self.base);
         w.write_usize(self.pushed);
-        for slot in self.emitted_macros.into_iter().chain(self.emitted_micros) {
-            slot.encode_into(w);
-        }
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
-        self.pruned.encode_into(w);
-        self.keep.encode_into(w);
     }
 
     /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
@@ -494,51 +418,25 @@ impl ParkedCoupled {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
             v: r.read_seq(8, ByteReader::read_f64)?,
-            v32: RetiredF32Frontier::decode_from(r)?,
-            window: r.read_seq(1, |r| {
-                Ok(ParkedJointEntry {
-                    s1: read_slice(r)?,
-                    s2: read_slice(r)?,
-                    back: r.read_seq(1, ByteReader::read_u32)?,
-                    cands: [r.read_seq(11, read_cand)?, r.read_seq(11, read_cand)?],
-                })
-            })?,
+            window: r.read_seq(JOINT_ENTRY_MIN_BYTES, read_joint_entry)?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
-            emitted_macros: [
-                RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
-                RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
-            ],
-            emitted_micros: [
-                RetiredHistory::decode_from(r, 11, read_cand)?,
-                RetiredHistory::decode_from(r, 11, read_cand)?,
-            ],
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
-            pruned: RetiredBeamFlag::decode_from(r)?,
-            keep: RetiredBeamKeep::decode_from(r)?,
         })
     }
 }
 
 impl ParkedChain {
-    /// Appends this checkpoint's binary encoding to `w`.
+    /// Appends this checkpoint's binary encoding to `w` (the layout of
+    /// [`ParkedCoupled::encode_into`] with chain window entries).
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        self.v32.encode_into(w);
-        w.write_seq(&self.window, |w, e| {
-            write_slice(w, &e.slice);
-            w.write_seq(&e.back, |w, &x| w.write_u32(x));
-            w.write_seq(&e.cands, write_cand);
-        });
+        w.write_seq(&self.window, write_chain_entry);
         w.write_usize(self.base);
         w.write_usize(self.pushed);
-        self.emitted_macros.encode_into(w);
-        self.emitted_micros.encode_into(w);
         w.write_u64(self.states_explored);
         w.write_u64(self.transition_ops);
-        self.pruned.encode_into(w);
-        self.keep.encode_into(w);
     }
 
     /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
@@ -548,22 +446,11 @@ impl ParkedChain {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
             v: r.read_seq(8, ByteReader::read_f64)?,
-            v32: RetiredF32Frontier::decode_from(r)?,
-            window: r.read_seq(1, |r| {
-                Ok(ParkedChainEntry {
-                    slice: read_slice(r)?,
-                    back: r.read_seq(1, ByteReader::read_u32)?,
-                    cands: r.read_seq(11, read_cand)?,
-                })
-            })?,
+            window: r.read_seq(CHAIN_ENTRY_MIN_BYTES, read_chain_entry)?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
-            emitted_macros: RetiredHistory::decode_from(r, 1, ByteReader::read_usize)?,
-            emitted_micros: RetiredHistory::decode_from(r, 11, read_cand)?,
             states_explored: r.read_u64()?,
             transition_ops: r.read_u64()?,
-            pruned: RetiredBeamFlag::decode_from(r)?,
-            keep: RetiredBeamKeep::decode_from(r)?,
         })
     }
 }
@@ -624,8 +511,6 @@ mod tests {
         assert!(r.expect_end().is_err());
         // Unknown enum tags.
         assert!(read_lag(&mut ByteReader::new(&[7])).is_err());
-        assert!(read_decoder(&mut ByteReader::new(&[7, 0])).is_err());
-        assert!(read_decoder(&mut ByteReader::new(&[0, 7])).is_err());
     }
 
     #[test]
@@ -633,7 +518,6 @@ mod tests {
         for lag in [Lag::Unbounded, Lag::Fixed(5)] {
             let mut w = ByteWriter::new();
             write_lag(&mut w, lag);
-            write_decoder(&mut w, DecoderConfig::exact());
             write_cand(
                 &mut w,
                 &MicroCandidate {
@@ -646,63 +530,10 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
             assert_eq!(read_lag(&mut r).unwrap(), lag);
-            assert_eq!(read_decoder(&mut r).unwrap(), DecoderConfig::exact());
             let c = read_cand(&mut r).unwrap();
             assert_eq!((c.postural, c.gestural, c.location), (3, Some(1), 2));
             assert_eq!(c.obs_loglik.to_bits(), (-1.25f64).to_bits());
             r.expect_end().unwrap();
         }
-    }
-
-    #[test]
-    fn retired_beam_fields_write_exact_and_reject_content() {
-        // The exact decoder writes beam tag 0; tags 1 (TopK, then a
-        // varint) and 2 (LogThreshold, then an f64) are rejected by name.
-        let mut w = ByteWriter::new();
-        write_decoder(&mut w, DecoderConfig::exact());
-        assert_eq!(w.into_bytes(), [0, 0]);
-        for bytes in [&[1u8, 56, 0][..], &[2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0]] {
-            let err = read_decoder(&mut ByteReader::new(bytes)).unwrap_err();
-            assert!(err.to_string().contains("TopK or LogThreshold"), "{err}");
-        }
-        // The parked `pruned`/`keep` slots write `false` and `[]`, and read
-        // nothing else.
-        let mut w = ByteWriter::new();
-        RetiredBeamFlag.encode_into(&mut w);
-        RetiredBeamKeep.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, [0, 0]);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(
-            RetiredBeamFlag::decode_from(&mut r).unwrap(),
-            RetiredBeamFlag
-        );
-        assert_eq!(
-            RetiredBeamKeep::decode_from(&mut r).unwrap(),
-            RetiredBeamKeep
-        );
-        r.expect_end().unwrap();
-        assert!(RetiredBeamFlag::decode_from(&mut ByteReader::new(&[1])).is_err());
-        assert!(RetiredBeamKeep::decode_from(&mut ByteReader::new(&[1, 3])).is_err());
-    }
-
-    #[test]
-    fn retired_f32_lane_fields_write_empty_and_reject_content() {
-        // Tag 1 was the f32 lane: rejected, never decoded as exact.
-        let err = read_decoder(&mut ByteReader::new(&[0, 1])).unwrap_err();
-        assert!(err.to_string().contains("f32"), "{err}");
-        // The f32-frontier slot is an empty sequence, and only that reads.
-        let mut w = ByteWriter::new();
-        RetiredF32Frontier.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, [0]);
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(
-            RetiredF32Frontier::decode_from(&mut r).unwrap(),
-            RetiredF32Frontier
-        );
-        r.expect_end().unwrap();
-        let one_score = [1, 0, 0, 0x80, 0x3f];
-        assert!(RetiredF32Frontier::decode_from(&mut ByteReader::new(&one_score)).is_err());
     }
 }

@@ -118,10 +118,10 @@ pub fn assert_recognitions_identical(actual: &Recognition, expected: &Recognitio
 /// parks once more right before `finish`). An empty `park_at` behaves
 /// exactly like [`cace_core::stream_session`].
 ///
-/// The parked state travels through its versioned snapshot **string** —
-/// the byte form the serving tier stores for an evicted home — not just
-/// the in-memory struct, so every listed position also exercises the
-/// serialization layer.
+/// The parked state travels through its versioned snapshot **bytes** —
+/// the binary form the serving tier stores for an evicted home, read back
+/// through the router's sniffing reader — not just the in-memory struct,
+/// so every listed position also exercises the serialization layer.
 ///
 /// # Panics
 /// Panics if any push, park round-trip, resume, or finalization fails —
@@ -133,8 +133,8 @@ pub fn stream_session_with_parks(
     park_at: &[usize],
 ) -> (Vec<StreamDecision>, Recognition) {
     let park_cycle = |stream: &cace_core::StreamingRecognizer<'_>| {
-        let bytes = stream.park().to_snapshot_string();
-        let parked = ParkedStream::from_snapshot_str(&bytes).expect("testkit: parked bytes reload");
+        let bytes = stream.park().to_snapshot_bytes();
+        let parked = ParkedStream::from_snapshot_any(&bytes).expect("testkit: parked bytes reload");
         engine
             .resume(&parked)
             .expect("testkit: parked stream resumes")

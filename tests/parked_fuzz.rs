@@ -1,0 +1,350 @@
+//! Seeded mutation fuzzing of the parked-stream reader.
+//!
+//! A serving tier rehydrates parked bytes it may not have written itself
+//! (imports, handovers, bytes that rotted in storage). Whatever those
+//! bytes hold, [`ParkedStream::from_snapshot_any`] followed by
+//! [`CaceEngine::resume`] must return `Ok` or
+//! [`ModelError::Persistence`]: never panic, and never let a length field
+//! request an allocation out of proportion to the input.
+//!
+//! The inputs are fresh `v4` parks of all four strategies and the eight
+//! `v3` golden fixtures (`tests/fixtures/parked_*`). Each mutant is
+//! resealed — its header checksum and length recomputed — so the decoder
+//! really runs on it instead of stopping at the checksum. Mutations: bit
+//! flips, truncation, varints that lie about a length, overlong varints,
+//! and token edits of the JSON kind.
+//!
+//! The allocation bound is [`ALLOC_FACTOR`] times the input length; see
+//! there for where the factor comes from.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use cace::core::{CaceConfig, CaceEngine, Lag, ParkedStream, Strategy};
+use cace::model::ModelError;
+use cace_testkit::{engine_with, tiny_corpus};
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+    static TRACKING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Wraps the system allocator, recording the largest single request made
+/// while the current thread has tracking on.
+struct PeakAlloc;
+
+impl PeakAlloc {
+    fn record(size: usize) {
+        // `try_with` so allocations during TLS teardown can't panic.
+        let _ = TRACKING.try_with(|on| {
+            if on.get() {
+                let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+            }
+        });
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; recording a size touches no allocation.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// made on this thread.
+fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    TRACKING.with(|on| on.set(true));
+    let out = f();
+    TRACKING.with(|on| on.set(false));
+    (out, PEAK.with(Cell::get))
+}
+
+/// No allocation made while reading a parked stream may exceed this many
+/// bytes per input byte.
+///
+/// Binary payloads: every sequence is read by `ByteReader::read_seq`,
+/// which reserves `len` elements only after checking that `len` times the
+/// element's smallest encoding fits in the bytes that remain. The worst
+/// ratio of element size to smallest encoding is 24, shared by the three
+/// window entries: a coupled entry is 408 bytes in memory and at least 17
+/// on the wire (two slices of seven empty sequences, then three more
+/// empty sequences), a chain entry 216 and 9, an NH entry 48 and 2. Every
+/// other sequence is at most 8 (a `usize` from a one-byte varint).
+///
+/// The `v3` JSON kind: the parser holds each array in a `Vec` of 32-byte
+/// values that at most doubles past its length, and an array of `n`
+/// elements takes at least `2n - 1` bytes of text, so an array costs at
+/// most 32 bytes per input byte. (Map entries are 56 bytes and take at
+/// least 5 bytes of text each: 22.4.)
+const ALLOC_FACTOR: usize = 32;
+
+/// Inputs shorter than this count as this long, so the fixed-size header
+/// error messages of a near-empty input stay within the bound.
+const ALLOC_FLOOR: usize = 64;
+
+/// `splitmix64`, so every run draws the same mutants.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn split_header(bytes: &[u8]) -> (&str, &[u8]) {
+    let newline = bytes.iter().position(|&b| b == b'\n').expect("header line");
+    let header = std::str::from_utf8(&bytes[..newline]).expect("UTF-8 header");
+    (header, &bytes[newline + 1..])
+}
+
+/// Wraps an edited binary payload in a valid envelope of `version`.
+fn reseal_bin(payload: &[u8], version: &str) -> Vec<u8> {
+    let mut out = format!(
+        "CACE-SNAPSHOT {version} kind=stream-bin fnv1a64={:016x} len={}\n",
+        fnv1a64(payload),
+        payload.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Wraps an edited JSON payload in a valid `v3` header.
+fn reseal_json(payload: &str) -> Vec<u8> {
+    format!(
+        "CACE-SNAPSHOT v3 fnv1a64={:016x}\n{payload}",
+        fnv1a64(payload.as_bytes())
+    )
+    .into_bytes()
+}
+
+fn varint(mut x: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while x >= 0x80 {
+        out.push((x as u8) | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+    out
+}
+
+/// Length of the varint starting at `at`.
+fn varint_len(bytes: &[u8], at: usize) -> usize {
+    bytes[at..]
+        .iter()
+        .position(|&b| b & 0x80 == 0)
+        .map_or(bytes.len() - at, |i| i + 1)
+}
+
+fn splice(payload: &[u8], at: usize, cut: usize, with: &[u8]) -> Vec<u8> {
+    let mut out = payload[..at].to_vec();
+    out.extend_from_slice(with);
+    out.extend_from_slice(&payload[(at + cut).min(payload.len())..]);
+    out
+}
+
+/// One mutant of a binary payload. `frontier_len_at` is the offset of
+/// the first decoder's frontier length, a length field every strategy
+/// has.
+fn mutate_binary(payload: &[u8], frontier_len_at: usize, rng: &mut Rng) -> Vec<u8> {
+    let lies = [
+        payload.len() as u64,
+        2 * payload.len() as u64,
+        u64::from(u32::MAX) + 1,
+        1 << 40,
+        u64::MAX,
+        rng.next(),
+    ];
+    let at = rng.below(payload.len());
+    match rng.below(6) {
+        0 => {
+            let mut out = payload.to_vec();
+            for _ in 0..=rng.below(3) {
+                let i = rng.below(out.len());
+                out[i] ^= 1 << rng.below(8);
+            }
+            out
+        }
+        1 => payload[..at].to_vec(),
+        // A varint that lies, written over a byte anywhere...
+        2 => splice(payload, at, 1, &varint(lies[rng.below(lies.len())])),
+        // ...and over a real length field.
+        3 => splice(
+            payload,
+            frontier_len_at,
+            varint_len(payload, frontier_len_at),
+            &varint(lies[rng.below(lies.len())]),
+        ),
+        // An overlong varint: more than 64 bits of continuation...
+        4 => splice(payload, at, 1, &[[0xff; 10].as_slice(), &[0x01]].concat()),
+        // ...or a padded, non-minimal encoding of a small value.
+        _ => splice(payload, at, 1, &[0x80, 0x80, 0x80, 0x80, 0x00]),
+    }
+}
+
+/// One token-level mutant of a JSON payload.
+fn mutate_json(payload: &str, rng: &mut Rng) -> String {
+    let bytes = payload.as_bytes();
+    let digits: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit())
+        .collect();
+    let at = digits[rng.below(digits.len())];
+    let numbers = [
+        "18446744073709551615",
+        "99999999999999999999999",
+        "-1",
+        "1e999",
+        "NaN",
+        "[]",
+        "null",
+    ];
+    match rng.below(4) {
+        0 => {
+            let digit = char::from(b'0' + rng.below(10) as u8);
+            format!("{}{digit}{}", &payload[..at], &payload[at + 1..])
+        }
+        1 => {
+            // Replace the whole number token around `at`.
+            let is_num = |b: u8| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'e' | b'+');
+            let start = (0..at)
+                .rev()
+                .find(|&i| !is_num(bytes[i]))
+                .map_or(0, |i| i + 1);
+            let end = (at..bytes.len())
+                .find(|&i| !is_num(bytes[i]))
+                .unwrap_or(bytes.len());
+            let with = numbers[rng.below(numbers.len())];
+            format!("{}{with}{}", &payload[..start], &payload[end..])
+        }
+        2 => {
+            let end = (at + 1 + rng.below(40)).min(payload.len());
+            format!("{}{}", &payload[..at], &payload[end..])
+        }
+        _ => payload[..at].to_string(),
+    }
+}
+
+/// Reads one mutant and resumes it, asserting the outcome and the
+/// allocation bound. Returns whether the read succeeded.
+fn check(engine: &CaceEngine, bytes: &[u8], label: &str) -> bool {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let (read, peak) = peak_alloc(|| ParkedStream::from_snapshot_any(bytes));
+        let bound = ALLOC_FACTOR * bytes.len().max(ALLOC_FLOOR);
+        assert!(
+            peak <= bound,
+            "{label}: reading {} input bytes allocated {peak} bytes at once (bound {bound})",
+            bytes.len()
+        );
+        match read {
+            Ok(parked) => match engine.resume(&parked) {
+                Ok(_) | Err(ModelError::Persistence { .. }) => true,
+                Err(e) => panic!("{label}: resume failed with a non-persistence error: {e:?}"),
+            },
+            Err(ModelError::Persistence { .. }) => false,
+            Err(e) => panic!("{label}: read failed with a non-persistence error: {e:?}"),
+        }
+    }));
+    outcome.unwrap_or_else(|_| panic!("{label}: the reader or resume panicked"))
+}
+
+const MUTANTS_PER_INPUT: usize = 150;
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+#[test]
+fn mutated_parks_read_and_resume_without_panicking() {
+    // The recipe of the golden fixtures: lag 5, parked at tick 30.
+    let (train, test) = tiny_corpus(4, 60, 17);
+    let mut rng = Rng(0x5eed_f00d);
+    let (mut read_ok, mut read_err) = (0usize, 0usize);
+    for strategy in Strategy::ALL {
+        let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+        let mut stream = engine.stream(Lag::Fixed(5));
+        for tick in &test[0].ticks[..30] {
+            stream.push(&tick.observed).unwrap();
+        }
+        let mut inputs = vec![(
+            format!("fresh {strategy}"),
+            stream.park().to_snapshot_bytes(),
+        )];
+        let stem = match strategy {
+            Strategy::CorrelationConstraint => Some("parked_c2"),
+            Strategy::NaiveCorrelation => Some("parked_ncr"),
+            _ => None,
+        };
+        for file in stem
+            .into_iter()
+            .flat_map(|s| [s.to_string(), format!("{s}_history_free")])
+        {
+            for ext in ["snapshot", "stream-bin"] {
+                let name = format!("{file}.{ext}");
+                inputs.push((name.clone(), fixture(&name)));
+            }
+        }
+        for (name, original) in inputs {
+            assert!(check(&engine, &original, &name), "{name}: unmutated input");
+            let (header, payload) = split_header(&original);
+            let version = header.split_whitespace().nth(1).unwrap().to_string();
+            for i in 0..MUTANTS_PER_INPUT {
+                let label = format!("{name} mutant {i}");
+                let mutant = if header.contains("kind=stream-bin") {
+                    // Strategy tag, then (v3 only) the two decoder tags,
+                    // then the lag tag and its varint, then the state tag.
+                    let frontier_len_at = if version == "v3" { 6 } else { 4 };
+                    reseal_bin(&mutate_binary(payload, frontier_len_at, &mut rng), &version)
+                } else {
+                    let text = std::str::from_utf8(payload).unwrap();
+                    reseal_json(&mutate_json(text, &mut rng))
+                };
+                if check(&engine, &mutant, &label) {
+                    read_ok += 1;
+                } else {
+                    read_err += 1;
+                }
+            }
+        }
+    }
+    // Both outcomes occur: the mutants reach the decoder and past it.
+    assert!(
+        read_ok > 0 && read_err > 0,
+        "{read_ok} read, {read_err} rejected"
+    );
+}

@@ -4,23 +4,27 @@
 //! produces **bit-identical** batch and streaming recognition across all
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
-//! Parked streams are held to the same bar across builds: the golden
-//! snapshots `tests/fixtures/parked_{c2,ncr}.*` were written by the build
-//! that still had a reduced-precision `f32` decoding lane, lossy decoder
-//! beams and a parked decision history. They resume and continue
-//! bit-identically here. Their `*_history_free` twins were written from
-//! the same recipe by a build whose streams keep no decision history: a
-//! fresh stream parks to exactly those bytes, and an old fixture, whose
-//! history is dropped on read, re-encodes to its twin. Snapshots that
-//! record the `f32` lane or a lossy beam are rejected, never decoded as
-//! exact.
+//! Parked streams are held to the same bar across builds. The golden
+//! `v3` snapshots `tests/fixtures/parked_{c2,ncr}.*`, in the JSON and the
+//! binary kind, were written by the build that still had a
+//! reduced-precision `f32` decoding lane, lossy decoder beams and a
+//! parked decision history; their `*_history_free` twins by a build whose
+//! streams kept no history. All of them resume and continue
+//! bit-identically here, and re-encode to their `*_v4` twin: the binary
+//! layout this build writes, which a fresh stream parks to exactly.
+//! Snapshots that record the `f32` lane or a lossy beam are rejected,
+//! never decoded as exact.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use cace::behavior::Session;
-use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, ParkedStream, Strategy};
+use cace::behavior::{ObservedTick, Session};
+use cace::core::{
+    stream_session, CaceConfig, CaceEngine, HomeRound, Lag, ParkedStream, ShardedRouter, Strategy,
+};
+use cace::hdbn::park::legacy::{read_coupled, read_decoder_tags};
 use cace::hdbn::wire::{self, ByteReader, ByteWriter};
-use cace::hdbn::ParkedCoupled;
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine_with, tiny_corpus};
 
@@ -132,15 +136,17 @@ fn tampered_snapshots_are_rejected() {
 
 /// The golden parked streams: `(strategy, fixture stem)`. Each fixture is
 /// the stream of [`golden_engine`] over the first test session, parked
-/// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`], saved both as the
-/// JSON snapshot (`.snapshot`) and as the binary kind (`.stream-bin`).
-/// The stem names the old layout with a decision history; the stem plus
-/// [`TWIN`] names its history-free twin.
+/// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`]. The stem names the
+/// `v3` layout with a decision history, the stem plus [`TWIN`] its
+/// history-free twin, each saved as the JSON snapshot (`.snapshot`) and
+/// as the binary kind (`.stream-bin`). The stem plus [`V4`] names the
+/// `v4` binary twin.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
 const TWIN: &str = "_history_free";
+const V4: &str = "_v4";
 const GOLDEN_PARK_AT: usize = 30;
 const GOLDEN_LAG: usize = 5;
 
@@ -175,16 +181,22 @@ fn reseal_text(text: &str) -> String {
     )
 }
 
+/// [`reseal_text`] for the parked-stream reader, which takes bytes.
+fn read_text(text: &str) -> Result<ParkedStream, ModelError> {
+    ParkedStream::from_snapshot_any(reseal_text(text).as_bytes())
+}
+
 /// The payload of a binary snapshot.
 fn bin_payload(bytes: &[u8]) -> &[u8] {
     let newline = bytes.iter().position(|&b| b == b'\n').expect("header line");
     &bytes[newline + 1..]
 }
 
-/// Wraps an edited binary payload in a valid envelope.
-fn reseal_bin(payload: &[u8]) -> Vec<u8> {
+/// Wraps an edited binary payload in a valid envelope of the `v3` layout
+/// (`version` 3) or the `v4` one.
+fn reseal_bin(payload: &[u8], version: u32) -> Vec<u8> {
     let mut out = format!(
-        "CACE-SNAPSHOT v3 kind=stream-bin fnv1a64={:016x} len={}\n",
+        "CACE-SNAPSHOT v{version} kind=stream-bin fnv1a64={:016x} len={}\n",
         fnv1a64(payload),
         payload.len()
     )
@@ -215,26 +227,25 @@ fn golden_parked_streams_resume_bit_identically() {
             stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
         // Decisions the stream had emitted when it was parked.
         let committed = GOLDEN_PARK_AT - GOLDEN_LAG;
-        let twin_json = fixture(&format!("{stem}{TWIN}.snapshot"));
-        let twin_bin = fixture(&format!("{stem}{TWIN}.stream-bin"));
+        let twin_v4 = fixture(&format!("{stem}{V4}.stream-bin"));
         for file in [stem.to_string(), format!("{stem}{TWIN}")] {
             let json = fixture(&format!("{file}.snapshot"));
             let bin = fixture(&format!("{file}.stream-bin"));
-            let from_json = ParkedStream::from_snapshot_str(std::str::from_utf8(&json).unwrap())
-                .expect("golden JSON snapshot reads");
+            let from_json =
+                ParkedStream::from_snapshot_any(&json).expect("golden JSON snapshot reads");
             let from_bin =
                 ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
-            // The layouts are unchanged: both re-encode to the twin's
-            // bytes, an old fixture with its history slots emptied.
+            // Both re-encode to the v4 twin's bytes: the same state, the
+            // retired slots dropped.
             assert_eq!(
-                from_json.to_snapshot_string().as_bytes(),
-                twin_json,
-                "{file} JSON layout"
+                from_json.to_snapshot_bytes(),
+                twin_v4,
+                "{file} JSON re-encoded"
             );
             assert_eq!(
                 from_bin.to_snapshot_bytes(),
-                twin_bin,
-                "{file} binary layout"
+                twin_v4,
+                "{file} binary re-encoded"
             );
 
             for (kind, parked) in [("JSON", from_json), ("binary", from_bin)] {
@@ -264,8 +275,8 @@ fn snapshots_of_the_removed_f32_lane_are_rejected() {
     let bin = fixture("parked_c2.stream-bin");
     // The resealed, unedited fixtures still read: each rejection below is
     // down to its edit.
-    assert!(ParkedStream::from_snapshot_str(&reseal_text(&json)).is_ok());
-    assert!(ParkedStream::from_snapshot_bytes(&reseal_bin(bin_payload(&bin))).is_ok());
+    assert!(read_text(&json).is_ok());
+    assert!(ParkedStream::from_snapshot_bytes(&reseal_bin(bin_payload(&bin), 3)).is_ok());
 
     // A stream whose decoder records the f32 lane, in either encoding.
     // Binary payload: strategy tag, beam tag (`Exact`), precision tag.
@@ -273,15 +284,12 @@ fn snapshots_of_the_removed_f32_lane_are_rejected() {
     assert_eq!(payload[1..3], [0, 0], "exact beam, exact precision");
     payload[2] = 1;
     assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_bytes(&reseal_bin(&payload)),
+        ParkedStream::from_snapshot_bytes(&reseal_bin(&payload, 3)),
         "binary precision tag 1",
     );
     let fast = json.replacen("\"precision\":\"Exact64\"", "\"precision\":\"Fast32\"", 1);
     assert_ne!(fast, json, "tamper target must exist");
-    assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_str(&reseal_text(&fast)),
-        "JSON stream decoder Fast32",
-    );
+    assert_f32_lane_rejected(read_text(&fast), "JSON stream decoder Fast32");
 
     // A non-empty f32 frontier, in either encoding. Binary: the coupled
     // decoder state follows the lag and its tag; its f64 frontier is a
@@ -309,15 +317,12 @@ fn snapshots_of_the_removed_f32_lane_are_rejected() {
     spliced.extend_from_slice(&(-1.5f32).to_bits().to_le_bytes());
     spliced.extend_from_slice(&payload[v32_at + 1..]);
     assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_bytes(&reseal_bin(&spliced)),
+        ParkedStream::from_snapshot_bytes(&reseal_bin(&spliced, 3)),
         "binary non-empty f32 frontier",
     );
     let filled = json.replacen("\"v32\":[]", "\"v32\":[-1.5]", 1);
     assert_ne!(filled, json, "tamper target must exist");
-    assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_str(&reseal_text(&filled)),
-        "JSON non-empty f32 frontier",
-    );
+    assert_f32_lane_rejected(read_text(&filled), "JSON non-empty f32 frontier");
 
     // An engine whose decoder records the f32 lane.
     let (engine, _) = golden_engine(Strategy::CorrelationConstraint);
@@ -331,22 +336,10 @@ fn snapshots_of_the_removed_f32_lane_are_rejected() {
     );
 }
 
-/// The golden bytes with `wall_seconds` — the one field that records
-/// wall-clock time, not decode state — spliced in from `golden`: the JSON
-/// token, or the 8 raw bytes before the trailing model-fingerprint varint.
-fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64, binary: bool) -> Vec<u8> {
-    if !binary {
-        let token = |bytes: &[u8]| {
-            let text = std::str::from_utf8(bytes).unwrap().to_string();
-            let at = text.find("\"wall_seconds\":").expect("wall_seconds field");
-            let end = at + text[at..].find([',', '}']).expect("field end");
-            (text, at, end)
-        };
-        let (fresh, at, end) = token(fresh);
-        let (golden, g_at, g_end) = token(golden);
-        let spliced = format!("{}{}{}", &fresh[..at], &golden[g_at..g_end], &fresh[end..]);
-        return reseal_text(&spliced).into_bytes();
-    }
+/// The binary park `fresh` with `wall_seconds` — the one field that
+/// records wall-clock time, not decode state — spliced in from `golden`:
+/// the 8 raw bytes before the trailing model-fingerprint varint.
+fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64) -> Vec<u8> {
     let mut fp = ByteWriter::new();
     fp.write_u64(model_fp);
     let tail = fp.into_bytes().len() + 8;
@@ -354,7 +347,7 @@ fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64, binary: bo
     let golden = bin_payload(golden);
     let (at, g_at) = (payload.len() - tail, golden.len() - tail);
     payload[at..at + 8].copy_from_slice(&golden[g_at..g_at + 8]);
-    reseal_bin(&payload)
+    reseal_bin(&payload, 4)
 }
 
 #[test]
@@ -365,18 +358,13 @@ fn fresh_parks_reproduce_the_golden_bytes() {
         for tick in &session.ticks[..GOLDEN_PARK_AT] {
             stream.push(&tick.observed).expect("push");
         }
-        let parked = stream.park();
+        let fresh = stream.park().to_snapshot_bytes();
         let fp = engine.hdbn_params().fingerprint();
-        for (ext, fresh, binary) in [
-            ("snapshot", parked.to_snapshot_string().into_bytes(), false),
-            ("stream-bin", parked.to_snapshot_bytes(), true),
-        ] {
-            let golden = fixture(&format!("{stem}{TWIN}.{ext}"));
-            assert!(
-                with_golden_wall_clock(&fresh, &golden, fp, binary) == golden,
-                "{stem}{TWIN}.{ext}: a fresh park differs from the golden bytes"
-            );
-        }
+        let golden = fixture(&format!("{stem}{V4}.stream-bin"));
+        assert!(
+            with_golden_wall_clock(&fresh, &golden, fp) == golden,
+            "{stem}{V4}.stream-bin: a fresh park differs from the golden bytes"
+        );
     }
 }
 
@@ -417,10 +405,7 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
     ] {
         let edited = json.replacen(from, to, 1);
         assert_ne!(edited, json, "tamper target must exist");
-        assert_retired_beam_rejected(
-            ParkedStream::from_snapshot_str(&reseal_text(&edited)),
-            &format!("parked JSON {to}"),
-        );
+        assert_retired_beam_rejected(read_text(&edited), &format!("parked JSON {to}"));
     }
 
     // stream-bin: strategy tag, beam tag, precision tag, lag, state tag.
@@ -431,7 +416,7 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
         let mut edited = payload[..at].to_vec();
         edited.extend_from_slice(with);
         edited.extend_from_slice(&payload[at + cut..]);
-        reseal_bin(&edited)
+        reseal_bin(&edited, 3)
     };
     let log_threshold = [&[2u8][..], &2.5f64.to_le_bytes()].concat();
     for (name, tag) in [("TopK", &[1u8, 56][..]), ("LogThreshold", &log_threshold)] {
@@ -443,10 +428,10 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
     // The coupled state ends with the `pruned` byte and the `keep` length.
     let mut r = ByteReader::new(payload);
     r.read_u8().unwrap();
-    wire::read_decoder(&mut r).unwrap();
-    wire::read_lag(&mut r).unwrap();
+    read_decoder_tags(&mut r).unwrap();
+    let lag = wire::read_lag(&mut r).unwrap();
     assert_eq!(r.read_u8().unwrap(), 2, "coupled state");
-    ParkedCoupled::decode_from(&mut r).unwrap();
+    read_coupled(&mut r, lag).unwrap();
     let end = payload.len() - r.remaining();
     assert_eq!(payload[end - 2..end], [0, 0], "not pruned, no survivors");
     assert_retired_beam_rejected(
@@ -457,4 +442,71 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
         ParkedStream::from_snapshot_bytes(&splice(end - 1, 1, &[1, 3])),
         "stream-bin keep=[3]",
     );
+}
+
+/// A home handed over as a v3 park — either fixture kind — continues
+/// bit-identically through the router, whose own parking then writes v4.
+/// A cap of one live home per shard, over more homes than shards, makes
+/// every round park and rehydrate.
+#[test]
+fn v3_parks_import_through_the_router_and_re_park_as_v4() {
+    const HOMES: u64 = 5;
+    for (strategy, stem) in GOLDEN {
+        let (engine, session) = golden_engine(strategy);
+        let engine = Arc::new(engine);
+        let (straight_decisions, straight) =
+            stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
+        // The homes' emitted decisions, asserted equal to these below.
+        let emitted = &straight_decisions[..session.len() - GOLDEN_LAG];
+        for file in [stem.to_string(), format!("{stem}{TWIN}")] {
+            for ext in ["snapshot", "stream-bin"] {
+                let label = format!("{file}.{ext}");
+                let bytes = fixture(&label);
+                let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
+                router.register_model("cace", Arc::clone(&engine)).unwrap();
+                for id in 0..HOMES {
+                    router.import_home(id, "cace", bytes.clone()).unwrap();
+                }
+                for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
+                    let round: Vec<(u64, &ObservedTick)> =
+                        (0..HOMES).map(|id| (id, &tick.observed)).collect();
+                    for (id, r) in router.push_round(&round).unwrap().into_iter().enumerate() {
+                        assert!(matches!(r, HomeRound::Advanced(_)), "{label} home {id}");
+                        assert_eq!(
+                            r.decision(),
+                            Some(straight_decisions[t - GOLDEN_LAG]),
+                            "{label} home {id} tick {t}"
+                        );
+                    }
+                }
+                let stats = router.stats();
+                assert!(stats.parks() > 0 && stats.rehydrations() > 0, "{label}");
+                for id in 0..HOMES {
+                    let exported = router.export_home(id).unwrap();
+                    assert!(
+                        exported.starts_with(b"CACE-SNAPSHOT v4 "),
+                        "{label} home {id}"
+                    );
+                    let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
+                    assert_eq!(parked.ticks_pushed(), session.len(), "{label} home {id}");
+                }
+                for (id, tail) in router.finish() {
+                    let tail = tail.expect("imported home finishes");
+                    let resumed = tail.into_recognition(emitted);
+                    assert_recognitions_identical(
+                        &resumed,
+                        &straight,
+                        &format!("{label} home {id}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn v3_stream_snapshots_are_not_engines() {
+    let json = String::from_utf8(fixture("parked_c2.snapshot")).unwrap();
+    let err = CaceEngine::from_snapshot_str(&json).unwrap_err();
+    assert!(err.to_string().contains("kind `stream`"), "{err}");
 }

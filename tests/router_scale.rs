@@ -254,20 +254,20 @@ fn tampered_parked_bytes_quarantine_the_home_without_panicking() {
     let mut rotten = ShardedRouter::with_shards(1);
     rotten.register_model(MODEL, Arc::clone(&engine)).unwrap();
     // Three corruption shapes: a flipped payload byte (checksum mismatch),
-    // truncation (header parse failure), and structural junk with a valid
+    // truncation (length mismatch), and structural junk with a valid
     // shape but the wrong kind. None may panic; all must quarantine.
     let flipped = {
-        let mut b = bytes.clone().into_bytes();
+        let mut b = bytes.clone();
         let last = b.len() - 2;
         b[last] = b[last].wrapping_add(1);
-        String::from_utf8(b).unwrap()
+        b
     };
     rotten.import_home(10, MODEL, flipped).unwrap();
     rotten
-        .import_home(11, MODEL, bytes[..bytes.len() / 2].to_string())
+        .import_home(11, MODEL, bytes[..bytes.len() / 2].to_vec())
         .unwrap();
     rotten
-        .import_home(12, MODEL, engine.to_snapshot_string())
+        .import_home(12, MODEL, engine.to_snapshot_string().into_bytes())
         .unwrap();
     // A healthy shard-mate sharing the single shard with all three.
     rotten.import_home(13, MODEL, bytes).unwrap();
@@ -327,7 +327,7 @@ fn duplicate_home_ids_are_rejected_by_both_router_tiers() {
         Err(ModelError::InvalidConfig(_))
     ));
     assert!(matches!(
-        sharded.import_home(7, MODEL, String::new()),
+        sharded.import_home(7, MODEL, Vec::new()),
         Err(ModelError::InvalidConfig(_))
     ));
     assert_eq!(sharded.len(), 1);
