@@ -1,14 +1,12 @@
 //! The CACE engine: training and run-time recognition.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use cace_baselines::Hmm;
 use cace_behavior::Session;
 use cace_features::SessionFeatures;
 use cace_hdbn::{
-    fit_em_shared as hdbn_fit_em_shared, trellis, CoupledHdbn, DecoderConfig, EmConfig, HdbnConfig,
-    HdbnParams, SingleHdbn, TickInput, TrellisArena,
+    fit_em_shared as hdbn_fit_em_shared, DecoderConfig, EmConfig, HdbnConfig, HdbnParams, Lag,
+    TickInput,
 };
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_mining::rules::mine_negative_rules;
@@ -23,6 +21,7 @@ use crate::evidence::{EvidenceConfig, PrevState};
 use crate::nh;
 use crate::statespace::TickPreparer;
 use crate::strategy::Strategy;
+use crate::stream::stream_session;
 use crate::transactions::corpus;
 
 /// Engine configuration.
@@ -145,6 +144,21 @@ impl Recognition {
     }
 }
 
+/// Prepares every tick of `session` through `preparer`, in order.
+fn prepare_session(
+    preparer: &TickPreparer<'_>,
+    session: &Session,
+    features: &SessionFeatures,
+) -> Vec<TickInput> {
+    let mut prev = [PrevState::default(), PrevState::default()];
+    session
+        .ticks
+        .iter()
+        .zip(&features.per_tick)
+        .map(|(tick, f)| preparer.prepare(&tick.observed, f, &mut prev).input)
+        .collect()
+}
+
 /// A trained CACE engine.
 #[derive(Debug, Clone)]
 pub struct CaceEngine {
@@ -158,7 +172,6 @@ pub struct CaceEngine {
     pub(crate) stats: HierarchicalStats,
     pub(crate) params: Arc<HdbnParams>,
     pub(crate) nh_log_trans: nh::FlatTable,
-    pub(crate) nh_hmm: Hmm,
 }
 
 impl CaceEngine {
@@ -177,6 +190,14 @@ impl CaceEngine {
         };
         let n_macro = first.n_activities;
         let has_gestural = first.has_gestural;
+        // The miners and the NH transition counts index tables by label.
+        let mut labels = sessions
+            .iter()
+            .flat_map(|s| &s.ticks)
+            .flat_map(|t| t.labels);
+        if labels.any(|l| l >= n_macro) {
+            return Err(ModelError::InvalidConfig("label out of range".into()));
+        }
         let space = AtomSpace {
             n_macro,
             ..AtomSpace::cace()
@@ -330,12 +351,11 @@ impl CaceEngine {
         };
         let params = HdbnParams::new(stats.clone(), hdbn_config)?;
 
-        // NH flat transition table + macro HMM.
+        // NH flat transition table.
         let label_seqs: Vec<Vec<usize>> = sessions
             .iter()
             .flat_map(|s| [s.labels_of(0), s.labels_of(1)])
             .collect();
-        let nh_hmm = Hmm::fit(&label_seqs, n_macro, 0.5)?;
         let nh_log_trans = {
             let mut table = vec![vec![0.0; n_macro]; n_macro];
             let mut counts = vec![vec![0.5f64; n_macro]; n_macro];
@@ -364,7 +384,6 @@ impl CaceEngine {
             stats,
             params: Arc::new(params),
             nh_log_trans,
-            nh_hmm,
         };
 
         // Optional EM refinement over the training tick inputs. The initial
@@ -375,7 +394,7 @@ impl CaceEngine {
             let em_inputs: Vec<Vec<TickInput>> = sessions
                 .iter()
                 .zip(&features)
-                .map(|(s, f)| engine.tick_inputs_unpruned(s, f, config.beam))
+                .map(|(s, f)| prepare_session(&engine.tick_preparer(config.beam, false), s, f))
                 .collect();
             let outcome = hdbn_fit_em_shared(Arc::clone(&engine.params), &em_inputs, &config.em)?;
             engine.params = Arc::new(outcome.params);
@@ -400,22 +419,13 @@ impl CaceEngine {
     /// feed its trellis for `session` — pruned with the standard beam for
     /// NCR/C2, unpruned for NCS, unpruned with the NH beam for NH.
     ///
-    /// This is the batch pipeline up to (but not including) the decoder,
-    /// exposed so differential suites and benches can drive reference
-    /// decoders over exactly the engine's state spaces.
+    /// These are the inputs each [`recognize`](Self::recognize) push
+    /// prepares, collected for the whole session so differential suites
+    /// and benches can drive reference decoders over exactly the engine's
+    /// state spaces.
     pub fn tick_inputs(&self, session: &Session) -> Vec<TickInput> {
         let features = cace_features::extract_session(session);
-        match self.config.strategy {
-            Strategy::NaiveHmm => {
-                self.tick_inputs_unpruned(session, &features, self.config.nh_beam)
-            }
-            Strategy::NaiveConstraint => {
-                self.tick_inputs_unpruned(session, &features, self.config.beam)
-            }
-            Strategy::NaiveCorrelation | Strategy::CorrelationConstraint => {
-                self.tick_inputs_pruned(session, &features).0
-            }
-        }
+        prepare_session(&self.runtime_preparer(), session, &features)
     }
 
     /// The constraint-mined statistics.
@@ -535,225 +545,18 @@ impl CaceEngine {
         }
     }
 
-    /// Builds unpruned tick inputs (used by EM, NCS, and — with its larger
-    /// beam — NH).
-    fn tick_inputs_unpruned(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-        beam: usize,
-    ) -> Vec<TickInput> {
-        let preparer = self.tick_preparer(beam, false);
-        let mut prev = [PrevState::default(), PrevState::default()];
-        (0..session.len())
-            .map(|t| {
-                preparer
-                    .prepare(&session.ticks[t].observed, &features.per_tick[t], &mut prev)
-                    .input
-            })
-            .collect()
-    }
-
-    /// Builds pruned tick inputs, returning (inputs, joint sizes, firings).
-    fn tick_inputs_pruned(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-    ) -> (Vec<TickInput>, Vec<u128>, u64) {
-        let preparer = self.tick_preparer(self.config.beam, true);
-        let mut prev = [PrevState::default(), PrevState::default()];
-        let mut inputs = Vec::with_capacity(session.len());
-        let mut joint_sizes = Vec::with_capacity(session.len());
-        let mut fired = 0u64;
-        for t in 0..session.len() {
-            let prepared =
-                preparer.prepare(&session.ticks[t].observed, &features.per_tick[t], &mut prev);
-            fired += prepared.rules_fired;
-            joint_sizes.push(prepared.joint_size);
-            inputs.push(prepared.input);
-        }
-        (inputs, joint_sizes, fired)
-    }
-
-    /// Runs recognition on one session.
+    /// Runs recognition on one session: every tick is pushed through
+    /// [`stream`](Self::stream) under [`Lag::Unbounded`], which emits
+    /// nothing mid-stream, so [`finish`](crate::StreamingRecognizer::finish)
+    /// decodes the whole session. `wall_seconds` is the summed push and
+    /// finish time.
     ///
     /// # Errors
-    /// Propagates decoding failures (e.g. emptied state spaces).
+    /// Propagates decoding failures: the first tick with an emptied state
+    /// space ([`ModelError::EmptyStateSpace`]), or
+    /// [`ModelError::InsufficientData`] for an empty session.
     pub fn recognize(&self, session: &Session) -> Result<Recognition, ModelError> {
-        let start = Instant::now();
-        let features = cace_features::extract_session(session);
-
-        let result = match self.config.strategy {
-            Strategy::NaiveHmm => self.recognize_nh(session, &features),
-            Strategy::NaiveCorrelation => {
-                let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = SingleHdbn::from_shared(Arc::clone(&self.params));
-                let mut states = 0u64;
-                let mut ops = 0u64;
-                let mut macros: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                for u in 0..2 {
-                    let path = model.viterbi(&inputs, u)?;
-                    states += path.states_explored;
-                    // Historical input-size convention: single-chain
-                    // transition work is |S|² per tick.
-                    ops += inputs
-                        .windows(2)
-                        .map(|w| {
-                            (w[0].joint_states(self.n_macro) as f64).sqrt() as u64
-                                * (w[1].joint_states(self.n_macro) as f64).sqrt() as u64
-                        })
-                        .sum::<u64>();
-                    macros[u] = path.macros;
-                }
-                Ok((macros, states, ops, sizes, fired))
-            }
-            Strategy::NaiveConstraint => {
-                let inputs = self.tick_inputs_unpruned(session, &features, self.config.beam);
-                let sizes: Vec<u128> = inputs
-                    .iter()
-                    .map(|i| i.joint_states(self.n_macro) as u128)
-                    .collect();
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params));
-                let path = model.viterbi(&inputs)?;
-                Ok((
-                    path.macros,
-                    path.states_explored,
-                    path.transition_ops,
-                    sizes,
-                    0,
-                ))
-            }
-            Strategy::CorrelationConstraint => {
-                let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params));
-                let path = model.viterbi(&inputs)?;
-                Ok((
-                    path.macros,
-                    path.states_explored,
-                    path.transition_ops,
-                    sizes,
-                    fired,
-                ))
-            }
-        };
-        let (macros, states_explored, transition_ops, joint_sizes, rules_fired) = result?;
-
-        let mean_joint_size = if joint_sizes.is_empty() {
-            0.0
-        } else {
-            joint_sizes.iter().map(|&s| s as f64).sum::<f64>() / joint_sizes.len() as f64
-        };
-        Ok(Recognition {
-            macros,
-            states_explored,
-            transition_ops,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            mean_joint_size,
-            rules_fired,
-        })
-    }
-
-    /// NH: exhaustive flat product HMM per user.
-    #[allow(clippy::type_complexity)]
-    fn recognize_nh(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-    ) -> Result<([Vec<usize>; 2], u64, u64, Vec<u128>, u64), ModelError> {
-        let inputs = self.tick_inputs_unpruned(session, features, self.config.nh_beam);
-        let sizes: Vec<u128> = inputs
-            .iter()
-            .map(|i| i.joint_states(self.n_macro) as u128)
-            .collect();
-        let preparer = self.tick_preparer(self.config.nh_beam, false);
-        // Per-tick macro emissions from the direct classifier.
-        let mut all_emissions: Vec<[Vec<f64>; 2]> = (0..session.len())
-            .map(|t| preparer.nh_macro_emissions(&features.per_tick[t]))
-            .collect();
-        let mut macros: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        let mut states = 0u64;
-        let mut ops = 0u64;
-        for u in 0..2 {
-            let emissions: Vec<Vec<f64>> = all_emissions
-                .iter_mut()
-                .map(|e| std::mem::take(&mut e[u]))
-                .collect();
-            let (path, s, o) = self.flat_product_viterbi(&inputs, &emissions, u)?;
-            states += s;
-            ops += o;
-            macros[u] = path;
-        }
-        Ok((macros, states, ops, sizes, 0))
-    }
-
-    /// Flat Viterbi over the (macro × micro-beam) product space with no
-    /// hierarchical structure — the "all possible states" NH decoder,
-    /// driven through the step functions in [`crate::nh`] (shared with the
-    /// streaming path).
-    fn flat_product_viterbi(
-        &self,
-        inputs: &[TickInput],
-        macro_emissions: &[Vec<f64>],
-        user: usize,
-    ) -> Result<(Vec<usize>, u64, u64), ModelError> {
-        if inputs.is_empty() {
-            return Err(ModelError::InsufficientData {
-                what: "NH decoding".into(),
-                available: 0,
-                required: 1,
-            });
-        }
-        let n = self.n_macro;
-
-        let model = nh::FlatModel {
-            table: &self.nh_log_trans,
-        };
-        let mut all_states = vec![nh::states(&inputs[0], user, n)];
-        let mut all_emit = vec![nh::emissions(
-            &inputs[0],
-            user,
-            &all_states[0],
-            &macro_emissions[0],
-        )];
-        let mut v: Vec<f64> = Vec::new();
-        trellis::init_into(
-            &model,
-            &nh::FlatView::new(&all_states[0], &all_emit[0], n),
-            &mut v,
-        );
-        let mut states_explored = all_states[0].len() as u64;
-        let mut transition_ops = 0u64;
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut arena = TrellisArena::new();
-
-        for t in 1..inputs.len() {
-            let cur = nh::states(&inputs[t], user, n);
-            let emit = nh::emissions(&inputs[t], user, &cur, &macro_emissions[t]);
-            let prev = all_states.last().expect("nonempty");
-            let prev_emit = all_emit.last().expect("nonempty");
-            states_explored += cur.len() as u64;
-            let mut back = Vec::new();
-            let pv = nh::FlatView::new(prev, prev_emit, n);
-            let cv = nh::FlatView::new(&cur, &emit, n);
-            transition_ops += (cur.len() * prev.len()) as u64;
-            let dom = self.nh_log_trans.dominance();
-            trellis::step_into(&model, dom, &pv, &v, &cv, &mut arena, &mut back);
-            arena.swap_frontier(&mut v);
-            backptrs.push(back);
-            all_states.push(cur);
-            all_emit.push(emit);
-        }
-
-        let mut j = trellis::argmax(&v).0;
-        let mut path = vec![0usize; inputs.len()];
-        for t in (0..inputs.len()).rev() {
-            path[t] = all_states[t][j].0;
-            if t > 0 {
-                j = backptrs[t][j] as usize;
-            }
-        }
-        let _ = &self.nh_hmm; // macro-only fallback kept for API completeness
-        Ok((path, states_explored, transition_ops))
+        stream_session(self, session, Lag::Unbounded).map(|(_, recognition)| recognition)
     }
 }
 
@@ -814,6 +617,163 @@ mod tests {
             rec_c2.transition_ops,
             rec_ncs.transition_ops
         );
+    }
+
+    /// NH's transition rows `rows[ap][a] = log P(a | ap)`, counted from the
+    /// training labels with a 0.5 pseudo-count — built here, not read from
+    /// the engine's `FlatTable`.
+    fn nh_reference_rows(train: &[Session], n: usize) -> Vec<Vec<f64>> {
+        let mut counts = vec![vec![0.5f64; n]; n];
+        for session in train {
+            for u in 0..2 {
+                for w in session.labels_of(u).windows(2) {
+                    counts[w[0]][w[1]] += 1.0;
+                }
+            }
+        }
+        counts
+            .iter()
+            .map(|row| {
+                let total: f64 = row.iter().sum();
+                row.iter().map(|&c| (c / total).ln()).collect()
+            })
+            .collect()
+    }
+
+    /// The dense NH reference for one user: `(macro path, states explored,
+    /// transition ops)` of a flat Viterbi over every (macro, candidate)
+    /// state of every tick — no dominance, no arena — with
+    /// `naive_single_viterbi`'s fold order and tie-breaking: sources in
+    /// ascending order, strict `>`, last maximum at termination.
+    fn naive_flat_viterbi(
+        rows: &[Vec<f64>],
+        inputs: &[TickInput],
+        macro_lp: &[[Vec<f64>; 2]],
+        user: usize,
+    ) -> (Vec<usize>, u64, u64) {
+        // Per tick: (macro, emission) for each state, macro-major.
+        let states = |t: usize| -> Vec<(usize, f64)> {
+            let input = &inputs[t];
+            let lp = &macro_lp[t][user];
+            (0..rows.len())
+                .flat_map(|a| {
+                    input.candidates[user]
+                        .iter()
+                        .map(move |c| (a, lp[a] + input.bonus(a) + c.obs_loglik))
+                })
+                .collect()
+        };
+        let mut slices = vec![states(0)];
+        let mut v: Vec<f64> = slices[0].iter().map(|&(_, e)| e).collect();
+        let (mut explored, mut ops) = (v.len() as u64, 0u64);
+        let mut backptrs: Vec<Vec<usize>> = vec![Vec::new()];
+        for t in 1..inputs.len() {
+            let cur = states(t);
+            let prev = &slices[t - 1];
+            explored += cur.len() as u64;
+            ops += (prev.len() * cur.len()) as u64;
+            let mut v_new = Vec::with_capacity(cur.len());
+            let mut back = Vec::with_capacity(cur.len());
+            for &(a, e) in &cur {
+                let (mut best, mut arg) = (f64::NEG_INFINITY, 0usize);
+                for (jp, &(ap, _)) in prev.iter().enumerate() {
+                    let score = v[jp] + rows[ap][a];
+                    if score > best {
+                        best = score;
+                        arg = jp;
+                    }
+                }
+                v_new.push(best + e);
+                back.push(arg);
+            }
+            v = v_new;
+            backptrs.push(back);
+            slices.push(cur);
+        }
+        let mut j = v
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN scores"))
+            .expect("nonempty trellis")
+            .0;
+        let mut path = vec![0; inputs.len()];
+        for t in (0..inputs.len()).rev() {
+            path[t] = slices[t][j].0;
+            if t > 0 {
+                j = backptrs[t][j];
+            }
+        }
+        (path, explored, ops)
+    }
+
+    /// Checks NH recognition of `session` against [`naive_flat_viterbi`]
+    /// over `rows`.
+    fn assert_nh_matches_reference(
+        engine: &CaceEngine,
+        rows: &[Vec<f64>],
+        session: &Session,
+        label: &str,
+    ) {
+        let rec = engine.recognize(session).unwrap();
+        let inputs = engine.tick_inputs(session);
+        let preparer = engine.runtime_preparer();
+        let macro_lp: Vec<[Vec<f64>; 2]> = cace_features::extract_session(session)
+            .per_tick
+            .iter()
+            .map(|f| preparer.nh_macro_emissions(f))
+            .collect();
+        let (mut states, mut ops) = (0, 0);
+        for u in 0..2 {
+            let (path, s, o) = naive_flat_viterbi(rows, &inputs, &macro_lp, u);
+            assert_eq!(rec.macros[u], path, "{label} user {u}");
+            states += s;
+            ops += o;
+        }
+        assert_eq!(rec.states_explored, states, "{label}");
+        assert_eq!(rec.transition_ops, ops, "{label}");
+    }
+
+    #[test]
+    fn nh_recognition_matches_a_dense_flat_reference() {
+        for seed in [21u64, 22, 23] {
+            let (train, test) = train_test_split(dataset(4, 60, seed), 0.75);
+            let config = CaceConfig::default().with_strategy(Strategy::NaiveHmm);
+            let mut engine = CaceEngine::train(&train, &config).unwrap();
+            let n = engine.n_macro();
+            let rows = nh_reference_rows(&train, n);
+            assert_nh_matches_reference(&engine, &rows, &test[0], &format!("seed {seed}"));
+
+            // Trained rows are dominated by self-transitions and nearly
+            // symmetric off the diagonal; random rows in [-40, 0) are not,
+            // so a transposed table lookup moves the decoded path.
+            let mut state = seed;
+            let mut draw = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                -40.0 * (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| draw()).collect()).collect();
+            engine.nh_log_trans = nh::FlatTable::from_rows(&rows);
+            let label = format!("seed {seed}, random rows");
+            assert_nh_matches_reference(&engine, &rows, &test[0], &label);
+        }
+    }
+
+    #[test]
+    fn out_of_range_labels_are_rejected_not_a_panic() {
+        for strategy in [Strategy::NaiveHmm, Strategy::CorrelationConstraint] {
+            let mut sessions = dataset(3, 60, 14);
+            let n_macro = sessions[0].n_activities;
+            sessions[1].ticks[5].labels[0] = n_macro;
+            let config = CaceConfig::default().with_strategy(strategy);
+            let result = CaceEngine::train(&sessions, &config);
+            assert!(
+                matches!(result, Err(ModelError::InvalidConfig(_))),
+                "{strategy}: {:?}",
+                result.err()
+            );
+        }
     }
 
     #[test]

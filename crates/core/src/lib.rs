@@ -13,11 +13,12 @@
 //!    initial) rules ([`cace_mining`], wired in [`engine`]).
 //! 5. **Loosely-coupled HDBN** — [`cace_hdbn`] parameters from the
 //!    constraint miner, optionally refined by EM.
-//! 6. **Inference engine** — joint Viterbi decoding with overhead
-//!    accounting, plus a rayon-parallel multi-session fan-out ([`batch`])
-//!    that shares the trained model read-only across cores, plus an online
-//!    fixed-lag path ([`stream`]) that consumes ticks as they arrive and a
-//!    [`ShardedRouter`] that multiplexes many concurrent homes.
+//! 6. **Inference engine** — online Viterbi decoding with overhead
+//!    accounting ([`stream`]), which consumes ticks as they arrive under a
+//!    fixed lag and decodes whole sessions under an unbounded one, plus a
+//!    rayon-parallel multi-session fan-out ([`batch`]) that shares the
+//!    trained model read-only across cores and a [`ShardedRouter`] that
+//!    multiplexes many concurrent homes.
 //!
 //! The four pruning strategies of §VII-G (NH, NCR, NCS, C2) are expressed
 //! as [`Strategy`] values; Fig 8(a)'s modality ablations as

@@ -4,9 +4,9 @@
 //! NH refuses every piece of CACE structure: no hierarchy, no miners, no
 //! coupling — just a flat Viterbi over the (macro × micro-beam) product
 //! space per user, with macro emissions classified directly from frame
-//! features. The step functions here are shared between the batch decoder
-//! (`CaceEngine::recognize` under [`crate::Strategy::NaiveHmm`]) and the
-//! streaming [`OnlineFlat`] frontier, which keeps the two bit-identical.
+//! features. The streaming [`OnlineFlat`] frontier runs it, one per user;
+//! `CaceEngine::recognize` under [`crate::Strategy::NaiveHmm`] is that
+//! stream under an unbounded lag.
 //!
 //! Like the hierarchical decoders in `cace-hdbn`, NH scores through a
 //! dense flat table: [`FlatTable`] stores the macro transition matrix

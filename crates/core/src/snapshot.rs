@@ -175,7 +175,6 @@ impl CaceEngine {
                 "nh_log_trans".to_string(),
                 self.nh_log_trans.to_rows().serialize(),
             ),
-            ("nh_hmm".to_string(), self.nh_hmm.serialize()),
         ])
     }
 
@@ -225,7 +224,8 @@ impl CaceEngine {
         let rules: cace_mining::RuleSet = field(payload, "rules")?;
         // Derived state is rebuilt, not stored: the pruning engine from the
         // rules, the HDBN log tables (inside `HdbnParams::deserialize`)
-        // from the mined statistics.
+        // from the mined statistics. Keys no field reads are ignored, such
+        // as the unused `nh_hmm` that older writers stored.
         let pruner = if config.strategy.uses_correlation_pruning() {
             Some(PruningEngine::new(rules.clone()))
         } else {
@@ -241,7 +241,6 @@ impl CaceEngine {
             stats: field(payload, "stats")?,
             params: Arc::new(params),
             nh_log_trans: crate::nh::FlatTable::from_rows(&nh_rows),
-            nh_hmm: field(payload, "nh_hmm")?,
             config,
             rules,
             pruner,
@@ -769,6 +768,24 @@ mod tests {
             CaceEngine::from_snapshot_str(&kindless_v3),
             Err(ModelError::Persistence { .. })
         ));
+    }
+
+    #[test]
+    fn snapshots_carrying_the_unused_nh_hmm_still_load() {
+        let (engine, sessions) = tiny_engine(Strategy::NaiveHmm);
+        let text = engine.to_snapshot_string();
+        assert!(!text.contains("\"nh_hmm\""), "the key is no longer written");
+        // Older writers appended the NH macro HMM after the NH table.
+        let payload = text.split_once('\n').unwrap().1;
+        let hmm =
+            r#""nh_hmm":{"n":2,"log_prior":[-0.5,-1.0],"log_trans":[[-0.1,-2.3],[-2.3,-0.1]]}"#;
+        let older = format!("{},{hmm}}}", payload.strip_suffix('}').unwrap());
+        let loaded = CaceEngine::from_snapshot_str(&reheader(&older, 3)).unwrap();
+        assert_eq!(loaded.to_snapshot_string(), text);
+        let a = engine.recognize(&sessions[2]).unwrap();
+        let b = loaded.recognize(&sessions[2]).unwrap();
+        assert_eq!(a.macros, b.macros);
+        assert_eq!(a.transition_ops, b.transition_ops);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Streaming (run-time) recognition: consume sensor ticks as they arrive.
 //!
-//! [`CaceEngine::recognize`] needs the complete session upfront; a deployed
-//! smart home produces one [`ObservedTick`] per second. A
-//! [`StreamingRecognizer`] closes that gap: each
+//! A [`StreamingRecognizer`] is the engine's one decoder. Each
 //! [`push`](StreamingRecognizer::push) extracts the tick's wearable
-//! features, runs the *same* per-tick preparation pipeline as the batch
-//! path ([`TickPreparer`](crate::statespace::TickPreparer)), and advances
-//! an online fixed-lag Viterbi frontier ([`cace_hdbn::online`]) by one DP
+//! features, runs the per-tick preparation pipeline
+//! ([`TickPreparer`](crate::statespace::TickPreparer)), and advances an
+//! online fixed-lag Viterbi frontier ([`cace_hdbn::online`]) by one DP
 //! step — constant decoding work per tick, a backpointer window bounded at
 //! `lag + 2` ticks, no re-decoding of the growing prefix. A fixed-lag
 //! stream's state, live or parked, does not grow with its age: decisions
@@ -17,13 +15,17 @@
 //! [`StreamTail::into_recognition`] ([`stream_session`] does exactly that).
 //!
 //! The smoothing [`Lag`] trades latency for accuracy: `Lag::Fixed(0)` is
-//! greedy filtering, larger lags converge on the batch answer, and
+//! greedy filtering, larger lags converge on the whole-session answer, and
 //! [`Lag::Unbounded`] (or any lag at least the stream length) emits
-//! nothing mid-stream, so the tail is the whole session and its
-//! [`Recognition`] is **bit-identical** to [`CaceEngine::recognize`] —
-//! same macros, same `states_explored`, same `transition_ops`, same
-//! `rules_fired`, same `mean_joint_size` — for every strategy (NH, NCR,
-//! NCS, C2). `tests/streaming_equivalence.rs` asserts this.
+//! nothing mid-stream, so the tail is the whole session decoded by exact
+//! Viterbi. [`CaceEngine::recognize`] is exactly that: the session pushed
+//! through an unbounded stream. A fixed lag at least the session length
+//! gives the same [`Recognition`] bit for bit — same macros, same
+//! `states_explored`, same `transition_ops`, same `rules_fired`, same
+//! `mean_joint_size` — for every strategy (NH, NCR, NCS, C2);
+//! `tests/streaming_equivalence.rs` asserts this, and the engine-level
+//! differentials check the decode against independent naive Viterbi
+//! references.
 //!
 //! A live stream can also be **parked**: [`StreamingRecognizer::park`]
 //! captures the trellis frontier, backpointer window, decision cursor and
@@ -301,6 +303,13 @@ fn resume_impl<'a>(
             "parked stream: non-finite or negative overhead accounting",
         ));
     }
+    // A tick's joint-state count is a `usize`, so its square root is at
+    // most 2^32.
+    if parked.ncr_prev_sqrt > 1 << 32 {
+        return Err(park_err(
+            "parked stream: NCR previous-tick state count out of range",
+        ));
+    }
     let cursor_err = || park_err("parked stream: decoder tick count disagrees with the cursor");
     let decoder = match (&parked.state, e.config.strategy) {
         (ParkedDecoder::Nh(flats), Strategy::NaiveHmm) => {
@@ -437,21 +446,26 @@ impl StreamingRecognizer<'_> {
         let engine: &CaceEngine = &self.engine;
         let preparer = engine.runtime_preparer();
         let prepared = preparer.prepare(observed, &features, &mut self.prev);
-        self.rules_fired += prepared.rules_fired;
+        self.rules_fired = self.rules_fired.saturating_add(prepared.rules_fired);
 
         let strategy = engine.config.strategy;
         let n_macro = engine.n_macro;
-        // Per-tick joint-size accounting, matching the batch path's choice
-        // of metric per strategy.
+        // Per-tick joint size: the post-pruning candidate space under the
+        // correlation-pruning strategies, the decoder's input size
+        // otherwise.
         if strategy.uses_correlation_pruning() {
             self.joint_size_sum += prepared.joint_size as f64;
         } else {
             self.joint_size_sum += (prepared.input.joint_states(n_macro) as u128) as f64;
         }
+        // NCR's transition accounting, the input-size convention
+        // `|S(t−1)|·|S(t)|` with `|S| = ⌊√joint states⌋`, charged per
+        // user at `finish`.
         if strategy == Strategy::NaiveCorrelation {
             let sqrt = (prepared.input.joint_states(n_macro) as f64).sqrt() as u64;
             if self.pushed > 0 {
-                self.ncr_ops += self.ncr_prev_sqrt * sqrt;
+                let ops = self.ncr_prev_sqrt.saturating_mul(sqrt);
+                self.ncr_ops = self.ncr_ops.saturating_add(ops);
             }
             self.ncr_prev_sqrt = sqrt;
         }
@@ -570,7 +584,7 @@ impl StreamingRecognizer<'_> {
     /// With `lag >=` the stream length (or [`Lag::Unbounded`]) the tail is
     /// the whole session, and its [`Recognition`] is bit-identical to
     /// [`CaceEngine::recognize`] on the same ticks, except `wall_seconds`,
-    /// which reports the accumulated streaming time.
+    /// the time each stream spent in its pushes and `finish`.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
@@ -586,12 +600,12 @@ impl StreamingRecognizer<'_> {
                 let [c0, c1] = chains;
                 let p0 = c0.finalize()?;
                 let p1 = c1.finalize()?;
-                // Mirror the batch path: the |S|²-per-tick input-size
-                // convention, charged once per user.
+                // The input-size convention of `push`, charged once per
+                // user.
                 (
                     [p0.macros, p1.macros],
-                    p0.states_explored + p1.states_explored,
-                    2 * self.ncr_ops,
+                    p0.states_explored.saturating_add(p1.states_explored),
+                    self.ncr_ops.saturating_mul(2),
                 )
             }
             Decoder::Nh(flats) => {
@@ -603,7 +617,7 @@ impl StreamingRecognizer<'_> {
                 };
                 let (m0, s0, o0) = f0.finalize().ok_or_else(err)?;
                 let (m1, s1, o1) = f1.finalize().ok_or_else(err)?;
-                ([m0, m1], s0 + s1, o0 + o1)
+                ([m0, m1], s0.saturating_add(s1), o0.saturating_add(o1))
             }
         };
         let mean_joint_size = if pushed == 0 {
@@ -745,8 +759,8 @@ impl ParkedStream {
     }
 }
 
-/// Drives a recorded session through a streaming recognizer tick by tick —
-/// the test/bench harness for batch-vs-streaming comparisons.
+/// Drives a recorded session through a streaming recognizer tick by tick;
+/// under [`Lag::Unbounded`] this is [`CaceEngine::recognize`].
 ///
 /// Returns the mid-stream decisions and the session's [`Recognition`],
 /// those decisions plus the [`finish`](StreamingRecognizer::finish) tail.
@@ -908,6 +922,42 @@ mod tests {
 
         // The untampered checkpoint still resumes.
         assert!(engine.resume(&parked).is_ok());
+    }
+
+    #[test]
+    fn resumed_ncr_accounting_is_bounded_and_saturates() {
+        let (train, test) = corpus();
+        let config = CaceConfig::default().with_strategy(Strategy::NaiveCorrelation);
+        let engine = CaceEngine::train(&train, &config).unwrap();
+        let mut stream = engine.stream(Lag::Fixed(4));
+        for tick in &test[0].ticks[..10] {
+            stream.push(&tick.observed).unwrap();
+        }
+        let reseal = |p: &ParkedStream| {
+            ParkedStream::from_snapshot_bytes(&p.to_snapshot_bytes()).expect("v4 park reads")
+        };
+        let mut parked = stream.park();
+
+        // No tick has more than usize::MAX joint states, so a square root
+        // above 2^32 is tampering.
+        parked.ncr_prev_sqrt = u64::MAX;
+        assert!(matches!(
+            engine.resume(&reseal(&parked)),
+            Err(ModelError::Persistence { .. })
+        ));
+
+        // The largest legal root, with the counters at their ceiling: the
+        // pushes saturate instead of overflowing.
+        parked.ncr_prev_sqrt = 1 << 32;
+        parked.ncr_ops = u64::MAX - 1;
+        parked.rules_fired = u64::MAX - 1;
+        let mut resumed = engine.resume(&reseal(&parked)).unwrap();
+        for tick in &test[0].ticks[10..] {
+            resumed.push(&tick.observed).unwrap();
+        }
+        let tail = resumed.finish().unwrap();
+        assert_eq!(tail.transition_ops, u64::MAX);
+        assert_eq!(tail.rules_fired, u64::MAX);
     }
 
     #[test]

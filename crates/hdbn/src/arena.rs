@@ -4,8 +4,8 @@
 //! Before this module existed, every decoder had its own slice type and
 //! every DP step allocated its fold buffers fresh (`f1_col`/`f2_col` per
 //! trellis column, `w`/`w_arg` per tick, a new frontier vector per step).
-//! The arena centralizes that memory: **one allocation per decode (batch)
-//! or per stream (online), reused across ticks**, so the steady-state hot
+//! The arena centralizes that memory: **one allocation per stream (a
+//! whole-session decode is a stream too), reused across ticks**, so the steady-state hot
 //! loop of a warmed online decoder performs zero heap allocations per
 //! pushed tick (`tests/alloc_steady_state.rs` counts them). The
 //! dominance survivor list and the joint kernel's survivor-group buffers
@@ -210,8 +210,8 @@ impl StepScratch {
     }
 }
 
-/// All reusable trellis memory of one decode (batch) or one stream
-/// (online): the dominance survivor list plus step-kernel scratch.
+/// All reusable trellis memory of one stream: the dominance survivor list
+/// plus step-kernel scratch.
 ///
 /// Allocated once, reused across ticks; buffers grow to the high-water
 /// frontier size and stay there, so the steady-state per-tick loop is

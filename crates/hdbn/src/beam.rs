@@ -1,8 +1,9 @@
 //! The decoder configuration, and the retired lossy frontier beams.
 //!
-//! Every decoder in this crate — the batch Viterbi in [`crate::viterbi`]
-//! and [`crate::single`], the online fixed-lag frontiers in
-//! [`crate::online`], and the NH frontier in `cace-core` — runs the exact
+//! Every decoder — the online frontiers in [`crate::online`] (which the
+//! whole-session [`crate::CoupledHdbn::viterbi`] and
+//! [`crate::SingleHdbn::viterbi`] run under an unbounded lag) and the NH
+//! frontier in `cace-core` — runs the exact
 //! recursion, with dominance pruning inside every step
 //! ([`crate::dominance`]): states that provably cannot win are skipped,
 //! and the output stays bit-identical to the full-frontier recursion.

@@ -1,28 +1,26 @@
-//! Online (streaming) Viterbi decoding with fixed-lag smoothing.
+//! Online (streaming) Viterbi decoding with fixed-lag smoothing — the
+//! crate's one Viterbi decoder.
 //!
-//! The batch decoders in [`crate::viterbi`] and [`crate::single`] need the
-//! whole session upfront; a smart-home runtime gets one sensor tick at a
-//! time. The decoders here maintain the *trellis frontier* — the best
-//! log-score of every current joint state — plus a bounded backpointer
-//! window, and advance it by one DP step per pushed tick:
-//! `O(|S1||S2|(|S1|+|S2|))` for the coupled chain, `O(|S|²)` for a single
-//! chain, exactly the per-tick cost of the batch recursion and *without*
-//! re-decoding the growing prefix.
+//! A smart-home runtime gets one sensor tick at a time. The decoders here
+//! maintain the *trellis frontier* — the best log-score of every current
+//! joint state — plus a backpointer window, and advance it by one DP step
+//! per pushed tick: `O(|S1||S2|(|S1|+|S2|))` for the coupled chain,
+//! `O(|S|²)` for a single chain, *without* re-decoding the growing prefix.
 //!
 //! Smoothing is controlled by a [`Lag`]:
 //!
 //! * [`Lag::Unbounded`] never commits mid-stream; `finalize` backtracks the
-//!   full trellis. Because every frontier update goes through the same
-//!   shared step functions as the batch decoder, the result is
-//!   **bit-identical** to [`crate::CoupledHdbn::viterbi`] /
-//!   [`crate::SingleHdbn::viterbi`] — equality of every float, not just of
-//!   the argmax.
+//!   full trellis. This is whole-session Viterbi: on-line Viterbi with an
+//!   unbounded horizon is batch Viterbi (Šrámek, Brejová & Vinař, WABI
+//!   2007), and [`crate::CoupledHdbn::viterbi`] /
+//!   [`crate::SingleHdbn::viterbi`] are exactly this stream.
 //! * [`Lag::Fixed(l)`](Lag::Fixed) emits the decision for tick `t - l`
 //!   right after consuming tick `t` (classic fixed-lag smoothing), keeping
 //!   the backpointer window at `l + 2` entries regardless of stream length.
 //!   A `Lag::Fixed(l)` with `l >=` the eventual stream length behaves like
-//!   `Unbounded` (no decision ever ripens mid-stream), so it is also
-//!   bit-identical to the batch path.
+//!   `Unbounded` (no decision ever ripens mid-stream), so it is
+//!   bit-identical to the whole-session decode — equality of every float,
+//!   not just of the argmax.
 //!
 //! ```
 //! use cace_hdbn::{Lag, MicroCandidate, TickInput};
@@ -79,8 +77,15 @@ use crate::viterbi::{self, CoupledHdbn, JointPath};
 /// Fixed-lag smoothing horizon of an online decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum Lag {
-    /// Never commit mid-stream; decode everything at finalization.
-    /// Bit-identical to the batch Viterbi decoders.
+    /// Never commit mid-stream; decode everything at finalization — the
+    /// whole-session Viterbi decode.
+    ///
+    /// Cost: the window keeps every tick, so no entry is ever recycled and
+    /// each push allocates its own window entry (slices, backpointers and
+    /// candidate copies: 19 allocations per push on the two-activity toy
+    /// coupled decoder, against none once a [`Lag::Fixed`] stream is
+    /// warmed). Whole-session recognition runs here; served streams run
+    /// under a fixed lag.
     Unbounded,
     /// Emit the decision for tick `t - lag` after consuming tick `t`,
     /// keeping the backpointer window bounded at `lag + 2` entries.
@@ -399,8 +404,8 @@ impl OnlineCoupledViterbi {
     /// [`push`](Self::push) already returned are not repeated.
     ///
     /// Under [`Lag::Unbounded`] (or a fixed lag at least as long as the
-    /// stream) nothing was emitted, so the tail is the whole path and is
-    /// bit-identical to [`CoupledHdbn::viterbi`] on the same ticks.
+    /// stream) nothing was emitted, so the tail is the whole path — what
+    /// [`CoupledHdbn::viterbi`] returns for the same ticks.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
@@ -445,9 +450,9 @@ impl TrellisEntry for ChainEntry {
     }
 }
 
-/// Incremental fixed-lag decoder for one user's hierarchical chain — the
-/// streaming counterpart of [`SingleHdbn::viterbi`], wrapping the same
-/// [`OnlineTrellis`] core as the coupled decoder.
+/// Incremental fixed-lag decoder for one user's hierarchical chain
+/// ([`SingleHdbn::viterbi`] runs it under [`Lag::Unbounded`]), wrapping the
+/// same [`OnlineTrellis`] core as the coupled decoder.
 pub struct OnlineSingleViterbi {
     params: Arc<HdbnParams>,
     user: usize,
@@ -571,8 +576,9 @@ impl OnlineSingleViterbi {
     }
 
     /// Ends the stream, returning the uncommitted tail as a path (see
-    /// [`OnlineCoupledViterbi::finalize`]); bit-identical to
-    /// [`SingleHdbn::viterbi`] when no mid-stream decision was emitted.
+    /// [`OnlineCoupledViterbi::finalize`]); the whole path, as
+    /// [`SingleHdbn::viterbi`] returns it, when no mid-stream decision was
+    /// emitted.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
@@ -898,6 +904,26 @@ pub(crate) mod tests {
         let mut bad = parked.clone();
         bad.window[0].s1.pairs[0] = u32::MAX; // pair id outside the tables
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+    }
+
+    #[test]
+    fn resumed_counters_saturate_instead_of_overflowing() {
+        let ticks = glitchy_ticks();
+        let model = CoupledHdbn::new(toy_params(true));
+        let mut online = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
+        for tick in &ticks[..8] {
+            online.push(tick).unwrap();
+        }
+        let mut parked = online.park();
+        parked.states_explored = u64::MAX - 1;
+        parked.transition_ops = u64::MAX - 1;
+        let mut resumed = OnlineCoupledViterbi::resume(model, Lag::Fixed(2), &parked).unwrap();
+        for tick in &ticks[8..] {
+            resumed.push(tick).unwrap();
+        }
+        let tail = resumed.finalize().unwrap();
+        assert_eq!(tail.states_explored, u64::MAX);
+        assert_eq!(tail.transition_ops, u64::MAX);
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //!
 //! Used (a) as the building block EM trains on, and (b) for uncoupled
 //! comparisons. States are (macro, micro-candidate) pairs exactly as in the
-//! coupled decoder, minus the partner coupling.
+//! coupled decoder, minus the partner coupling. [`SingleHdbn::viterbi`]
+//! decodes a whole session through an [`OnlineSingleViterbi`] under
+//! [`Lag::Unbounded`].
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, TrellisArena};
+use crate::arena::{fill_slice, Slice};
 use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
+use crate::online::{Lag, OnlineSingleViterbi};
 use crate::params::HdbnParams;
-use crate::scalar;
 use crate::trellis::{self, HierModel};
 
 /// A decoded single-chain trajectory.
@@ -115,9 +117,9 @@ impl ExpectedCounts {
 /// The single-chain hierarchical model.
 ///
 /// Parameters are [`Arc`](std::sync::Arc)-shared for the same reason as
-/// [`crate::CoupledHdbn`]: batch recognition decodes many sessions against
-/// one read-only trained model, with per-call trellis scratch. Decoding
-/// and filtering are exact.
+/// [`crate::CoupledHdbn`]: many streams decode against one read-only
+/// trained model, each with its own trellis scratch. Decoding and
+/// filtering are exact.
 #[derive(Debug, Clone)]
 pub struct SingleHdbn {
     params: std::sync::Arc<HdbnParams>,
@@ -169,26 +171,15 @@ impl SingleHdbn {
         std::sync::Arc::clone(&self.params)
     }
 
-    /// Builds one tick's slice into reused buffers (see
+    /// Every tick's slice of `user`'s chain (see
     /// [`crate::arena::fill_slice`]).
-    fn slice_into(
-        &self,
-        tick: &TickInput,
-        user: usize,
-        macro_ids: &mut Vec<usize>,
-        out: &mut Slice,
-    ) {
-        fill_slice(&self.params, tick, user, macro_ids, out);
-    }
-
-    /// Allocating convenience wrapper over [`Self::slice_into`].
     fn slices_of(&self, ticks: &[TickInput], user: usize) -> Vec<Slice> {
         let mut macro_ids = Vec::new();
         ticks
             .iter()
             .map(|t| {
                 let mut s = Slice::default();
-                self.slice_into(t, user, &mut macro_ids, &mut s);
+                fill_slice(&self.params, t, user, &mut macro_ids, &mut s);
                 s
             })
             .collect()
@@ -208,70 +199,19 @@ impl SingleHdbn {
         Ok(())
     }
 
-    /// Viterbi decoding of one user's chain.
+    /// Viterbi decoding of one user's chain: every tick is pushed through
+    /// an [`OnlineSingleViterbi`] under [`Lag::Unbounded`], and
+    /// [`finalize`](OnlineSingleViterbi::finalize) backtracks the whole
+    /// session.
     ///
     /// # Errors
     /// Same conditions as [`crate::CoupledHdbn::viterbi`].
     pub fn viterbi(&self, ticks: &[TickInput], user: usize) -> Result<SinglePath, ModelError> {
-        self.validate(ticks, user)?;
-        let p = &self.params;
-        let mut states_explored = 0u64;
-        let mut arena = TrellisArena::new();
-
-        let mut slices: Vec<Slice> = Vec::with_capacity(ticks.len());
-        {
-            let mut s = Slice::default();
-            self.slice_into(&ticks[0], user, &mut arena.step.macro_ids, &mut s);
-            slices.push(s);
+        let mut online = OnlineSingleViterbi::new(self.clone(), user, Lag::Unbounded);
+        for tick in ticks {
+            online.push(tick)?;
         }
-        let model = HierModel::new(p);
-        let dom = p.tables.dominance();
-        let mut v: Vec<f64> = Vec::new();
-        trellis::init_into(&model, &slices[0], &mut v);
-        states_explored += v.len() as u64;
-        let mut transition_ops = 0u64;
-
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        for tick in ticks.iter().skip(1) {
-            let mut cur = Slice::default();
-            self.slice_into(tick, user, &mut arena.step.macro_ids, &mut cur);
-            let prev = slices.last().expect("nonempty");
-            states_explored += cur.len() as u64;
-            transition_ops += (prev.len() * cur.len()) as u64;
-            let mut back = Vec::new();
-            trellis::step_into(&model, dom, prev, &v, &cur, &mut arena, &mut back);
-            arena.swap_frontier(&mut v);
-            backptrs.push(back);
-            slices.push(cur);
-        }
-
-        let (mut j, log_prob) = scalar::argmax(&v);
-
-        let t_total = ticks.len();
-        let mut macros = vec![0usize; t_total];
-        let mut micros = vec![
-            MicroCandidate {
-                postural: 0,
-                gestural: None,
-                location: 0,
-                obs_loglik: 0.0
-            };
-            t_total
-        ];
-        for t in (0..t_total).rev() {
-            macros[t] = slices[t].activities[j];
-            micros[t] = ticks[t].candidates[user][slices[t].cands[j]];
-            if t > 0 {
-                j = backptrs[t][j] as usize;
-            }
-        }
-        Ok(SinglePath {
-            macros,
-            micros,
-            log_prob,
-            states_explored,
-            transition_ops,
-        })
+        online.finalize()
     }
 
     /// Forward–backward posteriors of one user's chain.

@@ -608,7 +608,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     where
         F: TrellisFamily<Entry = E>,
     {
-        self.states_explored += n_states;
+        self.states_explored = self.states_explored.saturating_add(n_states);
         match self.window.back() {
             None => {
                 family.init(&mut entry, &mut self.v);
@@ -616,7 +616,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
             }
             Some(prev) => {
                 let (ops, survivors) = family.step(prev, &self.v, &mut entry, &mut self.arena);
-                self.transition_ops += ops;
+                self.transition_ops = self.transition_ops.saturating_add(ops);
                 self.last_survivors = Some(survivors);
                 self.arena.swap_frontier(&mut self.v);
             }

@@ -1,4 +1,7 @@
-//! Joint Viterbi decoding of the loosely-coupled two-chain HDBN.
+//! Joint Viterbi decoding of the loosely-coupled two-chain HDBN: the joint
+//! step kernel, and [`CoupledHdbn::viterbi`], which decodes a whole session
+//! by pushing it through an [`OnlineCoupledViterbi`] under
+//! [`Lag::Unbounded`].
 //!
 //! The joint transition kernel decomposes as
 //! `f1(s1, s1′) + f2(s2, s2′) + g(a1, a2)` — per-chain hierarchical
@@ -36,8 +39,9 @@ use cace_model::ModelError;
 use crate::arena::{fill_slice, Slice, StepScratch, TrellisArena};
 use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
+use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
-use crate::scalar::{self, sweep_add_max, sweep_add_max_arg, sweep_max, sweep_max_arg};
+use crate::scalar::{sweep_add_max, sweep_add_max_arg, sweep_max, sweep_max_arg};
 use crate::tables::ScoreTables;
 
 /// Rejects a tick that would empty the joint trellis.
@@ -57,8 +61,7 @@ pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError
 /// macro priors plus the inter-user coupling, flattened as
 /// `j1 * |S2| + j2`.
 ///
-/// Shared by the batch decoder and [`crate::online::OnlineCoupledViterbi`]
-/// so the two paths stay bit-identical.
+/// The first push of [`crate::online::OnlineCoupledViterbi`].
 pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Vec<f64>) {
     let t = &p.tables;
     v.clear();
@@ -140,7 +143,7 @@ fn joint_fan_out(
 
 /// Reusable work buffers of [`joint_step_pruned_into`], owned by the
 /// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
-/// decode (batch) or stream (online), reused across ticks — the step
+/// stream, reused across ticks — the step
 /// allocates nothing once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
@@ -191,9 +194,9 @@ struct Segment {
 /// Transition scores are flat loads from the dense
 /// [`ScoreTables`](crate::ScoreTables), bit-identical to evaluating
 /// [`HdbnParams::transition_score`] per edge (which is how the table was
-/// built). The batch [`CoupledHdbn::viterbi`] and the incremental
-/// [`crate::online::OnlineCoupledViterbi`] both step through it, which is
-/// what makes the streamed path bit-identical to the batch path.
+/// built). [`crate::online::OnlineCoupledViterbi`] steps through it, and
+/// so does [`CoupledHdbn::viterbi`], which runs that stream under an
+/// unbounded lag.
 pub(crate) fn joint_step_pruned_into(
     p: &HdbnParams,
     prev1: &Slice,
@@ -558,118 +561,22 @@ impl CoupledHdbn {
     }
 
     /// Decodes the most likely joint state sequence (§III step 6: Viterbi at
-    /// runtime inference).
+    /// runtime inference): every tick is pushed through an
+    /// [`OnlineCoupledViterbi`] under [`Lag::Unbounded`], which commits
+    /// nothing mid-stream, and [`finalize`](OnlineCoupledViterbi::finalize)
+    /// backtracks the whole session.
     ///
     /// # Errors
-    /// Returns [`ModelError::EmptyStateSpace`] if any tick has no candidates
-    /// for some user, and [`ModelError::InsufficientData`] for empty input.
+    /// Returns [`ModelError::EmptyStateSpace`] for the first tick with no
+    /// candidates for some user, and [`ModelError::InsufficientData`] for
+    /// empty input.
     pub fn viterbi(&self, ticks: &[TickInput]) -> Result<JointPath, ModelError> {
-        if ticks.is_empty() {
-            return Err(ModelError::InsufficientData {
-                what: "viterbi decoding".into(),
-                available: 0,
-                required: 1,
-            });
+        let mut online = OnlineCoupledViterbi::new(self.clone(), Lag::Unbounded);
+        online.reserve_ticks(ticks.len());
+        for tick in ticks {
+            online.push(tick)?;
         }
-        for (t, tick) in ticks.iter().enumerate() {
-            validate_tick(tick, t)?;
-        }
-
-        let p = &self.params;
-        let mut states_explored = 0u64;
-        let mut transition_ops = 0u64;
-
-        // All step-kernel scratch — survivors, fold buffers, the
-        // ping-pong frontier — is allocated once per decode and reused
-        // across ticks.
-        let mut arena = TrellisArena::new();
-
-        // Per-tick slices, retained for backtracking (no clones: the loop
-        // below reads the previous tick's slices in place).
-        let mut slices: Vec<(Slice, Slice)> = Vec::with_capacity(ticks.len());
-        {
-            let mut s1 = Slice::default();
-            let mut s2 = Slice::default();
-            fill_slice(p, &ticks[0], 0, &mut arena.step.macro_ids, &mut s1);
-            fill_slice(p, &ticks[0], 1, &mut arena.step.macro_ids, &mut s2);
-            slices.push((s1, s2));
-        }
-        states_explored += (slices[0].0.len() * slices[0].1.len()) as u64;
-
-        // V flattened as j1 * |S2| + j2.
-        let mut v: Vec<f64> = Vec::new();
-        joint_init_into(p, &slices[0].0, &slices[0].1, &mut v);
-
-        // Backpointers per tick (index into the previous tick's flattened
-        // joint trellis).
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-
-        for tick in ticks.iter().skip(1) {
-            let mut cur1 = Slice::default();
-            let mut cur2 = Slice::default();
-            fill_slice(p, tick, 0, &mut arena.step.macro_ids, &mut cur1);
-            fill_slice(p, tick, 1, &mut arena.step.macro_ids, &mut cur2);
-            let (prev1, prev2) = slices.last().expect("nonempty");
-            states_explored += (cur1.len() * cur2.len()) as u64;
-            transition_ops += joint_step_charge(prev1, prev2, &cur1, &cur2);
-
-            let mut back = Vec::new();
-            joint_step_exact_into(p, prev1, prev2, &v, &cur1, &cur2, &mut arena, &mut back);
-            arena.swap_frontier(&mut v);
-            backptrs.push(back);
-            slices.push((cur1, cur2));
-        }
-
-        // Termination: best final joint state (last-argmax, like the
-        // historical `max_by` termination).
-        let m2_last = slices.last().expect("nonempty").1.len();
-        let (mut flat, log_prob) = scalar::argmax(&v);
-
-        // Backtrack.
-        let t_total = ticks.len();
-        let mut macros = [vec![0usize; t_total], vec![0usize; t_total]];
-        let mut micros = [
-            vec![
-                MicroCandidate {
-                    postural: 0,
-                    gestural: None,
-                    location: 0,
-                    obs_loglik: 0.0
-                };
-                t_total
-            ],
-            vec![
-                MicroCandidate {
-                    postural: 0,
-                    gestural: None,
-                    location: 0,
-                    obs_loglik: 0.0
-                };
-                t_total
-            ],
-        ];
-        let mut m2_cur = m2_last;
-        for t in (0..t_total).rev() {
-            let (s1_slice, s2_slice) = &slices[t];
-            let j1 = flat / m2_cur;
-            let j2 = flat % m2_cur;
-            macros[0][t] = s1_slice.activities[j1];
-            macros[1][t] = s2_slice.activities[j2];
-            micros[0][t] = ticks[t].candidates[0][s1_slice.cands[j1]];
-            micros[1][t] = ticks[t].candidates[1][s2_slice.cands[j2]];
-            if t > 0 {
-                flat = backptrs[t][flat] as usize;
-                m2_cur = slices[t - 1].1.len();
-            }
-        }
-
-        Ok(JointPath {
-            macros,
-            micros,
-            log_prob,
-            states_explored,
-            transition_ops,
-        })
+        online.finalize()
     }
 }
 

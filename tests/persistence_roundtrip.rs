@@ -510,3 +510,30 @@ fn v3_stream_snapshots_are_not_engines() {
     let err = CaceEngine::from_snapshot_str(&json).unwrap_err();
     assert!(err.to_string().contains("kind `stream`"), "{err}");
 }
+
+#[test]
+fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+    // 200 000 nested arrays, checksummed: far past the JSON reader's
+    // 128-level nesting limit, which outside bytes must not get round.
+    let text = reseal_text(&format!("header\n{}", "[".repeat(200_000)));
+    let persistence = |result: Result<(), ModelError>| {
+        assert!(
+            matches!(result, Err(ModelError::Persistence { .. })),
+            "{result:?}"
+        )
+    };
+    persistence(read_text(&text).map(drop));
+    persistence(CaceEngine::from_snapshot_str(&text).map(drop));
+    persistence(cace::core::ModelRecord::from_snapshot_str(&text).map(drop));
+    // The router takes imported bytes unread; the first push decodes
+    // them and quarantines the home.
+    let (engine, session) = golden_engine(Strategy::CorrelationConstraint);
+    let mut router = ShardedRouter::new();
+    router.register_model("cace", Arc::new(engine)).unwrap();
+    router.import_home(0, "cace", text.into_bytes()).unwrap();
+    let round = router.push_round(&[(0, &session.ticks[0].observed)]);
+    match round.unwrap().as_slice() {
+        [HomeRound::Failed(ModelError::Persistence { .. })] => {}
+        other => panic!("{other:?}"),
+    }
+}

@@ -419,3 +419,78 @@ proptest! {
         prop_assert!(log64.is_finite());
     }
 }
+
+/// Engine-level accounting contract, recomputed from the engine's own
+/// prepared inputs with no decoder: `states_explored` sums each tick's
+/// state count, `transition_ops` charges each step by the input sizes
+/// (`k1·k2·(m1+m2)` for the coupled strategies, `|S(t−1)|·|S(t)|` per
+/// chain for NH, `⌊√J(t−1)⌋·⌊√J(t)⌋` per user for NCR, where `J` is the
+/// tick's joint state count), and the strategies without correlation
+/// pruning report the mean joint state count as their joint size. The
+/// decoded macros match the naive references, as above.
+#[test]
+fn engine_accounting_matches_the_input_sizes() {
+    for seed in [3, 4] {
+        let (train, test) = tiny_corpus(3, 50, seed);
+        for strategy in Strategy::ALL {
+            let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+            let session = &test[0];
+            let rec = engine.recognize(session).expect("recognize");
+            let inputs = engine.tick_inputs(session);
+            let params = engine.hdbn_params().as_ref();
+            let n_macro = engine.n_macro();
+            let label = format!("{strategy} seed {seed}");
+            // Per tick and user: (allowed macros, candidates).
+            let dims = |t: &TickInput, u: usize| -> (u64, u64) {
+                let macros = t.macro_candidates[u].as_ref().map_or(n_macro, |m| m.len());
+                (macros as u64, t.candidates[u].len() as u64)
+            };
+            let chain = |t: &TickInput, u: usize| {
+                let (m, c) = dims(t, u);
+                m * c
+            };
+            let (states, ops): (u64, u64) = match strategy {
+                Strategy::NaiveConstraint | Strategy::CorrelationConstraint => {
+                    let (naive_macros, _) = naive_coupled_viterbi(params, &inputs);
+                    assert_eq!(rec.macros, naive_macros, "{label}");
+                    let joint = |t: &TickInput| (chain(t, 0), chain(t, 1));
+                    let states = inputs.iter().map(|t| chain(t, 0) * chain(t, 1)).sum();
+                    let ops = inputs
+                        .windows(2)
+                        .map(|w| {
+                            let ((k1, k2), (m1, m2)) = (joint(&w[0]), joint(&w[1]));
+                            k1 * k2 * (m1 + m2)
+                        })
+                        .sum();
+                    (states, ops)
+                }
+                Strategy::NaiveCorrelation => {
+                    for user in 0..2 {
+                        let (naive_macros, _) = naive_single_viterbi(params, &inputs, user);
+                        assert_eq!(rec.macros[user], naive_macros, "{label}");
+                    }
+                    let root = |t: &TickInput| (t.joint_states(n_macro) as f64).sqrt() as u64;
+                    let states = inputs.iter().map(|t| chain(t, 0) + chain(t, 1)).sum();
+                    let ops: u64 = inputs.windows(2).map(|w| root(&w[0]) * root(&w[1])).sum();
+                    (states, 2 * ops)
+                }
+                Strategy::NaiveHmm => {
+                    // NH ignores macro restrictions: every macro × candidate.
+                    let flat = |t: &TickInput, u: usize| n_macro as u64 * dims(t, u).1;
+                    let states = inputs.iter().map(|t| flat(t, 0) + flat(t, 1)).sum();
+                    let ops = inputs
+                        .windows(2)
+                        .map(|w| (0..2).map(|u| flat(&w[0], u) * flat(&w[1], u)).sum::<u64>())
+                        .sum();
+                    (states, ops)
+                }
+            };
+            assert_eq!(rec.states_explored, states, "{label}");
+            assert_eq!(rec.transition_ops, ops, "{label}");
+            if !strategy.uses_correlation_pruning() {
+                let sizes: f64 = inputs.iter().map(|t| t.joint_states(n_macro) as f64).sum();
+                assert_eq!(rec.mean_joint_size, sizes / inputs.len() as f64, "{label}");
+            }
+        }
+    }
+}
