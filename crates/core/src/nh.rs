@@ -197,8 +197,8 @@ struct FlatEntry {
 }
 
 impl TrellisEntry for FlatEntry {
-    fn back(&self) -> &[u32] {
-        &self.back
+    fn back_of(&self, j: usize) -> usize {
+        self.back[j] as usize
     }
 }
 
@@ -210,6 +210,7 @@ struct FlatFamily<'a> {
 
 impl TrellisFamily for FlatFamily<'_> {
     type Entry = FlatEntry;
+    type Frontier = Vec<f64>;
 
     fn init(&self, entry: &mut FlatEntry, v: &mut Vec<f64>) {
         let FlatEntry { states, emit, back } = entry;
@@ -221,8 +222,9 @@ impl TrellisFamily for FlatFamily<'_> {
     fn step(
         &self,
         prev: &FlatEntry,
-        v: &[f64],
+        v: &Vec<f64>,
         entry: &mut FlatEntry,
+        next: &mut Vec<f64>,
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
         let FlatEntry { states, emit, back } = entry;
@@ -237,6 +239,7 @@ impl TrellisFamily for FlatFamily<'_> {
             arena,
             back,
         );
+        arena.swap_frontier(next);
         ((states.len() * prev.states.len()) as u64, survivors)
     }
 }

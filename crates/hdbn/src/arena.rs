@@ -8,8 +8,15 @@
 //! whole-session decode is a stream too), reused across ticks**, so the steady-state hot
 //! loop of a warmed online decoder performs zero heap allocations per
 //! pushed tick (`tests/alloc_steady_state.rs` counts them). The
-//! dominance survivor list and the joint kernel's survivor-group buffers
-//! (`JointScratch`) live here too, as arena fields.
+//! dominance survivor list (with the joint survivors' scores) and the
+//! joint kernel's survivor-group and selection buffers (`JointScratch`)
+//! live here too, as arena fields.
+//!
+//! The coupled step writes no per-state buffer here. Its pass-2 fold
+//! lands in the next [`JointFrontier`](crate::viterbi::JointFrontier)
+//! (which the online core ping-pongs like this arena's `v_next`), and its
+//! backpointers, one per slot pair, in the window entry. `v_next` is the
+//! chain and NH kernels' dense next frontier.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
 //! `(activity, micro-candidate)` pairs — and carries, per state, the
@@ -158,14 +165,15 @@ pub(crate) fn fill_slice(
 }
 
 /// Step-kernel scratch: the fold buffers every DP step writes through,
-/// plus the ping-pong frontier the steps emit into. Split from the
+/// plus the ping-pong frontier the chain-shaped steps emit into. Split
+/// from the
 /// survivor list so a caller can hold the survivors and the step buffers
 /// mutably at the same time.
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
     /// Survivor joint-step group buffers.
     pub(crate) joint: JointScratch,
-    /// Chain-2 dominance column of a joint survivor selection.
+    /// The chain-2 slots' `D` terms of a joint survivor selection.
     pub(crate) dom_col: Vec<f64>,
     /// Allowed-macro scratch for [`fill_slice`].
     pub(crate) macro_ids: Vec<usize>,
@@ -175,10 +183,6 @@ pub struct StepScratch {
     /// per-distinct-pair fold.
     pub(crate) w: Vec<f64>,
     pub(crate) w_arg: Vec<u32>,
-    /// Pass-2 joint fold `V''[slot1, slot2]` (per distinct dst pair of
-    /// both chains) and its full-frontier backpointer.
-    pub(crate) w2: Vec<f64>,
-    pub(crate) w2_arg: Vec<u32>,
     /// Per-(source, activity-run) maxima of a fold-source vector and
     /// their first argmax — the switch-candidate cache the low-rank fold
     /// uses (one candidate per run instead of one per state).
@@ -187,16 +191,9 @@ pub struct StepScratch {
     /// Activity runs of a survivor list (`(activity, start, end)`
     /// half-open into `keep`), rebuilt per survivor step.
     pub(crate) runs_scratch: Vec<(u32, u32, u32)>,
-    /// Ping-pong frontier: kernels write the new frontier here; the caller
-    /// swaps it with its live frontier vector.
+    /// Ping-pong frontier: the chain-shaped kernels write the new frontier
+    /// here; the caller swaps it with its live frontier vector.
     pub(crate) v_next: Vec<f64>,
-    /// Pass-2 per-`slot2` running argmax (a survivor group) of the
-    /// current `slot1` row.
-    pub(crate) acc_arg: Vec<u32>,
-    /// Fan-out coupling row of the current chain-1 activity:
-    /// `crow[j2] = g(a1, activities2[j2])`, materialized once per chain-1
-    /// run so the fan-out inner loop is a single contiguous zip.
-    pub(crate) crow: Vec<f64>,
     /// Log-sum-exp term accumulator (forward–backward, EM).
     pub(crate) terms: Vec<f64>,
 }
@@ -222,6 +219,9 @@ pub struct TrellisArena {
     /// (its own field so it can be read while the step scratch is
     /// borrowed mutably).
     pub(crate) keep: Vec<u32>,
+    /// The joint survivors' frontier scores, in `keep` order (the joint
+    /// selection evaluates them from the slot-factored frontier).
+    pub(crate) keep_v: Vec<f64>,
     /// Fold buffers and ping-pong frontier.
     pub(crate) step: StepScratch,
 }

@@ -22,7 +22,8 @@
 //! ```
 //!
 //! (one `D` term for the chain and NH families) and run the survivor-list
-//! kernel over them. The step stays exact: frontier bits and
+//! kernel over them; the coupled selection works slot pair by slot pair
+//! (see below). The step stays exact: frontier bits and
 //! backpointers equal those of the same kernel over the whole frontier,
 //! which `tests/dominance_differential.rs` checks state by state against
 //! the naive references `cace_testkit::toy::{naive_step,
@@ -71,6 +72,39 @@
 //! * **Destinations nobody reaches.** A destination whose every candidate
 //!   scores `−∞` gets backpointer 0, whichever survivors were folded.
 //!
+//! # The coupled frontier, slot pair by slot pair
+//!
+//! The coupled decoders hold their frontier factored per destination slot
+//! pair ([`JointFrontier`]): state `(j1, j2)` scores
+//! `w[s1, s2] + ((f1[j1] + f2[j2]) + g)`, and every state of a slot pair
+//! shares `w`, `g` and — its pair ids being the slots' — both `D` terms.
+//! The joint selection (`select_joint`) and the frontier's maxima never
+//! visit the `m1·m2` states. They rest on one fact: IEEE rounding is
+//! monotone (`a ≤ a′ ⇒ fl(a + c) ≤ fl(a′ + c)`), so a sum evaluated in a
+//! member's own operation order with larger operands bounds that member's
+//! sum.
+//!
+//! * A slot pair's `top`, `w + ((F1max + F2max) + g)` over its slots'
+//!   largest offsets, is at least every member's score, and it *is* the
+//!   score of the member holding both largest offsets, bit for bit. The
+//!   frontier maximum is the largest `top`, and the first and last
+//!   maxima are found among the members of the slot pairs whose `top`
+//!   equals it.
+//! * The per-state bound `(v + D₁) + D₂` of every member is at most
+//!   `(top + D₁) + D₂`, and that is at most `(row_top + D₁) + max D₂`
+//!   for the row of slot pairs sharing `s1`. A row or slot pair whose
+//!   bound falls below the cut holds no survivor; the members of the rest
+//!   are tested one by one, with the test above.
+//!
+//! These bounds need no slack of their own: they are not estimates of
+//! the members' rounded bounds but upper bounds on them, exact in floating
+//! point. NaN needs one more step. A sum that becomes NaN stays NaN, and
+//! NaN arises only from `∞ − ∞`; if a bound turns NaN at one of its
+//! additions, every member's own bound is `−∞` or NaN from there on, so
+//! failing the `≥` test drops nothing. A `top` is NaN only when the two
+//! largest offsets meet an infinity of the other sign, which no finite
+//! input produces; the slot pair's members are then scanned.
+//!
 //! # Accounting
 //!
 //! Selection changes how much work a step does, not what the overhead
@@ -83,6 +117,7 @@
 use crate::arena::Slice;
 use crate::scalar::fold_max;
 use crate::trellis::StateSpace;
+use crate::viterbi::JointFrontier;
 
 /// Scale of the selection slack relative to `|v(b)| + 4t` — see the
 /// [module docs](self) for the derivation (`2⁻⁴⁴`).
@@ -138,14 +173,14 @@ impl Dominance {
     }
 
     /// The column `D[·][b]`, indexed by source pair id.
-    fn against(&self, b: u32) -> &[f64] {
+    pub fn against(&self, b: u32) -> &[f64] {
         &self.against[b as usize * self.n..][..self.n]
     }
 
     /// The keep threshold `v(b) − slack` for a frontier maximum `best`,
     /// or `None` when every state must be kept: no finite maximum, or
     /// magnitudes so large that a kernel sum could overflow.
-    fn cut(&self, best: f64) -> Option<f64> {
+    pub fn cut(&self, best: f64) -> Option<f64> {
         let scale = best.abs() + 4.0 * self.t_max;
         (best.is_finite() && scale <= f64::MAX / 16.0).then_some(best - SLACK * scale)
     }
@@ -168,69 +203,75 @@ impl Dominance {
         }
     }
 
-    /// [`select`](Self::select) for the coupled joint frontier
-    /// `v[j1 * |prev2| + j2]`, with one `D` term per chain. `d2` is
-    /// scratch for the chain-2 column.
+    /// [`select`](Self::select) for a coupled [`JointFrontier`] over the
+    /// states of `prev1 × prev2`, with one `D` term per chain, slot pair
+    /// by slot pair: a chain-1 slot's row is skipped when its bound
+    /// `(row_top + D₁) + max D₂` fails the cut, a slot pair when
+    /// `(top + D₁) + D₂` does, and only the members of the slot pairs that
+    /// pass are tested one by one. Writes the survivors ascending into
+    /// `keep` and their scores into `keep_v`; `d2` holds the chain-2 slots'
+    /// `D` terms and `found` the survivors before their sort.
+    ///
+    /// Every state of a slot shares its pair id, so `D` is per slot, and a
+    /// slot pair's `top` is its largest score: the bounds are the members'
+    /// own rounded sums with larger operands, and rounding is monotone, so
+    /// they need no slack of their own (see the [module docs](self)).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn select_joint(
         &self,
         prev1: &Slice,
         prev2: &Slice,
-        v: &[f64],
+        v: &JointFrontier,
         d2: &mut Vec<f64>,
+        found: &mut Vec<(u32, f64)>,
         keep: &mut Vec<u32>,
+        keep_v: &mut Vec<f64>,
     ) {
         keep.clear();
-        let (best, b) = fold_max(v);
+        keep_v.clear();
+        let [a1, a2] = &v.axes;
+        let k2 = a2.len();
+        let (b, best) = v.first_max();
         let Some(cut) = self.cut(best) else {
-            keep.extend(0..v.len() as u32);
+            for j in 0..v.len() {
+                keep.push(j as u32);
+                keep_v.push(v.value(j / k2, j % k2));
+            }
             return;
         };
-        let k2 = prev2.len();
-        let (b1, b2) = (b as usize / k2, b as usize % k2);
-        let col1 = self.against(prev1.pairs[b1]);
-        let col2 = self.against(prev2.pairs[b2]);
+        let col1 = self.against(prev1.pairs[b / k2]);
+        let col2 = self.against(prev2.pairs[b % k2]);
+        // Every state of a slot has the slot's pair id.
+        let slot_d =
+            |col: &[f64], prev: &Slice, first: u32| col[prev.pairs[first as usize] as usize];
         d2.clear();
-        d2.extend(prev2.pairs.iter().map(|&q| col2[q as usize]));
-        for (j1, row) in v.chunks_exact(k2).enumerate() {
-            let d1 = col1[prev1.pairs[j1] as usize];
-            // Most rows hold no survivor: a lane-folded row maximum of the
-            // bound rules them out before the per-state scan.
-            if row_max_bound(row, d1, d2) < cut {
-                continue;
-            }
-            let base = (j1 * k2) as u32;
-            for (j2, (&x, &dd)) in row.iter().zip(d2.iter()).enumerate() {
-                if (x + d1) + dd >= cut {
-                    keep.push(base + j2 as u32);
+        d2.extend(a2.first.iter().map(|&j| slot_d(col2, prev2, j)));
+        let d2_max = d2
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &d| if d > m { d } else { m });
+        found.clear();
+        // A NaN bound fails every test, and rightly: it is `∞ − ∞`, which
+        // leaves each member's own bound at `−∞` or NaN.
+        for (s1, &row_top) in v.row_top.iter().enumerate() {
+            let d1 = slot_d(col1, prev1, a1.first[s1]);
+            if (row_top + d1) + d2_max >= cut {
+                let pass = |&(s2, &dd): &(usize, &f64)| (v.top(s1, s2) + d1) + dd >= cut;
+                for (s2, &dd) in d2.iter().enumerate().filter(pass) {
+                    for j1 in a1.members(s1) {
+                        for j2 in a2.members(s2) {
+                            let x = v.value(j1, j2);
+                            if (x + d1) + dd >= cut {
+                                found.push(((j1 * k2 + j2) as u32, x));
+                            }
+                        }
+                    }
                 }
             }
         }
+        found.sort_unstable_by_key(|&(j, _)| j);
+        keep.extend(found.iter().map(|&(j, _)| j));
+        keep_v.extend(found.iter().map(|&(_, x)| x));
     }
-}
-
-/// `max over j of (row[j] + d1) + d2[j]`, 8-wide (NaN bounds never win),
-/// with the per-state bound's exact operation order.
-#[inline(never)]
-fn row_max_bound(row: &[f64], d1: f64, d2: &[f64]) -> f64 {
-    const LANES: usize = 8;
-    let mut acc = [f64::NEG_INFINITY; LANES];
-    let (row_chunks, row_tail) = row.split_at(row.len() / LANES * LANES);
-    let (d2_chunks, d2_tail) = d2.split_at(row_chunks.len());
-    for (xs, ds) in row_chunks
-        .chunks_exact(LANES)
-        .zip(d2_chunks.chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            let b = (xs[l] + d1) + ds[l];
-            acc[l] = if b > acc[l] { b } else { acc[l] };
-        }
-    }
-    let mut best = f64::NEG_INFINITY;
-    for (&x, &dd) in row_tail.iter().zip(d2_tail) {
-        let b = (x + d1) + dd;
-        best = if b > best { b } else { best };
-    }
-    acc.into_iter().fold(best, |m, b| if b > m { b } else { m })
 }
 
 #[cfg(test)]

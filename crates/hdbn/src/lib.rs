@@ -31,7 +31,9 @@
 //! candidate-space pruning, every DP step is *dominance-pruned*: a
 //! per-model bound proves most frontier states cannot win any destination,
 //! and the step folds only the rest, with output bit-identical to the
-//! full-frontier recursion — see [`dominance`].
+//! full-frontier recursion — see [`dominance`]. The coupled decoders never
+//! materialize their joint frontier: it is held per destination slot pair
+//! ([`JointFrontier`]) and a state's score is evaluated when asked for.
 //!
 //! The hot path is memory-engineered on two axes. *Scoring*: every decoder
 //! reads transition/emission factors from the dense precomputed
@@ -79,7 +81,7 @@ pub use park::{ParkedChain, ParkedCoupled};
 pub use single::SingleHdbn;
 pub use tables::ScoreTables;
 pub use trellis::{
-    Dest, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
+    Dest, Frontier, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
     TrellisFamily,
 };
-pub use viterbi::{joint_step, CoupledHdbn, JointPath, JointStep};
+pub use viterbi::{joint_step, joint_step_from, CoupledHdbn, JointFrontier, JointPath, JointStep};

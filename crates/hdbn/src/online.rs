@@ -6,6 +6,10 @@
 //! joint state — plus a backpointer window, and advance it by one DP step
 //! per pushed tick: `O(|S1||S2|(|S1|+|S2|))` for the coupled chain,
 //! `O(|S|²)` for a single chain, *without* re-decoding the growing prefix.
+//! The coupled decoder holds its frontier and backpointer rows per
+//! destination slot pair ([`JointFrontier`]); a park materializes both,
+//! one score and one backpointer per joint state, and a resume folds them
+//! back.
 //!
 //! Smoothing is controlled by a [`Lag`]:
 //!
@@ -72,7 +76,7 @@ use crate::params::HdbnParams;
 use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
-use crate::viterbi::{self, CoupledHdbn, JointPath};
+use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
@@ -137,8 +141,10 @@ pub struct SmoothedChain {
 struct JointEntry {
     s1: Slice,
     s2: Slice,
-    /// Backpointers into the previous tick's flattened frontier (empty for
-    /// the first tick of the stream).
+    /// Backpointers into the previous tick's flattened frontier, one per
+    /// destination slot pair (`slot₁ * d2 + slot₂`) — every state of a
+    /// slot pair shares its fold — and empty for the first tick of the
+    /// stream.
     back: Vec<u32>,
     /// The tick's candidate tuples, retained so decisions can report
     /// micro states after the [`TickInput`] is gone.
@@ -146,23 +152,26 @@ struct JointEntry {
 }
 
 impl TrellisEntry for JointEntry {
-    fn back(&self) -> &[u32] {
-        &self.back
+    fn back_of(&self, j: usize) -> usize {
+        let m2 = self.s2.len();
+        let (s1, s2) = (self.s1.slots[j / m2], self.s2.slots[j % m2]);
+        self.back[s1 as usize * self.s2.n_slots() + s2 as usize] as usize
     }
 }
 
 /// The coupled family's [`TrellisFamily`] instantiation: the generic
 /// online core drives [`crate::viterbi`]'s bespoke two-pass joint kernels
-/// (see the [`crate::trellis`] module docs for why the joint step stays
-/// specialized).
+/// over a slot-factored [`JointFrontier`] (see the [`crate::trellis`]
+/// module docs for why the joint step stays specialized).
 struct CoupledFamily<'a> {
     p: &'a HdbnParams,
 }
 
 impl TrellisFamily for CoupledFamily<'_> {
     type Entry = JointEntry;
+    type Frontier = JointFrontier;
 
-    fn init(&self, entry: &mut JointEntry, v: &mut Vec<f64>) {
+    fn init(&self, entry: &mut JointEntry, v: &mut JointFrontier) {
         viterbi::joint_init_into(self.p, &entry.s1, &entry.s2, v);
         entry.back.clear();
     }
@@ -170,13 +179,15 @@ impl TrellisFamily for CoupledFamily<'_> {
     fn step(
         &self,
         prev: &JointEntry,
-        v: &[f64],
+        v: &JointFrontier,
         entry: &mut JointEntry,
+        next: &mut JointFrontier,
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
         let JointEntry { s1, s2, back, .. } = entry;
-        let survivors =
-            viterbi::joint_step_exact_into(self.p, &prev.s1, &prev.s2, v, s1, s2, arena, back);
+        let survivors = viterbi::joint_step_exact_into(
+            self.p, &prev.s1, &prev.s2, v, s1, s2, arena, next, back,
+        );
         let ops = viterbi::joint_step_charge(&prev.s1, &prev.s2, s1, s2);
         (ops, survivors)
     }
@@ -190,6 +201,7 @@ struct ChainFamily<'a> {
 
 impl TrellisFamily for ChainFamily<'_> {
     type Entry = ChainEntry;
+    type Frontier = Vec<f64>;
 
     fn init(&self, entry: &mut ChainEntry, v: &mut Vec<f64>) {
         trellis::init_into(&HierModel::new(self.p), &entry.slice, v);
@@ -199,8 +211,9 @@ impl TrellisFamily for ChainFamily<'_> {
     fn step(
         &self,
         prev: &ChainEntry,
-        v: &[f64],
+        v: &Vec<f64>,
         entry: &mut ChainEntry,
+        next: &mut Vec<f64>,
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
         let ChainEntry { slice, back, .. } = entry;
@@ -213,6 +226,7 @@ impl TrellisFamily for ChainFamily<'_> {
             arena,
             back,
         );
+        arena.swap_frontier(next);
         ((prev.slice.len() * slice.len()) as u64, survivors)
     }
 }
@@ -228,7 +242,7 @@ impl TrellisFamily for ChainFamily<'_> {
 pub struct OnlineCoupledViterbi {
     /// The model's shared parameters.
     params: Arc<HdbnParams>,
-    core: OnlineTrellis<JointEntry>,
+    core: OnlineTrellis<JointEntry, JointFrontier>,
 }
 
 /// Decodes one flattened joint state of `entry` into per-user macros and
@@ -337,14 +351,14 @@ impl OnlineCoupledViterbi {
     /// `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
         ParkedCoupled {
-            v: self.core.frontier().to_vec(),
+            v: self.core.frontier().to_dense(),
             window: self
                 .core
                 .entries()
                 .map(|e| ParkedJointEntry {
                     s1: ParkedSlice::from_slice(&e.s1),
                     s2: ParkedSlice::from_slice(&e.s2),
-                    back: e.back.clone(),
+                    back: viterbi::expand_back(&e.back, &e.s1, &e.s2),
                     cands: e.cands.clone(),
                 })
                 .collect(),
@@ -374,21 +388,32 @@ impl OnlineCoupledViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, lag)?;
-        let window: VecDeque<JointEntry> = parked
+        let window = parked
             .window
             .iter()
-            .map(|e| JointEntry {
-                s1: e.s1.to_slice(),
-                s2: e.s2.to_slice(),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
+            .enumerate()
+            .map(|(i, e)| {
+                let (s1, s2) = (e.s1.to_slice(), e.s2.to_slice());
+                let what = format!("parked coupled window[{i}]");
+                Ok(JointEntry {
+                    back: viterbi::fold_back(&what, &e.back, &s1, &s2)?,
+                    s1,
+                    s2,
+                    cands: e.cands.clone(),
+                })
             })
-            .collect();
+            .collect::<Result<VecDeque<JointEntry>, ModelError>>()?;
+        // The parked frontier enters as its trivial factorization; the
+        // next step writes a compact one.
+        let v = match window.back() {
+            Some(e) => JointFrontier::from_dense(&parked.v, e.s1.len(), e.s2.len())?,
+            None => JointFrontier::default(),
+        };
         Ok(Self {
             params,
             core: OnlineTrellis::from_parts(
                 lag,
-                parked.v.clone(),
+                v,
                 window,
                 parked.base,
                 parked.pushed,
@@ -445,8 +470,8 @@ struct ChainEntry {
 }
 
 impl TrellisEntry for ChainEntry {
-    fn back(&self) -> &[u32] {
-        &self.back
+    fn back_of(&self, j: usize) -> usize {
+        self.back[j] as usize
     }
 }
 
@@ -904,6 +929,61 @@ pub(crate) mod tests {
         let mut bad = parked.clone();
         bad.window[0].s1.pairs[0] = u32::MAX; // pair id outside the tables
         assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+    }
+
+    #[test]
+    fn a_back_row_split_inside_a_slot_pair_is_rejected() {
+        use crate::wire::{ByteReader, ByteWriter};
+        // Candidates 0 and 1 share postural 0, so each of their slots holds
+        // two states and each slot pair several joint states.
+        let tick = |strength: f64| {
+            let cands: Vec<MicroCandidate> = (0..3)
+                .map(|c| MicroCandidate {
+                    postural: c / 2,
+                    gestural: Some(0),
+                    location: c % 2,
+                    obs_loglik: -strength * c as f64,
+                })
+                .collect();
+            TickInput {
+                candidates: [cands.clone(), cands],
+                macro_candidates: [None, None],
+                macro_bonus: Vec::new(),
+            }
+        };
+        let model = CoupledHdbn::new(toy_params(true));
+        let mut online = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
+        for t in 0..6 {
+            online.push(&tick(0.5 + t as f64)).unwrap();
+        }
+        let reread = |p: &ParkedCoupled| {
+            let mut w = ByteWriter::new();
+            p.encode_into(&mut w);
+            ParkedCoupled::decode_from(&mut ByteReader::new(&w.into_bytes())).unwrap()
+        };
+        let resume =
+            |p: &ParkedCoupled| OnlineCoupledViterbi::resume(model.clone(), Lag::Fixed(2), p);
+        let parked = online.park();
+        assert!(resume(&reread(&parked)).is_ok());
+
+        // Joint states 0 and 1 are (j1 0, j2 0) and (j1 0, j2 1): one slot
+        // pair, so one backpointer.
+        let mut bad = parked.clone();
+        let last = bad.window.len() - 1;
+        let back = &mut bad.window[last].back;
+        assert_eq!(back[0], back[1]);
+        back[1] = u32::from(back[0] == 0);
+        assert!(matches!(
+            resume(&reread(&bad)),
+            Err(ModelError::Persistence { .. })
+        ));
+
+        let mut bad = parked.clone();
+        bad.window[0].back.push(0); // neither empty nor one per state
+        assert!(matches!(
+            resume(&reread(&bad)),
+            Err(ModelError::Persistence { .. })
+        ));
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! frontier, the backpointer window with its per-tick slices and retained
 //! candidate tuples, the decision cursor (`base`/`pushed`), and the
 //! overhead counters. Decisions already emitted are the caller's: a park
-//! holds `O(lag)` state, whatever the stream's age.
+//! holds `O(lag)` state, whatever the stream's age. The coupled decoder's
+//! frontier and backpointer rows live per destination slot pair; its park
+//! holds them per joint state (the frontier materialized, each row
+//! expanded), and resume takes the parked frontier as its trivial
+//! factorization and folds each row back, rejecting one whose states of a
+//! slot pair disagree.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
 //! the entry free list and the [`TrellisArena`](crate::TrellisArena)

@@ -9,8 +9,8 @@
 //! reliably turns into SIMD: explicit 8-wide accumulator arrays over
 //! contiguous slices (no nightly `std::simd`).
 //!
-//! The four row sweeps of the joint kernel (`sweep_max`, `sweep_add_max`,
-//! `sweep_add_max_arg`, `sweep_max_arg`) phrase their compare/select
+//! The two row sweeps of the joint kernel (`sweep_add_max_arg`,
+//! `sweep_max_arg`) phrase their compare/select
 //! as *integer mask arithmetic* — every store unconditional — which the
 //! loop vectorizer turns into packed compare + blend (`cmpnltpd`/`maxpd`
 //! plus a narrowed mask for the `u32` args); a branchy select form
@@ -21,38 +21,10 @@
 //! into the large step kernel the vectorizer loses them and falls back to
 //! scalar code.
 
-/// Compare-and-select max sweep: `acc[i] = max(acc[i], src[i])` with
-/// `arg[i]` set to the broadcast `j` wherever `src` strictly wins — the
-/// row-wise accumulation primitive of the joint kernel's run caches.
-#[inline(never)]
-pub(crate) fn sweep_max(src: &[f64], j: u32, acc: &mut [f64], arg: &mut [u32]) {
-    for ((&x, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-        let take = x > *a;
-        let m = (take as u64).wrapping_neg();
-        let m32 = (take as u32).wrapping_neg();
-        *r = (j & m32) | (*r & !m32);
-        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-    }
-}
-
-/// [`sweep_max`] with a broadcast addend: `acc[i] = max(acc[i], src[i] +
-/// g)` — the continue-run shape (one transition score per source state,
-/// swept across a destination row).
-#[inline(never)]
-pub(crate) fn sweep_add_max(src: &[f64], g: f64, j: u32, acc: &mut [f64], arg: &mut [u32]) {
-    for ((&v, a), r) in src.iter().zip(acc.iter_mut()).zip(arg.iter_mut()) {
-        let x = v + g;
-        let take = x > *a;
-        let m = (take as u64).wrapping_neg();
-        let m32 = (take as u32).wrapping_neg();
-        *r = (j & m32) | (*r & !m32);
-        *a = f64::from_bits((x.to_bits() & m) | (a.to_bits() & !m));
-    }
-}
-
-/// [`sweep_add_max`] taking the winning argmax per element from `src_arg`
-/// instead of a broadcast — the switch-run shape (each element carries
-/// the first-argmax of its cached run maximum).
+/// Compare-and-select max sweep with a broadcast addend:
+/// `acc[i] = max(acc[i], src[i] + g)`, with `arg[i]` taken from
+/// `src_arg[i]` wherever the sum strictly wins — a source row swept
+/// across a destination row against one transition score.
 #[inline(never)]
 pub(crate) fn sweep_add_max_arg(
     src: &[f64],
@@ -76,9 +48,10 @@ pub(crate) fn sweep_add_max_arg(
     }
 }
 
-/// [`sweep_max`] taking the winning argmax per element from `src_arg` —
-/// merges one partial fold (`src`, `src_arg`) into another with strict
-/// `>`, which equals continuing the fold over the partial's candidates.
+/// [`sweep_add_max_arg`] with no addend: `acc[i] = max(acc[i], src[i])`
+/// — accumulates a run cache, and merges one partial fold (`src`,
+/// `src_arg`) into another with strict `>`, which equals continuing the
+/// fold over the partial's candidates.
 #[inline(never)]
 pub(crate) fn sweep_max_arg(src: &[f64], src_arg: &[u32], acc: &mut [f64], arg: &mut [u32]) {
     for (((&x, &ja), a), r) in src

@@ -31,8 +31,14 @@
 //! frontier, the bounded backpointer window with its pooled free
 //! list, the decision cursor, and the overhead counters — written once —
 //! and each family supplies a [`TrellisFamily`] impl that maps a window
-//! entry onto the kernels. [`forward_backward`] is the single scaled
-//! alpha/beta recursion, parameterized over [`PosteriorModel`].
+//! entry onto the kernels. The frontier's type is the family's
+//! ([`Frontier`]): the chain and NH families hold one dense score per
+//! state, the coupled family a
+//! [`JointFrontier`](crate::viterbi::JointFrontier) factored per slot pair
+//! that is never materialized; the core only asks a frontier for its
+//! argmax, and a window entry for one state's backpointer.
+//! [`forward_backward`] is the single scaled alpha/beta recursion,
+//! parameterized over [`PosteriorModel`].
 //!
 //! # Tie-breaking contract
 //!
@@ -40,7 +46,8 @@
 //! strict-`>` first-argmax, and each same-group switch run collapses to
 //! its first-maximum source plus the switch constant (the *run collapse*
 //! of [`step_pruned_into`]). The frontier termination argmax is the
-//! last-max [`argmax`]. Dominance only removes sources that cannot win, so
+//! last-max [`argmax`] (the coupled frontier finds the same state slot
+//! pair by slot pair). Dominance only removes sources that cannot win, so
 //! a pruned step equals the full-frontier step bit for bit (see
 //! [`crate::dominance`]).
 
@@ -271,7 +278,7 @@ pub fn step_into<Sp: StateSpace, M: ScoreModel>(
     arena: &mut TrellisArena,
     back: &mut Vec<u32>,
 ) -> usize {
-    let TrellisArena { keep, step } = arena;
+    let TrellisArena { keep, step, .. } = arena;
     dom.select(prev, v, keep);
     step_pruned_into(model, prev, v, keep, cur, step, back);
     keep.len()
@@ -428,9 +435,24 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
 /// ripened tick, the entry (buffers and all) goes to the free list and
 /// the next push refills it in place.
 pub trait TrellisEntry: Default {
-    /// Backpointers into the previous tick's frontier (empty for the
-    /// first tick of a stream).
-    fn back(&self) -> &[u32];
+    /// Backpointer of state `j`: its predecessor in the previous tick's
+    /// frontier. Never asked of a stream's first tick.
+    fn back_of(&self, j: usize) -> usize;
+}
+
+/// A live frontier, as the online core sees it: the chain families hold
+/// one dense score per state (`Vec<f64>`), the coupled family a
+/// slot-factored [`JointFrontier`](crate::viterbi::JointFrontier).
+pub trait Frontier: Default {
+    /// `(state, score)` of the last maximum — the termination argmax every
+    /// backtrack starts from (see [`argmax`]).
+    fn argmax(&self) -> (usize, f64);
+}
+
+impl Frontier for Vec<f64> {
+    fn argmax(&self) -> (usize, f64) {
+        scalar::argmax(self)
+    }
 }
 
 /// One decoder family plugged into the online core: how a window entry is
@@ -438,20 +460,24 @@ pub trait TrellisEntry: Default {
 pub trait TrellisFamily {
     /// The family's window-entry type.
     type Entry: TrellisEntry;
+    /// The family's frontier type.
+    type Frontier: Frontier;
 
     /// Initializes the frontier from the stream's first entry (and clears
     /// the entry's backpointers).
-    fn init(&self, entry: &mut Self::Entry, v: &mut Vec<f64>);
+    fn init(&self, entry: &mut Self::Entry, v: &mut Self::Frontier);
 
-    /// One exact DP step from `prev` into `entry` — dominance selection
-    /// plus the survivor-list kernel; the new frontier lands in the arena.
-    /// Returns the step's transition-op charge under the dense accounting
-    /// convention, and the number of source states the kernel folded.
+    /// One exact DP step from `prev` (with frontier `v`) into `entry` —
+    /// dominance selection plus the survivor-list kernel; the new frontier
+    /// lands in `next`. Returns the step's transition-op charge under the
+    /// dense accounting convention, and the number of source states the
+    /// kernel folded.
     fn step(
         &self,
         prev: &Self::Entry,
-        v: &[f64],
+        v: &Self::Frontier,
         entry: &mut Self::Entry,
+        next: &mut Self::Frontier,
         arena: &mut TrellisArena,
     ) -> (u64, usize);
 }
@@ -464,10 +490,13 @@ pub trait TrellisFamily {
 /// [`crate::OnlineSingleViterbi`], and `cace-core`'s NH frontier) wraps
 /// one of these plus its family-specific decision/emission bookkeeping.
 #[derive(Debug, Clone)]
-pub struct OnlineTrellis<E> {
+pub struct OnlineTrellis<E, F = Vec<f64>> {
     lag: Lag,
     /// Live frontier.
-    v: Vec<f64>,
+    v: F,
+    /// The frontier a step writes, swapped with `v` after it (pooled like
+    /// the arena).
+    next: F,
     /// Backpointer window: entries for ticks `base .. pushed`.
     window: VecDeque<E>,
     /// Recycled window entries (see [`TrellisEntry`]).
@@ -485,12 +514,13 @@ pub struct OnlineTrellis<E> {
     last_survivors: Option<usize>,
 }
 
-impl<E: TrellisEntry> OnlineTrellis<E> {
+impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     /// An empty stream with the given smoothing lag.
     pub fn new(lag: Lag) -> Self {
         Self {
             lag,
-            v: Vec::new(),
+            v: F::default(),
+            next: F::default(),
             window: VecDeque::new(),
             free: Vec::new(),
             base: 0,
@@ -507,7 +537,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     /// allocations).
     pub fn from_parts(
         lag: Lag,
-        v: Vec<f64>,
+        v: F,
         window: VecDeque<E>,
         base: usize,
         pushed: usize,
@@ -517,6 +547,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         Self {
             lag,
             v,
+            next: F::default(),
             window,
             free: Vec::new(),
             base,
@@ -579,7 +610,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     }
 
     /// The live frontier.
-    pub fn frontier(&self) -> &[f64] {
+    pub fn frontier(&self) -> &F {
         &self.v
     }
 
@@ -604,9 +635,9 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     /// step (init on the first tick) and charging `n_states` to the
     /// exploration counter. The caller follows up with
     /// [`emit_ready`](Self::emit_ready).
-    pub fn push_entry<F>(&mut self, family: &F, mut entry: E, n_states: u64)
+    pub fn push_entry<Fam>(&mut self, family: &Fam, mut entry: E, n_states: u64)
     where
-        F: TrellisFamily<Entry = E>,
+        Fam: TrellisFamily<Entry = E, Frontier = F>,
     {
         self.states_explored = self.states_explored.saturating_add(n_states);
         match self.window.back() {
@@ -615,10 +646,11 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
                 self.last_survivors = None;
             }
             Some(prev) => {
-                let (ops, survivors) = family.step(prev, &self.v, &mut entry, &mut self.arena);
+                let (ops, survivors) =
+                    family.step(prev, &self.v, &mut entry, &mut self.next, &mut self.arena);
                 self.transition_ops = self.transition_ops.saturating_add(ops);
                 self.last_survivors = Some(survivors);
-                self.arena.swap_frontier(&mut self.v);
+                std::mem::swap(&mut self.v, &mut self.next);
             }
         }
         self.window.push_back(entry);
@@ -631,7 +663,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     /// Panics if no tick was ever pushed (an empty frontier); the
     /// decoders check that before they ask (see [`argmax`]).
     pub fn frontier_argmax(&self) -> (usize, f64) {
-        scalar::argmax(&self.v)
+        self.v.argmax()
     }
 
     /// Walks the backpointer window from the current frontier argmax down
@@ -639,7 +671,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
     pub fn state_at(&self, idx: usize) -> usize {
         let (mut j, _) = self.frontier_argmax();
         for i in (idx + 1..self.window.len()).rev() {
-            j = self.window[i].back()[j] as usize;
+            j = self.window[i].back_of(j);
         }
         j
     }
@@ -689,7 +721,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
             let entry = &self.window[idx];
             tail.push(decide(entry, j));
             if idx > 0 {
-                j = entry.back()[j] as usize;
+                j = entry.back_of(j);
             }
         }
         tail.reverse();

@@ -1,7 +1,7 @@
 //! Joint Viterbi decoding of the loosely-coupled two-chain HDBN: the joint
-//! step kernel, and [`CoupledHdbn::viterbi`], which decodes a whole session
-//! by pushing it through an [`OnlineCoupledViterbi`] under
-//! [`Lag::Unbounded`].
+//! step kernel, the slot-factored [`JointFrontier`] it writes, and
+//! [`CoupledHdbn::viterbi`], which decodes a whole session by pushing it
+//! through an [`OnlineCoupledViterbi`] under [`Lag::Unbounded`].
 //!
 //! The joint transition kernel decomposes as
 //! `f1(s1, s1′) + f2(s2, s2′) + g(a1, a2)` — per-chain hierarchical
@@ -13,7 +13,7 @@
 //! Both passes share two memoizations:
 //!
 //! 1. A fold depends on the destination state only through its pair id —
-//!    computed once per *distinct* pair (slot), fanned out.
+//!    computed once per *distinct* pair (slot).
 //! 2. **Run collapse.** Switch transitions are postural-independent, so
 //!    each same-activity run of sources contributes one candidate: its
 //!    first-maximum source plus the switch score. Same-activity sources
@@ -23,12 +23,33 @@
 //!    sums with the switch score round equal are a tie to a per-state scan
 //!    but not to the collapse, which names the run's maximum.
 //!
-//! On top of that, every step is dominance-pruned ([`crate::dominance`]):
-//! a source state whose bound shows it cannot win any destination is not
-//! folded at all, and the survivor kernel `joint_step_pruned_into` folds
-//! the rest — the whole frontier when nothing can be pruned. The decode
-//! stays exact, and on CASAS-sized frontiers the survivors are a fraction
-//! of a percent of the states. [`joint_step`] exposes one step for the
+//! # The frontier is never materialized
+//!
+//! The fold of pass 2 is one value `w[s1, s2]` per destination slot pair,
+//! and a joint state's score is that value plus its own emissions and
+//! coupling: `v(j1, j2) = w[s1, s2] + ((e1[j1] + e2[j2]) + g(a1, a2))`.
+//! The step keeps exactly that — a [`JointFrontier`] of `d1 · d2` slot-pair
+//! folds plus the two chains' offsets — and evaluates a state's score
+//! only when something asks for it, with the addition tree above, so every
+//! score has the bits a materialized frontier would hold. The backpointer
+//! row is kept per slot pair too (`w2_arg`): backtracking reads it at the
+//! state's slot pair. On CASAS a tick has ~9 400 joint states over ~4 700
+//! slot pairs, of which a step folds ~15 states.
+//!
+//! The first tick is the same structure with `w ≡ −0.0` (IEEE addition's
+//! exact identity) and offsets `emission + prior`; a dense frontier from
+//! outside (a parked one, or [`joint_step`]'s argument) is the trivial
+//! factorization — one slot per state, `w = v`, offsets and coupling all
+//! `−0.0` — so one selection and one argmax serve every frontier.
+//!
+//! Every step is dominance-pruned ([`crate::dominance`]): a source state
+//! whose bound shows it cannot win any destination is not folded at all.
+//! The selection and the frontier's maxima work slot pair by slot pair
+//! (a slot pair's largest score is one addition tree away from its
+//! members' offsets, see [`JointFrontier`]), and the survivor kernel
+//! `joint_step_pruned_into` folds the states that pass. The decode stays
+//! exact, and on CASAS-sized frontiers the survivors are a fraction of a
+//! percent of the states. [`joint_step`] exposes one step for the
 //! differential suite, which checks it against the naive reference
 //! `cace_testkit::toy::naive_joint_step`.
 
@@ -41,8 +62,9 @@ use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
-use crate::scalar::{sweep_add_max, sweep_add_max_arg, sweep_max, sweep_max_arg};
-use crate::tables::ScoreTables;
+use crate::park::check;
+use crate::scalar::{sweep_add_max_arg, sweep_max_arg};
+use crate::trellis::Frontier;
 
 /// Rejects a tick that would empty the joint trellis.
 pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError> {
@@ -57,93 +79,364 @@ pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError
     Ok(())
 }
 
-/// First-tick joint frontier, written into `v`: per-chain emissions plus
-/// macro priors plus the inter-user coupling, flattened as
-/// `j1 * |S2| + j2`.
-///
-/// The first push of [`crate::online::OnlineCoupledViterbi`].
-pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Vec<f64>) {
-    let t = &p.tables;
-    v.clear();
-    v.reserve(s1.len() * s2.len());
-    for j1 in 0..s1.len() {
-        let a1 = s1.activities[j1];
-        let base1 = s1.emissions[j1] + p.log_prior[a1];
-        for j2 in 0..s2.len() {
-            let a2 = s2.activities[j2];
-            let base2 = s2.emissions[j2] + p.log_prior[a2];
-            v.push(base1 + base2 + t.coupling(a1, a2));
-        }
-    }
+/// One chain's factor of a [`JointFrontier`]: per state an offset and a
+/// slot; per slot its lowest and highest member, the first maximum of its
+/// members' offsets, and the coupling group its row or column of `g` is
+/// read from.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Axis {
+    /// Offset of each state: its emission (plus its macro prior on the
+    /// first tick), `−0.0` in the trivial factorization.
+    pub(crate) f: Vec<f64>,
+    /// Slot of each state.
+    pub(crate) slot: Vec<u32>,
+    /// Lowest and highest member of each slot (a slice's slot lies in one
+    /// activity run).
+    pub(crate) first: Vec<u32>,
+    last: Vec<u32>,
+    /// First maximum of each slot's member offsets.
+    pub(crate) fmax: Vec<f64>,
+    /// Coupling group of each slot: the index of its activity run in the
+    /// slice (`0` in the trivial factorization).
+    pub(crate) group: Vec<u32>,
 }
 
-/// Fan-out of the joint step: expands the pass-2 fold
-/// `V''[s1, s2]` (`w2`/`w2_arg`, per distinct destination pair) to the
-/// full `m1 × m2` joint frontier, adding emissions and coupling.
-///
-/// The coupling scores — constant per `(a1, j2)` — are materialized as
-/// one contiguous row per chain-1 activity run (`crow`). Each `j1`'s
-/// inner loop is then a single unsegmented zip over four contiguous rows,
-/// which vectorizes; when the chain-2 slot map is the identity (every
-/// state a distinct pair — the common dense case) the `wrow[s2]` gather
-/// degenerates to the contiguous row itself and the backpointer row to a
-/// plain copy. The addition *tree* per element is unchanged from the
-/// historical per-state loops (`wrow[s2] + ((e1 + e2[j2]) + c)`, IEEE
-/// addition is commutative bit-for-bit), so the result is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn joint_fan_out(
-    t: &ScoreTables,
-    cur1: &Slice,
-    cur2: &Slice,
-    w2: &[f64],
-    w2_arg: &[u32],
-    crow: &mut Vec<f64>,
-    v_next: &mut Vec<f64>,
-    back: &mut Vec<u32>,
-) {
-    let (m1, m2) = (cur1.len(), cur2.len());
-    let d2 = cur2.n_slots();
-    v_next.clear();
-    v_next.resize(m1 * m2, f64::NEG_INFINITY);
-    back.clear();
-    back.resize(m1 * m2, 0);
-    let e2 = &cur2.emissions;
-    let identity2 = d2 == m2 && cur2.slots.iter().enumerate().all(|(i, &s)| s as usize == i);
-    for &(a1, start1, end1) in cur1.runs.iter() {
-        let a1 = a1 as usize;
-        crow.clear();
-        crow.extend(cur2.activities.iter().map(|&a2| t.coupling(a1, a2)));
-        for j1 in start1 as usize..end1 as usize {
-            let s1 = cur1.slots[j1] as usize;
-            let e1 = cur1.emissions[j1];
-            let wrow = &w2[s1 * d2..][..d2];
-            let brow = &w2_arg[s1 * d2..][..d2];
-            let vrow = &mut v_next[j1 * m2..][..m2];
-            let krow = &mut back[j1 * m2..][..m2];
-            if identity2 {
-                for (((x, &g), &c), &wv) in vrow
-                    .iter_mut()
-                    .zip(e2.iter())
-                    .zip(crow.iter())
-                    .zip(wrow.iter())
-                {
-                    *x = wv + ((e1 + g) + c);
-                }
-                krow.copy_from_slice(brow);
-            } else {
-                for j2 in 0..m2 {
-                    let s2 = cur2.slots[j2] as usize;
-                    vrow[j2] = wrow[s2] + ((e1 + e2[j2]) + crow[j2]);
-                    krow[j2] = brow[s2];
-                }
+impl Axis {
+    /// Number of states.
+    pub(crate) fn len(&self) -> usize {
+        self.f.len()
+    }
+
+    /// Number of slots.
+    pub(crate) fn n_slots(&self) -> usize {
+        self.fmax.len()
+    }
+
+    /// The states of slot `s`, ascending.
+    pub(crate) fn members(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        let s32 = s as u32;
+        (self.first[s] as usize..=self.last[s] as usize).filter(move |&j| self.slot[j] == s32)
+    }
+
+    /// The factor of a trellis slice: its slots, activities and
+    /// emissions, plus the macro prior when `prior` is given.
+    fn of_slice(&mut self, s: &Slice, prior: Option<&[f64]>) {
+        self.f.clear();
+        match prior {
+            Some(prior) => self.f.extend(
+                s.emissions
+                    .iter()
+                    .zip(&s.activities)
+                    .map(|(&e, &a)| e + prior[a]),
+            ),
+            None => self.f.extend_from_slice(&s.emissions),
+        }
+        self.slot.clear();
+        self.slot.extend_from_slice(&s.slots);
+        self.index(s.n_slots(), |j| {
+            s.runs.partition_point(|&(_, _, end)| end as usize <= j) as u32
+        });
+    }
+
+    /// The trivial factor over `k` states: one slot per state, offsets
+    /// `−0.0`, one coupling group.
+    fn trivial(&mut self, k: usize) {
+        self.f.clear();
+        self.f.resize(k, -0.0);
+        self.slot.clear();
+        self.slot.extend(0..k as u32);
+        self.index(k, |_| 0);
+    }
+
+    /// Rebuilds the per-slot columns from the per-state ones; `group(j)`
+    /// is state `j`'s coupling group.
+    fn index(&mut self, n_slots: usize, group: impl Fn(usize) -> u32) {
+        self.first.clear();
+        self.first.resize(n_slots, u32::MAX);
+        self.last.clear();
+        self.last.resize(n_slots, 0);
+        self.fmax.clear();
+        self.fmax.resize(n_slots, f64::NEG_INFINITY);
+        self.group.clear();
+        self.group.resize(n_slots, 0);
+        for (j, (&sl, &f)) in self.slot.iter().zip(&self.f).enumerate() {
+            let sl = sl as usize;
+            self.last[sl] = j as u32;
+            if self.first[sl] == u32::MAX {
+                (self.first[sl], self.fmax[sl], self.group[sl]) = (j as u32, f, group(j));
+            } else if f > self.fmax[sl] {
+                self.fmax[sl] = f;
             }
         }
     }
 }
 
-/// Reusable work buffers of [`joint_step_pruned_into`], owned by the
-/// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
-/// stream, reused across ticks — the step
+/// The coupled decoders' trellis frontier, held per destination slot
+/// pair and never materialized.
+///
+/// Joint state `(j1, j2)` — flattened `j1 * |S2| + j2` everywhere outside —
+/// scores
+///
+/// ```text
+/// v(j1, j2) = w[s1, s2] + ((f1[j1] + f2[j2]) + g(a1, a2))
+/// ```
+///
+/// with `s1 = slot₁(j1)`, `s2 = slot₂(j2)` and `g` read through the two
+/// slots' coupling groups. IEEE rounding is monotone, so the largest
+/// score of slot pair `(s1, s2)` is the same tree over the slots' largest
+/// offsets, `w[s1, s2] + ((F1max[s1] + F2max[s2]) + g)`, and it is one
+/// member's own score, bit for bit. [`first_max`](Self::first_max), the
+/// last maximum ([`Frontier::argmax`]) and the dominance selection start
+/// from those slot-pair maxima and evaluate only the members of the slot
+/// pairs that can reach the answer.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct JointFrontier {
+    /// Per slot pair, row-major (`s1 * d2 + s2`): the step's pass-2 fold,
+    /// `−0.0` on the first tick.
+    pub(crate) w: Vec<f64>,
+    pub(crate) axes: [Axis; 2],
+    /// Coupling term per group pair, `g[g1 * n_g2 + g2]`: per pair of
+    /// activity runs of the two slices, `−0.0` in the trivial
+    /// factorization.
+    g: Vec<f64>,
+    n_g2: usize,
+    /// Per chain-1 slot: the largest score in its row of slot pairs
+    /// (NaN scores never count).
+    pub(crate) row_top: Vec<f64>,
+    /// The largest score's first and last state, with their scores.
+    first: (usize, f64),
+    last: (usize, f64),
+    /// Chain-2 coupling row of one chain-1 group (scratch).
+    gcol: Vec<f64>,
+}
+
+impl JointFrontier {
+    /// Joint states of the frontier.
+    pub fn len(&self) -> usize {
+        self.axes[0].len() * self.axes[1].len()
+    }
+
+    /// Whether the frontier holds no state (before a stream's first tick).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `(state, score)` of the first maximum, as the dominance selection
+    /// cuts against it: the lowest state attaining the largest score, or
+    /// `(0, −∞)` when no score exceeds `−∞`.
+    pub fn first_max(&self) -> (usize, f64) {
+        self.first
+    }
+
+    /// Every state's score, flattened `j1 * |S2| + j2`.
+    pub fn to_dense(&self) -> Vec<f64> {
+        let [a1, a2] = &self.axes;
+        let mut v = Vec::with_capacity(self.len());
+        for j1 in 0..a1.len() {
+            v.extend((0..a2.len()).map(|j2| self.value(j1, j2)));
+        }
+        v
+    }
+
+    /// The trivial factorization of a dense frontier over `k1 × k2` joint
+    /// states (flattened `j1 * k2 + j2`): one slot per state, `w = v`,
+    /// offsets and coupling `−0.0`, so every state keeps its score's bits.
+    ///
+    /// # Errors
+    /// [`ModelError::InsufficientData`] when `v` does not hold `k1 · k2`
+    /// scores.
+    pub fn from_dense(v: &[f64], k1: usize, k2: usize) -> Result<Self, ModelError> {
+        if Some(v.len()) != k1.checked_mul(k2) {
+            return Err(ModelError::InsufficientData {
+                what: "joint frontier scores".into(),
+                available: v.len(),
+                required: k1.saturating_mul(k2),
+            });
+        }
+        let mut frontier = Self::default();
+        frontier.w.extend_from_slice(v);
+        frontier.axes[0].trivial(k1);
+        frontier.axes[1].trivial(k2);
+        frontier.g.push(-0.0);
+        frontier.n_g2 = 1;
+        frontier.summarize();
+        Ok(frontier)
+    }
+
+    /// Completes a frontier whose `w` the caller wrote over the slot pairs
+    /// of `s1 × s2`: the offsets (emissions, plus the macro prior on the
+    /// first tick), the coupling of each pair of activity runs, and the
+    /// maxima.
+    fn factor(&mut self, p: &HdbnParams, s1: &Slice, s2: &Slice, first_tick: bool) {
+        let prior = first_tick.then_some(&p.log_prior[..]);
+        self.axes[0].of_slice(s1, prior);
+        self.axes[1].of_slice(s2, prior);
+        self.g.clear();
+        for &(a1, _, _) in &s1.runs {
+            let coupling =
+                |&(a2, _, _): &(u32, u32, u32)| p.tables.coupling(a1 as usize, a2 as usize);
+            self.g.extend(s2.runs.iter().map(coupling));
+        }
+        self.n_g2 = s2.runs.len();
+        self.summarize();
+    }
+
+    #[inline]
+    fn coupling(&self, s1: usize, s2: usize) -> f64 {
+        self.g[self.axes[0].group[s1] as usize * self.n_g2 + self.axes[1].group[s2] as usize]
+    }
+
+    /// Score of joint state `(j1, j2)`.
+    #[inline]
+    pub(crate) fn value(&self, j1: usize, j2: usize) -> f64 {
+        let [a1, a2] = &self.axes;
+        let (s1, s2) = (a1.slot[j1] as usize, a2.slot[j2] as usize);
+        self.w[s1 * a2.n_slots() + s2] + ((a1.f[j1] + a2.f[j2]) + self.coupling(s1, s2))
+    }
+
+    /// Largest score of slot pair `(s1, s2)` (NaN scores never count):
+    /// the member with both largest offsets, unless that sum is NaN — an
+    /// `∞ − ∞` no finite input produces — where the members are scanned.
+    #[inline]
+    pub(crate) fn top(&self, s1: usize, s2: usize) -> f64 {
+        let [a1, a2] = &self.axes;
+        let top =
+            self.w[s1 * a2.n_slots() + s2] + ((a1.fmax[s1] + a2.fmax[s2]) + self.coupling(s1, s2));
+        if !top.is_nan() {
+            return top;
+        }
+        let mut best = f64::NEG_INFINITY;
+        for j1 in a1.members(s1) {
+            for j2 in a2.members(s2) {
+                let x = self.value(j1, j2);
+                if x > best {
+                    best = x;
+                }
+            }
+        }
+        best
+    }
+
+    /// Recomputes `row_top` and both maxima: one pass over the slot
+    /// pairs, then the members of the slot pairs that attain the largest
+    /// score.
+    fn summarize(&mut self) {
+        let Self {
+            w,
+            axes: [a1, a2],
+            g,
+            n_g2,
+            row_top,
+            gcol,
+            ..
+        } = self;
+        let d2 = a2.n_slots();
+        row_top.clear();
+        let mut best = f64::NEG_INFINITY;
+        let mut group = u32::MAX;
+        let mut nan_rows = false;
+        for s1 in 0..a1.n_slots() {
+            if a1.group[s1] != group {
+                group = a1.group[s1];
+                let grow = &g[group as usize * *n_g2..][..*n_g2];
+                gcol.clear();
+                gcol.extend(a2.group.iter().map(|&g2| grow[g2 as usize]));
+            }
+            let (top, nan) = row_top_of(&w[s1 * d2..][..d2], a1.fmax[s1], &a2.fmax, gcol);
+            nan_rows |= nan;
+            row_top.push(top);
+        }
+        if nan_rows {
+            for s1 in 0..self.row_top.len() {
+                let top = (0..d2)
+                    .map(|s2| self.top(s1, s2))
+                    .fold(f64::NEG_INFINITY, |m, x| if x > m { x } else { m });
+                self.row_top[s1] = top;
+            }
+        }
+        for &top in &self.row_top {
+            if top > best {
+                best = top;
+            }
+        }
+        let k2 = self.axes[1].len();
+        let at = |flat: usize| (flat, self.value(flat / k2, flat % k2));
+        // With no score above `−∞` the first maximum is state 0, as a
+        // first-max scan leaves it, and the last is the last `−∞` state.
+        let (first, last) = if best == f64::NEG_INFINITY {
+            let last = (0..self.len()).rev().map(at).find(|&(_, x)| x == best);
+            ((0, best), last.unwrap_or((0, best)))
+        } else {
+            let (mut first, mut last) = (usize::MAX, 0);
+            for s1 in (0..self.row_top.len()).filter(|&s1| self.row_top[s1] == best) {
+                for s2 in (0..d2).filter(|&s2| self.top(s1, s2) == best) {
+                    let [a1, a2] = &self.axes;
+                    for j1 in a1.members(s1) {
+                        for j2 in a2.members(s2) {
+                            if self.value(j1, j2) == best {
+                                first = first.min(j1 * k2 + j2);
+                                last = last.max(j1 * k2 + j2);
+                            }
+                        }
+                    }
+                }
+            }
+            (at(first), at(last))
+        };
+        (self.first, self.last) = (first, last);
+    }
+}
+
+impl Frontier for JointFrontier {
+    fn argmax(&self) -> (usize, f64) {
+        self.last
+    }
+}
+
+/// `max over s2 of w[s2] + ((f1 + f2[s2]) + g[s2])`, 8-wide (NaN sums
+/// never win), and whether any sum was NaN.
+#[inline(never)]
+fn row_top_of(w: &[f64], f1: f64, f2: &[f64], g: &[f64]) -> (f64, bool) {
+    const LANES: usize = 8;
+    let mut acc = [f64::NEG_INFINITY; LANES];
+    let mut nan = [false; LANES];
+    let n = w.len() / LANES * LANES;
+    for ((ws, fs), gs) in w[..n]
+        .chunks_exact(LANES)
+        .zip(f2[..n].chunks_exact(LANES))
+        .zip(g[..n].chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            let x = ws[l] + ((f1 + fs[l]) + gs[l]);
+            nan[l] |= x.is_nan();
+            acc[l] = if x > acc[l] { x } else { acc[l] };
+        }
+    }
+    let mut best = f64::NEG_INFINITY;
+    let mut any_nan = nan.contains(&true);
+    for i in n..w.len() {
+        let x = w[i] + ((f1 + f2[i]) + g[i]);
+        any_nan |= x.is_nan();
+        best = if x > best { x } else { best };
+    }
+    let best = acc.into_iter().fold(best, |m, x| if x > m { x } else { m });
+    (best, any_nan)
+}
+
+/// First-tick joint frontier, written into `v`: `w ≡ −0.0` over the slot
+/// pairs of `s1 × s2`, offsets `emission + log_prior`, so each state
+/// scores `(base1 + base2) + g(a1, a2)`.
+///
+/// The first push of [`crate::online::OnlineCoupledViterbi`].
+pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut JointFrontier) {
+    v.w.clear();
+    v.w.resize(s1.n_slots() * s2.n_slots(), -0.0);
+    v.factor(p, s1, s2, true);
+}
+
+/// Reusable work buffers of [`joint_step_pruned_into`] and the joint
+/// selection, owned by the [`crate::arena::TrellisArena`]'s step scratch:
+/// one allocation per stream, reused across ticks — the step
 /// allocates nothing once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
@@ -156,13 +449,15 @@ pub(crate) struct JointScratch {
     /// Chain-1 activity runs over the groups: `(activity, start, end)`,
     /// half-open group ranges, one per chain-1 run with a survivor.
     group_runs: Vec<(u32, u32, u32)>,
-    /// Per survivor: its frontier score and chain-2 state.
-    keep_v: Vec<f64>,
+    /// Per survivor: its chain-2 state.
     keep_j2p: Vec<u32>,
     /// Pass-2 partial folds of one destination activity's switch
-    /// candidates, `d2` wide each, and their group arguments.
+    /// candidates, `d2` wide each, and their flat source states.
     part: Vec<f64>,
     part_arg: Vec<u32>,
+    /// Survivors of a joint selection with their scores, in slot-pair
+    /// order before the sort into state order.
+    pub(crate) found: Vec<(u32, f64)>,
 }
 
 /// The survivors of one group inside one chain-2 activity run: a
@@ -178,12 +473,12 @@ struct Segment {
 }
 
 /// One joint DP step over a survivor list: only the states in `keep`
-/// (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending) are
-/// transitioned out of. The new frontier lands in `step.v_next` (the
-/// caller swaps it with its live frontier) and the per-state flattened
-/// backpointers, in full-frontier coordinates so backtracking is
-/// oblivious to pruning, in `back` — all buffers reused, so a warmed
-/// caller allocates nothing.
+/// (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending, with
+/// their frontier scores in `keep_v`) are transitioned out of. The pass-2
+/// fold lands in `w2` and its backpointers — flattened full-frontier
+/// coordinates, so backtracking is oblivious to pruning — in `w2_arg`,
+/// both per destination slot pair (`s1 * d2 + s2`); all buffers reused, so
+/// a warmed caller allocates nothing.
 ///
 /// Folds chain 2, then chain 1, each with the run collapse of the module
 /// docs, restricted to the survivors. On a dominance survivor set every
@@ -197,29 +492,26 @@ struct Segment {
 /// built). [`crate::online::OnlineCoupledViterbi`] steps through it, and
 /// so does [`CoupledHdbn::viterbi`], which runs that stream under an
 /// unbounded lag.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn joint_step_pruned_into(
     p: &HdbnParams,
     prev1: &Slice,
     prev2: &Slice,
-    v: &[f64],
     keep: &[u32],
+    keep_v: &[f64],
     cur1: &Slice,
     cur2: &Slice,
     step: &mut StepScratch,
-    back: &mut Vec<u32>,
+    w2: &mut Vec<f64>,
+    w2_arg: &mut Vec<u32>,
 ) {
     let t = &p.tables;
     let StepScratch {
         joint: scratch,
         w,
         w_arg,
-        w2,
-        w2_arg,
-        v_next,
         run_max,
         run_arg,
-        crow,
-        acc_arg,
         ..
     } = step;
     let JointScratch {
@@ -227,21 +519,18 @@ pub(crate) fn joint_step_pruned_into(
         group_segs,
         segs,
         group_runs,
-        keep_v,
         keep_j2p,
         part,
         part_arg,
+        ..
     } = scratch;
     let k2 = prev2.len() as u32;
-    // Both folds are memoized per distinct destination pair (slot),
-    // computed once and fanned out.
+    // Both folds are memoized per distinct destination pair (slot).
     let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
 
     // Survivors grouped by j1p (`keep` is sorted, so each group is
     // contiguous), each group cut into segments by the chain-2 activity
     // runs its survivors fall in.
-    keep_v.clear();
-    keep_v.extend(keep.iter().map(|&f| v[f as usize]));
     keep_j2p.clear();
     keep_j2p.extend(keep.iter().map(|&f| f % k2));
     group_j1p.clear();
@@ -280,8 +569,9 @@ pub(crate) fn joint_step_pruned_into(
     let n_groups = group_j1p.len();
 
     // Pass 1 — fold chain 2 over each group, per distinct chain-2 pair:
-    // W[g, s2] = max over the group's survivors of V + f2(j2p → s2).
-    // Every entry of w/w_arg is overwritten below before it is read.
+    // W[g, s2] = max over the group's survivors of V + f2(j2p → s2), with
+    // its argument as a flat source state. Every entry of w/w_arg is
+    // overwritten below before it is read.
     w.resize(n_groups * d2, f64::NEG_INFINITY);
     w_arg.resize(n_groups * d2, 0);
     for (s2, &dp2) in cur2.uniq_pairs.iter().enumerate() {
@@ -310,7 +600,7 @@ pub(crate) fn joint_step_pruned_into(
                 }
             }
             w[g * d2 + s2] = best;
-            w_arg[g * d2 + s2] = best_j2p;
+            w_arg[g * d2 + s2] = group_j1p[g] * k2 + best_j2p;
         }
     }
 
@@ -338,24 +628,23 @@ pub(crate) fn joint_step_pruned_into(
     for (r, &(_, start, end)) in group_runs.iter().enumerate() {
         let rm = &mut run_max[r * d2..][..d2];
         let ra = &mut run_arg[r * d2..][..d2];
-        ra.fill(start);
-        for g in start..end {
-            sweep_max(&w[g as usize * d2..][..d2], g, rm, ra);
+        for g in start as usize..end as usize {
+            sweep_max_arg(&w[g * d2..][..d2], &w_arg[g * d2..][..d2], rm, ra);
         }
     }
 
     // Pass 2 — fold chain 1 over the groups, per (distinct chain-1 pair,
-    // distinct chain-2 pair), with group indices as arguments; the
-    // backpointers are restored to full-frontier flat coordinates after.
+    // distinct chain-2 pair), carrying the flat source states of pass 1.
+    // Every argument starts at state 0 and changes only when a candidate
+    // beats `−∞`, so a destination no survivor reaches points at state 0.
     // A switch candidate depends on the destination only through its
     // activity, so the switch runs between two same-activity runs fold
     // once per destination activity into a partial, and each destination
     // pair merges those partials around its own same-activity sweeps.
     // Merging a partial fold with strict `>` continues the fold, so the
     // candidate order is the sequential one.
-    w2.clear();
+    // Every row of w2/w2_arg is overwritten below before it is read.
     w2.resize(d1 * d2, f64::NEG_INFINITY);
-    w2_arg.clear();
     w2_arg.resize(d1 * d2, 0);
     let mut s1 = 0usize;
     while s1 < d1 {
@@ -383,58 +672,68 @@ pub(crate) fn joint_step_pruned_into(
         while s1 < d1 && t.activity_of(cur1.uniq_pairs[s1]) as u32 == a1 {
             let row = t.into_row(cur1.uniq_pairs[s1]);
             let acc = &mut w2[s1 * d2..][..d2];
+            let acc_arg = &mut w2_arg[s1 * d2..][..d2];
             acc.copy_from_slice(&part[..d2]);
-            acc_arg.clear();
-            acc_arg.extend_from_slice(&part_arg[..d2]);
+            acc_arg.copy_from_slice(&part_arg[..d2]);
             let mut next_part = d2;
             for &(ar, start, end) in group_runs.iter() {
                 if ar != a1 {
                     continue;
                 }
-                for g in start..end {
-                    let f1 = row[prev1.pairs[group_j1p[g as usize] as usize] as usize];
-                    sweep_add_max(&w[g as usize * d2..][..d2], f1, g, acc, acc_arg);
+                for g in start as usize..end as usize {
+                    let f1 = row[prev1.pairs[group_j1p[g] as usize] as usize];
+                    let (wg, ag) = (&w[g * d2..][..d2], &w_arg[g * d2..][..d2]);
+                    sweep_add_max_arg(wg, f1, ag, acc, acc_arg);
                 }
                 let (p, pa) = (&part[next_part..][..d2], &part_arg[next_part..][..d2]);
                 sweep_max_arg(p, pa, acc, acc_arg);
                 next_part += d2;
             }
-            // A destination no survivor reaches points at state 0.
-            for s2 in 0..d2 {
-                let g = acc_arg[s2] as usize;
-                w2_arg[s1 * d2 + s2] = if acc[s2] == f64::NEG_INFINITY {
-                    0
-                } else {
-                    group_j1p[g] * k2 + w_arg[g * d2 + s2]
-                };
-            }
             s1 += 1;
         }
     }
-
-    // Fan out per joint state, plus emissions and coupling.
-    joint_fan_out(t, cur1, cur2, w2, w2_arg, crow, v_next, back);
 }
 
-/// One exact joint DP step: dominance selection over `v` (every state
-/// when nothing can be pruned), then [`joint_step_pruned_into`] over the
-/// survivors. The new frontier lands in the arena; returns the number of
-/// source states the kernel folded.
+/// One exact joint DP step: dominance selection over the slot pairs of
+/// `v` (every state when nothing can be pruned), then
+/// [`joint_step_pruned_into`] over the survivors. The new frontier lands
+/// in `next` and its per-slot-pair backpointers in `back`; returns the
+/// number of source states the kernel folded.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn joint_step_exact_into(
     p: &HdbnParams,
     prev1: &Slice,
     prev2: &Slice,
-    v: &[f64],
+    v: &JointFrontier,
     cur1: &Slice,
     cur2: &Slice,
     arena: &mut TrellisArena,
+    next: &mut JointFrontier,
     back: &mut Vec<u32>,
 ) -> usize {
-    let TrellisArena { keep, step } = arena;
-    p.tables
-        .dominance()
-        .select_joint(prev1, prev2, v, &mut step.dom_col, keep);
-    joint_step_pruned_into(p, prev1, prev2, v, keep, cur1, cur2, step, back);
+    let TrellisArena { keep, keep_v, step } = arena;
+    p.tables.dominance().select_joint(
+        prev1,
+        prev2,
+        v,
+        &mut step.dom_col,
+        &mut step.joint.found,
+        keep,
+        keep_v,
+    );
+    joint_step_pruned_into(
+        p,
+        prev1,
+        prev2,
+        keep,
+        keep_v,
+        cur1,
+        cur2,
+        step,
+        &mut next.w,
+        back,
+    );
+    next.factor(p, cur1, cur2, false);
     keep.len()
 }
 
@@ -445,20 +744,78 @@ pub(crate) fn joint_step_charge(prev1: &Slice, prev2: &Slice, cur1: &Slice, cur2
     (prev1.len() as u64 * prev2.len() as u64) * (cur1.len() as u64 + cur2.len() as u64)
 }
 
+/// Expands a per-slot-pair backpointer row over `s1 × s2` to one entry per
+/// joint state (`j1 * |S2| + j2`); an empty row stays empty.
+pub(crate) fn expand_back(back: &[u32], s1: &Slice, s2: &Slice) -> Vec<u32> {
+    if back.is_empty() {
+        return Vec::new();
+    }
+    let d2 = s2.n_slots();
+    let mut out = Vec::with_capacity(s1.len() * s2.len());
+    for &sl1 in &s1.slots {
+        let row = &back[sl1 as usize * d2..][..d2];
+        out.extend(s2.slots.iter().map(|&sl2| row[sl2 as usize]));
+    }
+    out
+}
+
+/// Folds a parked per-state backpointer row of an entry over `s1 × s2`
+/// back to one entry per slot pair; an empty row stays empty.
+///
+/// # Errors
+/// [`ModelError::Persistence`] when the row has the wrong length or two
+/// states of one slot pair disagree — no step writes such a row.
+pub(crate) fn fold_back(
+    what: &str,
+    back: &[u32],
+    s1: &Slice,
+    s2: &Slice,
+) -> Result<Vec<u32>, ModelError> {
+    if back.is_empty() {
+        return Ok(Vec::new());
+    }
+    check(back.len() == s1.len() * s2.len(), || {
+        format!("{what}: backpointer count != frontier size")
+    })?;
+    let d2 = s2.n_slots();
+    let mut row = vec![0; s1.n_slots() * d2];
+    let rows = || back.chunks_exact(s2.len()).zip(&s1.slots);
+    for (states, &sl1) in rows() {
+        let out = &mut row[sl1 as usize * d2..][..d2];
+        for (&b, &sl2) in states.iter().zip(&s2.slots) {
+            out[sl2 as usize] = b;
+        }
+    }
+    let agree = rows().all(|(states, &sl1)| {
+        let folded = &row[sl1 as usize * d2..][..d2];
+        (states.iter().zip(&s2.slots)).all(|(&b, &sl2)| folded[sl2 as usize] == b)
+    });
+    check(agree, || {
+        format!("{what}: backpointers differ within a slot pair")
+    })?;
+    Ok(row)
+}
+
 /// One exact joint step, as [`joint_step`] returns it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JointStep {
-    /// New frontier, flattened `j1 * |S2| + j2` over `cur`'s joint states.
+    /// New frontier, flattened `j1 * |S2| + j2` over `cur`'s joint states
+    /// (`factored`, materialized).
     pub frontier: Vec<f64>,
     /// Per-state backpointers into the flattened input frontier.
     pub back: Vec<u32>,
     /// Source states the step folded after dominance selection.
     pub survivors: usize,
+    /// Those source states, ascending.
+    pub kept: Vec<u32>,
+    /// The new frontier as the decoders hold it.
+    pub factored: JointFrontier,
 }
 
 /// Runs one exact joint DP step — the dominance-pruned step every decoder
-/// runs — from tick `prev` to tick `cur` over the frontier `v` (one score
-/// per joint state of `prev`, flattened `j1 * |S2| + j2`).
+/// runs — from tick `prev` to tick `cur` over the dense frontier `v` (one
+/// score per joint state of `prev`, flattened `j1 * |S2| + j2`), which
+/// enters as its trivial factorization.
 /// `tests/dominance_differential.rs` drives it with adversarial frontiers
 /// against a naive reference.
 ///
@@ -474,6 +831,24 @@ pub fn joint_step(
 ) -> Result<JointStep, ModelError> {
     validate_tick(prev, 0)?;
     validate_tick(cur, 1)?;
+    let (k1, k2) = (tick_states(p, prev, 0), tick_states(p, prev, 1));
+    joint_step_from(p, prev, cur, &JointFrontier::from_dense(v, k1, k2)?)
+}
+
+/// [`joint_step`] from a slot-factored frontier — a previous step's
+/// [`JointStep::factored`], whose `cur` tick is this step's `prev`.
+///
+/// # Errors
+/// As [`joint_step`], with [`ModelError::InsufficientData`] when `v` is
+/// not over `prev`'s joint states.
+pub fn joint_step_from(
+    p: &HdbnParams,
+    prev: &TickInput,
+    cur: &TickInput,
+    v: &JointFrontier,
+) -> Result<JointStep, ModelError> {
+    validate_tick(prev, 0)?;
+    validate_tick(cur, 1)?;
     let mut arena = TrellisArena::new();
     let mut slice = |tick: &TickInput, user: usize| {
         let mut s = Slice::default();
@@ -481,23 +856,33 @@ pub fn joint_step(
         s
     };
     let (prev1, prev2, cur1, cur2) = (slice(prev, 0), slice(prev, 1), slice(cur, 0), slice(cur, 1));
-    if v.len() != prev1.len() * prev2.len() {
+    if [v.axes[0].len(), v.axes[1].len()] != [prev1.len(), prev2.len()] {
         return Err(ModelError::InsufficientData {
-            what: "joint frontier scores".into(),
+            what: "joint frontier states".into(),
             available: v.len(),
             required: prev1.len() * prev2.len(),
         });
     }
-    let mut back = Vec::new();
-    let survivors =
-        joint_step_exact_into(p, &prev1, &prev2, v, &cur1, &cur2, &mut arena, &mut back);
-    let mut frontier = Vec::new();
-    arena.swap_frontier(&mut frontier);
+    let (mut next, mut back) = (JointFrontier::default(), Vec::new());
+    let survivors = joint_step_exact_into(
+        p, &prev1, &prev2, v, &cur1, &cur2, &mut arena, &mut next, &mut back,
+    );
     Ok(JointStep {
-        frontier,
-        back,
+        frontier: next.to_dense(),
+        back: expand_back(&back, &cur1, &cur2),
         survivors,
+        kept: arena.keep,
+        factored: next,
     })
+}
+
+/// Joint states of one user's chain at `tick` (allowed macros ×
+/// candidates).
+fn tick_states(p: &HdbnParams, tick: &TickInput, user: usize) -> usize {
+    let macros = tick.macro_candidates[user]
+        .as_ref()
+        .map_or(p.n_macro(), Vec::len);
+    macros * tick.candidates[user].len()
 }
 
 /// The decoded joint trajectory plus accounting for the overhead

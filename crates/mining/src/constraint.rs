@@ -160,7 +160,9 @@ impl ConstraintMiner {
     ///
     /// # Errors
     /// Returns [`ModelError::InsufficientData`] when no sequence has at
-    /// least two ticks, and propagates alignment errors.
+    /// least two ticks, [`ModelError::IndexOutOfRange`] for a macro,
+    /// postural, gestural or location label at or above its count, and
+    /// propagates alignment errors.
     pub fn mine(&self, sequences: &[LabeledSequence]) -> Result<HierarchicalStats, ModelError> {
         let total_ticks: usize = sequences
             .iter()
@@ -168,6 +170,19 @@ impl ConstraintMiner {
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .sum();
+        // The count tables below are indexed by label.
+        for seq in sequences {
+            for (what, channel, count) in [
+                ("macro label", &seq.macros, self.n_macro),
+                ("postural label", &seq.posturals, self.n_postural),
+                ("gestural label", &seq.gesturals, self.n_gestural),
+                ("location label", &seq.locations, self.n_location),
+            ] {
+                if let Some(&index) = channel.iter().flatten().find(|&&l| l >= count) {
+                    return Err(ModelError::IndexOutOfRange { what, index, count });
+                }
+            }
+        }
         if total_ticks < 2 {
             return Err(ModelError::InsufficientData {
                 what: "constraint mining".into(),
@@ -347,6 +362,46 @@ mod tests {
     fn insufficient_data_is_rejected() {
         let err = miner().mine(&[]);
         assert!(matches!(err, Err(ModelError::InsufficientData { .. })));
+    }
+
+    /// Sets one label of user 2's `channel` to `count` (the first id past
+    /// the vocabulary) and expects the miner to reject it by name.
+    fn rejects_label(
+        what: &'static str,
+        channel: fn(&mut LabeledSequence) -> &mut [Vec<usize>; 2],
+        count: usize,
+    ) {
+        let ok = synchronized_sequence(4, 5);
+        let mut bad = ok.clone();
+        channel(&mut bad)[1][3] = count;
+        assert_eq!(
+            miner().mine(&[ok, bad]),
+            Err(ModelError::IndexOutOfRange {
+                what,
+                index: count,
+                count
+            })
+        );
+    }
+
+    #[test]
+    fn out_of_range_macro_label_is_rejected() {
+        rejects_label("macro label", |s| &mut s.macros, miner().n_macro);
+    }
+
+    #[test]
+    fn out_of_range_postural_label_is_rejected() {
+        rejects_label("postural label", |s| &mut s.posturals, miner().n_postural);
+    }
+
+    #[test]
+    fn out_of_range_gestural_label_is_rejected() {
+        rejects_label("gestural label", |s| &mut s.gesturals, miner().n_gestural);
+    }
+
+    #[test]
+    fn out_of_range_location_label_is_rejected() {
+        rejects_label("location label", |s| &mut s.locations, miner().n_location);
     }
 
     #[test]

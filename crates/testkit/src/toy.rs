@@ -24,6 +24,9 @@
 //! constant, and the collapse then names the run's maximum where a
 //! per-state scan would name the earlier source.
 //!
+//! [`reference_select_joint`] is the dense dominance selection of a
+//! coupled step, the reference for the slot-factored one.
+//!
 //! Consumers: `tests/generic_engine.rs` asserts the generic kernels match
 //! [`naive_step`] bit for bit on dyadic-lattice scores (multiples of ⅛, so
 //! every floating-point sum is exact and every tie is a true tie), and
@@ -381,6 +384,89 @@ pub fn naive_joint_step(
         }
     }
     (v_next, back)
+}
+
+/// The reference dominance selection of a coupled step, over the dense
+/// frontier `v` of `prev`'s joint states (flattened `j1 * |S2| + j2`): the
+/// first maximum `b` of `v`, then every state whose bound
+/// `(v + D₁[q₁][q₁(b)]) + D₂[q₂][q₂(b)]` reaches the model's cut, ascending;
+/// every state when the cut is undefined. Rows whose lane-folded bound
+/// maximum misses the cut are skipped before the per-state scan — the
+/// dense selection the decoders ran before their frontier was factored by
+/// slot pair, kept as the reference the factored selection must equal.
+///
+/// # Panics
+/// Panics if `v` does not cover `prev`'s joint frontier.
+pub fn reference_select_joint(p: &HdbnParams, prev: &TickInput, v: &[f64]) -> Vec<u32> {
+    let pairs = |user: usize| -> Vec<u32> {
+        let (states, _) = naive_chain(p, prev, user);
+        states
+            .iter()
+            .map(|&(a, pn, _)| p.tables.pair(a, pn))
+            .collect()
+    };
+    let (pairs1, pairs2) = (pairs(0), pairs(1));
+    let k2 = pairs2.len();
+    assert_eq!(v.len(), pairs1.len() * k2, "joint frontier size");
+    let dom = p.tables.dominance();
+    let (b, best) = reference_first_max(v);
+    let Some(cut) = dom.cut(best) else {
+        return (0..v.len() as u32).collect();
+    };
+    let col1 = dom.against(pairs1[b / k2]);
+    let col2 = dom.against(pairs2[b % k2]);
+    let d2: Vec<f64> = pairs2.iter().map(|&q| col2[q as usize]).collect();
+    let mut keep = Vec::new();
+    for (j1, row) in v.chunks_exact(k2).enumerate() {
+        let d1 = col1[pairs1[j1] as usize];
+        if row_max_bound(row, d1, &d2) < cut {
+            continue;
+        }
+        let base = (j1 * k2) as u32;
+        for (j2, (&x, &dd)) in row.iter().zip(&d2).enumerate() {
+            if (x + d1) + dd >= cut {
+                keep.push(base + j2 as u32);
+            }
+        }
+    }
+    keep
+}
+
+/// `max over j of (row[j] + d1) + d2[j]`, 8-wide (NaN bounds never win),
+/// with the per-state bound's exact operation order.
+fn row_max_bound(row: &[f64], d1: f64, d2: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let mut acc = [f64::NEG_INFINITY; LANES];
+    let (row_chunks, row_tail) = row.split_at(row.len() / LANES * LANES);
+    let (d2_chunks, d2_tail) = d2.split_at(row_chunks.len());
+    for (xs, ds) in row_chunks
+        .chunks_exact(LANES)
+        .zip(d2_chunks.chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            let b = (xs[l] + d1) + ds[l];
+            acc[l] = if b > acc[l] { b } else { acc[l] };
+        }
+    }
+    let mut best = f64::NEG_INFINITY;
+    for (&x, &dd) in row_tail.iter().zip(d2_tail) {
+        let b = (x + d1) + dd;
+        best = if b > best { b } else { best };
+    }
+    acc.into_iter().fold(best, |m, b| if b > m { b } else { m })
+}
+
+/// `(state, score)` of the first maximum of a dense frontier, by a plain
+/// scan: the lowest state whose score exceeds every earlier one, or
+/// `(0, −∞)` when none exceeds `−∞` (NaN never wins).
+pub fn reference_first_max(v: &[f64]) -> (usize, f64) {
+    let (mut arg, mut best) = (0, f64::NEG_INFINITY);
+    for (j, &x) in v.iter().enumerate() {
+        if x > best {
+            (arg, best) = (j, x);
+        }
+    }
+    (arg, best)
 }
 
 /// Full naive decode: [`naive_init`], dense [`naive_step`]s, then the

@@ -18,20 +18,27 @@
 //! run-collapse and unreachable-destination rules on their own.
 //!
 //! The suite ends with the efficacy gauge: on a small CASAS corpus the
-//! steps fold a small fraction of the frontier.
+//! steps fold a small fraction of the frontier. The last cases hold the
+//! coupled decoders' slot-factored frontier to the dense references: its
+//! survivors to `cace_testkit::toy::reference_select_joint`, its first
+//! and last maximum to plain scans of its materialization, on random
+//! worlds, hand-shaped edge frontiers and CASAS step outputs.
 
 use proptest::prelude::*;
 
 use cace::behavior::session::train_test_split;
 use cace::behavior::{generate_casas_dataset, CasasConfig};
 use cace::core::{CaceConfig, CaceEngine, Lag};
-use cace::hdbn::trellis::step_into;
+use cace::hdbn::trellis::{argmax, step_into};
 use cace::hdbn::{
-    joint_step, Dominance, HdbnConfig, HdbnParams, MicroCandidate, ScoreModel, StateSpace,
-    TickInput, TrellisArena,
+    joint_step, joint_step_from, Dominance, Frontier, HdbnConfig, HdbnParams, JointFrontier,
+    JointStep, MicroCandidate, ScoreModel, StateSpace, TickInput, TrellisArena,
 };
 use cace::mining::HierarchicalStats;
-use cace_testkit::toy::{naive_joint_step, naive_step, ToyFlatModel, ToyModel, ToySpace};
+use cace_testkit::toy::{
+    naive_joint_step, naive_step, reference_first_max, reference_select_joint, ToyFlatModel,
+    ToyModel, ToySpace,
+};
 
 /// xorshift64*, seeded per case.
 struct Rng(u64);
@@ -671,4 +678,170 @@ fn casas_steps_fold_a_small_fraction_of_the_frontier() {
         "steps folded {folded} of {frontier} frontier states (> 5%)"
     );
     assert_eq!(gauge(&engine), survivors, "the gauge repeats exactly");
+}
+
+// ---------------------------------------------------------------------
+// The slot-factored joint frontier: its selection and maxima against the
+// dense reference selection and scans.
+// ---------------------------------------------------------------------
+
+/// The factored frontier's first and last maximum against the dense
+/// scans over its materialization: state index and score bits.
+fn assert_same_maxima(what: &str, f: &JointFrontier) {
+    let dense = f.to_dense();
+    let bits = |(j, x): (usize, f64)| (j, x.to_bits());
+    assert_eq!(
+        bits(f.first_max()),
+        bits(reference_first_max(&dense)),
+        "{what}: first max"
+    );
+    assert_eq!(
+        bits(Frontier::argmax(f)),
+        bits(argmax(&dense)),
+        "{what}: last max"
+    );
+}
+
+/// One exact step out of the factored frontier `v`, held to the
+/// references: the survivors to the dense reference selection over `v`'s
+/// materialization, the new frontier and backpointers to the naive step,
+/// and the new frontier's maxima to the dense scans.
+fn factored_case(
+    what: &str,
+    p: &HdbnParams,
+    prev: &TickInput,
+    cur: &TickInput,
+    v: &JointFrontier,
+) -> JointStep {
+    let dense = v.to_dense();
+    let step = joint_step_from(p, prev, cur, v).expect("valid ticks");
+    assert_eq!(
+        step.kept,
+        reference_select_joint(p, prev, &dense),
+        "{what}: survivors"
+    );
+    assert_eq!(step.survivors, step.kept.len(), "{what}: survivor count");
+    let (naive_v, naive_back) = naive_joint_step(p, prev, cur, &dense);
+    assert_same_step(what, (&naive_v, &naive_back), (&step.frontier, &step.back));
+    assert_same_maxima(&format!("{what}, next frontier"), &step.factored);
+    step
+}
+
+/// Two chained steps of `ticks[0] → ticks[1] → ticks[2]` from the dense
+/// frontier `v`: the first out of its trivial factorization (one slot per
+/// state), the second out of the factored frontier the first wrote.
+fn chained_case(what: &str, p: &HdbnParams, ticks: [&TickInput; 3], v: &[f64]) {
+    let k = |u: usize| slice_len(p, ticks[0], u);
+    let trivial = JointFrontier::from_dense(v, k(0), k(1)).expect("frontier fits the tick");
+    assert_eq!(trivial.to_dense(), v, "{what}: trivial factorization");
+    assert_same_maxima(&format!("{what}, trivial"), &trivial);
+    let first = factored_case(&format!("{what}, step 1"), p, ticks[0], ticks[1], &trivial);
+    factored_case(
+        &format!("{what}, step 2"),
+        p,
+        ticks[1],
+        ticks[2],
+        &first.factored,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random joint worlds (duplicate posturals put several states in one
+    /// slot pair), adversarial dense frontiers, then a second step out of
+    /// the factored frontier the first step wrote.
+    #[test]
+    fn factored_selection_and_maxima_match_the_reference(seed in 0u64..u64::MAX) {
+        let mut rng = Rng::new(seed);
+        let regime = Regime::draw(&mut rng);
+        let p = joint_params(&mut rng);
+        let ticks = [0; 3].map(|_| joint_tick(&mut rng, &p, regime));
+        let k2 = slice_len(&p, &ticks[0], 1);
+        let v = frontier(&mut rng, regime, slice_len(&p, &ticks[0], 0) * k2, k2);
+        chained_case(
+            &format!("seed {seed} {regime:?}"),
+            &p,
+            [&ticks[0], &ticks[1], &ticks[2]],
+            &v,
+        );
+    }
+}
+
+/// Hand-shaped trivial-factorization inputs: exact ties across states,
+/// `−∞` rows and whole `−∞` frontiers, signed zeros, magnitudes near
+/// `f64::MAX`, and states whose bound lands on, just above and just below
+/// the cut.
+#[test]
+fn factored_edge_frontiers_match_the_reference() {
+    for seed in 0..64u64 {
+        let mut rng = Rng::new(seed);
+        let p = joint_params(&mut rng);
+        let ticks = [0; 3].map(|_| joint_tick(&mut rng, &p, Regime::Dyadic));
+        let ticks = [&ticks[0], &ticks[1], &ticks[2]];
+        let (k1, k2) = (slice_len(&p, ticks[0], 0), slice_len(&p, ticks[0], 1));
+        let n = k1 * k2;
+        let case =
+            |name: &str, v: Vec<f64>| chained_case(&format!("seed {seed} {name}"), &p, ticks, &v);
+
+        case("all tied", vec![-1.5; n]);
+        case("all −∞", vec![f64::NEG_INFINITY; n]);
+        let mut one = vec![f64::NEG_INFINITY; n];
+        one[rng.below(n)] = -2.0;
+        case("one finite state", one);
+        let mut rows = vec![-0.5; n];
+        rows[..k2].fill(f64::NEG_INFINITY);
+        case("−∞ first row", rows);
+        let zeros: Vec<f64> = (0..n).map(|_| [0.0, -0.0, -1.0][rng.below(3)]).collect();
+        case("signed zeros", zeros);
+        let near_max: Vec<f64> = (0..n).map(|_| Regime::NearMax.value(&mut rng)).collect();
+        let step = joint_step(&p, ticks[0], ticks[1], &near_max).expect("valid ticks");
+        assert_eq!(step.survivors, n, "seed {seed}: near-max keeps every state");
+        case("near f64::MAX", near_max);
+
+        // Bounds at the cut: state 0 holds the maximum, and every state of
+        // its pair (same chain-1 and chain-2 pair ids, so `D₁ = D₂ = 0`)
+        // scores on the cut, one ulp above or one ulp below it.
+        let best = -3.0;
+        let Some(cut) = p.tables.dominance().cut(best) else {
+            continue;
+        };
+        let mut at_cut = vec![f64::NEG_INFINITY; n];
+        at_cut[0] = best;
+        for (j, x) in at_cut.iter_mut().enumerate().skip(1) {
+            *x = match j % 3 {
+                0 => cut,
+                1 => f64::from_bits(cut.to_bits() - 1),
+                _ => f64::from_bits(cut.to_bits() + 1),
+            };
+        }
+        case("bounds at the cut", at_cut);
+    }
+}
+
+/// CASAS step outputs: frontiers in the thousands of states over real
+/// slot structure, stepped through the factored selection and held to
+/// the dense references at every tick.
+#[test]
+fn casas_factored_steps_match_the_reference() {
+    let cfg = CasasConfig {
+        pairs: 2,
+        sessions_per_pair: 2,
+        ticks: 40,
+        ..CasasConfig::default()
+    };
+    let (train, test) = train_test_split(generate_casas_dataset(&cfg, 5), 0.75);
+    let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
+    let p = engine.hdbn_params();
+    let inputs = engine.tick_inputs(&test[0]);
+    let k = |u: usize| slice_len(p, &inputs[0], u);
+    let start = vec![0.0; k(0) * k(1)];
+    let mut v = JointFrontier::from_dense(&start, k(0), k(1)).unwrap();
+    let mut largest = 0;
+    for t in 1..inputs.len() {
+        let step = factored_case(&format!("tick {t}"), p, &inputs[t - 1], &inputs[t], &v);
+        largest = largest.max(step.frontier.len());
+        v = step.factored;
+    }
+    assert!(largest >= 1000, "largest frontier {largest} states");
 }
