@@ -17,15 +17,12 @@
 //! discipline. Every step is dominance-pruned over the table's own
 //! [`Dominance`] table, exactly like the hierarchical decoders.
 
-use std::collections::VecDeque;
-
-use cace_hdbn::park::{check, validate_cursor, validate_frontier};
+use cace_hdbn::park::{check, validate_compacted, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    self, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
+    self, Compacted, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
 };
 use cace_hdbn::{Dominance, Lag, TickInput, TrellisArena};
 use cace_model::ModelError;
-use serde::Deserialize;
 
 /// One flat product state: (macro activity, micro-candidate index).
 pub(crate) type FlatState = (usize, usize);
@@ -80,26 +77,9 @@ impl FlatTable {
     }
 }
 
-/// The tick's product state list, enumerated macro-major.
-pub(crate) fn states(input: &TickInput, user: usize, n_macro: usize) -> Vec<FlatState> {
-    let cands = &input.candidates[user];
-    (0..n_macro)
-        .flat_map(|a| (0..cands.len()).map(move |c| (a, c)))
-        .collect()
-}
-
-/// Emission scores aligned with [`states`]: direct macro classification
-/// plus the item bonus plus the candidate observation log-likelihood.
-pub(crate) fn emissions(
-    input: &TickInput,
-    user: usize,
-    states: &[FlatState],
-    macro_lp: &[f64],
-) -> Vec<f64> {
-    states
-        .iter()
-        .map(|&(a, c)| macro_lp[a] + input.bonus(a) + input.candidates[user][c].obs_loglik)
-        .collect()
+/// The macro-major product of `n_macro` macros and `n_cands` candidates.
+fn product(n_macro: usize, n_cands: usize) -> impl Iterator<Item = FlatState> {
+    (0..n_macro).flat_map(move |a| (0..n_cands).map(move |c| (a, c)))
 }
 
 /// One tick of the flat product space through the generic
@@ -183,22 +163,87 @@ impl ScoreModel for FlatModel<'_> {
     }
 }
 
-/// One retained tick of the NH backpointer window (pooled through the
-/// generic core's free list).
+/// The newest tick of the NH backpointer window (pooled as the generic
+/// core's ping-pong pair).
 #[derive(Default)]
 struct FlatEntry {
+    /// The macro-major product of the tick's macros and candidates.
     states: Vec<FlatState>,
-    /// The tick's emissions, kept alongside the states so the step kernel
-    /// can read the *current* tick's emissions from the entry (never
-    /// parked: only the newest tick's emissions are ever read, and a
-    /// parked stream re-derives them on the next push).
+    /// The emission of state `(a, c)` is `macro_emit[a] + cand_emit[c]`:
+    /// direct macro classification plus the item bonus, then the
+    /// candidate's observation log-likelihood.
+    macro_emit: Vec<f64>,
+    cand_emit: Vec<f64>,
+    /// The emissions per state, for the step kernel.
     emit: Vec<f64>,
+    /// Per state; uniform within each macro (the slot of its states).
     back: Vec<u32>,
+    /// The step's fold per macro (`−0.0` on the first tick), so the
+    /// frontier is `fold[a] + emit[j]` state by state; empty in an entry
+    /// resumed with a dense frontier.
+    fold: Vec<f64>,
+}
+
+impl FlatEntry {
+    /// Fills the entry with one user's tick: `n_macro` macros scored by
+    /// `macro_lp`, the tick's candidates, their product and emissions.
+    fn fill(&mut self, input: &TickInput, user: usize, macro_lp: &[f64]) {
+        let cands = &input.candidates[user];
+        self.macro_emit.clear();
+        self.macro_emit.extend(
+            macro_lp
+                .iter()
+                .enumerate()
+                .map(|(a, &lp)| lp + input.bonus(a)),
+        );
+        self.cand_emit.clear();
+        self.cand_emit.extend(cands.iter().map(|c| c.obs_loglik));
+        self.states.clear();
+        self.states.extend(product(macro_lp.len(), cands.len()));
+        self.fill_emit();
+    }
+
+    /// Rebuilds `emit` from the per-macro and per-candidate terms.
+    fn fill_emit(&mut self) {
+        let Self {
+            states,
+            macro_emit,
+            cand_emit,
+            emit,
+            ..
+        } = self;
+        emit.clear();
+        emit.extend(states.iter().map(|&(a, c)| macro_emit[a] + cand_emit[c]));
+    }
 }
 
 impl TrellisEntry for FlatEntry {
+    type Payload = u32;
+    type Item = ();
+    type Decision = usize;
+
+    fn back_row(&self) -> &[u32] {
+        &self.back
+    }
+
+    fn back_buffer(&mut self) -> &mut Vec<u32> {
+        &mut self.back
+    }
+
     fn back_of(&self, j: usize) -> usize {
         self.back[j] as usize
+    }
+
+    fn payload(&self, j: usize) -> u32 {
+        self.states[j].0 as u32
+    }
+
+    fn items(&self) -> impl Iterator<Item = ()> + '_ {
+        std::iter::empty()
+    }
+
+    fn decide(macro_id: u32, _: impl Fn(u32)) -> usize {
+        macro_id as usize
     }
 }
 
@@ -213,13 +258,20 @@ impl TrellisFamily for FlatFamily<'_> {
     type Frontier = Vec<f64>;
 
     fn init(&self, entry: &mut FlatEntry, v: &mut Vec<f64>) {
-        let FlatEntry { states, emit, back } = entry;
-        let cur = FlatView::new(states, emit, self.table.n);
+        let cur = FlatView::new(&entry.states, &entry.emit, self.table.n);
         cace_hdbn::trellis::init_into(&FlatModel { table: self.table }, &cur, v);
-        back.clear();
+        entry.back.clear();
+        // `−0.0 + x` is `x`, bit for bit.
+        entry.fold.clear();
+        entry.fold.resize(self.table.n, -0.0);
     }
 
-    fn step(
+    fn select(&self, prev: &FlatEntry, v: &Vec<f64>, arena: &mut TrellisArena) {
+        let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
+        trellis::select_into(self.table.dominance(), &pv, v, arena);
+    }
+
+    fn fold(
         &self,
         prev: &FlatEntry,
         v: &Vec<f64>,
@@ -227,37 +279,54 @@ impl TrellisFamily for FlatFamily<'_> {
         next: &mut Vec<f64>,
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
-        let FlatEntry { states, emit, back } = entry;
+        let FlatEntry {
+            states,
+            emit,
+            back,
+            fold,
+            ..
+        } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
         let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
-        let survivors = trellis::step_into(
-            &FlatModel { table: self.table },
-            self.table.dominance(),
-            &pv,
-            v,
-            &cur,
-            arena,
-            back,
-        );
+        let model = FlatModel { table: self.table };
+        let survivors = trellis::fold_into(&model, &pv, v, &cur, arena, back);
+        fold.clear();
+        fold.extend_from_slice(arena.fold());
         arena.swap_frontier(next);
         ((states.len() * prev.states.len()) as u64, survivors)
     }
 }
 
-/// Parked form of one retained tick of the NH backpointer window.
-#[derive(Debug, Clone, Default, Deserialize)]
+/// Parked form of the newest tick of the NH backpointer window: its
+/// state list is the macro-major product of `n_macro` macros and
+/// `n_cands` candidates, so the park holds the two counts; its emissions
+/// the sums of one term per macro and one per candidate; and its
+/// backpointers, uniform within each macro, one per macro.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedFlatEntry {
-    pub(crate) states: Vec<FlatState>,
+    pub(crate) n_macro: usize,
+    pub(crate) n_cands: usize,
     pub(crate) back: Vec<u32>,
+    /// Both empty in an entry resumed from a dense frontier.
+    pub(crate) macro_emit: Vec<f64>,
+    pub(crate) cand_emit: Vec<f64>,
 }
 
 /// Parked [`OnlineFlat`] state — the NH member of the per-strategy parked
 /// decoder family (see `cace_hdbn::park` for the coupled/chain members
-/// and the park/resume contract).
-#[derive(Debug, Clone, Default, Deserialize)]
+/// and the park/resume contract): the frontier, the compacted window
+/// (each record's payload its macro), the newest entry, the cursor and
+/// the counters. Like the coupled frontier, the frontier is parked as the
+/// step's fold per macro, `w`, which the newest entry's emissions
+/// complete (state `(a, c)` scores `w[a] + emit(a, c)`); or, when `dense`
+/// (a stream resumed from a `v3`/`v4` park, before its next push), one
+/// score per state.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedFlat {
-    pub(crate) v: Vec<f64>,
-    pub(crate) window: Vec<ParkedFlatEntry>,
+    pub(crate) w: Vec<f64>,
+    pub(crate) dense: bool,
+    pub(crate) compact: Vec<Compacted<u32, ()>>,
+    pub(crate) newest: Option<ParkedFlatEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) states_explored: u64,
@@ -270,35 +339,45 @@ impl ParkedFlat {
     }
 
     /// Bounds-checks everything a resumed [`OnlineFlat`] would read, so a
-    /// tampered payload fails cleanly instead of panicking. Cursor and
-    /// frontier invariants go through the shared `cace_hdbn::park`
-    /// helpers — the same checks, same error shape, as the coupled and
-    /// chain families; only the NH-specific per-entry state checks live
-    /// here.
-    fn validate(&self, table: &FlatTable, lag: Lag) -> Result<(), ModelError> {
+    /// tampered payload fails cleanly instead of panicking. Cursor,
+    /// window and frontier invariants go through the shared
+    /// `cace_hdbn::park` helpers — the same checks, same error shape, as
+    /// the coupled and chain families; only the NH-specific shape checks
+    /// live here. Returns the newest entry's state count.
+    fn validate(&self, table: &FlatTable, lag: Lag) -> Result<usize, ModelError> {
         let what = "parked NH stream";
-        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
-        let mut prev_len = None;
-        for (i, e) in self.window.iter().enumerate() {
-            check(!e.states.is_empty(), || {
-                format!("{what}: window[{i}] has no states")
+        let window = self.compact.len() + usize::from(self.newest.is_some());
+        validate_cursor(what, self.base, self.pushed, window, lag)?;
+        let newest_back = self.newest.as_ref().map(|e| &e.back[..]);
+        validate_compacted(what, &self.compact, newest_back, |&a, _| {
+            (a as usize) < table.n
+        })?;
+        let Some(e) = &self.newest else {
+            check(self.w.is_empty(), || {
+                format!("{what}: a frontier without a window entry")
             })?;
-            check(e.states.iter().all(|&(a, _)| a < table.n), || {
-                format!("{what}: window[{i}] macro out of range")
-            })?;
-            if let Some(prev_len) = prev_len {
-                check(
-                    e.back.len() == e.states.len()
-                        && e.back.iter().all(|&b| (b as usize) < prev_len),
-                    || format!("{what}: window[{i}] backpointers invalid"),
-                )?;
-            }
-            prev_len = Some(e.states.len());
+            return Ok(0);
+        };
+        check((1..=table.n).contains(&e.n_macro) && e.n_cands > 0, || {
+            format!("{what}: newest entry state counts out of range")
+        })?;
+        check(
+            e.back.len() == e.n_macro || (e.back.is_empty() && self.compact.is_empty()),
+            || format!("{what}: newest backpointer count != macros"),
+        )?;
+        // The frontier bounds the product before anything is built from it.
+        let m = e.n_macro.saturating_mul(e.n_cands);
+        if self.dense {
+            validate_frontier(what, m, &self.w)?;
+        } else {
+            check(
+                self.w.len() == table.n
+                    && e.macro_emit.len() == e.n_macro
+                    && e.cand_emit.len() == e.n_cands,
+                || format!("{what}: newest emissions do not match its state counts"),
+            )?;
         }
-        if let Some(frontier) = prev_len {
-            validate_frontier(what, frontier, &self.v)?;
-        }
-        Ok(())
+        Ok(m)
     }
 }
 
@@ -331,16 +410,26 @@ impl OnlineFlat {
 
     /// Checkpoints the frontier (see `cace_hdbn::park` for the contract).
     pub(crate) fn park(&self) -> ParkedFlat {
+        let newest = self.core.newest();
+        let dense = newest.is_some_and(|e| e.fold.is_empty());
         ParkedFlat {
-            v: self.core.frontier().to_vec(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedFlatEntry {
-                    states: e.states.clone(),
-                    back: e.back.clone(),
-                })
-                .collect(),
+            w: match newest {
+                Some(e) if !dense => e.fold.clone(),
+                _ => self.core.frontier().to_vec(),
+            },
+            dense,
+            compact: self.core.compacted(),
+            newest: newest.map(|e| {
+                let n_macro = e.states.last().map_or(0, |&(a, _)| a + 1);
+                let n_cands = e.states.len() / n_macro.max(1);
+                ParkedFlatEntry {
+                    n_macro,
+                    n_cands,
+                    back: e.back.iter().step_by(n_cands.max(1)).copied().collect(),
+                    macro_emit: e.macro_emit.clone(),
+                    cand_emit: e.cand_emit.clone(),
+                }
+            }),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
             states_explored: self.core.states_explored(),
@@ -359,21 +448,44 @@ impl OnlineFlat {
         lag: Lag,
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
-        parked.validate(table, lag)?;
-        let window: VecDeque<FlatEntry> = parked
-            .window
-            .iter()
-            .map(|e| FlatEntry {
-                states: e.states.clone(),
-                emit: Vec::new(),
-                back: e.back.clone(),
-            })
-            .collect();
+        let m = parked.validate(table, lag)?;
+        let mut v = Vec::with_capacity(m);
+        let newest = parked.newest.as_ref().map(|e| {
+            let mut entry = FlatEntry {
+                states: product(e.n_macro, e.n_cands).collect(),
+                macro_emit: e.macro_emit.clone(),
+                cand_emit: e.cand_emit.clone(),
+                ..FlatEntry::default()
+            };
+            // One backpointer per macro, shared by its states.
+            let back = e
+                .back
+                .iter()
+                .flat_map(|&b| std::iter::repeat_n(b, e.n_cands));
+            entry.back = back.collect();
+            if parked.dense {
+                v.extend_from_slice(&parked.w);
+            } else {
+                entry.fill_emit();
+                entry.fold = parked.w.clone();
+                let fold = &entry.fold;
+                v.extend(
+                    entry
+                        .states
+                        .iter()
+                        .zip(&entry.emit)
+                        .map(|(&(a, _), &x)| fold[a] + x),
+                );
+            }
+            entry
+        });
+        validate_frontier("parked NH stream", m, &v)?;
         Ok(Self {
             core: OnlineTrellis::from_parts(
                 lag,
-                parked.v.clone(),
-                window,
+                v,
+                parked.compact.clone(),
+                newest,
                 parked.base,
                 parked.pushed,
                 parked.states_explored,
@@ -382,20 +494,21 @@ impl OnlineFlat {
         })
     }
 
-    /// Consumes one tick's state list and aligned emissions; returns the
-    /// ripened `(tick, macro)` decision, if any.
+    /// Consumes one user's tick, its macros scored by `macro_lp`; returns
+    /// the ripened `(tick, macro)` decision, if any. A warmed push
+    /// refills a pooled entry, allocating nothing.
     pub(crate) fn push(
         &mut self,
         table: &FlatTable,
-        states: Vec<FlatState>,
-        emit: Vec<f64>,
+        input: &TickInput,
+        user: usize,
+        macro_lp: &[f64],
     ) -> Option<(usize, usize)> {
         let mut entry = self.core.take_entry();
-        entry.states = states;
-        entry.emit = emit;
+        entry.fill(input, user, macro_lp);
         let n_states = entry.states.len() as u64;
         self.core.push_entry(&FlatFamily { table }, entry, n_states);
-        self.core.emit_ready(|e, j, t| (t, e.states[j].0))
+        self.core.emit_ready(|macro_id, t| (t, macro_id))
     }
 
     /// Ends the stream: `(tail, states explored, transition ops)`, where
@@ -405,7 +518,7 @@ impl OnlineFlat {
         if self.core.ticks_pushed() == 0 {
             return None;
         }
-        let (tail, _log_prob) = self.core.resolve_tail(|e, j| e.states[j].0);
+        let (tail, _log_prob) = self.core.resolve_tail();
         Some((
             tail,
             self.core.states_explored(),

@@ -18,11 +18,17 @@
 //! reader still accepts them.
 //!
 //! Parked streams are binary: a header line
-//! `CACE-SNAPSHOT v4 kind=stream-bin fnv1a64=<16-hex> len=<n>`, then the
+//! `CACE-SNAPSHOT v5 kind=stream-bin fnv1a64=<16-hex> len=<n>`, then the
 //! payload of [`cace_hdbn::wire`] (see
-//! [`ParkedStream::to_snapshot_bytes`]). v3 builds parked in that binary
-//! kind and in a JSON `"kind": "stream"` one, both carrying slots of
-//! mechanisms since removed; [`legacy`] still reads them, and nothing
+//! [`ParkedStream::to_snapshot_bytes`]). A `v5` decoder holds exactly what
+//! its live stream holds: the frontier (the coupled one as its
+//! slot-factored fold, which the newest entry's slices complete), each
+//! older window entry compacted to the records a backtrack can still
+//! read, and the newest entry whole — for NH, its state counts and its
+//! emissions per macro and per candidate. `v4`
+//! builds parked every window entry whole; v3 builds did too, in that
+//! binary kind and in a JSON `"kind": "stream"` one, both carrying slots
+//! of mechanisms since removed. [`legacy`] still reads both, and nothing
 //! writes them.
 //!
 //! The engine payload serializes everything recognition depends on — the
@@ -368,12 +374,10 @@ impl ModelRecord {
 
 /// Binary-kind discriminator token in the snapshot header line.
 const BIN_KIND: &str = "kind=stream-bin";
-/// Version of the binary parked-stream layout this build writes. v4 drops
-/// the slots of removed mechanisms that v3 parks carry; [`legacy`] reads
-/// those.
-const STREAM_VERSION: u32 = 4;
-/// Smallest encoding of an NH window entry: two empty sequences.
-const FLAT_ENTRY_MIN_BYTES: usize = 2;
+/// Version of the binary parked-stream layout this build writes. v4
+/// dropped the slots of removed mechanisms that v3 parks carry; v5 parks
+/// the compacted window; [`legacy`] reads v3 and v4.
+const STREAM_VERSION: u32 = 5;
 
 fn write_strategy(w: &mut ByteWriter, s: Strategy) {
     w.write_u8(match s {
@@ -395,13 +399,15 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
 }
 
 fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
-    w.write_seq(&f.v, |w, &x| w.write_f64(x));
-    w.write_seq(&f.window, |w, e| {
-        w.write_seq(&e.states, |w, &(a, c)| {
-            w.write_usize(a);
-            w.write_usize(c);
-        });
+    w.write_seq(&f.w, |w, &x| w.write_f64(x));
+    w.write_bool(f.dense);
+    wire::write_compact(w, &f.compact, |_, ()| {}, |w, &a| w.write_u32(a));
+    w.write_opt(f.newest.as_ref(), |w, e| {
+        w.write_usize(e.n_macro);
+        w.write_usize(e.n_cands);
         w.write_seq(&e.back, |w, &x| w.write_u32(x));
+        w.write_seq(&e.macro_emit, |w, &x| w.write_f64(x));
+        w.write_seq(&e.cand_emit, |w, &x| w.write_f64(x));
     });
     w.write_usize(f.base);
     w.write_usize(f.pushed);
@@ -409,17 +415,20 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
     w.write_u64(f.transition_ops);
 }
 
-fn read_flat_entry(r: &mut ByteReader<'_>) -> Result<ParkedFlatEntry, ModelError> {
-    Ok(ParkedFlatEntry {
-        states: r.read_seq(2, |r| Ok((r.read_usize()?, r.read_usize()?)))?,
-        back: r.read_seq(1, ByteReader::read_u32)?,
-    })
-}
-
 fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
     Ok(ParkedFlat {
-        v: r.read_seq(8, ByteReader::read_f64)?,
-        window: r.read_seq(FLAT_ENTRY_MIN_BYTES, read_flat_entry)?,
+        w: r.read_seq(8, ByteReader::read_f64)?,
+        dense: r.read_bool()?,
+        compact: wire::read_compact(r, 0, |_| Ok(()), 1, ByteReader::read_u32)?,
+        newest: r.read_opt(|r| {
+            Ok(ParkedFlatEntry {
+                n_macro: r.read_usize()?,
+                n_cands: r.read_usize()?,
+                back: r.read_seq(1, ByteReader::read_u32)?,
+                macro_emit: r.read_seq(8, ByteReader::read_f64)?,
+                cand_emit: r.read_seq(8, ByteReader::read_f64)?,
+            })
+        })?,
         base: r.read_usize()?,
         pushed: r.read_usize()?,
         states_explored: r.read_u64()?,
@@ -445,27 +454,25 @@ fn write_state(w: &mut ByteWriter, state: &ParkedDecoder) {
             w.write_u8(2);
             coupled.encode_into(w);
         }
+        ParkedDecoder::Legacy(legacy) => write_state(w, &legacy.compact()),
     }
 }
 
-/// Reads the tag-prefixed per-strategy decoder state, each family through
-/// the given reader (the v4 ones, or `legacy`'s for v3).
-fn read_state<'a>(
-    r: &mut ByteReader<'a>,
-    mut flat: impl FnMut(&mut ByteReader<'a>) -> Result<ParkedFlat, ModelError>,
-    mut chain: impl FnMut(&mut ByteReader<'a>) -> Result<ParkedChain, ModelError>,
-    coupled: impl FnOnce(&mut ByteReader<'a>) -> Result<ParkedCoupled, ModelError>,
-) -> Result<ParkedDecoder, ModelError> {
+/// Reads the tag-prefixed per-strategy decoder state of a v5 park.
+fn read_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
     match r.read_u8()? {
-        0 => Ok(ParkedDecoder::Nh([flat(r)?, flat(r)?])),
-        1 => Ok(ParkedDecoder::Single([chain(r)?, chain(r)?])),
-        2 => Ok(ParkedDecoder::Coupled(coupled(r)?)),
+        0 => Ok(ParkedDecoder::Nh([read_flat(r)?, read_flat(r)?])),
+        1 => Ok(ParkedDecoder::Single([
+            ParkedChain::decode_from(r)?,
+            ParkedChain::decode_from(r)?,
+        ])),
+        2 => Ok(ParkedDecoder::Coupled(ParkedCoupled::decode_from(r)?)),
         t => Err(persist_err(format!("unknown parked decoder tag {t}"))),
     }
 }
 
 /// Parses and verifies the header of a binary parked stream: magic, a
-/// version this build reads (v4, or v3 for `legacy`), the binary kind,
+/// version this build reads (v5, or v3 and v4 for `legacy`), the binary kind,
 /// and the payload's stated length and checksum. Returns the version and
 /// the verified payload.
 fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
@@ -477,11 +484,12 @@ fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
         .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
     let payload = &bytes[newline + 1..];
     let (version, mut tokens) = parse_header(header)?;
-    if version != STREAM_VERSION && version != legacy::VERSION {
+    if ![legacy::VERSION, legacy::V4, STREAM_VERSION].contains(&version) {
         return Err(persist_err(format!(
             "unsupported stream snapshot version {version} \
-             (this build reads v{} and v{STREAM_VERSION})",
-            legacy::VERSION
+             (this build reads v{}, v{} and v{STREAM_VERSION})",
+            legacy::VERSION,
+            legacy::V4
         )));
     }
     let kind = tokens.next();
@@ -515,7 +523,7 @@ impl ParkedStream {
     /// keeps for an evicted home.
     ///
     /// ```text
-    /// CACE-SNAPSHOT v4 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
+    /// CACE-SNAPSHOT v5 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
     /// <raw payload bytes>
     /// ```
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -547,31 +555,24 @@ impl ParkedStream {
 
     /// Reconstructs a parked stream from
     /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output, or from a
-    /// binary park written by a v3 build. Envelope checks (magic,
+    /// binary park written by a v3 or v4 build. Envelope checks (magic,
     /// version, kind, stated length, checksum) run before any payload
     /// decode; structural validation against a concrete engine happens at
     /// [`CaceEngine::resume`].
     ///
     /// # Errors
     /// [`ModelError::Persistence`] on a malformed header, a version other
-    /// than v3 or v4, a non-binary kind, a length or checksum mismatch,
+    /// than v3, v4 or v5, a non-binary kind, a length or checksum mismatch,
     /// malformed payload bytes, or a v3 park that records a removed
     /// mechanism (see [`legacy`]).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
         let (version, payload) = open_binary(bytes)?;
         let mut r = ByteReader::new(payload);
         let strategy = read_strategy(&mut r)?;
-        let (lag, state) = if version == legacy::VERSION {
-            legacy::read_lag_and_state(&mut r)?
+        let (lag, state) = if version == STREAM_VERSION {
+            (wire::read_lag(&mut r)?, read_state(&mut r)?)
         } else {
-            let lag = wire::read_lag(&mut r)?;
-            let state = read_state(
-                &mut r,
-                read_flat,
-                ParkedChain::decode_from,
-                ParkedCoupled::decode_from,
-            )?;
-            (lag, state)
+            legacy::read_lag_and_state(&mut r, version)?
         };
         let parked = Self {
             strategy,
@@ -638,6 +639,7 @@ mod tests {
     #[test]
     fn nh_park_size_does_not_grow_with_stream_age() {
         use crate::nh::{FlatTable, OnlineFlat};
+        use cace_hdbn::{MicroCandidate, TickInput};
         let table = FlatTable::from_rows(&[vec![-0.1, -2.3], vec![-2.3, -0.1]]);
         let mut flat = OnlineFlat::new(cace_hdbn::Lag::Fixed(6));
         let park_len = |flat: &OnlineFlat| {
@@ -651,12 +653,21 @@ mod tests {
             // periodic contradictory observation.
             let m = (t / 100) % 2;
             let fav = if t % 11 == 5 { 1 - m } else { m };
-            let states = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
-            let emit = states
-                .iter()
-                .map(|&(a, c)| if a == fav && c == fav { 0.0 } else { -3.0 })
+            let score = |x: usize| if x == fav { 0.0 } else { -1.5 };
+            let cands: Vec<MicroCandidate> = (0..2)
+                .map(|c| MicroCandidate {
+                    postural: c,
+                    gestural: None,
+                    location: c,
+                    obs_loglik: score(c),
+                })
                 .collect();
-            flat.push(&table, states, emit);
+            let tick = TickInput {
+                candidates: [cands.clone(), cands],
+                macro_candidates: [None, None],
+                macro_bonus: Vec::new(),
+            };
+            flat.push(&table, &tick, 0, &[score(0), score(1)]);
             if t + 1 == 200 {
                 short = park_len(&flat);
             }
@@ -796,7 +807,7 @@ mod tests {
             stream.push(&tick.observed).unwrap();
         }
         let stream_bytes = stream.park().to_snapshot_bytes();
-        assert!(stream_bytes.starts_with(b"CACE-SNAPSHOT v4 kind=stream-bin fnv1a64="));
+        assert!(stream_bytes.starts_with(b"CACE-SNAPSHOT v5 kind=stream-bin fnv1a64="));
 
         let err =
             CaceEngine::from_snapshot_str(&String::from_utf8_lossy(&stream_bytes)).unwrap_err();
@@ -851,7 +862,7 @@ mod tests {
         }
         let bytes = stream.park().to_snapshot_bytes();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        assert!(bytes.starts_with(b"CACE-SNAPSHOT v4 kind=stream-bin fnv1a64="));
+        assert!(bytes.starts_with(b"CACE-SNAPSHOT v5 kind=stream-bin fnv1a64="));
 
         // Flip one payload byte: checksum mismatch, decode never runs.
         let mut corrupted = bytes.clone();
@@ -865,7 +876,7 @@ mod tests {
         assert!(err.to_string().contains("length"), "{err}");
 
         // A version this build does not read, older or newer.
-        for version in [b'2', b'5'] {
+        for version in [b'2', b'6'] {
             let mut other = bytes.clone();
             other["CACE-SNAPSHOT v".len()] = version;
             let err = ParkedStream::from_snapshot_bytes(&other).unwrap_err();

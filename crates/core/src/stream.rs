@@ -86,7 +86,8 @@ use serde::Deserialize;
 
 use crate::engine::{CaceEngine, Recognition};
 use crate::evidence::PrevState;
-use crate::nh::{self, OnlineFlat, ParkedFlat};
+use crate::nh::{OnlineFlat, ParkedFlat};
+use crate::snapshot::legacy::LegacyDecoder;
 use crate::strategy::Strategy;
 
 fn park_err(what: impl Into<String>) -> ModelError {
@@ -311,7 +312,15 @@ fn resume_impl<'a>(
         ));
     }
     let cursor_err = || park_err("parked stream: decoder tick count disagrees with the cursor");
-    let decoder = match (&parked.state, e.config.strategy) {
+    let compacted;
+    let state = match &parked.state {
+        ParkedDecoder::Legacy(legacy) => {
+            compacted = legacy.compact();
+            &compacted
+        }
+        state => state,
+    };
+    let decoder = match (state, e.config.strategy) {
         (ParkedDecoder::Nh(flats), Strategy::NaiveHmm) => {
             if flats.iter().any(|f| f.ticks_pushed() != parked.pushed) {
                 return Err(cursor_err());
@@ -672,12 +681,9 @@ fn advance_decoder(
         }
         Decoder::Nh(flats) => {
             let macro_lp = preparer.nh_macro_emissions(features);
-            let n_macro = engine.n_macro;
             let mut out = [None, None];
             for u in 0..2 {
-                let states = nh::states(input, u, n_macro);
-                let emit = nh::emissions(input, u, &states, &macro_lp[u]);
-                out[u] = flats[u].push(&engine.nh_log_trans, states, emit);
+                out[u] = flats[u].push(&engine.nh_log_trans, input, u, &macro_lp[u]);
             }
             Ok(out[0]
                 .zip(out[1])
@@ -690,7 +696,7 @@ fn advance_decoder(
 }
 
 /// The parked per-strategy decoder state inside a [`ParkedStream`].
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum ParkedDecoder {
     /// NH: one flat product frontier per user.
@@ -699,6 +705,9 @@ pub(crate) enum ParkedDecoder {
     Single([ParkedChain; 2]),
     /// NCS / C2: the coupled joint frontier.
     Coupled(ParkedCoupled),
+    /// A `v3` or `v4` park's decoder state, every window entry whole:
+    /// compacted into one of the above when resumed or re-encoded.
+    Legacy(LegacyDecoder),
 }
 
 /// A complete mid-stream checkpoint of one home's [`StreamingRecognizer`]:
@@ -934,7 +943,7 @@ mod tests {
             stream.push(&tick.observed).unwrap();
         }
         let reseal = |p: &ParkedStream| {
-            ParkedStream::from_snapshot_bytes(&p.to_snapshot_bytes()).expect("v4 park reads")
+            ParkedStream::from_snapshot_bytes(&p.to_snapshot_bytes()).expect("v5 park reads")
         };
         let mut parked = stream.park();
 

@@ -237,4 +237,11 @@ impl TrellisArena {
     pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
         self.step.swap_frontier(v);
     }
+
+    /// The last chain step's fold per destination slot: the step wrote
+    /// state `j`'s score as `fold[slot(j)] + emission(j)` (see
+    /// [`step_pruned_into`](crate::trellis::step_pruned_into)).
+    pub fn fold(&self) -> &[f64] {
+        &self.step.w
+    }
 }

@@ -81,7 +81,7 @@ pub use park::{ParkedChain, ParkedCoupled};
 pub use single::SingleHdbn;
 pub use tables::ScoreTables;
 pub use trellis::{
-    Dest, Frontier, HierModel, OnlineTrellis, PosteriorModel, ScoreModel, StateSpace, TrellisEntry,
-    TrellisFamily,
+    Dest, Frontier, HierModel, OnlineTrellis, PosteriorModel, Record, ScoreModel, StateSpace,
+    TrellisEntry, TrellisFamily,
 };
 pub use viterbi::{joint_step, joint_step_from, CoupledHdbn, JointFrontier, JointPath, JointStep};

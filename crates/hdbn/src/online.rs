@@ -6,10 +6,10 @@
 //! joint state — plus a backpointer window, and advance it by one DP step
 //! per pushed tick: `O(|S1||S2|(|S1|+|S2|))` for the coupled chain,
 //! `O(|S|²)` for a single chain, *without* re-decoding the growing prefix.
-//! The coupled decoder holds its frontier and backpointer rows per
-//! destination slot pair ([`JointFrontier`]); a park materializes both,
-//! one score and one backpointer per joint state, and a resume folds them
-//! back.
+//! The coupled decoder holds its frontier and the newest backpointer row
+//! per destination slot pair ([`JointFrontier`]), and every older tick
+//! compacted to the states a backtrack can still reach (see
+//! [`OnlineTrellis`]); a park writes exactly that.
 //!
 //! Smoothing is controlled by a [`Lag`]:
 //!
@@ -64,7 +64,6 @@
 //! assert_eq!(tail.macros[0].len(), 2);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cace_model::ModelError;
@@ -73,9 +72,12 @@ use serde::Deserialize;
 use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
+use crate::park::{
+    check, ChainPick, JointPick, ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry,
+    ParkedSlice,
+};
 use crate::single::{self, SingleHdbn, SinglePath};
-use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
+use crate::trellis::{self, Compacted, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
 use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
@@ -84,12 +86,15 @@ pub enum Lag {
     /// Never commit mid-stream; decode everything at finalization — the
     /// whole-session Viterbi decode.
     ///
-    /// Cost: the window keeps every tick, so no entry is ever recycled and
-    /// each push allocates its own window entry (slices, backpointers and
-    /// candidate copies: 19 allocations per push on the two-activity toy
-    /// coupled decoder, against none once a [`Lag::Fixed`] stream is
-    /// warmed). Whole-session recognition runs here; served streams run
-    /// under a fixed lag.
+    /// Cost: the window keeps every tick, compacted to its survivors'
+    /// records and its candidate tuples in pooled stores that only grow
+    /// (by doubling), while the two whole entries ping-pong as under a
+    /// fixed lag — so a warmed push allocates only when a store or the
+    /// [`reserve_ticks`](OnlineCoupledViterbi::reserve_ticks)-sized window
+    /// spine outgrows its capacity: one allocation over 64 warmed pushes
+    /// on the toy coupled decoder (`tests/alloc_steady_state.rs` bounds it
+    /// at one per push). Whole-session recognition runs here; served
+    /// streams run under a fixed lag.
     Unbounded,
     /// Emit the decision for tick `t - lag` after consuming tick `t`,
     /// keeping the backpointer window bounded at `lag + 2` entries.
@@ -135,8 +140,8 @@ pub struct SmoothedChain {
     pub micro: MicroCandidate,
 }
 
-/// One retained tick of the coupled backpointer window (pooled through
-/// the core's free list — see [`TrellisEntry`]).
+/// The newest tick of the coupled backpointer window, held whole (pooled
+/// as the core's ping-pong pair — see [`TrellisEntry`]).
 #[derive(Debug, Clone, Default)]
 struct JointEntry {
     s1: Slice,
@@ -152,10 +157,42 @@ struct JointEntry {
 }
 
 impl TrellisEntry for JointEntry {
+    type Payload = JointPick;
+    type Item = MicroCandidate;
+    type Decision = ([usize; 2], [MicroCandidate; 2]);
+
+    fn back_row(&self) -> &[u32] {
+        &self.back
+    }
+
+    fn back_buffer(&mut self) -> &mut Vec<u32> {
+        &mut self.back
+    }
+
     fn back_of(&self, j: usize) -> usize {
         let m2 = self.s2.len();
         let (s1, s2) = (self.s1.slots[j / m2], self.s2.slots[j % m2]);
         self.back[s1 as usize * self.s2.n_slots() + s2 as usize] as usize
+    }
+
+    fn payload(&self, flat: usize) -> JointPick {
+        let m2 = self.s2.len();
+        let (j1, j2) = (flat / m2, flat % m2);
+        (
+            [self.s1.activities[j1] as u32, self.s2.activities[j2] as u32],
+            [
+                self.s1.cands[j1] as u32,
+                (self.cands[0].len() + self.s2.cands[j2]) as u32,
+            ],
+        )
+    }
+
+    fn items(&self) -> impl Iterator<Item = MicroCandidate> + '_ {
+        self.cands[0].iter().chain(&self.cands[1]).copied()
+    }
+
+    fn decide((macros, micros): JointPick, item: impl Fn(u32) -> MicroCandidate) -> Self::Decision {
+        (macros.map(|a| a as usize), micros.map(item))
     }
 }
 
@@ -176,18 +213,21 @@ impl TrellisFamily for CoupledFamily<'_> {
         entry.back.clear();
     }
 
-    fn step(
+    fn select(&self, prev: &JointEntry, v: &JointFrontier, arena: &mut TrellisArena) {
+        viterbi::joint_select_into(self.p, &prev.s1, &prev.s2, v, arena);
+    }
+
+    fn fold(
         &self,
         prev: &JointEntry,
-        v: &JointFrontier,
+        _v: &JointFrontier,
         entry: &mut JointEntry,
         next: &mut JointFrontier,
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
         let JointEntry { s1, s2, back, .. } = entry;
-        let survivors = viterbi::joint_step_exact_into(
-            self.p, &prev.s1, &prev.s2, v, s1, s2, arena, next, back,
-        );
+        let survivors =
+            viterbi::joint_fold_into(self.p, &prev.s1, &prev.s2, s1, s2, arena, next, back);
         let ops = viterbi::joint_step_charge(&prev.s1, &prev.s2, s1, s2);
         (ops, survivors)
     }
@@ -208,7 +248,11 @@ impl TrellisFamily for ChainFamily<'_> {
         entry.back.clear();
     }
 
-    fn step(
+    fn select(&self, prev: &ChainEntry, v: &Vec<f64>, arena: &mut TrellisArena) {
+        trellis::select_into(self.p.tables.dominance(), &prev.slice, v, arena);
+    }
+
+    fn fold(
         &self,
         prev: &ChainEntry,
         v: &Vec<f64>,
@@ -217,15 +261,8 @@ impl TrellisFamily for ChainFamily<'_> {
         arena: &mut TrellisArena,
     ) -> (u64, usize) {
         let ChainEntry { slice, back, .. } = entry;
-        let survivors = trellis::step_into(
-            &HierModel::new(self.p),
-            self.p.tables.dominance(),
-            &prev.slice,
-            v,
-            slice,
-            arena,
-            back,
-        );
+        let model = HierModel::new(self.p);
+        let survivors = trellis::fold_into(&model, &prev.slice, v, slice, arena, back);
         arena.swap_frontier(next);
         ((prev.slice.len() * slice.len()) as u64, survivors)
     }
@@ -243,20 +280,6 @@ pub struct OnlineCoupledViterbi {
     /// The model's shared parameters.
     params: Arc<HdbnParams>,
     core: OnlineTrellis<JointEntry, JointFrontier>,
-}
-
-/// Decodes one flattened joint state of `entry` into per-user macros and
-/// micro tuples.
-fn decode_joint(entry: &JointEntry, flat: usize) -> ([usize; 2], [MicroCandidate; 2]) {
-    let m2 = entry.s2.len();
-    let (j1, j2) = (flat / m2, flat % m2);
-    (
-        [entry.s1.activities[j1], entry.s2.activities[j2]],
-        [
-            entry.cands[0][entry.s1.cands[j1]],
-            entry.cands[1][entry.s2.cands[j2]],
-        ],
-    )
 }
 
 impl OnlineCoupledViterbi {
@@ -297,12 +320,24 @@ impl OnlineCoupledViterbi {
         self.core.reserve_ticks(additional);
     }
 
+    /// The joint states each compacted window entry still holds, oldest
+    /// first: the survivors of the step after it, plus state 0 when that
+    /// step left a destination unreachable (every state, when it folded
+    /// the whole frontier). The newest entry is held whole and not listed.
+    pub fn window_states(&self) -> Vec<Vec<usize>> {
+        let states = |entry: Compacted<JointPick, MicroCandidate>| {
+            entry.records.iter().map(|r| r.state as usize).collect()
+        };
+        self.core.compacted().into_iter().map(states).collect()
+    }
+
     /// Consumes one tick, advancing the frontier by one DP step; returns
     /// the newly ripened fixed-lag decision, if any.
     ///
     /// Steady-state cost: one dominance-pruned exact DP step over reused
-    /// arena buffers and a recycled window entry — zero heap allocations
-    /// once the stream is warmed (`tests/alloc_steady_state.rs`).
+    /// arena buffers and a recycled window entry, then the previous entry
+    /// compacted into the pooled record store — zero heap allocations once
+    /// a [`Lag::Fixed`] stream is warmed (`tests/alloc_steady_state.rs`).
     ///
     /// # Errors
     /// [`ModelError::EmptyStateSpace`] if the tick has no candidates for
@@ -331,37 +366,35 @@ impl OnlineCoupledViterbi {
         let n_states = (entry.s1.len() * entry.s2.len()) as u64;
         self.core
             .push_entry(&CoupledFamily { p: &self.params }, entry, n_states);
-        Ok(self.core.emit_ready(|entry, flat, t| {
-            let (macros, micros) = decode_joint(entry, flat);
-            SmoothedJoint {
-                tick: t,
+        Ok(self
+            .core
+            .emit_ready(|(macros, micros), tick| SmoothedJoint {
+                tick,
                 macros,
                 micros,
-            }
-        }))
+            }))
     }
 
     /// Checkpoints the stream: everything the decode depends on — the
-    /// live frontier, the backpointer window, the decision cursor, and
-    /// the overhead counters — in a serializable form. Emitted decisions
-    /// are not kept, so a park's size does not grow with the stream's age.
-    /// Dominance survivors are recomputed by the next step, so they are
-    /// not parked. The model is *not* captured; [`resume`](Self::resume)
-    /// re-attaches one, so a fleet of parked homes shares a single
-    /// `Arc<HdbnParams>`.
+    /// live frontier, the compacted window and its newest entry, the
+    /// decision cursor, and the overhead counters — in a serializable
+    /// form. Emitted decisions are not kept, so a park's size does not
+    /// grow with the stream's age. Dominance survivors are recomputed by
+    /// the next step, so they are not parked. The model is *not* captured;
+    /// [`resume`](Self::resume) re-attaches one, so a fleet of parked homes
+    /// shares a single `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
+        let v = self.core.frontier();
         ParkedCoupled {
-            v: self.core.frontier().to_dense(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedJointEntry {
-                    s1: ParkedSlice::from_slice(&e.s1),
-                    s2: ParkedSlice::from_slice(&e.s2),
-                    back: viterbi::expand_back(&e.back, &e.s1, &e.s2),
-                    cands: e.cands.clone(),
-                })
-                .collect(),
+            w: v.w.clone(),
+            dense: v.trivial,
+            compact: self.core.compacted(),
+            newest: self.core.newest().map(|e| ParkedJointEntry {
+                s1: ParkedSlice::from_slice(&e.s1),
+                s2: ParkedSlice::from_slice(&e.s2),
+                back: e.back.clone(),
+                cands: e.cands.clone(),
+            }),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
             states_explored: self.core.states_explored(),
@@ -388,33 +421,35 @@ impl OnlineCoupledViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, lag)?;
-        let window = parked
-            .window
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let (s1, s2) = (e.s1.to_slice(), e.s2.to_slice());
-                let what = format!("parked coupled window[{i}]");
-                Ok(JointEntry {
-                    back: viterbi::fold_back(&what, &e.back, &s1, &s2)?,
-                    s1,
-                    s2,
-                    cands: e.cands.clone(),
-                })
-            })
-            .collect::<Result<VecDeque<JointEntry>, ModelError>>()?;
-        // The parked frontier enters as its trivial factorization; the
+        let newest = parked.newest.as_ref().map(|e| JointEntry {
+            s1: e.s1.to_slice(),
+            s2: e.s2.to_slice(),
+            back: e.back.clone(),
+            cands: e.cands.clone(),
+        });
+        // The newest entry's slices rebuild the frontier around its `w`;
+        // a dense frontier enters as its trivial factorization, and the
         // next step writes a compact one.
-        let v = match window.back() {
-            Some(e) => JointFrontier::from_dense(&parked.v, e.s1.len(), e.s2.len())?,
+        let v = match &newest {
             None => JointFrontier::default(),
+            Some(e) if parked.dense => {
+                JointFrontier::from_dense(&parked.w, e.s1.len(), e.s2.len())?
+            }
+            Some(e) => {
+                let first_tick = parked.pushed == 1;
+                JointFrontier::restored(&params, parked.w.clone(), &e.s1, &e.s2, first_tick)
+            }
         };
+        check(!v.has_nan(), || {
+            "parked coupled stream: NaN frontier score".to_string()
+        })?;
         Ok(Self {
             params,
             core: OnlineTrellis::from_parts(
                 lag,
                 v,
-                window,
+                parked.compact.clone(),
+                newest,
                 parked.base,
                 parked.pushed,
                 parked.states_explored,
@@ -442,7 +477,7 @@ impl OnlineCoupledViterbi {
                 required: 1,
             });
         }
-        let (tail, log_prob) = self.core.resolve_tail(decode_joint);
+        let (tail, log_prob) = self.core.resolve_tail();
         let (mut macros, mut micros) = ([Vec::new(), Vec::new()], [Vec::new(), Vec::new()]);
         for (m, c) in tail {
             for u in 0..2 {
@@ -460,7 +495,7 @@ impl OnlineCoupledViterbi {
     }
 }
 
-/// One retained tick of a single-chain backpointer window (pooled like
+/// The newest tick of a single-chain backpointer window (pooled like
 /// [`JointEntry`]).
 #[derive(Debug, Clone, Default)]
 struct ChainEntry {
@@ -470,8 +505,32 @@ struct ChainEntry {
 }
 
 impl TrellisEntry for ChainEntry {
+    type Payload = ChainPick;
+    type Item = MicroCandidate;
+    type Decision = (usize, MicroCandidate);
+
+    fn back_row(&self) -> &[u32] {
+        &self.back
+    }
+
+    fn back_buffer(&mut self) -> &mut Vec<u32> {
+        &mut self.back
+    }
+
     fn back_of(&self, j: usize) -> usize {
         self.back[j] as usize
+    }
+
+    fn payload(&self, j: usize) -> ChainPick {
+        (self.slice.activities[j] as u32, self.slice.cands[j] as u32)
+    }
+
+    fn items(&self) -> impl Iterator<Item = MicroCandidate> + '_ {
+        self.cands.iter().copied()
+    }
+
+    fn decide((a, c): ChainPick, item: impl Fn(u32) -> MicroCandidate) -> Self::Decision {
+        (a as usize, item(c))
     }
 }
 
@@ -534,26 +593,25 @@ impl OnlineSingleViterbi {
         let n_states = entry.slice.len() as u64;
         self.core
             .push_entry(&ChainFamily { p: &self.params }, entry, n_states);
-        Ok(self.core.emit_ready(|entry, j, t| SmoothedChain {
-            tick: t,
-            macro_id: entry.slice.activities[j],
-            micro: entry.cands[entry.slice.cands[j]],
-        }))
+        Ok(self
+            .core
+            .emit_ready(|(macro_id, micro), tick| SmoothedChain {
+                tick,
+                macro_id,
+                micro,
+            }))
     }
 
     /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
     pub fn park(&self) -> ParkedChain {
         ParkedChain {
             v: self.core.frontier().to_vec(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedChainEntry {
-                    slice: ParkedSlice::from_slice(&e.slice),
-                    back: e.back.clone(),
-                    cands: e.cands.clone(),
-                })
-                .collect(),
+            compact: self.core.compacted(),
+            newest: self.core.newest().map(|e| ParkedChainEntry {
+                slice: ParkedSlice::from_slice(&e.slice),
+                back: e.back.clone(),
+                cands: e.cands.clone(),
+            }),
             base: self.core.base(),
             pushed: self.core.ticks_pushed(),
             states_explored: self.core.states_explored(),
@@ -576,22 +634,19 @@ impl OnlineSingleViterbi {
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
         parked.validate(&params, lag)?;
-        let window: VecDeque<ChainEntry> = parked
-            .window
-            .iter()
-            .map(|e| ChainEntry {
-                slice: e.slice.to_slice(),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
-            })
-            .collect();
+        let newest = parked.newest.as_ref().map(|e| ChainEntry {
+            slice: e.slice.to_slice(),
+            back: e.back.clone(),
+            cands: e.cands.clone(),
+        });
         Ok(Self {
             params,
             user,
             core: OnlineTrellis::from_parts(
                 lag,
                 parked.v.clone(),
-                window,
+                parked.compact.clone(),
+                newest,
                 parked.base,
                 parked.pushed,
                 parked.states_explored,
@@ -615,9 +670,7 @@ impl OnlineSingleViterbi {
                 required: 1,
             });
         }
-        let (tail, log_prob) = self.core.resolve_tail(|entry, j| {
-            (entry.slice.activities[j], entry.cands[entry.slice.cands[j]])
-        });
+        let (tail, log_prob) = self.core.resolve_tail();
         let (macros, micros) = tail.into_iter().unzip();
         Ok(SinglePath {
             macros,
@@ -633,6 +686,7 @@ impl OnlineSingleViterbi {
 pub(crate) mod tests {
     use super::*;
     use crate::params::{HdbnConfig, HdbnParams};
+    use crate::trellis::Record;
     use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 
     pub(crate) fn toy_params(coupled: bool) -> HdbnParams {
@@ -901,89 +955,139 @@ pub(crate) mod tests {
             online.push(tick).unwrap();
         }
         let parked = online.park();
+        assert_eq!(
+            parked.compact.len(),
+            1,
+            "lag 2: one compacted entry and the newest"
+        );
         let resume =
             |p: &ParkedCoupled| OnlineCoupledViterbi::resume(model.clone(), Lag::Fixed(2), p);
+        let rejected = |p: &ParkedCoupled| matches!(resume(p), Err(ModelError::Persistence { .. }));
         assert!(resume(&parked).is_ok());
 
         let mut bad = parked.clone();
         bad.pushed += 1; // cursor no longer covers the window
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        assert!(rejected(&bad));
 
         let mut bad = parked.clone();
         bad.base = usize::MAX; // cursor arithmetic must not overflow
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.v[0] = f64::NAN;
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        bad.w[0] = f64::NAN;
+        assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.v.pop(); // frontier shorter than the newest slice
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        bad.w.pop(); // frontier shorter than the newest entry's slot pairs
+        assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        let last = bad.window.len() - 1;
-        bad.window[last].back[0] = u32::MAX; // dangling backpointer
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        bad.newest.as_mut().unwrap().back[0] = u32::MAX; // dangling backpointer
+        assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.window[0].s1.pairs[0] = u32::MAX; // pair id outside the tables
-        assert!(matches!(resume(&bad), Err(ModelError::Persistence { .. })));
+        bad.newest.as_mut().unwrap().s1.pairs[0] = u32::MAX; // pair id outside the tables
+        assert!(rejected(&bad));
+
+        let mut bad = parked.clone();
+        bad.newest = None; // compacted entries with nothing after them
+        bad.w.clear();
+        assert!(rejected(&bad));
+
+        let mut bad = parked.clone();
+        bad.compact[0].records[0].payload.0[1] = 2; // a macro the model lacks
+        assert!(rejected(&bad));
+
+        let mut bad = parked.clone();
+        let n_items = bad.compact[0].items.len() as u32;
+        bad.compact[0].records[0].payload.1[1] = n_items; // a micro tuple the tick lacks
+        assert!(rejected(&bad));
     }
 
     #[test]
-    fn a_back_row_split_inside_a_slot_pair_is_rejected() {
+    fn compacted_windows_that_a_backtrack_could_miss_are_rejected() {
         use crate::wire::{ByteReader, ByteWriter};
-        // Candidates 0 and 1 share postural 0, so each of their slots holds
-        // two states and each slot pair several joint states.
-        let tick = |strength: f64| {
-            let cands: Vec<MicroCandidate> = (0..3)
-                .map(|c| MicroCandidate {
-                    postural: c / 2,
-                    gestural: Some(0),
-                    location: c % 2,
-                    obs_loglik: -strength * c as f64,
-                })
-                .collect();
-            TickInput {
-                candidates: [cands.clone(), cands],
-                macro_candidates: [None, None],
-                macro_bonus: Vec::new(),
-            }
-        };
         let model = CoupledHdbn::new(toy_params(true));
-        let mut online = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
-        for t in 0..6 {
-            online.push(&tick(0.5 + t as f64)).unwrap();
+        let lag = Lag::Fixed(4);
+        let mut online = OnlineCoupledViterbi::new(model.clone(), lag);
+        for tick in glitchy_ticks().iter().take(9) {
+            online.push(tick).unwrap();
         }
         let reread = |p: &ParkedCoupled| {
             let mut w = ByteWriter::new();
             p.encode_into(&mut w);
-            ParkedCoupled::decode_from(&mut ByteReader::new(&w.into_bytes())).unwrap()
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let parked = ParkedCoupled::decode_from(&mut r).unwrap();
+            r.expect_end().unwrap();
+            parked
         };
-        let resume =
-            |p: &ParkedCoupled| OnlineCoupledViterbi::resume(model.clone(), Lag::Fixed(2), p);
+        let resume = |p: &ParkedCoupled| OnlineCoupledViterbi::resume(model.clone(), lag, p);
+        let rejected =
+            |p: &ParkedCoupled| matches!(resume(&reread(p)), Err(ModelError::Persistence { .. }));
         let parked = online.park();
         assert!(resume(&reread(&parked)).is_ok());
+        assert_eq!(parked.compact.len(), 3);
+        let named = |p: &ParkedCoupled, i: usize| {
+            p.compact[i]
+                .records
+                .iter()
+                .map(|r| r.state)
+                .collect::<Vec<_>>()
+        };
 
-        // Joint states 0 and 1 are (j1 0, j2 0) and (j1 0, j2 1): one slot
-        // pair, so one backpointer.
+        // Every backpointer must name a record of the entry before it: drop
+        // the record the next entry's first record points at.
         let mut bad = parked.clone();
-        let last = bad.window.len() - 1;
-        let back = &mut bad.window[last].back;
-        assert_eq!(back[0], back[1]);
-        back[1] = u32::from(back[0] == 0);
-        assert!(matches!(
-            resume(&reread(&bad)),
-            Err(ModelError::Persistence { .. })
-        ));
+        let target = bad.compact[2].records[0].back;
+        bad.compact[1].records.retain(|r| r.state != target);
+        if bad.compact[1].records.is_empty() {
+            bad.compact[1].records.push(Record {
+                state: target + 1,
+                ..parked.compact[1].records[0]
+            });
+        }
+        assert!(rejected(&bad), "a compacted backpointer names no record");
 
+        // ... and every backpointer of the newest entry one of the last.
         let mut bad = parked.clone();
-        bad.window[0].back.push(0); // neither empty nor one per state
-        assert!(matches!(
-            resume(&reread(&bad)),
-            Err(ModelError::Persistence { .. })
-        ));
+        let target = bad.newest.as_ref().unwrap().back[0];
+        bad.compact[2].records.retain(|r| r.state != target);
+        if bad.compact[2].records.is_empty() {
+            bad.compact[2].records.push(Record {
+                state: target + 1,
+                ..parked.compact[2].records[0]
+            });
+        }
+        assert!(rejected(&bad), "a newest backpointer names no record");
+
+        // Record states strictly ascend.
+        let mut bad = parked.clone();
+        let first = bad.compact[1].records[0];
+        bad.compact[1].records.push(first);
+        assert!(
+            rejected(&bad),
+            "a repeated record state: {:?}",
+            named(&bad, 1)
+        );
+        let mut bad = parked.clone();
+        bad.compact[0].records.reverse();
+        if bad.compact[0].records.len() == 1 {
+            let record = bad.compact[0].records[0];
+            bad.compact[0].records.insert(
+                0,
+                Record {
+                    state: record.state + 1,
+                    ..record
+                },
+            );
+        }
+        assert!(rejected(&bad), "descending record states");
+
+        // A compacted entry holds at least one record.
+        let mut bad = parked.clone();
+        bad.compact[0].records.clear();
+        assert!(rejected(&bad), "an empty compacted entry");
     }
 
     #[test]

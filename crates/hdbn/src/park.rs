@@ -7,19 +7,24 @@
 //! overhead counters, and finalize to the same path as one that never
 //! stopped. The types here are the parked mirrors of
 //! [`OnlineCoupledViterbi`](crate::OnlineCoupledViterbi) and
-//! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi): the trellis
-//! frontier, the backpointer window with its per-tick slices and retained
-//! candidate tuples, the decision cursor (`base`/`pushed`), and the
-//! overhead counters. Decisions already emitted are the caller's: a park
-//! holds `O(lag)` state, whatever the stream's age. The coupled decoder's
-//! frontier and backpointer rows live per destination slot pair; its park
-//! holds them per joint state (the frontier materialized, each row
-//! expanded), and resume takes the parked frontier as its trivial
-//! factorization and folds each row back, rejecting one whose states of a
-//! slot pair disagree.
+//! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi), and hold exactly
+//! what a stream holds (see [`OnlineTrellis`](crate::OnlineTrellis)):
+//!
+//! * the compacted window entries, each the [`Record`]s a backtrack through
+//!   its tick can still read — state, backpointer, decision payload;
+//! * the newest entry whole (its slices, candidate tuples and backpointer
+//!   row — per slot pair in the coupled family), which the next step reads;
+//! * the frontier: a dense score per state for the chain families; for
+//!   the coupled family its slot-factored `w`, one score per slot pair of
+//!   the newest entry, whose slices rebuild the rest — or, after a resume
+//!   from a `v3`/`v4` park, the dense scores of its trivial factorization;
+//! * the decision cursor (`base`/`pushed`) and the overhead counters.
+//!
+//! Decisions already emitted are the caller's: a park holds `O(lag)`
+//! state, whatever the stream's age.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
-//! the entry free list and the [`TrellisArena`](crate::TrellisArena)
+//! the spare window entry and the [`TrellisArena`](crate::TrellisArena)
 //! scratch (rebuilt empty — they only exist to avoid steady-state
 //! allocations), the dominance survivors (recomputed from the frontier by
 //! the next step), and the model itself (the caller re-attaches it at
@@ -28,15 +33,15 @@
 //!
 //! Resume is **panic-free on malformed input**: every index and length in
 //! a parked payload is validated against the attached model before any
-//! kernel runs, so a tampered-but-checksummed snapshot surfaces as
-//! [`ModelError::Persistence`] instead of an out-of-bounds panic — the
+//! kernel runs — record states strictly ascending, every backpointer of a
+//! compacted entry naming a record of the entry before it, and every
+//! backpointer of the newest entry naming a record of the last compacted
+//! one — so a tampered-but-checksummed snapshot surfaces as
+//! [`ModelError::Persistence`] instead of an out-of-bounds panic; the
 //! router quarantines the home and keeps serving its shard-mates.
 //!
-//! These types hold live state only; their `Deserialize` reads the JSON
-//! layout of `v3` parks, which nothing writes any more. Those parks also
-//! carry slots for removed mechanisms (an `f32` frontier, lossy-beam
-//! flags, a decision history); [`legacy`] checks them, and is the only
-//! code that knows them.
+//! [`legacy`] reads the `v3` and `v4` layouts, which parked every window
+//! entry whole; it is the only code that knows their retired slots.
 
 use cace_model::ModelError;
 use serde::Deserialize;
@@ -45,8 +50,17 @@ use crate::arena::Slice;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::params::HdbnParams;
+use crate::trellis::{find_record, Compacted, Record};
 
 pub mod legacy;
+
+/// Decision payload of one coupled joint state: per user its macro
+/// activity, and the index of its micro tuple in its entry's items (user
+/// 1's candidates, then user 2's).
+pub(crate) type JointPick = ([u32; 2], [u32; 2]);
+/// Decision payload of one chain state: its macro activity and the index
+/// of its micro tuple in its entry's items.
+pub(crate) type ChainPick = (u32, u32);
 
 /// Parked form of one chain's per-tick trellis slice (everything the step
 /// kernels read; the pair→slot lookup is per-fill scratch and rebuilt).
@@ -91,18 +105,11 @@ impl ParkedSlice {
         self.activities.len()
     }
 
-    /// Bounds-checks every index the step kernels would read: state count
-    /// nonzero and internally consistent, pair/slot ids inside the model's
-    /// dense tables, candidate indices inside the retained tuple list,
-    /// activity runs a partition-shaped cover of the state list, emissions
-    /// free of NaN (the frontier argmax totally orders scores).
-    pub(crate) fn validate(
-        &self,
-        what: &str,
-        n_macro: usize,
-        n_pair: usize,
-        n_cands: usize,
-    ) -> Result<(), ModelError> {
+    /// The model-free half of [`validate`](Self::validate): state count
+    /// nonzero and columns of one length, candidate indices inside the
+    /// retained tuple list, slot indices inside the distinct pairs, and
+    /// activity runs a partition-shaped cover of the state list.
+    pub(crate) fn check_shape(&self, what: &str, n_cands: usize) -> Result<(), ModelError> {
         let m = self.len();
         check(m > 0, || format!("{what}: empty trellis slice"))?;
         check(
@@ -112,12 +119,57 @@ impl ParkedSlice {
                 && self.slots.len() == m,
             || format!("{what}: slice column lengths disagree"),
         )?;
-        check(self.activities.iter().all(|&a| a < n_macro), || {
-            format!("{what}: activity id out of range")
-        })?;
         check(self.cands.iter().all(|&c| c < n_cands), || {
             format!("{what}: candidate index out of range")
         })?;
+        // A decision keeps activity ids in 32 bits.
+        check(
+            self.activities.iter().all(|&a| u32::try_from(a).is_ok()),
+            || format!("{what}: activity id out of range"),
+        )?;
+        // Each slot is some state's pair, so a slice has at most as many
+        // slots as states (which also bounds a slot-pair row by a joint
+        // frontier).
+        check(self.uniq_pairs.len() <= m, || {
+            format!("{what}: more distinct pairs than states")
+        })?;
+        let n_slots = self.uniq_pairs.len() as u32;
+        check(self.slots.iter().all(|&s| s < n_slots), || {
+            format!("{what}: slot index out of range")
+        })?;
+        // Runs must tile 0..m in order — the fold kernels walk them as a
+        // cover of the state list.
+        let mut cursor = 0u32;
+        for &(_, start, end) in &self.runs {
+            check(start == cursor && end >= start, || {
+                format!("{what}: malformed activity run")
+            })?;
+            cursor = end;
+        }
+        check(cursor as usize == m, || {
+            format!("{what}: activity runs do not cover the slice")
+        })
+    }
+
+    /// Bounds-checks every index the step kernels would read:
+    /// [`check_shape`](Self::check_shape), plus activity and pair ids
+    /// inside the model's dense tables and emissions free of NaN (the
+    /// frontier argmax totally orders scores).
+    pub(crate) fn validate(
+        &self,
+        what: &str,
+        n_macro: usize,
+        n_pair: usize,
+        n_cands: usize,
+    ) -> Result<(), ModelError> {
+        self.check_shape(what, n_cands)?;
+        check(self.activities.iter().all(|&a| a < n_macro), || {
+            format!("{what}: activity id out of range")
+        })?;
+        check(
+            self.runs.iter().all(|&(a, _, _)| (a as usize) < n_macro),
+            || format!("{what}: malformed activity run"),
+        )?;
         check(self.pairs.iter().all(|&p| (p as usize) < n_pair), || {
             format!("{what}: pair id out of range")
         })?;
@@ -125,31 +177,17 @@ impl ParkedSlice {
             self.uniq_pairs.iter().all(|&p| (p as usize) < n_pair),
             || format!("{what}: distinct pair id out of range"),
         )?;
-        let n_slots = self.uniq_pairs.len() as u32;
-        check(self.slots.iter().all(|&s| s < n_slots), || {
-            format!("{what}: slot index out of range")
-        })?;
         check(self.emissions.iter().all(|e| !e.is_nan()), || {
             format!("{what}: NaN emission score")
-        })?;
-        // Runs must tile 0..m in order — the fold kernels walk them as a
-        // cover of the state list.
-        let mut cursor = 0u32;
-        for &(a, start, end) in &self.runs {
-            check(
-                (a as usize) < n_macro && start == cursor && end >= start,
-                || format!("{what}: malformed activity run"),
-            )?;
-            cursor = end;
-        }
-        check(cursor as usize == m, || {
-            format!("{what}: activity runs do not cover the slice")
-        })?;
-        Ok(())
+        })
     }
 }
 
-/// Parked form of one retained tick of the coupled backpointer window.
+/// Parked form of the newest tick of the coupled window: its two slices,
+/// its backpointer row and its candidate tuples. The row holds one
+/// backpointer per destination slot pair (`slot₁ * d2 + slot₂`); the
+/// whole entries of a `v3`/`v4` park ([`legacy`]) hold one per joint
+/// state.
 #[derive(Debug, Clone, Default, Deserialize)]
 #[cfg_attr(test, derive(serde::Serialize))]
 pub(crate) struct ParkedJointEntry {
@@ -164,10 +202,18 @@ pub(crate) struct ParkedJointEntry {
 /// Produced by [`park`](crate::OnlineCoupledViterbi::park), consumed by
 /// [`resume`](crate::OnlineCoupledViterbi::resume); the payload is opaque
 /// to callers and versioned by the snapshot layer that embeds it.
-#[derive(Debug, Clone, Default, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParkedCoupled {
-    pub(crate) v: Vec<f64>,
-    pub(crate) window: Vec<ParkedJointEntry>,
+    /// The frontier's pass-2 fold, one score per slot pair of the newest
+    /// entry — or, when `dense`, one score per joint state.
+    pub(crate) w: Vec<f64>,
+    /// Whether `w` is a dense frontier's trivial factorization (a stream
+    /// resumed from a `v3`/`v4` park, before its next push).
+    pub(crate) dense: bool,
+    /// The compacted entries, oldest first.
+    pub(crate) compact: Vec<Compacted<JointPick, MicroCandidate>>,
+    /// The newest entry; `None` before the first push.
+    pub(crate) newest: Option<ParkedJointEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) states_explored: u64,
@@ -182,38 +228,48 @@ impl ParkedCoupled {
 
     /// Full structural validation against the model this checkpoint is
     /// being re-attached to (see the [module docs](self) for why resume
-    /// must be panic-free).
+    /// must be panic-free). The frontier's scores are checked for NaN
+    /// once resume has rebuilt it.
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         let what = "parked coupled stream";
-        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
+        let window = self.compact.len() + usize::from(self.newest.is_some());
+        validate_cursor(what, self.base, self.pushed, window, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
-        let mut prev_flat = None;
-        for (i, e) in self.window.iter().enumerate() {
-            let what = format!("parked coupled window[{i}]");
-            e.s1.validate(&what, n_macro, n_pair, e.cands[0].len())?;
-            e.s2.validate(&what, n_macro, n_pair, e.cands[1].len())?;
-            let flat = e.s1.len() * e.s2.len();
-            // window[0]'s backpointers are never read (no predecessor to
-            // point into); every later entry's must cover its frontier and
-            // stay inside the previous one.
-            if let Some(prev_flat) = prev_flat {
-                check(e.back.len() == flat, || {
-                    format!("{what}: backpointer count != frontier size")
-                })?;
-                check(e.back.iter().all(|&b| (b as usize) < prev_flat), || {
-                    format!("{what}: backpointer out of range")
-                })?;
-            }
-            prev_flat = Some(flat);
-        }
-        if let Some(frontier) = prev_flat {
-            validate_frontier("parked coupled stream", frontier, &self.v)?;
-        }
-        Ok(())
+        let newest_back = self.newest.as_ref().map(|e| &e.back[..]);
+        validate_compacted(
+            what,
+            &self.compact,
+            newest_back,
+            |(macros, items), n_items| {
+                macros.iter().all(|&a| (a as usize) < n_macro)
+                    && items.iter().all(|&i| (i as usize) < n_items)
+            },
+        )?;
+        let Some(e) = &self.newest else {
+            return check(self.w.is_empty(), || {
+                format!("{what}: a frontier without a window entry")
+            });
+        };
+        e.s1.validate(what, n_macro, n_pair, e.cands[0].len())?;
+        e.s2.validate(what, n_macro, n_pair, e.cands[1].len())?;
+        let slot_pairs = e.s1.uniq_pairs.len() * e.s2.uniq_pairs.len();
+        check(
+            e.back.len() == slot_pairs || (e.back.is_empty() && self.compact.is_empty()),
+            || format!("{what}: backpointer count != slot pairs of the newest entry"),
+        )?;
+        let frontier = if self.dense {
+            e.s1.len() * e.s2.len()
+        } else {
+            slot_pairs
+        };
+        check(self.w.len() == frontier, || {
+            format!("{what}: frontier length != newest window entry")
+        })
     }
 }
 
-/// Parked form of one retained tick of a single-chain backpointer window.
+/// Parked form of the newest tick of a single-chain window: its slice,
+/// its backpointer row (one per state) and its candidate tuples.
 #[derive(Debug, Clone, Default, Deserialize)]
 pub(crate) struct ParkedChainEntry {
     pub(crate) slice: ParkedSlice,
@@ -222,11 +278,12 @@ pub(crate) struct ParkedChainEntry {
 }
 
 /// Parked [`OnlineSingleViterbi`](crate::OnlineSingleViterbi) state — the
-/// single-chain counterpart of [`ParkedCoupled`].
-#[derive(Debug, Clone, Default, Deserialize)]
+/// single-chain counterpart of [`ParkedCoupled`], with a dense frontier.
+#[derive(Debug, Clone, Default)]
 pub struct ParkedChain {
     pub(crate) v: Vec<f64>,
-    pub(crate) window: Vec<ParkedChainEntry>,
+    pub(crate) compact: Vec<Compacted<ChainPick, MicroCandidate>>,
+    pub(crate) newest: Option<ParkedChainEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) states_explored: u64,
@@ -242,27 +299,25 @@ impl ParkedChain {
     /// Single-chain counterpart of [`ParkedCoupled::validate`].
     pub(crate) fn validate(&self, p: &HdbnParams, lag: Lag) -> Result<(), ModelError> {
         let what = "parked chain stream";
-        validate_cursor(what, self.base, self.pushed, self.window.len(), lag)?;
+        let window = self.compact.len() + usize::from(self.newest.is_some());
+        validate_cursor(what, self.base, self.pushed, window, lag)?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
-        let mut prev_len = None;
-        for (i, e) in self.window.iter().enumerate() {
-            let what = format!("parked chain window[{i}]");
-            e.slice.validate(&what, n_macro, n_pair, e.cands.len())?;
-            let m = e.slice.len();
-            if let Some(prev_len) = prev_len {
-                check(e.back.len() == m, || {
-                    format!("{what}: backpointer count != frontier size")
-                })?;
-                check(e.back.iter().all(|&b| (b as usize) < prev_len), || {
-                    format!("{what}: backpointer out of range")
-                })?;
-            }
-            prev_len = Some(m);
-        }
-        if let Some(frontier) = prev_len {
-            validate_frontier("parked chain stream", frontier, &self.v)?;
-        }
-        Ok(())
+        let newest_back = self.newest.as_ref().map(|e| &e.back[..]);
+        validate_compacted(what, &self.compact, newest_back, |&(a, i), n_items| {
+            (a as usize) < n_macro && (i as usize) < n_items
+        })?;
+        let Some(e) = &self.newest else {
+            return check(self.v.is_empty(), || {
+                format!("{what}: a frontier without a window entry")
+            });
+        };
+        e.slice.validate(what, n_macro, n_pair, e.cands.len())?;
+        let m = e.slice.len();
+        check(
+            e.back.len() == m || (e.back.is_empty() && self.compact.is_empty()),
+            || format!("{what}: backpointer count != states of the newest entry"),
+        )?;
+        validate_frontier(what, m, &self.v)
     }
 }
 
@@ -312,5 +367,55 @@ pub fn validate_frontier(what: &str, frontier: usize, v: &[f64]) -> Result<(), M
     check(v.iter().all(|s| !s.is_nan()), || {
         format!("{what}: NaN frontier score")
     })?;
+    Ok(())
+}
+
+/// Compacted-window invariants shared by every parked decoder family:
+/// each compacted entry holds at least one record, in strictly ascending
+/// state order, with payloads `payload_ok` accepts given the entry's item
+/// count; every backpointer of
+/// an entry after the first names a record of the entry before it; and
+/// every backpointer of the newest entry (`newest_back`, `None` when there
+/// is no newest entry) names a record of the last compacted entry. A
+/// backtrack through a window that passes can never miss a record.
+pub fn validate_compacted<P, I>(
+    what: &str,
+    compact: &[Compacted<P, I>],
+    newest_back: Option<&[u32]>,
+    payload_ok: impl Fn(&P, usize) -> bool,
+) -> Result<(), ModelError> {
+    check(compact.is_empty() || newest_back.is_some(), || {
+        format!("{what}: compacted entries without a newest entry")
+    })?;
+    fn names_records<P>(mut back: impl Iterator<Item = u32>, prev: &[Record<P>]) -> bool {
+        back.all(|b| find_record(prev, b).is_some())
+    }
+    let mut prev: Option<&[Record<P>]> = None;
+    for (i, entry) in compact.iter().enumerate() {
+        let records = &entry.records;
+        check(!records.is_empty(), || {
+            format!("{what}: compacted window[{i}] holds no record")
+        })?;
+        check(records.windows(2).all(|r| r[0].state < r[1].state), || {
+            format!("{what}: compacted window[{i}] record states not strictly ascending")
+        })?;
+        check(
+            records
+                .iter()
+                .all(|r| payload_ok(&r.payload, entry.items.len())),
+            || format!("{what}: compacted window[{i}] decision out of range"),
+        )?;
+        if let Some(prev) = prev {
+            check(names_records(records.iter().map(|r| r.back), prev), || {
+                format!("{what}: compacted window[{i}] backpointer names no record")
+            })?;
+        }
+        prev = Some(records);
+    }
+    if let (Some(prev), Some(back)) = (prev, newest_back) {
+        check(names_records(back.iter().copied(), prev), || {
+            format!("{what}: newest backpointer names no record")
+        })?;
+    }
     Ok(())
 }

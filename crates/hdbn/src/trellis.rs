@@ -18,7 +18,8 @@
 //! [`init_into`] and [`step_pruned_into`] are the *only* implementations
 //! of the chain-shaped recursion, and [`step_into`] is the exact step
 //! every chain decoder runs: a [`Dominance`] survivor selection (the whole
-//! frontier when nothing can be pruned), then the survivor-list kernel.
+//! frontier when nothing can be pruned), then the survivor-list kernel —
+//! [`select_into`] then [`fold_into`], which the online core calls apart.
 //! The single-chain decoder instantiates them through [`HierModel`] and
 //! the NH decoder through its flat-table model in `cace-core`. The coupled
 //! joint step is the one family that keeps a bespoke kernel
@@ -28,15 +29,16 @@
 //! into the engine one level up, as a [`TrellisFamily`].
 //!
 //! The online layer is factored the same way: [`OnlineTrellis`] owns the
-//! frontier, the bounded backpointer window with its pooled free
-//! list, the decision cursor, and the overhead counters — written once —
-//! and each family supplies a [`TrellisFamily`] impl that maps a window
-//! entry onto the kernels. The frontier's type is the family's
-//! ([`Frontier`]): the chain and NH families hold one dense score per
-//! state, the coupled family a
-//! [`JointFrontier`](crate::viterbi::JointFrontier) factored per slot pair
-//! that is never materialized; the core only asks a frontier for its
-//! argmax, and a window entry for one state's backpointer.
+//! frontier, the survivor-compacted backpointer window (the newest entry
+//! whole, every older one as [`Record`]s and its items in pooled stores), the
+//! decision cursor, and the overhead counters — written once — and each
+//! family supplies a [`TrellisFamily`] impl that maps a window entry onto
+//! the kernels. The frontier's type is the family's ([`Frontier`]): the
+//! chain and NH families hold one dense score per state, the coupled
+//! family a [`JointFrontier`](crate::viterbi::JointFrontier) factored per
+//! slot pair that is never materialized; the core only asks a frontier
+//! for its argmax, and a window entry for one state's backpointer and
+//! decision payload.
 //! [`forward_backward`] is the single scaled alpha/beta recursion,
 //! parameterized over [`PosteriorModel`].
 //!
@@ -278,8 +280,32 @@ pub fn step_into<Sp: StateSpace, M: ScoreModel>(
     arena: &mut TrellisArena,
     back: &mut Vec<u32>,
 ) -> usize {
+    select_into(dom, prev, v, arena);
+    fold_into(model, prev, v, cur, arena, back)
+}
+
+/// The selection half of [`step_into`]: the survivors of `v` against
+/// `dom`, ascending, into the arena.
+pub fn select_into<Sp: StateSpace>(
+    dom: &Dominance,
+    prev: &Sp,
+    v: &[f64],
+    arena: &mut TrellisArena,
+) {
+    dom.select(prev, v, &mut arena.keep);
+}
+
+/// The fold half of [`step_into`]: [`step_pruned_into`] over the
+/// survivors [`select_into`] left in the arena; returns their number.
+pub fn fold_into<Sp: StateSpace, M: ScoreModel>(
+    model: &M,
+    prev: &Sp,
+    v: &[f64],
+    cur: &Sp,
+    arena: &mut TrellisArena,
+    back: &mut Vec<u32>,
+) -> usize {
     let TrellisArena { keep, step, .. } = arena;
-    dom.select(prev, v, keep);
     step_pruned_into(model, prev, v, keep, cur, step, back);
     keep.len()
 }
@@ -431,13 +457,83 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
 }
 
 /// One retained tick of an online backpointer window, as the generic
-/// online core sees it. Entries are pooled: when the window drops a
-/// ripened tick, the entry (buffers and all) goes to the free list and
-/// the next push refills it in place.
+/// online core sees it. Only the newest tick's entry is held whole; once
+/// the next step has run, the core compacts it to [`Record`]s plus the
+/// entry's [`Item`](Self::Item)s. Entries are pooled: the newest entry and
+/// the one being filled ping-pong, so the next push refills the compacted
+/// entry's buffers in place.
 pub trait TrellisEntry: Default {
+    /// What a compacted record keeps of one state's decision: small ids,
+    /// read against its entry's items.
+    type Payload: Copy + std::fmt::Debug;
+    /// One of the per-tick values a payload refers to (a candidate tuple).
+    type Item: Copy + std::fmt::Debug;
+    /// What a decision reports of one state.
+    type Decision;
+
+    /// The backpointer row as the entry holds it (per state, or per slot
+    /// pair in the coupled family); empty on a stream's first tick.
+    fn back_row(&self) -> &[u32];
+
+    /// The buffer the row lives in. The core hands it from the entry it
+    /// compacts to the entry a step fills, so a stream holds one row.
+    fn back_buffer(&mut self) -> &mut Vec<u32>;
+
     /// Backpointer of state `j`: its predecessor in the previous tick's
-    /// frontier. Never asked of a stream's first tick.
+    /// frontier. Never asked of an entry with an empty
+    /// [`back_row`](Self::back_row).
     fn back_of(&self, j: usize) -> usize;
+
+    /// The decision payload of state `j`.
+    fn payload(&self, j: usize) -> Self::Payload;
+
+    /// The entry's items, in the order payloads index them.
+    fn items(&self) -> impl Iterator<Item = Self::Item> + '_;
+
+    /// The decision of a payload whose entry's item `i` is `item(i)`.
+    fn decide(payload: Self::Payload, item: impl Fn(u32) -> Self::Item) -> Self::Decision;
+
+    /// The decision of state `j` of this (whole) entry.
+    fn decision(&self, j: usize) -> Self::Decision {
+        Self::decide(self.payload(j), |i| {
+            self.items()
+                .nth(i as usize)
+                .expect("a payload indexes its entry's items")
+        })
+    }
+}
+
+/// One state of a compacted window entry: all a backtrack through that
+/// tick reads of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Record<P> {
+    /// The state's index in its tick's frontier.
+    pub state: u32,
+    /// Its backpointer into the previous tick's frontier (`0` on a
+    /// stream's first tick, where nothing reads it).
+    pub back: u32,
+    /// What a decision reports of the state, as ids into its entry's
+    /// items.
+    pub payload: P,
+}
+
+/// One compacted window entry as a park holds it: its items and its
+/// records, ascending by state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Compacted<P, I> {
+    /// The tick's items (its candidate tuples) that payloads index.
+    pub items: Vec<I>,
+    /// One record per state a backtrack through the tick can reach.
+    pub records: Vec<Record<P>>,
+}
+
+/// Finds the record of `state` in one compacted entry (records ascending
+/// by state).
+pub fn find_record<P>(records: &[Record<P>], state: u32) -> Option<&Record<P>> {
+    records
+        .binary_search_by_key(&state, |r| r.state)
+        .ok()
+        .map(|i| &records[i])
 }
 
 /// A live frontier, as the online core sees it: the chain families hold
@@ -467,12 +563,17 @@ pub trait TrellisFamily {
     /// the entry's backpointers).
     fn init(&self, entry: &mut Self::Entry, v: &mut Self::Frontier);
 
-    /// One exact DP step from `prev` (with frontier `v`) into `entry` —
-    /// dominance selection plus the survivor-list kernel; the new frontier
-    /// lands in `next`. Returns the step's transition-op charge under the
-    /// dense accounting convention, and the number of source states the
-    /// kernel folded.
-    fn step(
+    /// The first half of an exact DP step from `prev` (with frontier
+    /// `v`): the dominance selection, whose survivors land ascending in
+    /// the arena.
+    fn select(&self, prev: &Self::Entry, v: &Self::Frontier, arena: &mut TrellisArena);
+
+    /// The second half: the survivor-list kernel into `entry` (its
+    /// backpointer row included; `prev`'s row is not read), the new
+    /// frontier landing in `next`. Returns the step's transition-op charge
+    /// under the dense accounting convention, and the number of source
+    /// states the kernel folded.
+    fn fold(
         &self,
         prev: &Self::Entry,
         v: &Self::Frontier,
@@ -483,25 +584,57 @@ pub trait TrellisFamily {
 }
 
 /// The family-independent half of an online fixed-lag decoder: the
-/// frontier, the bounded backpointer window with its pooled free list,
-/// the decision cursor (`base`/`pushed`), the overhead counters,
-/// and the [`TrellisArena`] scratch. Written once; each public online
-/// decoder ([`crate::OnlineCoupledViterbi`],
-/// [`crate::OnlineSingleViterbi`], and `cace-core`'s NH frontier) wraps
-/// one of these plus its family-specific decision/emission bookkeeping.
+/// frontier, the survivor-compacted backpointer window, the decision
+/// cursor (`base`/`pushed`), the overhead counters, and the
+/// [`TrellisArena`] scratch. Written once; each public online decoder
+/// ([`crate::OnlineCoupledViterbi`], [`crate::OnlineSingleViterbi`], and
+/// `cace-core`'s NH frontier) wraps one of these plus its family-specific
+/// decision/emission bookkeeping.
+///
+/// # The compacted window
+///
+/// Only the newest tick's entry is held whole: the next step reads its
+/// slices. Once step `t + 1` has run, tick `t`'s entry shrinks to its
+/// items (candidate tuples) and one [`Record`] per state that step
+/// `t + 1`'s backpointers can name — its dominance survivors, plus state 0
+/// when some destination is unreachable (such a destination points at
+/// state 0, survivor or not). A backtrack never asks for any other state:
+/// every backpointer names a survivor, because a pruned state is strictly
+/// worse into every destination (see [`crate::dominance`]). A step that
+/// folds the whole frontier keeps every state. This is the on-line
+/// Viterbi idea (Šrámek, Brejová & Vinař, WABI 2007) applied to
+/// CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009). Records and
+/// items of every compacted entry share two pooled stores, and the
+/// whole-entry buffers ping-pong between the newest entry and the one
+/// being filled, so a warmed fixed-lag push allocates nothing. A step runs
+/// in two halves, [`TrellisFamily::select`] then [`TrellisFamily::fold`],
+/// with the compaction between them: the compacted entry's backpointer
+/// row is then free to take the new one, so a stream holds one row.
 #[derive(Debug, Clone)]
-pub struct OnlineTrellis<E, F = Vec<f64>> {
+pub struct OnlineTrellis<E: TrellisEntry, F = Vec<f64>> {
     lag: Lag,
     /// Live frontier.
     v: F,
     /// The frontier a step writes, swapped with `v` after it (pooled like
     /// the arena).
     next: F,
-    /// Backpointer window: entries for ticks `base .. pushed`.
-    window: VecDeque<E>,
-    /// Recycled window entries (see [`TrellisEntry`]).
-    free: Vec<E>,
-    /// Tick index of `window[0]`.
+    /// The newest tick's whole entry (tick `pushed - 1`); `None` before
+    /// the first push.
+    newest: Option<E>,
+    /// The ping-pong partner of `newest`: the last compacted entry's
+    /// buffers, which the next push refills.
+    spare: E,
+    /// Compacted entries for ticks `base .. pushed - 1`, oldest first: each
+    /// entry's first record and first item, as absolute store indices.
+    spans: VecDeque<Span>,
+    /// Every compacted entry's records, oldest first.
+    records: VecDeque<Record<E::Payload>>,
+    /// Every compacted entry's items, oldest first.
+    items: VecDeque<E::Item>,
+    /// Absolute indices of `records[0]` and `items[0]`.
+    records_base: usize,
+    items_base: usize,
+    /// Tick index of the oldest retained entry.
     base: usize,
     /// Ticks consumed so far.
     pushed: usize,
@@ -514,42 +647,61 @@ pub struct OnlineTrellis<E, F = Vec<f64>> {
     last_survivors: Option<usize>,
 }
 
+/// Where one compacted entry lives in the stores: absolute index and
+/// count of its records, and of its items.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    record: usize,
+    records: u32,
+    item: usize,
+    items: u32,
+}
+
 impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     /// An empty stream with the given smoothing lag.
     pub fn new(lag: Lag) -> Self {
-        Self {
-            lag,
-            v: F::default(),
-            next: F::default(),
-            window: VecDeque::new(),
-            free: Vec::new(),
-            base: 0,
-            pushed: 0,
-            states_explored: 0,
-            transition_ops: 0,
-            arena: TrellisArena::new(),
-            last_survivors: None,
-        }
+        Self::from_parts(lag, F::default(), Vec::new(), None, 0, 0, 0, 0)
     }
 
-    /// Rebuilds a core from parked state (the free list and arena scratch
-    /// restore empty — they only exist to avoid steady-state
-    /// allocations).
+    /// Rebuilds a core from parked state: the frontier, the compacted
+    /// entries (oldest first, records ascending by state) and the newest
+    /// whole entry (the spare entry and arena scratch restore empty — they
+    /// only exist to avoid steady-state allocations). The caller has
+    /// validated that every backpointer names a record of the entry before
+    /// it, and every payload only items of its own entry.
     pub fn from_parts(
         lag: Lag,
         v: F,
-        window: VecDeque<E>,
+        compacted: Vec<Compacted<E::Payload, E::Item>>,
+        newest: Option<E>,
         base: usize,
         pushed: usize,
         states_explored: u64,
         transition_ops: u64,
     ) -> Self {
+        let mut spans = VecDeque::with_capacity(compacted.len());
+        let (mut records, mut items) = (VecDeque::new(), VecDeque::new());
+        for entry in compacted {
+            spans.push_back(Span {
+                record: records.len(),
+                records: entry.records.len() as u32,
+                item: items.len(),
+                items: entry.items.len() as u32,
+            });
+            records.extend(entry.records);
+            items.extend(entry.items);
+        }
         Self {
             lag,
             v,
             next: F::default(),
-            window,
-            free: Vec::new(),
+            newest,
+            spare: E::default(),
+            spans,
+            records,
+            items,
+            records_base: 0,
+            items_base: 0,
             base,
             pushed,
             states_explored,
@@ -564,10 +716,10 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         self.pushed
     }
 
-    /// Current backpointer-window length (bounded by `lag + 2` for
-    /// [`Lag::Fixed`]).
+    /// Current backpointer-window length, compacted entries and the newest
+    /// one (bounded by `lag + 2` for [`Lag::Fixed`]).
     pub fn window_len(&self) -> usize {
-        self.window.len()
+        self.spans.len() + usize::from(self.newest.is_some())
     }
 
     /// Tick index of the oldest retained window entry.
@@ -586,10 +738,10 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     /// `lag + 2` entries a [`Lag::Fixed`] window ever holds.
     pub fn reserve_ticks(&mut self, additional: usize) {
         let additional = match self.lag {
-            Lag::Fixed(lag) => additional.min((lag + 2).saturating_sub(self.window.len())),
+            Lag::Fixed(lag) => additional.min((lag + 2).saturating_sub(self.window_len())),
             Lag::Unbounded => additional,
         };
-        self.window.reserve(additional);
+        self.spans.reserve(additional);
     }
 
     /// Σ_t |S(t)| states instantiated so far.
@@ -614,15 +766,69 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         &self.v
     }
 
-    /// The retained window entries, oldest first (for parking).
-    pub fn entries(&self) -> impl Iterator<Item = &E> + '_ {
-        self.window.iter()
+    /// The newest tick's whole entry (for parking).
+    pub fn newest(&self) -> Option<&E> {
+        self.newest.as_ref()
     }
 
-    /// Pops a pooled entry (or a fresh default) for the caller to fill
+    /// The compacted entries, oldest first (for parking).
+    pub fn compacted(&self) -> Vec<Compacted<E::Payload, E::Item>> {
+        (0..self.spans.len())
+            .map(|i| {
+                let (records, items) = self.ranges(i);
+                Compacted {
+                    items: self.items.range(items).copied().collect(),
+                    records: self.records.range(records).copied().collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Store ranges of compacted entry `i`'s records and items.
+    fn ranges(&self, i: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+        let span = self.spans[i];
+        let record = span.record - self.records_base;
+        let item = span.item - self.items_base;
+        (
+            record..record + span.records as usize,
+            item..item + span.items as usize,
+        )
+    }
+
+    /// The record of `state` in compacted entry `i`.
+    ///
+    /// # Panics
+    /// When the entry holds no such record. A compacted entry holds every
+    /// state its successor's backpointers name: live, by construction
+    /// (see the [type docs](Self)); parked, because resume rejects a
+    /// backpointer that names no record.
+    fn record(&self, i: usize, state: usize) -> &Record<E::Payload> {
+        let (range, _) = self.ranges(i);
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (self.records[mid].state as usize) < state {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let record = self.records.get(lo).filter(|_| lo < range.end);
+        record
+            .filter(|r| r.state as usize == state)
+            .expect("a compacted entry holds every state its successor's backpointers name")
+    }
+
+    /// The decision of a record of compacted entry `i`.
+    fn decide_record(&self, i: usize, record: &Record<E::Payload>) -> E::Decision {
+        let (_, items) = self.ranges(i);
+        E::decide(record.payload, |k| self.items[items.start + k as usize])
+    }
+
+    /// Pops the spare entry (its buffers pooled) for the caller to fill
     /// before [`push_entry`](Self::push_entry).
     pub fn take_entry(&mut self) -> E {
-        self.free.pop().unwrap_or_default()
+        std::mem::take(&mut self.spare)
     }
 
     /// The allowed-macro scratch buffer shared with `fill_slice`-style
@@ -633,28 +839,70 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
 
     /// Consumes one filled entry, advancing the frontier by one exact DP
     /// step (init on the first tick) and charging `n_states` to the
-    /// exploration counter. The caller follows up with
-    /// [`emit_ready`](Self::emit_ready).
+    /// exploration counter; the previous newest entry is compacted to the
+    /// records the new entry's backpointers can name. The caller follows
+    /// up with [`emit_ready`](Self::emit_ready).
     pub fn push_entry<Fam>(&mut self, family: &Fam, mut entry: E, n_states: u64)
     where
         Fam: TrellisFamily<Entry = E, Frontier = F>,
     {
         self.states_explored = self.states_explored.saturating_add(n_states);
-        match self.window.back() {
+        match self.newest.take() {
             None => {
                 family.init(&mut entry, &mut self.v);
                 self.last_survivors = None;
             }
-            Some(prev) => {
+            Some(mut prev) => {
+                family.select(&prev, &self.v, &mut self.arena);
+                let zero = self.compact(&prev);
+                std::mem::swap(prev.back_buffer(), entry.back_buffer());
                 let (ops, survivors) =
-                    family.step(prev, &self.v, &mut entry, &mut self.next, &mut self.arena);
+                    family.fold(&prev, &self.v, &mut entry, &mut self.next, &mut self.arena);
                 self.transition_ops = self.transition_ops.saturating_add(ops);
                 self.last_survivors = Some(survivors);
                 std::mem::swap(&mut self.v, &mut self.next);
+                // A destination nothing reaches points at state 0, survivor
+                // or not.
+                if let Some(zero) = zero.filter(|_| entry.back_row().contains(&0)) {
+                    let span = self.spans.back_mut().expect("just compacted");
+                    self.records.insert(span.record - self.records_base, zero);
+                    span.records += 1;
+                }
+                self.spare = prev;
             }
         }
-        self.window.push_back(entry);
+        self.newest = Some(entry);
         self.pushed += 1;
+    }
+
+    /// Appends `prev`'s compacted entry: its items, and one record per
+    /// survivor of the step under way (the arena's `keep`, ascending).
+    /// Returns state 0's record when state 0 did not survive: the step's
+    /// backpointers may still name it.
+    fn compact(&mut self, prev: &E) -> Option<Record<E::Payload>> {
+        let keep = &self.arena.keep;
+        let record_start = self.records_base + self.records.len();
+        let item_start = self.items_base + self.items.len();
+        let whole = prev.back_row().is_empty();
+        let record = |j: u32| Record {
+            state: j,
+            back: if whole {
+                0
+            } else {
+                prev.back_of(j as usize) as u32
+            },
+            payload: prev.payload(j as usize),
+        };
+        let zero = (keep.first() != Some(&0)).then(|| record(0));
+        self.records.extend(keep.iter().map(|&j| record(j)));
+        self.items.extend(prev.items());
+        self.spans.push_back(Span {
+            record: record_start,
+            records: (self.records_base + self.records.len() - record_start) as u32,
+            item: item_start,
+            items: (self.items_base + self.items.len() - item_start) as u32,
+        });
+        zero
     }
 
     /// Argmax of the live frontier.
@@ -666,24 +914,32 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         self.v.argmax()
     }
 
-    /// Walks the backpointer window from the current frontier argmax down
-    /// to window index `idx`, returning the state index there.
-    pub fn state_at(&self, idx: usize) -> usize {
-        let (mut j, _) = self.frontier_argmax();
-        for i in (idx + 1..self.window.len()).rev() {
-            j = self.window[i].back_of(j);
+    /// Walks the backpointer window from the frontier argmax down to
+    /// window index `idx` and returns that state's decision.
+    fn decision_at(&self, idx: usize) -> E::Decision {
+        let newest = self
+            .newest
+            .as_ref()
+            .expect("a pushed stream has a newest entry");
+        let (j, _) = self.frontier_argmax();
+        let last = self.spans.len();
+        if idx == last {
+            return newest.decision(j);
         }
-        j
+        let mut j = newest.back_of(j);
+        for i in (idx + 1..last).rev() {
+            j = self.record(i, j).back as usize;
+        }
+        self.decide_record(idx, self.record(idx, j))
     }
 
     /// The fixed-lag ripening schedule, shared by every family: after a
     /// push, if tick `pushed - 1 - lag` has ripened, resolve its smoothed
-    /// state, build the family's decision via `decide(entry, state, tick)`,
-    /// and drop every no-longer-needed window entry to the free list.
-    /// Returns `None` under [`Lag::Unbounded`] or before the horizon
-    /// fills. Must be called after at least one
-    /// [`push_entry`](Self::push_entry).
-    pub fn emit_ready<D>(&mut self, decide: impl FnOnce(&E, usize, usize) -> D) -> Option<D> {
+    /// state, build the family's decision via `decide(decision, tick)`,
+    /// and drop every no-longer-needed compacted entry. Returns `None`
+    /// under [`Lag::Unbounded`] or before the horizon fills. Must be
+    /// called after at least one [`push_entry`](Self::push_entry).
+    pub fn emit_ready<D>(&mut self, decide: impl FnOnce(E::Decision, usize) -> D) -> Option<D> {
         let Lag::Fixed(lag) = self.lag else {
             return None;
         };
@@ -692,36 +948,52 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
             return None;
         }
         let tick = last - lag;
-        let idx = tick - self.base;
-        let j = self.state_at(idx);
-        let decision = decide(&self.window[idx], j, tick);
+        let decision = decide(self.decision_at(tick - self.base), tick);
         // Entries at or before the emitted tick are never read again —
         // except the newest entry, which the next step needs as `prev`.
-        // Dropped entries keep their buffers: they go to the free list and
-        // the next push refills them in place.
-        let ripe = (tick + 1)
-            .saturating_sub(self.base)
-            .min(self.window.len().saturating_sub(1));
-        self.free.extend(self.window.drain(..ripe));
+        // Dropped records and items leave their room in the pooled stores.
+        let ripe = (tick + 1).saturating_sub(self.base).min(self.spans.len());
+        self.spans.drain(..ripe);
+        let (record_end, item_end) = (
+            self.records_base + self.records.len(),
+            self.items_base + self.items.len(),
+        );
+        let (records_from, items_from) = self
+            .spans
+            .front()
+            .map_or((record_end, item_end), |s| (s.record, s.item));
+        self.records.drain(..records_from - self.records_base);
+        self.items.drain(..items_from - self.items_base);
+        (self.records_base, self.items_base) = (records_from, items_from);
         self.base += ripe;
         Some(decision)
     }
 
     /// Finalization tail walk, shared by every family: resolves the
     /// uncommitted ticks [`committed`](Self::committed)`..pushed` against
-    /// the final frontier argmax (newest first, then reversed into place),
-    /// building each decision via `decide(entry, state)`. Returns the tail
-    /// decisions in tick order plus the final frontier log-score.
-    pub fn resolve_tail<D>(&self, mut decide: impl FnMut(&E, usize) -> D) -> (Vec<D>, f64) {
+    /// the final frontier argmax (newest first, then reversed into place).
+    /// Returns the tail decisions in tick order plus the final frontier
+    /// log-score.
+    pub fn resolve_tail(&self) -> (Vec<E::Decision>, f64) {
         let committed = self.committed();
         let (mut j, log_prob) = self.frontier_argmax();
-        let mut tail: Vec<D> = Vec::with_capacity(self.pushed - committed);
+        let mut tail = Vec::with_capacity(self.pushed - committed);
+        let last = self.spans.len();
         for t in (committed..self.pushed).rev() {
             let idx = t - self.base;
-            let entry = &self.window[idx];
-            tail.push(decide(entry, j));
-            if idx > 0 {
-                j = entry.back_of(j);
+            if idx == last {
+                let newest = self
+                    .newest
+                    .as_ref()
+                    .expect("a pushed stream has a newest entry");
+                tail.push(newest.decision(j));
+                if idx > 0 {
+                    j = newest.back_of(j);
+                }
+            } else {
+                let record = self.record(idx, j);
+                tail.push(self.decide_record(idx, record));
+                j = record.back as usize;
             }
         }
         tail.reverse();

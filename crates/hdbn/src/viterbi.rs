@@ -38,7 +38,7 @@
 //!
 //! The first tick is the same structure with `w ≡ −0.0` (IEEE addition's
 //! exact identity) and offsets `emission + prior`; a dense frontier from
-//! outside (a parked one, or [`joint_step`]'s argument) is the trivial
+//! outside (a `v3`/`v4` park's, or [`joint_step`]'s argument) is the trivial
 //! factorization — one slot per state, `w = v`, offsets and coupling all
 //! `−0.0` — so one selection and one argmax serve every frontier.
 //!
@@ -62,7 +62,6 @@ use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
-use crate::park::check;
 use crate::scalar::{sweep_add_max_arg, sweep_max_arg};
 use crate::trellis::Frontier;
 
@@ -208,6 +207,10 @@ pub struct JointFrontier {
     last: (usize, f64),
     /// Chain-2 coupling row of one chain-1 group (scratch).
     gcol: Vec<f64>,
+    /// Whether this is a dense frontier's trivial factorization
+    /// ([`from_dense`](Self::from_dense)), which its tick's slices cannot
+    /// rebuild; a step always writes a factorization they can.
+    pub(crate) trivial: bool,
 }
 
 impl JointFrontier {
@@ -226,6 +229,12 @@ impl JointFrontier {
     /// `(0, −∞)` when no score exceeds `−∞`.
     pub fn first_max(&self) -> (usize, f64) {
         self.first
+    }
+
+    /// Whether some state scores NaN.
+    pub(crate) fn has_nan(&self) -> bool {
+        let k2 = self.axes[1].len();
+        (0..self.len()).any(|j| self.value(j / k2, j % k2).is_nan())
     }
 
     /// Every state's score, flattened `j1 * |S2| + j2`.
@@ -259,8 +268,27 @@ impl JointFrontier {
         frontier.axes[1].trivial(k2);
         frontier.g.push(-0.0);
         frontier.n_g2 = 1;
+        frontier.trivial = true;
         frontier.summarize();
         Ok(frontier)
+    }
+
+    /// The frontier of a tick over `s1 × s2` with pass-2 fold `w` (one
+    /// score per slot pair), rebuilt as the step or the first push that
+    /// wrote `w` built it — so every state scores the same bits.
+    pub(crate) fn restored(
+        p: &HdbnParams,
+        w: Vec<f64>,
+        s1: &Slice,
+        s2: &Slice,
+        first_tick: bool,
+    ) -> Self {
+        let mut frontier = Self {
+            w,
+            ..Self::default()
+        };
+        frontier.factor(p, s1, s2, first_tick);
+        frontier
     }
 
     /// Completes a frontier whose `w` the caller wrote over the slot pairs
@@ -278,6 +306,7 @@ impl JointFrontier {
             self.g.extend(s2.runs.iter().map(coupling));
         }
         self.n_g2 = s2.runs.len();
+        self.trivial = false;
         self.summarize();
     }
 
@@ -711,6 +740,19 @@ pub(crate) fn joint_step_exact_into(
     next: &mut JointFrontier,
     back: &mut Vec<u32>,
 ) -> usize {
+    joint_select_into(p, prev1, prev2, v, arena);
+    joint_fold_into(p, prev1, prev2, cur1, cur2, arena, next, back)
+}
+
+/// The selection half of [`joint_step_exact_into`]: the survivors of `v`
+/// and their scores, ascending, into the arena.
+pub(crate) fn joint_select_into(
+    p: &HdbnParams,
+    prev1: &Slice,
+    prev2: &Slice,
+    v: &JointFrontier,
+    arena: &mut TrellisArena,
+) {
     let TrellisArena { keep, keep_v, step } = arena;
     p.tables.dominance().select_joint(
         prev1,
@@ -721,6 +763,22 @@ pub(crate) fn joint_step_exact_into(
         keep,
         keep_v,
     );
+}
+
+/// The fold half of [`joint_step_exact_into`], over the survivors
+/// [`joint_select_into`] left in the arena.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn joint_fold_into(
+    p: &HdbnParams,
+    prev1: &Slice,
+    prev2: &Slice,
+    cur1: &Slice,
+    cur2: &Slice,
+    arena: &mut TrellisArena,
+    next: &mut JointFrontier,
+    back: &mut Vec<u32>,
+) -> usize {
+    let TrellisArena { keep, keep_v, step } = arena;
     joint_step_pruned_into(
         p,
         prev1,
@@ -757,43 +815,6 @@ pub(crate) fn expand_back(back: &[u32], s1: &Slice, s2: &Slice) -> Vec<u32> {
         out.extend(s2.slots.iter().map(|&sl2| row[sl2 as usize]));
     }
     out
-}
-
-/// Folds a parked per-state backpointer row of an entry over `s1 × s2`
-/// back to one entry per slot pair; an empty row stays empty.
-///
-/// # Errors
-/// [`ModelError::Persistence`] when the row has the wrong length or two
-/// states of one slot pair disagree — no step writes such a row.
-pub(crate) fn fold_back(
-    what: &str,
-    back: &[u32],
-    s1: &Slice,
-    s2: &Slice,
-) -> Result<Vec<u32>, ModelError> {
-    if back.is_empty() {
-        return Ok(Vec::new());
-    }
-    check(back.len() == s1.len() * s2.len(), || {
-        format!("{what}: backpointer count != frontier size")
-    })?;
-    let d2 = s2.n_slots();
-    let mut row = vec![0; s1.n_slots() * d2];
-    let rows = || back.chunks_exact(s2.len()).zip(&s1.slots);
-    for (states, &sl1) in rows() {
-        let out = &mut row[sl1 as usize * d2..][..d2];
-        for (&b, &sl2) in states.iter().zip(&s2.slots) {
-            out[sl2 as usize] = b;
-        }
-    }
-    let agree = rows().all(|(states, &sl1)| {
-        let folded = &row[sl1 as usize * d2..][..d2];
-        (states.iter().zip(&s2.slots)).all(|(&b, &sl2)| folded[sl2 as usize] == b)
-    });
-    check(agree, || {
-        format!("{what}: backpointers differ within a slot pair")
-    })?;
-    Ok(row)
 }
 
 /// One exact joint step, as [`joint_step`] returns it.

@@ -20,15 +20,21 @@
 //! The [`ByteWriter`]/[`ByteReader`] primitives and the codecs for the
 //! crate-public types ([`Lag`], [`MicroCandidate`]) are public so
 //! `cace-core` can embed the parked decoder payloads written here inside
-//! its own stream envelope. The layouts here are the current (`v4`)
-//! ones; [`park::legacy`](crate::park::legacy) reads the older `v3`
-//! layouts.
+//! its own stream envelope. The layouts here are the current (`v5`)
+//! ones, which write what a stream holds: the frontier, the compacted
+//! window's records, the newest entry whole, the cursor and the counters.
+//! [`park::legacy`](crate::park::legacy) reads the older `v3` and `v4`
+//! layouts, which parked every window entry whole.
 
 use cace_model::ModelError;
 
 use crate::input::MicroCandidate;
 use crate::online::Lag;
-use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
+use crate::park::{
+    ChainPick, JointPick, ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry,
+    ParkedSlice,
+};
+use crate::trellis::{Compacted, Record};
 
 pub(crate) fn decode_err(what: impl Into<String>) -> ModelError {
     ModelError::Persistence { what: what.into() }
@@ -97,6 +103,14 @@ impl ByteWriter {
                 self.write_u8(1);
                 self.write_usize(v);
             }
+        }
+    }
+
+    /// Appends an `Option` as a presence byte plus the value.
+    pub fn write_opt<T>(&mut self, x: Option<&T>, write: impl FnOnce(&mut Self, &T)) {
+        self.write_bool(x.is_some());
+        if let Some(x) = x {
+            write(self, x);
         }
     }
 
@@ -252,6 +266,21 @@ impl<'a> ByteReader<'a> {
         })
     }
 
+    /// Reads an `Option` written by [`ByteWriter::write_opt`].
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on truncation, a malformed presence
+    /// byte, or a value decode failure.
+    pub fn read_opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, ModelError>,
+    ) -> Result<Option<T>, ModelError> {
+        Ok(match self.read_bool()? {
+            false => None,
+            true => Some(read(self)?),
+        })
+    }
+
     /// Reads a length-prefixed sequence. `elem_min_bytes` is the smallest
     /// possible encoding of one element; the declared length is checked
     /// against the bytes actually remaining **before** any allocation, so
@@ -330,11 +359,11 @@ pub fn read_cand(r: &mut ByteReader<'_>) -> Result<MicroCandidate, ModelError> {
 pub(crate) const CAND_MIN_BYTES: usize = 11;
 /// Smallest encoding of a parked slice: its seven empty sequences.
 const SLICE_MIN_BYTES: usize = 7;
-/// Smallest encoding of a coupled window entry: two slices, the
+/// Smallest encoding of a whole coupled window entry: two slices, the
 /// backpointers and the two candidate lists, all empty.
 pub(crate) const JOINT_ENTRY_MIN_BYTES: usize = 2 * SLICE_MIN_BYTES + 3;
-/// Smallest encoding of a chain window entry: one slice, the backpointers
-/// and the candidate list, all empty.
+/// Smallest encoding of a whole chain window entry: one slice, the
+/// backpointers and the candidate list, all empty.
 pub(crate) const CHAIN_ENTRY_MIN_BYTES: usize = SLICE_MIN_BYTES + 2;
 
 fn write_slice(w: &mut ByteWriter, s: &ParkedSlice) {
@@ -363,7 +392,7 @@ fn read_slice(r: &mut ByteReader<'_>) -> Result<ParkedSlice, ModelError> {
     })
 }
 
-fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
+pub(crate) fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
     write_slice(w, &e.s1);
     write_slice(w, &e.s2);
     w.write_seq(&e.back, |w, &x| w.write_u32(x));
@@ -398,12 +427,83 @@ pub(crate) fn read_chain_entry(r: &mut ByteReader<'_>) -> Result<ParkedChainEntr
     })
 }
 
+/// Encodes a compacted window: per entry, oldest first, its items through
+/// `item`, then its records — state, backpointer, then the payload
+/// through `payload`.
+pub fn write_compact<P, I>(
+    w: &mut ByteWriter,
+    compact: &[Compacted<P, I>],
+    mut item: impl FnMut(&mut ByteWriter, &I),
+    mut payload: impl FnMut(&mut ByteWriter, &P),
+) {
+    w.write_seq(compact, |w, entry| {
+        w.write_seq(&entry.items, &mut item);
+        w.write_seq(&entry.records, |w, r| {
+            w.write_u32(r.state);
+            w.write_u32(r.back);
+            payload(w, &r.payload);
+        })
+    });
+}
+
+/// Decodes a compacted window written by [`write_compact`];
+/// `item_min_bytes` and `payload_min_bytes` are the smallest encodings of
+/// one item and one payload.
+///
+/// # Errors
+/// [`ModelError::Persistence`] on malformed bytes.
+pub fn read_compact<'a, P, I>(
+    r: &mut ByteReader<'a>,
+    item_min_bytes: usize,
+    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<I, ModelError>,
+    payload_min_bytes: usize,
+    mut payload: impl FnMut(&mut ByteReader<'a>) -> Result<P, ModelError>,
+) -> Result<Vec<Compacted<P, I>>, ModelError> {
+    r.read_seq(2, |r| {
+        Ok(Compacted {
+            items: r.read_seq(item_min_bytes, &mut item)?,
+            records: r.read_seq(2 + payload_min_bytes, |r| {
+                Ok(Record {
+                    state: r.read_u32()?,
+                    back: r.read_u32()?,
+                    payload: payload(r)?,
+                })
+            })?,
+        })
+    })
+}
+
+fn write_joint_pick(w: &mut ByteWriter, (macros, items): &JointPick) {
+    for &x in macros.iter().chain(items) {
+        w.write_u32(x);
+    }
+}
+
+fn read_joint_pick(r: &mut ByteReader<'_>) -> Result<JointPick, ModelError> {
+    Ok((
+        [r.read_u32()?, r.read_u32()?],
+        [r.read_u32()?, r.read_u32()?],
+    ))
+}
+
+fn write_chain_pick(w: &mut ByteWriter, &(a, c): &ChainPick) {
+    w.write_u32(a);
+    w.write_u32(c);
+}
+
+fn read_chain_pick(r: &mut ByteReader<'_>) -> Result<ChainPick, ModelError> {
+    Ok((r.read_u32()?, r.read_u32()?))
+}
+
 impl ParkedCoupled {
-    /// Appends this checkpoint's binary encoding to `w`: the frontier,
-    /// the window, the cursor and the two overhead counters.
+    /// Appends this checkpoint's binary encoding to `w`: the frontier's
+    /// `w` and whether it is dense, the compacted window, the newest
+    /// entry, the cursor and the two overhead counters.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        w.write_seq(&self.window, write_joint_entry);
+        w.write_seq(&self.w, |w, &x| w.write_f64(x));
+        w.write_bool(self.dense);
+        write_compact(w, &self.compact, write_cand, write_joint_pick);
+        w.write_opt(self.newest.as_ref(), write_joint_entry);
         w.write_usize(self.base);
         w.write_usize(self.pushed);
         w.write_u64(self.states_explored);
@@ -417,8 +517,10 @@ impl ParkedCoupled {
     /// validation against a model still happens at resume.)
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
-            v: r.read_seq(8, ByteReader::read_f64)?,
-            window: r.read_seq(JOINT_ENTRY_MIN_BYTES, read_joint_entry)?,
+            w: r.read_seq(8, ByteReader::read_f64)?,
+            dense: r.read_bool()?,
+            compact: read_compact(r, CAND_MIN_BYTES, read_cand, 4, read_joint_pick)?,
+            newest: r.read_opt(read_joint_entry)?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
             states_explored: r.read_u64()?,
@@ -429,10 +531,12 @@ impl ParkedCoupled {
 
 impl ParkedChain {
     /// Appends this checkpoint's binary encoding to `w` (the layout of
-    /// [`ParkedCoupled::encode_into`] with chain window entries).
+    /// [`ParkedCoupled::encode_into`] with a dense frontier and chain
+    /// entries).
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        w.write_seq(&self.window, write_chain_entry);
+        write_compact(w, &self.compact, write_cand, write_chain_pick);
+        w.write_opt(self.newest.as_ref(), write_chain_entry);
         w.write_usize(self.base);
         w.write_usize(self.pushed);
         w.write_u64(self.states_explored);
@@ -446,7 +550,8 @@ impl ParkedChain {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
             v: r.read_seq(8, ByteReader::read_f64)?,
-            window: r.read_seq(CHAIN_ENTRY_MIN_BYTES, read_chain_entry)?,
+            compact: read_compact(r, CAND_MIN_BYTES, read_cand, 2, read_chain_pick)?,
+            newest: r.read_opt(read_chain_entry)?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
             states_explored: r.read_u64()?,

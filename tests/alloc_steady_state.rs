@@ -132,6 +132,34 @@ fn warmed_single_stream_push_allocates_nothing() {
     assert_eq!(tail.macros.len(), 5);
 }
 
+/// Under `Lag::Unbounded` the window keeps every tick, but only as
+/// survivor records and candidate tuples in pooled stores; the two whole
+/// entries ping-pong as under a fixed lag. With the window spine
+/// pre-reserved, a warmed push allocates only when a store doubles: at
+/// most one allocation per push on average (the whole entries alone once
+/// cost 19 per push).
+#[test]
+fn warmed_unbounded_coupled_push_allocates_at_most_once_per_push() {
+    let model = CoupledHdbn::new(toy_two_activity_params(true));
+    let ticks = stream_ticks();
+    let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
+    online.reserve_ticks(ticks.len());
+    for tick in &ticks[..WARMUP] {
+        online.push(tick).expect("warmup push");
+    }
+    let allocs = count_allocs(|| {
+        for tick in &ticks[WARMUP..] {
+            online.push(tick).expect("measured push");
+        }
+    });
+    assert!(
+        allocs <= MEASURED as u64,
+        "{allocs} allocations over {MEASURED} warmed unbounded pushes"
+    );
+    let path = online.finalize().expect("finalize");
+    assert_eq!(path.macros[0].len(), ticks.len());
+}
+
 /// Dominance pruning genuinely prunes the measured window of both tests
 /// above (strict subsets survive), so the zero-allocation claim covers
 /// the survivor selection and survivor kernels, not just the dense ones.

@@ -1,9 +1,10 @@
 //! A fixed-lag stream holds `O(lag)` state: its live decoder and its
 //! parked bytes do not grow with the number of ticks it has consumed.
 //!
-//! A stream keeps only the frontier, the `lag + 2`-entry backpointer
-//! window, the decision cursor and a few counters; decisions it has
-//! emitted belong to the caller. These tests park a stream after a short
+//! A stream keeps only the frontier, the backpointer window of at most
+//! `lag + 2` entries (all but the newest compacted to the records a
+//! backtrack can still read), the decision cursor and a few counters;
+//! decisions it has emitted belong to the caller. These tests park a stream after a short
 //! and a long run and require the `stream-bin` encoding after the long
 //! run to stay within [`SLACK`] of the short one — a per-push
 //! `Vec::push` into anything a park carries breaks that at once.
@@ -120,4 +121,29 @@ fn recognizer_park_size_does_not_grow_with_stream_age() {
              {long_ticks}"
         );
     }
+}
+
+/// An NH recognizer parks each window entry's state list as two counts
+/// and its older entries as survivor records, like every other strategy:
+/// on the tiny corpus its park is within twice a C2 park of the same
+/// session and lag (its whole state lists made it 13 times larger).
+#[test]
+fn nh_recognizer_parks_within_twice_c2() {
+    let (train, test) = tiny_corpus(4, 50, 29);
+    let session = &test[0];
+    let park_len = |strategy: Strategy| {
+        let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+        let mut stream = engine.stream(StreamLag::Fixed(LAG));
+        for t in 0..SHORT {
+            stream
+                .push(&session.ticks[t % session.len()].observed)
+                .expect("push");
+        }
+        stream.park().to_snapshot_bytes().len()
+    };
+    let (nh, c2) = (
+        park_len(Strategy::NaiveHmm),
+        park_len(Strategy::CorrelationConstraint),
+    );
+    assert!(nh <= 2 * c2, "an NH park is {nh} B against {c2} B for C2");
 }

@@ -16,11 +16,14 @@ use std::sync::Arc;
 use cace::behavior::session::train_test_split;
 use cace::behavior::{generate_casas_dataset, CasasConfig, Session};
 use cace::core::{CaceConfig, CaceEngine, Lag as StreamLag, ParkedStream};
+use cace::hdbn::wire::{ByteReader, ByteWriter};
 use cace::hdbn::{
-    CoupledHdbn, HdbnConfig, HdbnParams, Lag, MicroCandidate, OnlineCoupledViterbi, TickInput,
+    CoupledHdbn, HdbnConfig, HdbnParams, Lag, MicroCandidate, OnlineCoupledViterbi, ParkedCoupled,
+    TickInput,
 };
 use cace::mining::HierarchicalStats;
 use cace_testkit::naive::naive_coupled_viterbi;
+use cace_testkit::{toy_glitchy_ticks, toy_two_activity_params};
 
 /// A small CASAS corpus: an engine trained on three quarters of it, and
 /// the held-out sessions.
@@ -147,4 +150,63 @@ fn tied_final_frontiers_terminate_at_the_last_maximum() {
     assert_eq!(path.macros, macros);
     assert_eq!(path.macros, [vec![1; 6], vec![1; 6]]);
     assert_eq!(path.log_prob.to_bits(), log_prob.to_bits());
+}
+
+/// Streams `ticks` under each lag in `{0, 1, 3, 10}`, parking (through
+/// the binary codec) and resuming before every push, and checks each
+/// emitted decision for tick `t` against tick `t` of the naive Viterbi
+/// path over ticks `..=t + L`, and the finalized tail against the naive
+/// path over every tick.
+fn assert_fixed_lags_match_the_prefix_oracle(
+    label: &str,
+    params: &Arc<HdbnParams>,
+    ticks: &[TickInput],
+) {
+    // One naive decode per prefix serves every lag.
+    let prefix_paths: Vec<[Vec<usize>; 2]> = (0..ticks.len())
+        .map(|end| naive_coupled_viterbi(params, &ticks[..=end]).0)
+        .collect();
+    let model = CoupledHdbn::from_shared(Arc::clone(params));
+    for l in [0, 1, 3, 10] {
+        let lag = Lag::Fixed(l);
+        let mut online = OnlineCoupledViterbi::new(model.clone(), lag);
+        let mut emitted = 0;
+        for tick in ticks {
+            let mut w = ByteWriter::new();
+            online.park().encode_into(&mut w);
+            let bytes = w.into_bytes();
+            let parked =
+                ParkedCoupled::decode_from(&mut ByteReader::new(&bytes)).expect("own park reads");
+            online = OnlineCoupledViterbi::resume(model.clone(), lag, &parked)
+                .expect("own park resumes");
+            if let Some(d) = online.push(tick).expect("valid tick") {
+                let oracle = &prefix_paths[d.tick + l];
+                assert_eq!(d.tick, emitted, "{label} lag {l}");
+                assert_eq!(
+                    d.macros,
+                    [oracle[0][d.tick], oracle[1][d.tick]],
+                    "{label} lag {l} tick {}",
+                    d.tick
+                );
+                emitted += 1;
+            }
+        }
+        assert_eq!(emitted, ticks.len().saturating_sub(l), "{label} lag {l}");
+        let tail = online.finalize().expect("a pushed stream finalizes");
+        let whole = &prefix_paths[ticks.len() - 1];
+        assert_eq!(
+            tail.macros,
+            [0, 1].map(|u| whole[u][emitted..].to_vec()),
+            "{label} lag {l} tail"
+        );
+    }
+}
+
+#[test]
+fn fixed_lag_decisions_match_the_naive_prefix_oracle() {
+    let toy = Arc::new(toy_two_activity_params(true));
+    assert_fixed_lags_match_the_prefix_oracle("toy", &toy, &toy_glitchy_ticks(30));
+    let (engine, test) = casas(7, 30);
+    let inputs = engine.tick_inputs(&test[0]);
+    assert_fixed_lags_match_the_prefix_oracle("CASAS", engine.hdbn_params(), &inputs);
 }

@@ -34,7 +34,9 @@ use cace::hdbn::{
     joint_step, joint_step_from, Dominance, Frontier, HdbnConfig, HdbnParams, JointFrontier,
     JointStep, MicroCandidate, ScoreModel, StateSpace, TickInput, TrellisArena,
 };
+use cace::hdbn::{CoupledHdbn, Lag as HdbnLag, OnlineCoupledViterbi};
 use cace::mining::HierarchicalStats;
+use cace_testkit::naive::naive_coupled_viterbi;
 use cace_testkit::toy::{
     naive_joint_step, naive_step, reference_first_max, reference_select_joint, ToyFlatModel,
     ToyModel, ToySpace,
@@ -629,6 +631,127 @@ fn unreachable_destinations_point_at_state_zero() {
     for j in [1, 3] {
         assert_eq!(step.frontier[j], f64::NEG_INFINITY, "destination {j}");
         assert_eq!(step.back[j], 0, "destination {j}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The survivor-compacted window: after each step a stream keeps of the
+// previous tick only the step's survivors, plus state 0 when a
+// destination is unreachable, or every state when nothing was pruned.
+// ---------------------------------------------------------------------
+
+/// A two-activity world in which nothing ever switches activity, so an
+/// activity a tick rules out is unreachable from every state of another.
+fn frozen_activity_params() -> HdbnParams {
+    let one = || vec![vec![1.0], vec![1.0]];
+    let stats = HierarchicalStats {
+        n_macro: 2,
+        n_postural: 1,
+        n_gestural: 1,
+        n_location: 1,
+        macro_prior: vec![0.5, 0.5],
+        intra_trans: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+        inter_cooc: vec![vec![0.5, 0.5], vec![0.5, 0.5]],
+        end_prob: vec![0.1, 0.1],
+        postural_given_macro: one(),
+        gestural_given_macro: one(),
+        location_given_macro: one(),
+        postural_trans: vec![vec![1.0]],
+    };
+    HdbnParams::new(stats, HdbnConfig::default()).unwrap()
+}
+
+/// A one-candidate tick whose users may take the given activities.
+fn frozen_tick(macros: [&[usize]; 2]) -> TickInput {
+    let cand = MicroCandidate {
+        postural: 0,
+        gestural: None,
+        location: 0,
+        obs_loglik: -1.0,
+    };
+    TickInput {
+        candidates: [vec![cand], vec![cand]],
+        macro_candidates: macros.map(|m| Some(m.to_vec())),
+        macro_bonus: Vec::new(),
+    }
+}
+
+/// Tick 1's joint state 0, `(0, 0)`, scores `−∞` (user 1 came from
+/// activity 1), so the step into tick 2 prunes it; but tick 2 confines
+/// user 2 to activity 1, which nothing reaches, so every destination
+/// points at state 0. From there the whole frontier is `−∞`, the final
+/// argmax is the last state, and the path runs through the pruned state
+/// 0 of tick 1: the compacted entry must keep it. Tick 3's step folds the
+/// whole `−∞` frontier, so tick 2's entry keeps every state.
+#[test]
+fn compacted_window_keeps_state_zero_and_whole_frontier_steps() {
+    let params = frozen_activity_params();
+    let ticks = [
+        frozen_tick([&[1], &[0]]),
+        frozen_tick([&[0, 1], &[0]]),
+        frozen_tick([&[0, 1], &[1]]),
+        frozen_tick([&[0, 1], &[0, 1]]),
+        frozen_tick([&[0, 1], &[0, 1]]),
+    ];
+    let model = CoupledHdbn::new(params.clone());
+    let mut online = OnlineCoupledViterbi::new(model.clone(), HdbnLag::Unbounded);
+    online.push(&ticks[0]).unwrap();
+    online.push(&ticks[1]).unwrap();
+    online.push(&ticks[2]).unwrap();
+    assert_eq!(
+        online.last_survivors(),
+        Some(1),
+        "state 0 of tick 1 is pruned"
+    );
+    assert_eq!(
+        online.window_states()[1],
+        [0, 1],
+        "tick 1 keeps its survivor and state 0, which tick 2's backpointers name"
+    );
+    online.push(&ticks[3]).unwrap();
+    assert_eq!(
+        online.last_survivors(),
+        Some(2),
+        "a −∞ frontier is folded whole"
+    );
+    assert_eq!(
+        online.window_states()[2],
+        [0, 1],
+        "tick 2 keeps every state"
+    );
+    online.push(&ticks[4]).unwrap();
+    let path = online.finalize().unwrap();
+    let (macros, log_prob) = naive_coupled_viterbi(&params, &ticks);
+    assert_eq!(path.macros, macros);
+    assert_eq!(
+        path.macros[0][1], 0,
+        "the path runs through tick 1's state 0"
+    );
+    assert_eq!(path.log_prob.to_bits(), log_prob.to_bits());
+
+    // Fixed lags emit through the same compacted entries, and a park at
+    // every tick carries them.
+    for lag in [0, 1, 2] {
+        let mut online = OnlineCoupledViterbi::new(model.clone(), HdbnLag::Fixed(lag));
+        let mut decisions = Vec::new();
+        for tick in &ticks {
+            let parked = online.park();
+            online = OnlineCoupledViterbi::resume(model.clone(), HdbnLag::Fixed(lag), &parked)
+                .expect("own park resumes");
+            decisions.extend(online.push(tick).unwrap());
+        }
+        for d in &decisions {
+            let (prefix, _) = naive_coupled_viterbi(&params, &ticks[..=d.tick + lag]);
+            assert_eq!(
+                d.macros,
+                [prefix[0][d.tick], prefix[1][d.tick]],
+                "lag {lag}"
+            );
+        }
+        let committed = decisions.len();
+        let tail = online.finalize().unwrap();
+        let want = [0, 1].map(|u| macros[u][committed..].to_vec());
+        assert_eq!(tail.macros, want, "lag {lag}");
     }
 }
 

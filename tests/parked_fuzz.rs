@@ -7,8 +7,9 @@
 //! [`ModelError::Persistence`]: never panic, and never let a length field
 //! request an allocation out of proportion to the input.
 //!
-//! The inputs are fresh `v4` parks of all four strategies and the eight
-//! `v3` golden fixtures (`tests/fixtures/parked_*`). Each mutant is
+//! The inputs are fresh `v5` parks of all four strategies and the golden
+//! fixtures (`tests/fixtures/parked_*`): eight `v3`, three `v4` and six
+//! `v5` parks. Each mutant is
 //! resealed — its header checksum and length recomputed — so the decoder
 //! really runs on it instead of stopping at the checksum. Mutations: bit
 //! flips, truncation, varints that lie about a length, overlong varints,
@@ -84,11 +85,17 @@ fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// Binary payloads: every sequence is read by `ByteReader::read_seq`,
 /// which reserves `len` elements only after checking that `len` times the
 /// element's smallest encoding fits in the bytes that remain. The worst
-/// ratio of element size to smallest encoding is 24, shared by the three
-/// window entries: a coupled entry is 408 bytes in memory and at least 17
-/// on the wire (two slices of seven empty sequences, then three more
-/// empty sequences), a chain entry 216 and 9, an NH entry 48 and 2. Every
-/// other sequence is at most 8 (a `usize` from a one-byte varint).
+/// ratio of element size to smallest encoding is 24, shared by the whole
+/// window entries of `v3`/`v4` parks — a coupled entry is 408 bytes in
+/// memory and at least 17 on the wire (two slices of seven empty
+/// sequences, then three more empty sequences), a chain entry 216 and 9,
+/// an NH entry 48 and 2 — and the compacted entries of a `v5` park, 48
+/// bytes (a `Vec` of items and one of records) from two one-byte empty
+/// sequences. A record is at most 4 times its smallest encoding (a
+/// coupled one: 24 bytes from six one-byte varints), a candidate tuple
+/// 40 bytes from 11, and every other sequence at most 8 (a `usize` from a
+/// one-byte varint). A `v3`/`v4` decoder is compacted only when it is
+/// resumed or re-encoded, not while it is read.
 ///
 /// The `v3` JSON kind: the parser holds each array in a `Vec` of 32-byte
 /// values that at most doubles past its length, and an array of `n`
@@ -318,6 +325,16 @@ fn mutated_parks_read_and_resume_without_panicking() {
                 let name = format!("{file}.{ext}");
                 inputs.push((name.clone(), fixture(&name)));
             }
+        }
+        let twins = match strategy {
+            Strategy::NaiveHmm => Some("parked_nh"),
+            _ => stem,
+        };
+        for twin in twins
+            .into_iter()
+            .flat_map(|s| ["_v4", "_v5", "_v5_from_v4"].map(|t| format!("{s}{t}.stream-bin")))
+        {
+            inputs.push((twin.clone(), fixture(&twin)));
         }
         for (name, original) in inputs {
             assert!(check(&engine, &original, &name), "{name}: unmutated input");

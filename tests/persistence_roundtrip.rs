@@ -9,11 +9,13 @@
 //! binary kind, were written by the build that still had a
 //! reduced-precision `f32` decoding lane, lossy decoder beams and a
 //! parked decision history; their `*_history_free` twins by a build whose
-//! streams kept no history. All of them resume and continue
-//! bit-identically here, and re-encode to their `*_v4` twin: the binary
-//! layout this build writes, which a fresh stream parks to exactly.
-//! Snapshots that record the `f32` lane or a lossy beam are rejected,
-//! never decoded as exact.
+//! streams kept no history; their `*_v4` twins by a build that parked
+//! every window entry whole. All of them resume and continue
+//! bit-identically here, and re-encode to one `*_v5_from_v4` park: the
+//! `v5` layout this build writes, with each older window entry compacted
+//! to the states its successor names. A fresh stream parks to its `*_v5`
+//! twin exactly. Snapshots that record the `f32` lane or a lossy beam are
+//! rejected, never decoded as exact.
 
 use std::sync::Arc;
 
@@ -140,13 +142,19 @@ fn tampered_snapshots_are_rejected() {
 /// `v3` layout with a decision history, the stem plus [`TWIN`] its
 /// history-free twin, each saved as the JSON snapshot (`.snapshot`) and
 /// as the binary kind (`.stream-bin`). The stem plus [`V4`] names the
-/// `v4` binary twin.
+/// `v4` binary twin, plus [`V5`] the `v5` one a fresh stream parks to,
+/// and plus [`V5_FROM_V4`] what every older twin re-encodes to.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
 const TWIN: &str = "_history_free";
 const V4: &str = "_v4";
+const V5: &str = "_v5";
+const V5_FROM_V4: &str = "_v5_from_v4";
+/// The NH golden stream, parked by the same recipe; its oldest park is
+/// the `v4` twin.
+const NH_GOLDEN: (Strategy, &str) = (Strategy::NaiveHmm, "parked_nh");
 const GOLDEN_PARK_AT: usize = 30;
 const GOLDEN_LAG: usize = 5;
 
@@ -192,8 +200,8 @@ fn bin_payload(bytes: &[u8]) -> &[u8] {
     &bytes[newline + 1..]
 }
 
-/// Wraps an edited binary payload in a valid envelope of the `v3` layout
-/// (`version` 3) or the `v4` one.
+/// Wraps an edited binary payload in a valid envelope of the `v3`, `v4`
+/// or `v5` layout (`version`).
 fn reseal_bin(payload: &[u8], version: u32) -> Vec<u8> {
     let mut out = format!(
         "CACE-SNAPSHOT v{version} kind=stream-bin fnv1a64={:016x} len={}\n",
@@ -222,12 +230,8 @@ fn assert_f32_lane_rejected<T>(result: Result<T, ModelError>, what: &str) {
 #[test]
 fn golden_parked_streams_resume_bit_identically() {
     for (strategy, stem) in GOLDEN {
-        let (engine, session) = golden_engine(strategy);
-        let (straight_decisions, straight) =
-            stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
-        // Decisions the stream had emitted when it was parked.
-        let committed = GOLDEN_PARK_AT - GOLDEN_LAG;
-        let twin_v4 = fixture(&format!("{stem}{V4}.stream-bin"));
+        let from_v4 = fixture(&format!("{stem}{V5_FROM_V4}.stream-bin"));
+        let mut parks = Vec::new();
         for file in [stem.to_string(), format!("{stem}{TWIN}")] {
             let json = fixture(&format!("{file}.snapshot"));
             let bin = fixture(&format!("{file}.stream-bin"));
@@ -235,38 +239,79 @@ fn golden_parked_streams_resume_bit_identically() {
                 ParkedStream::from_snapshot_any(&json).expect("golden JSON snapshot reads");
             let from_bin =
                 ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
-            // Both re-encode to the v4 twin's bytes: the same state, the
-            // retired slots dropped.
-            assert_eq!(
-                from_json.to_snapshot_bytes(),
-                twin_v4,
-                "{file} JSON re-encoded"
-            );
-            assert_eq!(
-                from_bin.to_snapshot_bytes(),
-                twin_v4,
-                "{file} binary re-encoded"
-            );
-
-            for (kind, parked) in [("JSON", from_json), ("binary", from_bin)] {
-                let label = format!("{file} {kind}");
-                assert_eq!(parked.ticks_pushed(), GOLDEN_PARK_AT, "{label}");
-                let mut stream = engine.resume(&parked).expect("golden snapshot resumes");
-                let mut decisions = straight_decisions[..committed].to_vec();
-                for tick in &session.ticks[GOLDEN_PARK_AT..] {
-                    decisions.extend(stream.push(&tick.observed).expect("push"));
-                }
-                assert_eq!(
-                    decisions[committed..],
-                    straight_decisions[committed..],
-                    "{label}: decisions after resume"
-                );
-                let resumed = stream.finish().expect("finish");
-                let resumed = resumed.into_recognition(&decisions);
-                assert_recognitions_identical(&resumed, &straight, &label);
-            }
+            parks.push((format!("{file} JSON"), from_json));
+            parks.push((format!("{file} binary"), from_bin));
         }
+        let v4 = fixture(&format!("{stem}{V4}.stream-bin"));
+        let from_v4_twin = ParkedStream::from_snapshot_bytes(&v4).expect("golden v4 park reads");
+        parks.push((format!("{stem}{V4}"), from_v4_twin));
+        // Every older layout re-encodes to the same v5 bytes: the same
+        // state, compacted, the retired slots dropped.
+        for (label, parked) in &parks {
+            assert!(
+                parked.to_snapshot_bytes() == from_v4,
+                "{label} re-encoded differs from {stem}{V5_FROM_V4}"
+            );
+        }
+        parks.extend(v5_parks(stem));
+        assert_continue_the_golden_stream(strategy, parks);
     }
+}
+
+/// The golden `v5` parks of `stem`, each checked to re-encode to its own
+/// bytes.
+fn v5_parks(stem: &str) -> Vec<(String, ParkedStream)> {
+    [format!("{stem}{V5_FROM_V4}"), format!("{stem}{V5}")]
+        .into_iter()
+        .map(|file| {
+            let bytes = fixture(&format!("{file}.stream-bin"));
+            let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v5 park reads");
+            assert!(parked.to_snapshot_bytes() == bytes, "{file} re-encoded");
+            (file, parked)
+        })
+        .collect()
+}
+
+/// Resumes each labelled park of the golden stream of `strategy` and
+/// asserts it continues as the stream that was never parked.
+fn assert_continue_the_golden_stream(strategy: Strategy, parks: Vec<(String, ParkedStream)>) {
+    let (engine, session) = golden_engine(strategy);
+    let (straight_decisions, straight) =
+        stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
+    // Decisions the stream had emitted when it was parked.
+    let committed = GOLDEN_PARK_AT - GOLDEN_LAG;
+    for (label, parked) in parks {
+        assert_eq!(parked.ticks_pushed(), GOLDEN_PARK_AT, "{label}");
+        let mut stream = engine.resume(&parked).expect("golden snapshot resumes");
+        let mut decisions = straight_decisions[..committed].to_vec();
+        for tick in &session.ticks[GOLDEN_PARK_AT..] {
+            decisions.extend(stream.push(&tick.observed).expect("push"));
+        }
+        assert_eq!(
+            decisions[committed..],
+            straight_decisions[committed..],
+            "{label}: decisions after resume"
+        );
+        let resumed = stream.finish().expect("finish");
+        let resumed = resumed.into_recognition(&decisions);
+        assert_recognitions_identical(&resumed, &straight, &label);
+    }
+}
+
+/// The NH golden parks: a `v4` park, which parked every state list whole
+/// (39 596 B), and its `v5` twins.
+#[test]
+fn golden_nh_parks_resume_bit_identically() {
+    let (strategy, stem) = NH_GOLDEN;
+    let v4 = fixture(&format!("{stem}{V4}.stream-bin"));
+    let from_v4 = ParkedStream::from_snapshot_bytes(&v4).expect("golden v4 park reads");
+    assert!(
+        from_v4.to_snapshot_bytes() == fixture(&format!("{stem}{V5_FROM_V4}.stream-bin")),
+        "{stem}{V4} re-encoded"
+    );
+    let mut parks = vec![(format!("{stem}{V4}"), from_v4)];
+    parks.extend(v5_parks(stem));
+    assert_continue_the_golden_stream(strategy, parks);
 }
 
 #[test]
@@ -347,12 +392,12 @@ fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64) -> Vec<u8>
     let golden = bin_payload(golden);
     let (at, g_at) = (payload.len() - tail, golden.len() - tail);
     payload[at..at + 8].copy_from_slice(&golden[g_at..g_at + 8]);
-    reseal_bin(&payload, 4)
+    reseal_bin(&payload, 5)
 }
 
 #[test]
 fn fresh_parks_reproduce_the_golden_bytes() {
-    for (strategy, stem) in GOLDEN {
+    for (strategy, stem) in GOLDEN.into_iter().chain([NH_GOLDEN]) {
         let (engine, session) = golden_engine(strategy);
         let mut stream = engine.stream(Lag::Fixed(GOLDEN_LAG));
         for tick in &session.ticks[..GOLDEN_PARK_AT] {
@@ -360,10 +405,10 @@ fn fresh_parks_reproduce_the_golden_bytes() {
         }
         let fresh = stream.park().to_snapshot_bytes();
         let fp = engine.hdbn_params().fingerprint();
-        let golden = fixture(&format!("{stem}{V4}.stream-bin"));
+        let golden = fixture(&format!("{stem}{V5}.stream-bin"));
         assert!(
             with_golden_wall_clock(&fresh, &golden, fp) == golden,
-            "{stem}{V4}.stream-bin: a fresh park differs from the golden bytes"
+            "{stem}{V5}.stream-bin: a fresh park differs from the golden bytes"
         );
     }
 }
@@ -444,12 +489,12 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
     );
 }
 
-/// A home handed over as a v3 park — either fixture kind — continues
-/// bit-identically through the router, whose own parking then writes v4.
-/// A cap of one live home per shard, over more homes than shards, makes
-/// every round park and rehydrate.
+/// A home handed over as a v3 park — either fixture kind — or a v4 one
+/// continues bit-identically through the router, whose own parking then
+/// writes v5. A cap of one live home per shard, over more homes than
+/// shards, makes every round park and rehydrate.
 #[test]
-fn v3_parks_import_through_the_router_and_re_park_as_v4() {
+fn legacy_parks_import_through_the_router_and_re_park_as_v5() {
     const HOMES: u64 = 5;
     for (strategy, stem) in GOLDEN {
         let (engine, session) = golden_engine(strategy);
@@ -458,47 +503,43 @@ fn v3_parks_import_through_the_router_and_re_park_as_v4() {
             stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
         // The homes' emitted decisions, asserted equal to these below.
         let emitted = &straight_decisions[..session.len() - GOLDEN_LAG];
-        for file in [stem.to_string(), format!("{stem}{TWIN}")] {
-            for ext in ["snapshot", "stream-bin"] {
-                let label = format!("{file}.{ext}");
-                let bytes = fixture(&label);
-                let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
-                router.register_model("cace", Arc::clone(&engine)).unwrap();
-                for id in 0..HOMES {
-                    router.import_home(id, "cace", bytes.clone()).unwrap();
-                }
-                for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
-                    let round: Vec<(u64, &ObservedTick)> =
-                        (0..HOMES).map(|id| (id, &tick.observed)).collect();
-                    for (id, r) in router.push_round(&round).unwrap().into_iter().enumerate() {
-                        assert!(matches!(r, HomeRound::Advanced(_)), "{label} home {id}");
-                        assert_eq!(
-                            r.decision(),
-                            Some(straight_decisions[t - GOLDEN_LAG]),
-                            "{label} home {id} tick {t}"
-                        );
-                    }
-                }
-                let stats = router.stats();
-                assert!(stats.parks() > 0 && stats.rehydrations() > 0, "{label}");
-                for id in 0..HOMES {
-                    let exported = router.export_home(id).unwrap();
-                    assert!(
-                        exported.starts_with(b"CACE-SNAPSHOT v4 "),
-                        "{label} home {id}"
-                    );
-                    let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
-                    assert_eq!(parked.ticks_pushed(), session.len(), "{label} home {id}");
-                }
-                for (id, tail) in router.finish() {
-                    let tail = tail.expect("imported home finishes");
-                    let resumed = tail.into_recognition(emitted);
-                    assert_recognitions_identical(
-                        &resumed,
-                        &straight,
-                        &format!("{label} home {id}"),
+        let v3 = [stem.to_string(), format!("{stem}{TWIN}")]
+            .into_iter()
+            .flat_map(|file| [format!("{file}.snapshot"), format!("{file}.stream-bin")]);
+        for label in v3.chain([format!("{stem}{V4}.stream-bin")]) {
+            let bytes = fixture(&label);
+            let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
+            router.register_model("cace", Arc::clone(&engine)).unwrap();
+            for id in 0..HOMES {
+                router.import_home(id, "cace", bytes.clone()).unwrap();
+            }
+            for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
+                let round: Vec<(u64, &ObservedTick)> =
+                    (0..HOMES).map(|id| (id, &tick.observed)).collect();
+                for (id, r) in router.push_round(&round).unwrap().into_iter().enumerate() {
+                    assert!(matches!(r, HomeRound::Advanced(_)), "{label} home {id}");
+                    assert_eq!(
+                        r.decision(),
+                        Some(straight_decisions[t - GOLDEN_LAG]),
+                        "{label} home {id} tick {t}"
                     );
                 }
+            }
+            let stats = router.stats();
+            assert!(stats.parks() > 0 && stats.rehydrations() > 0, "{label}");
+            for id in 0..HOMES {
+                let exported = router.export_home(id).unwrap();
+                assert!(
+                    exported.starts_with(b"CACE-SNAPSHOT v5 "),
+                    "{label} home {id}"
+                );
+                let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
+                assert_eq!(parked.ticks_pushed(), session.len(), "{label} home {id}");
+            }
+            for (id, tail) in router.finish() {
+                let tail = tail.expect("imported home finishes");
+                let resumed = tail.into_recognition(emitted);
+                assert_recognitions_identical(&resumed, &straight, &format!("{label} home {id}"));
             }
         }
     }
