@@ -35,7 +35,7 @@ impl Default for EvidenceConfig {
 
 /// The committed (decoded or observed) state of one user at the previous
 /// tick, re-encoded as lag-1 evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PrevState {
     /// Previous macro activity, if committed.
     pub macro_id: Option<usize>,

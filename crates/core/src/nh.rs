@@ -179,8 +179,7 @@ struct FlatEntry {
     /// Per state; uniform within each macro (the slot of its states).
     back: Vec<u32>,
     /// The step's fold per macro (`−0.0` on the first tick), so the
-    /// frontier is `fold[a] + emit[j]` state by state; empty in an entry
-    /// resumed with a dense frontier.
+    /// frontier is `fold[a] + emit[j]` state by state.
     fold: Vec<f64>,
 }
 
@@ -307,7 +306,6 @@ pub(crate) struct ParkedFlatEntry {
     pub(crate) n_macro: usize,
     pub(crate) n_cands: usize,
     pub(crate) back: Vec<u32>,
-    /// Both empty in an entry resumed from a dense frontier.
     pub(crate) macro_emit: Vec<f64>,
     pub(crate) cand_emit: Vec<f64>,
 }
@@ -318,13 +316,10 @@ pub(crate) struct ParkedFlatEntry {
 /// (each record's payload its macro), the newest entry, the cursor and
 /// the counters. Like the coupled frontier, the frontier is parked as the
 /// step's fold per macro, `w`, which the newest entry's emissions
-/// complete (state `(a, c)` scores `w[a] + emit(a, c)`); or, when `dense`
-/// (a stream resumed from a `v3`/`v4` park, before its next push), one
-/// score per state.
+/// complete (state `(a, c)` scores `w[a] + emit(a, c)`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedFlat {
     pub(crate) w: Vec<f64>,
-    pub(crate) dense: bool,
     pub(crate) compact: Vec<Compacted<u32, ()>>,
     pub(crate) newest: Option<ParkedFlatEntry>,
     pub(crate) base: usize,
@@ -365,19 +360,14 @@ impl ParkedFlat {
             e.back.len() == e.n_macro || (e.back.is_empty() && self.compact.is_empty()),
             || format!("{what}: newest backpointer count != macros"),
         )?;
-        // The frontier bounds the product before anything is built from it.
-        let m = e.n_macro.saturating_mul(e.n_cands);
-        if self.dense {
-            validate_frontier(what, m, &self.w)?;
-        } else {
-            check(
-                self.w.len() == table.n
-                    && e.macro_emit.len() == e.n_macro
-                    && e.cand_emit.len() == e.n_cands,
-                || format!("{what}: newest emissions do not match its state counts"),
-            )?;
-        }
-        Ok(m)
+        // The emissions bound the product before anything is built from it.
+        check(
+            self.w.len() == table.n
+                && e.macro_emit.len() == e.n_macro
+                && e.cand_emit.len() == e.n_cands,
+            || format!("{what}: newest emissions do not match its state counts"),
+        )?;
+        Ok(e.n_macro.saturating_mul(e.n_cands))
     }
 }
 
@@ -411,13 +401,8 @@ impl OnlineFlat {
     /// Checkpoints the frontier (see `cace_hdbn::park` for the contract).
     pub(crate) fn park(&self) -> ParkedFlat {
         let newest = self.core.newest();
-        let dense = newest.is_some_and(|e| e.fold.is_empty());
         ParkedFlat {
-            w: match newest {
-                Some(e) if !dense => e.fold.clone(),
-                _ => self.core.frontier().to_vec(),
-            },
-            dense,
+            w: newest.map(|e| e.fold.clone()).unwrap_or_default(),
             compact: self.core.compacted(),
             newest: newest.map(|e| {
                 let n_macro = e.states.last().map_or(0, |&(a, _)| a + 1);
@@ -463,20 +448,16 @@ impl OnlineFlat {
                 .iter()
                 .flat_map(|&b| std::iter::repeat_n(b, e.n_cands));
             entry.back = back.collect();
-            if parked.dense {
-                v.extend_from_slice(&parked.w);
-            } else {
-                entry.fill_emit();
-                entry.fold = parked.w.clone();
-                let fold = &entry.fold;
-                v.extend(
-                    entry
-                        .states
-                        .iter()
-                        .zip(&entry.emit)
-                        .map(|(&(a, _), &x)| fold[a] + x),
-                );
-            }
+            entry.fill_emit();
+            entry.fold = parked.w.clone();
+            let fold = &entry.fold;
+            v.extend(
+                entry
+                    .states
+                    .iter()
+                    .zip(&entry.emit)
+                    .map(|(&(a, _), &x)| fold[a] + x),
+            );
             entry
         });
         validate_frontier("parked NH stream", m, &v)?;

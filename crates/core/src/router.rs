@@ -22,10 +22,10 @@
 //!   push with a bit-identical continuation. A capped router's decisions
 //!   equal an uncapped one's (`tests/router_scale.rs` proves it).
 //!   [`export_home`](ShardedRouter::export_home) hands those same bytes
-//!   over; [`import_home`](ShardedRouter::import_home) takes them, or a
-//!   park written by a v3 build in either of its kinds, since rehydration
-//!   reads through [`ParkedStream::from_snapshot_any`]. The next park
-//!   writes the current layout.
+//!   over; [`import_home`](ShardedRouter::import_home) takes them.
+//!   Rehydration reads them through [`ParkedStream::from_snapshot_bytes`],
+//!   so a park of another layout (a `v3` or `v4` build's) quarantines its
+//!   home on the first push.
 //! * **Fault containment.** A failing push, a tampered parked snapshot,
 //!   or a checkpoint that does not match its model **quarantines** that
 //!   home ([`HomeRound::Failed`], then [`HomeRound::Quarantined`]) and
@@ -471,7 +471,7 @@ fn rehydrate(
     bytes: &[u8],
     view: &ServeView,
 ) -> Result<(StreamingRecognizer<'static>, bool), ModelError> {
-    let parked = ParkedStream::from_snapshot_any(bytes)?;
+    let parked = ParkedStream::from_snapshot_bytes(bytes)?;
     let fp = parked.model_fingerprint();
     if fp != view.engine.params.fingerprint() && view.known_fps.contains(&fp) {
         Ok((
@@ -600,10 +600,11 @@ impl ShardedRouter {
 
     /// Registers a home directly from parked snapshot bytes — e.g. state
     /// handed over from another process ([`export_home`](Self::export_home)
-    /// output, or a v3 park in either kind). The checkpoint carries its
-    /// own lag; the bytes are *not* validated here — a bad
-    /// checkpoint quarantines the home on its first push (never panics),
-    /// exactly like bytes that went bad while parked.
+    /// output of a build that writes the same layout). The checkpoint
+    /// carries its own lag; the bytes are *not* validated here — a bad
+    /// checkpoint, or one of another layout, quarantines the home on its
+    /// first push (never panics), exactly like bytes that went bad while
+    /// parked.
     ///
     /// # Errors
     /// [`ModelError::InvalidConfig`] on an unknown model or a duplicate
@@ -1025,7 +1026,7 @@ impl ShardedRouter {
                         let result = match slot.state {
                             SlotState::Quarantined(e) => Err(e),
                             SlotState::Live(stream) => stream.finish(),
-                            SlotState::Parked(bytes) => ParkedStream::from_snapshot_any(&bytes)
+                            SlotState::Parked(bytes) => ParkedStream::from_snapshot_bytes(&bytes)
                                 .and_then(|parked| {
                                     let entry = &models[slot.model];
                                     let engine = entry

@@ -25,11 +25,13 @@
 //! slot-factored fold, which the newest entry's slices complete), each
 //! older window entry compacted to the records a backtrack can still
 //! read, and the newest entry whole — for NH, its state counts and its
-//! emissions per macro and per candidate. `v4`
-//! builds parked every window entry whole; v3 builds did too, in that
-//! binary kind and in a JSON `"kind": "stream"` one, both carrying slots
-//! of mechanisms since removed. [`legacy`] still reads both, and nothing
-//! writes them.
+//! emissions per macro and per candidate.
+//!
+//! Engines and model records are the durable artifacts, so their older
+//! versions stay readable (v2 engines). A parked stream is read only in
+//! the layout this build writes: a park of any other version (the `v3`
+//! JSON and binary kinds, the `v4` binary one) is a
+//! [`ModelError::Persistence`] that names its version.
 //!
 //! The engine payload serializes everything recognition depends on — the
 //! engine configuration, atom space, trained forests, mined rule set, the
@@ -60,8 +62,6 @@ use crate::evidence::PrevState;
 use crate::nh::{ParkedFlat, ParkedFlatEntry};
 use crate::strategy::Strategy;
 use crate::stream::{ParkedDecoder, ParkedStream};
-
-pub mod legacy;
 
 /// Leading magic token of the header line.
 const MAGIC: &str = "CACE-SNAPSHOT";
@@ -239,6 +239,9 @@ impl CaceEngine {
         };
         let params: HdbnParams = field(payload, "params")?;
         let nh_rows: Vec<Vec<f64>> = field(payload, "nh_log_trans")?;
+        if nh_rows.iter().any(|row| row.len() != nh_rows.len()) {
+            return Err(persist_err("field `nh_log_trans`: the table is not square"));
+        }
         Ok(Self {
             space: field(payload, "space")?,
             n_macro: field(payload, "n_macro")?,
@@ -300,7 +303,7 @@ pub struct ModelRecord {
 
 impl ModelRecord {
     /// Renders the record as a self-contained snapshot string — the same
-    /// versioned, checksummed v3 envelope as engine and stream snapshots,
+    /// versioned, checksummed v3 envelope as engine snapshots,
     /// with `"kind": "model-record"` and the engine payload embedded.
     pub fn to_snapshot_string(&self) -> String {
         let payload = serde::json::value_to_string(&serde::Value::Map(vec![
@@ -374,9 +377,9 @@ impl ModelRecord {
 
 /// Binary-kind discriminator token in the snapshot header line.
 const BIN_KIND: &str = "kind=stream-bin";
-/// Version of the binary parked-stream layout this build writes. v4
-/// dropped the slots of removed mechanisms that v3 parks carry; v5 parks
-/// the compacted window; [`legacy`] reads v3 and v4.
+/// Version of the binary parked-stream layout this build writes, and the
+/// only one it reads. v4 dropped the slots of removed mechanisms that v3
+/// parks carry; v5 parks the compacted window.
 const STREAM_VERSION: u32 = 5;
 
 fn write_strategy(w: &mut ByteWriter, s: Strategy) {
@@ -399,8 +402,7 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
 }
 
 fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
-    w.write_seq(&f.w, |w, &x| w.write_f64(x));
-    w.write_bool(f.dense);
+    wire::write_factored_frontier(w, &f.w);
     wire::write_compact(w, &f.compact, |_, ()| {}, |w, &a| w.write_u32(a));
     w.write_opt(f.newest.as_ref(), |w, e| {
         w.write_usize(e.n_macro);
@@ -417,8 +419,7 @@ fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
 
 fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
     Ok(ParkedFlat {
-        w: r.read_seq(8, ByteReader::read_f64)?,
-        dense: r.read_bool()?,
+        w: wire::read_factored_frontier(r)?,
         compact: wire::read_compact(r, 0, |_| Ok(()), 1, ByteReader::read_u32)?,
         newest: r.read_opt(|r| {
             Ok(ParkedFlatEntry {
@@ -454,11 +455,10 @@ fn write_state(w: &mut ByteWriter, state: &ParkedDecoder) {
             w.write_u8(2);
             coupled.encode_into(w);
         }
-        ParkedDecoder::Legacy(legacy) => write_state(w, &legacy.compact()),
     }
 }
 
-/// Reads the tag-prefixed per-strategy decoder state of a v5 park.
+/// Reads the tag-prefixed per-strategy decoder state.
 fn read_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
     match r.read_u8()? {
         0 => Ok(ParkedDecoder::Nh([read_flat(r)?, read_flat(r)?])),
@@ -471,11 +471,10 @@ fn read_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
     }
 }
 
-/// Parses and verifies the header of a binary parked stream: magic, a
-/// version this build reads (v5, or v3 and v4 for `legacy`), the binary kind,
-/// and the payload's stated length and checksum. Returns the version and
-/// the verified payload.
-fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
+/// Parses and verifies the header of a binary parked stream: magic, the
+/// version this build writes, the binary kind, and the payload's stated
+/// length and checksum. Returns the verified payload.
+fn open_binary(bytes: &[u8]) -> Result<&[u8], ModelError> {
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
@@ -484,12 +483,10 @@ fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
         .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
     let payload = &bytes[newline + 1..];
     let (version, mut tokens) = parse_header(header)?;
-    if ![legacy::VERSION, legacy::V4, STREAM_VERSION].contains(&version) {
+    if version != STREAM_VERSION {
         return Err(persist_err(format!(
-            "unsupported stream snapshot version {version} \
-             (this build reads v{}, v{} and v{STREAM_VERSION})",
-            legacy::VERSION,
-            legacy::V4
+            "unsupported parked stream version {version} \
+             (this build reads only the v{STREAM_VERSION} layout it writes)"
         )));
     }
     let kind = tokens.next();
@@ -511,7 +508,7 @@ fn open_binary(bytes: &[u8]) -> Result<(u32, &[u8]), ModelError> {
         )));
     }
     verify_checksum(checksum, header, payload)?;
-    Ok((version, payload))
+    Ok(payload)
 }
 
 impl ParkedStream {
@@ -554,30 +551,21 @@ impl ParkedStream {
     }
 
     /// Reconstructs a parked stream from
-    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output, or from a
-    /// binary park written by a v3 or v4 build. Envelope checks (magic,
-    /// version, kind, stated length, checksum) run before any payload
-    /// decode; structural validation against a concrete engine happens at
-    /// [`CaceEngine::resume`].
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output. Envelope
+    /// checks (magic, version, kind, stated length, checksum) run before
+    /// any payload decode; structural validation against a concrete engine
+    /// happens at [`CaceEngine::resume`].
     ///
     /// # Errors
     /// [`ModelError::Persistence`] on a malformed header, a version other
-    /// than v3, v4 or v5, a non-binary kind, a length or checksum mismatch,
-    /// malformed payload bytes, or a v3 park that records a removed
-    /// mechanism (see [`legacy`]).
+    /// than v5 (the error names it), a non-binary kind, a length or
+    /// checksum mismatch, malformed payload bytes, or a dense frontier.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
-        let (version, payload) = open_binary(bytes)?;
-        let mut r = ByteReader::new(payload);
-        let strategy = read_strategy(&mut r)?;
-        let (lag, state) = if version == STREAM_VERSION {
-            (wire::read_lag(&mut r)?, read_state(&mut r)?)
-        } else {
-            legacy::read_lag_and_state(&mut r, version)?
-        };
+        let mut r = ByteReader::new(open_binary(bytes)?);
         let parked = Self {
-            strategy,
-            lag,
-            state,
+            strategy: read_strategy(&mut r)?,
+            lag: wire::read_lag(&mut r)?,
+            state: read_state(&mut r)?,
             prev: [
                 PrevState {
                     macro_id: r.read_opt_usize()?,
@@ -600,29 +588,14 @@ impl ParkedStream {
         Ok(parked)
     }
 
-    /// Reconstructs a parked stream from any parked form this build
-    /// reads, sniffing the header: a `kind=stream-bin` token routes to
-    /// [`from_snapshot_bytes`](Self::from_snapshot_bytes), anything else
-    /// to the reader of the v3 JSON kind in [`legacy`]. This is what a
-    /// serving tier uses on bytes whose provenance it does not control
-    /// (imports, handovers).
+    /// [`from_snapshot_bytes`](Self::from_snapshot_bytes), under the name
+    /// the serving benchmark calls. To be deleted with the next change to
+    /// the benchmark.
     ///
     /// # Errors
-    /// Those of the reader the bytes route to.
+    /// Those of [`from_snapshot_bytes`](Self::from_snapshot_bytes).
     pub fn from_snapshot_any(bytes: &[u8]) -> Result<Self, ModelError> {
-        let header_end = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .unwrap_or(bytes.len());
-        let is_binary = std::str::from_utf8(&bytes[..header_end])
-            .is_ok_and(|h| h.split_whitespace().any(|t| t == BIN_KIND));
-        if is_binary {
-            Self::from_snapshot_bytes(bytes)
-        } else {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| persist_err("snapshot is neither binary-kind nor UTF-8 text"))?;
-            legacy::from_json(text)
-        }
+        Self::from_snapshot_bytes(bytes)
     }
 }
 
@@ -813,8 +786,8 @@ mod tests {
             CaceEngine::from_snapshot_str(&String::from_utf8_lossy(&stream_bytes)).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
         let engine_text = engine.to_snapshot_string();
-        let err = ParkedStream::from_snapshot_any(engine_text.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("kind `engine`"), "{err}");
+        let err = ParkedStream::from_snapshot_bytes(engine_text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("version 3"), "{err}");
     }
 
     #[test]
@@ -846,10 +819,6 @@ mod tests {
             assert_eq!(a.transition_ops, b.transition_ops);
             assert_eq!(a.rules_fired, b.rules_fired);
             assert_eq!(a.mean_joint_size.to_bits(), b.mean_joint_size.to_bits());
-
-            // The sniffing reader routes the binary kind.
-            let via_any = ParkedStream::from_snapshot_any(&bytes).unwrap();
-            assert_eq!(via_any.ticks_pushed(), 20);
         }
     }
 

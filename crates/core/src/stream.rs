@@ -82,12 +82,10 @@ use cace_hdbn::{
     SingleHdbn, TickInput,
 };
 use cace_model::ModelError;
-use serde::Deserialize;
 
 use crate::engine::{CaceEngine, Recognition};
 use crate::evidence::PrevState;
 use crate::nh::{OnlineFlat, ParkedFlat};
-use crate::snapshot::legacy::LegacyDecoder;
 use crate::strategy::Strategy;
 
 fn park_err(what: impl Into<String>) -> ModelError {
@@ -312,15 +310,7 @@ fn resume_impl<'a>(
         ));
     }
     let cursor_err = || park_err("parked stream: decoder tick count disagrees with the cursor");
-    let compacted;
-    let state = match &parked.state {
-        ParkedDecoder::Legacy(legacy) => {
-            compacted = legacy.compact();
-            &compacted
-        }
-        state => state,
-    };
-    let decoder = match (state, e.config.strategy) {
+    let decoder = match (&parked.state, e.config.strategy) {
         (ParkedDecoder::Nh(flats), Strategy::NaiveHmm) => {
             if flats.iter().any(|f| f.ticks_pushed() != parked.pushed) {
                 return Err(cursor_err());
@@ -705,9 +695,6 @@ pub(crate) enum ParkedDecoder {
     Single([ParkedChain; 2]),
     /// NCS / C2: the coupled joint frontier.
     Coupled(ParkedCoupled),
-    /// A `v3` or `v4` park's decoder state, every window entry whole:
-    /// compacted into one of the above when resumed or re-encoded.
-    Legacy(LegacyDecoder),
 }
 
 /// A complete mid-stream checkpoint of one home's [`StreamingRecognizer`]:
@@ -717,10 +704,10 @@ pub(crate) enum ParkedDecoder {
 ///
 /// Produced by [`StreamingRecognizer::park`]; serialized through the
 /// versioned snapshot layer ([`ParkedStream::to_snapshot_bytes`]) so
-/// parked bytes survive process restarts, and validated structurally on
-/// every resume — tampering yields [`ModelError::Persistence`], never a
-/// panic.
-#[derive(Debug, Clone, Deserialize)]
+/// parked bytes are readable by builds that write the same layout, and
+/// validated structurally on every resume — tampering yields
+/// [`ModelError::Persistence`], never a panic.
+#[derive(Debug, Clone)]
 pub struct ParkedStream {
     pub(crate) strategy: Strategy,
     pub(crate) lag: Lag,

@@ -15,14 +15,21 @@
 //! configurations, snapshots and callers that name it keep working. Its
 //! form in engine snapshots is unchanged: it writes `"beam":"Exact"` and
 //! `"precision":"Exact64"`, and an engine snapshot recording one of the
-//! removed beams is rejected with an error that names them. Parked
-//! streams no longer record it; the `v3` parks that do are read, and
-//! their beam and precision tags checked the same way, by
-//! [`park::legacy`](crate::park::legacy).
+//! removed beams or the removed `f32` lane is rejected with an error
+//! that names it. Parked streams do not record it.
 
 use serde::{Deserialize, Serialize};
 
-use crate::park::legacy::{RETIRED_BEAMS, RETIRED_LANE};
+/// Message of every rejection of a snapshot taken in the retired `f32`
+/// decoding lane.
+const RETIRED_LANE: &str =
+    "snapshot was decoded in the removed f32 scoring lane; only exact (f64) snapshots resume";
+
+/// Message of every rejection of a snapshot that records one of the
+/// removed lossy decoder beams.
+const RETIRED_BEAMS: &str =
+    "snapshot records a removed lossy decoder beam (TopK or LogThreshold); only exact \
+     snapshots resume, because a frontier pruned by such a beam cannot continue exactly";
 
 /// Decoding-time configuration shared by every decoder in the crate.
 ///

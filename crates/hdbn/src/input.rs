@@ -2,12 +2,11 @@
 //! log-likelihoods.
 
 use cace_mining::{AtomSpace, UserCandidates};
-use serde::{Deserialize, Serialize};
 
 /// One candidate micro tuple for one user at one tick, with the total
 //  observation log-likelihood of the wearable/ambient evidence given the
 /// tuple (Augmentation 4's `log N(o; μ, Γ)` or classifier log-probabilities).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroCandidate {
     /// Postural id.
     pub postural: usize,

@@ -67,7 +67,6 @@
 use std::sync::Arc;
 
 use cace_model::ModelError;
-use serde::Deserialize;
 
 use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::input::{MicroCandidate, TickInput};
@@ -81,7 +80,7 @@ use crate::trellis::{self, Compacted, HierModel, OnlineTrellis, TrellisEntry, Tr
 use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lag {
     /// Never commit mid-stream; decode everything at finalization — the
     /// whole-session Viterbi decode.
@@ -387,7 +386,6 @@ impl OnlineCoupledViterbi {
         let v = self.core.frontier();
         ParkedCoupled {
             w: v.w.clone(),
-            dense: v.trivial,
             compact: self.core.compacted(),
             newest: self.core.newest().map(|e| ParkedJointEntry {
                 s1: ParkedSlice::from_slice(&e.s1),
@@ -427,14 +425,9 @@ impl OnlineCoupledViterbi {
             back: e.back.clone(),
             cands: e.cands.clone(),
         });
-        // The newest entry's slices rebuild the frontier around its `w`;
-        // a dense frontier enters as its trivial factorization, and the
-        // next step writes a compact one.
+        // The newest entry's slices rebuild the frontier around its `w`.
         let v = match &newest {
             None => JointFrontier::default(),
-            Some(e) if parked.dense => {
-                JointFrontier::from_dense(&parked.w, e.s1.len(), e.s2.len())?
-            }
             Some(e) => {
                 let first_tick = parked.pushed == 1;
                 JointFrontier::restored(&params, parked.w.clone(), &e.s1, &e.s2, first_tick)

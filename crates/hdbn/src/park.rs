@@ -16,8 +16,7 @@
 //!   row — per slot pair in the coupled family), which the next step reads;
 //! * the frontier: a dense score per state for the chain families; for
 //!   the coupled family its slot-factored `w`, one score per slot pair of
-//!   the newest entry, whose slices rebuild the rest — or, after a resume
-//!   from a `v3`/`v4` park, the dense scores of its trivial factorization;
+//!   the newest entry, whose slices rebuild the rest;
 //! * the decision cursor (`base`/`pushed`) and the overhead counters.
 //!
 //! Decisions already emitted are the caller's: a park holds `O(lag)`
@@ -40,19 +39,19 @@
 //! [`ModelError::Persistence`] instead of an out-of-bounds panic; the
 //! router quarantines the home and keeps serving its shard-mates.
 //!
-//! [`legacy`] reads the `v3` and `v4` layouts, which parked every window
-//! entry whole; it is the only code that knows their retired slots.
+//! These types are read only in the layout this build writes ([`wire`],
+//! `v5`). Parks of older layouts, which held every window entry whole,
+//! are rejected by version, never converted.
+//!
+//! [`wire`]: crate::wire
 
 use cace_model::ModelError;
-use serde::Deserialize;
 
 use crate::arena::Slice;
 use crate::input::MicroCandidate;
 use crate::online::Lag;
 use crate::params::HdbnParams;
 use crate::trellis::{find_record, Compacted, Record};
-
-pub mod legacy;
 
 /// Decision payload of one coupled joint state: per user its macro
 /// activity, and the index of its micro tuple in its entry's items (user
@@ -64,8 +63,7 @@ pub(crate) type ChainPick = (u32, u32);
 
 /// Parked form of one chain's per-tick trellis slice (everything the step
 /// kernels read; the pair→slot lookup is per-fill scratch and rebuilt).
-#[derive(Debug, Clone, Default, Deserialize)]
-#[cfg_attr(test, derive(serde::Serialize))]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedSlice {
     pub(crate) activities: Vec<usize>,
     pub(crate) cands: Vec<usize>,
@@ -105,11 +103,19 @@ impl ParkedSlice {
         self.activities.len()
     }
 
-    /// The model-free half of [`validate`](Self::validate): state count
+    /// Bounds-checks every index the step kernels would read: state count
     /// nonzero and columns of one length, candidate indices inside the
-    /// retained tuple list, slot indices inside the distinct pairs, and
-    /// activity runs a partition-shaped cover of the state list.
-    pub(crate) fn check_shape(&self, what: &str, n_cands: usize) -> Result<(), ModelError> {
+    /// retained tuple list, activity and pair ids inside the model's dense
+    /// tables, slot indices inside the distinct pairs, activity runs a
+    /// partition-shaped cover of the state list, and emissions free of NaN
+    /// (the frontier argmax totally orders scores).
+    pub(crate) fn validate(
+        &self,
+        what: &str,
+        n_macro: usize,
+        n_pair: usize,
+        n_cands: usize,
+    ) -> Result<(), ModelError> {
         let m = self.len();
         check(m > 0, || format!("{what}: empty trellis slice"))?;
         check(
@@ -122,10 +128,15 @@ impl ParkedSlice {
         check(self.cands.iter().all(|&c| c < n_cands), || {
             format!("{what}: candidate index out of range")
         })?;
-        // A decision keeps activity ids in 32 bits.
+        check(self.activities.iter().all(|&a| a < n_macro), || {
+            format!("{what}: activity id out of range")
+        })?;
+        check(self.pairs.iter().all(|&p| (p as usize) < n_pair), || {
+            format!("{what}: pair id out of range")
+        })?;
         check(
-            self.activities.iter().all(|&a| u32::try_from(a).is_ok()),
-            || format!("{what}: activity id out of range"),
+            self.uniq_pairs.iter().all(|&p| (p as usize) < n_pair),
+            || format!("{what}: distinct pair id out of range"),
         )?;
         // Each slot is some state's pair, so a slice has at most as many
         // slots as states (which also bounds a slot-pair row by a joint
@@ -140,43 +151,16 @@ impl ParkedSlice {
         // Runs must tile 0..m in order — the fold kernels walk them as a
         // cover of the state list.
         let mut cursor = 0u32;
-        for &(_, start, end) in &self.runs {
-            check(start == cursor && end >= start, || {
-                format!("{what}: malformed activity run")
-            })?;
+        for &(a, start, end) in &self.runs {
+            check(
+                (a as usize) < n_macro && start == cursor && end >= start,
+                || format!("{what}: malformed activity run"),
+            )?;
             cursor = end;
         }
         check(cursor as usize == m, || {
             format!("{what}: activity runs do not cover the slice")
-        })
-    }
-
-    /// Bounds-checks every index the step kernels would read:
-    /// [`check_shape`](Self::check_shape), plus activity and pair ids
-    /// inside the model's dense tables and emissions free of NaN (the
-    /// frontier argmax totally orders scores).
-    pub(crate) fn validate(
-        &self,
-        what: &str,
-        n_macro: usize,
-        n_pair: usize,
-        n_cands: usize,
-    ) -> Result<(), ModelError> {
-        self.check_shape(what, n_cands)?;
-        check(self.activities.iter().all(|&a| a < n_macro), || {
-            format!("{what}: activity id out of range")
         })?;
-        check(
-            self.runs.iter().all(|&(a, _, _)| (a as usize) < n_macro),
-            || format!("{what}: malformed activity run"),
-        )?;
-        check(self.pairs.iter().all(|&p| (p as usize) < n_pair), || {
-            format!("{what}: pair id out of range")
-        })?;
-        check(
-            self.uniq_pairs.iter().all(|&p| (p as usize) < n_pair),
-            || format!("{what}: distinct pair id out of range"),
-        )?;
         check(self.emissions.iter().all(|e| !e.is_nan()), || {
             format!("{what}: NaN emission score")
         })
@@ -185,11 +169,8 @@ impl ParkedSlice {
 
 /// Parked form of the newest tick of the coupled window: its two slices,
 /// its backpointer row and its candidate tuples. The row holds one
-/// backpointer per destination slot pair (`slot₁ * d2 + slot₂`); the
-/// whole entries of a `v3`/`v4` park ([`legacy`]) hold one per joint
-/// state.
-#[derive(Debug, Clone, Default, Deserialize)]
-#[cfg_attr(test, derive(serde::Serialize))]
+/// backpointer per destination slot pair (`slot₁ * d2 + slot₂`).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedJointEntry {
     pub(crate) s1: ParkedSlice,
     pub(crate) s2: ParkedSlice,
@@ -205,11 +186,8 @@ pub(crate) struct ParkedJointEntry {
 #[derive(Debug, Clone, Default)]
 pub struct ParkedCoupled {
     /// The frontier's pass-2 fold, one score per slot pair of the newest
-    /// entry — or, when `dense`, one score per joint state.
+    /// entry.
     pub(crate) w: Vec<f64>,
-    /// Whether `w` is a dense frontier's trivial factorization (a stream
-    /// resumed from a `v3`/`v4` park, before its next push).
-    pub(crate) dense: bool,
     /// The compacted entries, oldest first.
     pub(crate) compact: Vec<Compacted<JointPick, MicroCandidate>>,
     /// The newest entry; `None` before the first push.
@@ -257,12 +235,7 @@ impl ParkedCoupled {
             e.back.len() == slot_pairs || (e.back.is_empty() && self.compact.is_empty()),
             || format!("{what}: backpointer count != slot pairs of the newest entry"),
         )?;
-        let frontier = if self.dense {
-            e.s1.len() * e.s2.len()
-        } else {
-            slot_pairs
-        };
-        check(self.w.len() == frontier, || {
+        check(self.w.len() == slot_pairs, || {
             format!("{what}: frontier length != newest window entry")
         })
     }
@@ -270,7 +243,7 @@ impl ParkedCoupled {
 
 /// Parked form of the newest tick of a single-chain window: its slice,
 /// its backpointer row (one per state) and its candidate tuples.
-#[derive(Debug, Clone, Default, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ParkedChainEntry {
     pub(crate) slice: ParkedSlice,
     pub(crate) back: Vec<u32>,

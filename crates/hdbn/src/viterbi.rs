@@ -37,10 +37,11 @@
 //! slot pairs, of which a step folds ~15 states.
 //!
 //! The first tick is the same structure with `w ≡ −0.0` (IEEE addition's
-//! exact identity) and offsets `emission + prior`; a dense frontier from
-//! outside (a `v3`/`v4` park's, or [`joint_step`]'s argument) is the trivial
-//! factorization — one slot per state, `w = v`, offsets and coupling all
-//! `−0.0` — so one selection and one argmax serve every frontier.
+//! exact identity) and offsets `emission + prior`. A dense frontier is
+//! [`joint_step`]'s argument only, for the differential suite: it enters
+//! as the trivial factorization — one slot per state, `w = v`, offsets and
+//! coupling all `−0.0` — so one selection and one argmax serve every
+//! frontier.
 //!
 //! Every step is dominance-pruned ([`crate::dominance`]): a source state
 //! whose bound shows it cannot win any destination is not folded at all.
@@ -207,10 +208,6 @@ pub struct JointFrontier {
     last: (usize, f64),
     /// Chain-2 coupling row of one chain-1 group (scratch).
     gcol: Vec<f64>,
-    /// Whether this is a dense frontier's trivial factorization
-    /// ([`from_dense`](Self::from_dense)), which its tick's slices cannot
-    /// rebuild; a step always writes a factorization they can.
-    pub(crate) trivial: bool,
 }
 
 impl JointFrontier {
@@ -268,7 +265,6 @@ impl JointFrontier {
         frontier.axes[1].trivial(k2);
         frontier.g.push(-0.0);
         frontier.n_g2 = 1;
-        frontier.trivial = true;
         frontier.summarize();
         Ok(frontier)
     }
@@ -306,7 +302,6 @@ impl JointFrontier {
             self.g.extend(s2.runs.iter().map(coupling));
         }
         self.n_g2 = s2.runs.len();
-        self.trivial = false;
         self.summarize();
     }
 

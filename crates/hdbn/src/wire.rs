@@ -20,11 +20,13 @@
 //! The [`ByteWriter`]/[`ByteReader`] primitives and the codecs for the
 //! crate-public types ([`Lag`], [`MicroCandidate`]) are public so
 //! `cace-core` can embed the parked decoder payloads written here inside
-//! its own stream envelope. The layouts here are the current (`v5`)
-//! ones, which write what a stream holds: the frontier, the compacted
-//! window's records, the newest entry whole, the cursor and the counters.
-//! [`park::legacy`](crate::park::legacy) reads the older `v3` and `v4`
-//! layouts, which parked every window entry whole.
+//! its own stream envelope. The layouts here are the `v5` ones, the only
+//! ones this build reads: they write what a stream holds — the frontier,
+//! the compacted window's records, the newest entry whole, the cursor and
+//! the counters. A slot-factored frontier (the coupled one here, NH's in
+//! `cace-core`) is followed by a frontier-kind byte that is always `0`
+//! ([`write_factored_frontier`]); a `1` marked the dense frontiers that
+//! only `v3`/`v4` parks produced, and is rejected.
 
 use cace_model::ModelError;
 
@@ -356,15 +358,7 @@ pub fn read_cand(r: &mut ByteReader<'_>) -> Result<MicroCandidate, ModelError> {
 
 /// Smallest encoding of a [`MicroCandidate`]: three one-byte varints and
 /// the 8-byte score.
-pub(crate) const CAND_MIN_BYTES: usize = 11;
-/// Smallest encoding of a parked slice: its seven empty sequences.
-const SLICE_MIN_BYTES: usize = 7;
-/// Smallest encoding of a whole coupled window entry: two slices, the
-/// backpointers and the two candidate lists, all empty.
-pub(crate) const JOINT_ENTRY_MIN_BYTES: usize = 2 * SLICE_MIN_BYTES + 3;
-/// Smallest encoding of a whole chain window entry: one slice, the
-/// backpointers and the candidate list, all empty.
-pub(crate) const CHAIN_ENTRY_MIN_BYTES: usize = SLICE_MIN_BYTES + 2;
+const CAND_MIN_BYTES: usize = 11;
 
 fn write_slice(w: &mut ByteWriter, s: &ParkedSlice) {
     w.write_seq(&s.activities, |w, &x| w.write_usize(x));
@@ -392,7 +386,7 @@ fn read_slice(r: &mut ByteReader<'_>) -> Result<ParkedSlice, ModelError> {
     })
 }
 
-pub(crate) fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
+fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
     write_slice(w, &e.s1);
     write_slice(w, &e.s2);
     w.write_seq(&e.back, |w, &x| w.write_u32(x));
@@ -401,7 +395,7 @@ pub(crate) fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
     }
 }
 
-pub(crate) fn read_joint_entry(r: &mut ByteReader<'_>) -> Result<ParkedJointEntry, ModelError> {
+fn read_joint_entry(r: &mut ByteReader<'_>) -> Result<ParkedJointEntry, ModelError> {
     Ok(ParkedJointEntry {
         s1: read_slice(r)?,
         s2: read_slice(r)?,
@@ -419,7 +413,7 @@ fn write_chain_entry(w: &mut ByteWriter, e: &ParkedChainEntry) {
     w.write_seq(&e.cands, write_cand);
 }
 
-pub(crate) fn read_chain_entry(r: &mut ByteReader<'_>) -> Result<ParkedChainEntry, ModelError> {
+fn read_chain_entry(r: &mut ByteReader<'_>) -> Result<ParkedChainEntry, ModelError> {
     Ok(ParkedChainEntry {
         slice: read_slice(r)?,
         back: r.read_seq(1, ByteReader::read_u32)?,
@@ -473,6 +467,30 @@ pub fn read_compact<'a, P, I>(
     })
 }
 
+/// Encodes a slot-factored frontier: its fold `w`, then the
+/// frontier-kind byte, always `0`.
+pub fn write_factored_frontier(w: &mut ByteWriter, fold: &[f64]) {
+    w.write_seq(fold, |w, &x| w.write_f64(x));
+    w.write_u8(0);
+}
+
+/// Decodes a frontier written by [`write_factored_frontier`].
+///
+/// # Errors
+/// [`ModelError::Persistence`] on malformed bytes or a kind byte of `1`,
+/// a dense frontier.
+pub fn read_factored_frontier(r: &mut ByteReader<'_>) -> Result<Vec<f64>, ModelError> {
+    let w = r.read_seq(8, ByteReader::read_f64)?;
+    match r.read_u8()? {
+        0 => Ok(w),
+        1 => Err(decode_err(
+            "frontier-kind byte 1 marks a dense frontier; dense frontiers came only from v3/v4 \
+             parks, which this build does not read",
+        )),
+        b => Err(decode_err(format!("invalid frontier-kind byte {b}"))),
+    }
+}
+
 fn write_joint_pick(w: &mut ByteWriter, (macros, items): &JointPick) {
     for &x in macros.iter().chain(items) {
         w.write_u32(x);
@@ -497,11 +515,11 @@ fn read_chain_pick(r: &mut ByteReader<'_>) -> Result<ChainPick, ModelError> {
 
 impl ParkedCoupled {
     /// Appends this checkpoint's binary encoding to `w`: the frontier's
-    /// `w` and whether it is dense, the compacted window, the newest
-    /// entry, the cursor and the two overhead counters.
+    /// `w`, the frontier-kind byte (`0`, see the [module docs](self)), the
+    /// compacted window, the newest entry, the cursor and the two overhead
+    /// counters.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.write_seq(&self.w, |w, &x| w.write_f64(x));
-        w.write_bool(self.dense);
+        write_factored_frontier(w, &self.w);
         write_compact(w, &self.compact, write_cand, write_joint_pick);
         w.write_opt(self.newest.as_ref(), write_joint_entry);
         w.write_usize(self.base);
@@ -513,12 +531,11 @@ impl ParkedCoupled {
     /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
     ///
     /// # Errors
-    /// [`ModelError::Persistence`] on malformed bytes. (Structural
-    /// validation against a model still happens at resume.)
+    /// [`ModelError::Persistence`] on malformed bytes or a dense frontier.
+    /// (Structural validation against a model still happens at resume.)
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
-            w: r.read_seq(8, ByteReader::read_f64)?,
-            dense: r.read_bool()?,
+            w: read_factored_frontier(r)?,
             compact: read_compact(r, CAND_MIN_BYTES, read_cand, 4, read_joint_pick)?,
             newest: r.read_opt(read_joint_entry)?,
             base: r.read_usize()?,

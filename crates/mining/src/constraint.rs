@@ -83,8 +83,54 @@ impl HierarchicalStats {
             .all(|r| (r.iter().sum::<f64>() - 1.0).abs() < 1e-9)
     }
 
-    /// Validates that every stored distribution is normalized.
+    /// Validates that every table has the shape the four counts give
+    /// (the HDBN tables are built by indexing them with those counts) and
+    /// that every stored distribution is normalized.
+    ///
+    /// # Errors
+    /// [`ModelError::LengthMismatch`] for a table of the wrong shape, and
+    /// [`ModelError::InvalidDistribution`] for one that is not normalized.
     pub fn validate(&self) -> Result<(), ModelError> {
+        let (n, np) = (self.n_macro, self.n_postural);
+        let mismatch = |what: &str, left: usize, right: usize| ModelError::LengthMismatch {
+            what: format!("{what} against the model's counts"),
+            left,
+            right,
+        };
+        for (name, vector) in [
+            ("macro_prior", &self.macro_prior),
+            ("end_prob", &self.end_prob),
+        ] {
+            if vector.len() != n {
+                return Err(mismatch(name, n, vector.len()));
+            }
+        }
+        let shapes: [(&str, &Vec<Vec<f64>>, usize, usize); 6] = [
+            ("intra_trans", &self.intra_trans, n, n),
+            ("inter_cooc", &self.inter_cooc, n, n),
+            ("postural_given_macro", &self.postural_given_macro, n, np),
+            (
+                "gestural_given_macro",
+                &self.gestural_given_macro,
+                n,
+                self.n_gestural,
+            ),
+            (
+                "location_given_macro",
+                &self.location_given_macro,
+                n,
+                self.n_location,
+            ),
+            ("postural_trans", &self.postural_trans, np, np),
+        ];
+        for (name, table, rows, cols) in shapes {
+            if table.len() != rows {
+                return Err(mismatch(name, rows, table.len()));
+            }
+            if let Some(row) = table.iter().find(|r| r.len() != cols) {
+                return Err(mismatch(name, cols, row.len()));
+            }
+        }
         let tables: [(&str, &Vec<Vec<f64>>); 5] = [
             ("intra_trans", &self.intra_trans),
             ("inter_cooc", &self.inter_cooc),

@@ -134,7 +134,8 @@ pub fn stream_session_with_parks(
 ) -> (Vec<StreamDecision>, Recognition) {
     let park_cycle = |stream: &cace_core::StreamingRecognizer<'_>| {
         let bytes = stream.park().to_snapshot_bytes();
-        let parked = ParkedStream::from_snapshot_any(&bytes).expect("testkit: parked bytes reload");
+        let parked =
+            ParkedStream::from_snapshot_bytes(&bytes).expect("testkit: parked bytes reload");
         engine
             .resume(&parked)
             .expect("testkit: parked stream resumes")

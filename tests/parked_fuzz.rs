@@ -1,4 +1,5 @@
-//! Seeded mutation fuzzing of the parked-stream reader.
+//! Seeded mutation fuzzing of the readers of outside bytes: parked
+//! streams, engine snapshots and model records.
 //!
 //! A serving tier rehydrates parked bytes it may not have written itself
 //! (imports, handovers, bytes that rotted in storage). Whatever those
@@ -7,22 +8,26 @@
 //! [`ModelError::Persistence`]: never panic, and never let a length field
 //! request an allocation out of proportion to the input.
 //!
-//! The inputs are fresh `v5` parks of all four strategies and the golden
-//! fixtures (`tests/fixtures/parked_*`): eight `v3`, three `v4` and six
-//! `v5` parks. Each mutant is
-//! resealed — its header checksum and length recomputed — so the decoder
-//! really runs on it instead of stopping at the checksum. Mutations: bit
-//! flips, truncation, varints that lie about a length, overlong varints,
-//! and token edits of the JSON kind.
+//! The parked inputs are fresh `v5` parks of all four strategies and the
+//! three golden `v5` fixtures (`tests/fixtures/parked_*_v5.stream-bin`).
+//! Each mutant is resealed — its header checksum and length recomputed —
+//! so the decoder really runs on it instead of stopping at the checksum.
+//! Mutations: bit flips, truncation, varints that lie about a length, and
+//! overlong varints.
 //!
 //! The allocation bound is [`ALLOC_FACTOR`] times the input length; see
 //! there for where the factor comes from.
+//!
+//! Engine and model-record snapshots are the JSON reader's outside
+//! inputs ([`CaceEngine::from_snapshot_str`],
+//! [`ShardedRouter::import_model`]). Their token-edited mutants must read
+//! as `Ok` or [`ModelError::Persistence`], never a panic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cace::core::{CaceConfig, CaceEngine, Lag, ParkedStream, Strategy};
+use cace::core::{CaceConfig, CaceEngine, Lag, ModelRecord, ParkedStream, ShardedRouter, Strategy};
 use cace::model::ModelError;
 use cace_testkit::{engine_with, tiny_corpus};
 
@@ -85,19 +90,15 @@ fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// Binary payloads: every sequence is read by `ByteReader::read_seq`,
 /// which reserves `len` elements only after checking that `len` times the
 /// element's smallest encoding fits in the bytes that remain. The worst
-/// ratio of element size to smallest encoding is 24, shared by the whole
-/// window entries of `v3`/`v4` parks — a coupled entry is 408 bytes in
-/// memory and at least 17 on the wire (two slices of seven empty
-/// sequences, then three more empty sequences), a chain entry 216 and 9,
-/// an NH entry 48 and 2 — and the compacted entries of a `v5` park, 48
-/// bytes (a `Vec` of items and one of records) from two one-byte empty
-/// sequences. A record is at most 4 times its smallest encoding (a
-/// coupled one: 24 bytes from six one-byte varints), a candidate tuple
-/// 40 bytes from 11, and every other sequence at most 8 (a `usize` from a
-/// one-byte varint). A `v3`/`v4` decoder is compacted only when it is
-/// resumed or re-encoded, not while it is read.
+/// ratio of element size to smallest encoding is 24: a compacted window
+/// entry is 48 bytes in memory (a `Vec` of items and one of records) and
+/// at least 2 on the wire (two one-byte empty sequences). A record is at
+/// most 4 times its smallest encoding (a coupled one: 24 bytes from six
+/// one-byte varints), a candidate tuple 40 bytes from 11, and every other
+/// sequence at most 8 (a `usize` from a one-byte varint). One factor
+/// covers these and the JSON bound below.
 ///
-/// The `v3` JSON kind: the parser holds each array in a `Vec` of 32-byte
+/// JSON snapshots: the parser holds each array in a `Vec` of 32-byte
 /// values that at most doubles past its length, and an array of `n`
 /// elements takes at least `2n - 1` bytes of text, so an array costs at
 /// most 32 bytes per input byte. (Map entries are 56 bytes and take at
@@ -150,12 +151,11 @@ fn reseal_bin(payload: &[u8], version: &str) -> Vec<u8> {
 }
 
 /// Wraps an edited JSON payload in a valid `v3` header.
-fn reseal_json(payload: &str) -> Vec<u8> {
+fn reseal_json(payload: &str) -> String {
     format!(
         "CACE-SNAPSHOT v3 fnv1a64={:016x}\n{payload}",
         fnv1a64(payload.as_bytes())
     )
-    .into_bytes()
 }
 
 fn varint(mut x: u64) -> Vec<u8> {
@@ -315,26 +315,12 @@ fn mutated_parks_read_and_resume_without_panicking() {
         let stem = match strategy {
             Strategy::CorrelationConstraint => Some("parked_c2"),
             Strategy::NaiveCorrelation => Some("parked_ncr"),
+            Strategy::NaiveHmm => Some("parked_nh"),
             _ => None,
         };
-        for file in stem
-            .into_iter()
-            .flat_map(|s| [s.to_string(), format!("{s}_history_free")])
-        {
-            for ext in ["snapshot", "stream-bin"] {
-                let name = format!("{file}.{ext}");
-                inputs.push((name.clone(), fixture(&name)));
-            }
-        }
-        let twins = match strategy {
-            Strategy::NaiveHmm => Some("parked_nh"),
-            _ => stem,
-        };
-        for twin in twins
-            .into_iter()
-            .flat_map(|s| ["_v4", "_v5", "_v5_from_v4"].map(|t| format!("{s}{t}.stream-bin")))
-        {
-            inputs.push((twin.clone(), fixture(&twin)));
+        if let Some(stem) = stem {
+            let name = format!("{stem}_v5.stream-bin");
+            inputs.push((name.clone(), fixture(&name)));
         }
         for (name, original) in inputs {
             assert!(check(&engine, &original, &name), "{name}: unmutated input");
@@ -342,15 +328,9 @@ fn mutated_parks_read_and_resume_without_panicking() {
             let version = header.split_whitespace().nth(1).unwrap().to_string();
             for i in 0..MUTANTS_PER_INPUT {
                 let label = format!("{name} mutant {i}");
-                let mutant = if header.contains("kind=stream-bin") {
-                    // Strategy tag, then (v3 only) the two decoder tags,
-                    // then the lag tag and its varint, then the state tag.
-                    let frontier_len_at = if version == "v3" { 6 } else { 4 };
-                    reseal_bin(&mutate_binary(payload, frontier_len_at, &mut rng), &version)
-                } else {
-                    let text = std::str::from_utf8(payload).unwrap();
-                    reseal_json(&mutate_json(text, &mut rng))
-                };
+                // Strategy tag, then the lag tag and its varint, then the
+                // state tag.
+                let mutant = reseal_bin(&mutate_binary(payload, 4, &mut rng), &version);
                 if check(&engine, &mutant, &label) {
                     read_ok += 1;
                 } else {
@@ -364,4 +344,95 @@ fn mutated_parks_read_and_resume_without_panicking() {
         read_ok > 0 && read_err > 0,
         "{read_ok} read, {read_err} rejected"
     );
+}
+
+/// Reads one JSON mutant through `read`, asserting it returns `Ok` or a
+/// persistence error without panicking, within the allocation bound.
+/// Returns whether it read, and the largest single allocation the read
+/// made.
+fn check_json<T>(
+    text: &str,
+    label: &str,
+    read: impl FnOnce(&str) -> Result<T, ModelError>,
+) -> (bool, usize) {
+    let (read, peak) = catch_unwind(AssertUnwindSafe(|| peak_alloc(|| read(text).map(drop))))
+        .unwrap_or_else(|_| panic!("{label}: the reader panicked"));
+    let bound = ALLOC_FACTOR * text.len().max(ALLOC_FLOOR);
+    assert!(
+        peak <= bound,
+        "{label}: reading {} input bytes allocated {peak} bytes at once (bound {bound})",
+        text.len()
+    );
+    match read {
+        Ok(()) => (true, peak),
+        Err(ModelError::Persistence { .. }) => (false, peak),
+        Err(e) => panic!("{label}: failed with a non-persistence error: {e:?}"),
+    }
+}
+
+#[test]
+fn mutated_engine_and_model_record_snapshots_never_panic() {
+    let (train, _) = tiny_corpus(4, 60, 17);
+    let engine = engine_with(&train, &CaceConfig::default());
+    let record = ModelRecord {
+        name: "cace".to_string(),
+        generation: 0,
+        engine: engine.clone(),
+    };
+    let import = |text: &str| ShardedRouter::new().import_model(text);
+    let mut rng = Rng(0x0dec_0de5);
+    let (mut read_ok, mut read_err, mut per_byte) = (0usize, 0usize, 0f64);
+    for (name, original) in [
+        ("engine", engine.to_snapshot_string()),
+        ("model record", record.to_snapshot_string()),
+    ] {
+        let payload = split_header(original.as_bytes()).1;
+        let payload = std::str::from_utf8(payload).unwrap();
+        for i in 0..MUTANTS_PER_INPUT {
+            let label = format!("{name} mutant {i}");
+            let mutant = reseal_json(&mutate_json(payload, &mut rng));
+            let reads = [
+                check_json(&mutant, &label, CaceEngine::from_snapshot_str),
+                check_json(&mutant, &label, import),
+            ];
+            for (ok, peak) in reads {
+                if ok {
+                    read_ok += 1;
+                } else {
+                    read_err += 1;
+                }
+                per_byte = per_byte.max(peak as f64 / mutant.len() as f64);
+            }
+        }
+    }
+    println!("{read_ok} read, {read_err} rejected, peak allocation {per_byte:.2} B per input byte");
+    // Both outcomes occur: the mutants reach the payload readers and
+    // past them.
+    assert!(
+        read_ok > 0 && read_err > 0,
+        "{read_ok} read, {read_err} rejected"
+    );
+}
+
+/// Regression cases of the engine-snapshot fuzzing: tables that disagree
+/// with the model's own counts. Each panicked the engine reader with an
+/// index out of bounds before the reader checked the shapes.
+#[test]
+fn engine_snapshots_with_misshapen_tables_are_rejected() {
+    let (train, _) = tiny_corpus(4, 60, 17);
+    let config = CaceConfig::default().with_strategy(Strategy::NaiveHmm);
+    let text = engine_with(&train, &config).to_snapshot_string();
+    let payload = std::str::from_utf8(split_header(text.as_bytes()).1).unwrap();
+    for (from, to) in [
+        // More posturals than the mined tables have columns.
+        (r#""n_postural":6"#, r#""n_postural":7"#),
+        // An NH transition row longer than the table is wide.
+        (r#""nh_log_trans":[["#, r#""nh_log_trans":[[-1.0,"#),
+    ] {
+        let edited = payload.replace(from, to);
+        assert_ne!(edited, payload, "tamper target must exist");
+        let mutant = reseal_json(&edited);
+        let (read, _) = check_json(&mutant, to, CaceEngine::from_snapshot_str);
+        assert!(!read, "{to}: accepted");
+    }
 }

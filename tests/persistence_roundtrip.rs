@@ -4,18 +4,14 @@
 //! produces **bit-identical** batch and streaming recognition across all
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
-//! Parked streams are held to the same bar across builds. The golden
-//! `v3` snapshots `tests/fixtures/parked_{c2,ncr}.*`, in the JSON and the
-//! binary kind, were written by the build that still had a
-//! reduced-precision `f32` decoding lane, lossy decoder beams and a
-//! parked decision history; their `*_history_free` twins by a build whose
-//! streams kept no history; their `*_v4` twins by a build that parked
-//! every window entry whole. All of them resume and continue
-//! bit-identically here, and re-encode to one `*_v5_from_v4` park: the
-//! `v5` layout this build writes, with each older window entry compacted
-//! to the states its successor names. A fresh stream parks to its `*_v5`
-//! twin exactly. Snapshots that record the `f32` lane or a lossy beam are
-//! rejected, never decoded as exact.
+//! Parked streams are held to the same bar across builds that write the
+//! same layout. The golden `v5` parks `tests/fixtures/parked_*_v5.stream-bin`
+//! resume and continue bit-identically here, and a fresh stream parks to
+//! them exactly. Parks of the layouts this build no longer writes — the
+//! `v3` JSON and binary kinds, `v4`, and a `v5` park whose frontier-kind
+//! byte marks a dense frontier — are rejected by name, and quarantine a
+//! home imported from them. Engine snapshots that record the removed
+//! `f32` lane or a lossy beam are rejected, never decoded as exact.
 
 use std::sync::Arc;
 
@@ -25,8 +21,7 @@ use cace::behavior::{ObservedTick, Session};
 use cace::core::{
     stream_session, CaceConfig, CaceEngine, HomeRound, Lag, ParkedStream, ShardedRouter, Strategy,
 };
-use cace::hdbn::park::legacy::{read_coupled, read_decoder_tags};
-use cace::hdbn::wire::{self, ByteReader, ByteWriter};
+use cace::hdbn::wire::ByteWriter;
 use cace::model::ModelError;
 use cace_testkit::{assert_recognitions_identical, engine_with, tiny_corpus};
 
@@ -138,22 +133,14 @@ fn tampered_snapshots_are_rejected() {
 
 /// The golden parked streams: `(strategy, fixture stem)`. Each fixture is
 /// the stream of [`golden_engine`] over the first test session, parked
-/// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`]. The stem names the
-/// `v3` layout with a decision history, the stem plus [`TWIN`] its
-/// history-free twin, each saved as the JSON snapshot (`.snapshot`) and
-/// as the binary kind (`.stream-bin`). The stem plus [`V4`] names the
-/// `v4` binary twin, plus [`V5`] the `v5` one a fresh stream parks to,
-/// and plus [`V5_FROM_V4`] what every older twin re-encodes to.
+/// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`]; the stem plus
+/// [`V5`] names the `v5` park a fresh stream writes.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
-const TWIN: &str = "_history_free";
-const V4: &str = "_v4";
 const V5: &str = "_v5";
-const V5_FROM_V4: &str = "_v5_from_v4";
-/// The NH golden stream, parked by the same recipe; its oldest park is
-/// the `v4` twin.
+/// The NH golden stream, parked by the same recipe.
 const NH_GOLDEN: (Strategy, &str) = (Strategy::NaiveHmm, "parked_nh");
 const GOLDEN_PARK_AT: usize = 30;
 const GOLDEN_LAG: usize = 5;
@@ -200,11 +187,10 @@ fn bin_payload(bytes: &[u8]) -> &[u8] {
     &bytes[newline + 1..]
 }
 
-/// Wraps an edited binary payload in a valid envelope of the `v3`, `v4`
-/// or `v5` layout (`version`).
-fn reseal_bin(payload: &[u8], version: u32) -> Vec<u8> {
+/// Wraps an edited binary payload in a valid `v5` envelope.
+fn reseal_bin(payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
-        "CACE-SNAPSHOT v{version} kind=stream-bin fnv1a64={:016x} len={}\n",
+        "CACE-SNAPSHOT v5 kind=stream-bin fnv1a64={:016x} len={}\n",
         fnv1a64(payload),
         payload.len()
     )
@@ -230,46 +216,17 @@ fn assert_f32_lane_rejected<T>(result: Result<T, ModelError>, what: &str) {
 #[test]
 fn golden_parked_streams_resume_bit_identically() {
     for (strategy, stem) in GOLDEN {
-        let from_v4 = fixture(&format!("{stem}{V5_FROM_V4}.stream-bin"));
-        let mut parks = Vec::new();
-        for file in [stem.to_string(), format!("{stem}{TWIN}")] {
-            let json = fixture(&format!("{file}.snapshot"));
-            let bin = fixture(&format!("{file}.stream-bin"));
-            let from_json =
-                ParkedStream::from_snapshot_any(&json).expect("golden JSON snapshot reads");
-            let from_bin =
-                ParkedStream::from_snapshot_bytes(&bin).expect("golden binary snapshot reads");
-            parks.push((format!("{file} JSON"), from_json));
-            parks.push((format!("{file} binary"), from_bin));
-        }
-        let v4 = fixture(&format!("{stem}{V4}.stream-bin"));
-        let from_v4_twin = ParkedStream::from_snapshot_bytes(&v4).expect("golden v4 park reads");
-        parks.push((format!("{stem}{V4}"), from_v4_twin));
-        // Every older layout re-encodes to the same v5 bytes: the same
-        // state, compacted, the retired slots dropped.
-        for (label, parked) in &parks {
-            assert!(
-                parked.to_snapshot_bytes() == from_v4,
-                "{label} re-encoded differs from {stem}{V5_FROM_V4}"
-            );
-        }
-        parks.extend(v5_parks(stem));
-        assert_continue_the_golden_stream(strategy, parks);
+        assert_continue_the_golden_stream(strategy, vec![v5_park(stem)]);
     }
 }
 
-/// The golden `v5` parks of `stem`, each checked to re-encode to its own
-/// bytes.
-fn v5_parks(stem: &str) -> Vec<(String, ParkedStream)> {
-    [format!("{stem}{V5_FROM_V4}"), format!("{stem}{V5}")]
-        .into_iter()
-        .map(|file| {
-            let bytes = fixture(&format!("{file}.stream-bin"));
-            let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v5 park reads");
-            assert!(parked.to_snapshot_bytes() == bytes, "{file} re-encoded");
-            (file, parked)
-        })
-        .collect()
+/// The golden `v5` park of `stem`, checked to re-encode to its own bytes.
+fn v5_park(stem: &str) -> (String, ParkedStream) {
+    let file = format!("{stem}{V5}");
+    let bytes = fixture(&format!("{file}.stream-bin"));
+    let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v5 park reads");
+    assert!(parked.to_snapshot_bytes() == bytes, "{file} re-encoded");
+    (file, parked)
 }
 
 /// Resumes each labelled park of the golden stream of `strategy` and
@@ -298,77 +255,15 @@ fn assert_continue_the_golden_stream(strategy: Strategy, parks: Vec<(String, Par
     }
 }
 
-/// The NH golden parks: a `v4` park, which parked every state list whole
-/// (39 596 B), and its `v5` twins.
+/// The NH golden park.
 #[test]
 fn golden_nh_parks_resume_bit_identically() {
     let (strategy, stem) = NH_GOLDEN;
-    let v4 = fixture(&format!("{stem}{V4}.stream-bin"));
-    let from_v4 = ParkedStream::from_snapshot_bytes(&v4).expect("golden v4 park reads");
-    assert!(
-        from_v4.to_snapshot_bytes() == fixture(&format!("{stem}{V5_FROM_V4}.stream-bin")),
-        "{stem}{V4} re-encoded"
-    );
-    let mut parks = vec![(format!("{stem}{V4}"), from_v4)];
-    parks.extend(v5_parks(stem));
-    assert_continue_the_golden_stream(strategy, parks);
+    assert_continue_the_golden_stream(strategy, vec![v5_park(stem)]);
 }
 
 #[test]
 fn snapshots_of_the_removed_f32_lane_are_rejected() {
-    let json = String::from_utf8(fixture("parked_c2.snapshot")).unwrap();
-    let bin = fixture("parked_c2.stream-bin");
-    // The resealed, unedited fixtures still read: each rejection below is
-    // down to its edit.
-    assert!(read_text(&json).is_ok());
-    assert!(ParkedStream::from_snapshot_bytes(&reseal_bin(bin_payload(&bin), 3)).is_ok());
-
-    // A stream whose decoder records the f32 lane, in either encoding.
-    // Binary payload: strategy tag, beam tag (`Exact`), precision tag.
-    let mut payload = bin_payload(&bin).to_vec();
-    assert_eq!(payload[1..3], [0, 0], "exact beam, exact precision");
-    payload[2] = 1;
-    assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_bytes(&reseal_bin(&payload, 3)),
-        "binary precision tag 1",
-    );
-    let fast = json.replacen("\"precision\":\"Exact64\"", "\"precision\":\"Fast32\"", 1);
-    assert_ne!(fast, json, "tamper target must exist");
-    assert_f32_lane_rejected(read_text(&fast), "JSON stream decoder Fast32");
-
-    // A non-empty f32 frontier, in either encoding. Binary: the coupled
-    // decoder state follows the lag and its tag; its f64 frontier is a
-    // varint length and that many 8-byte floats, then the f32 frontier's
-    // length, which is 0.
-    let payload = bin_payload(&bin);
-    assert_eq!(
-        payload[3..6],
-        [1, GOLDEN_LAG as u8, 2],
-        "fixed lag, coupled state"
-    );
-    let (mut len, mut at) = (0usize, 6usize);
-    for shift in (0..).step_by(7) {
-        let byte = payload[at];
-        at += 1;
-        len |= usize::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            break;
-        }
-    }
-    let v32_at = at + 8 * len;
-    assert_eq!(payload[v32_at], 0, "empty f32 frontier");
-    let mut spliced = payload[..v32_at].to_vec();
-    spliced.push(1);
-    spliced.extend_from_slice(&(-1.5f32).to_bits().to_le_bytes());
-    spliced.extend_from_slice(&payload[v32_at + 1..]);
-    assert_f32_lane_rejected(
-        ParkedStream::from_snapshot_bytes(&reseal_bin(&spliced, 3)),
-        "binary non-empty f32 frontier",
-    );
-    let filled = json.replacen("\"v32\":[]", "\"v32\":[-1.5]", 1);
-    assert_ne!(filled, json, "tamper target must exist");
-    assert_f32_lane_rejected(read_text(&filled), "JSON non-empty f32 frontier");
-
     // An engine whose decoder records the f32 lane.
     let (engine, _) = golden_engine(Strategy::CorrelationConstraint);
     let text = engine.to_snapshot_string();
@@ -392,7 +287,7 @@ fn with_golden_wall_clock(fresh: &[u8], golden: &[u8], model_fp: u64) -> Vec<u8>
     let golden = bin_payload(golden);
     let (at, g_at) = (payload.len() - tail, golden.len() - tail);
     payload[at..at + 8].copy_from_slice(&golden[g_at..g_at + 8]);
-    reseal_bin(&payload, 5)
+    reseal_bin(&payload)
 }
 
 #[test]
@@ -439,107 +334,115 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
             &format!("engine decoder {beam}"),
         );
     }
-
-    // Parked JSON: the decoder, a pruned frontier, a survivor list.
-    let json = String::from_utf8(fixture("parked_c2.snapshot")).unwrap();
-    for (from, to) in [
-        (r#""beam":"Exact""#, r#""beam":{"TopK":56}"#),
-        (r#""beam":"Exact""#, r#""beam":{"LogThreshold":2.5}"#),
-        (r#""pruned":false"#, r#""pruned":true"#),
-        (r#""keep":[]"#, r#""keep":[3]"#),
-    ] {
-        let edited = json.replacen(from, to, 1);
-        assert_ne!(edited, json, "tamper target must exist");
-        assert_retired_beam_rejected(read_text(&edited), &format!("parked JSON {to}"));
-    }
-
-    // stream-bin: strategy tag, beam tag, precision tag, lag, state tag.
-    let bin = fixture("parked_c2.stream-bin");
-    let payload = bin_payload(&bin);
-    assert_eq!(payload[1..3], [0, 0], "exact beam, exact precision");
-    let splice = |at: usize, cut: usize, with: &[u8]| {
-        let mut edited = payload[..at].to_vec();
-        edited.extend_from_slice(with);
-        edited.extend_from_slice(&payload[at + cut..]);
-        reseal_bin(&edited, 3)
-    };
-    let log_threshold = [&[2u8][..], &2.5f64.to_le_bytes()].concat();
-    for (name, tag) in [("TopK", &[1u8, 56][..]), ("LogThreshold", &log_threshold)] {
-        assert_retired_beam_rejected(
-            ParkedStream::from_snapshot_bytes(&splice(1, 1, tag)),
-            &format!("stream-bin beam {name}"),
-        );
-    }
-    // The coupled state ends with the `pruned` byte and the `keep` length.
-    let mut r = ByteReader::new(payload);
-    r.read_u8().unwrap();
-    read_decoder_tags(&mut r).unwrap();
-    let lag = wire::read_lag(&mut r).unwrap();
-    assert_eq!(r.read_u8().unwrap(), 2, "coupled state");
-    read_coupled(&mut r, lag).unwrap();
-    let end = payload.len() - r.remaining();
-    assert_eq!(payload[end - 2..end], [0, 0], "not pruned, no survivors");
-    assert_retired_beam_rejected(
-        ParkedStream::from_snapshot_bytes(&splice(end - 2, 1, &[1])),
-        "stream-bin pruned=true",
-    );
-    assert_retired_beam_rejected(
-        ParkedStream::from_snapshot_bytes(&splice(end - 1, 1, &[1, 3])),
-        "stream-bin keep=[3]",
-    );
 }
 
-/// A home handed over as a v3 park — either fixture kind — or a v4 one
-/// continues bit-identically through the router, whose own parking then
-/// writes v5. A cap of one live home per shard, over more homes than
-/// shards, makes every round park and rehydrate.
+/// Parks of the layouts this build no longer writes, with what the
+/// rejection of each names: the `v3` JSON and binary kinds, `v4`, and
+/// `v5` parks whose frontier-kind byte is `1` — the dense frontier a
+/// stream held after resuming a `v3`/`v4` park — in the coupled and the
+/// NH decoder.
+const RETIRED_PARKS: [(&str, &str); 5] = [
+    ("parked_c2.snapshot", "version 3"),
+    ("parked_c2.stream-bin", "version 3"),
+    ("parked_c2_v4.stream-bin", "version 4"),
+    ("parked_c2_v5_from_v4.stream-bin", "frontier-kind byte 1"),
+    ("parked_nh_v5_from_v4.stream-bin", "frontier-kind byte 1"),
+];
+
 #[test]
-fn legacy_parks_import_through_the_router_and_re_park_as_v5() {
-    const HOMES: u64 = 5;
-    for (strategy, stem) in GOLDEN {
-        let (engine, session) = golden_engine(strategy);
-        let engine = Arc::new(engine);
-        let (straight_decisions, straight) =
-            stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
-        // The homes' emitted decisions, asserted equal to these below.
-        let emitted = &straight_decisions[..session.len() - GOLDEN_LAG];
-        let v3 = [stem.to_string(), format!("{stem}{TWIN}")]
-            .into_iter()
-            .flat_map(|file| [format!("{file}.snapshot"), format!("{file}.stream-bin")]);
-        for label in v3.chain([format!("{stem}{V4}.stream-bin")]) {
-            let bytes = fixture(&label);
-            let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
-            router.register_model("cace", Arc::clone(&engine)).unwrap();
-            for id in 0..HOMES {
-                router.import_home(id, "cace", bytes.clone()).unwrap();
-            }
-            for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
-                let round: Vec<(u64, &ObservedTick)> =
-                    (0..HOMES).map(|id| (id, &tick.observed)).collect();
-                for (id, r) in router.push_round(&round).unwrap().into_iter().enumerate() {
-                    assert!(matches!(r, HomeRound::Advanced(_)), "{label} home {id}");
-                    assert_eq!(
-                        r.decision(),
-                        Some(straight_decisions[t - GOLDEN_LAG]),
-                        "{label} home {id} tick {t}"
-                    );
-                }
-            }
-            let stats = router.stats();
-            assert!(stats.parks() > 0 && stats.rehydrations() > 0, "{label}");
-            for id in 0..HOMES {
-                let exported = router.export_home(id).unwrap();
+fn retired_park_layouts_are_rejected_by_name() {
+    for (file, names) in RETIRED_PARKS {
+        let bytes = fixture(file);
+        let read = std::panic::catch_unwind(|| ParkedStream::from_snapshot_any(&bytes))
+            .unwrap_or_else(|_| panic!("{file}: the reader panicked"));
+        match read {
+            Err(ModelError::Persistence { what }) => {
                 assert!(
-                    exported.starts_with(b"CACE-SNAPSHOT v5 "),
-                    "{label} home {id}"
-                );
-                let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
-                assert_eq!(parked.ticks_pushed(), session.len(), "{label} home {id}");
+                    what.contains(names),
+                    "{file}: rejected for another reason: {what}"
+                )
             }
-            for (id, tail) in router.finish() {
-                let tail = tail.expect("imported home finishes");
-                let resumed = tail.into_recognition(emitted);
-                assert_recognitions_identical(&resumed, &straight, &format!("{label} home {id}"));
+            Err(e) => panic!("{file}: wrong error kind {e:?}"),
+            Ok(_) => panic!("{file}: accepted"),
+        }
+    }
+}
+
+/// A home imported from a retired park fails its first push with a
+/// persistence error and is quarantined after it, while shard-mates
+/// imported from the golden `v5` park continue the golden stream
+/// bit-identically and re-park as `v5`. A cap of one live home per shard,
+/// over more homes than shards, makes every round park and rehydrate.
+#[test]
+fn retired_parks_quarantine_through_the_router_beside_v5_homes() {
+    const HOMES: u64 = 5;
+    const RETIRED: u64 = 100;
+    let (strategy, stem) = GOLDEN[0];
+    let (engine, session) = golden_engine(strategy);
+    let engine = Arc::new(engine);
+    let (straight_decisions, straight) =
+        stream_session(&engine, &session, Lag::Fixed(GOLDEN_LAG)).expect("straight stream");
+    // The homes' emitted decisions, asserted equal to these below.
+    let emitted = &straight_decisions[..session.len() - GOLDEN_LAG];
+    let retired: Vec<(u64, &str)> = RETIRED_PARKS
+        .iter()
+        .filter(|(file, _)| file.starts_with(stem))
+        .zip(RETIRED..)
+        .map(|(&(file, _), id)| (id, file))
+        .collect();
+    let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
+    router.register_model("cace", Arc::clone(&engine)).unwrap();
+    let v5 = fixture(&format!("{stem}{V5}.stream-bin"));
+    for id in 0..HOMES {
+        router.import_home(id, "cace", v5.clone()).unwrap();
+    }
+    for &(id, file) in &retired {
+        router.import_home(id, "cace", fixture(file)).unwrap();
+        let shard = router.shard_of(id);
+        assert!(
+            (0..HOMES).any(|mate| router.shard_of(mate) == shard),
+            "{file}: no v5 shard-mate"
+        );
+    }
+    for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
+        let mut round: Vec<(u64, &ObservedTick)> =
+            (0..HOMES).map(|id| (id, &tick.observed)).collect();
+        round.extend(retired.iter().map(|&(id, _)| (id, &tick.observed)));
+        let results = router.push_round(&round).unwrap();
+        for (id, r) in (0..HOMES).zip(&results) {
+            assert!(matches!(r, HomeRound::Advanced(_)), "home {id}");
+            assert_eq!(
+                r.decision(),
+                Some(straight_decisions[t - GOLDEN_LAG]),
+                "home {id} tick {t}"
+            );
+        }
+        for (&(_, file), r) in retired.iter().zip(&results[HOMES as usize..]) {
+            match (t == GOLDEN_PARK_AT, r) {
+                (true, HomeRound::Failed(ModelError::Persistence { .. }))
+                | (false, HomeRound::Quarantined) => {}
+                _ => panic!("{file} tick {t}: {r:?}"),
+            }
+        }
+    }
+    let stats = router.stats();
+    assert!(stats.parks() > 0 && stats.rehydrations() > 0);
+    assert_eq!(stats.quarantined_homes(), retired.len());
+    for id in 0..HOMES {
+        let exported = router.export_home(id).unwrap();
+        assert!(exported.starts_with(b"CACE-SNAPSHOT v5 "), "home {id}");
+        let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
+        assert_eq!(parked.ticks_pushed(), session.len(), "home {id}");
+    }
+    for (id, tail) in router.finish() {
+        match retired.iter().find(|&&(r, _)| r == id) {
+            Some(&(_, file)) => assert!(
+                matches!(tail, Err(ModelError::Persistence { .. })),
+                "{file}: {tail:?}"
+            ),
+            None => {
+                let resumed = tail.expect("v5 home finishes").into_recognition(emitted);
+                assert_recognitions_identical(&resumed, &straight, &format!("home {id}"));
             }
         }
     }
