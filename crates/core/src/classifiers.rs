@@ -118,6 +118,31 @@ impl MicroClassifiers {
         })
     }
 
+    /// Checks that each forest reads the features and scores the classes
+    /// its caller hands it: the postural and gestural forests one frame's
+    /// features and their micro states, the NH macro forest a phone and
+    /// tag frame side by side and `n_macro` activities. A snapshot's
+    /// forests are checked against this when it is read.
+    pub(crate) fn check_shapes(&self, n_macro: usize) -> Result<(), String> {
+        let dim = cace_features::FEATURE_COUNT;
+        let forests = [
+            ("postural", Some(&self.postural), dim, Postural::COUNT),
+            ("gestural", self.gestural.as_ref(), dim, Gestural::COUNT),
+            ("direct_macro", Some(&self.direct_macro), 2 * dim, n_macro),
+        ];
+        for (name, forest, features, classes) in forests {
+            let Some(forest) = forest else { continue };
+            if (forest.n_features(), forest.n_classes()) != (features, classes) {
+                return Err(format!(
+                    "{name} forest: {} features and {} classes, not {features} and {classes}",
+                    forest.n_features(),
+                    forest.n_classes()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Postural log-probabilities of one tick's phone features (uniform
     /// when the frame was dropped).
     pub fn postural_log_proba(&self, phone: Option<&[f64]>) -> [f64; Postural::COUNT] {

@@ -13,13 +13,18 @@
 //! dst-major, so each new state's transition column is one contiguous
 //! `n_macro`-entry row — no nested `Vec<Vec<f64>>` pointer chase on the
 //! hot path. The step kernels write into reused buffers, and the online
-//! frontier pools its window entries, mirroring the `TrellisArena`
-//! discipline. Every step is dominance-pruned over the table's own
-//! [`Dominance`] table, exactly like the hierarchical decoders.
+//! frontier pools its window entries through the thread's
+//! `TrellisScratch`, like the hierarchical decoders. Every step is
+//! dominance-pruned over the table's own [`Dominance`] table, exactly like
+//! the hierarchical decoders.
+
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 use cace_hdbn::park::{check, validate_compacted, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    self, Compacted, Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
+    self, Compacted, Dest, OnlineTrellis, ScoreModel, ScratchSlot, StateSpace, TrellisEntry,
+    TrellisFamily,
 };
 use cace_hdbn::{Dominance, Lag, TickInput, TrellisArena};
 use cace_model::ModelError;
@@ -163,8 +168,7 @@ impl ScoreModel for FlatModel<'_> {
     }
 }
 
-/// The newest tick of the NH backpointer window (pooled as the generic
-/// core's ping-pong pair).
+/// The newest tick of the NH backpointer window (see [`TrellisEntry`]).
 #[derive(Default)]
 struct FlatEntry {
     /// The macro-major product of the tick's macros and candidates.
@@ -182,6 +186,15 @@ struct FlatEntry {
     /// frontier is `fold[a] + emit[j]` state by state.
     fold: Vec<f64>,
 }
+
+cace_hdbn::clone_reusing!(FlatEntry {
+    states,
+    macro_emit,
+    cand_emit,
+    emit,
+    back,
+    fold,
+});
 
 impl FlatEntry {
     /// Fills the entry with one user's tick: `n_macro` macros scored by
@@ -223,10 +236,6 @@ impl TrellisEntry for FlatEntry {
 
     fn back_row(&self) -> &[u32] {
         &self.back
-    }
-
-    fn back_buffer(&mut self) -> &mut Vec<u32> {
-        &mut self.back
     }
 
     fn back_of(&self, j: usize) -> usize {
@@ -293,6 +302,13 @@ impl TrellisFamily for FlatFamily<'_> {
         fold.extend_from_slice(arena.fold());
         arena.swap_frontier(next);
         ((states.len() * prev.states.len()) as u64, survivors)
+    }
+
+    fn scratch() -> &'static LocalKey<ScratchSlot<FlatEntry, Vec<f64>>> {
+        thread_local! {
+            static SCRATCH: ScratchSlot<FlatEntry, Vec<f64>> = const { Cell::new(None) };
+        }
+        &SCRATCH
     }
 }
 
@@ -376,7 +392,8 @@ impl ParkedFlat {
 /// per-tick (states, emissions), emit fixed-lag macro decisions, finalize
 /// into the unemitted tail of the macro path plus overhead accounting.
 /// Window entries are pooled and the frontier ping-pongs through the
-/// core's arena, so a warmed push allocates only what its caller hands it.
+/// thread's trellis scratch, so a warmed push allocates only what its
+/// caller hands it.
 ///
 /// The flat table is *not* captured: every [`push`](Self::push) borrows it
 /// from the caller, so one table serves any number of live and parked
@@ -485,10 +502,10 @@ impl OnlineFlat {
         user: usize,
         macro_lp: &[f64],
     ) -> Option<(usize, usize)> {
-        let mut entry = self.core.take_entry();
-        entry.fill(input, user, macro_lp);
-        let n_states = entry.states.len() as u64;
-        self.core.push_entry(&FlatFamily { table }, entry, n_states);
+        self.core.push_entry(&FlatFamily { table }, |entry, _| {
+            entry.fill(input, user, macro_lp);
+            entry.states.len() as u64
+        });
         self.core.emit_ready(|macro_id, t| (t, macro_id))
     }
 

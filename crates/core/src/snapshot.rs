@@ -242,11 +242,16 @@ impl CaceEngine {
         if nh_rows.iter().any(|row| row.len() != nh_rows.len()) {
             return Err(persist_err("field `nh_log_trans`: the table is not square"));
         }
+        let n_macro = field(payload, "n_macro")?;
+        let classifiers: crate::classifiers::MicroClassifiers = field(payload, "classifiers")?;
+        classifiers
+            .check_shapes(n_macro)
+            .map_err(|e| persist_err(format!("field `classifiers`: {e}")))?;
         Ok(Self {
             space: field(payload, "space")?,
-            n_macro: field(payload, "n_macro")?,
+            n_macro,
             has_gestural: field(payload, "has_gestural")?,
-            classifiers: field(payload, "classifiers")?,
+            classifiers,
             stats: field(payload, "stats")?,
             params: Arc::new(params),
             nh_log_trans: crate::nh::FlatTable::from_rows(&nh_rows),

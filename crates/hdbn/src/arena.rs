@@ -4,18 +4,21 @@
 //! Before this module existed, every decoder had its own slice type and
 //! every DP step allocated its fold buffers fresh (`f1_col`/`f2_col` per
 //! trellis column, `w`/`w_arg` per tick, a new frontier vector per step).
-//! The arena centralizes that memory: **one allocation per stream (a
-//! whole-session decode is a stream too), reused across ticks**, so the steady-state hot
-//! loop of a warmed online decoder performs zero heap allocations per
-//! pushed tick (`tests/alloc_steady_state.rs` counts them). The
-//! dominance survivor list (with the joint survivors' scores) and the
-//! joint kernel's survivor-group and selection buffers (`JointScratch`)
-//! live here too, as arena fields.
+//! The arena centralizes that memory: **one allocation per worker thread,
+//! reused across ticks and across every stream the thread pushes** (it
+//! lives in the thread's [`TrellisScratch`](crate::trellis::TrellisScratch);
+//! a whole-session decode is a stream too), so the steady-state hot loop
+//! of a warmed online decoder performs zero heap allocations per pushed
+//! tick (`tests/alloc_steady_state.rs` counts them) and a stream keeps no
+//! step buffer between pushes. The dominance survivor list (with the joint
+//! survivors' scores) and the joint kernel's survivor-group and selection
+//! buffers (`JointScratch`) live here too, as arena fields.
 //!
 //! The coupled step writes no per-state buffer here. Its pass-2 fold
-//! lands in the next [`JointFrontier`](crate::viterbi::JointFrontier)
-//! (which the online core ping-pongs like this arena's `v_next`), and its
-//! backpointers, one per slot pair, in the window entry. `v_next` is the
+//! lands in the thread scratch's next
+//! [`JointFrontier`](crate::viterbi::JointFrontier), which the online core
+//! copies into the stream's, and its backpointers, one per slot pair, in
+//! the window entry. `v_next` is the
 //! chain and NH kernels' dense next frontier.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
@@ -41,7 +44,7 @@ use crate::viterbi::JointScratch;
 /// pure memoization, bit-identical to folding per state, and the main
 /// per-tick work reduction on top of flat-table scoring (a tick with
 /// `m` states over `D` distinct pairs folds `D/m` of the naive work).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Slice {
     /// Macro activity of each state.
     pub(crate) activities: Vec<usize>,
@@ -63,9 +66,17 @@ pub(crate) struct Slice {
     /// macro. The fold kernels use these to collapse switch transitions
     /// (postural-independent) to one per-run candidate.
     pub(crate) runs: Vec<(u32, u32, u32)>,
-    /// pair id → slot lookup (reset per fill; `u32::MAX` = unseen).
-    slot_lookup: Vec<u32>,
 }
+
+crate::clone_reusing!(Slice {
+    activities,
+    cands,
+    pairs,
+    emissions,
+    uniq_pairs,
+    slots,
+    runs,
+});
 
 impl Slice {
     /// Number of states in the slice.
@@ -80,9 +91,7 @@ impl Slice {
         self.uniq_pairs.len()
     }
 
-    /// Rebuilds a slice from its parked columns (the pair→slot lookup is
-    /// per-fill scratch, reset by every [`fill_slice`], so it restores
-    /// empty).
+    /// Rebuilds a slice from its parked columns.
     pub(crate) fn restored(
         activities: Vec<usize>,
         cands: Vec<usize>,
@@ -100,7 +109,6 @@ impl Slice {
             uniq_pairs,
             slots,
             runs,
-            slot_lookup: Vec::new(),
         }
     }
 
@@ -116,8 +124,8 @@ impl Slice {
 }
 
 /// Fills `out` with one user's trellis slice for a tick, reusing its
-/// buffers (and `macro_ids` as the allowed-macro scratch) so a warmed
-/// caller allocates nothing.
+/// buffers (and the allowed-macro and pair→slot scratch of `step`) so a
+/// warmed caller allocates nothing.
 ///
 /// This is the single state-enumeration implementation shared by the
 /// coupled and single-chain decoders — macro-major, candidates in input
@@ -127,9 +135,14 @@ pub(crate) fn fill_slice(
     p: &HdbnParams,
     input: &TickInput,
     user: usize,
-    macro_ids: &mut Vec<usize>,
+    step: &mut StepScratch,
     out: &mut Slice,
 ) {
+    let StepScratch {
+        macro_ids,
+        slot_lookup,
+        ..
+    } = step;
     macro_ids.clear();
     match &input.macro_candidates[user] {
         Some(m) => macro_ids.extend_from_slice(m),
@@ -137,14 +150,14 @@ pub(crate) fn fill_slice(
     }
     out.clear();
     let t = &p.tables;
-    out.slot_lookup.clear();
-    out.slot_lookup.resize(t.n_pair(), u32::MAX);
+    slot_lookup.clear();
+    slot_lookup.resize(t.n_pair(), u32::MAX);
     for &a in macro_ids.iter() {
         let bonus = input.bonus(a);
         let run_start = out.activities.len() as u32;
         for (c, cand) in input.candidates[user].iter().enumerate() {
             let pair = t.pair(a, cand.postural);
-            let lk = &mut out.slot_lookup[pair as usize];
+            let lk = &mut slot_lookup[pair as usize];
             if *lk == u32::MAX {
                 *lk = out.uniq_pairs.len() as u32;
                 out.uniq_pairs.push(pair);
@@ -177,6 +190,8 @@ pub struct StepScratch {
     pub(crate) dom_col: Vec<f64>,
     /// Allowed-macro scratch for [`fill_slice`].
     pub(crate) macro_ids: Vec<usize>,
+    /// Pair id → slot lookup of [`fill_slice`] (`u32::MAX` = unseen).
+    pub(crate) slot_lookup: Vec<u32>,
     /// Pass-1 joint fold `W[group, slot2]` (per survivor group and
     /// distinct chain-2 dst pair, group-major so pass 2 sweeps each group
     /// row contiguously) and its argmax; also the chain kernel's
@@ -207,11 +222,12 @@ impl StepScratch {
     }
 }
 
-/// All reusable trellis memory of one stream: the dominance survivor list
-/// plus step-kernel scratch.
+/// All reusable step memory of one worker thread: the dominance survivor
+/// list plus step-kernel scratch.
 ///
-/// Allocated once, reused across ticks; buffers grow to the high-water
-/// frontier size and stay there, so the steady-state per-tick loop is
+/// Allocated once per thread (per decoder family), reused across ticks and
+/// streams; buffers grow to the high-water frontier size of any stream the
+/// thread pushed and stay there, so the steady-state per-tick loop is
 /// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct TrellisArena {

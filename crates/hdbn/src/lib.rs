@@ -40,8 +40,9 @@
 //! [`ScoreTables`] over compact `(activity, postural)` pair ids — flat
 //! array loads, bit-identical to the naive [`HdbnParams`] scorers they are
 //! built from ([`tables`]). *Allocation*: all step-kernel scratch lives in
-//! a [`TrellisArena`] allocated once per decode or stream, so a warmed
-//! online push performs zero heap allocations per tick ([`arena`]). The
+//! a [`TrellisArena`] kept once per worker thread and shared by every
+//! stream the thread pushes, so a warmed online push performs zero heap
+//! allocations per tick ([`arena`]). The
 //! kernels' inner loops are fixed-width folds the stable autovectorizer
 //! turns into SIMD without reordering any arithmetic ([`scalar`]), so
 //! every decode stays bit-identical to the naive scorers.

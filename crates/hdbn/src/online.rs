@@ -64,7 +64,9 @@
 //! assert_eq!(tail.macros[0].len(), 2);
 //! ```
 
+use std::cell::Cell;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use cace_model::ModelError;
 
@@ -76,7 +78,9 @@ use crate::park::{
     ParkedSlice,
 };
 use crate::single::{self, SingleHdbn, SinglePath};
-use crate::trellis::{self, Compacted, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
+use crate::trellis::{
+    self, Compacted, HierModel, OnlineTrellis, ScratchSlot, TrellisEntry, TrellisFamily,
+};
 use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
@@ -87,8 +91,8 @@ pub enum Lag {
     ///
     /// Cost: the window keeps every tick, compacted to its survivors'
     /// records and its candidate tuples in pooled stores that only grow
-    /// (by doubling), while the two whole entries ping-pong as under a
-    /// fixed lag — so a warmed push allocates only when a store or the
+    /// (by doubling), while the whole entry is recycled as under a fixed
+    /// lag — so a warmed push allocates only when a store or the
     /// [`reserve_ticks`](OnlineCoupledViterbi::reserve_ticks)-sized window
     /// spine outgrows its capacity: one allocation over 64 warmed pushes
     /// on the toy coupled decoder (`tests/alloc_steady_state.rs` bounds it
@@ -139,9 +143,9 @@ pub struct SmoothedChain {
     pub micro: MicroCandidate,
 }
 
-/// The newest tick of the coupled backpointer window, held whole (pooled
-/// as the core's ping-pong pair — see [`TrellisEntry`]).
-#[derive(Debug, Clone, Default)]
+/// The newest tick of the coupled backpointer window, held whole (see
+/// [`TrellisEntry`]).
+#[derive(Debug, Default)]
 struct JointEntry {
     s1: Slice,
     s2: Slice,
@@ -155,6 +159,13 @@ struct JointEntry {
     cands: [Vec<MicroCandidate>; 2],
 }
 
+crate::clone_reusing!(JointEntry {
+    s1,
+    s2,
+    back,
+    cands
+});
+
 impl TrellisEntry for JointEntry {
     type Payload = JointPick;
     type Item = MicroCandidate;
@@ -162,10 +173,6 @@ impl TrellisEntry for JointEntry {
 
     fn back_row(&self) -> &[u32] {
         &self.back
-    }
-
-    fn back_buffer(&mut self) -> &mut Vec<u32> {
-        &mut self.back
     }
 
     fn back_of(&self, j: usize) -> usize {
@@ -230,6 +237,13 @@ impl TrellisFamily for CoupledFamily<'_> {
         let ops = viterbi::joint_step_charge(&prev.s1, &prev.s2, s1, s2);
         (ops, survivors)
     }
+
+    fn scratch() -> &'static LocalKey<ScratchSlot<JointEntry, JointFrontier>> {
+        thread_local! {
+            static SCRATCH: ScratchSlot<JointEntry, JointFrontier> = const { Cell::new(None) };
+        }
+        &SCRATCH
+    }
 }
 
 /// The single-chain family's [`TrellisFamily`] instantiation: the generic
@@ -264,6 +278,13 @@ impl TrellisFamily for ChainFamily<'_> {
         let survivors = trellis::fold_into(&model, &prev.slice, v, slice, arena, back);
         arena.swap_frontier(next);
         ((prev.slice.len() * slice.len()) as u64, survivors)
+    }
+
+    fn scratch() -> &'static LocalKey<ScratchSlot<ChainEntry, Vec<f64>>> {
+        thread_local! {
+            static SCRATCH: ScratchSlot<ChainEntry, Vec<f64>> = const { Cell::new(None) };
+        }
+        &SCRATCH
     }
 }
 
@@ -333,9 +354,11 @@ impl OnlineCoupledViterbi {
     /// Consumes one tick, advancing the frontier by one DP step; returns
     /// the newly ripened fixed-lag decision, if any.
     ///
-    /// Steady-state cost: one dominance-pruned exact DP step over reused
-    /// arena buffers and a recycled window entry, then the previous entry
-    /// compacted into the pooled record store — zero heap allocations once
+    /// Steady-state cost: one dominance-pruned exact DP step over the
+    /// thread's reused arena buffers and window entry (see
+    /// [`TrellisScratch`](crate::trellis::TrellisScratch)), copied into the
+    /// stream's recycled entry, then the
+    /// previous entry compacted into the pooled record store — zero heap allocations once
     /// a [`Lag::Fixed`] stream is warmed (`tests/alloc_steady_state.rs`).
     ///
     /// # Errors
@@ -343,28 +366,16 @@ impl OnlineCoupledViterbi {
     /// some user.
     pub fn push(&mut self, tick: &TickInput) -> Result<Option<SmoothedJoint>, ModelError> {
         viterbi::validate_tick(tick, self.core.ticks_pushed())?;
-        let mut entry = self.core.take_entry();
-        fill_slice(
-            &self.params,
-            tick,
-            0,
-            self.core.scratch_macro_ids(),
-            &mut entry.s1,
-        );
-        fill_slice(
-            &self.params,
-            tick,
-            1,
-            self.core.scratch_macro_ids(),
-            &mut entry.s2,
-        );
-        for u in 0..2 {
-            entry.cands[u].clear();
-            entry.cands[u].extend_from_slice(&tick.candidates[u]);
-        }
-        let n_states = (entry.s1.len() * entry.s2.len()) as u64;
-        self.core
-            .push_entry(&CoupledFamily { p: &self.params }, entry, n_states);
+        let p = &self.params;
+        self.core.push_entry(&CoupledFamily { p }, |entry, step| {
+            fill_slice(p, tick, 0, step, &mut entry.s1);
+            fill_slice(p, tick, 1, step, &mut entry.s2);
+            for u in 0..2 {
+                entry.cands[u].clear();
+                entry.cands[u].extend_from_slice(&tick.candidates[u]);
+            }
+            (entry.s1.len() * entry.s2.len()) as u64
+        });
         Ok(self
             .core
             .emit_ready(|(macros, micros), tick| SmoothedJoint {
@@ -488,14 +499,16 @@ impl OnlineCoupledViterbi {
     }
 }
 
-/// The newest tick of a single-chain backpointer window (pooled like
+/// The newest tick of a single-chain backpointer window (held like
 /// [`JointEntry`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ChainEntry {
     slice: Slice,
     back: Vec<u32>,
     cands: Vec<MicroCandidate>,
 }
+
+crate::clone_reusing!(ChainEntry { slice, back, cands });
 
 impl TrellisEntry for ChainEntry {
     type Payload = ChainPick;
@@ -504,10 +517,6 @@ impl TrellisEntry for ChainEntry {
 
     fn back_row(&self) -> &[u32] {
         &self.back
-    }
-
-    fn back_buffer(&mut self) -> &mut Vec<u32> {
-        &mut self.back
     }
 
     fn back_of(&self, j: usize) -> usize {
@@ -573,19 +582,13 @@ impl OnlineSingleViterbi {
     /// this user.
     pub fn push(&mut self, tick: &TickInput) -> Result<Option<SmoothedChain>, ModelError> {
         single::validate_tick_user(tick, self.core.ticks_pushed(), self.user)?;
-        let mut entry = self.core.take_entry();
-        fill_slice(
-            &self.params,
-            tick,
-            self.user,
-            self.core.scratch_macro_ids(),
-            &mut entry.slice,
-        );
-        entry.cands.clear();
-        entry.cands.extend_from_slice(&tick.candidates[self.user]);
-        let n_states = entry.slice.len() as u64;
-        self.core
-            .push_entry(&ChainFamily { p: &self.params }, entry, n_states);
+        let (p, user) = (&self.params, self.user);
+        self.core.push_entry(&ChainFamily { p }, |entry, step| {
+            fill_slice(p, tick, user, step, &mut entry.slice);
+            entry.cands.clear();
+            entry.cands.extend_from_slice(&tick.candidates[user]);
+            entry.slice.len() as u64
+        });
         Ok(self
             .core
             .emit_ready(|(macro_id, micro), tick| SmoothedChain {
@@ -1138,6 +1141,53 @@ pub(crate) mod tests {
             repeat.extend(again.last_survivors());
         }
         assert_eq!(repeat, gauge, "the count repeats exactly");
+    }
+
+    #[test]
+    fn a_stream_keeps_buffers_sized_by_its_own_ticks() {
+        // 8 candidates per user: 16 states per chain, against the narrow
+        // stream's 2 (one candidate).
+        let wide = TickInput {
+            candidates: [0, 1].map(|_| {
+                (0..8)
+                    .map(|c| MicroCandidate {
+                        postural: c % 2,
+                        gestural: Some(0),
+                        location: c % 2,
+                        obs_loglik: -(c as f64) * 0.1,
+                    })
+                    .collect()
+            }),
+            macro_candidates: [None, None],
+            macro_bonus: Vec::new(),
+        };
+        let mut narrow_tick = obs_tick(0, 3.0);
+        for cands in &mut narrow_tick.candidates {
+            cands.truncate(1);
+        }
+        let model = CoupledHdbn::new(toy_params(true));
+        let mut big = OnlineCoupledViterbi::new(model.clone(), Lag::Fixed(2));
+        let mut small = OnlineCoupledViterbi::new(model, Lag::Fixed(2));
+        for _ in 0..6 {
+            big.push(&wide).unwrap();
+            small.push(&narrow_tick).unwrap();
+        }
+        let newest = big.core.newest().unwrap();
+        assert_eq!(newest.s1.activities.len(), 16);
+        assert_eq!(big.core.frontier().axes[0].f.len(), 16);
+        // The thread's scratch grew to the wide ticks; the narrow stream's
+        // own entry and frontier did not.
+        let newest = small.core.newest().unwrap();
+        assert_eq!(newest.s1.activities.len(), 2);
+        for cap in [
+            newest.s1.activities.capacity(),
+            newest.s2.emissions.capacity(),
+            newest.cands[0].capacity(),
+            small.core.frontier().axes[0].f.capacity(),
+            small.core.frontier().axes[1].slot.capacity(),
+        ] {
+            assert!(cap < 16, "capacity {cap} came from the wide stream");
+        }
     }
 
     #[test]

@@ -23,10 +23,8 @@
 //! state, whatever the stream's age.
 //!
 //! What is *not* parked is exactly the state that does not affect output:
-//! the spare window entry and the [`TrellisArena`](crate::TrellisArena)
-//! scratch (rebuilt empty — they only exist to avoid steady-state
-//! allocations), the dominance survivors (recomputed from the frontier by
-//! the next step), and the model itself (the caller re-attaches it at
+//! the dominance survivors (recomputed from the frontier by the next step)
+//! and the model itself (the caller re-attaches it at
 //! resume, sharing one `Arc<HdbnParams>` across a whole fleet of parked
 //! homes).
 //!

@@ -33,8 +33,12 @@
 //! whole, every older one as [`Record`]s and its items in pooled stores), the
 //! decision cursor, and the overhead counters — written once — and each
 //! family supplies a [`TrellisFamily`] impl that maps a window entry onto
-//! the kernels. The frontier's type is the family's ([`Frontier`]): the
-//! chain and NH families hold one dense score per state, the coupled
+//! the kernels. What only a push reads — the arena, the frontier a step
+//! writes and the window entry a push fills — is a [`TrellisScratch`] kept
+//! per family per thread, not per stream; a push copies its results into
+//! the stream's own buffers. The frontier's type is the family's
+//! ([`Frontier`]): the chain and NH families hold one dense score per
+//! state, the coupled
 //! family a [`JointFrontier`](crate::viterbi::JointFrontier) factored per
 //! slot pair that is never materialized; the core only asks a frontier
 //! for its argmax, and a window entry for one state's backpointer and
@@ -53,7 +57,9 @@
 //! a pruned step equals the full-frontier step bit for bit (see
 //! [`crate::dominance`]).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::thread::LocalKey;
 
 use crate::arena::{StepScratch, TrellisArena};
 use crate::dominance::Dominance;
@@ -456,13 +462,35 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
     (gamma, log_z)
 }
 
+/// Implements `Clone` for a struct of buffers so that `clone_from` reuses
+/// every field's buffers (a derived `clone_from` reallocates them all).
+/// The online core copies a step's results out of the thread's
+/// [`TrellisScratch`] this way, so a stream's buffers grow only with its
+/// own ticks. Every field must be listed: `clone` names them all.
+#[macro_export]
+#[doc(hidden)]
+macro_rules! clone_reusing {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                Self { $($field: self.$field.clone()),* }
+            }
+
+            fn clone_from(&mut self, src: &Self) {
+                $(self.$field.clone_from(&src.$field);)*
+            }
+        }
+    };
+}
+
 /// One retained tick of an online backpointer window, as the generic
 /// online core sees it. Only the newest tick's entry is held whole; once
 /// the next step has run, the core compacts it to [`Record`]s plus the
-/// entry's [`Item`](Self::Item)s. Entries are pooled: the newest entry and
-/// the one being filled ping-pong, so the next push refills the compacted
-/// entry's buffers in place.
-pub trait TrellisEntry: Default {
+/// entry's [`Item`](Self::Item)s. A push fills the thread's scratch entry
+/// (see [`TrellisScratch`]) and copies it into the stream's own with
+/// `clone_from`, which must reuse the destination's buffers (see
+/// [`clone_reusing`]).
+pub trait TrellisEntry: Default + Clone {
     /// What a compacted record keeps of one state's decision: small ids,
     /// read against its entry's items.
     type Payload: Copy + std::fmt::Debug;
@@ -474,10 +502,6 @@ pub trait TrellisEntry: Default {
     /// The backpointer row as the entry holds it (per state, or per slot
     /// pair in the coupled family); empty on a stream's first tick.
     fn back_row(&self) -> &[u32];
-
-    /// The buffer the row lives in. The core hands it from the entry it
-    /// compacts to the entry a step fills, so a stream holds one row.
-    fn back_buffer(&mut self) -> &mut Vec<u32>;
 
     /// Backpointer of state `j`: its predecessor in the previous tick's
     /// frontier. Never asked of an entry with an empty
@@ -538,8 +562,9 @@ pub fn find_record<P>(records: &[Record<P>], state: u32) -> Option<&Record<P>> {
 
 /// A live frontier, as the online core sees it: the chain families hold
 /// one dense score per state (`Vec<f64>`), the coupled family a
-/// slot-factored [`JointFrontier`](crate::viterbi::JointFrontier).
-pub trait Frontier: Default {
+/// slot-factored [`JointFrontier`](crate::viterbi::JointFrontier). Its
+/// `clone_from` must reuse the destination's buffers, as a `Vec`'s does.
+pub trait Frontier: Default + Clone {
     /// `(state, score)` of the last maximum — the termination argmax every
     /// backtrack starts from (see [`argmax`]).
     fn argmax(&self) -> (usize, f64);
@@ -550,6 +575,32 @@ impl Frontier for Vec<f64> {
         scalar::argmax(self)
     }
 }
+
+/// Everything a push reads that a stream does not keep between pushes:
+/// the [`TrellisArena`], the frontier a step writes and the window entry a
+/// push fills. A push copies the new frontier and entry into the stream's
+/// own buffers, so buffers never move between streams and each stream's
+/// grow only with its own ticks.
+///
+/// There is one per family per thread, in the slot
+/// [`TrellisFamily::scratch`] names, so its buffers stay warm in the cache
+/// of the thread that runs the pushes and a fleet of streams holds one set
+/// per worker, not one per stream. A push takes it out of the slot and puts
+/// it back when done, and holds no borrow of the slot in between: a nested
+/// or re-entrant push on the same thread finds the slot empty and starts
+/// from empty buffers. The scratch grows to the largest tick any stream
+/// pushed on the thread and stays there for the thread's life (one set per
+/// worker), so a warmed fixed-lag push allocates nothing.
+#[derive(Debug, Default)]
+pub struct TrellisScratch<E, F> {
+    arena: TrellisArena,
+    next: F,
+    entry: E,
+}
+
+/// The per-thread slot a family keeps its [`TrellisScratch`] in, empty
+/// until the thread's first push and while a push holds it.
+pub type ScratchSlot<E, F> = Cell<Option<Box<TrellisScratch<E, F>>>>;
 
 /// One decoder family plugged into the online core: how a window entry is
 /// initialized and stepped.
@@ -581,12 +632,17 @@ pub trait TrellisFamily {
         next: &mut Self::Frontier,
         arena: &mut TrellisArena,
     ) -> (u64, usize);
+
+    /// This family's scratch slot on the calling thread: a
+    /// `thread_local!` of the family's own (see [`TrellisScratch`]).
+    fn scratch() -> &'static LocalKey<ScratchSlot<Self::Entry, Self::Frontier>>;
 }
 
 /// The family-independent half of an online fixed-lag decoder: the
 /// frontier, the survivor-compacted backpointer window, the decision
-/// cursor (`base`/`pushed`), the overhead counters, and the
-/// [`TrellisArena`] scratch. Written once; each public online decoder
+/// cursor (`base`/`pushed`) and the overhead counters — exactly what the
+/// next step or a backtrack reads. The push-only buffers live in the
+/// thread's [`TrellisScratch`]. Written once; each public online decoder
 /// ([`crate::OnlineCoupledViterbi`], [`crate::OnlineSingleViterbi`], and
 /// `cace-core`'s NH frontier) wraps one of these plus its family-specific
 /// decision/emission bookkeeping.
@@ -604,26 +660,19 @@ pub trait TrellisFamily {
 /// folds the whole frontier keeps every state. This is the on-line
 /// Viterbi idea (Šrámek, Brejová & Vinař, WABI 2007) applied to
 /// CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009). Records and
-/// items of every compacted entry share two pooled stores, and the
-/// whole-entry buffers ping-pong between the newest entry and the one
-/// being filled, so a warmed fixed-lag push allocates nothing. A step runs
-/// in two halves, [`TrellisFamily::select`] then [`TrellisFamily::fold`],
-/// with the compaction between them: the compacted entry's backpointer
-/// row is then free to take the new one, so a stream holds one row.
+/// items of every compacted entry share two pooled stores, and a push
+/// copies the step's entry and frontier from the thread scratch into the
+/// stream's own buffers, so a warmed fixed-lag push allocates nothing. A
+/// step runs in two halves, [`TrellisFamily::select`] then [`TrellisFamily::fold`],
+/// with the compaction between them.
 #[derive(Debug, Clone)]
 pub struct OnlineTrellis<E: TrellisEntry, F = Vec<f64>> {
     lag: Lag,
     /// Live frontier.
     v: F,
-    /// The frontier a step writes, swapped with `v` after it (pooled like
-    /// the arena).
-    next: F,
     /// The newest tick's whole entry (tick `pushed - 1`); `None` before
     /// the first push.
     newest: Option<E>,
-    /// The ping-pong partner of `newest`: the last compacted entry's
-    /// buffers, which the next push refills.
-    spare: E,
     /// Compacted entries for ticks `base .. pushed - 1`, oldest first: each
     /// entry's first record and first item, as absolute store indices.
     spans: VecDeque<Span>,
@@ -640,9 +689,6 @@ pub struct OnlineTrellis<E: TrellisEntry, F = Vec<f64>> {
     pushed: usize,
     states_explored: u64,
     transition_ops: u64,
-    /// All step-kernel scratch — survivors, fold buffers, ping-pong
-    /// frontier — allocated once per stream, reused every push.
-    arena: TrellisArena,
     /// Source states folded by the last step (never parked).
     last_survivors: Option<usize>,
 }
@@ -665,8 +711,7 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
 
     /// Rebuilds a core from parked state: the frontier, the compacted
     /// entries (oldest first, records ascending by state) and the newest
-    /// whole entry (the spare entry and arena scratch restore empty — they
-    /// only exist to avoid steady-state allocations). The caller has
+    /// whole entry. The caller has
     /// validated that every backpointer names a record of the entry before
     /// it, and every payload only items of its own entry.
     pub fn from_parts(
@@ -694,9 +739,7 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         Self {
             lag,
             v,
-            next: F::default(),
             newest,
-            spare: E::default(),
             spans,
             records,
             items,
@@ -706,7 +749,6 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
             pushed,
             states_explored,
             transition_ops,
-            arena: TrellisArena::new(),
             last_survivors: None,
         }
     }
@@ -825,42 +867,40 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         E::decide(record.payload, |k| self.items[items.start + k as usize])
     }
 
-    /// Pops the spare entry (its buffers pooled) for the caller to fill
-    /// before [`push_entry`](Self::push_entry).
-    pub fn take_entry(&mut self) -> E {
-        std::mem::take(&mut self.spare)
-    }
-
-    /// The allowed-macro scratch buffer shared with `fill_slice`-style
-    /// entry fills.
-    pub fn scratch_macro_ids(&mut self) -> &mut Vec<usize> {
-        &mut self.arena.step.macro_ids
-    }
-
-    /// Consumes one filled entry, advancing the frontier by one exact DP
-    /// step (init on the first tick) and charging `n_states` to the
-    /// exploration counter; the previous newest entry is compacted to the
-    /// records the new entry's backpointers can name. The caller follows
-    /// up with [`emit_ready`](Self::emit_ready).
-    pub fn push_entry<Fam>(&mut self, family: &Fam, mut entry: E, n_states: u64)
-    where
+    /// Consumes one tick, advancing the frontier by one exact DP step (init
+    /// on the first tick): `fill` writes the tick into the scratch entry (with
+    /// the step scratch's fill buffers at hand) and returns the states to
+    /// charge to the exploration counter; the previous newest entry is
+    /// compacted to the records the new entry's backpointers can name. Runs
+    /// on the thread's [`TrellisScratch`]. The caller follows up with
+    /// [`emit_ready`](Self::emit_ready).
+    pub fn push_entry<Fam>(
+        &mut self,
+        family: &Fam,
+        fill: impl FnOnce(&mut E, &mut StepScratch) -> u64,
+    ) where
         Fam: TrellisFamily<Entry = E, Frontier = F>,
+        E: 'static,
+        F: 'static,
     {
+        let slot = Fam::scratch();
+        let mut scratch = slot.take().unwrap_or_default();
+        let TrellisScratch { arena, next, entry } = &mut *scratch;
+        let n_states = fill(entry, &mut arena.step);
         self.states_explored = self.states_explored.saturating_add(n_states);
-        match self.newest.take() {
+        let newest = match self.newest.take() {
             None => {
-                family.init(&mut entry, &mut self.v);
+                family.init(entry, &mut self.v);
                 self.last_survivors = None;
+                entry.clone()
             }
             Some(mut prev) => {
-                family.select(&prev, &self.v, &mut self.arena);
-                let zero = self.compact(&prev);
-                std::mem::swap(prev.back_buffer(), entry.back_buffer());
-                let (ops, survivors) =
-                    family.fold(&prev, &self.v, &mut entry, &mut self.next, &mut self.arena);
+                family.select(&prev, &self.v, arena);
+                let zero = self.compact(&prev, &arena.keep);
+                let (ops, survivors) = family.fold(&prev, &self.v, entry, next, arena);
                 self.transition_ops = self.transition_ops.saturating_add(ops);
                 self.last_survivors = Some(survivors);
-                std::mem::swap(&mut self.v, &mut self.next);
+                self.v.clone_from(next);
                 // A destination nothing reaches points at state 0, survivor
                 // or not.
                 if let Some(zero) = zero.filter(|_| entry.back_row().contains(&0)) {
@@ -868,19 +908,20 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
                     self.records.insert(span.record - self.records_base, zero);
                     span.records += 1;
                 }
-                self.spare = prev;
+                prev.clone_from(entry);
+                prev
             }
-        }
-        self.newest = Some(entry);
+        };
+        self.newest = Some(newest);
         self.pushed += 1;
+        slot.set(Some(scratch));
     }
 
     /// Appends `prev`'s compacted entry: its items, and one record per
-    /// survivor of the step under way (the arena's `keep`, ascending).
-    /// Returns state 0's record when state 0 did not survive: the step's
-    /// backpointers may still name it.
-    fn compact(&mut self, prev: &E) -> Option<Record<E::Payload>> {
-        let keep = &self.arena.keep;
+    /// survivor of the step under way (`keep`, ascending). Returns state
+    /// 0's record when state 0 did not survive: the step's backpointers may
+    /// still name it.
+    fn compact(&mut self, prev: &E, keep: &[u32]) -> Option<Record<E::Payload>> {
         let record_start = self.records_base + self.records.len();
         let item_start = self.items_base + self.items.len();
         let whole = prev.back_row().is_empty();

@@ -83,7 +83,7 @@ pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError
 /// slot; per slot its lowest and highest member, the first maximum of its
 /// members' offsets, and the coupling group its row or column of `g` is
 /// read from.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Axis {
     /// Offset of each state: its emission (plus its macro prior on the
     /// first tick), `−0.0` in the trivial factorization.
@@ -100,6 +100,15 @@ pub(crate) struct Axis {
     /// slice (`0` in the trivial factorization).
     pub(crate) group: Vec<u32>,
 }
+
+crate::clone_reusing!(Axis {
+    f,
+    slot,
+    first,
+    last,
+    fmax,
+    group,
+});
 
 impl Axis {
     /// Number of states.
@@ -189,7 +198,7 @@ impl Axis {
 /// last maximum ([`Frontier::argmax`]) and the dominance selection start
 /// from those slot-pair maxima and evaluate only the members of the slot
 /// pairs that can reach the answer.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct JointFrontier {
     /// Per slot pair, row-major (`s1 * d2 + s2`): the step's pass-2 fold,
     /// `−0.0` on the first tick.
@@ -209,6 +218,17 @@ pub struct JointFrontier {
     /// Chain-2 coupling row of one chain-1 group (scratch).
     gcol: Vec<f64>,
 }
+
+crate::clone_reusing!(JointFrontier {
+    w,
+    axes,
+    g,
+    n_g2,
+    row_top,
+    first,
+    last,
+    gcol,
+});
 
 impl JointFrontier {
     /// Joint states of the frontier.
@@ -460,7 +480,7 @@ pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Jo
 
 /// Reusable work buffers of [`joint_step_pruned_into`] and the joint
 /// selection, owned by the [`crate::arena::TrellisArena`]'s step scratch:
-/// one allocation per stream, reused across ticks — the step
+/// one allocation per worker thread, reused across ticks and streams — the step
 /// allocates nothing once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
@@ -868,7 +888,7 @@ pub fn joint_step_from(
     let mut arena = TrellisArena::new();
     let mut slice = |tick: &TickInput, user: usize| {
         let mut s = Slice::default();
-        fill_slice(p, tick, user, &mut arena.step.macro_ids, &mut s);
+        fill_slice(p, tick, user, &mut arena.step, &mut s);
         s
     };
     let (prev1, prev2, cur1, cur2) = (slice(prev, 0), slice(prev, 1), slice(cur, 0), slice(cur, 1));

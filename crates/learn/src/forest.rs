@@ -38,11 +38,53 @@ impl Default for ForestConfig {
 /// A trained random-forest classifier.
 ///
 /// Serializable so trained models can be persisted and served without
-/// re-training (the `CaceEngine` snapshot embeds its forests).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// re-training (the `CaceEngine` snapshot embeds its forests). Reading one
+/// checks it, tree by tree (see
+/// [`TryFrom<ForestFields>`](#impl-TryFrom<ForestFields>-for-RandomForest)).
+#[derive(Debug, Clone, Serialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
+}
+
+/// A [`RandomForest`]'s serialized fields, its trees already checked one
+/// by one.
+#[derive(Deserialize)]
+pub struct ForestFields {
+    trees: Vec<DecisionTree>,
+    n_classes: usize,
+}
+
+impl TryFrom<ForestFields> for RandomForest {
+    type Error = String;
+
+    /// Accepts at least one tree, every tree over the forest's
+    /// `n_classes` and all trees over one feature count.
+    fn try_from(fields: ForestFields) -> Result<Self, String> {
+        let ForestFields { trees, n_classes } = fields;
+        let Some(first) = trees.first() else {
+            return Err("a random forest needs a tree".into());
+        };
+        let n_features = first.n_features();
+        if let Some((i, tree)) = trees
+            .iter()
+            .enumerate()
+            .find(|(_, t)| t.n_classes() != n_classes || t.n_features() != n_features)
+        {
+            return Err(format!(
+                "forest tree {i}: {} classes over {} features, not {n_classes} over {n_features}",
+                tree.n_classes(),
+                tree.n_features()
+            ));
+        }
+        Ok(Self { trees, n_classes })
+    }
+}
+
+impl Deserialize for RandomForest {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Self::try_from(ForestFields::deserialize(value)?).map_err(serde::Error::msg)
+    }
 }
 
 impl RandomForest {
@@ -108,6 +150,11 @@ impl RandomForest {
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// Number of features every tree reads.
+    pub fn n_features(&self) -> usize {
+        self.trees.first().map_or(0, DecisionTree::n_features)
     }
 
     /// Number of trees.

@@ -45,12 +45,83 @@ enum Node {
 /// A trained CART classifier.
 ///
 /// Serializable so trained models can be persisted and served without
-/// re-training (the `CaceEngine` snapshot embeds its forests).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// re-training (the `CaceEngine` snapshot embeds its forests). Reading one
+/// checks it (see [`TryFrom<TreeFields>`](#impl-TryFrom<TreeFields>-for-DecisionTree)),
+/// so a tree that reads `Ok` cannot panic or loop when it predicts.
+#[derive(Debug, Clone, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     n_classes: usize,
     n_features: usize,
+}
+
+/// A [`DecisionTree`]'s serialized fields, as read before they are
+/// checked.
+#[derive(Deserialize)]
+pub struct TreeFields {
+    nodes: Vec<Node>,
+    n_classes: usize,
+    n_features: usize,
+}
+
+impl TryFrom<TreeFields> for DecisionTree {
+    type Error = String;
+
+    /// Accepts exactly the trees [`DecisionTree::fit`] can build: at least
+    /// one class and one node; every split on a feature below
+    /// `n_features`, with both children in range and after it (`fit`
+    /// builds in preorder, so a walk from the root only moves forward and
+    /// always ends at a leaf); every leaf `n_classes` finite, non-negative
+    /// probabilities.
+    fn try_from(fields: TreeFields) -> Result<Self, String> {
+        let TreeFields {
+            nodes,
+            n_classes,
+            n_features,
+        } = fields;
+        if n_classes == 0 || nodes.is_empty() {
+            return Err("a decision tree needs a class and a node".into());
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { dist } => {
+                    if dist.len() != n_classes || !dist.iter().all(|p| p.is_finite() && *p >= 0.0) {
+                        return Err(format!(
+                            "tree leaf {i}: not {n_classes} finite, non-negative probabilities"
+                        ));
+                    }
+                }
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *feature >= n_features {
+                        return Err(format!("tree split {i}: feature {feature} of {n_features}"));
+                    }
+                    if [left, right].iter().any(|&&c| c <= i || c >= nodes.len()) {
+                        return Err(format!(
+                            "tree split {i}: children {left}, {right} must lie in {}..{}",
+                            i + 1,
+                            nodes.len()
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(Self {
+            nodes,
+            n_classes,
+            n_features,
+        })
+    }
+}
+
+impl Deserialize for DecisionTree {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Self::try_from(TreeFields::deserialize(value)?).map_err(serde::Error::msg)
+    }
 }
 
 fn gini(counts: &[f64], total: f64) -> f64 {
@@ -419,6 +490,27 @@ mod tests {
         let tree = DecisionTree::fit(&xs, &ys, 2, &TreeConfig::default(), &mut rng).unwrap();
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.predict(&[10.0]), 1);
+    }
+
+    #[test]
+    fn reading_checks_splits_children_and_leaves() {
+        let (xs, ys) = blob_data(10, 60);
+        let mut rng = GaussianSampler::seed_from_u64(10);
+        let tree = DecisionTree::fit(&xs, &ys, 3, &TreeConfig::default(), &mut rng).unwrap();
+        let text = serde::json::to_string(&tree);
+        let back: DecisionTree = serde::json::from_str(&text).unwrap();
+        assert_eq!(serde::json::to_string(&back), text);
+        for (from, to) in [
+            (r#""left":1,"#, r#""left":0,"#),
+            (r#"{"Split":{"feature":"#, r#"{"Split":{"feature":2,"x":"#),
+            (r#"{"Leaf":{"dist":["#, r#"{"Leaf":{"dist":[-1.0,"#),
+            (r#""n_classes":3"#, r#""n_classes":4"#),
+        ] {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from}: tamper target must exist");
+            let read: Result<DecisionTree, _> = serde::json::from_str(&edited);
+            assert!(read.is_err(), "{to}: accepted");
+        }
     }
 
     #[test]

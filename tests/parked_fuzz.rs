@@ -436,3 +436,47 @@ fn engine_snapshots_with_misshapen_tables_are_rejected() {
         assert!(!read, "{to}: accepted");
     }
 }
+
+/// Regression cases of serving what the engine reader accepted: a
+/// decision tree whose child indices form a cycle looped forever when a
+/// tick's features walked into it, and a split on a feature past the
+/// frame's end panicked. Both now fail the read, through the engine reader
+/// and through a model-record import alike.
+#[test]
+fn engine_snapshots_with_cyclic_or_out_of_range_trees_are_rejected() {
+    let (train, _) = tiny_corpus(4, 60, 17);
+    let engine = engine_with(&train, &CaceConfig::default());
+    let record = ModelRecord {
+        name: "cace".to_string(),
+        generation: 0,
+        engine,
+    };
+    let text = record.to_snapshot_string();
+    let payload = std::str::from_utf8(split_header(text.as_bytes()).1).unwrap();
+    let import = |text: &str| ShardedRouter::new().import_model(text);
+    for (from, to) in [
+        // The first tree's root names itself as its left child.
+        (
+            r#"{"Split":{"feature":"#,
+            r#"{"Split":{"left":0,"feature":"#,
+        ),
+        // The first split reads a feature no frame has.
+        (
+            r#"{"Split":{"feature":"#,
+            r#"{"Split":{"feature":4096,"ignored":"#,
+        ),
+    ] {
+        let edited = payload.replacen(from, to, 1);
+        assert_ne!(edited, payload, "tamper target must exist");
+        let mutant = reseal_json(&edited);
+        for (reader, read) in [
+            (
+                "engine",
+                check_json(&mutant, to, |t| CaceEngine::from_snapshot_str(t).map(drop)).0,
+            ),
+            ("import", check_json(&mutant, to, import).0),
+        ] {
+            assert!(!read, "{to}: the {reader} reader accepted it");
+        }
+    }
+}
