@@ -21,12 +21,11 @@
 use std::cell::Cell;
 use std::thread::LocalKey;
 
-use cace_hdbn::park::{check, validate_compacted, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    self, Compacted, Dest, OnlineTrellis, ScoreModel, ScratchSlot, StateSpace, TrellisEntry,
-    TrellisFamily,
+    self, Dest, OnlineTrellis, ScoreModel, ScratchSlot, StateSpace, SurvivorSet, Survivors,
+    TrellisEntry, TrellisFamily,
 };
-use cace_hdbn::{Dominance, Lag, TickInput, TrellisArena};
+use cace_hdbn::{Dominance, Lag, ParkedTrellis, TickInput, TrellisArena};
 use cace_model::ModelError;
 
 /// One flat product state: (macro activity, micro-candidate index).
@@ -168,33 +167,20 @@ impl ScoreModel for FlatModel<'_> {
     }
 }
 
-/// The newest tick of the NH backpointer window (see [`TrellisEntry`]).
+/// One tick of the NH backpointer window while a push runs (see
+/// [`TrellisEntry`]).
 #[derive(Default)]
 struct FlatEntry {
     /// The macro-major product of the tick's macros and candidates.
     states: Vec<FlatState>,
-    /// The emission of state `(a, c)` is `macro_emit[a] + cand_emit[c]`:
-    /// direct macro classification plus the item bonus, then the
-    /// candidate's observation log-likelihood.
+    /// Per macro: direct macro classification plus the item bonus.
     macro_emit: Vec<f64>,
-    cand_emit: Vec<f64>,
-    /// The emissions per state, for the step kernel.
+    /// The emission of state `(a, c)`: `macro_emit[a]` plus the
+    /// candidate's observation log-likelihood.
     emit: Vec<f64>,
     /// Per state; uniform within each macro (the slot of its states).
     back: Vec<u32>,
-    /// The step's fold per macro (`−0.0` on the first tick), so the
-    /// frontier is `fold[a] + emit[j]` state by state.
-    fold: Vec<f64>,
 }
-
-cace_hdbn::clone_reusing!(FlatEntry {
-    states,
-    macro_emit,
-    cand_emit,
-    emit,
-    back,
-    fold,
-});
 
 impl FlatEntry {
     /// Fills the entry with one user's tick: `n_macro` macros scored by
@@ -208,24 +194,25 @@ impl FlatEntry {
                 .enumerate()
                 .map(|(a, &lp)| lp + input.bonus(a)),
         );
-        self.cand_emit.clear();
-        self.cand_emit.extend(cands.iter().map(|c| c.obs_loglik));
         self.states.clear();
         self.states.extend(product(macro_lp.len(), cands.len()));
-        self.fill_emit();
-    }
-
-    /// Rebuilds `emit` from the per-macro and per-candidate terms.
-    fn fill_emit(&mut self) {
         let Self {
             states,
             macro_emit,
-            cand_emit,
             emit,
             ..
         } = self;
         emit.clear();
-        emit.extend(states.iter().map(|&(a, c)| macro_emit[a] + cand_emit[c]));
+        emit.extend(
+            states
+                .iter()
+                .map(|&(a, c)| macro_emit[a] + cands[c].obs_loglik),
+        );
+    }
+
+    /// The tick through the generic kernels' [`StateSpace`] lens.
+    fn view(&self, n_macro: usize) -> FlatView<'_> {
+        FlatView::new(&self.states, &self.emit, n_macro)
     }
 }
 
@@ -264,44 +251,33 @@ struct FlatFamily<'a> {
 impl TrellisFamily for FlatFamily<'_> {
     type Entry = FlatEntry;
     type Frontier = Vec<f64>;
+    type Survivors = Survivors;
 
     fn init(&self, entry: &mut FlatEntry, v: &mut Vec<f64>) {
-        let cur = FlatView::new(&entry.states, &entry.emit, self.table.n);
-        cace_hdbn::trellis::init_into(&FlatModel { table: self.table }, &cur, v);
+        let model = FlatModel { table: self.table };
+        trellis::init_into(&model, &entry.view(self.table.n), v);
         entry.back.clear();
-        // `−0.0 + x` is `x`, bit for bit.
-        entry.fold.clear();
-        entry.fold.resize(self.table.n, -0.0);
-    }
-
-    fn select(&self, prev: &FlatEntry, v: &Vec<f64>, arena: &mut TrellisArena) {
-        let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
-        trellis::select_into(self.table.dominance(), &pv, v, arena);
     }
 
     fn fold(
         &self,
-        prev: &FlatEntry,
-        v: &Vec<f64>,
+        src: &Survivors,
         entry: &mut FlatEntry,
         next: &mut Vec<f64>,
         arena: &mut TrellisArena,
-    ) -> (u64, usize) {
+    ) -> u64 {
         let FlatEntry {
-            states,
-            emit,
-            back,
-            fold,
-            ..
+            states, emit, back, ..
         } = entry;
         let cur = FlatView::new(states, emit, self.table.n);
-        let pv = FlatView::new(&prev.states, &prev.emit, self.table.n);
         let model = FlatModel { table: self.table };
-        let survivors = trellis::fold_into(&model, &pv, v, &cur, arena, back);
-        fold.clear();
-        fold.extend_from_slice(arena.fold());
+        trellis::fold_into(&model, src, &cur, arena, back);
         arena.swap_frontier(next);
-        ((states.len() * prev.states.len()) as u64, survivors)
+        (states.len() * src.n_states()) as u64
+    }
+
+    fn select(&self, entry: &FlatEntry, v: &Vec<f64>, _: &mut TrellisArena, out: &mut Survivors) {
+        out.select(self.table.dominance(), &entry.view(self.table.n), v);
     }
 
     fn scratch() -> &'static LocalKey<ScratchSlot<FlatEntry, Vec<f64>>> {
@@ -312,80 +288,12 @@ impl TrellisFamily for FlatFamily<'_> {
     }
 }
 
-/// Parked form of the newest tick of the NH backpointer window: its
-/// state list is the macro-major product of `n_macro` macros and
-/// `n_cands` candidates, so the park holds the two counts; its emissions
-/// the sums of one term per macro and one per candidate; and its
-/// backpointers, uniform within each macro, one per macro.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ParkedFlatEntry {
-    pub(crate) n_macro: usize,
-    pub(crate) n_cands: usize,
-    pub(crate) back: Vec<u32>,
-    pub(crate) macro_emit: Vec<f64>,
-    pub(crate) cand_emit: Vec<f64>,
-}
-
 /// Parked [`OnlineFlat`] state — the NH member of the per-strategy parked
 /// decoder family (see `cace_hdbn::park` for the coupled/chain members
-/// and the park/resume contract): the frontier, the compacted window
-/// (each record's payload its macro), the newest entry, the cursor and
-/// the counters. Like the coupled frontier, the frontier is parked as the
-/// step's fold per macro, `w`, which the newest entry's emissions
-/// complete (state `(a, c)` scores `w[a] + emit(a, c)`).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ParkedFlat {
-    pub(crate) w: Vec<f64>,
-    pub(crate) compact: Vec<Compacted<u32, ()>>,
-    pub(crate) newest: Option<ParkedFlatEntry>,
-    pub(crate) base: usize,
-    pub(crate) pushed: usize,
-    pub(crate) states_explored: u64,
-    pub(crate) transition_ops: u64,
-}
-
-impl ParkedFlat {
-    pub(crate) fn ticks_pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Bounds-checks everything a resumed [`OnlineFlat`] would read, so a
-    /// tampered payload fails cleanly instead of panicking. Cursor,
-    /// window and frontier invariants go through the shared
-    /// `cace_hdbn::park` helpers — the same checks, same error shape, as
-    /// the coupled and chain families; only the NH-specific shape checks
-    /// live here. Returns the newest entry's state count.
-    fn validate(&self, table: &FlatTable, lag: Lag) -> Result<usize, ModelError> {
-        let what = "parked NH stream";
-        let window = self.compact.len() + usize::from(self.newest.is_some());
-        validate_cursor(what, self.base, self.pushed, window, lag)?;
-        let newest_back = self.newest.as_ref().map(|e| &e.back[..]);
-        validate_compacted(what, &self.compact, newest_back, |&a, _| {
-            (a as usize) < table.n
-        })?;
-        let Some(e) = &self.newest else {
-            check(self.w.is_empty(), || {
-                format!("{what}: a frontier without a window entry")
-            })?;
-            return Ok(0);
-        };
-        check((1..=table.n).contains(&e.n_macro) && e.n_cands > 0, || {
-            format!("{what}: newest entry state counts out of range")
-        })?;
-        check(
-            e.back.len() == e.n_macro || (e.back.is_empty() && self.compact.is_empty()),
-            || format!("{what}: newest backpointer count != macros"),
-        )?;
-        // The emissions bound the product before anything is built from it.
-        check(
-            self.w.len() == table.n
-                && e.macro_emit.len() == e.n_macro
-                && e.cand_emit.len() == e.n_cands,
-            || format!("{what}: newest emissions do not match its state counts"),
-        )?;
-        Ok(e.n_macro.saturating_mul(e.n_cands))
-    }
-}
+/// and the park/resume contract): the survivors of the newest frontier
+/// (their pair ids are their macros) and its argmax, the compacted window
+/// (each record's payload its macro), the cursor and the counters.
+pub(crate) type ParkedFlat = ParkedTrellis<Survivors, u32, ()>;
 
 /// Streaming NH frontier for one user, wrapping the same generic
 /// [`OnlineTrellis`] core as the hierarchical online decoders: push
@@ -399,7 +307,7 @@ impl ParkedFlat {
 /// from the caller, so one table serves any number of live and parked
 /// frontiers (the fleet-sharing property the serving tier relies on).
 pub(crate) struct OnlineFlat {
-    core: OnlineTrellis<FlatEntry>,
+    core: OnlineTrellis<FlatEntry, Survivors>,
 }
 
 impl OnlineFlat {
@@ -417,26 +325,7 @@ impl OnlineFlat {
 
     /// Checkpoints the frontier (see `cace_hdbn::park` for the contract).
     pub(crate) fn park(&self) -> ParkedFlat {
-        let newest = self.core.newest();
-        ParkedFlat {
-            w: newest.map(|e| e.fold.clone()).unwrap_or_default(),
-            compact: self.core.compacted(),
-            newest: newest.map(|e| {
-                let n_macro = e.states.last().map_or(0, |&(a, _)| a + 1);
-                let n_cands = e.states.len() / n_macro.max(1);
-                ParkedFlatEntry {
-                    n_macro,
-                    n_cands,
-                    back: e.back.iter().step_by(n_cands.max(1)).copied().collect(),
-                    macro_emit: e.macro_emit.clone(),
-                    cand_emit: e.cand_emit.clone(),
-                }
-            }),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-        }
+        self.core.park()
     }
 
     /// Rehydrates a parked frontier; bit-identical continuation against
@@ -450,45 +339,15 @@ impl OnlineFlat {
         lag: Lag,
         parked: &ParkedFlat,
     ) -> Result<Self, ModelError> {
-        let m = parked.validate(table, lag)?;
-        let mut v = Vec::with_capacity(m);
-        let newest = parked.newest.as_ref().map(|e| {
-            let mut entry = FlatEntry {
-                states: product(e.n_macro, e.n_cands).collect(),
-                macro_emit: e.macro_emit.clone(),
-                cand_emit: e.cand_emit.clone(),
-                ..FlatEntry::default()
-            };
-            // One backpointer per macro, shared by its states.
-            let back = e
-                .back
-                .iter()
-                .flat_map(|&b| std::iter::repeat_n(b, e.n_cands));
-            entry.back = back.collect();
-            entry.fill_emit();
-            entry.fold = parked.w.clone();
-            let fold = &entry.fold;
-            v.extend(
-                entry
-                    .states
-                    .iter()
-                    .zip(&entry.emit)
-                    .map(|(&(a, _), &x)| fold[a] + x),
-            );
-            entry
-        });
-        validate_frontier("parked NH stream", m, &v)?;
+        let what = "parked NH stream";
+        parked.validate(
+            what,
+            lag,
+            |s| s.validate(what, table.n, table.n),
+            |&a, _| (a as usize) < table.n,
+        )?;
         Ok(Self {
-            core: OnlineTrellis::from_parts(
-                lag,
-                v,
-                parked.compact.clone(),
-                newest,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-            ),
+            core: OnlineTrellis::resume(lag, parked),
         })
     }
 

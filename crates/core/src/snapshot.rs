@@ -18,19 +18,18 @@
 //! reader still accepts them.
 //!
 //! Parked streams are binary: a header line
-//! `CACE-SNAPSHOT v5 kind=stream-bin fnv1a64=<16-hex> len=<n>`, then the
+//! `CACE-SNAPSHOT v6 kind=stream-bin fnv1a64=<16-hex> len=<n>`, then the
 //! payload of [`cace_hdbn::wire`] (see
-//! [`ParkedStream::to_snapshot_bytes`]). A `v5` decoder holds exactly what
-//! its live stream holds: the frontier (the coupled one as its
-//! slot-factored fold, which the newest entry's slices complete), each
-//! older window entry compacted to the records a backtrack can still
-//! read, and the newest entry whole — for NH, its state counts and its
-//! emissions per macro and per candidate.
+//! [`ParkedStream::to_snapshot_bytes`]). A `v6` decoder holds exactly what
+//! its live stream holds: the newest tick's dominance survivors with what
+//! the next step reads of them, the newest frontier's argmax, and every
+//! window entry, the newest included, compacted to the records a
+//! backtrack can still read.
 //!
 //! Engines and model records are the durable artifacts, so their older
 //! versions stay readable (v2 engines). A parked stream is read only in
 //! the layout this build writes: a park of any other version (the `v3`
-//! JSON and binary kinds, the `v4` binary one) is a
+//! JSON and binary kinds, the `v4` and `v5` binary ones) is a
 //! [`ModelError::Persistence`] that names its version.
 //!
 //! The engine payload serializes everything recognition depends on — the
@@ -59,7 +58,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::CaceEngine;
 use crate::evidence::PrevState;
-use crate::nh::{ParkedFlat, ParkedFlatEntry};
+use crate::nh::ParkedFlat;
 use crate::strategy::Strategy;
 use crate::stream::{ParkedDecoder, ParkedStream};
 
@@ -384,8 +383,9 @@ impl ModelRecord {
 const BIN_KIND: &str = "kind=stream-bin";
 /// Version of the binary parked-stream layout this build writes, and the
 /// only one it reads. v4 dropped the slots of removed mechanisms that v3
-/// parks carry; v5 parks the compacted window.
-const STREAM_VERSION: u32 = 5;
+/// parks carry; v5 parked the compacted window; v6 parks the newest
+/// tick's survivors in place of its whole frontier and entry.
+const STREAM_VERSION: u32 = 6;
 
 fn write_strategy(w: &mut ByteWriter, s: Strategy) {
     w.write_u8(match s {
@@ -406,48 +406,12 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
     }
 }
 
-fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
-    wire::write_factored_frontier(w, &f.w);
-    wire::write_compact(w, &f.compact, |_, ()| {}, |w, &a| w.write_u32(a));
-    w.write_opt(f.newest.as_ref(), |w, e| {
-        w.write_usize(e.n_macro);
-        w.write_usize(e.n_cands);
-        w.write_seq(&e.back, |w, &x| w.write_u32(x));
-        w.write_seq(&e.macro_emit, |w, &x| w.write_f64(x));
-        w.write_seq(&e.cand_emit, |w, &x| w.write_f64(x));
-    });
-    w.write_usize(f.base);
-    w.write_usize(f.pushed);
-    w.write_u64(f.states_explored);
-    w.write_u64(f.transition_ops);
-}
-
-fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
-    Ok(ParkedFlat {
-        w: wire::read_factored_frontier(r)?,
-        compact: wire::read_compact(r, 0, |_| Ok(()), 1, ByteReader::read_u32)?,
-        newest: r.read_opt(|r| {
-            Ok(ParkedFlatEntry {
-                n_macro: r.read_usize()?,
-                n_cands: r.read_usize()?,
-                back: r.read_seq(1, ByteReader::read_u32)?,
-                macro_emit: r.read_seq(8, ByteReader::read_f64)?,
-                cand_emit: r.read_seq(8, ByteReader::read_f64)?,
-            })
-        })?,
-        base: r.read_usize()?,
-        pushed: r.read_usize()?,
-        states_explored: r.read_u64()?,
-        transition_ops: r.read_u64()?,
-    })
-}
-
 fn write_state(w: &mut ByteWriter, state: &ParkedDecoder) {
     match state {
         ParkedDecoder::Nh(flats) => {
             w.write_u8(0);
             for f in flats {
-                write_flat(w, f);
+                f.encode_into(w);
             }
         }
         ParkedDecoder::Single(chains) => {
@@ -466,7 +430,10 @@ fn write_state(w: &mut ByteWriter, state: &ParkedDecoder) {
 /// Reads the tag-prefixed per-strategy decoder state.
 fn read_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
     match r.read_u8()? {
-        0 => Ok(ParkedDecoder::Nh([read_flat(r)?, read_flat(r)?])),
+        0 => Ok(ParkedDecoder::Nh([
+            ParkedFlat::decode_from(r)?,
+            ParkedFlat::decode_from(r)?,
+        ])),
         1 => Ok(ParkedDecoder::Single([
             ParkedChain::decode_from(r)?,
             ParkedChain::decode_from(r)?,
@@ -525,7 +492,7 @@ impl ParkedStream {
     /// keeps for an evicted home.
     ///
     /// ```text
-    /// CACE-SNAPSHOT v5 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
+    /// CACE-SNAPSHOT v6 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
     /// <raw payload bytes>
     /// ```
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -563,8 +530,8 @@ impl ParkedStream {
     ///
     /// # Errors
     /// [`ModelError::Persistence`] on a malformed header, a version other
-    /// than v5 (the error names it), a non-binary kind, a length or
-    /// checksum mismatch, malformed payload bytes, or a dense frontier.
+    /// than v6 (the error names it), a non-binary kind, a length or
+    /// checksum mismatch, or malformed payload bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
         let mut r = ByteReader::new(open_binary(bytes)?);
         let parked = Self {
@@ -594,8 +561,8 @@ impl ParkedStream {
     }
 
     /// [`from_snapshot_bytes`](Self::from_snapshot_bytes), under the name
-    /// the serving benchmark calls. To be deleted with the next change to
-    /// the benchmark.
+    /// the serving benchmark's replay harness calls; nothing else does.
+    /// To be deleted with the next change to the benchmark.
     ///
     /// # Errors
     /// Those of [`from_snapshot_bytes`](Self::from_snapshot_bytes).
@@ -622,7 +589,7 @@ mod tests {
         let mut flat = OnlineFlat::new(cace_hdbn::Lag::Fixed(6));
         let park_len = |flat: &OnlineFlat| {
             let mut w = ByteWriter::new();
-            write_flat(&mut w, &flat.park());
+            flat.park().encode_into(&mut w);
             w.into_bytes().len()
         };
         let mut short = 0;
@@ -785,7 +752,7 @@ mod tests {
             stream.push(&tick.observed).unwrap();
         }
         let stream_bytes = stream.park().to_snapshot_bytes();
-        assert!(stream_bytes.starts_with(b"CACE-SNAPSHOT v5 kind=stream-bin fnv1a64="));
+        assert!(stream_bytes.starts_with(b"CACE-SNAPSHOT v6 kind=stream-bin fnv1a64="));
 
         let err =
             CaceEngine::from_snapshot_str(&String::from_utf8_lossy(&stream_bytes)).unwrap_err();
@@ -836,7 +803,7 @@ mod tests {
         }
         let bytes = stream.park().to_snapshot_bytes();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        assert!(bytes.starts_with(b"CACE-SNAPSHOT v5 kind=stream-bin fnv1a64="));
+        assert!(bytes.starts_with(b"CACE-SNAPSHOT v6 kind=stream-bin fnv1a64="));
 
         // Flip one payload byte: checksum mismatch, decode never runs.
         let mut corrupted = bytes.clone();
@@ -850,7 +817,7 @@ mod tests {
         assert!(err.to_string().contains("length"), "{err}");
 
         // A version this build does not read, older or newer.
-        for version in [b'2', b'6'] {
+        for version in [b'5', b'7'] {
             let mut other = bytes.clone();
             other["CACE-SNAPSHOT v".len()] = version;
             let err = ParkedStream::from_snapshot_bytes(&other).unwrap_err();

@@ -6,7 +6,7 @@
 //! ([`TickPreparer`](crate::statespace::TickPreparer)), and advances an
 //! online fixed-lag Viterbi frontier ([`cace_hdbn::online`]) by one DP
 //! step — constant decoding work per tick, a backpointer window bounded at
-//! `lag + 2` ticks, no re-decoding of the growing prefix. A fixed-lag
+//! `lag + 1` ticks, no re-decoding of the growing prefix. A fixed-lag
 //! stream's state, live or parked, does not grow with its age: decisions
 //! already emitted belong to the caller, and
 //! [`finish`](StreamingRecognizer::finish) returns only the ticks still
@@ -28,8 +28,8 @@
 //! references.
 //!
 //! A live stream can also be **parked**: [`StreamingRecognizer::park`]
-//! captures the trellis frontier, backpointer window, decision cursor and
-//! overhead counters into a serializable [`ParkedStream`], and
+//! captures the trellis frontier's survivors, backpointer window, decision
+//! cursor and overhead counters into a serializable [`ParkedStream`], and
 //! [`CaceEngine::resume`] (or [`resume_shared`]) rehydrates it mid-stream
 //! with a **bit-identical** continuation — same decisions, same overhead
 //! accounting, same [`finish`](StreamingRecognizer::finish) result — for
@@ -534,6 +534,15 @@ impl StreamingRecognizer<'_> {
     /// both halves. Swapping onto an engine with identical parameters is
     /// a bit-identical no-op end to end.
     ///
+    /// What carries over is what a park holds: the newest tick's
+    /// dominance survivors with their scores, and the compacted window.
+    /// So the first step after a swap to different parameters folds the
+    /// survivors the *old* model selected, with the scores it gave them;
+    /// that step's transitions, emissions and every later selection are
+    /// the new model's. The selection is exact for the old transitions
+    /// only: a state the old dominance table pruned cannot come back,
+    /// even where the new transitions would let it win.
+    ///
     /// The swap is atomic: on error (strategy mismatch, incompatible
     /// dimensions) the stream is left exactly as it was.
     /// Drift-capture state carries across the swap, pending windows
@@ -744,8 +753,9 @@ impl ParkedStream {
     /// Explicitly re-targets this checkpoint at `engine`'s model: returns
     /// a copy whose model fingerprint matches `engine`, so resuming it
     /// there passes the fingerprint gate. This is the *hot-swap
-    /// migration* — the trellis frontier carries over verbatim and all
-    /// later ticks score under the new model. Resume still validates
+    /// migration* — the newest tick's survivors carry over verbatim, with
+    /// the scores the old model gave them, and all later ticks score under
+    /// the new model (see [`StreamingRecognizer::swap_model`]). Resume still validates
     /// strategy and dimensions; migration only waives the same-model
     /// check.
     pub fn migrated_to(&self, engine: &CaceEngine) -> ParkedStream {
@@ -930,7 +940,7 @@ mod tests {
             stream.push(&tick.observed).unwrap();
         }
         let reseal = |p: &ParkedStream| {
-            ParkedStream::from_snapshot_bytes(&p.to_snapshot_bytes()).expect("v5 park reads")
+            ParkedStream::from_snapshot_bytes(&p.to_snapshot_bytes()).expect("v6 park reads")
         };
         let mut parked = stream.park();
 

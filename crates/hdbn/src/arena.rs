@@ -1,25 +1,21 @@
 //! Trellis memory: the unified per-tick state `Slice` and the
 //! [`TrellisArena`] that owns all step-kernel scratch.
 //!
-//! Before this module existed, every decoder had its own slice type and
-//! every DP step allocated its fold buffers fresh (`f1_col`/`f2_col` per
-//! trellis column, `w`/`w_arg` per tick, a new frontier vector per step).
-//! The arena centralizes that memory: **one allocation per worker thread,
-//! reused across ticks and across every stream the thread pushes** (it
-//! lives in the thread's [`TrellisScratch`](crate::trellis::TrellisScratch);
+//! The arena centralizes the step's memory: **one allocation per worker
+//! thread, reused across ticks and across every stream the thread pushes**
+//! (it lives in the thread's [`TrellisScratch`](crate::trellis::TrellisScratch);
 //! a whole-session decode is a stream too), so the steady-state hot loop
 //! of a warmed online decoder performs zero heap allocations per pushed
 //! tick (`tests/alloc_steady_state.rs` counts them) and a stream keeps no
-//! step buffer between pushes. The dominance survivor list (with the joint
-//! survivors' scores) and the joint kernel's survivor-group and selection
-//! buffers (`JointScratch`) live here too, as arena fields.
+//! step buffer between pushes. The joint kernel's survivor-group and
+//! selection buffers (`JointScratch`) live here too, as arena fields.
 //!
 //! The coupled step writes no per-state buffer here. Its pass-2 fold
 //! lands in the thread scratch's next
-//! [`JointFrontier`](crate::viterbi::JointFrontier), which the online core
-//! copies into the stream's, and its backpointers, one per slot pair, in
-//! the window entry. `v_next` is the
-//! chain and NH kernels' dense next frontier.
+//! [`JointFrontier`](crate::viterbi::JointFrontier) and its backpointers,
+//! one per slot pair, in the thread scratch's window entry; a stream keeps
+//! only the survivors the push selects from them. `v_next` is the chain
+//! and NH kernels' dense next frontier.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
 //! `(activity, micro-candidate)` pairs — and carries, per state, the
@@ -44,7 +40,7 @@ use crate::viterbi::JointScratch;
 /// pure memoization, bit-identical to folding per state, and the main
 /// per-tick work reduction on top of flat-table scoring (a tick with
 /// `m` states over `D` distinct pairs folds `D/m` of the naive work).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Slice {
     /// Macro activity of each state.
     pub(crate) activities: Vec<usize>,
@@ -68,16 +64,6 @@ pub(crate) struct Slice {
     pub(crate) runs: Vec<(u32, u32, u32)>,
 }
 
-crate::clone_reusing!(Slice {
-    activities,
-    cands,
-    pairs,
-    emissions,
-    uniq_pairs,
-    slots,
-    runs,
-});
-
 impl Slice {
     /// Number of states in the slice.
     #[inline]
@@ -91,25 +77,9 @@ impl Slice {
         self.uniq_pairs.len()
     }
 
-    /// Rebuilds a slice from its parked columns.
-    pub(crate) fn restored(
-        activities: Vec<usize>,
-        cands: Vec<usize>,
-        pairs: Vec<u32>,
-        emissions: Vec<f64>,
-        uniq_pairs: Vec<u32>,
-        slots: Vec<u32>,
-        runs: Vec<(u32, u32, u32)>,
-    ) -> Self {
-        Self {
-            activities,
-            cands,
-            pairs,
-            emissions,
-            uniq_pairs,
-            slots,
-            runs,
-        }
+    /// Index of state `j`'s activity run.
+    pub(crate) fn run_of(&self, j: usize) -> u32 {
+        self.runs.partition_point(|&(_, _, end)| end as usize <= j) as u32
     }
 
     fn clear(&mut self) {
@@ -124,7 +94,7 @@ impl Slice {
 }
 
 /// Fills `out` with one user's trellis slice for a tick, reusing its
-/// buffers (and the allowed-macro and pair→slot scratch of `step`) so a
+/// buffers (and the allowed-macro and pair→slot scratch of `arena`) so a
 /// warmed caller allocates nothing.
 ///
 /// This is the single state-enumeration implementation shared by the
@@ -135,14 +105,14 @@ pub(crate) fn fill_slice(
     p: &HdbnParams,
     input: &TickInput,
     user: usize,
-    step: &mut StepScratch,
+    arena: &mut TrellisArena,
     out: &mut Slice,
 ) {
-    let StepScratch {
+    let TrellisArena {
         macro_ids,
         slot_lookup,
         ..
-    } = step;
+    } = arena;
     macro_ids.clear();
     match &input.macro_candidates[user] {
         Some(m) => macro_ids.extend_from_slice(m),
@@ -177,13 +147,17 @@ pub(crate) fn fill_slice(
     }
 }
 
-/// Step-kernel scratch: the fold buffers every DP step writes through,
-/// plus the ping-pong frontier the chain-shaped steps emit into. Split
-/// from the
-/// survivor list so a caller can hold the survivors and the step buffers
-/// mutably at the same time.
+/// All reusable step memory of one worker thread: the fold buffers every
+/// DP step writes through, the survivor-group and selection buffers of
+/// the joint kernel, and the dense next frontier the chain-shaped steps
+/// emit into.
+///
+/// Allocated once per thread (per decoder family), reused across ticks and
+/// streams; buffers grow to the high-water frontier size of any stream the
+/// thread pushed and stay there, so the steady-state per-tick loop is
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
-pub struct StepScratch {
+pub struct TrellisArena {
     /// Survivor joint-step group buffers.
     pub(crate) joint: JointScratch,
     /// The chain-2 slots' `D` terms of a joint survivor selection.
@@ -203,43 +177,11 @@ pub struct StepScratch {
     /// uses (one candidate per run instead of one per state).
     pub(crate) run_max: Vec<f64>,
     pub(crate) run_arg: Vec<u32>,
-    /// Activity runs of a survivor list (`(activity, start, end)`
-    /// half-open into `keep`), rebuilt per survivor step.
-    pub(crate) runs_scratch: Vec<(u32, u32, u32)>,
-    /// Ping-pong frontier: the chain-shaped kernels write the new frontier
-    /// here; the caller swaps it with its live frontier vector.
+    /// The chain-shaped kernels write the new frontier here; the caller
+    /// swaps it with its own frontier vector.
     pub(crate) v_next: Vec<f64>,
     /// Log-sum-exp term accumulator (forward–backward, EM).
     pub(crate) terms: Vec<f64>,
-}
-
-impl StepScratch {
-    /// Swaps the kernel-emitted next frontier (`v_next`) with the
-    /// caller's live frontier vector — the ping-pong step every driver
-    /// performs after a kernel call.
-    pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
-        std::mem::swap(&mut self.v_next, v);
-    }
-}
-
-/// All reusable step memory of one worker thread: the dominance survivor
-/// list plus step-kernel scratch.
-///
-/// Allocated once per thread (per decoder family), reused across ticks and
-/// streams; buffers grow to the high-water frontier size of any stream the
-/// thread pushed and stay there, so the steady-state per-tick loop is
-/// allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct TrellisArena {
-    /// Survivors of the current step's dominance selection, ascending
-    /// (its own field so it can be read while the step scratch is
-    /// borrowed mutably).
-    pub(crate) keep: Vec<u32>,
-    /// The joint survivors' frontier scores, in `keep` order (the joint
-    /// selection evaluates them from the slot-factored frontier).
-    pub(crate) keep_v: Vec<f64>,
-    /// Fold buffers and ping-pong frontier.
-    pub(crate) step: StepScratch,
 }
 
 impl TrellisArena {
@@ -248,16 +190,9 @@ impl TrellisArena {
         Self::default()
     }
 
-    /// Swaps the frontier the last step wrote with the caller's live
-    /// frontier (see [`StepScratch::swap_frontier`]).
+    /// Swaps the frontier the last chain step wrote with the caller's
+    /// frontier vector.
     pub fn swap_frontier(&mut self, v: &mut Vec<f64>) {
-        self.step.swap_frontier(v);
-    }
-
-    /// The last chain step's fold per destination slot: the step wrote
-    /// state `j`'s score as `fold[slot(j)] + emission(j)` (see
-    /// [`step_pruned_into`](crate::trellis::step_pruned_into)).
-    pub fn fold(&self) -> &[f64] {
-        &self.step.w
+        std::mem::swap(&mut self.v_next, v);
     }
 }

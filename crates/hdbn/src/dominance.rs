@@ -15,14 +15,16 @@
 //! neither a maximum nor a first argmax. The idea is CarpeDiem (Esposito &
 //! Radicioni, *CarpeDiem: Optimizing the Viterbi Algorithm and
 //! Applications to Supervised Sequential Learning*, JMLR 2009) with a
-//! precomputed bound. Before each step the decoders select the survivors
+//! precomputed bound. As soon as a step has written a frontier, the
+//! decoders select its survivors
 //!
 //! ```text
 //! keep s  ⇔  v(s) + D₁[q₁(s)][q₁(b)] + D₂[q₂(s)][q₂(b)]  ≥  v(b) − slack
 //! ```
 //!
-//! (one `D` term for the chain and NH families) and run the survivor-list
-//! kernel over them; the coupled selection works slot pair by slot pair
+//! (one `D` term for the chain and NH families), keep only those, and run
+//! the next step's survivor-list kernel over them; the coupled selection
+//! works slot pair by slot pair
 //! (see below). The step stays exact: frontier bits and
 //! backpointers equal those of the same kernel over the whole frontier,
 //! which `tests/dominance_differential.rs` checks state by state against

@@ -32,8 +32,10 @@
 //! per-model bound proves most frontier states cannot win any destination,
 //! and the step folds only the rest, with output bit-identical to the
 //! full-frontier recursion — see [`dominance`]. The coupled decoders never
-//! materialize their joint frontier: it is held per destination slot pair
-//! ([`JointFrontier`]) and a state's score is evaluated when asked for.
+//! materialize their joint frontier: a step writes it per destination slot
+//! pair ([`JointFrontier`]) and a state's score is evaluated when asked
+//! for. Between pushes a stream keeps only the frontier's dominance
+//! survivors ([`JointSurvivors`], [`Survivors`]) and its argmax.
 //!
 //! The hot path is memory-engineered on two axes. *Scoring*: every decoder
 //! reads transition/emission factors from the dense precomputed
@@ -70,7 +72,7 @@ pub mod trellis;
 pub mod viterbi;
 pub mod wire;
 
-pub use arena::{StepScratch, TrellisArena};
+pub use arena::TrellisArena;
 pub use beam::DecoderConfig;
 pub use dominance::Dominance;
 pub use em::{e_step, fit_em, fit_em_shared, DriftAccumulator, EmConfig, EmOutcome};
@@ -78,11 +80,13 @@ pub use forward::log_sum_exp;
 pub use input::{MicroCandidate, TickInput};
 pub use online::{Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SmoothedChain, SmoothedJoint};
 pub use params::{HdbnConfig, HdbnParams};
-pub use park::{ParkedChain, ParkedCoupled};
+pub use park::{ParkedChain, ParkedCoupled, ParkedTrellis};
 pub use single::SingleHdbn;
 pub use tables::ScoreTables;
 pub use trellis::{
     Dest, Frontier, HierModel, OnlineTrellis, PosteriorModel, Record, ScoreModel, StateSpace,
-    TrellisEntry, TrellisFamily,
+    SurvivorSet, Survivors, TrellisEntry, TrellisFamily,
 };
-pub use viterbi::{joint_step, joint_step_from, CoupledHdbn, JointFrontier, JointPath, JointStep};
+#[cfg(feature = "testkit")]
+pub use viterbi::{joint_step, joint_step_from, JointStep};
+pub use viterbi::{CoupledHdbn, JointFrontier, JointPath, JointSurvivors};

@@ -6,10 +6,12 @@
 //! joint state — plus a backpointer window, and advance it by one DP step
 //! per pushed tick: `O(|S1||S2|(|S1|+|S2|))` for the coupled chain,
 //! `O(|S|²)` for a single chain, *without* re-decoding the growing prefix.
-//! The coupled decoder holds its frontier and the newest backpointer row
-//! per destination slot pair ([`JointFrontier`]), and every older tick
-//! compacted to the states a backtrack can still reach (see
-//! [`OnlineTrellis`]); a park writes exactly that.
+//! A stream holds the newest tick's dominance survivors and frontier
+//! argmax, and every tick of its window compacted to the states a
+//! backtrack can still reach (see [`OnlineTrellis`]); a park writes
+//! exactly that. The whole frontier — for the coupled decoder factored
+//! per destination slot pair ([`JointFrontier`]) — lives only in the
+//! thread's scratch while a push runs.
 //!
 //! Smoothing is controlled by a [`Lag`]:
 //!
@@ -20,7 +22,7 @@
 //!   [`crate::SingleHdbn::viterbi`] are exactly this stream.
 //! * [`Lag::Fixed(l)`](Lag::Fixed) emits the decision for tick `t - l`
 //!   right after consuming tick `t` (classic fixed-lag smoothing), keeping
-//!   the backpointer window at `l + 2` entries regardless of stream length.
+//!   the backpointer window at `l + 1` entries regardless of stream length.
 //!   A `Lag::Fixed(l)` with `l >=` the eventual stream length behaves like
 //!   `Unbounded` (no decision ever ripens mid-stream), so it is
 //!   bit-identical to the whole-session decode — equality of every float,
@@ -73,15 +75,13 @@ use cace_model::ModelError;
 use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::park::{
-    check, ChainPick, JointPick, ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry,
-    ParkedSlice,
-};
+use crate::park::{ChainPick, JointPick, ParkedChain, ParkedCoupled};
 use crate::single::{self, SingleHdbn, SinglePath};
 use crate::trellis::{
-    self, Compacted, HierModel, OnlineTrellis, ScratchSlot, TrellisEntry, TrellisFamily,
+    self, Compacted, HierModel, OnlineTrellis, ScratchSlot, SurvivorSet, Survivors, TrellisEntry,
+    TrellisFamily,
 };
-use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath};
+use crate::viterbi::{self, CoupledHdbn, JointFrontier, JointPath, JointSurvivors};
 
 /// Fixed-lag smoothing horizon of an online decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +91,9 @@ pub enum Lag {
     ///
     /// Cost: the window keeps every tick, compacted to its survivors'
     /// records and its candidate tuples in pooled stores that only grow
-    /// (by doubling), while the whole entry is recycled as under a fixed
-    /// lag — so a warmed push allocates only when a store or the
+    /// (by doubling), while the push's whole entry is the thread's
+    /// scratch as under a fixed lag — so a warmed push allocates only when
+    /// a store or the
     /// [`reserve_ticks`](OnlineCoupledViterbi::reserve_ticks)-sized window
     /// spine outgrows its capacity: one allocation over 64 warmed pushes
     /// on the toy coupled decoder (`tests/alloc_steady_state.rs` bounds it
@@ -100,7 +101,7 @@ pub enum Lag {
     /// streams run under a fixed lag.
     Unbounded,
     /// Emit the decision for tick `t - lag` after consuming tick `t`,
-    /// keeping the backpointer window bounded at `lag + 2` entries.
+    /// keeping the backpointer window bounded at `lag + 1` entries.
     Fixed(usize),
 }
 
@@ -143,9 +144,9 @@ pub struct SmoothedChain {
     pub micro: MicroCandidate,
 }
 
-/// The newest tick of the coupled backpointer window, held whole (see
+/// One tick of the coupled backpointer window while a push runs (see
 /// [`TrellisEntry`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct JointEntry {
     s1: Slice,
     s2: Slice,
@@ -154,17 +155,10 @@ struct JointEntry {
     /// slot pair shares its fold — and empty for the first tick of the
     /// stream.
     back: Vec<u32>,
-    /// The tick's candidate tuples, retained so decisions can report
-    /// micro states after the [`TickInput`] is gone.
+    /// The tick's candidate tuples, which the compacted entry keeps so
+    /// decisions can report micro states after the [`TickInput`] is gone.
     cands: [Vec<MicroCandidate>; 2],
 }
-
-crate::clone_reusing!(JointEntry {
-    s1,
-    s2,
-    back,
-    cands
-});
 
 impl TrellisEntry for JointEntry {
     type Payload = JointPick;
@@ -213,29 +207,33 @@ struct CoupledFamily<'a> {
 impl TrellisFamily for CoupledFamily<'_> {
     type Entry = JointEntry;
     type Frontier = JointFrontier;
+    type Survivors = JointSurvivors;
 
     fn init(&self, entry: &mut JointEntry, v: &mut JointFrontier) {
         viterbi::joint_init_into(self.p, &entry.s1, &entry.s2, v);
         entry.back.clear();
     }
 
-    fn select(&self, prev: &JointEntry, v: &JointFrontier, arena: &mut TrellisArena) {
-        viterbi::joint_select_into(self.p, &prev.s1, &prev.s2, v, arena);
-    }
-
     fn fold(
         &self,
-        prev: &JointEntry,
-        _v: &JointFrontier,
+        src: &JointSurvivors,
         entry: &mut JointEntry,
         next: &mut JointFrontier,
         arena: &mut TrellisArena,
-    ) -> (u64, usize) {
+    ) -> u64 {
         let JointEntry { s1, s2, back, .. } = entry;
-        let survivors =
-            viterbi::joint_fold_into(self.p, &prev.s1, &prev.s2, s1, s2, arena, next, back);
-        let ops = viterbi::joint_step_charge(&prev.s1, &prev.s2, s1, s2);
-        (ops, survivors)
+        viterbi::joint_fold_into(self.p, src, s1, s2, arena, next, back);
+        viterbi::joint_step_charge(src.k, s1, s2)
+    }
+
+    fn select(
+        &self,
+        entry: &JointEntry,
+        v: &JointFrontier,
+        arena: &mut TrellisArena,
+        out: &mut JointSurvivors,
+    ) {
+        viterbi::joint_select_into(self.p, &entry.s1, &entry.s2, v, arena, out);
     }
 
     fn scratch() -> &'static LocalKey<ScratchSlot<JointEntry, JointFrontier>> {
@@ -255,29 +253,28 @@ struct ChainFamily<'a> {
 impl TrellisFamily for ChainFamily<'_> {
     type Entry = ChainEntry;
     type Frontier = Vec<f64>;
+    type Survivors = Survivors;
 
     fn init(&self, entry: &mut ChainEntry, v: &mut Vec<f64>) {
         trellis::init_into(&HierModel::new(self.p), &entry.slice, v);
         entry.back.clear();
     }
 
-    fn select(&self, prev: &ChainEntry, v: &Vec<f64>, arena: &mut TrellisArena) {
-        trellis::select_into(self.p.tables.dominance(), &prev.slice, v, arena);
-    }
-
     fn fold(
         &self,
-        prev: &ChainEntry,
-        v: &Vec<f64>,
+        src: &Survivors,
         entry: &mut ChainEntry,
         next: &mut Vec<f64>,
         arena: &mut TrellisArena,
-    ) -> (u64, usize) {
+    ) -> u64 {
         let ChainEntry { slice, back, .. } = entry;
-        let model = HierModel::new(self.p);
-        let survivors = trellis::fold_into(&model, &prev.slice, v, slice, arena, back);
+        trellis::fold_into(&HierModel::new(self.p), src, slice, arena, back);
         arena.swap_frontier(next);
-        ((prev.slice.len() * slice.len()) as u64, survivors)
+        (src.n_states() * slice.len()) as u64
+    }
+
+    fn select(&self, entry: &ChainEntry, v: &Vec<f64>, _: &mut TrellisArena, out: &mut Survivors) {
+        out.select(self.p.tables.dominance(), &entry.slice, v);
     }
 
     fn scratch() -> &'static LocalKey<ScratchSlot<ChainEntry, Vec<f64>>> {
@@ -299,7 +296,7 @@ impl TrellisFamily for ChainFamily<'_> {
 pub struct OnlineCoupledViterbi {
     /// The model's shared parameters.
     params: Arc<HdbnParams>,
-    core: OnlineTrellis<JointEntry, JointFrontier>,
+    core: OnlineTrellis<JointEntry, JointSurvivors>,
 }
 
 impl OnlineCoupledViterbi {
@@ -317,7 +314,7 @@ impl OnlineCoupledViterbi {
         self.core.ticks_pushed()
     }
 
-    /// Current backpointer-window length (bounded by `lag + 2` for
+    /// Current backpointer-window length (at most `lag + 1` for
     /// [`Lag::Fixed`]).
     pub fn window_len(&self) -> usize {
         self.core.window_len()
@@ -331,8 +328,20 @@ impl OnlineCoupledViterbi {
         self.core.last_survivors()
     }
 
+    /// The newest tick's dominance survivors: all the next step reads of
+    /// its frontier.
+    pub fn survivors(&self) -> &JointSurvivors {
+        self.core.survivors()
+    }
+
+    /// `(state, score)` of the newest frontier's last maximum, where every
+    /// backtrack starts.
+    pub fn frontier_argmax(&self) -> (usize, f64) {
+        self.core.frontier_argmax()
+    }
+
     /// Pre-reserves the backpointer window for `additional` more ticks,
-    /// capped at the `lag + 2` entries a [`Lag::Fixed`] window ever holds.
+    /// capped at the `lag + 1` entries a [`Lag::Fixed`] window ever holds.
     /// The window is the only per-tick growth a stream has, and it grows
     /// only under [`Lag::Unbounded`]; a fixed-lag stream performs zero
     /// heap allocations per push once warmed without this call.
@@ -340,10 +349,11 @@ impl OnlineCoupledViterbi {
         self.core.reserve_ticks(additional);
     }
 
-    /// The joint states each compacted window entry still holds, oldest
-    /// first: the survivors of the step after it, plus state 0 when that
-    /// step left a destination unreachable (every state, when it folded
-    /// the whole frontier). The newest entry is held whole and not listed.
+    /// The joint states each window entry still holds, oldest first: the
+    /// survivors of the step after it, plus state 0 when that step left a
+    /// destination unreachable (every state, when it folded the whole
+    /// frontier). The newest entry holds its own selection's survivors,
+    /// plus the frontier argmax and state 0 (see [`OnlineTrellis`]).
     pub fn window_states(&self) -> Vec<Vec<usize>> {
         let states = |entry: Compacted<JointPick, MicroCandidate>| {
             entry.records.iter().map(|r| r.state as usize).collect()
@@ -354,12 +364,12 @@ impl OnlineCoupledViterbi {
     /// Consumes one tick, advancing the frontier by one DP step; returns
     /// the newly ripened fixed-lag decision, if any.
     ///
-    /// Steady-state cost: one dominance-pruned exact DP step over the
-    /// thread's reused arena buffers and window entry (see
-    /// [`TrellisScratch`](crate::trellis::TrellisScratch)), copied into the
-    /// stream's recycled entry, then the
-    /// previous entry compacted into the pooled record store — zero heap allocations once
-    /// a [`Lag::Fixed`] stream is warmed (`tests/alloc_steady_state.rs`).
+    /// Steady-state cost: one dominance-pruned exact DP step out of the
+    /// kept survivors over the thread's reused arena buffers and window
+    /// entry (see [`TrellisScratch`](crate::trellis::TrellisScratch)), the
+    /// new frontier's selection, and the new entry compacted into the
+    /// pooled record store — zero heap allocations once a [`Lag::Fixed`]
+    /// stream is warmed (`tests/alloc_steady_state.rs`).
     ///
     /// # Errors
     /// [`ModelError::EmptyStateSpace`] if the tick has no candidates for
@@ -367,9 +377,9 @@ impl OnlineCoupledViterbi {
     pub fn push(&mut self, tick: &TickInput) -> Result<Option<SmoothedJoint>, ModelError> {
         viterbi::validate_tick(tick, self.core.ticks_pushed())?;
         let p = &self.params;
-        self.core.push_entry(&CoupledFamily { p }, |entry, step| {
-            fill_slice(p, tick, 0, step, &mut entry.s1);
-            fill_slice(p, tick, 1, step, &mut entry.s2);
+        self.core.push_entry(&CoupledFamily { p }, |entry, arena| {
+            fill_slice(p, tick, 0, arena, &mut entry.s1);
+            fill_slice(p, tick, 1, arena, &mut entry.s2);
             for u in 0..2 {
                 entry.cands[u].clear();
                 entry.cands[u].extend_from_slice(&tick.candidates[u]);
@@ -386,29 +396,14 @@ impl OnlineCoupledViterbi {
     }
 
     /// Checkpoints the stream: everything the decode depends on — the
-    /// live frontier, the compacted window and its newest entry, the
+    /// newest tick's survivors and argmax, the compacted window, the
     /// decision cursor, and the overhead counters — in a serializable
     /// form. Emitted decisions are not kept, so a park's size does not
-    /// grow with the stream's age. Dominance survivors are recomputed by
-    /// the next step, so they are not parked. The model is *not* captured;
+    /// grow with the stream's age. The model is *not* captured;
     /// [`resume`](Self::resume) re-attaches one, so a fleet of parked homes
     /// shares a single `Arc<HdbnParams>`.
     pub fn park(&self) -> ParkedCoupled {
-        let v = self.core.frontier();
-        ParkedCoupled {
-            w: v.w.clone(),
-            compact: self.core.compacted(),
-            newest: self.core.newest().map(|e| ParkedJointEntry {
-                s1: ParkedSlice::from_slice(&e.s1),
-                s2: ParkedSlice::from_slice(&e.s2),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
-            }),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-        }
+        self.core.park()
     }
 
     /// Rehydrates a parked stream against `model`, continuing exactly
@@ -416,7 +411,9 @@ impl OnlineCoupledViterbi {
     /// decisions, overhead accounting, and `finalize` are bit-identical
     /// to the uninterrupted stream. `model` and `lag` must match the ones
     /// the stream was opened with (the snapshot layer persists and
-    /// re-checks both).
+    /// re-checks both). Under another model of the same dimensions the
+    /// first step folds the parked survivors, scored and selected under
+    /// the model they were parked under.
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state is structurally
@@ -429,36 +426,19 @@ impl OnlineCoupledViterbi {
         parked: &ParkedCoupled,
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
-        parked.validate(&params, lag)?;
-        let newest = parked.newest.as_ref().map(|e| JointEntry {
-            s1: e.s1.to_slice(),
-            s2: e.s2.to_slice(),
-            back: e.back.clone(),
-            cands: e.cands.clone(),
-        });
-        // The newest entry's slices rebuild the frontier around its `w`.
-        let v = match &newest {
-            None => JointFrontier::default(),
-            Some(e) => {
-                let first_tick = parked.pushed == 1;
-                JointFrontier::restored(&params, parked.w.clone(), &e.s1, &e.s2, first_tick)
-            }
-        };
-        check(!v.has_nan(), || {
-            "parked coupled stream: NaN frontier score".to_string()
-        })?;
+        let n_macro = params.n_macro();
+        parked.validate(
+            "parked coupled stream",
+            lag,
+            |s| s.validate("parked coupled stream", params.tables.n_pair()),
+            |(macros, items), n_items| {
+                macros.iter().all(|&a| (a as usize) < n_macro)
+                    && items.iter().all(|&i| (i as usize) < n_items)
+            },
+        )?;
         Ok(Self {
             params,
-            core: OnlineTrellis::from_parts(
-                lag,
-                v,
-                parked.compact.clone(),
-                newest,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-            ),
+            core: OnlineTrellis::resume(lag, parked),
         })
     }
 
@@ -499,7 +479,7 @@ impl OnlineCoupledViterbi {
     }
 }
 
-/// The newest tick of a single-chain backpointer window (held like
+/// One tick of a single-chain backpointer window while a push runs (like
 /// [`JointEntry`]).
 #[derive(Debug, Default)]
 struct ChainEntry {
@@ -507,8 +487,6 @@ struct ChainEntry {
     back: Vec<u32>,
     cands: Vec<MicroCandidate>,
 }
-
-crate::clone_reusing!(ChainEntry { slice, back, cands });
 
 impl TrellisEntry for ChainEntry {
     type Payload = ChainPick;
@@ -542,7 +520,7 @@ impl TrellisEntry for ChainEntry {
 pub struct OnlineSingleViterbi {
     params: Arc<HdbnParams>,
     user: usize,
-    core: OnlineTrellis<ChainEntry>,
+    core: OnlineTrellis<ChainEntry, Survivors>,
 }
 
 impl OnlineSingleViterbi {
@@ -583,8 +561,8 @@ impl OnlineSingleViterbi {
     pub fn push(&mut self, tick: &TickInput) -> Result<Option<SmoothedChain>, ModelError> {
         single::validate_tick_user(tick, self.core.ticks_pushed(), self.user)?;
         let (p, user) = (&self.params, self.user);
-        self.core.push_entry(&ChainFamily { p }, |entry, step| {
-            fill_slice(p, tick, user, step, &mut entry.slice);
+        self.core.push_entry(&ChainFamily { p }, |entry, arena| {
+            fill_slice(p, tick, user, arena, &mut entry.slice);
             entry.cands.clear();
             entry.cands.extend_from_slice(&tick.candidates[user]);
             entry.slice.len() as u64
@@ -600,19 +578,7 @@ impl OnlineSingleViterbi {
 
     /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
     pub fn park(&self) -> ParkedChain {
-        ParkedChain {
-            v: self.core.frontier().to_vec(),
-            compact: self.core.compacted(),
-            newest: self.core.newest().map(|e| ParkedChainEntry {
-                slice: ParkedSlice::from_slice(&e.slice),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
-            }),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-        }
+        self.core.park()
     }
 
     /// Rehydrates a parked stream against `model`, decoding `user`'s
@@ -629,25 +595,18 @@ impl OnlineSingleViterbi {
         parked: &ParkedChain,
     ) -> Result<Self, ModelError> {
         let params = model.shared_params();
-        parked.validate(&params, lag)?;
-        let newest = parked.newest.as_ref().map(|e| ChainEntry {
-            slice: e.slice.to_slice(),
-            back: e.back.clone(),
-            cands: e.cands.clone(),
-        });
+        let (n_macro, n_pair) = (params.n_macro(), params.tables.n_pair());
+        let what = "parked chain stream";
+        parked.validate(
+            what,
+            lag,
+            |s| s.validate(what, n_pair, n_macro),
+            |&(a, i), n_items| (a as usize) < n_macro && (i as usize) < n_items,
+        )?;
         Ok(Self {
             params,
             user,
-            core: OnlineTrellis::from_parts(
-                lag,
-                parked.v.clone(),
-                parked.compact.clone(),
-                newest,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-            ),
+            core: OnlineTrellis::resume(lag, parked),
         })
     }
 
@@ -951,11 +910,7 @@ pub(crate) mod tests {
             online.push(tick).unwrap();
         }
         let parked = online.park();
-        assert_eq!(
-            parked.compact.len(),
-            1,
-            "lag 2: one compacted entry and the newest"
-        );
+        assert_eq!(parked.compact.len(), 2, "lag 2: two compacted entries");
         let resume =
             |p: &ParkedCoupled| OnlineCoupledViterbi::resume(model.clone(), Lag::Fixed(2), p);
         let rejected = |p: &ParkedCoupled| matches!(resume(p), Err(ModelError::Persistence { .. }));
@@ -970,24 +925,35 @@ pub(crate) mod tests {
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.w[0] = f64::NAN;
+        bad.survivors.scores[0] = f64::NAN;
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.w.pop(); // frontier shorter than the newest entry's slot pairs
+        bad.survivors.scores.pop(); // survivor columns of different lengths
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.newest.as_mut().unwrap().back[0] = u32::MAX; // dangling backpointer
+        bad.survivors.states.clear(); // a pushed stream with no survivor
+        bad.survivors.scores.clear();
+        bad.survivors.pairs.clear();
+        bad.survivors.runs.clear();
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.newest.as_mut().unwrap().s1.pairs[0] = u32::MAX; // pair id outside the tables
+        bad.survivors.k[1] = 0; // survivors outside their tick
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
-        bad.newest = None; // compacted entries with nothing after them
-        bad.w.clear();
+        bad.survivors.pairs[0][1] = u32::MAX; // pair id outside the tables
+        assert!(rejected(&bad));
+
+        let mut bad = parked.clone();
+        bad.top.0 = 16; // an argmax outside the 4 × 4 tick
+        assert!(rejected(&bad));
+
+        let mut bad = parked.clone();
+        bad.compact.clear(); // survivors with no window entry
+        bad.base = bad.pushed;
         assert!(rejected(&bad));
 
         let mut bad = parked.clone();
@@ -1023,7 +989,7 @@ pub(crate) mod tests {
             |p: &ParkedCoupled| matches!(resume(&reread(p)), Err(ModelError::Persistence { .. }));
         let parked = online.park();
         assert!(resume(&reread(&parked)).is_ok());
-        assert_eq!(parked.compact.len(), 3);
+        assert_eq!(parked.compact.len(), 4);
         let named = |p: &ParkedCoupled, i: usize| {
             p.compact[i]
                 .records
@@ -1031,31 +997,39 @@ pub(crate) mod tests {
                 .map(|r| r.state)
                 .collect::<Vec<_>>()
         };
+        // Removes the record of `state` from entry `i`, keeping the entry
+        // nonempty.
+        let drop_record = |p: &mut ParkedCoupled, i: usize, state: u32| {
+            let first = p.compact[i].records[0];
+            p.compact[i].records.retain(|r| r.state != state);
+            if p.compact[i].records.is_empty() {
+                p.compact[i].records.push(Record {
+                    state: state + 1,
+                    ..first
+                });
+            }
+        };
 
-        // Every backpointer must name a record of the entry before it: drop
-        // the record the next entry's first record points at.
+        // Every backpointer must name a record of the entry before it.
         let mut bad = parked.clone();
         let target = bad.compact[2].records[0].back;
-        bad.compact[1].records.retain(|r| r.state != target);
-        if bad.compact[1].records.is_empty() {
-            bad.compact[1].records.push(Record {
-                state: target + 1,
-                ..parked.compact[1].records[0]
-            });
-        }
+        drop_record(&mut bad, 1, target);
         assert!(rejected(&bad), "a compacted backpointer names no record");
 
-        // ... and every backpointer of the newest entry one of the last.
+        // ... every survivor of the newest tick one of the newest entry,
+        // which the next step's backpointers name ...
         let mut bad = parked.clone();
-        let target = bad.newest.as_ref().unwrap().back[0];
-        bad.compact[2].records.retain(|r| r.state != target);
-        if bad.compact[2].records.is_empty() {
-            bad.compact[2].records.push(Record {
-                state: target + 1,
-                ..parked.compact[2].records[0]
-            });
+        let target = bad.survivors.states[0];
+        drop_record(&mut bad, 3, target);
+        assert!(rejected(&bad), "a survivor names no record");
+
+        // ... and so must the argmax, where every backtrack starts, and
+        // state 0, which a destination nothing reaches points at.
+        for target in [parked.top.0 as u32, 0] {
+            let mut bad = parked.clone();
+            drop_record(&mut bad, 3, target);
+            assert!(rejected(&bad), "state {target} names no record");
         }
-        assert!(rejected(&bad), "a newest backpointer names no record");
 
         // Record states strictly ascend.
         let mut bad = parked.clone();
@@ -1172,21 +1146,24 @@ pub(crate) mod tests {
             big.push(&wide).unwrap();
             small.push(&narrow_tick).unwrap();
         }
-        let newest = big.core.newest().unwrap();
-        assert_eq!(newest.s1.activities.len(), 16);
-        assert_eq!(big.core.frontier().axes[0].f.len(), 16);
+        let survivors = big.core.survivors();
+        assert_eq!(survivors.k, [16, 16]);
+        assert!(
+            survivors.len() >= 16,
+            "equal candidates keep a wide selection: {} survivors",
+            survivors.len()
+        );
         // The thread's scratch grew to the wide ticks; the narrow stream's
-        // own entry and frontier did not.
-        let newest = small.core.newest().unwrap();
-        assert_eq!(newest.s1.activities.len(), 2);
+        // own survivors, 2 × 2 joint states at most, did not.
+        let survivors = small.core.survivors();
+        assert_eq!(survivors.k, [2, 2]);
         for cap in [
-            newest.s1.activities.capacity(),
-            newest.s2.emissions.capacity(),
-            newest.cands[0].capacity(),
-            small.core.frontier().axes[0].f.capacity(),
-            small.core.frontier().axes[1].slot.capacity(),
+            survivors.states.capacity(),
+            survivors.scores.capacity(),
+            survivors.pairs.capacity(),
+            survivors.runs.capacity(),
         ] {
-            assert!(cap < 16, "capacity {cap} came from the wide stream");
+            assert!(cap <= 4, "capacity {cap} came from the wide stream");
         }
     }
 

@@ -124,8 +124,8 @@ pub(crate) fn fold_max(v: &[f64]) -> (f64, u32) {
 /// rejects a tick with no micro candidates or an empty macro restriction
 /// before any kernel runs (`ModelError::EmptyStateSpace`), NaN
 /// observation log-likelihoods are clamped to `-∞` when the tick input is
-/// built, the model's log tables hold no NaN, and resume rejects an empty
-/// parked slice and NaN scores ([`crate::park::validate_frontier`]).
+/// built, the model's log tables hold no NaN, and resume rejects a park
+/// with no survivor or a NaN score ([`crate::ParkedTrellis::validate`]).
 /// Should either invariant ever break, the fold still returns without
 /// panicking: NaN entries never win, and an empty or all-NaN slice gives
 /// `(0, -∞)`. `tests/hostile_ticks.rs` parks and resumes every strategy's

@@ -8,7 +8,7 @@
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch};
+use crate::arena::{fill_slice, Slice, TrellisArena};
 use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineSingleViterbi};
@@ -174,12 +174,12 @@ impl SingleHdbn {
     /// Every tick's slice of `user`'s chain (see
     /// [`crate::arena::fill_slice`]).
     fn slices_of(&self, ticks: &[TickInput], user: usize) -> Vec<Slice> {
-        let mut step = StepScratch::default();
+        let mut arena = TrellisArena::new();
         ticks
             .iter()
             .map(|t| {
                 let mut s = Slice::default();
-                fill_slice(&self.params, t, user, &mut step, &mut s);
+                fill_slice(&self.params, t, user, &mut arena, &mut s);
                 s
             })
             .collect()

@@ -15,34 +15,34 @@
 //!   (indexed by source pair id) and, for hierarchical models, the
 //!   group-switch row (indexed by source group).
 //!
-//! [`init_into`] and [`step_pruned_into`] are the *only* implementations
-//! of the chain-shaped recursion, and [`step_into`] is the exact step
-//! every chain decoder runs: a [`Dominance`] survivor selection (the whole
-//! frontier when nothing can be pruned), then the survivor-list kernel —
-//! [`select_into`] then [`fold_into`], which the online core calls apart.
-//! The single-chain decoder instantiates them through [`HierModel`] and
-//! the NH decoder through its flat-table model in `cace-core`. The coupled
-//! joint step is the one family that keeps a bespoke kernel
-//! ([`crate::viterbi`]'s two-pass factored fold over the product space —
-//! its `O(|S1||S2|(|S1|+|S2|))` shape cannot be expressed as a single
-//! per-destination fold without losing the complexity bound), so it plugs
-//! into the engine one level up, as a [`TrellisFamily`].
+//! [`init_into`] and [`fold_into`] are the *only* implementations of the
+//! chain-shaped recursion. [`fold_into`] folds a [`Survivors`] list — the
+//! states a [`Dominance`] selection kept (the whole frontier when nothing
+//! can be pruned), each with its score, pair id and run. The exact step
+//! out of a dense frontier, `step_into` (the selection, then the fold),
+//! and `step_pruned_into` (the fold out of a given survivor list) serve
+//! the reference decoders and differential suites, behind the `testkit`
+//! feature. The single-chain decoder instantiates them through
+//! [`HierModel`] and the NH decoder through its flat-table model in
+//! `cace-core`. The coupled joint step is the one family that keeps a
+//! bespoke kernel ([`crate::viterbi`]'s two-pass factored fold over the
+//! product space — its `O(|S1||S2|(|S1|+|S2|))` shape cannot be expressed
+//! as a single per-destination fold without losing the complexity bound),
+//! so it plugs into the engine one level up, as a [`TrellisFamily`].
 //!
 //! The online layer is factored the same way: [`OnlineTrellis`] owns the
-//! frontier, the survivor-compacted backpointer window (the newest entry
-//! whole, every older one as [`Record`]s and its items in pooled stores), the
-//! decision cursor, and the overhead counters — written once — and each
-//! family supplies a [`TrellisFamily`] impl that maps a window entry onto
-//! the kernels. What only a push reads — the arena, the frontier a step
-//! writes and the window entry a push fills — is a [`TrellisScratch`] kept
-//! per family per thread, not per stream; a push copies its results into
-//! the stream's own buffers. The frontier's type is the family's
-//! ([`Frontier`]): the chain and NH families hold one dense score per
-//! state, the coupled
-//! family a [`JointFrontier`](crate::viterbi::JointFrontier) factored per
-//! slot pair that is never materialized; the core only asks a frontier
-//! for its argmax, and a window entry for one state's backpointer and
-//! decision payload.
+//! newest tick's survivors and argmax, the survivor-compacted backpointer
+//! window ([`Record`]s and items in pooled stores, the newest tick
+//! included), the decision cursor, and the overhead counters — written
+//! once — and each family supplies a [`TrellisFamily`] impl that maps a
+//! window entry onto the kernels. What only a push reads — the arena, the
+//! whole frontier a step writes and the window entry a push fills — is a
+//! [`TrellisScratch`] kept per family per thread, not per stream. The
+//! whole frontier's type is the family's ([`Frontier`]): the chain and NH
+//! families write one dense score per state, the coupled family a
+//! [`JointFrontier`](crate::viterbi::JointFrontier) factored per slot pair
+//! that is never materialized. A push asks it for its argmax and its
+//! survivors and keeps only those ([`SurvivorSet`]).
 //! [`forward_backward`] is the single scaled alpha/beta recursion,
 //! parameterized over [`PosteriorModel`].
 //!
@@ -51,7 +51,7 @@
 //! Per destination, candidates are visited in ascending source order with
 //! strict-`>` first-argmax, and each same-group switch run collapses to
 //! its first-maximum source plus the switch constant (the *run collapse*
-//! of [`step_pruned_into`]). The frontier termination argmax is the
+//! of [`fold_into`]). The frontier termination argmax is the
 //! last-max [`argmax`] (the coupled frontier finds the same state slot
 //! pair by slot pair). Dominance only removes sources that cannot win, so
 //! a pruned step equals the full-frontier step bit for bit (see
@@ -61,11 +61,14 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::thread::LocalKey;
 
-use crate::arena::{StepScratch, TrellisArena};
+use cace_model::ModelError;
+
+use crate::arena::TrellisArena;
 use crate::dominance::Dominance;
 use crate::forward::{log_sum_exp, normalize_log};
 use crate::online::Lag;
 use crate::params::HdbnParams;
+use crate::park::{check, ParkedTrellis};
 use crate::scalar;
 
 pub use crate::scalar::argmax;
@@ -150,13 +153,126 @@ pub fn init_into<Sp: StateSpace, M: ScoreModel>(model: &M, cur: &Sp, v: &mut Vec
     }
 }
 
-/// One DP step over a survivor list: only the states in `keep` (indices
-/// sorted ascending) are transitioned out of. The new frontier lands in
-/// `step.v_next` (the caller swaps — see [`StepScratch::swap_frontier`])
-/// and per-state backpointers into the previous tick's frontier in
-/// `back`. Backpointers stay in full-frontier coordinates, so backtracking
-/// is oblivious to pruning; with `keep = 0..prev.len()` the step folds the
-/// whole frontier.
+/// The survivors of one tick's dominance selection over a chain-shaped
+/// frontier, with all the next fold reads of each: its state, its score,
+/// its pair id and its activity run. A chain or NH stream holds exactly
+/// this of its frontier between pushes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Survivors {
+    /// States of the tick the survivors were selected from.
+    pub(crate) n_states: u32,
+    /// Survivor states, ascending.
+    pub(crate) states: Vec<u32>,
+    /// Their frontier scores.
+    pub(crate) scores: Vec<f64>,
+    /// Their pair ids.
+    pub(crate) pairs: Vec<u32>,
+    /// The survivors cut by the tick's runs: `(group, start, end)`,
+    /// half-open ranges of survivors, ascending.
+    pub(crate) runs: Vec<(u32, u32, u32)>,
+}
+
+impl Survivors {
+    /// Selects the survivors of `v`, the frontier over the states of
+    /// `cur`, against `dom` (every state when nothing can be pruned).
+    pub fn select<Sp: StateSpace>(&mut self, dom: &Dominance, cur: &Sp, v: &[f64]) {
+        dom.select(cur, v, &mut self.states);
+        self.gather(cur, v);
+    }
+
+    /// Fills every column but the states from the tick and its frontier.
+    fn gather<Sp: StateSpace>(&mut self, cur: &Sp, v: &[f64]) {
+        let Self {
+            n_states,
+            states,
+            scores,
+            pairs,
+            runs,
+        } = self;
+        *n_states = cur.len() as u32;
+        scores.clear();
+        scores.extend(states.iter().map(|&j| v[j as usize]));
+        pairs.clear();
+        pairs.extend(states.iter().map(|&j| cur.pair(j as usize)));
+        // `states` is ascending over a group-major tick, so each run's
+        // survivors are contiguous.
+        runs.clear();
+        let (tick_runs, mut r, mut i) = (cur.runs(), 0usize, 0usize);
+        while i < states.len() {
+            while tick_runs[r].2 <= states[i] {
+                r += 1;
+            }
+            let (g, _, run_end) = tick_runs[r];
+            let start = i;
+            while i < states.len() && states[i] < run_end {
+                i += 1;
+            }
+            runs.push((g, start as u32, i as u32));
+        }
+    }
+
+    /// Number of survivors.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Whether there is no survivor (before a stream's first tick).
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// Checks everything a fold reads: survivors present, strictly
+    /// ascending inside the tick, pair ids below `n_pair`, scores free of
+    /// NaN, and runs that tile the survivors with groups below `n_group`.
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] naming the first failed check.
+    pub fn validate(&self, what: &str, n_pair: usize, n_group: usize) -> Result<(), ModelError> {
+        let n = self.states.len();
+        check(n > 0, || format!("{what}: no survivor"))?;
+        check(self.scores.len() == n && self.pairs.len() == n, || {
+            format!("{what}: survivor column lengths disagree")
+        })?;
+        check(
+            self.states.windows(2).all(|w| w[0] < w[1]) && self.states[n - 1] < self.n_states,
+            || format!("{what}: survivor states not strictly ascending inside the tick"),
+        )?;
+        check(self.pairs.iter().all(|&p| (p as usize) < n_pair), || {
+            format!("{what}: survivor pair id out of range")
+        })?;
+        check(self.scores.iter().all(|x| !x.is_nan()), || {
+            format!("{what}: NaN survivor score")
+        })?;
+        let mut cursor = 0u32;
+        for &(g, start, end) in &self.runs {
+            check(
+                (g as usize) < n_group && start == cursor && end > start,
+                || format!("{what}: malformed survivor run"),
+            )?;
+            cursor = end;
+        }
+        check(cursor as usize == n, || {
+            format!("{what}: survivor runs do not cover the survivors")
+        })
+    }
+}
+
+impl SurvivorSet for Survivors {
+    fn states(&self) -> &[u32] {
+        &self.states
+    }
+
+    fn n_states(&self) -> usize {
+        self.n_states as usize
+    }
+}
+
+/// One DP step out of a survivor list: only `src`'s states are
+/// transitioned out of. The new frontier lands in `arena.v_next` (the
+/// caller swaps — see [`TrellisArena::swap_frontier`]) and per-state
+/// backpointers into the source tick in `back`. Backpointers name source
+/// states, not survivor indices, so backtracking is oblivious to pruning;
+/// with every state a survivor the step folds the whole frontier.
 ///
 /// Two memoizations shape the candidates:
 ///
@@ -174,64 +290,45 @@ pub fn init_into<Sp: StateSpace, M: ScoreModel>(model: &M, cur: &Sp, v: &mut Vec
 /// tie to a per-state scan (the earlier source wins) but not to the
 /// collapse, which names the run's maximum. `cace_testkit::toy::naive_step`
 /// is the executable statement of this contract.
-pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
+pub fn fold_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
-    prev: &Sp,
-    v: &[f64],
-    keep: &[u32],
+    src: &Survivors,
     cur: &Sp,
-    step: &mut StepScratch,
+    arena: &mut TrellisArena,
     back: &mut Vec<u32>,
 ) {
     let m = cur.len();
     let d = cur.n_slots();
-    let StepScratch {
+    let TrellisArena {
         w,
         w_arg,
         v_next,
         run_max,
         run_arg,
-        runs_scratch,
         ..
-    } = step;
-    // The survivor list cut by the frontier's runs (`keep` is ascending
-    // over a group-major frontier, so each run's survivors are
-    // contiguous), then the two memoizations. A switch-free model folds
-    // every survivor through one pseudo-run.
-    runs_scratch.clear();
+    } = arena;
+    let Survivors {
+        states,
+        scores,
+        pairs,
+        runs,
+        ..
+    } = src;
     if M::SWITCH {
-        let (runs, mut r, mut i) = (prev.runs(), 0usize, 0usize);
-        while i < keep.len() {
-            while runs[r].2 <= keep[i] {
-                r += 1;
-            }
-            let (g, _, run_end) = runs[r];
-            let start = i;
-            while i < keep.len() && keep[i] < run_end {
-                i += 1;
-            }
-            runs_scratch.push((g, start as u32, i as u32));
-        }
-        let n_runs = runs_scratch.len();
         run_max.clear();
-        run_max.resize(n_runs, f64::NEG_INFINITY);
         run_arg.clear();
-        run_arg.resize(n_runs, 0);
-        for (r, &(_, start, end)) in runs_scratch.iter().enumerate() {
+        for &(_, start, end) in runs {
             let mut best = f64::NEG_INFINITY;
             let mut arg = 0u32;
-            for &jp in &keep[start as usize..end as usize] {
-                let vv = v[jp as usize];
-                if vv > best {
-                    best = vv;
-                    arg = jp;
+            for i in start as usize..end as usize {
+                if scores[i] > best {
+                    best = scores[i];
+                    arg = states[i];
                 }
             }
-            run_max[r] = best;
-            run_arg[r] = arg;
+            run_max.push(best);
+            run_arg.push(arg);
         }
-    } else {
-        runs_scratch.push((0, 0, keep.len() as u32));
     }
     w.clear();
     w.resize(d, f64::NEG_INFINITY);
@@ -241,13 +338,13 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
         let dest = model.dest(cur.slot_pair(s));
         let mut best = f64::NEG_INFINITY;
         let mut best_arg = 0u32;
-        for (r, &(gr, start, end)) in runs_scratch.iter().enumerate() {
+        for (r, &(gr, start, end)) in runs.iter().enumerate() {
             if !M::SWITCH || gr == dest.group {
-                for &jp in &keep[start as usize..end as usize] {
-                    let score = v[jp as usize] + dest.cont[prev.pair(jp as usize) as usize];
+                for i in start as usize..end as usize {
+                    let score = scores[i] + dest.cont[pairs[i] as usize];
                     if score > best {
                         best = score;
-                        best_arg = jp;
+                        best_arg = states[i];
                     }
                 }
             } else {
@@ -272,11 +369,33 @@ pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
     }
 }
 
-/// One exact DP step: selects the survivors of `v` against `dom` (every
-/// state when nothing can be pruned) and runs [`step_pruned_into`] over
-/// them. The new frontier lands in the arena
+/// [`fold_into`] out of the states in `keep` (ascending) of the dense
+/// frontier `v` over `prev`, for the reference decoders and the
+/// differential suites.
+#[cfg(feature = "testkit")]
+pub fn step_pruned_into<Sp: StateSpace, M: ScoreModel>(
+    model: &M,
+    prev: &Sp,
+    v: &[f64],
+    keep: &[u32],
+    cur: &Sp,
+    arena: &mut TrellisArena,
+    back: &mut Vec<u32>,
+) {
+    let mut src = Survivors {
+        states: keep.to_vec(),
+        ..Survivors::default()
+    };
+    src.gather(prev, v);
+    fold_into(model, &src, cur, arena, back);
+}
+
+/// One exact DP step out of the dense frontier `v` over `prev`: selects
+/// its survivors against `dom` (every state when nothing can be pruned)
+/// and runs [`fold_into`] over them. The new frontier lands in the arena
 /// ([`TrellisArena::swap_frontier`]); returns the number of source states
-/// the kernel folded.
+/// the kernel folded. For the differential suites.
+#[cfg(feature = "testkit")]
 pub fn step_into<Sp: StateSpace, M: ScoreModel>(
     model: &M,
     dom: &Dominance,
@@ -286,34 +405,10 @@ pub fn step_into<Sp: StateSpace, M: ScoreModel>(
     arena: &mut TrellisArena,
     back: &mut Vec<u32>,
 ) -> usize {
-    select_into(dom, prev, v, arena);
-    fold_into(model, prev, v, cur, arena, back)
-}
-
-/// The selection half of [`step_into`]: the survivors of `v` against
-/// `dom`, ascending, into the arena.
-pub fn select_into<Sp: StateSpace>(
-    dom: &Dominance,
-    prev: &Sp,
-    v: &[f64],
-    arena: &mut TrellisArena,
-) {
-    dom.select(prev, v, &mut arena.keep);
-}
-
-/// The fold half of [`step_into`]: [`step_pruned_into`] over the
-/// survivors [`select_into`] left in the arena; returns their number.
-pub fn fold_into<Sp: StateSpace, M: ScoreModel>(
-    model: &M,
-    prev: &Sp,
-    v: &[f64],
-    cur: &Sp,
-    arena: &mut TrellisArena,
-    back: &mut Vec<u32>,
-) -> usize {
-    let TrellisArena { keep, step, .. } = arena;
-    step_pruned_into(model, prev, v, keep, cur, step, back);
-    keep.len()
+    let mut src = Survivors::default();
+    src.select(dom, prev, v);
+    fold_into(model, &src, cur, arena, back);
+    src.len()
 }
 
 /// The hierarchical-chain [`ScoreModel`]: macro prior plus emission at
@@ -392,7 +487,7 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
         let prev = &spaces[t - 1];
         // The fold into a new state depends on it only through its pair
         // id: one log-sum-exp per distinct pair, fanned out.
-        let StepScratch { w, terms, .. } = &mut arena.step;
+        let TrellisArena { w, terms, .. } = &mut arena;
         w.clear();
         w.resize(cur.n_slots(), f64::NEG_INFINITY);
         for s in 0..cur.n_slots() {
@@ -420,7 +515,7 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
         let nxt = &spaces[t + 1];
         // Mirror of the forward memoization: beta of a state depends on
         // it only through its (source) pair id.
-        let StepScratch { w, terms, .. } = &mut arena.step;
+        let TrellisArena { w, terms, .. } = &mut arena;
         w.clear();
         w.resize(cur.n_slots(), f64::NEG_INFINITY);
         for s in 0..cur.n_slots() {
@@ -462,35 +557,11 @@ pub fn forward_backward<Sp: StateSpace, M: PosteriorModel>(
     (gamma, log_z)
 }
 
-/// Implements `Clone` for a struct of buffers so that `clone_from` reuses
-/// every field's buffers (a derived `clone_from` reallocates them all).
-/// The online core copies a step's results out of the thread's
-/// [`TrellisScratch`] this way, so a stream's buffers grow only with its
-/// own ticks. Every field must be listed: `clone` names them all.
-#[macro_export]
-#[doc(hidden)]
-macro_rules! clone_reusing {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
-        impl Clone for $ty {
-            fn clone(&self) -> Self {
-                Self { $($field: self.$field.clone()),* }
-            }
-
-            fn clone_from(&mut self, src: &Self) {
-                $(self.$field.clone_from(&src.$field);)*
-            }
-        }
-    };
-}
-
-/// One retained tick of an online backpointer window, as the generic
-/// online core sees it. Only the newest tick's entry is held whole; once
-/// the next step has run, the core compacts it to [`Record`]s plus the
-/// entry's [`Item`](Self::Item)s. A push fills the thread's scratch entry
-/// (see [`TrellisScratch`]) and copies it into the stream's own with
-/// `clone_from`, which must reuse the destination's buffers (see
-/// [`clone_reusing`]).
-pub trait TrellisEntry: Default + Clone {
+/// One tick of an online backpointer window while a push runs: the
+/// thread's scratch entry (see [`TrellisScratch`]), which the push fills,
+/// folds into and compacts at once to [`Record`]s plus the entry's
+/// [`Item`](Self::Item)s, the stream's newest window entry.
+pub trait TrellisEntry: Default {
     /// What a compacted record keeps of one state's decision: small ids,
     /// read against its entry's items.
     type Payload: Copy + std::fmt::Debug;
@@ -516,15 +587,6 @@ pub trait TrellisEntry: Default + Clone {
 
     /// The decision of a payload whose entry's item `i` is `item(i)`.
     fn decide(payload: Self::Payload, item: impl Fn(u32) -> Self::Item) -> Self::Decision;
-
-    /// The decision of state `j` of this (whole) entry.
-    fn decision(&self, j: usize) -> Self::Decision {
-        Self::decide(self.payload(j), |i| {
-            self.items()
-                .nth(i as usize)
-                .expect("a payload indexes its entry's items")
-        })
-    }
 }
 
 /// One state of a compacted window entry: all a backtrack through that
@@ -551,6 +613,15 @@ pub struct Compacted<P, I> {
     pub records: Vec<Record<P>>,
 }
 
+impl<P, I> Default for Compacted<P, I> {
+    fn default() -> Self {
+        Self {
+            items: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+}
+
 /// Finds the record of `state` in one compacted entry (records ascending
 /// by state).
 pub fn find_record<P>(records: &[Record<P>], state: u32) -> Option<&Record<P>> {
@@ -560,11 +631,12 @@ pub fn find_record<P>(records: &[Record<P>], state: u32) -> Option<&Record<P>> {
         .map(|i| &records[i])
 }
 
-/// A live frontier, as the online core sees it: the chain families hold
-/// one dense score per state (`Vec<f64>`), the coupled family a
-/// slot-factored [`JointFrontier`](crate::viterbi::JointFrontier). Its
-/// `clone_from` must reuse the destination's buffers, as a `Vec`'s does.
-pub trait Frontier: Default + Clone {
+/// A tick's whole frontier as a step writes it, in the thread's
+/// [`TrellisScratch`]: the chain families hold one dense score per state
+/// (`Vec<f64>`), the coupled family a slot-factored
+/// [`JointFrontier`](crate::viterbi::JointFrontier). A stream keeps only
+/// its survivors ([`SurvivorSet`]) and its argmax.
+pub trait Frontier: Default {
     /// `(state, score)` of the last maximum — the termination argmax every
     /// backtrack starts from (see [`argmax`]).
     fn argmax(&self) -> (usize, f64);
@@ -576,11 +648,24 @@ impl Frontier for Vec<f64> {
     }
 }
 
+/// What a stream keeps of its newest frontier between pushes: the
+/// survivors of its dominance selection, with what the next fold reads of
+/// each ([`Survivors`] for the chain families,
+/// [`JointSurvivors`](crate::viterbi::JointSurvivors) for the coupled one).
+pub trait SurvivorSet: Default + Clone + std::fmt::Debug {
+    /// The survivor states, ascending.
+    fn states(&self) -> &[u32];
+
+    /// States of the tick the survivors were selected from.
+    fn n_states(&self) -> usize;
+}
+
 /// Everything a push reads that a stream does not keep between pushes:
-/// the [`TrellisArena`], the frontier a step writes and the window entry a
-/// push fills. A push copies the new frontier and entry into the stream's
-/// own buffers, so buffers never move between streams and each stream's
-/// grow only with its own ticks.
+/// the [`TrellisArena`], the whole frontier a step writes and the window
+/// entry a push fills. A push selects the stream's survivors from the
+/// frontier and compacts the entry into the stream's stores, so buffers
+/// never move between streams and each stream's grow only with its own
+/// survivors and records.
 ///
 /// There is one per family per thread, in the slot
 /// [`TrellisFamily::scratch`] names, so its buffers stay warm in the cache
@@ -603,78 +688,92 @@ pub struct TrellisScratch<E, F> {
 pub type ScratchSlot<E, F> = Cell<Option<Box<TrellisScratch<E, F>>>>;
 
 /// One decoder family plugged into the online core: how a window entry is
-/// initialized and stepped.
+/// initialized, folded into, and selected from.
 pub trait TrellisFamily {
     /// The family's window-entry type.
     type Entry: TrellisEntry;
-    /// The family's frontier type.
+    /// The whole frontier a step writes.
     type Frontier: Frontier;
+    /// What a stream keeps of a frontier.
+    type Survivors: SurvivorSet;
 
     /// Initializes the frontier from the stream's first entry (and clears
     /// the entry's backpointers).
     fn init(&self, entry: &mut Self::Entry, v: &mut Self::Frontier);
 
-    /// The first half of an exact DP step from `prev` (with frontier
-    /// `v`): the dominance selection, whose survivors land ascending in
-    /// the arena.
-    fn select(&self, prev: &Self::Entry, v: &Self::Frontier, arena: &mut TrellisArena);
-
-    /// The second half: the survivor-list kernel into `entry` (its
-    /// backpointer row included; `prev`'s row is not read), the new
-    /// frontier landing in `next`. Returns the step's transition-op charge
-    /// under the dense accounting convention, and the number of source
-    /// states the kernel folded.
+    /// The survivor-list kernel out of the previous tick's survivors `src`
+    /// into `entry` (its backpointer row included), the new frontier
+    /// landing in `next`. Returns the step's transition-op charge under
+    /// the dense accounting convention.
     fn fold(
         &self,
-        prev: &Self::Entry,
-        v: &Self::Frontier,
+        src: &Self::Survivors,
         entry: &mut Self::Entry,
         next: &mut Self::Frontier,
         arena: &mut TrellisArena,
-    ) -> (u64, usize);
+    ) -> u64;
+
+    /// The dominance selection of `v`, the frontier over `entry`'s states,
+    /// into `out`.
+    fn select(
+        &self,
+        entry: &Self::Entry,
+        v: &Self::Frontier,
+        arena: &mut TrellisArena,
+        out: &mut Self::Survivors,
+    );
 
     /// This family's scratch slot on the calling thread: a
     /// `thread_local!` of the family's own (see [`TrellisScratch`]).
     fn scratch() -> &'static LocalKey<ScratchSlot<Self::Entry, Self::Frontier>>;
 }
 
-/// The family-independent half of an online fixed-lag decoder: the
-/// frontier, the survivor-compacted backpointer window, the decision
-/// cursor (`base`/`pushed`) and the overhead counters — exactly what the
-/// next step or a backtrack reads. The push-only buffers live in the
-/// thread's [`TrellisScratch`]. Written once; each public online decoder
-/// ([`crate::OnlineCoupledViterbi`], [`crate::OnlineSingleViterbi`], and
-/// `cace-core`'s NH frontier) wraps one of these plus its family-specific
-/// decision/emission bookkeeping.
+/// The family-independent half of an online fixed-lag decoder: the newest
+/// tick's survivors and argmax, the survivor-compacted backpointer window,
+/// the decision cursor (`base`/`pushed`) and the overhead counters —
+/// exactly what the next step or a backtrack reads. The push-only buffers
+/// live in the thread's [`TrellisScratch`]. Written once; each public
+/// online decoder ([`crate::OnlineCoupledViterbi`],
+/// [`crate::OnlineSingleViterbi`], and `cace-core`'s NH frontier) wraps one
+/// of these plus its family-specific decision/emission bookkeeping.
 ///
-/// # The compacted window
+/// # What a stream holds between pushes
 ///
-/// Only the newest tick's entry is held whole: the next step reads its
-/// slices. Once step `t + 1` has run, tick `t`'s entry shrinks to its
-/// items (candidate tuples) and one [`Record`] per state that step
-/// `t + 1`'s backpointers can name — its dominance survivors, plus state 0
-/// when some destination is unreachable (such a destination points at
-/// state 0, survivor or not). A backtrack never asks for any other state:
-/// every backpointer names a survivor, because a pruned state is strictly
-/// worse into every destination (see [`crate::dominance`]). A step that
+/// A push folds the previous tick's survivors into the thread's scratch
+/// entry, then runs the dominance selection on the new frontier while it
+/// is still in cache ([`TrellisFamily::select`]): a source state that is
+/// strictly worse than the frontier maximum into every destination can
+/// never be named by a backpointer (see [`crate::dominance`]), so the
+/// stream keeps only the survivors, with their scores and what the next
+/// fold reads of their source side, plus the frontier's last-max argmax,
+/// where every backtrack starts.
+///
+/// The window is compacted through to the newest tick: each entry is its
+/// items (candidate tuples) and one [`Record`] per survivor, plus the
+/// argmax, plus state 0 — a destination that no survivor reaches points
+/// at state 0, survivor or not. Once the next step has run, the argmax
+/// and state 0 are dropped again unless they survived or (state 0 only)
+/// some backpointer names them, so every older entry holds the survivors
+/// of the step after it and state 0 when that step named it. A step that
 /// folds the whole frontier keeps every state. This is the on-line
 /// Viterbi idea (Šrámek, Brejová & Vinař, WABI 2007) applied to
-/// CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009). Records and
-/// items of every compacted entry share two pooled stores, and a push
-/// copies the step's entry and frontier from the thread scratch into the
-/// stream's own buffers, so a warmed fixed-lag push allocates nothing. A
-/// step runs in two halves, [`TrellisFamily::select`] then [`TrellisFamily::fold`],
-/// with the compaction between them.
+/// CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009). The newest
+/// entry sits in its own two buffers until the next step has pruned it;
+/// it then moves into the two pooled stores every older entry shares, so
+/// the stores never hold the newest entry's extra records next to the
+/// entries the push is about to ripen. A warmed fixed-lag push allocates
+/// nothing.
 #[derive(Debug, Clone)]
-pub struct OnlineTrellis<E: TrellisEntry, F = Vec<f64>> {
+pub struct OnlineTrellis<E: TrellisEntry, S = Survivors> {
     lag: Lag,
-    /// Live frontier.
-    v: F,
-    /// The newest tick's whole entry (tick `pushed - 1`); `None` before
-    /// the first push.
-    newest: Option<E>,
-    /// Compacted entries for ticks `base .. pushed - 1`, oldest first: each
-    /// entry's first record and first item, as absolute store indices.
+    /// The newest tick's survivors.
+    survivors: S,
+    /// `(state, score)` of the newest frontier's last maximum.
+    top: (usize, f64),
+    /// The newest tick's compacted entry (tick `pushed - 1`).
+    newest: Compacted<E::Payload, E::Item>,
+    /// Compacted entries for ticks `base .. pushed - 1`, oldest first:
+    /// each entry's first record and first item, as absolute store indices.
     spans: VecDeque<Span>,
     /// Every compacted entry's records, oldest first.
     records: VecDeque<Record<E::Payload>>,
@@ -703,53 +802,57 @@ struct Span {
     items: u32,
 }
 
-impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
+impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
     /// An empty stream with the given smoothing lag.
     pub fn new(lag: Lag) -> Self {
-        Self::from_parts(lag, F::default(), Vec::new(), None, 0, 0, 0, 0)
-    }
-
-    /// Rebuilds a core from parked state: the frontier, the compacted
-    /// entries (oldest first, records ascending by state) and the newest
-    /// whole entry. The caller has
-    /// validated that every backpointer names a record of the entry before
-    /// it, and every payload only items of its own entry.
-    pub fn from_parts(
-        lag: Lag,
-        v: F,
-        compacted: Vec<Compacted<E::Payload, E::Item>>,
-        newest: Option<E>,
-        base: usize,
-        pushed: usize,
-        states_explored: u64,
-        transition_ops: u64,
-    ) -> Self {
-        let mut spans = VecDeque::with_capacity(compacted.len());
-        let (mut records, mut items) = (VecDeque::new(), VecDeque::new());
-        for entry in compacted {
-            spans.push_back(Span {
-                record: records.len(),
-                records: entry.records.len() as u32,
-                item: items.len(),
-                items: entry.items.len() as u32,
-            });
-            records.extend(entry.records);
-            items.extend(entry.items);
-        }
         Self {
             lag,
-            v,
-            newest,
-            spans,
-            records,
-            items,
+            survivors: S::default(),
+            top: (0, f64::NEG_INFINITY),
+            newest: Compacted::default(),
+            spans: VecDeque::new(),
+            records: VecDeque::new(),
+            items: VecDeque::new(),
             records_base: 0,
             items_base: 0,
-            base,
-            pushed,
-            states_explored,
-            transition_ops,
+            base: 0,
+            pushed: 0,
+            states_explored: 0,
+            transition_ops: 0,
             last_survivors: None,
+        }
+    }
+
+    /// Rebuilds a stream from its park. The caller has validated it
+    /// ([`ParkedTrellis::validate`]).
+    pub fn resume(lag: Lag, parked: &ParkedTrellis<S, E::Payload, E::Item>) -> Self {
+        let mut core = Self::new(lag);
+        if let Some((newest, older)) = parked.compact.split_last() {
+            for entry in older {
+                core.store(entry);
+            }
+            core.newest.clone_from(newest);
+        }
+        core.survivors.clone_from(&parked.survivors);
+        core.top = parked.top;
+        core.base = parked.base;
+        core.pushed = parked.pushed;
+        core.states_explored = parked.states_explored;
+        core.transition_ops = parked.transition_ops;
+        core
+    }
+
+    /// Checkpoints the stream: everything the decode depends on, and
+    /// nothing it has already emitted (see [`ParkedTrellis`]).
+    pub fn park(&self) -> ParkedTrellis<S, E::Payload, E::Item> {
+        ParkedTrellis {
+            survivors: self.survivors.clone(),
+            top: self.top,
+            compact: self.compacted(),
+            base: self.base,
+            pushed: self.pushed,
+            states_explored: self.states_explored,
+            transition_ops: self.transition_ops,
         }
     }
 
@@ -758,15 +861,10 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         self.pushed
     }
 
-    /// Current backpointer-window length, compacted entries and the newest
-    /// one (bounded by `lag + 2` for [`Lag::Fixed`]).
+    /// Current backpointer-window length (at most `lag + 1` entries after
+    /// a [`Lag::Fixed`] push, one at lag 0).
     pub fn window_len(&self) -> usize {
-        self.spans.len() + usize::from(self.newest.is_some())
-    }
-
-    /// Tick index of the oldest retained window entry.
-    pub fn base(&self) -> usize {
-        self.base
+        self.spans.len() + usize::from(self.pushed > 0)
     }
 
     /// Decisions emitted so far: ticks `0..committed()` have been
@@ -777,10 +875,10 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     }
 
     /// Pre-reserves the window for `additional` more ticks, capped at the
-    /// `lag + 2` entries a [`Lag::Fixed`] window ever holds.
+    /// `lag + 1` entries a [`Lag::Fixed`] window ever holds.
     pub fn reserve_ticks(&mut self, additional: usize) {
         let additional = match self.lag {
-            Lag::Fixed(lag) => additional.min((lag + 2).saturating_sub(self.window_len())),
+            Lag::Fixed(lag) => additional.min((lag + 1).saturating_sub(self.window_len())),
             Lag::Unbounded => additional,
         };
         self.spans.reserve(additional);
@@ -803,27 +901,35 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         self.last_survivors
     }
 
-    /// The live frontier.
-    pub fn frontier(&self) -> &F {
-        &self.v
+    /// The newest tick's survivors.
+    pub fn survivors(&self) -> &S {
+        &self.survivors
     }
 
-    /// The newest tick's whole entry (for parking).
-    pub fn newest(&self) -> Option<&E> {
-        self.newest.as_ref()
-    }
-
-    /// The compacted entries, oldest first (for parking).
+    /// The compacted entries, oldest first, the newest included (for
+    /// parking).
     pub fn compacted(&self) -> Vec<Compacted<E::Payload, E::Item>> {
-        (0..self.spans.len())
-            .map(|i| {
-                let (records, items) = self.ranges(i);
-                Compacted {
-                    items: self.items.range(items).copied().collect(),
-                    records: self.records.range(records).copied().collect(),
-                }
-            })
-            .collect()
+        let older = (0..self.spans.len()).map(|i| {
+            let (records, items) = self.ranges(i);
+            Compacted {
+                items: self.items.range(items).copied().collect(),
+                records: self.records.range(records).copied().collect(),
+            }
+        });
+        let newest = (self.pushed > 0).then(|| self.newest.clone());
+        older.chain(newest).collect()
+    }
+
+    /// Appends a compacted entry to the pooled stores.
+    fn store(&mut self, entry: &Compacted<E::Payload, E::Item>) {
+        self.spans.push_back(Span {
+            record: self.records_base + self.records.len(),
+            records: entry.records.len() as u32,
+            item: self.items_base + self.items.len(),
+            items: entry.items.len() as u32,
+        });
+        self.records.extend(&entry.records);
+        self.items.extend(&entry.items);
     }
 
     /// Store ranges of compacted entry `i`'s records and items.
@@ -840,11 +946,17 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     /// The record of `state` in compacted entry `i`.
     ///
     /// # Panics
-    /// When the entry holds no such record. A compacted entry holds every
-    /// state its successor's backpointers name: live, by construction
-    /// (see the [type docs](Self)); parked, because resume rejects a
-    /// backpointer that names no record.
+    /// When the entry holds no such record. An entry holds every state its
+    /// successor's backpointers name, and the newest one the argmax:
+    /// live, by construction (see the [type docs](Self)); parked, because
+    /// resume rejects a backpointer or an argmax that names no record.
     fn record(&self, i: usize, state: usize) -> &Record<E::Payload> {
+        if i == self.spans.len() {
+            return u32::try_from(state)
+                .ok()
+                .and_then(|state| find_record(&self.newest.records, state))
+                .expect("the newest entry holds every survivor and the argmax");
+        }
         let (range, _) = self.ranges(i);
         let (mut lo, mut hi) = (range.start, range.end);
         while lo < hi {
@@ -863,112 +975,113 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
 
     /// The decision of a record of compacted entry `i`.
     fn decide_record(&self, i: usize, record: &Record<E::Payload>) -> E::Decision {
+        if i == self.spans.len() {
+            return E::decide(record.payload, |k| self.newest.items[k as usize]);
+        }
         let (_, items) = self.ranges(i);
         E::decide(record.payload, |k| self.items[items.start + k as usize])
     }
 
     /// Consumes one tick, advancing the frontier by one exact DP step (init
     /// on the first tick): `fill` writes the tick into the scratch entry (with
-    /// the step scratch's fill buffers at hand) and returns the states to
-    /// charge to the exploration counter; the previous newest entry is
-    /// compacted to the records the new entry's backpointers can name. Runs
-    /// on the thread's [`TrellisScratch`]. The caller follows up with
+    /// the arena's fill buffers at hand) and returns the states to charge
+    /// to the exploration counter. The step folds the kept survivors, then
+    /// the new frontier's survivors are selected and the entry is compacted
+    /// at once (see the [type docs](Self)). Runs on the thread's
+    /// [`TrellisScratch`]. The caller follows up with
     /// [`emit_ready`](Self::emit_ready).
     pub fn push_entry<Fam>(
         &mut self,
         family: &Fam,
-        fill: impl FnOnce(&mut E, &mut StepScratch) -> u64,
+        fill: impl FnOnce(&mut E, &mut TrellisArena) -> u64,
     ) where
-        Fam: TrellisFamily<Entry = E, Frontier = F>,
+        Fam: TrellisFamily<Entry = E, Survivors = S>,
         E: 'static,
-        F: 'static,
+        Fam::Frontier: 'static,
     {
         let slot = Fam::scratch();
         let mut scratch = slot.take().unwrap_or_default();
         let TrellisScratch { arena, next, entry } = &mut *scratch;
-        let n_states = fill(entry, &mut arena.step);
+        let n_states = fill(entry, arena);
         self.states_explored = self.states_explored.saturating_add(n_states);
-        let newest = match self.newest.take() {
-            None => {
-                family.init(entry, &mut self.v);
-                self.last_survivors = None;
-                entry.clone()
-            }
-            Some(mut prev) => {
-                family.select(&prev, &self.v, arena);
-                let zero = self.compact(&prev, &arena.keep);
-                let (ops, survivors) = family.fold(&prev, &self.v, entry, next, arena);
-                self.transition_ops = self.transition_ops.saturating_add(ops);
-                self.last_survivors = Some(survivors);
-                self.v.clone_from(next);
-                // A destination nothing reaches points at state 0, survivor
-                // or not.
-                if let Some(zero) = zero.filter(|_| entry.back_row().contains(&0)) {
-                    let span = self.spans.back_mut().expect("just compacted");
-                    self.records.insert(span.record - self.records_base, zero);
-                    span.records += 1;
-                }
-                prev.clone_from(entry);
-                prev
-            }
-        };
-        self.newest = Some(newest);
+        if self.pushed == 0 {
+            family.init(entry, next);
+            self.last_survivors = None;
+        } else {
+            let ops = family.fold(&self.survivors, entry, next, arena);
+            self.transition_ops = self.transition_ops.saturating_add(ops);
+            self.last_survivors = Some(self.survivors.states().len());
+            self.retire_newest(entry.back_row());
+        }
+        self.top = next.argmax();
+        family.select(entry, next, arena, &mut self.survivors);
+        self.compact(entry);
         self.pushed += 1;
         slot.set(Some(scratch));
     }
 
-    /// Appends `prev`'s compacted entry: its items, and one record per
-    /// survivor of the step under way (`keep`, ascending). Returns state
-    /// 0's record when state 0 did not survive: the step's backpointers may
-    /// still name it.
-    fn compact(&mut self, prev: &E, keep: &[u32]) -> Option<Record<E::Payload>> {
-        let record_start = self.records_base + self.records.len();
-        let item_start = self.items_base + self.items.len();
-        let whole = prev.back_row().is_empty();
+    /// Moves the newest compacted entry into the pooled stores, without
+    /// the records the step just run cannot reach: the argmax and state 0
+    /// when they did not survive, state 0 only when no backpointer of
+    /// `back` names it.
+    fn retire_newest(&mut self, back: &[u32]) {
+        let survivors = self.survivors.states();
+        let records = &mut self.newest.records;
+        if records.len() != survivors.len() {
+            let zero_named = survivors.first() != Some(&0) && back.contains(&0);
+            records.retain(|r| {
+                (r.state == 0 && zero_named) || survivors.binary_search(&r.state).is_ok()
+            });
+        }
+        let newest = std::mem::take(&mut self.newest);
+        self.store(&newest);
+        self.newest = newest;
+    }
+
+    /// Compacts `entry` into the newest entry's buffers: its items, and one
+    /// record per survivor, plus the argmax, plus state 0, ascending.
+    fn compact(&mut self, entry: &E) {
+        let whole = entry.back_row().is_empty();
         let record = |j: u32| Record {
             state: j,
             back: if whole {
                 0
             } else {
-                prev.back_of(j as usize) as u32
+                entry.back_of(j as usize) as u32
             },
-            payload: prev.payload(j as usize),
+            payload: entry.payload(j as usize),
         };
-        let zero = (keep.first() != Some(&0)).then(|| record(0));
-        self.records.extend(keep.iter().map(|&j| record(j)));
-        self.items.extend(prev.items());
-        self.spans.push_back(Span {
-            record: record_start,
-            records: (self.records_base + self.records.len() - record_start) as u32,
-            item: item_start,
-            items: (self.items_base + self.items.len() - item_start) as u32,
-        });
-        zero
+        let Compacted { items, records } = &mut self.newest;
+        records.clear();
+        let mut extras = [0, self.top.0 as u32].into_iter().peekable();
+        for &j in self.survivors.states() {
+            while let Some(x) = extras.next_if(|&x| x <= j) {
+                if x < j && records.last().is_none_or(|r| r.state != x) {
+                    records.push(record(x));
+                }
+            }
+            records.push(record(j));
+        }
+        for x in extras {
+            if records.last().is_none_or(|r| r.state != x) {
+                records.push(record(x));
+            }
+        }
+        items.clear();
+        items.extend(entry.items());
     }
 
-    /// Argmax of the live frontier.
-    ///
-    /// # Panics
-    /// Panics if no tick was ever pushed (an empty frontier); the
-    /// decoders check that before they ask (see [`argmax`]).
+    /// `(state, score)` of the newest frontier's last maximum; `(0, −∞)`
+    /// before the first push.
     pub fn frontier_argmax(&self) -> (usize, f64) {
-        self.v.argmax()
+        self.top
     }
 
     /// Walks the backpointer window from the frontier argmax down to
     /// window index `idx` and returns that state's decision.
     fn decision_at(&self, idx: usize) -> E::Decision {
-        let newest = self
-            .newest
-            .as_ref()
-            .expect("a pushed stream has a newest entry");
-        let (j, _) = self.frontier_argmax();
-        let last = self.spans.len();
-        if idx == last {
-            return newest.decision(j);
-        }
-        let mut j = newest.back_of(j);
-        for i in (idx + 1..last).rev() {
+        let mut j = self.top.0;
+        for i in (idx + 1..=self.spans.len()).rev() {
             j = self.record(i, j).back as usize;
         }
         self.decide_record(idx, self.record(idx, j))
@@ -991,8 +1104,9 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
         let tick = last - lag;
         let decision = decide(self.decision_at(tick - self.base), tick);
         // Entries at or before the emitted tick are never read again —
-        // except the newest entry, which the next step needs as `prev`.
-        // Dropped records and items leave their room in the pooled stores.
+        // except the newest, which holds the argmax and the records the
+        // next step's backpointers name. Dropped records and items leave
+        // their room in the pooled stores.
         let ripe = (tick + 1).saturating_sub(self.base).min(self.spans.len());
         self.spans.drain(..ripe);
         let (record_end, item_end) = (
@@ -1017,25 +1131,13 @@ impl<E: TrellisEntry, F: Frontier> OnlineTrellis<E, F> {
     /// log-score.
     pub fn resolve_tail(&self) -> (Vec<E::Decision>, f64) {
         let committed = self.committed();
-        let (mut j, log_prob) = self.frontier_argmax();
+        let (mut j, log_prob) = self.top;
         let mut tail = Vec::with_capacity(self.pushed - committed);
-        let last = self.spans.len();
         for t in (committed..self.pushed).rev() {
             let idx = t - self.base;
-            if idx == last {
-                let newest = self
-                    .newest
-                    .as_ref()
-                    .expect("a pushed stream has a newest entry");
-                tail.push(newest.decision(j));
-                if idx > 0 {
-                    j = newest.back_of(j);
-                }
-            } else {
-                let record = self.record(idx, j);
-                tail.push(self.decide_record(idx, record));
-                j = record.back as usize;
-            }
+            let record = self.record(idx, j);
+            tail.push(self.decide_record(idx, record));
+            j = record.back as usize;
         }
         tail.reverse();
         (tail, log_prob)

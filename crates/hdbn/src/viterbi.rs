@@ -28,43 +28,48 @@
 //! The fold of pass 2 is one value `w[s1, s2]` per destination slot pair,
 //! and a joint state's score is that value plus its own emissions and
 //! coupling: `v(j1, j2) = w[s1, s2] + ((e1[j1] + e2[j2]) + g(a1, a2))`.
-//! The step keeps exactly that — a [`JointFrontier`] of `d1 · d2` slot-pair
-//! folds plus the two chains' offsets — and evaluates a state's score
-//! only when something asks for it, with the addition tree above, so every
-//! score has the bits a materialized frontier would hold. The backpointer
-//! row is kept per slot pair too (`w2_arg`): backtracking reads it at the
-//! state's slot pair. On CASAS a tick has ~9 400 joint states over ~4 700
-//! slot pairs, of which a step folds ~15 states.
+//! The step writes exactly that — a [`JointFrontier`] of `d1 · d2`
+//! slot-pair folds plus the two chains' offsets — and evaluates a state's
+//! score only when something asks for it, with the addition tree above, so
+//! every score has the bits a materialized frontier would hold. The
+//! backpointer row is written per slot pair too (`w2_arg`). On CASAS a
+//! tick has ~9 400 joint states over ~4 700 slot pairs, of which a step
+//! folds ~15 states.
 //!
 //! The first tick is the same structure with `w ≡ −0.0` (IEEE addition's
-//! exact identity) and offsets `emission + prior`. A dense frontier is
-//! [`joint_step`]'s argument only, for the differential suite: it enters
-//! as the trivial factorization — one slot per state, `w = v`, offsets and
-//! coupling all `−0.0` — so one selection and one argmax serve every
-//! frontier.
+//! exact identity) and offsets `emission + prior`. A dense frontier enters
+//! only the differential suite's step (`joint_step`, behind the `testkit`
+//! feature), as the trivial factorization — one slot per state, `w = v`,
+//! offsets and coupling all `−0.0` — so one selection and one argmax
+//! serve every frontier.
 //!
 //! Every step is dominance-pruned ([`crate::dominance`]): a source state
 //! whose bound shows it cannot win any destination is not folded at all.
 //! The selection and the frontier's maxima work slot pair by slot pair
 //! (a slot pair's largest score is one addition tree away from its
-//! members' offsets, see [`JointFrontier`]), and the survivor kernel
-//! `joint_step_pruned_into` folds the states that pass. The decode stays
-//! exact, and on CASAS-sized frontiers the survivors are a fraction of a
-//! percent of the states. [`joint_step`] exposes one step for the
-//! differential suite, which checks it against the naive reference
-//! `cace_testkit::toy::naive_joint_step`.
+//! members' offsets, see [`JointFrontier`]). A stream runs the selection
+//! at the end of each push and keeps only its survivors
+//! ([`JointSurvivors`]) — their scores, pair ids and runs — which the
+//! next push's survivor kernel `joint_step_pruned_into` folds. The decode
+//! stays exact, and on CASAS-sized frontiers the survivors are a fraction
+//! of a percent of the states. The differential suite checks one step
+//! (`joint_step`, behind the `testkit` feature) against the naive
+//! reference `cace_testkit::toy::naive_joint_step`.
 
 use std::sync::Arc;
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch, TrellisArena};
+#[cfg(feature = "testkit")]
+use crate::arena::fill_slice;
+use crate::arena::{Slice, TrellisArena};
 use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
+use crate::park::check;
 use crate::scalar::{sweep_add_max_arg, sweep_max_arg};
-use crate::trellis::Frontier;
+use crate::trellis::{Frontier, SurvivorSet};
 
 /// Rejects a tick that would empty the joint trellis.
 pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError> {
@@ -83,7 +88,7 @@ pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError
 /// slot; per slot its lowest and highest member, the first maximum of its
 /// members' offsets, and the coupling group its row or column of `g` is
 /// read from.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Axis {
     /// Offset of each state: its emission (plus its macro prior on the
     /// first tick), `−0.0` in the trivial factorization.
@@ -100,15 +105,6 @@ pub(crate) struct Axis {
     /// slice (`0` in the trivial factorization).
     pub(crate) group: Vec<u32>,
 }
-
-crate::clone_reusing!(Axis {
-    f,
-    slot,
-    first,
-    last,
-    fmax,
-    group,
-});
 
 impl Axis {
     /// Number of states.
@@ -149,6 +145,7 @@ impl Axis {
 
     /// The trivial factor over `k` states: one slot per state, offsets
     /// `−0.0`, one coupling group.
+    #[cfg(feature = "testkit")]
     fn trivial(&mut self, k: usize) {
         self.f.clear();
         self.f.resize(k, -0.0);
@@ -198,7 +195,7 @@ impl Axis {
 /// last maximum ([`Frontier::argmax`]) and the dominance selection start
 /// from those slot-pair maxima and evaluate only the members of the slot
 /// pairs that can reach the answer.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JointFrontier {
     /// Per slot pair, row-major (`s1 * d2 + s2`): the step's pass-2 fold,
     /// `−0.0` on the first tick.
@@ -219,17 +216,6 @@ pub struct JointFrontier {
     gcol: Vec<f64>,
 }
 
-crate::clone_reusing!(JointFrontier {
-    w,
-    axes,
-    g,
-    n_g2,
-    row_top,
-    first,
-    last,
-    gcol,
-});
-
 impl JointFrontier {
     /// Joint states of the frontier.
     pub fn len(&self) -> usize {
@@ -248,13 +234,8 @@ impl JointFrontier {
         self.first
     }
 
-    /// Whether some state scores NaN.
-    pub(crate) fn has_nan(&self) -> bool {
-        let k2 = self.axes[1].len();
-        (0..self.len()).any(|j| self.value(j / k2, j % k2).is_nan())
-    }
-
     /// Every state's score, flattened `j1 * |S2| + j2`.
+    #[cfg(feature = "testkit")]
     pub fn to_dense(&self) -> Vec<f64> {
         let [a1, a2] = &self.axes;
         let mut v = Vec::with_capacity(self.len());
@@ -271,6 +252,7 @@ impl JointFrontier {
     /// # Errors
     /// [`ModelError::InsufficientData`] when `v` does not hold `k1 · k2`
     /// scores.
+    #[cfg(feature = "testkit")]
     pub fn from_dense(v: &[f64], k1: usize, k2: usize) -> Result<Self, ModelError> {
         if Some(v.len()) != k1.checked_mul(k2) {
             return Err(ModelError::InsufficientData {
@@ -287,24 +269,6 @@ impl JointFrontier {
         frontier.n_g2 = 1;
         frontier.summarize();
         Ok(frontier)
-    }
-
-    /// The frontier of a tick over `s1 × s2` with pass-2 fold `w` (one
-    /// score per slot pair), rebuilt as the step or the first push that
-    /// wrote `w` built it — so every state scores the same bits.
-    pub(crate) fn restored(
-        p: &HdbnParams,
-        w: Vec<f64>,
-        s1: &Slice,
-        s2: &Slice,
-        first_tick: bool,
-    ) -> Self {
-        let mut frontier = Self {
-            w,
-            ..Self::default()
-        };
-        frontier.factor(p, s1, s2, first_tick);
-        frontier
     }
 
     /// Completes a frontier whose `w` the caller wrote over the slot pairs
@@ -478,23 +442,89 @@ pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Jo
     v.factor(p, s1, s2, true);
 }
 
+/// The survivors of one tick's dominance selection over a
+/// [`JointFrontier`], with all the next joint fold reads of each: its
+/// flattened state, its score, and per chain its pair id and the index of
+/// its activity run. A coupled stream holds exactly this of its frontier
+/// between pushes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct JointSurvivors {
+    /// States per chain of the tick the survivors were selected from.
+    pub(crate) k: [u32; 2],
+    /// Survivor states, flattened `j1 * k2 + j2`, ascending.
+    pub(crate) states: Vec<u32>,
+    /// Their frontier scores.
+    pub(crate) scores: Vec<f64>,
+    /// Per survivor and chain: the pair id.
+    pub(crate) pairs: Vec<[u32; 2]>,
+    /// Per survivor and chain: the index of its activity run in the slice.
+    pub(crate) runs: Vec<[u32; 2]>,
+}
+
+impl JointSurvivors {
+    /// Number of survivors.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Whether there is no survivor (before a stream's first tick).
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// Checks everything the joint fold reads: survivors present, strictly
+    /// ascending inside the tick, pair ids below `n_pair`, and scores free
+    /// of NaN. Run indices are only compared with each other.
+    pub(crate) fn validate(&self, what: &str, n_pair: usize) -> Result<(), ModelError> {
+        let n = self.states.len();
+        check(n > 0, || format!("{what}: no survivor"))?;
+        check(
+            self.scores.len() == n && self.pairs.len() == n && self.runs.len() == n,
+            || format!("{what}: survivor column lengths disagree"),
+        )?;
+        let states = u32::try_from(u64::from(self.k[0]) * u64::from(self.k[1])).ok();
+        check(
+            states.is_some_and(|k| self.states[n - 1] < k)
+                && self.states.windows(2).all(|w| w[0] < w[1]),
+            || format!("{what}: survivor states not strictly ascending inside the tick"),
+        )?;
+        check(
+            self.pairs.iter().flatten().all(|&p| (p as usize) < n_pair),
+            || format!("{what}: survivor pair id out of range"),
+        )?;
+        check(self.scores.iter().all(|x| !x.is_nan()), || {
+            format!("{what}: NaN survivor score")
+        })
+    }
+}
+
+impl SurvivorSet for JointSurvivors {
+    fn states(&self) -> &[u32] {
+        &self.states
+    }
+
+    fn n_states(&self) -> usize {
+        self.k[0] as usize * self.k[1] as usize
+    }
+}
+
 /// Reusable work buffers of [`joint_step_pruned_into`] and the joint
-/// selection, owned by the [`crate::arena::TrellisArena`]'s step scratch:
-/// one allocation per worker thread, reused across ticks and streams — the step
-/// allocates nothing once warmed.
+/// selection, owned by the [`crate::arena::TrellisArena`]: one allocation
+/// per worker thread, reused across ticks and streams — the step allocates
+/// nothing once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
-    /// Chain-1 state of each survivor group (survivors sharing a `j1p`).
-    group_j1p: Vec<u32>,
+    /// Index of the first survivor of each survivor group (survivors
+    /// sharing a chain-1 state), and the group's flat state `(j1p, 0)`.
+    group_first: Vec<u32>,
+    group_base: Vec<u32>,
     /// Half-open range of each group's segments in `segs`.
     group_segs: Vec<(u32, u32)>,
-    /// Chain-2 run segments of the groups, in `keep` order.
+    /// Chain-2 run segments of the groups, in survivor order.
     segs: Vec<Segment>,
     /// Chain-1 activity runs over the groups: `(activity, start, end)`,
     /// half-open group ranges, one per chain-1 run with a survivor.
     group_runs: Vec<(u32, u32, u32)>,
-    /// Per survivor: its chain-2 state.
-    keep_j2p: Vec<u32>,
     /// Pass-2 partial folds of one destination activity's switch
     /// candidates, `d2` wide each, and their flat source states.
     part: Vec<f64>,
@@ -505,8 +535,8 @@ pub(crate) struct JointScratch {
 }
 
 /// The survivors of one group inside one chain-2 activity run: a
-/// half-open range of `keep`, with the first maximum of their frontier
-/// scores.
+/// half-open range of survivors, with the first maximum of their frontier
+/// scores and its flat state.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     activity: u32,
@@ -516,13 +546,11 @@ struct Segment {
     arg: u32,
 }
 
-/// One joint DP step over a survivor list: only the states in `keep`
-/// (flattened `j1p * |S2_prev| + j2p` indices, sorted ascending, with
-/// their frontier scores in `keep_v`) are transitioned out of. The pass-2
-/// fold lands in `w2` and its backpointers — flattened full-frontier
-/// coordinates, so backtracking is oblivious to pruning — in `w2_arg`,
-/// both per destination slot pair (`s1 * d2 + s2`); all buffers reused, so
-/// a warmed caller allocates nothing.
+/// One joint DP step out of a survivor list: only `src`'s states are
+/// transitioned out of. The pass-2 fold lands in `w2` and its backpointers
+/// — flattened source states, so backtracking is oblivious to pruning —
+/// in `w2_arg`, both per destination slot pair (`s1 * d2 + s2`); all
+/// buffers reused, so a warmed caller allocates nothing.
 ///
 /// Folds chain 2, then chain 1, each with the run collapse of the module
 /// docs, restricted to the survivors. On a dominance survivor set every
@@ -536,66 +564,66 @@ struct Segment {
 /// built). [`crate::online::OnlineCoupledViterbi`] steps through it, and
 /// so does [`CoupledHdbn::viterbi`], which runs that stream under an
 /// unbounded lag.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn joint_step_pruned_into(
     p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
-    keep: &[u32],
-    keep_v: &[f64],
+    src: &JointSurvivors,
     cur1: &Slice,
     cur2: &Slice,
-    step: &mut StepScratch,
+    arena: &mut TrellisArena,
     w2: &mut Vec<f64>,
     w2_arg: &mut Vec<u32>,
 ) {
     let t = &p.tables;
-    let StepScratch {
+    let TrellisArena {
         joint: scratch,
         w,
         w_arg,
         run_max,
         run_arg,
         ..
-    } = step;
+    } = arena;
     let JointScratch {
-        group_j1p,
+        group_first,
+        group_base,
         group_segs,
         segs,
         group_runs,
-        keep_j2p,
         part,
         part_arg,
         ..
     } = scratch;
-    let k2 = prev2.len() as u32;
+    let JointSurvivors {
+        k,
+        states,
+        scores,
+        pairs,
+        runs,
+    } = src;
+    let (k2, n) = (k[1], states.len());
     // Both folds are memoized per distinct destination pair (slot).
     let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
 
-    // Survivors grouped by j1p (`keep` is sorted, so each group is
-    // contiguous), each group cut into segments by the chain-2 activity
-    // runs its survivors fall in.
-    keep_j2p.clear();
-    keep_j2p.extend(keep.iter().map(|&f| f % k2));
-    group_j1p.clear();
+    // Survivors grouped by chain-1 state (the states ascend, so each group
+    // is contiguous), each group cut into segments by the chain-2
+    // activity runs its survivors fall in.
+    group_first.clear();
+    group_base.clear();
     group_segs.clear();
     segs.clear();
     let mut i = 0usize;
-    while i < keep.len() {
-        let j1p = keep[i] / k2;
+    while i < n {
+        let j1p = states[i] / k2;
         let first_seg = segs.len() as u32;
-        let mut r = 0usize;
-        while i < keep.len() && keep[i] / k2 == j1p {
-            while prev2.runs[r].2 <= keep_j2p[i] {
-                r += 1;
-            }
-            let (activity, _, run_end) = prev2.runs[r];
-            let start = i;
-            let (mut max, mut arg) = (f64::NEG_INFINITY, keep_j2p[i]);
-            while i < keep.len() && keep[i] / k2 == j1p && keep_j2p[i] < run_end {
-                if keep_v[i] > max {
-                    max = keep_v[i];
-                    arg = keep_j2p[i];
+        group_first.push(i as u32);
+        group_base.push(j1p * k2);
+        while i < n && states[i] / k2 == j1p {
+            let (run, start) = (runs[i][1], i);
+            let activity = t.activity_of(pairs[i][1]) as u32;
+            let (mut max, mut arg) = (f64::NEG_INFINITY, states[i]);
+            while i < n && states[i] / k2 == j1p && runs[i][1] == run {
+                if scores[i] > max {
+                    max = scores[i];
+                    arg = states[i];
                 }
                 i += 1;
             }
@@ -607,15 +635,15 @@ pub(crate) fn joint_step_pruned_into(
                 arg,
             });
         }
-        group_j1p.push(j1p);
         group_segs.push((first_seg, segs.len() as u32));
     }
-    let n_groups = group_j1p.len();
+    let n_groups = group_first.len();
 
     // Pass 1 — fold chain 2 over each group, per distinct chain-2 pair:
     // W[g, s2] = max over the group's survivors of V + f2(j2p → s2), with
-    // its argument as a flat source state. Every entry of w/w_arg is
-    // overwritten below before it is read.
+    // its argument as a flat source state (the group's state `(j1p, 0)`
+    // when nothing beats `−∞`). Every entry of w/w_arg is overwritten
+    // below before it is read.
     w.resize(n_groups * d2, f64::NEG_INFINITY);
     w_arg.resize(n_groups * d2, 0);
     for (s2, &dp2) in cur2.uniq_pairs.iter().enumerate() {
@@ -624,27 +652,26 @@ pub(crate) fn joint_step_pruned_into(
         let srow = t.switch_row(a2 as usize);
         for (g, &(seg_start, seg_end)) in group_segs.iter().enumerate() {
             let mut best = f64::NEG_INFINITY;
-            let mut best_j2p = 0u32;
+            let mut best_arg = group_base[g];
             for seg in &segs[seg_start as usize..seg_end as usize] {
                 if seg.activity == a2 {
                     for i in seg.start as usize..seg.end as usize {
-                        let j2p = keep_j2p[i];
-                        let score = keep_v[i] + row[prev2.pairs[j2p as usize] as usize];
+                        let score = scores[i] + row[pairs[i][1] as usize];
                         if score > best {
                             best = score;
-                            best_j2p = j2p;
+                            best_arg = states[i];
                         }
                     }
                 } else {
                     let score = seg.max + srow[seg.activity as usize];
                     if score > best {
                         best = score;
-                        best_j2p = seg.arg;
+                        best_arg = seg.arg;
                     }
                 }
             }
             w[g * d2 + s2] = best;
-            w_arg[g * d2 + s2] = group_j1p[g] * k2 + best_j2p;
+            w_arg[g * d2 + s2] = best_arg;
         }
     }
 
@@ -652,14 +679,12 @@ pub(crate) fn joint_step_pruned_into(
     // run the switch-candidate cache
     // run_max[r][s2] = first max over the run's groups of W[g, s2].
     group_runs.clear();
-    let (mut g, mut r) = (0usize, 0usize);
+    let mut g = 0usize;
     while g < n_groups {
-        while prev1.runs[r].2 <= group_j1p[g] {
-            r += 1;
-        }
-        let (activity, _, run_end) = prev1.runs[r];
+        let first = group_first[g] as usize;
+        let (run, activity) = (runs[first][0], t.activity_of(pairs[first][0]) as u32);
         let start = g;
-        while g < n_groups && group_j1p[g] < run_end {
+        while g < n_groups && runs[group_first[g] as usize][0] == run {
             g += 1;
         }
         group_runs.push((activity, start as u32, g as u32));
@@ -725,7 +750,7 @@ pub(crate) fn joint_step_pruned_into(
                     continue;
                 }
                 for g in start as usize..end as usize {
-                    let f1 = row[prev1.pairs[group_j1p[g] as usize] as usize];
+                    let f1 = row[pairs[group_first[g] as usize][0] as usize];
                     let (wg, ag) = (&w[g * d2..][..d2], &w_arg[g * d2..][..d2]);
                     sweep_add_max_arg(wg, f1, ag, acc, acc_arg);
                 }
@@ -738,187 +763,175 @@ pub(crate) fn joint_step_pruned_into(
     }
 }
 
-/// One exact joint DP step: dominance selection over the slot pairs of
-/// `v` (every state when nothing can be pruned), then
-/// [`joint_step_pruned_into`] over the survivors. The new frontier lands
-/// in `next` and its per-slot-pair backpointers in `back`; returns the
-/// number of source states the kernel folded.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn joint_step_exact_into(
-    p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
-    v: &JointFrontier,
-    cur1: &Slice,
-    cur2: &Slice,
-    arena: &mut TrellisArena,
-    next: &mut JointFrontier,
-    back: &mut Vec<u32>,
-) -> usize {
-    joint_select_into(p, prev1, prev2, v, arena);
-    joint_fold_into(p, prev1, prev2, cur1, cur2, arena, next, back)
-}
-
-/// The selection half of [`joint_step_exact_into`]: the survivors of `v`
-/// and their scores, ascending, into the arena.
+/// The dominance selection over the slot pairs of `v`, the frontier over
+/// `s1 × s2` (every state when nothing can be pruned): the survivors, with
+/// their scores, pair ids and runs, into `out`.
 pub(crate) fn joint_select_into(
     p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
+    s1: &Slice,
+    s2: &Slice,
     v: &JointFrontier,
     arena: &mut TrellisArena,
+    out: &mut JointSurvivors,
 ) {
-    let TrellisArena { keep, keep_v, step } = arena;
-    p.tables.dominance().select_joint(
-        prev1,
-        prev2,
-        v,
-        &mut step.dom_col,
-        &mut step.joint.found,
-        keep,
-        keep_v,
-    );
+    let JointSurvivors {
+        k,
+        states,
+        scores,
+        pairs,
+        runs,
+    } = out;
+    let TrellisArena { dom_col, joint, .. } = arena;
+    p.tables
+        .dominance()
+        .select_joint(s1, s2, v, dom_col, &mut joint.found, states, scores);
+    *k = [s1.len() as u32, s2.len() as u32];
+    let k2 = s2.len();
+    pairs.clear();
+    runs.clear();
+    for &flat in states.iter() {
+        let (j1, j2) = (flat as usize / k2, flat as usize % k2);
+        pairs.push([s1.pairs[j1], s2.pairs[j2]]);
+        runs.push([s1.run_of(j1), s2.run_of(j2)]);
+    }
 }
 
-/// The fold half of [`joint_step_exact_into`], over the survivors
-/// [`joint_select_into`] left in the arena.
-#[allow(clippy::too_many_arguments)]
+/// The joint fold out of the survivors `src` into the tick `cur1 × cur2`:
+/// the new frontier lands in `next`, its per-slot-pair backpointers in
+/// `back`.
 pub(crate) fn joint_fold_into(
     p: &HdbnParams,
-    prev1: &Slice,
-    prev2: &Slice,
+    src: &JointSurvivors,
     cur1: &Slice,
     cur2: &Slice,
     arena: &mut TrellisArena,
     next: &mut JointFrontier,
     back: &mut Vec<u32>,
-) -> usize {
-    let TrellisArena { keep, keep_v, step } = arena;
-    joint_step_pruned_into(
-        p,
-        prev1,
-        prev2,
-        keep,
-        keep_v,
-        cur1,
-        cur2,
-        step,
-        &mut next.w,
-        back,
-    );
+) {
+    joint_step_pruned_into(p, src, cur1, cur2, arena, &mut next.w, back);
     next.factor(p, cur1, cur2, false);
-    keep.len()
 }
 
-/// The dense transition-op charge of one joint step — the overhead
-/// experiments' accounting convention, `k1·k2·(m1+m2)`, whatever the
-/// dominance selection actually folded.
-pub(crate) fn joint_step_charge(prev1: &Slice, prev2: &Slice, cur1: &Slice, cur2: &Slice) -> u64 {
-    (prev1.len() as u64 * prev2.len() as u64) * (cur1.len() as u64 + cur2.len() as u64)
+/// The dense transition-op charge of one joint step out of a tick of
+/// `k[0] × k[1]` joint states — the overhead experiments' accounting
+/// convention, `k1·k2·(m1+m2)`, whatever the dominance selection actually
+/// folded.
+pub(crate) fn joint_step_charge(k: [u32; 2], cur1: &Slice, cur2: &Slice) -> u64 {
+    (u64::from(k[0]) * u64::from(k[1])) * (cur1.len() as u64 + cur2.len() as u64)
 }
 
-/// Expands a per-slot-pair backpointer row over `s1 × s2` to one entry per
-/// joint state (`j1 * |S2| + j2`); an empty row stays empty.
-pub(crate) fn expand_back(back: &[u32], s1: &Slice, s2: &Slice) -> Vec<u32> {
-    if back.is_empty() {
-        return Vec::new();
+#[cfg(feature = "testkit")]
+pub use testkit::{joint_step, joint_step_from, JointStep};
+
+/// One exact joint step out of a dense or factored frontier, for the
+/// differential suite (`tests/dominance_differential.rs`), which checks
+/// it against the naive reference `cace_testkit::toy::naive_joint_step`.
+#[cfg(feature = "testkit")]
+mod testkit {
+    use super::*;
+
+    /// Expands a per-slot-pair backpointer row over `s1 × s2` to one
+    /// entry per joint state (`j1 * |S2| + j2`); an empty row stays empty.
+    pub fn expand_back(back: &[u32], s1: &Slice, s2: &Slice) -> Vec<u32> {
+        if back.is_empty() {
+            return Vec::new();
+        }
+        let d2 = s2.n_slots();
+        let mut out = Vec::with_capacity(s1.len() * s2.len());
+        for &sl1 in &s1.slots {
+            let row = &back[sl1 as usize * d2..][..d2];
+            out.extend(s2.slots.iter().map(|&sl2| row[sl2 as usize]));
+        }
+        out
     }
-    let d2 = s2.n_slots();
-    let mut out = Vec::with_capacity(s1.len() * s2.len());
-    for &sl1 in &s1.slots {
-        let row = &back[sl1 as usize * d2..][..d2];
-        out.extend(s2.slots.iter().map(|&sl2| row[sl2 as usize]));
+
+    /// One exact joint step, as [`joint_step`] returns it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JointStep {
+        /// New frontier, flattened `j1 * |S2| + j2` over `cur`'s joint
+        /// states (`factored`, materialized).
+        pub frontier: Vec<f64>,
+        /// Per-state backpointers into the flattened input frontier.
+        pub back: Vec<u32>,
+        /// Source states the step folded after dominance selection.
+        pub survivors: usize,
+        /// Those source states, ascending.
+        pub kept: Vec<u32>,
+        /// The new frontier as the decoders hold it.
+        pub factored: JointFrontier,
     }
-    out
-}
 
-/// One exact joint step, as [`joint_step`] returns it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JointStep {
-    /// New frontier, flattened `j1 * |S2| + j2` over `cur`'s joint states
-    /// (`factored`, materialized).
-    pub frontier: Vec<f64>,
-    /// Per-state backpointers into the flattened input frontier.
-    pub back: Vec<u32>,
-    /// Source states the step folded after dominance selection.
-    pub survivors: usize,
-    /// Those source states, ascending.
-    pub kept: Vec<u32>,
-    /// The new frontier as the decoders hold it.
-    pub factored: JointFrontier,
-}
-
-/// Runs one exact joint DP step — the dominance-pruned step every decoder
-/// runs — from tick `prev` to tick `cur` over the dense frontier `v` (one
-/// score per joint state of `prev`, flattened `j1 * |S2| + j2`), which
-/// enters as its trivial factorization.
-/// `tests/dominance_differential.rs` drives it with adversarial frontiers
-/// against a naive reference.
-///
-/// # Errors
-/// [`ModelError::EmptyStateSpace`] for a tick with an empty state space,
-/// and [`ModelError::InsufficientData`] when `v` does not match `prev`'s
-/// joint frontier.
-pub fn joint_step(
-    p: &HdbnParams,
-    prev: &TickInput,
-    cur: &TickInput,
-    v: &[f64],
-) -> Result<JointStep, ModelError> {
-    validate_tick(prev, 0)?;
-    validate_tick(cur, 1)?;
-    let (k1, k2) = (tick_states(p, prev, 0), tick_states(p, prev, 1));
-    joint_step_from(p, prev, cur, &JointFrontier::from_dense(v, k1, k2)?)
-}
-
-/// [`joint_step`] from a slot-factored frontier — a previous step's
-/// [`JointStep::factored`], whose `cur` tick is this step's `prev`.
-///
-/// # Errors
-/// As [`joint_step`], with [`ModelError::InsufficientData`] when `v` is
-/// not over `prev`'s joint states.
-pub fn joint_step_from(
-    p: &HdbnParams,
-    prev: &TickInput,
-    cur: &TickInput,
-    v: &JointFrontier,
-) -> Result<JointStep, ModelError> {
-    validate_tick(prev, 0)?;
-    validate_tick(cur, 1)?;
-    let mut arena = TrellisArena::new();
-    let mut slice = |tick: &TickInput, user: usize| {
-        let mut s = Slice::default();
-        fill_slice(p, tick, user, &mut arena.step, &mut s);
-        s
-    };
-    let (prev1, prev2, cur1, cur2) = (slice(prev, 0), slice(prev, 1), slice(cur, 0), slice(cur, 1));
-    if [v.axes[0].len(), v.axes[1].len()] != [prev1.len(), prev2.len()] {
-        return Err(ModelError::InsufficientData {
-            what: "joint frontier states".into(),
-            available: v.len(),
-            required: prev1.len() * prev2.len(),
-        });
+    /// Runs one exact joint DP step — the dominance-pruned step every
+    /// decoder runs — from tick `prev` to tick `cur` over the dense
+    /// frontier `v` (one score per joint state of `prev`, flattened
+    /// `j1 * |S2| + j2`), which enters as its trivial factorization.
+    ///
+    /// # Errors
+    /// [`ModelError::EmptyStateSpace`] for a tick with an empty state
+    /// space, and [`ModelError::InsufficientData`] when `v` does not match
+    /// `prev`'s joint frontier.
+    pub fn joint_step(
+        p: &HdbnParams,
+        prev: &TickInput,
+        cur: &TickInput,
+        v: &[f64],
+    ) -> Result<JointStep, ModelError> {
+        validate_tick(prev, 0)?;
+        validate_tick(cur, 1)?;
+        let (k1, k2) = (tick_states(p, prev, 0), tick_states(p, prev, 1));
+        joint_step_from(p, prev, cur, &JointFrontier::from_dense(v, k1, k2)?)
     }
-    let (mut next, mut back) = (JointFrontier::default(), Vec::new());
-    let survivors = joint_step_exact_into(
-        p, &prev1, &prev2, v, &cur1, &cur2, &mut arena, &mut next, &mut back,
-    );
-    Ok(JointStep {
-        frontier: next.to_dense(),
-        back: expand_back(&back, &cur1, &cur2),
-        survivors,
-        kept: arena.keep,
-        factored: next,
-    })
-}
 
-/// Joint states of one user's chain at `tick` (allowed macros ×
-/// candidates).
-fn tick_states(p: &HdbnParams, tick: &TickInput, user: usize) -> usize {
-    let macros = tick.macro_candidates[user]
-        .as_ref()
-        .map_or(p.n_macro(), Vec::len);
-    macros * tick.candidates[user].len()
+    /// [`joint_step`] from a slot-factored frontier — a previous step's
+    /// [`JointStep::factored`], whose `cur` tick is this step's `prev`.
+    ///
+    /// # Errors
+    /// As [`joint_step`], with [`ModelError::InsufficientData`] when `v`
+    /// is not over `prev`'s joint states.
+    pub fn joint_step_from(
+        p: &HdbnParams,
+        prev: &TickInput,
+        cur: &TickInput,
+        v: &JointFrontier,
+    ) -> Result<JointStep, ModelError> {
+        validate_tick(prev, 0)?;
+        validate_tick(cur, 1)?;
+        let mut arena = TrellisArena::new();
+        let mut slice = |tick: &TickInput, user: usize| {
+            let mut s = Slice::default();
+            fill_slice(p, tick, user, &mut arena, &mut s);
+            s
+        };
+        let (prev1, prev2, cur1, cur2) =
+            (slice(prev, 0), slice(prev, 1), slice(cur, 0), slice(cur, 1));
+        if [v.axes[0].len(), v.axes[1].len()] != [prev1.len(), prev2.len()] {
+            return Err(ModelError::InsufficientData {
+                what: "joint frontier states".into(),
+                available: v.len(),
+                required: prev1.len() * prev2.len(),
+            });
+        }
+        let (mut src, mut next, mut back) = Default::default();
+        joint_select_into(p, &prev1, &prev2, v, &mut arena, &mut src);
+        joint_fold_into(p, &src, &cur1, &cur2, &mut arena, &mut next, &mut back);
+        let JointSurvivors { states, .. } = src;
+        Ok(JointStep {
+            frontier: next.to_dense(),
+            back: expand_back(&back, &cur1, &cur2),
+            survivors: states.len(),
+            kept: states,
+            factored: next,
+        })
+    }
+
+    /// Joint states of one user's chain at `tick` (allowed macros ×
+    /// candidates).
+    fn tick_states(p: &HdbnParams, tick: &TickInput, user: usize) -> usize {
+        let macros = tick.macro_candidates[user]
+            .as_ref()
+            .map_or(p.n_macro(), Vec::len);
+        macros * tick.candidates[user].len()
+    }
 }
 
 /// The decoded joint trajectory plus accounting for the overhead

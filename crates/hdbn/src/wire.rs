@@ -17,26 +17,22 @@
 //! index bounds, cursor invariants — still happens at resume; this layer
 //! only guarantees the bytes parse.)
 //!
-//! The [`ByteWriter`]/[`ByteReader`] primitives and the codecs for the
-//! crate-public types ([`Lag`], [`MicroCandidate`]) are public so
-//! `cace-core` can embed the parked decoder payloads written here inside
-//! its own stream envelope. The layouts here are the `v5` ones, the only
-//! ones this build reads: they write what a stream holds — the frontier,
-//! the compacted window's records, the newest entry whole, the cursor and
-//! the counters. A slot-factored frontier (the coupled one here, NH's in
-//! `cace-core`) is followed by a frontier-kind byte that is always `0`
-//! ([`write_factored_frontier`]); a `1` marked the dense frontiers that
-//! only `v3`/`v4` parks produced, and is rejected.
+//! The [`ByteWriter`]/[`ByteReader`] primitives, the codecs for the
+//! crate-public types ([`Lag`], [`MicroCandidate`]) and the parked
+//! layout's [`Codec`] are public so `cace-core` can embed the parked
+//! decoder payloads written here inside its own stream envelope. The
+//! layout here is the `v6` one, the only one this build reads: it writes
+//! what a stream holds ([`ParkedTrellis`]) — the newest tick's survivors
+//! and argmax, the compacted window's items and records, the cursor and
+//! the counters.
 
 use cace_model::ModelError;
 
 use crate::input::MicroCandidate;
 use crate::online::Lag;
-use crate::park::{
-    ChainPick, JointPick, ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry,
-    ParkedSlice,
-};
-use crate::trellis::{Compacted, Record};
+use crate::park::ParkedTrellis;
+use crate::trellis::{Compacted, Record, Survivors};
+use crate::viterbi::JointSurvivors;
 
 pub(crate) fn decode_err(what: impl Into<String>) -> ModelError {
     ModelError::Persistence { what: what.into() }
@@ -356,219 +352,202 @@ pub fn read_cand(r: &mut ByteReader<'_>) -> Result<MicroCandidate, ModelError> {
     })
 }
 
-/// Smallest encoding of a [`MicroCandidate`]: three one-byte varints and
-/// the 8-byte score.
-const CAND_MIN_BYTES: usize = 11;
+/// A value the parked layout writes, with the smallest encoding a reader
+/// checks a sequence length against before it reserves anything.
+pub trait Codec: Sized {
+    /// Smallest encoding of one value, in bytes.
+    const MIN_BYTES: usize;
 
-fn write_slice(w: &mut ByteWriter, s: &ParkedSlice) {
-    w.write_seq(&s.activities, |w, &x| w.write_usize(x));
-    w.write_seq(&s.cands, |w, &x| w.write_usize(x));
-    w.write_seq(&s.pairs, |w, &x| w.write_u32(x));
-    w.write_seq(&s.emissions, |w, &x| w.write_f64(x));
-    w.write_seq(&s.uniq_pairs, |w, &x| w.write_u32(x));
-    w.write_seq(&s.slots, |w, &x| w.write_u32(x));
-    w.write_seq(&s.runs, |w, &(a, s, e)| {
-        w.write_u32(a);
-        w.write_u32(s);
-        w.write_u32(e);
-    });
-}
+    /// Appends the value's encoding.
+    fn write(&self, w: &mut ByteWriter);
 
-fn read_slice(r: &mut ByteReader<'_>) -> Result<ParkedSlice, ModelError> {
-    Ok(ParkedSlice {
-        activities: r.read_seq(1, ByteReader::read_usize)?,
-        cands: r.read_seq(1, ByteReader::read_usize)?,
-        pairs: r.read_seq(1, ByteReader::read_u32)?,
-        emissions: r.read_seq(8, ByteReader::read_f64)?,
-        uniq_pairs: r.read_seq(1, ByteReader::read_u32)?,
-        slots: r.read_seq(1, ByteReader::read_u32)?,
-        runs: r.read_seq(3, |r| Ok((r.read_u32()?, r.read_u32()?, r.read_u32()?)))?,
-    })
-}
-
-fn write_joint_entry(w: &mut ByteWriter, e: &ParkedJointEntry) {
-    write_slice(w, &e.s1);
-    write_slice(w, &e.s2);
-    w.write_seq(&e.back, |w, &x| w.write_u32(x));
-    for cands in &e.cands {
-        w.write_seq(cands, write_cand);
-    }
-}
-
-fn read_joint_entry(r: &mut ByteReader<'_>) -> Result<ParkedJointEntry, ModelError> {
-    Ok(ParkedJointEntry {
-        s1: read_slice(r)?,
-        s2: read_slice(r)?,
-        back: r.read_seq(1, ByteReader::read_u32)?,
-        cands: [
-            r.read_seq(CAND_MIN_BYTES, read_cand)?,
-            r.read_seq(CAND_MIN_BYTES, read_cand)?,
-        ],
-    })
-}
-
-fn write_chain_entry(w: &mut ByteWriter, e: &ParkedChainEntry) {
-    write_slice(w, &e.slice);
-    w.write_seq(&e.back, |w, &x| w.write_u32(x));
-    w.write_seq(&e.cands, write_cand);
-}
-
-fn read_chain_entry(r: &mut ByteReader<'_>) -> Result<ParkedChainEntry, ModelError> {
-    Ok(ParkedChainEntry {
-        slice: read_slice(r)?,
-        back: r.read_seq(1, ByteReader::read_u32)?,
-        cands: r.read_seq(CAND_MIN_BYTES, read_cand)?,
-    })
-}
-
-/// Encodes a compacted window: per entry, oldest first, its items through
-/// `item`, then its records — state, backpointer, then the payload
-/// through `payload`.
-pub fn write_compact<P, I>(
-    w: &mut ByteWriter,
-    compact: &[Compacted<P, I>],
-    mut item: impl FnMut(&mut ByteWriter, &I),
-    mut payload: impl FnMut(&mut ByteWriter, &P),
-) {
-    w.write_seq(compact, |w, entry| {
-        w.write_seq(&entry.items, &mut item);
-        w.write_seq(&entry.records, |w, r| {
-            w.write_u32(r.state);
-            w.write_u32(r.back);
-            payload(w, &r.payload);
-        })
-    });
-}
-
-/// Decodes a compacted window written by [`write_compact`];
-/// `item_min_bytes` and `payload_min_bytes` are the smallest encodings of
-/// one item and one payload.
-///
-/// # Errors
-/// [`ModelError::Persistence`] on malformed bytes.
-pub fn read_compact<'a, P, I>(
-    r: &mut ByteReader<'a>,
-    item_min_bytes: usize,
-    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<I, ModelError>,
-    payload_min_bytes: usize,
-    mut payload: impl FnMut(&mut ByteReader<'a>) -> Result<P, ModelError>,
-) -> Result<Vec<Compacted<P, I>>, ModelError> {
-    r.read_seq(2, |r| {
-        Ok(Compacted {
-            items: r.read_seq(item_min_bytes, &mut item)?,
-            records: r.read_seq(2 + payload_min_bytes, |r| {
-                Ok(Record {
-                    state: r.read_u32()?,
-                    back: r.read_u32()?,
-                    payload: payload(r)?,
-                })
-            })?,
-        })
-    })
-}
-
-/// Encodes a slot-factored frontier: its fold `w`, then the
-/// frontier-kind byte, always `0`.
-pub fn write_factored_frontier(w: &mut ByteWriter, fold: &[f64]) {
-    w.write_seq(fold, |w, &x| w.write_f64(x));
-    w.write_u8(0);
-}
-
-/// Decodes a frontier written by [`write_factored_frontier`].
-///
-/// # Errors
-/// [`ModelError::Persistence`] on malformed bytes or a kind byte of `1`,
-/// a dense frontier.
-pub fn read_factored_frontier(r: &mut ByteReader<'_>) -> Result<Vec<f64>, ModelError> {
-    let w = r.read_seq(8, ByteReader::read_f64)?;
-    match r.read_u8()? {
-        0 => Ok(w),
-        1 => Err(decode_err(
-            "frontier-kind byte 1 marks a dense frontier; dense frontiers came only from v3/v4 \
-             parks, which this build does not read",
-        )),
-        b => Err(decode_err(format!("invalid frontier-kind byte {b}"))),
-    }
-}
-
-fn write_joint_pick(w: &mut ByteWriter, (macros, items): &JointPick) {
-    for &x in macros.iter().chain(items) {
-        w.write_u32(x);
-    }
-}
-
-fn read_joint_pick(r: &mut ByteReader<'_>) -> Result<JointPick, ModelError> {
-    Ok((
-        [r.read_u32()?, r.read_u32()?],
-        [r.read_u32()?, r.read_u32()?],
-    ))
-}
-
-fn write_chain_pick(w: &mut ByteWriter, &(a, c): &ChainPick) {
-    w.write_u32(a);
-    w.write_u32(c);
-}
-
-fn read_chain_pick(r: &mut ByteReader<'_>) -> Result<ChainPick, ModelError> {
-    Ok((r.read_u32()?, r.read_u32()?))
-}
-
-impl ParkedCoupled {
-    /// Appends this checkpoint's binary encoding to `w`: the frontier's
-    /// `w`, the frontier-kind byte (`0`, see the [module docs](self)), the
-    /// compacted window, the newest entry, the cursor and the two overhead
-    /// counters.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        write_factored_frontier(w, &self.w);
-        write_compact(w, &self.compact, write_cand, write_joint_pick);
-        w.write_opt(self.newest.as_ref(), write_joint_entry);
-        w.write_usize(self.base);
-        w.write_usize(self.pushed);
-        w.write_u64(self.states_explored);
-        w.write_u64(self.transition_ops);
-    }
-
-    /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
-    ///
-    /// # Errors
-    /// [`ModelError::Persistence`] on malformed bytes or a dense frontier.
-    /// (Structural validation against a model still happens at resume.)
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
-        Ok(Self {
-            w: read_factored_frontier(r)?,
-            compact: read_compact(r, CAND_MIN_BYTES, read_cand, 4, read_joint_pick)?,
-            newest: r.read_opt(read_joint_entry)?,
-            base: r.read_usize()?,
-            pushed: r.read_usize()?,
-            states_explored: r.read_u64()?,
-            transition_ops: r.read_u64()?,
-        })
-    }
-}
-
-impl ParkedChain {
-    /// Appends this checkpoint's binary encoding to `w` (the layout of
-    /// [`ParkedCoupled::encode_into`] with a dense frontier and chain
-    /// entries).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.write_seq(&self.v, |w, &x| w.write_f64(x));
-        write_compact(w, &self.compact, write_cand, write_chain_pick);
-        w.write_opt(self.newest.as_ref(), write_chain_entry);
-        w.write_usize(self.base);
-        w.write_usize(self.pushed);
-        w.write_u64(self.states_explored);
-        w.write_u64(self.transition_ops);
-    }
-
-    /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
+    /// Decodes one value.
     ///
     /// # Errors
     /// [`ModelError::Persistence`] on malformed bytes.
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError>;
+}
+
+/// NH items: a compacted NH entry's payloads need none.
+impl Codec for () {
+    const MIN_BYTES: usize = 0;
+
+    fn write(&self, _: &mut ByteWriter) {}
+
+    fn read(_: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        Ok(())
+    }
+}
+
+/// NH payloads: a macro.
+impl Codec for u32 {
+    const MIN_BYTES: usize = 1;
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_u32(*self);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        r.read_u32()
+    }
+}
+
+/// Chain payloads: a macro and a candidate index.
+impl Codec for (u32, u32) {
+    const MIN_BYTES: usize = 2;
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_u32(self.0);
+        w.write_u32(self.1);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        Ok((r.read_u32()?, r.read_u32()?))
+    }
+}
+
+/// Joint payloads: per user a macro, then per user a candidate index.
+impl Codec for ([u32; 2], [u32; 2]) {
+    const MIN_BYTES: usize = 4;
+
+    fn write(&self, w: &mut ByteWriter) {
+        for &x in self.0.iter().chain(&self.1) {
+            w.write_u32(x);
+        }
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        Ok((
+            [r.read_u32()?, r.read_u32()?],
+            [r.read_u32()?, r.read_u32()?],
+        ))
+    }
+}
+
+/// Candidate tuples: three one-byte varints and the 8-byte score at the
+/// least.
+impl Codec for MicroCandidate {
+    const MIN_BYTES: usize = 11;
+
+    fn write(&self, w: &mut ByteWriter) {
+        write_cand(w, self);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        read_cand(r)
+    }
+}
+
+/// Chain and NH survivors: the states first, so the survivor count is the
+/// first length of a decoder's payload.
+impl Codec for Survivors {
+    const MIN_BYTES: usize = 5;
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_seq(&self.states, |w, &x| w.write_u32(x));
+        w.write_u32(self.n_states);
+        w.write_seq(&self.scores, |w, &x| w.write_f64(x));
+        w.write_seq(&self.pairs, |w, &x| w.write_u32(x));
+        w.write_seq(&self.runs, |w, &(g, s, e)| {
+            w.write_u32(g);
+            w.write_u32(s);
+            w.write_u32(e);
+        });
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        Ok(Survivors {
+            states: r.read_seq(1, ByteReader::read_u32)?,
+            n_states: r.read_u32()?,
+            scores: r.read_seq(8, ByteReader::read_f64)?,
+            pairs: r.read_seq(1, ByteReader::read_u32)?,
+            runs: r.read_seq(3, |r| Ok((r.read_u32()?, r.read_u32()?, r.read_u32()?)))?,
+        })
+    }
+}
+
+/// Coupled survivors, laid out like [`Survivors`].
+impl Codec for JointSurvivors {
+    const MIN_BYTES: usize = 6;
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_seq(&self.states, |w, &x| w.write_u32(x));
+        w.write_u32(self.k[0]);
+        w.write_u32(self.k[1]);
+        w.write_seq(&self.scores, |w, &x| w.write_f64(x));
+        let pair = |w: &mut ByteWriter, &[a, b]: &[u32; 2]| {
+            w.write_u32(a);
+            w.write_u32(b);
+        };
+        w.write_seq(&self.pairs, pair);
+        w.write_seq(&self.runs, pair);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        let pair = |r: &mut ByteReader<'_>| Ok([r.read_u32()?, r.read_u32()?]);
+        Ok(JointSurvivors {
+            states: r.read_seq(1, ByteReader::read_u32)?,
+            k: [r.read_u32()?, r.read_u32()?],
+            scores: r.read_seq(8, ByteReader::read_f64)?,
+            pairs: r.read_seq(2, pair)?,
+            runs: r.read_seq(2, pair)?,
+        })
+    }
+}
+
+/// A compacted entry: its items, then its records — state, backpointer,
+/// payload.
+impl<P: Codec, I: Codec> Codec for Compacted<P, I> {
+    const MIN_BYTES: usize = 2;
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_seq(&self.items, |w, i| i.write(w));
+        w.write_seq(&self.records, |w, r| {
+            w.write_u32(r.state);
+            w.write_u32(r.back);
+            r.payload.write(w);
+        });
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
+        Ok(Compacted {
+            items: r.read_seq(I::MIN_BYTES, I::read)?,
+            records: r.read_seq(2 + P::MIN_BYTES, |r| {
+                Ok(Record {
+                    state: r.read_u32()?,
+                    back: r.read_u32()?,
+                    payload: P::read(r)?,
+                })
+            })?,
+        })
+    }
+}
+
+impl<S: Codec, P: Codec, I: Codec> ParkedTrellis<S, P, I> {
+    /// Appends this checkpoint's binary encoding to `w`: the survivors,
+    /// the argmax (state, score), the compacted window, the cursor and the
+    /// two overhead counters.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        self.survivors.write(w);
+        w.write_usize(self.top.0);
+        w.write_f64(self.top.1);
+        w.write_seq(&self.compact, |w, entry| entry.write(w));
+        w.write_usize(self.base);
+        w.write_usize(self.pushed);
+        w.write_u64(self.states_explored);
+        w.write_u64(self.transition_ops);
+    }
+
+    /// Decodes a checkpoint written by [`encode_into`](Self::encode_into).
+    ///
+    /// # Errors
+    /// [`ModelError::Persistence`] on malformed bytes. (Structural
+    /// validation against a model still happens at resume.)
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, ModelError> {
         Ok(Self {
-            v: r.read_seq(8, ByteReader::read_f64)?,
-            compact: read_compact(r, CAND_MIN_BYTES, read_cand, 2, read_chain_pick)?,
-            newest: r.read_opt(read_chain_entry)?,
+            survivors: S::read(r)?,
+            top: (r.read_usize()?, r.read_f64()?),
+            compact: r.read_seq(Compacted::<P, I>::MIN_BYTES, Compacted::read)?,
             base: r.read_usize()?,
             pushed: r.read_usize()?,
             states_explored: r.read_u64()?,

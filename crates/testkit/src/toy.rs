@@ -34,7 +34,7 @@
 //! steps of every family to both references on adversarial frontiers.
 
 use cace_hdbn::trellis::{argmax, init_into, step_pruned_into};
-use cace_hdbn::{Dest, Dominance, HdbnParams, ScoreModel, StateSpace, StepScratch, TickInput};
+use cace_hdbn::{Dest, Dominance, HdbnParams, ScoreModel, StateSpace, TickInput, TrellisArena};
 
 /// One toy tick: an explicit group-major state list.
 #[derive(Debug, Clone)]
@@ -499,7 +499,7 @@ pub fn naive_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> 
 pub fn engine_decode<M: ScoreModel>(model: &M, ticks: &[ToySpace]) -> Vec<usize> {
     let mut v: Vec<f64> = Vec::new();
     init_into(model, &ticks[0], &mut v);
-    let mut step: StepScratch = StepScratch::default();
+    let mut step = TrellisArena::new();
     let mut backs: Vec<Vec<u32>> = Vec::new();
     for t in 1..ticks.len() {
         let mut back = Vec::new();
@@ -564,7 +564,7 @@ mod tests {
         // One pruned step against the naive survivor scan.
         let v = naive_init(&model, &ticks[0]);
         let keep = [0u32, 2];
-        let mut step: StepScratch = StepScratch::default();
+        let mut step = TrellisArena::new();
         let mut back = Vec::new();
         step_pruned_into(
             &model, &ticks[0], &v, &keep, &ticks[1], &mut step, &mut back,

@@ -1,10 +1,11 @@
 //! A fixed-lag stream holds `O(lag)` state: its live decoder and its
 //! parked bytes do not grow with the number of ticks it has consumed.
 //!
-//! A stream keeps only the frontier, the backpointer window of at most
-//! `lag + 2` entries (all but the newest compacted to the records a
-//! backtrack can still read), the decision cursor and a few counters;
-//! decisions it has emitted belong to the caller. These tests park a stream after a short
+//! A stream keeps only the newest frontier's dominance survivors and
+//! argmax, the backpointer window of at most `lag + 1` entries (each
+//! compacted to the records a backtrack can still read), the decision
+//! cursor and a few counters; decisions it has emitted belong to the
+//! caller. These tests park a stream after a short
 //! and a long run and require the `stream-bin` encoding after the long
 //! run to stay within [`SLACK`] of the short one — a per-push
 //! `Vec::push` into anything a park carries breaks that at once.
@@ -146,4 +147,68 @@ fn nh_recognizer_parks_within_twice_c2() {
         park_len(Strategy::CorrelationConstraint),
     );
     assert!(nh <= 2 * c2, "an NH park is {nh} B against {c2} B for C2");
+}
+
+/// Bytes a coupled park may hold beyond [`RECORD_BYTES`] per record and
+/// survivor: the candidate tuples of its window, its cursor and counters
+/// (at most 1.7 KB on the CASAS session below).
+const PARK_BASE: usize = 4096;
+/// Largest encoding of one joint record or survivor, in bytes: a few
+/// varint ids, plus a survivor's raw 8-byte score.
+const RECORD_BYTES: usize = 24;
+
+/// After an ambiguous CASAS stretch a coupled stream's head — its newest
+/// window entry — holds exactly its last selection's survivors, plus the
+/// frontier argmax and state 0, and its park grows with the records and
+/// survivors it holds, not with the frontier they were selected from: a
+/// park that held the frontier's fold (8 bytes per slot pair) breaks the
+/// bound at the first calm tick after a wide one.
+#[test]
+fn coupled_head_holds_its_survivors_not_its_frontier() {
+    use cace::behavior::session::train_test_split;
+    use cace::behavior::{generate_casas_dataset, CasasConfig};
+    use cace::core::CaceEngine;
+    use cace::hdbn::SurvivorSet;
+    use std::sync::Arc;
+
+    let cfg = CasasConfig {
+        pairs: 2,
+        sessions_per_pair: 2,
+        ticks: 120,
+        ..CasasConfig::default()
+    };
+    let (train, test) = train_test_split(generate_casas_dataset(&cfg, 5), 0.75);
+    let engine = CaceEngine::train(&train, &CaceConfig::default()).expect("training");
+    let inputs = engine.tick_inputs(&test[0]);
+    let model = CoupledHdbn::from_shared(Arc::clone(engine.hdbn_params()));
+    let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(10));
+    let (mut widest, mut frontier) = (0, 0);
+    for (t, input) in inputs.iter().enumerate() {
+        online.push(input).expect("push");
+        let survivors = online.survivors();
+        let mut head: Vec<usize> = survivors.states().iter().map(|&j| j as usize).collect();
+        head.extend([0, online.frontier_argmax().0]);
+        head.sort_unstable();
+        head.dedup();
+        let window = online.window_states();
+        assert_eq!(window.last(), Some(&head), "tick {t}: the head");
+        let records: usize = window.iter().map(Vec::len).sum();
+        let mut w = ByteWriter::new();
+        online.park().encode_into(&mut w);
+        let park = w.into_bytes().len();
+        let bound = PARK_BASE + RECORD_BYTES * (records + survivors.len());
+        assert!(
+            park <= bound,
+            "tick {t}: a {park} B park holds {records} records and {} survivors \
+             of a {}-state frontier (bound {bound} B)",
+            survivors.len(),
+            survivors.n_states()
+        );
+        widest = widest.max(survivors.len());
+        frontier = frontier.max(survivors.n_states());
+    }
+    assert!(
+        widest >= 100 && frontier >= 10_000,
+        "an ambiguous stretch: {widest} survivors, frontiers up to {frontier} states"
+    );
 }

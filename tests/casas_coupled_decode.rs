@@ -88,7 +88,7 @@ fn casas_parks_round_trip_to_identical_bytes_at_every_early_tick() {
     for (t, tick) in session.ticks.iter().enumerate() {
         if (1..=30).contains(&t) {
             let bytes = stream.park().to_snapshot_bytes();
-            let parked = ParkedStream::from_snapshot_any(&bytes).expect("own park reads");
+            let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("own park reads");
             stream = engine.resume(&parked).expect("own park resumes");
             assert_eq!(
                 stream.park().to_snapshot_bytes(),

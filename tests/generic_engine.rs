@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use cace::hdbn::trellis::{init_into, step_pruned_into};
-use cace::hdbn::{ScoreModel, StateSpace, StepScratch};
+use cace::hdbn::{ScoreModel, StateSpace, TrellisArena};
 use cace_testkit::toy::{
     engine_decode, naive_decode, naive_init, naive_step, ToyFlatModel, ToyModel, ToySpace,
 };
@@ -118,7 +118,7 @@ fn check_steps<M: ScoreModel>(model: &M, spaces: &[ToySpace], keeps: Option<&[Ve
     let mut v = Vec::new();
     init_into(model, &spaces[0], &mut v);
     assert_eq!(bits(&v), bits(&naive_init(model, &spaces[0])));
-    let mut step: StepScratch = StepScratch::default();
+    let mut step = TrellisArena::new();
     for t in 1..spaces.len() {
         let keep = keeps.map(|k| k[t - 1].as_slice());
         let every: Vec<u32> = (0..spaces[t - 1].len() as u32).collect();

@@ -3,13 +3,13 @@
 //!
 //! A serving tier rehydrates parked bytes it may not have written itself
 //! (imports, handovers, bytes that rotted in storage). Whatever those
-//! bytes hold, [`ParkedStream::from_snapshot_any`] followed by
+//! bytes hold, [`ParkedStream::from_snapshot_bytes`] followed by
 //! [`CaceEngine::resume`] must return `Ok` or
 //! [`ModelError::Persistence`]: never panic, and never let a length field
 //! request an allocation out of proportion to the input.
 //!
-//! The parked inputs are fresh `v5` parks of all four strategies and the
-//! three golden `v5` fixtures (`tests/fixtures/parked_*_v5.stream-bin`).
+//! The parked inputs are fresh `v6` parks of all four strategies and the
+//! three golden `v6` fixtures (`tests/fixtures/parked_*_v6.stream-bin`).
 //! Each mutant is resealed — its header checksum and length recomputed —
 //! so the decoder really runs on it instead of stopping at the checksum.
 //! Mutations: bit flips, truncation, varints that lie about a length, and
@@ -21,12 +21,16 @@
 //! Engine and model-record snapshots are the JSON reader's outside
 //! inputs ([`CaceEngine::from_snapshot_str`],
 //! [`ShardedRouter::import_model`]). Their token-edited mutants must read
-//! as `Ok` or [`ModelError::Persistence`], never a panic.
+//! as `Ok` or [`ModelError::Persistence`], never a panic, and a mutant
+//! that reads `Ok` must serve: it streams [`SERVED_TICKS`] ticks of a
+//! session (an engine through its own stream, a model record through a
+//! router home) and finishes without a panic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use cace::behavior::Session;
 use cace::core::{CaceConfig, CaceEngine, Lag, ModelRecord, ParkedStream, ShardedRouter, Strategy};
 use cace::model::ModelError;
 use cace_testkit::{engine_with, tiny_corpus};
@@ -183,10 +187,9 @@ fn splice(payload: &[u8], at: usize, cut: usize, with: &[u8]) -> Vec<u8> {
     out
 }
 
-/// One mutant of a binary payload. `frontier_len_at` is the offset of
-/// the first decoder's frontier length, a length field every strategy
-/// has.
-fn mutate_binary(payload: &[u8], frontier_len_at: usize, rng: &mut Rng) -> Vec<u8> {
+/// One mutant of a binary payload. `len_at` is the offset of the first
+/// decoder's survivor count, a length field every strategy has.
+fn mutate_binary(payload: &[u8], len_at: usize, rng: &mut Rng) -> Vec<u8> {
     let lies = [
         payload.len() as u64,
         2 * payload.len() as u64,
@@ -211,8 +214,8 @@ fn mutate_binary(payload: &[u8], frontier_len_at: usize, rng: &mut Rng) -> Vec<u
         // ...and over a real length field.
         3 => splice(
             payload,
-            frontier_len_at,
-            varint_len(payload, frontier_len_at),
+            len_at,
+            varint_len(payload, len_at),
             &varint(lies[rng.below(lies.len())]),
         ),
         // An overlong varint: more than 64 bits of continuation...
@@ -268,7 +271,7 @@ fn mutate_json(payload: &str, rng: &mut Rng) -> String {
 /// allocation bound. Returns whether the read succeeded.
 fn check(engine: &CaceEngine, bytes: &[u8], label: &str) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (read, peak) = peak_alloc(|| ParkedStream::from_snapshot_any(bytes));
+        let (read, peak) = peak_alloc(|| ParkedStream::from_snapshot_bytes(bytes));
         let bound = ALLOC_FACTOR * bytes.len().max(ALLOC_FLOOR);
         assert!(
             peak <= bound,
@@ -319,7 +322,7 @@ fn mutated_parks_read_and_resume_without_panicking() {
             _ => None,
         };
         if let Some(stem) = stem {
-            let name = format!("{stem}_v5.stream-bin");
+            let name = format!("{stem}_v6.stream-bin");
             inputs.push((name.clone(), fixture(&name)));
         }
         for (name, original) in inputs {
@@ -348,14 +351,14 @@ fn mutated_parks_read_and_resume_without_panicking() {
 
 /// Reads one JSON mutant through `read`, asserting it returns `Ok` or a
 /// persistence error without panicking, within the allocation bound.
-/// Returns whether it read, and the largest single allocation the read
-/// made.
+/// Returns what it read, if anything, and the largest single allocation
+/// the read made.
 fn check_json<T>(
     text: &str,
     label: &str,
     read: impl FnOnce(&str) -> Result<T, ModelError>,
-) -> (bool, usize) {
-    let (read, peak) = catch_unwind(AssertUnwindSafe(|| peak_alloc(|| read(text).map(drop))))
+) -> (Option<T>, usize) {
+    let (read, peak) = catch_unwind(AssertUnwindSafe(|| peak_alloc(|| read(text))))
         .unwrap_or_else(|_| panic!("{label}: the reader panicked"));
     let bound = ALLOC_FACTOR * text.len().max(ALLOC_FLOOR);
     assert!(
@@ -364,15 +367,52 @@ fn check_json<T>(
         text.len()
     );
     match read {
-        Ok(()) => (true, peak),
-        Err(ModelError::Persistence { .. }) => (false, peak),
+        Ok(value) => (Some(value), peak),
+        Err(ModelError::Persistence { .. }) => (None, peak),
         Err(e) => panic!("{label}: failed with a non-persistence error: {e:?}"),
     }
 }
 
+/// Ticks of the test session each accepted engine or model-record mutant
+/// serves.
+const SERVED_TICKS: usize = 20;
+
+/// Streams the first [`SERVED_TICKS`] ticks of `session` through `engine`
+/// and finishes, asserting nothing panics. A push or the finish may fail
+/// with an error: a mutant that reads `Ok` may still hold a model that
+/// decodes nothing, but it must say so instead of panicking.
+fn serve_engine(engine: &CaceEngine, session: &Session, label: &str) {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut stream = engine.stream(Lag::Fixed(5));
+        for tick in &session.ticks[..SERVED_TICKS] {
+            let _ = stream.push(&tick.observed);
+        }
+        let _ = stream.finish();
+    }))
+    .unwrap_or_else(|_| panic!("{label}: serving the engine panicked"));
+}
+
+/// Imports a model-record mutant into a router, adds a home on it and
+/// serves it [`SERVED_TICKS`] rounds of `session`, asserting nothing
+/// panics.
+fn serve_record(text: &str, session: &Session, label: &str) {
+    catch_unwind(AssertUnwindSafe(|| {
+        let name = ModelRecord::from_snapshot_str(text).expect("imported").name;
+        let mut router = ShardedRouter::new();
+        router.import_model(text).expect("imported");
+        router.add_home(0, &name, Lag::Fixed(5)).expect("a home");
+        for tick in &session.ticks[..SERVED_TICKS] {
+            let _ = router.push_round(&[(0, &tick.observed)]);
+        }
+        let _ = router.finish();
+    }))
+    .unwrap_or_else(|_| panic!("{label}: serving the imported model panicked"));
+}
+
 #[test]
 fn mutated_engine_and_model_record_snapshots_never_panic() {
-    let (train, _) = tiny_corpus(4, 60, 17);
+    let (train, test) = tiny_corpus(4, 60, 17);
+    let session = &test[0];
     let engine = engine_with(&train, &CaceConfig::default());
     let record = ModelRecord {
         name: "cace".to_string(),
@@ -382,6 +422,7 @@ fn mutated_engine_and_model_record_snapshots_never_panic() {
     let import = |text: &str| ShardedRouter::new().import_model(text);
     let mut rng = Rng(0x0dec_0de5);
     let (mut read_ok, mut read_err, mut per_byte) = (0usize, 0usize, 0f64);
+    let mut served = 0usize;
     for (name, original) in [
         ("engine", engine.to_snapshot_string()),
         ("model record", record.to_snapshot_string()),
@@ -391,11 +432,20 @@ fn mutated_engine_and_model_record_snapshots_never_panic() {
         for i in 0..MUTANTS_PER_INPUT {
             let label = format!("{name} mutant {i}");
             let mutant = reseal_json(&mutate_json(payload, &mut rng));
-            let reads = [
-                check_json(&mutant, &label, CaceEngine::from_snapshot_str),
-                check_json(&mutant, &label, import),
-            ];
-            for (ok, peak) in reads {
+            let (engine, engine_peak) = check_json(&mutant, &label, CaceEngine::from_snapshot_str);
+            let (imported, import_peak) = check_json(&mutant, &label, import);
+            if let Some(engine) = &engine {
+                serve_engine(engine, session, &label);
+                served += 1;
+            }
+            if imported.is_some() {
+                serve_record(&mutant, session, &label);
+                served += 1;
+            }
+            for (ok, peak) in [
+                (engine.is_some(), engine_peak),
+                (imported.is_some(), import_peak),
+            ] {
                 if ok {
                     read_ok += 1;
                 } else {
@@ -405,7 +455,10 @@ fn mutated_engine_and_model_record_snapshots_never_panic() {
             }
         }
     }
-    println!("{read_ok} read, {read_err} rejected, peak allocation {per_byte:.2} B per input byte");
+    println!(
+        "{read_ok} read ({served} served), {read_err} rejected, \
+         peak allocation {per_byte:.2} B per input byte"
+    );
     // Both outcomes occur: the mutants reach the payload readers and
     // past them.
     assert!(
@@ -433,7 +486,7 @@ fn engine_snapshots_with_misshapen_tables_are_rejected() {
         assert_ne!(edited, payload, "tamper target must exist");
         let mutant = reseal_json(&edited);
         let (read, _) = check_json(&mutant, to, CaceEngine::from_snapshot_str);
-        assert!(!read, "{to}: accepted");
+        assert!(read.is_none(), "{to}: accepted");
     }
 }
 
@@ -472,9 +525,11 @@ fn engine_snapshots_with_cyclic_or_out_of_range_trees_are_rejected() {
         for (reader, read) in [
             (
                 "engine",
-                check_json(&mutant, to, |t| CaceEngine::from_snapshot_str(t).map(drop)).0,
+                check_json(&mutant, to, |t| CaceEngine::from_snapshot_str(t).map(drop))
+                    .0
+                    .is_some(),
             ),
-            ("import", check_json(&mutant, to, import).0),
+            ("import", check_json(&mutant, to, import).0.is_some()),
         ] {
             assert!(!read, "{to}: the {reader} reader accepted it");
         }

@@ -5,12 +5,11 @@
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
 //! Parked streams are held to the same bar across builds that write the
-//! same layout. The golden `v5` parks `tests/fixtures/parked_*_v5.stream-bin`
+//! same layout. The golden `v6` parks `tests/fixtures/parked_*_v6.stream-bin`
 //! resume and continue bit-identically here, and a fresh stream parks to
 //! them exactly. Parks of the layouts this build no longer writes — the
-//! `v3` JSON and binary kinds, `v4`, and a `v5` park whose frontier-kind
-//! byte marks a dense frontier — are rejected by name, and quarantine a
-//! home imported from them. Engine snapshots that record the removed
+//! `v3` JSON and binary kinds, `v4` and `v5` — are rejected by name, and
+//! quarantine a home imported from them. Engine snapshots that record the removed
 //! `f32` lane or a lossy beam are rejected, never decoded as exact.
 
 use std::sync::Arc;
@@ -134,12 +133,12 @@ fn tampered_snapshots_are_rejected() {
 /// The golden parked streams: `(strategy, fixture stem)`. Each fixture is
 /// the stream of [`golden_engine`] over the first test session, parked
 /// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`]; the stem plus
-/// [`V5`] names the `v5` park a fresh stream writes.
+/// [`V6`] names the `v6` park a fresh stream writes.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
-const V5: &str = "_v5";
+const V6: &str = "_v6";
 /// The NH golden stream, parked by the same recipe.
 const NH_GOLDEN: (Strategy, &str) = (Strategy::NaiveHmm, "parked_nh");
 const GOLDEN_PARK_AT: usize = 30;
@@ -178,7 +177,7 @@ fn reseal_text(text: &str) -> String {
 
 /// [`reseal_text`] for the parked-stream reader, which takes bytes.
 fn read_text(text: &str) -> Result<ParkedStream, ModelError> {
-    ParkedStream::from_snapshot_any(reseal_text(text).as_bytes())
+    ParkedStream::from_snapshot_bytes(reseal_text(text).as_bytes())
 }
 
 /// The payload of a binary snapshot.
@@ -187,10 +186,10 @@ fn bin_payload(bytes: &[u8]) -> &[u8] {
     &bytes[newline + 1..]
 }
 
-/// Wraps an edited binary payload in a valid `v5` envelope.
+/// Wraps an edited binary payload in a valid `v6` envelope.
 fn reseal_bin(payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
-        "CACE-SNAPSHOT v5 kind=stream-bin fnv1a64={:016x} len={}\n",
+        "CACE-SNAPSHOT v6 kind=stream-bin fnv1a64={:016x} len={}\n",
         fnv1a64(payload),
         payload.len()
     )
@@ -216,15 +215,15 @@ fn assert_f32_lane_rejected<T>(result: Result<T, ModelError>, what: &str) {
 #[test]
 fn golden_parked_streams_resume_bit_identically() {
     for (strategy, stem) in GOLDEN {
-        assert_continue_the_golden_stream(strategy, vec![v5_park(stem)]);
+        assert_continue_the_golden_stream(strategy, vec![v6_park(stem)]);
     }
 }
 
-/// The golden `v5` park of `stem`, checked to re-encode to its own bytes.
-fn v5_park(stem: &str) -> (String, ParkedStream) {
-    let file = format!("{stem}{V5}");
+/// The golden `v6` park of `stem`, checked to re-encode to its own bytes.
+fn v6_park(stem: &str) -> (String, ParkedStream) {
+    let file = format!("{stem}{V6}");
     let bytes = fixture(&format!("{file}.stream-bin"));
-    let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v5 park reads");
+    let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v6 park reads");
     assert!(parked.to_snapshot_bytes() == bytes, "{file} re-encoded");
     (file, parked)
 }
@@ -259,7 +258,7 @@ fn assert_continue_the_golden_stream(strategy: Strategy, parks: Vec<(String, Par
 #[test]
 fn golden_nh_parks_resume_bit_identically() {
     let (strategy, stem) = NH_GOLDEN;
-    assert_continue_the_golden_stream(strategy, vec![v5_park(stem)]);
+    assert_continue_the_golden_stream(strategy, vec![v6_park(stem)]);
 }
 
 #[test]
@@ -300,10 +299,10 @@ fn fresh_parks_reproduce_the_golden_bytes() {
         }
         let fresh = stream.park().to_snapshot_bytes();
         let fp = engine.hdbn_params().fingerprint();
-        let golden = fixture(&format!("{stem}{V5}.stream-bin"));
+        let golden = fixture(&format!("{stem}{V6}.stream-bin"));
         assert!(
             with_golden_wall_clock(&fresh, &golden, fp) == golden,
-            "{stem}{V5}.stream-bin: a fresh park differs from the golden bytes"
+            "{stem}{V6}.stream-bin: a fresh park differs from the golden bytes"
         );
     }
 }
@@ -338,22 +337,24 @@ fn snapshots_of_the_removed_lossy_beams_are_rejected() {
 
 /// Parks of the layouts this build no longer writes, with what the
 /// rejection of each names: the `v3` JSON and binary kinds, `v4`, and
-/// `v5` parks whose frontier-kind byte is `1` — the dense frontier a
-/// stream held after resuming a `v3`/`v4` park — in the coupled and the
-/// NH decoder.
-const RETIRED_PARKS: [(&str, &str); 5] = [
+/// `v5` — the former golden parks, and the coupled and NH `v5` parks that
+/// carried a dense frontier after resuming a `v3`/`v4` park.
+const RETIRED_PARKS: [(&str, &str); 8] = [
     ("parked_c2.snapshot", "version 3"),
     ("parked_c2.stream-bin", "version 3"),
     ("parked_c2_v4.stream-bin", "version 4"),
-    ("parked_c2_v5_from_v4.stream-bin", "frontier-kind byte 1"),
-    ("parked_nh_v5_from_v4.stream-bin", "frontier-kind byte 1"),
+    ("parked_c2_v5.stream-bin", "version 5"),
+    ("parked_ncr_v5.stream-bin", "version 5"),
+    ("parked_nh_v5.stream-bin", "version 5"),
+    ("parked_c2_v5_from_v4.stream-bin", "version 5"),
+    ("parked_nh_v5_from_v4.stream-bin", "version 5"),
 ];
 
 #[test]
 fn retired_park_layouts_are_rejected_by_name() {
     for (file, names) in RETIRED_PARKS {
         let bytes = fixture(file);
-        let read = std::panic::catch_unwind(|| ParkedStream::from_snapshot_any(&bytes))
+        let read = std::panic::catch_unwind(|| ParkedStream::from_snapshot_bytes(&bytes))
             .unwrap_or_else(|_| panic!("{file}: the reader panicked"));
         match read {
             Err(ModelError::Persistence { what }) => {
@@ -370,8 +371,8 @@ fn retired_park_layouts_are_rejected_by_name() {
 
 /// A home imported from a retired park fails its first push with a
 /// persistence error and is quarantined after it, while shard-mates
-/// imported from the golden `v5` park continue the golden stream
-/// bit-identically and re-park as `v5`. A cap of one live home per shard,
+/// imported from the golden `v6` park continue the golden stream
+/// bit-identically and re-park as `v6`. A cap of one live home per shard,
 /// over more homes than shards, makes every round park and rehydrate.
 #[test]
 fn retired_parks_quarantine_through_the_router_beside_v5_homes() {
@@ -392,16 +393,16 @@ fn retired_parks_quarantine_through_the_router_beside_v5_homes() {
         .collect();
     let mut router = ShardedRouter::with_shards(2).with_live_cap(1);
     router.register_model("cace", Arc::clone(&engine)).unwrap();
-    let v5 = fixture(&format!("{stem}{V5}.stream-bin"));
+    let v6 = fixture(&format!("{stem}{V6}.stream-bin"));
     for id in 0..HOMES {
-        router.import_home(id, "cace", v5.clone()).unwrap();
+        router.import_home(id, "cace", v6.clone()).unwrap();
     }
     for &(id, file) in &retired {
         router.import_home(id, "cace", fixture(file)).unwrap();
         let shard = router.shard_of(id);
         assert!(
             (0..HOMES).any(|mate| router.shard_of(mate) == shard),
-            "{file}: no v5 shard-mate"
+            "{file}: no v6 shard-mate"
         );
     }
     for (t, tick) in session.ticks.iter().enumerate().skip(GOLDEN_PARK_AT) {
@@ -430,7 +431,7 @@ fn retired_parks_quarantine_through_the_router_beside_v5_homes() {
     assert_eq!(stats.quarantined_homes(), retired.len());
     for id in 0..HOMES {
         let exported = router.export_home(id).unwrap();
-        assert!(exported.starts_with(b"CACE-SNAPSHOT v5 "), "home {id}");
+        assert!(exported.starts_with(b"CACE-SNAPSHOT v6 "), "home {id}");
         let parked = ParkedStream::from_snapshot_bytes(&exported).unwrap();
         assert_eq!(parked.ticks_pushed(), session.len(), "home {id}");
     }
@@ -441,7 +442,7 @@ fn retired_parks_quarantine_through_the_router_beside_v5_homes() {
                 "{file}: {tail:?}"
             ),
             None => {
-                let resumed = tail.expect("v5 home finishes").into_recognition(emitted);
+                let resumed = tail.expect("v6 home finishes").into_recognition(emitted);
                 assert_recognitions_identical(&resumed, &straight, &format!("home {id}"));
             }
         }
