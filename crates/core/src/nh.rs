@@ -237,6 +237,10 @@ impl TrellisEntry for FlatEntry {
         std::iter::empty()
     }
 
+    fn item_ids(_: &mut u32) -> &mut [u32] {
+        &mut []
+    }
+
     fn decide(macro_id: u32, _: impl Fn(u32)) -> usize {
         macro_id as usize
     }

@@ -89,11 +89,12 @@ pub enum Lag {
     /// Never commit mid-stream; decode everything at finalization — the
     /// whole-session Viterbi decode.
     ///
-    /// Cost: the window keeps every tick, compacted to its survivors'
-    /// records and its candidate tuples in pooled stores that only grow
-    /// (by doubling), while the push's whole entry is the thread's
-    /// scratch as under a fixed lag — so a warmed push allocates only when
-    /// a store or the
+    /// Cost: the window keeps every tick, as the live tree (see
+    /// [`OnlineTrellis`]): below the point where every backpointer chain
+    /// has met, one record and the items it names per tick, in pooled
+    /// stores that only grow (by doubling), while the push's whole entry
+    /// is the thread's scratch as under a fixed lag — so a warmed push
+    /// allocates only when a store or the
     /// [`reserve_ticks`](OnlineCoupledViterbi::reserve_ticks)-sized window
     /// spine outgrows its capacity: one allocation over 64 warmed pushes
     /// on the toy coupled decoder (`tests/alloc_steady_state.rs` bounds it
@@ -189,6 +190,10 @@ impl TrellisEntry for JointEntry {
 
     fn items(&self) -> impl Iterator<Item = MicroCandidate> + '_ {
         self.cands[0].iter().chain(&self.cands[1]).copied()
+    }
+
+    fn item_ids((_, micros): &mut JointPick) -> &mut [u32] {
+        micros
     }
 
     fn decide((macros, micros): JointPick, item: impl Fn(u32) -> MicroCandidate) -> Self::Decision {
@@ -350,15 +355,21 @@ impl OnlineCoupledViterbi {
     }
 
     /// The joint states each window entry still holds, oldest first: the
-    /// survivors of the step after it, plus state 0 when that step left a
-    /// destination unreachable (every state, when it folded the whole
-    /// frontier). The newest entry holds its own selection's survivors,
-    /// plus the frontier argmax and state 0 (see [`OnlineTrellis`]).
+    /// states the records of the entry after it name. The newest entry
+    /// holds its own selection's survivors, plus the frontier argmax and
+    /// state 0 (see [`OnlineTrellis`]).
     pub fn window_states(&self) -> Vec<Vec<usize>> {
         let states = |entry: Compacted<JointPick, MicroCandidate>| {
             entry.records.iter().map(|r| r.state as usize).collect()
         };
         self.core.compacted().into_iter().map(states).collect()
+    }
+
+    /// The window's compacted entries, oldest first, the newest included:
+    /// each entry's records and the candidate tuples their payloads name.
+    #[cfg(feature = "testkit")]
+    pub fn window(&self) -> Vec<Compacted<JointPick, MicroCandidate>> {
+        self.core.compacted()
     }
 
     /// Consumes one tick, advancing the frontier by one DP step; returns
@@ -507,6 +518,10 @@ impl TrellisEntry for ChainEntry {
 
     fn items(&self) -> impl Iterator<Item = MicroCandidate> + '_ {
         self.cands.iter().copied()
+    }
+
+    fn item_ids((_, micro): &mut ChainPick) -> &mut [u32] {
+        std::slice::from_mut(micro)
     }
 
     fn decide((a, c): ChainPick, item: impl Fn(u32) -> MicroCandidate) -> Self::Decision {

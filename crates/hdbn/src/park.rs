@@ -12,7 +12,8 @@
 //!   fold reads of them, and the newest frontier's argmax;
 //! * the compacted window entries, the newest included, each the
 //!   [`Record`]s a backtrack through its tick can still read — state,
-//!   backpointer, decision payload — and the tick's candidate tuples;
+//!   backpointer, decision payload — and the tick's candidate tuples
+//!   those records name;
 //! * the decision cursor (`base`/`pushed`) and the overhead counters.
 //!
 //! Decisions already emitted are the caller's: a park holds `O(lag)`
@@ -43,8 +44,8 @@ use crate::trellis::{find_record, Compacted, Record, SurvivorSet, Survivors};
 use crate::viterbi::JointSurvivors;
 
 /// Decision payload of one coupled joint state: per user its macro
-/// activity, and the index of its micro tuple in its entry's items (user
-/// 1's candidates, then user 2's).
+/// activity, and the index of its micro tuple in its entry's items (the
+/// named ones of user 1's candidates, then of user 2's).
 pub(crate) type JointPick = ([u32; 2], [u32; 2]);
 /// Decision payload of one chain state: its macro activity and the index
 /// of its micro tuple in its entry's items.

@@ -31,15 +31,17 @@
 //! so it plugs into the engine one level up, as a [`TrellisFamily`].
 //!
 //! The online layer is factored the same way: [`OnlineTrellis`] owns the
-//! newest tick's survivors and argmax, the survivor-compacted backpointer
-//! window ([`Record`]s and items in pooled stores, the newest tick
+//! newest tick's survivors and argmax, the live tree of the backpointer
+//! window (the [`Record`]s some backpointer chain out of the newest tick
+//! reaches, and the items they name, in pooled stores, the newest tick
 //! included), the decision cursor, and the overhead counters — written
 //! once — and each family supplies a [`TrellisFamily`] impl that maps a
 //! window entry onto the kernels. What only a push reads — the arena, the
-//! whole frontier a step writes and the window entry a push fills — is a
-//! [`TrellisScratch`] kept per family per thread, not per stream. The
-//! whole frontier's type is the family's ([`Frontier`]): the chain and NH
-//! families write one dense score per state, the coupled family a
+//! whole frontier a step writes, the window entry a push fills and the
+//! marks of the live tree — is a [`TrellisScratch`] kept per family per
+//! thread, not per stream. The whole frontier's type is the family's
+//! ([`Frontier`]): the chain and NH families write one dense score per
+//! state, the coupled family a
 //! [`JointFrontier`](crate::viterbi::JointFrontier) factored per slot pair
 //! that is never materialized. A push asks it for its argmax and its
 //! survivors and keeps only those ([`SurvivorSet`]).
@@ -585,6 +587,10 @@ pub trait TrellisEntry: Default {
     /// The entry's items, in the order payloads index them.
     fn items(&self) -> impl Iterator<Item = Self::Item> + '_;
 
+    /// The item ids a payload names, for renumbering when a compacted
+    /// entry drops the items no record names.
+    fn item_ids(payload: &mut Self::Payload) -> &mut [u32];
+
     /// The decision of a payload whose entry's item `i` is `item(i)`.
     fn decide(payload: Self::Payload, item: impl Fn(u32) -> Self::Item) -> Self::Decision;
 }
@@ -603,11 +609,12 @@ pub struct Record<P> {
     pub payload: P,
 }
 
-/// One compacted window entry as a park holds it: its items and its
-/// records, ascending by state.
+/// One compacted window entry as a park holds it: the items its records
+/// name and its records, ascending by state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Compacted<P, I> {
-    /// The tick's items (its candidate tuples) that payloads index.
+    /// The tick's items (its candidate tuples) that payloads name, in
+    /// tick order.
     pub items: Vec<I>,
     /// One record per state a backtrack through the tick can reach.
     pub records: Vec<Record<P>>,
@@ -661,11 +668,11 @@ pub trait SurvivorSet: Default + Clone + std::fmt::Debug {
 }
 
 /// Everything a push reads that a stream does not keep between pushes:
-/// the [`TrellisArena`], the whole frontier a step writes and the window
-/// entry a push fills. A push selects the stream's survivors from the
-/// frontier and compacts the entry into the stream's stores, so buffers
-/// never move between streams and each stream's grow only with its own
-/// survivors and records.
+/// the [`TrellisArena`], the whole frontier a step writes, the window
+/// entry a push fills and the marks of the window's live tree. A push
+/// selects the stream's survivors from the frontier and compacts the
+/// entry into the stream's stores, so buffers never move between streams
+/// and each stream's grow only with its own survivors and records.
 ///
 /// There is one per family per thread, in the slot
 /// [`TrellisFamily::scratch`] names, so its buffers stay warm in the cache
@@ -681,6 +688,92 @@ pub struct TrellisScratch<E, F> {
     arena: TrellisArena,
     next: F,
     entry: E,
+    marks: Marks,
+}
+
+/// The buffers that mark a window's live tree: the states the records of
+/// one entry name in the entry before it, and one entry's item renumbering.
+#[derive(Debug, Default)]
+struct Marks {
+    /// States named, ascending and distinct.
+    named: Vec<u32>,
+    /// Per item id: its id among the items kept, or [`DROPPED`].
+    remap: Vec<u32>,
+}
+
+/// [`Marks::remap`] of an item that no kept record names.
+const DROPPED: u32 = u32::MAX;
+
+impl Marks {
+    /// Sets `named` to the distinct `states`, ascending.
+    fn name(&mut self, states: impl Iterator<Item = u32>) {
+        self.named.clear();
+        self.named.extend(states);
+        self.named.sort_unstable();
+        self.named.dedup();
+    }
+
+    /// Keeps the records whose state `named` holds, in order, at the
+    /// front of `records`; returns how many.
+    fn keep_records<P: Copy>(&self, records: &mut [Record<P>]) -> usize {
+        let (named, mut k, mut kept) = (&self.named, 0, 0);
+        for r in 0..records.len() {
+            let state = records[r].state;
+            while k < named.len() && named[k] < state {
+                k += 1;
+            }
+            if named.get(k) == Some(&state) {
+                records[kept] = records[r];
+                kept += 1;
+            }
+        }
+        kept
+    }
+
+    /// Renumbers the item ids of `records`' payloads to their places among
+    /// the entry's `n_items` items that some record names, in order, and
+    /// leaves the map in `remap`; returns how many items are named.
+    fn renumber<E: TrellisEntry>(
+        &mut self,
+        records: &mut [Record<E::Payload>],
+        n_items: usize,
+    ) -> usize {
+        let remap = &mut self.remap;
+        remap.clear();
+        remap.resize(n_items, DROPPED);
+        for r in records.iter_mut() {
+            for &id in E::item_ids(&mut r.payload).iter() {
+                remap[id as usize] = 0;
+            }
+        }
+        let mut named = 0;
+        for to in remap.iter_mut().filter(|to| **to != DROPPED) {
+            *to = named;
+            named += 1;
+        }
+        for r in records {
+            for id in E::item_ids(&mut r.payload) {
+                *id = remap[*id as usize];
+            }
+        }
+        named as usize
+    }
+
+    /// Keeps the items `records` name, in order, at the front of `items`,
+    /// renumbering the payloads; returns how many.
+    fn keep_items<E: TrellisEntry>(
+        &mut self,
+        records: &mut [Record<E::Payload>],
+        items: &mut [E::Item],
+    ) -> usize {
+        let kept = self.renumber::<E>(records, items.len());
+        for (i, &to) in self.remap.iter().enumerate() {
+            if to != DROPPED {
+                items[to as usize] = items[i];
+            }
+        }
+        kept
+    }
 }
 
 /// The per-thread slot a family keeps its [`TrellisScratch`] in, empty
@@ -729,7 +822,7 @@ pub trait TrellisFamily {
 }
 
 /// The family-independent half of an online fixed-lag decoder: the newest
-/// tick's survivors and argmax, the survivor-compacted backpointer window,
+/// tick's survivors and argmax, the live tree of the backpointer window,
 /// the decision cursor (`base`/`pushed`) and the overhead counters —
 /// exactly what the next step or a backtrack reads. The push-only buffers
 /// live in the thread's [`TrellisScratch`]. Written once; each public
@@ -748,21 +841,26 @@ pub trait TrellisFamily {
 /// fold reads of their source side, plus the frontier's last-max argmax,
 /// where every backtrack starts.
 ///
-/// The window is compacted through to the newest tick: each entry is its
-/// items (candidate tuples) and one [`Record`] per survivor, plus the
-/// argmax, plus state 0 — a destination that no survivor reaches points
-/// at state 0, survivor or not. Once the next step has run, the argmax
-/// and state 0 are dropped again unless they survived or (state 0 only)
-/// some backpointer names them, so every older entry holds the survivors
-/// of the step after it and state 0 when that step named it. A step that
-/// folds the whole frontier keeps every state. This is the on-line
-/// Viterbi idea (Šrámek, Brejová & Vinař, WABI 2007) applied to
-/// CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009). The newest
-/// entry sits in its own two buffers until the next step has pruned it;
-/// it then moves into the two pooled stores every older entry shares, so
-/// the stores never hold the newest entry's extra records next to the
-/// entries the push is about to ripen. A warmed fixed-lag push allocates
-/// nothing.
+/// The window is the live tree of backpointers. The newest entry is its
+/// tick's items (candidate tuples) and one [`Record`] per survivor, plus
+/// the argmax, plus state 0 — a destination that no survivor reaches
+/// points at state 0, survivor or not. Every older entry holds exactly the
+/// states the records of the entry after it name, and every entry exactly
+/// the items its records name (payload item ids renumbered to match), so
+/// each record lies on a backpointer chain out of the newest entry. This
+/// is the on-line Viterbi rule (Šrámek, Brejová & Vinař, WABI 2007)
+/// applied to CarpeDiem survivor sets (Esposito & Radicioni, JMLR 2009).
+///
+/// A push keeps it that way. Once the new tick's survivors are selected,
+/// the previous newest entry moves into the two pooled stores every older
+/// entry shares with only the states the new records name, so one wide
+/// tick never sets the stores' capacity. When that drops a record, the
+/// marking walks back through the older entries until one keeps all it
+/// held: a live set only shrinks, so nothing older can change, and the
+/// walk costs amortized `O(live)`. The stores are compacted in place, so
+/// a warmed fixed-lag push allocates nothing; under [`Lag::Unbounded`]
+/// the window holds the live tree plus the one record per tick the chains
+/// have met on.
 #[derive(Debug, Clone)]
 pub struct OnlineTrellis<E: TrellisEntry, S = Survivors> {
     lag: Lag,
@@ -773,15 +871,12 @@ pub struct OnlineTrellis<E: TrellisEntry, S = Survivors> {
     /// The newest tick's compacted entry (tick `pushed - 1`).
     newest: Compacted<E::Payload, E::Item>,
     /// Compacted entries for ticks `base .. pushed - 1`, oldest first:
-    /// each entry's first record and first item, as absolute store indices.
+    /// where each entry's records and items lie in the stores.
     spans: VecDeque<Span>,
-    /// Every compacted entry's records, oldest first.
-    records: VecDeque<Record<E::Payload>>,
-    /// Every compacted entry's items, oldest first.
-    items: VecDeque<E::Item>,
-    /// Absolute indices of `records[0]` and `items[0]`.
-    records_base: usize,
-    items_base: usize,
+    /// Every older compacted entry's records, oldest first.
+    records: Vec<Record<E::Payload>>,
+    /// Every older compacted entry's items, oldest first.
+    items: Vec<E::Item>,
     /// Tick index of the oldest retained entry.
     base: usize,
     /// Ticks consumed so far.
@@ -792,8 +887,8 @@ pub struct OnlineTrellis<E: TrellisEntry, S = Survivors> {
     last_survivors: Option<usize>,
 }
 
-/// Where one compacted entry lives in the stores: absolute index and
-/// count of its records, and of its items.
+/// Where one compacted entry lives in the stores: index and count of its
+/// records, and of its items.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     record: usize,
@@ -811,10 +906,8 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
             top: (0, f64::NEG_INFINITY),
             newest: Compacted::default(),
             spans: VecDeque::new(),
-            records: VecDeque::new(),
-            items: VecDeque::new(),
-            records_base: 0,
-            items_base: 0,
+            records: Vec::new(),
+            items: Vec::new(),
             base: 0,
             pushed: 0,
             states_explored: 0,
@@ -824,14 +917,21 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
     }
 
     /// Rebuilds a stream from its park. The caller has validated it
-    /// ([`ParkedTrellis::validate`]).
+    /// ([`ParkedTrellis::validate`]). A park may hold records no chain
+    /// reaches; they are dropped here, as a push would have.
     pub fn resume(lag: Lag, parked: &ParkedTrellis<S, E::Payload, E::Item>) -> Self {
         let mut core = Self::new(lag);
-        if let Some((newest, older)) = parked.compact.split_last() {
-            for entry in older {
-                core.store(entry);
-            }
+        let mut marks = Marks::default();
+        for pair in parked.compact.windows(2) {
+            core.newest.clone_from(&pair[0]);
+            marks.name(pair[1].records.iter().map(|r| r.back));
+            core.retire_newest(&mut marks);
+        }
+        if let Some(newest) = parked.compact.last() {
             core.newest.clone_from(newest);
+            let Compacted { items, records } = &mut core.newest;
+            let kept = marks.keep_items::<E>(records, items);
+            items.truncate(kept);
         }
         core.survivors.clone_from(&parked.survivors);
         core.top = parked.top;
@@ -912,65 +1012,43 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
         let older = (0..self.spans.len()).map(|i| {
             let (records, items) = self.ranges(i);
             Compacted {
-                items: self.items.range(items).copied().collect(),
-                records: self.records.range(records).copied().collect(),
+                items: self.items[items].to_vec(),
+                records: self.records[records].to_vec(),
             }
         });
         let newest = (self.pushed > 0).then(|| self.newest.clone());
         older.chain(newest).collect()
     }
 
-    /// Appends a compacted entry to the pooled stores.
-    fn store(&mut self, entry: &Compacted<E::Payload, E::Item>) {
-        self.spans.push_back(Span {
-            record: self.records_base + self.records.len(),
-            records: entry.records.len() as u32,
-            item: self.items_base + self.items.len(),
-            items: entry.items.len() as u32,
-        });
-        self.records.extend(&entry.records);
-        self.items.extend(&entry.items);
-    }
-
     /// Store ranges of compacted entry `i`'s records and items.
     fn ranges(&self, i: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         let span = self.spans[i];
-        let record = span.record - self.records_base;
-        let item = span.item - self.items_base;
         (
-            record..record + span.records as usize,
-            item..item + span.items as usize,
+            span.record..span.record + span.records as usize,
+            span.item..span.item + span.items as usize,
         )
+    }
+
+    /// The records of compacted entry `i`, the newest included.
+    fn records_of(&self, i: usize) -> &[Record<E::Payload>] {
+        if i == self.spans.len() {
+            return &self.newest.records;
+        }
+        &self.records[self.ranges(i).0]
     }
 
     /// The record of `state` in compacted entry `i`.
     ///
     /// # Panics
     /// When the entry holds no such record. An entry holds every state its
-    /// successor's backpointers name, and the newest one the argmax:
-    /// live, by construction (see the [type docs](Self)); parked, because
-    /// resume rejects a backpointer or an argmax that names no record.
+    /// successor's records name, and the newest one the argmax: live, by
+    /// construction (see the [type docs](Self)); parked, because resume
+    /// rejects a backpointer or an argmax that names no record.
     fn record(&self, i: usize, state: usize) -> &Record<E::Payload> {
-        if i == self.spans.len() {
-            return u32::try_from(state)
-                .ok()
-                .and_then(|state| find_record(&self.newest.records, state))
-                .expect("the newest entry holds every survivor and the argmax");
-        }
-        let (range, _) = self.ranges(i);
-        let (mut lo, mut hi) = (range.start, range.end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if (self.records[mid].state as usize) < state {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let record = self.records.get(lo).filter(|_| lo < range.end);
-        record
-            .filter(|r| r.state as usize == state)
-            .expect("a compacted entry holds every state its successor's backpointers name")
+        u32::try_from(state)
+            .ok()
+            .and_then(|state| find_record(self.records_of(i), state))
+            .expect("a compacted entry holds every state its successor's records name")
     }
 
     /// The decision of a record of compacted entry `i`.
@@ -986,10 +1064,10 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
     /// on the first tick): `fill` writes the tick into the scratch entry (with
     /// the arena's fill buffers at hand) and returns the states to charge
     /// to the exploration counter. The step folds the kept survivors, then
-    /// the new frontier's survivors are selected and the entry is compacted
-    /// at once (see the [type docs](Self)). Runs on the thread's
-    /// [`TrellisScratch`]. The caller follows up with
-    /// [`emit_ready`](Self::emit_ready).
+    /// the new frontier's survivors are selected, the previous newest entry
+    /// retires to the live tree and the new entry is compacted at once (see
+    /// the [type docs](Self)). Runs on the thread's [`TrellisScratch`]. The
+    /// caller follows up with [`emit_ready`](Self::emit_ready).
     pub fn push_entry<Fam>(
         &mut self,
         family: &Fam,
@@ -1001,7 +1079,12 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
     {
         let slot = Fam::scratch();
         let mut scratch = slot.take().unwrap_or_default();
-        let TrellisScratch { arena, next, entry } = &mut *scratch;
+        let TrellisScratch {
+            arena,
+            next,
+            entry,
+            marks,
+        } = &mut *scratch;
         let n_states = fill(entry, arena);
         self.states_explored = self.states_explored.saturating_add(n_states);
         if self.pushed == 0 {
@@ -1011,36 +1094,89 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
             let ops = family.fold(&self.survivors, entry, next, arena);
             self.transition_ops = self.transition_ops.saturating_add(ops);
             self.last_survivors = Some(self.survivors.states().len());
-            self.retire_newest(entry.back_row());
         }
         self.top = next.argmax();
         family.select(entry, next, arena, &mut self.survivors);
-        self.compact(entry);
+        if self.pushed > 0 {
+            let extras = [0, self.top.0 as u32];
+            let named = self.survivors.states().iter().chain(&extras);
+            marks.name(named.map(|&j| entry.back_of(j as usize) as u32));
+            self.retire_newest(marks);
+        }
+        self.compact(entry, marks);
         self.pushed += 1;
         slot.set(Some(scratch));
     }
 
-    /// Moves the newest compacted entry into the pooled stores, without
-    /// the records the step just run cannot reach: the argmax and state 0
-    /// when they did not survive, state 0 only when no backpointer of
-    /// `back` names it.
-    fn retire_newest(&mut self, back: &[u32]) {
-        let survivors = self.survivors.states();
-        let records = &mut self.newest.records;
-        if records.len() != survivors.len() {
-            let zero_named = survivors.first() != Some(&0) && back.contains(&0);
-            records.retain(|r| {
-                (r.state == 0 && zero_named) || survivors.binary_search(&r.state).is_ok()
-            });
+    /// Moves the newest compacted entry into the pooled stores with only
+    /// the states `marks` names — those the records of the entry after it
+    /// name — and the items they name, then walks the marking back through
+    /// the older entries if that dropped a record.
+    fn retire_newest(&mut self, marks: &mut Marks) {
+        let Compacted { items, records } = &mut self.newest;
+        let held = records.len();
+        let kept = marks.keep_records(records);
+        records.truncate(kept);
+        let kept_items = marks.keep_items::<E>(records, items);
+        items.truncate(kept_items);
+        self.spans.push_back(Span {
+            record: self.records.len(),
+            records: kept as u32,
+            item: self.items.len(),
+            items: kept_items as u32,
+        });
+        self.records.extend_from_slice(records);
+        self.items.extend_from_slice(items);
+        if kept < held {
+            self.prune_back(marks);
         }
-        let newest = std::mem::take(&mut self.newest);
-        self.store(&newest);
-        self.newest = newest;
     }
 
-    /// Compacts `entry` into the newest entry's buffers: its items, and one
-    /// record per survivor, plus the argmax, plus state 0, ascending.
-    fn compact(&mut self, entry: &E) {
+    /// Walks the live marking back from the newest stored entry, which has
+    /// just lost records: each entry before it keeps only the states the
+    /// entry after it names, until one keeps all it held. The entries that
+    /// lost records leave gaps in the stores, closed by moving every entry
+    /// after the lowest of them down.
+    fn prune_back(&mut self, marks: &mut Marks) {
+        let last = self.spans.len() - 1;
+        let mut i = last;
+        while i > 0 {
+            let (after, _) = self.ranges(i);
+            marks.name(self.records[after].iter().map(|r| r.back));
+            let (records, items) = self.ranges(i - 1);
+            let kept = marks.keep_records(&mut self.records[records.clone()]);
+            if kept == records.len() {
+                break;
+            }
+            let records = &mut self.records[records.start..records.start + kept];
+            let kept_items = marks.keep_items::<E>(records, &mut self.items[items]);
+            let span = &mut self.spans[i - 1];
+            (span.records, span.items) = (kept as u32, kept_items as u32);
+            i -= 1;
+        }
+        if i == last {
+            return;
+        }
+        let span = self.spans[i];
+        let mut record = span.record + span.records as usize;
+        let mut item = span.item + span.items as usize;
+        for e in i + 1..=last {
+            let (records, items) = self.ranges(e);
+            self.records.copy_within(records, record);
+            self.items.copy_within(items, item);
+            let span = &mut self.spans[e];
+            (span.record, span.item) = (record, item);
+            record += span.records as usize;
+            item += span.items as usize;
+        }
+        self.records.truncate(record);
+        self.items.truncate(item);
+    }
+
+    /// Compacts `entry` into the newest entry's buffers: one record per
+    /// survivor, plus the argmax, plus state 0, ascending, and the items
+    /// they name.
+    fn compact(&mut self, entry: &E, marks: &mut Marks) {
         let whole = entry.back_row().is_empty();
         let record = |j: u32| Record {
             state: j,
@@ -1067,8 +1203,14 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
                 records.push(record(x));
             }
         }
+        marks.renumber::<E>(records, entry.items().count());
         items.clear();
-        items.extend(entry.items());
+        let named = entry.items().zip(&marks.remap);
+        items.extend(
+            named
+                .filter(|&(_, &to)| to != DROPPED)
+                .map(|(item, _)| item),
+        );
     }
 
     /// `(state, score)` of the newest frontier's last maximum; `(0, −∞)`
@@ -1109,17 +1251,18 @@ impl<E: TrellisEntry, S: SurvivorSet> OnlineTrellis<E, S> {
         // their room in the pooled stores.
         let ripe = (tick + 1).saturating_sub(self.base).min(self.spans.len());
         self.spans.drain(..ripe);
-        let (record_end, item_end) = (
-            self.records_base + self.records.len(),
-            self.items_base + self.items.len(),
-        );
-        let (records_from, items_from) = self
+        let (records, items) = self
             .spans
             .front()
-            .map_or((record_end, item_end), |s| (s.record, s.item));
-        self.records.drain(..records_from - self.records_base);
-        self.items.drain(..items_from - self.items_base);
-        (self.records_base, self.items_base) = (records_from, items_from);
+            .map_or((self.records.len(), self.items.len()), |s| {
+                (s.record, s.item)
+            });
+        self.records.drain(..records);
+        self.items.drain(..items);
+        for span in &mut self.spans {
+            span.record -= records;
+            span.item -= items;
+        }
         self.base += ripe;
         Some(decision)
     }

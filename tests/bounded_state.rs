@@ -157,18 +157,12 @@ const PARK_BASE: usize = 4096;
 /// varint ids, plus a survivor's raw 8-byte score.
 const RECORD_BYTES: usize = 24;
 
-/// After an ambiguous CASAS stretch a coupled stream's head — its newest
-/// window entry — holds exactly its last selection's survivors, plus the
-/// frontier argmax and state 0, and its park grows with the records and
-/// survivors it holds, not with the frontier they were selected from: a
-/// park that held the frontier's fold (8 bytes per slot pair) breaks the
-/// bound at the first calm tick after a wide one.
-#[test]
-fn coupled_head_holds_its_survivors_not_its_frontier() {
+/// A C2 model trained on a small CASAS corpus, and the tick inputs of
+/// one of its test sessions: 120 ticks with an ambiguous stretch.
+fn casas_session() -> (CoupledHdbn, Vec<cace::hdbn::TickInput>) {
     use cace::behavior::session::train_test_split;
     use cace::behavior::{generate_casas_dataset, CasasConfig};
     use cace::core::CaceEngine;
-    use cace::hdbn::SurvivorSet;
     use std::sync::Arc;
 
     let cfg = CasasConfig {
@@ -181,6 +175,20 @@ fn coupled_head_holds_its_survivors_not_its_frontier() {
     let engine = CaceEngine::train(&train, &CaceConfig::default()).expect("training");
     let inputs = engine.tick_inputs(&test[0]);
     let model = CoupledHdbn::from_shared(Arc::clone(engine.hdbn_params()));
+    (model, inputs)
+}
+
+/// After an ambiguous CASAS stretch a coupled stream's head — its newest
+/// window entry — holds exactly its last selection's survivors, plus the
+/// frontier argmax and state 0, and its park grows with the records and
+/// survivors it holds, not with the frontier they were selected from: a
+/// park that held the frontier's fold (8 bytes per slot pair) breaks the
+/// bound at the first calm tick after a wide one.
+#[test]
+fn coupled_head_holds_its_survivors_not_its_frontier() {
+    use cace::hdbn::SurvivorSet;
+
+    let (model, inputs) = casas_session();
     let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(10));
     let (mut widest, mut frontier) = (0, 0);
     for (t, input) in inputs.iter().enumerate() {
@@ -211,4 +219,41 @@ fn coupled_head_holds_its_survivors_not_its_frontier() {
         widest >= 100 && frontier >= 10_000,
         "an ambiguous stretch: {widest} survivors, frontiers up to {frontier} states"
     );
+}
+
+/// The window holds only the live tree. After every push of a CASAS
+/// session, at lag 10 and unbounded, every older entry holds exactly the
+/// states the records of the entry after it name — so each of its
+/// records lies on a backpointer chain out of the newest entry — and
+/// every entry holds exactly the candidate tuples its records name. A
+/// window that kept each entry's survivors once the step after it had
+/// run fails at the first survivor no later record names.
+#[test]
+fn window_holds_only_the_live_tree() {
+    use std::collections::BTreeSet;
+
+    let (model, inputs) = casas_session();
+    for lag in [Lag::Fixed(10), Lag::Unbounded] {
+        let mut online = OnlineCoupledViterbi::new(model.clone(), lag);
+        for (t, input) in inputs.iter().enumerate() {
+            online.push(input).expect("push");
+            let window = online.window();
+            for (i, pair) in window.windows(2).enumerate() {
+                let states: BTreeSet<u32> = pair[0].records.iter().map(|r| r.state).collect();
+                let named: BTreeSet<u32> = pair[1].records.iter().map(|r| r.back).collect();
+                assert_eq!(
+                    states, named,
+                    "{lag:?} tick {t}: window entry {i} against the states the next one names"
+                );
+            }
+            for (i, entry) in window.iter().enumerate() {
+                let named: BTreeSet<u32> = entry.records.iter().flat_map(|r| r.payload.1).collect();
+                assert_eq!(
+                    named,
+                    (0..entry.items.len() as u32).collect(),
+                    "{lag:?} tick {t}: window entry {i} against the items its records name"
+                );
+            }
+        }
+    }
 }

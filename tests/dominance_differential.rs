@@ -681,8 +681,10 @@ fn frozen_tick(macros: [&[usize]; 2]) -> TickInput {
 /// user 2 to activity 1, which nothing reaches, so every destination
 /// points at state 0. From there the whole frontier is `−∞`, the final
 /// argmax is the last state, and the path runs through the pruned state
-/// 0 of tick 1: the compacted entry must keep it. Tick 3's step folds the
-/// whole `−∞` frontier, so tick 2's entry keeps every state.
+/// 0 of tick 1: the compacted entry must keep it, and, holding only the
+/// live tree, keeps nothing else. Tick 3's step folds the whole `−∞`
+/// frontier, so its entry keeps every state, and every one of them points
+/// at tick 2's state 0, the one state tick 2 keeps.
 #[test]
 fn compacted_window_keeps_state_zero_and_whole_frontier_steps() {
     let params = frozen_activity_params();
@@ -705,8 +707,8 @@ fn compacted_window_keeps_state_zero_and_whole_frontier_steps() {
     );
     assert_eq!(
         online.window_states()[1],
-        [0, 1],
-        "tick 1 keeps its survivor and state 0, which tick 2's backpointers name"
+        [0],
+        "tick 1 keeps state 0, which tick 2's backpointers name, and not its dead survivor"
     );
     online.push(&ticks[3]).unwrap();
     assert_eq!(
@@ -715,9 +717,9 @@ fn compacted_window_keeps_state_zero_and_whole_frontier_steps() {
         "a −∞ frontier is folded whole"
     );
     assert_eq!(
-        online.window_states()[2],
-        [0, 1],
-        "tick 2 keeps every state"
+        online.window_states()[2..],
+        [vec![0], vec![0, 1, 2, 3]],
+        "tick 3 keeps every state, and tick 2 the state they all name"
     );
     online.push(&ticks[4]).unwrap();
     let path = online.finalize().unwrap();

@@ -5,9 +5,10 @@
 //! four strategies (NH/NCR/NCS/C2), EM-refined parameters included.
 //!
 //! Parked streams are held to the same bar across builds that write the
-//! same layout. The golden `v6` parks `tests/fixtures/parked_*_v6.stream-bin`
-//! resume and continue bit-identically here, and a fresh stream parks to
-//! them exactly. Parks of the layouts this build no longer writes — the
+//! same layout. The golden `v6` parks resume and continue bit-identically
+//! here: `tests/fixtures/parked_*_v6.stream-bin`, whose windows still hold
+//! records no backpointer chain reaches, and `parked_*_v6_live.stream-bin`,
+//! which hold only the live tree, as a fresh stream parks it exactly. Parks of the layouts this build no longer writes — the
 //! `v3` JSON and binary kinds, `v4` and `v5` — are rejected by name, and
 //! quarantine a home imported from them. Engine snapshots that record the removed
 //! `f32` lane or a lossy beam are rejected, never decoded as exact.
@@ -133,12 +134,14 @@ fn tampered_snapshots_are_rejected() {
 /// The golden parked streams: `(strategy, fixture stem)`. Each fixture is
 /// the stream of [`golden_engine`] over the first test session, parked
 /// after [`GOLDEN_PARK_AT`] ticks under [`GOLDEN_LAG`]; the stem plus
-/// [`V6`] names the `v6` park a fresh stream writes.
+/// [`LIVE`] names the `v6` park a fresh stream writes, the stem plus
+/// [`V6`] one written when a window kept records no chain reaches.
 const GOLDEN: [(Strategy, &str); 2] = [
     (Strategy::CorrelationConstraint, "parked_c2"),
     (Strategy::NaiveCorrelation, "parked_ncr"),
 ];
 const V6: &str = "_v6";
+const LIVE: &str = "_v6_live";
 /// The NH golden stream, parked by the same recipe.
 const NH_GOLDEN: (Strategy, &str) = (Strategy::NaiveHmm, "parked_nh");
 const GOLDEN_PARK_AT: usize = 30;
@@ -215,13 +218,15 @@ fn assert_f32_lane_rejected<T>(result: Result<T, ModelError>, what: &str) {
 #[test]
 fn golden_parked_streams_resume_bit_identically() {
     for (strategy, stem) in GOLDEN {
-        assert_continue_the_golden_stream(strategy, vec![v6_park(stem)]);
+        let parks = vec![v6_park(stem, V6), v6_park(stem, LIVE)];
+        assert_continue_the_golden_stream(strategy, parks);
     }
 }
 
-/// The golden `v6` park of `stem`, checked to re-encode to its own bytes.
-fn v6_park(stem: &str) -> (String, ParkedStream) {
-    let file = format!("{stem}{V6}");
+/// The golden `v6` park of `stem` plus `suffix`, checked to re-encode to
+/// its own bytes.
+fn v6_park(stem: &str, suffix: &str) -> (String, ParkedStream) {
+    let file = format!("{stem}{suffix}");
     let bytes = fixture(&format!("{file}.stream-bin"));
     let parked = ParkedStream::from_snapshot_bytes(&bytes).expect("golden v6 park reads");
     assert!(parked.to_snapshot_bytes() == bytes, "{file} re-encoded");
@@ -254,11 +259,12 @@ fn assert_continue_the_golden_stream(strategy: Strategy, parks: Vec<(String, Par
     }
 }
 
-/// The NH golden park.
+/// The NH golden parks.
 #[test]
 fn golden_nh_parks_resume_bit_identically() {
     let (strategy, stem) = NH_GOLDEN;
-    assert_continue_the_golden_stream(strategy, vec![v6_park(stem)]);
+    let parks = vec![v6_park(stem, V6), v6_park(stem, LIVE)];
+    assert_continue_the_golden_stream(strategy, parks);
 }
 
 #[test]
@@ -299,10 +305,18 @@ fn fresh_parks_reproduce_the_golden_bytes() {
         }
         let fresh = stream.park().to_snapshot_bytes();
         let fp = engine.hdbn_params().fingerprint();
-        let golden = fixture(&format!("{stem}{V6}.stream-bin"));
+        let golden = fixture(&format!("{stem}{LIVE}.stream-bin"));
         assert!(
             with_golden_wall_clock(&fresh, &golden, fp) == golden,
-            "{stem}{V6}.stream-bin: a fresh park differs from the golden bytes"
+            "{stem}{LIVE}.stream-bin: a fresh park differs from the golden bytes"
+        );
+        // A park that holds dead records resumes to the live tree.
+        let (_, dead) = v6_park(stem, V6);
+        let resumed = engine.resume(&dead).expect("resumes");
+        let repark = resumed.park().to_snapshot_bytes();
+        assert!(
+            with_golden_wall_clock(&repark, &golden, fp) == golden,
+            "{stem}{V6}.stream-bin: resumed and re-parked, it differs from the golden bytes"
         );
     }
 }
