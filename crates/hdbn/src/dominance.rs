@@ -96,7 +96,10 @@
 //!   `(top + D₁) + D₂`, and that is at most `(row_top + D₁) + max D₂`
 //!   for the row of slot pairs sharing `s1`. A row or slot pair whose
 //!   bound falls below the cut holds no survivor; the members of the rest
-//!   are tested one by one, with the test above.
+//!   are tested one by one, with the test above. The step that wrote the
+//!   frontier already dropped the rows whose own bound could not pass
+//!   this row test (`viterbi::joint_fold_into`); their `row_top` is NaN
+//!   and fails it.
 //!
 //! These bounds need no slack of their own: they are not estimates of
 //! the members' rounded bounds but upper bounds on them, exact in floating
@@ -205,6 +208,33 @@ impl Dominance {
         }
     }
 
+    /// The cut of a joint selection over `v`, the frontier over
+    /// `prev1 × prev2`, against its first maximum, with the `D` terms the
+    /// tests read: the chain-2 slots' terms into `d2`, their maximum, and
+    /// the chain-1 column. `None` when every state must be kept.
+    pub(crate) fn joint_cut<'a>(
+        &'a self,
+        prev1: &Slice,
+        prev2: &Slice,
+        v: &JointFrontier,
+        d2: &mut Vec<f64>,
+    ) -> Option<JointCut<'a>> {
+        let k2 = v.axes[1].len();
+        let (b, best) = v.first_max();
+        let cut = self.cut(best)?;
+        let col2 = self.against(prev2.pairs[b % k2]);
+        d2.clear();
+        d2.extend(v.axes[1].first.iter().map(|&j| slot_d(col2, prev2, j)));
+        let d2_max = d2
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &d| if d > m { d } else { m });
+        Some(JointCut {
+            cut,
+            d2_max,
+            col1: self.against(prev1.pairs[b / k2]),
+        })
+    }
+
     /// [`select`](Self::select) for a coupled [`JointFrontier`] over the
     /// states of `prev1 × prev2`, with one `D` term per chain, slot pair
     /// by slot pair: a chain-1 slot's row is skipped when its bound
@@ -218,6 +248,11 @@ impl Dominance {
     /// slot pair's `top` is its largest score: the bounds are the members'
     /// own rounded sums with larger operands, and rounding is monotone, so
     /// they need no slack of their own (see the [module docs](self)).
+    ///
+    /// Only the rows the step folded are read. A row it left out has a NaN
+    /// `row_top`, which fails the row test: the step folds every row whose
+    /// bound could pass it, and every row when the cut is undefined (see
+    /// [`JointFrontier`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn select_joint(
         &self,
@@ -233,36 +268,26 @@ impl Dominance {
         keep_v.clear();
         let [a1, a2] = &v.axes;
         let k2 = a2.len();
-        let (b, best) = v.first_max();
-        let Some(cut) = self.cut(best) else {
+        let Some(c) = self.joint_cut(prev1, prev2, v, d2) else {
             for j in 0..v.len() {
                 keep.push(j as u32);
                 keep_v.push(v.value(j / k2, j % k2));
             }
             return;
         };
-        let col1 = self.against(prev1.pairs[b / k2]);
-        let col2 = self.against(prev2.pairs[b % k2]);
-        // Every state of a slot has the slot's pair id.
-        let slot_d =
-            |col: &[f64], prev: &Slice, first: u32| col[prev.pairs[first as usize] as usize];
-        d2.clear();
-        d2.extend(a2.first.iter().map(|&j| slot_d(col2, prev2, j)));
-        let d2_max = d2
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &d| if d > m { d } else { m });
         found.clear();
         // A NaN bound fails every test, and rightly: it is `∞ − ∞`, which
         // leaves each member's own bound at `−∞` or NaN.
         for (s1, &row_top) in v.row_top.iter().enumerate() {
-            let d1 = slot_d(col1, prev1, a1.first[s1]);
-            if (row_top + d1) + d2_max >= cut {
-                let pass = |&(s2, &dd): &(usize, &f64)| (v.top(s1, s2) + d1) + dd >= cut;
-                for (s2, &dd) in d2.iter().enumerate().filter(pass) {
+            let d1 = c.d1(prev1, v, s1);
+            if (row_top + d1) + c.d2_max >= c.cut {
+                let tops = v.row_tops(s1).zip(d2.iter()).enumerate();
+                let pass = |&(_, (top, &dd)): &(usize, (f64, &f64))| (top + d1) + dd >= c.cut;
+                for (s2, (_, &dd)) in tops.filter(pass) {
                     for j1 in a1.members(s1) {
                         for j2 in a2.members(s2) {
                             let x = v.value(j1, j2);
-                            if (x + d1) + dd >= cut {
+                            if (x + d1) + dd >= c.cut {
                                 found.push(((j1 * k2 + j2) as u32, x));
                             }
                         }
@@ -273,6 +298,30 @@ impl Dominance {
         found.sort_unstable_by_key(|&(j, _)| j);
         keep.extend(found.iter().map(|&(j, _)| j));
         keep_v.extend(found.iter().map(|&(_, x)| x));
+    }
+}
+
+/// The `D` term of a slot whose lowest member is state `first` of `prev`:
+/// every state of a slot has the slot's pair id.
+fn slot_d(col: &[f64], prev: &Slice, first: u32) -> f64 {
+    col[prev.pairs[first as usize] as usize]
+}
+
+/// A joint selection's cut and the `D` terms its row test reads (see
+/// [`Dominance::joint_cut`]).
+pub(crate) struct JointCut<'a> {
+    /// The keep threshold `v(b) − slack`.
+    pub(crate) cut: f64,
+    /// The largest chain-2 slot's `D` term.
+    pub(crate) d2_max: f64,
+    /// `D[·][q₁(b)]`, by source pair id.
+    col1: &'a [f64],
+}
+
+impl JointCut<'_> {
+    /// The `D` term of chain-1 slot `s1` of `v`, the frontier over `prev1`.
+    pub(crate) fn d1(&self, prev1: &Slice, v: &JointFrontier, s1: usize) -> f64 {
+        slot_d(self.col1, prev1, v.axes[0].first[s1])
     }
 }
 

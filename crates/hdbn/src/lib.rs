@@ -88,5 +88,5 @@ pub use trellis::{
     SurvivorSet, Survivors, TrellisEntry, TrellisFamily,
 };
 #[cfg(feature = "testkit")]
-pub use viterbi::{joint_step, joint_step_from, JointStep};
+pub use viterbi::{joint_step, joint_step_from, serve_joint_steps, JointStep, ServedStep};
 pub use viterbi::{CoupledHdbn, JointFrontier, JointPath, JointSurvivors};

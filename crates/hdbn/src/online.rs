@@ -207,6 +207,8 @@ impl TrellisEntry for JointEntry {
 /// module docs for why the joint step stays specialized).
 struct CoupledFamily<'a> {
     p: &'a HdbnParams,
+    /// Chain-1 rows of slot pairs the fold folded, and all of them.
+    rows: Cell<[usize; 2]>,
 }
 
 impl TrellisFamily for CoupledFamily<'_> {
@@ -227,7 +229,9 @@ impl TrellisFamily for CoupledFamily<'_> {
         arena: &mut TrellisArena,
     ) -> u64 {
         let JointEntry { s1, s2, back, .. } = entry;
-        viterbi::joint_fold_into(self.p, src, s1, s2, arena, next, back);
+        let bounded = viterbi::Rows::Bounded;
+        let folded = viterbi::joint_fold_into(self.p, src, s1, s2, arena, next, back, bounded);
+        self.rows.set([folded, s1.n_slots()]);
         viterbi::joint_step_charge(src.k, s1, s2)
     }
 
@@ -302,6 +306,9 @@ pub struct OnlineCoupledViterbi {
     /// The model's shared parameters.
     params: Arc<HdbnParams>,
     core: OnlineTrellis<JointEntry, JointSurvivors>,
+    /// Chain-1 rows the last step folded, and all of them (never parked).
+    #[cfg(feature = "testkit")]
+    last_rows: Option<[usize; 2]>,
 }
 
 impl OnlineCoupledViterbi {
@@ -311,6 +318,8 @@ impl OnlineCoupledViterbi {
         Self {
             params,
             core: OnlineTrellis::new(lag),
+            #[cfg(feature = "testkit")]
+            last_rows: None,
         }
     }
 
@@ -331,6 +340,14 @@ impl OnlineCoupledViterbi {
     /// parked).
     pub fn last_survivors(&self) -> Option<usize> {
         self.core.last_survivors()
+    }
+
+    /// `[folded, all]`: the chain-1 rows of slot pairs the last push's
+    /// step folded, of all its rows (see [`JointFrontier`]). `None` when
+    /// [`last_survivors`](Self::last_survivors) is.
+    #[cfg(feature = "testkit")]
+    pub fn last_rows_folded(&self) -> Option<[usize; 2]> {
+        self.last_rows
     }
 
     /// The newest tick's dominance survivors: all the next step reads of
@@ -387,8 +404,12 @@ impl OnlineCoupledViterbi {
     /// some user.
     pub fn push(&mut self, tick: &TickInput) -> Result<Option<SmoothedJoint>, ModelError> {
         viterbi::validate_tick(tick, self.core.ticks_pushed())?;
-        let p = &self.params;
-        self.core.push_entry(&CoupledFamily { p }, |entry, arena| {
+        let family = CoupledFamily {
+            p: &self.params,
+            rows: Cell::default(),
+        };
+        let p = family.p;
+        self.core.push_entry(&family, |entry, arena| {
             fill_slice(p, tick, 0, arena, &mut entry.s1);
             fill_slice(p, tick, 1, arena, &mut entry.s2);
             for u in 0..2 {
@@ -397,6 +418,10 @@ impl OnlineCoupledViterbi {
             }
             (entry.s1.len() * entry.s2.len()) as u64
         });
+        #[cfg(feature = "testkit")]
+        {
+            self.last_rows = self.core.last_survivors().map(|_| family.rows.get());
+        }
         Ok(self
             .core
             .emit_ready(|(macros, micros), tick| SmoothedJoint {
@@ -450,6 +475,8 @@ impl OnlineCoupledViterbi {
         Ok(Self {
             params,
             core: OnlineTrellis::resume(lag, parked),
+            #[cfg(feature = "testkit")]
+            last_rows: None,
         })
     }
 

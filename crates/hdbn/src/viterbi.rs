@@ -50,11 +50,17 @@
 //! members' offsets, see [`JointFrontier`]). A stream runs the selection
 //! at the end of each push and keeps only its survivors
 //! ([`JointSurvivors`]) — their scores, pair ids and runs — which the
-//! next push's survivor kernel `joint_step_pruned_into` folds. The decode
+//! next push's survivor kernel [`joint_fold_into`] folds. The decode
 //! stays exact, and on CASAS-sized frontiers the survivors are a fraction
 //! of a percent of the states. The differential suite checks one step
 //! (`joint_step`, behind the `testkit` feature) against the naive
 //! reference `cace_testkit::toy::naive_joint_step`.
+//!
+//! A stream's fold writes only the chain-1 rows of slot pairs that a row
+//! bound cannot rule out: the rows that can hold the frontier maximum or
+//! a survivor (on `casas-decode` about one in six). Pass 2, the row
+//! maxima and the selection run on those rows alone; see
+//! [`joint_fold_into`].
 
 use std::sync::Arc;
 
@@ -68,7 +74,8 @@ use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
 use crate::park::check;
-use crate::scalar::{sweep_add_max_arg, sweep_max_arg};
+use crate::scalar::{fold_max, sweep_add_max_arg, sweep_max_arg};
+use crate::tables::ScoreTables;
 use crate::trellis::{Frontier, SurvivorSet};
 
 /// Rejects a tick that would empty the joint trellis.
@@ -195,10 +202,22 @@ impl Axis {
 /// last maximum ([`Frontier::argmax`]) and the dominance selection start
 /// from those slot-pair maxima and evaluate only the members of the slot
 /// pairs that can reach the answer.
+///
+/// # Which rows hold a fold
+///
+/// A stream's step folds only the chain-1 rows of slot pairs that a row
+/// bound cannot rule out (see [`joint_fold_into`]): the rows that can hold
+/// the maximum, and the rows that can hold a survivor of the selection.
+/// Those rows have a `row_top`; every other row's `row_top` is NaN and its
+/// `w` is stale, and nothing reads it: the maxima and the selection skip
+/// NaN rows, and an undefined cut — the one case the selection reads every
+/// state — comes only with every row folded. Only the frontiers the
+/// differential suite reads whole (`from_dense`, `joint_step`) and the
+/// first tick fold every row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JointFrontier {
     /// Per slot pair, row-major (`s1 * d2 + s2`): the step's pass-2 fold,
-    /// `−0.0` on the first tick.
+    /// `−0.0` on the first tick. Read only in folded rows.
     pub(crate) w: Vec<f64>,
     pub(crate) axes: [Axis; 2],
     /// Coupling term per group pair, `g[g1 * n_g2 + g2]`: per pair of
@@ -206,8 +225,8 @@ pub struct JointFrontier {
     /// factorization.
     g: Vec<f64>,
     n_g2: usize,
-    /// Per chain-1 slot: the largest score in its row of slot pairs
-    /// (NaN scores never count).
+    /// Per chain-1 slot: the largest score in its row of slot pairs (NaN
+    /// scores never count), or NaN for a row the step did not fold.
     pub(crate) row_top: Vec<f64>,
     /// The largest score's first and last state, with their scores.
     first: (usize, f64),
@@ -267,14 +286,13 @@ impl JointFrontier {
         frontier.axes[1].trivial(k2);
         frontier.g.push(-0.0);
         frontier.n_g2 = 1;
-        frontier.summarize();
+        frontier.summarize_every_row();
         Ok(frontier)
     }
 
-    /// Completes a frontier whose `w` the caller wrote over the slot pairs
-    /// of `s1 × s2`: the offsets (emissions, plus the macro prior on the
-    /// first tick), the coupling of each pair of activity runs, and the
-    /// maxima.
+    /// The factors of a frontier over the slot pairs of `s1 × s2`: the
+    /// offsets (emissions, plus the macro prior on the first tick) and the
+    /// coupling of each pair of activity runs. No row is folded yet.
     fn factor(&mut self, p: &HdbnParams, s1: &Slice, s2: &Slice, first_tick: bool) {
         let prior = first_tick.then_some(&p.log_prior[..]);
         self.axes[0].of_slice(s1, prior);
@@ -286,7 +304,8 @@ impl JointFrontier {
             self.g.extend(s2.runs.iter().map(coupling));
         }
         self.n_g2 = s2.runs.len();
-        self.summarize();
+        self.row_top.clear();
+        self.row_top.resize(s1.n_slots(), f64::NAN);
     }
 
     #[inline]
@@ -302,17 +321,32 @@ impl JointFrontier {
         self.w[s1 * a2.n_slots() + s2] + ((a1.f[j1] + a2.f[j2]) + self.coupling(s1, s2))
     }
 
-    /// Largest score of slot pair `(s1, s2)` (NaN scores never count):
+    /// The `top` of every slot pair of row `s1`, in chain-2 slot order:
+    /// the largest score of slot pair `(s1, s2)` (NaN scores never count),
     /// the member with both largest offsets, unless that sum is NaN — an
     /// `∞ − ∞` no finite input produces — where the members are scanned.
     #[inline]
-    pub(crate) fn top(&self, s1: usize, s2: usize) -> f64 {
+    pub(crate) fn row_tops(&self, s1: usize) -> impl Iterator<Item = f64> + '_ {
         let [a1, a2] = &self.axes;
-        let top =
-            self.w[s1 * a2.n_slots() + s2] + ((a1.fmax[s1] + a2.fmax[s2]) + self.coupling(s1, s2));
-        if !top.is_nan() {
-            return top;
-        }
+        let d2 = a2.n_slots();
+        let grow = &self.g[a1.group[s1] as usize * self.n_g2..][..self.n_g2];
+        let f1 = a1.fmax[s1];
+        let row = self.w[s1 * d2..][..d2].iter().zip(&a2.fmax).zip(&a2.group);
+        row.enumerate().map(move |(s2, ((&w, &f2), &g2))| {
+            let top = w + ((f1 + f2) + grow[g2 as usize]);
+            if top.is_nan() {
+                self.scan_top(s1, s2)
+            } else {
+                top
+            }
+        })
+    }
+
+    /// Largest member score of slot pair `(s1, s2)`, scanned (NaN scores
+    /// never count).
+    #[cold]
+    fn scan_top(&self, s1: usize, s2: usize) -> f64 {
+        let [a1, a2] = &self.axes;
         let mut best = f64::NEG_INFINITY;
         for j1 in a1.members(s1) {
             for j2 in a2.members(s2) {
@@ -325,25 +359,31 @@ impl JointFrontier {
         best
     }
 
-    /// Recomputes `row_top` and both maxima: one pass over the slot
-    /// pairs, then the members of the slot pairs that attain the largest
-    /// score.
-    fn summarize(&mut self) {
-        let Self {
-            w,
-            axes: [a1, a2],
-            g,
-            n_g2,
-            row_top,
-            gcol,
-            ..
-        } = self;
-        let d2 = a2.n_slots();
-        row_top.clear();
-        let mut best = f64::NEG_INFINITY;
+    /// `row_top` and both maxima of a frontier whose every row holds its
+    /// fold.
+    fn summarize_every_row(&mut self) {
+        let d1 = self.axes[0].n_slots();
+        self.row_top.clear();
+        self.row_top.resize(d1, f64::NAN);
+        self.settle_rows((0..d1).map(|s1| s1 as u32));
+        self.maxima();
+    }
+
+    /// Sets the `row_top` of the rows whose fold was just written, in
+    /// ascending order: one pass over each row's slot pairs, scanning the
+    /// members of a slot pair only where that pass meets a NaN sum.
+    fn settle_rows(&mut self, rows: impl Iterator<Item = u32>) {
+        let d2 = self.axes[1].n_slots();
         let mut group = u32::MAX;
-        let mut nan_rows = false;
-        for s1 in 0..a1.n_slots() {
+        for s1 in rows.map(|s1| s1 as usize) {
+            let Self {
+                w,
+                axes: [a1, a2],
+                g,
+                n_g2,
+                gcol,
+                ..
+            } = self;
             if a1.group[s1] != group {
                 group = a1.group[s1];
                 let grow = &g[group as usize * *n_g2..][..*n_g2];
@@ -351,22 +391,23 @@ impl JointFrontier {
                 gcol.extend(a2.group.iter().map(|&g2| grow[g2 as usize]));
             }
             let (top, nan) = row_top_of(&w[s1 * d2..][..d2], a1.fmax[s1], &a2.fmax, gcol);
-            nan_rows |= nan;
-            row_top.push(top);
+            self.row_top[s1] = if nan {
+                let max = |m: f64, x: f64| if x > m { x } else { m };
+                self.row_tops(s1).fold(f64::NEG_INFINITY, max)
+            } else {
+                top
+            };
         }
-        if nan_rows {
-            for s1 in 0..self.row_top.len() {
-                let top = (0..d2)
-                    .map(|s2| self.top(s1, s2))
-                    .fold(f64::NEG_INFINITY, |m, x| if x > m { x } else { m });
-                self.row_top[s1] = top;
-            }
-        }
-        for &top in &self.row_top {
-            if top > best {
-                best = top;
-            }
-        }
+    }
+
+    /// Both maxima, from the folded rows' `row_top`, then the members of
+    /// the slot pairs that attain the largest score. Every row that can
+    /// hold it must be folded, and every row when no score exceeds `−∞`.
+    fn maxima(&mut self) {
+        let best = self
+            .row_top
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
         let k2 = self.axes[1].len();
         let at = |flat: usize| (flat, self.value(flat / k2, flat % k2));
         // With no score above `−∞` the first maximum is state 0, as a
@@ -377,7 +418,8 @@ impl JointFrontier {
         } else {
             let (mut first, mut last) = (usize::MAX, 0);
             for s1 in (0..self.row_top.len()).filter(|&s1| self.row_top[s1] == best) {
-                for s2 in (0..d2).filter(|&s2| self.top(s1, s2) == best) {
+                let tops = self.row_tops(s1).enumerate();
+                for s2 in tops.filter(|&(_, top)| top == best).map(|(s2, _)| s2) {
                     let [a1, a2] = &self.axes;
                     for j1 in a1.members(s1) {
                         for j2 in a2.members(s2) {
@@ -440,6 +482,7 @@ pub(crate) fn joint_init_into(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Jo
     v.w.clear();
     v.w.resize(s1.n_slots() * s2.n_slots(), -0.0);
     v.factor(p, s1, s2, true);
+    v.summarize_every_row();
 }
 
 /// The survivors of one tick's dominance selection over a
@@ -508,10 +551,10 @@ impl SurvivorSet for JointSurvivors {
     }
 }
 
-/// Reusable work buffers of [`joint_step_pruned_into`] and the joint
-/// selection, owned by the [`crate::arena::TrellisArena`]: one allocation
-/// per worker thread, reused across ticks and streams — the step allocates
-/// nothing once warmed.
+/// Reusable work buffers of [`joint_fold_into`] and the joint selection,
+/// owned by the [`crate::arena::TrellisArena`]: one allocation per worker
+/// thread, reused across ticks and streams — the step allocates nothing
+/// once warmed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch {
     /// Index of the first survivor of each survivor group (survivors
@@ -529,6 +572,14 @@ pub(crate) struct JointScratch {
     /// candidates, `d2` wide each, and their flat source states.
     part: Vec<f64>,
     part_arg: Vec<u32>,
+    /// The largest entry of each group's pass-1 row and of each run's
+    /// switch-candidate row.
+    group_top: Vec<f64>,
+    run_top: Vec<f64>,
+    /// Per chain-1 destination slot: the bound on its row's scores.
+    row_ub: Vec<f64>,
+    /// The chain-1 rows one batch of pass 2 folds, ascending.
+    rows: Vec<u32>,
     /// Survivors of a joint selection with their scores, in slot-pair
     /// order before the sort into state order.
     pub(crate) found: Vec<(u32, f64)>,
@@ -546,34 +597,12 @@ struct Segment {
     arg: u32,
 }
 
-/// One joint DP step out of a survivor list: only `src`'s states are
-/// transitioned out of. The pass-2 fold lands in `w2` and its backpointers
-/// — flattened source states, so backtracking is oblivious to pruning —
-/// in `w2_arg`, both per destination slot pair (`s1 * d2 + s2`); all
-/// buffers reused, so a warmed caller allocates nothing.
-///
-/// Folds chain 2, then chain 1, each with the run collapse of the module
-/// docs, restricted to the survivors. On a dominance survivor set every
-/// candidate that attains a destination's maximum survives, with the same
-/// value and index as in the full-frontier fold, so the result is the
-/// same bit for bit (see [`crate::dominance`]).
-///
-/// Transition scores are flat loads from the dense
-/// [`ScoreTables`](crate::ScoreTables), bit-identical to evaluating
-/// [`HdbnParams::transition_score`] per edge (which is how the table was
-/// built). [`crate::online::OnlineCoupledViterbi`] steps through it, and
-/// so does [`CoupledHdbn::viterbi`], which runs that stream under an
-/// unbounded lag.
-pub(crate) fn joint_step_pruned_into(
-    p: &HdbnParams,
-    src: &JointSurvivors,
-    cur1: &Slice,
-    cur2: &Slice,
-    arena: &mut TrellisArena,
-    w2: &mut Vec<f64>,
-    w2_arg: &mut Vec<u32>,
-) {
-    let t = &p.tables;
+/// Pass 1 of one joint DP step out of a survivor list: only `src`'s
+/// states are transitioned out of. Folds chain 2 over each survivor group
+/// into the arena's `w`/`w_arg`, per distinct chain-2 destination pair,
+/// and caches per chain-1 run of groups the switch candidate of every
+/// chain-2 slot (`run_max`/`run_arg`).
+fn pass1_into(t: &ScoreTables, src: &JointSurvivors, cur2: &Slice, arena: &mut TrellisArena) {
     let TrellisArena {
         joint: scratch,
         w,
@@ -588,8 +617,6 @@ pub(crate) fn joint_step_pruned_into(
         group_segs,
         segs,
         group_runs,
-        part,
-        part_arg,
         ..
     } = scratch;
     let JointSurvivors {
@@ -600,8 +627,7 @@ pub(crate) fn joint_step_pruned_into(
         runs,
     } = src;
     let (k2, n) = (k[1], states.len());
-    // Both folds are memoized per distinct destination pair (slot).
-    let (d1, d2) = (cur1.n_slots(), cur2.n_slots());
+    let d2 = cur2.n_slots();
 
     // Survivors grouped by chain-1 state (the states ascend, so each group
     // is contiguous), each group cut into segments by the chain-2
@@ -639,7 +665,7 @@ pub(crate) fn joint_step_pruned_into(
     }
     let n_groups = group_first.len();
 
-    // Pass 1 — fold chain 2 over each group, per distinct chain-2 pair:
+    // Fold chain 2 over each group, per distinct chain-2 pair:
     // W[g, s2] = max over the group's survivors of V + f2(j2p → s2), with
     // its argument as a flat source state (the group's state `(j1p, 0)`
     // when nothing beats `−∞`). Every entry of w/w_arg is overwritten
@@ -701,71 +727,239 @@ pub(crate) fn joint_step_pruned_into(
             sweep_max_arg(&w[g * d2..][..d2], &w_arg[g * d2..][..d2], rm, ra);
         }
     }
+}
 
-    // Pass 2 — fold chain 1 over the groups, per (distinct chain-1 pair,
-    // distinct chain-2 pair), carrying the flat source states of pass 1.
-    // Every argument starts at state 0 and changes only when a candidate
-    // beats `−∞`, so a destination no survivor reaches points at state 0.
-    // A switch candidate depends on the destination only through its
-    // activity, so the switch runs between two same-activity runs fold
-    // once per destination activity into a partial, and each destination
-    // pair merges those partials around its own same-activity sweeps.
-    // Merging a partial fold with strict `>` continues the fold, so the
-    // candidate order is the sequential one.
-    // Every row of w2/w2_arg is overwritten below before it is read.
-    w2.resize(d1 * d2, f64::NEG_INFINITY);
-    w2_arg.resize(d1 * d2, 0);
-    let mut s1 = 0usize;
-    while s1 < d1 {
-        let a1 = t.activity_of(cur1.uniq_pairs[s1]) as u32;
-        let srow = t.switch_row(a1 as usize);
-        part.clear();
-        part.resize(d2, f64::NEG_INFINITY);
-        part_arg.clear();
-        part_arg.resize(d2, 0);
-        for (r, &(ar, _, _)) in group_runs.iter().enumerate() {
-            let at = part.len() - d2;
-            if ar == a1 {
-                part.resize(at + 2 * d2, f64::NEG_INFINITY);
-                part_arg.resize(at + 2 * d2, 0);
-            } else {
-                sweep_add_max_arg(
-                    &run_max[r * d2..][..d2],
-                    srow[ar as usize],
-                    &run_arg[r * d2..][..d2],
-                    &mut part[at..],
-                    &mut part_arg[at..],
-                );
+/// What pass 2 reads of pass 1: the survivor groups' folds `w`, the
+/// switch-candidate cache `run_max`, both with their flat source states,
+/// and the chain-1 runs of groups.
+///
+/// Pass 2 folds chain 1 over the groups, per (distinct chain-1 pair,
+/// distinct chain-2 pair), carrying the flat source states of pass 1.
+/// Destination row `s1` has a fixed candidate list, visited in order: the
+/// runs of groups in ascending order, each a switch run (one candidate,
+/// `run_max[r, ·] + switch(a_r → a1)`) or, when its activity is `a1`'s,
+/// its groups one by one (`w[g, ·] + into(pair_g → pair(s1))`).
+struct Pass2<'a> {
+    t: &'a ScoreTables,
+    d2: usize,
+    pairs: &'a [[u32; 2]],
+    group_first: &'a [u32],
+    group_runs: &'a [(u32, u32, u32)],
+    w: &'a [f64],
+    w_arg: &'a [u32],
+    run_max: &'a [f64],
+    run_arg: &'a [u32],
+}
+
+impl Pass2<'_> {
+    /// Chain-1 pair id of group `g`.
+    fn group_pair(&self, g: usize) -> usize {
+        self.pairs[self.group_first[g] as usize][0] as usize
+    }
+
+    /// Folds the chain-1 rows `rows` (ascending) into `w2`/`w2_arg`, per
+    /// destination slot pair, and leaves every other row as it was;
+    /// `run1` is each chain-1 slot's activity run.
+    ///
+    /// Every argument starts at state 0 and changes only when a candidate
+    /// beats `−∞`, so a destination no survivor reaches points at state 0.
+    /// A switch candidate depends on the destination only through its
+    /// activity, so the switch runs between two same-activity runs fold
+    /// once per destination activity run in `rows` into a partial, and
+    /// each row merges those partials around its own same-activity
+    /// sweeps. Merging a partial fold with strict `>` continues the fold,
+    /// so the candidate order is the sequential one.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_rows(
+        &self,
+        cur1: &Slice,
+        run1: &[u32],
+        rows: &[u32],
+        part: &mut Vec<f64>,
+        part_arg: &mut Vec<u32>,
+        w2: &mut [f64],
+        w2_arg: &mut [u32],
+    ) {
+        let (t, d2) = (self.t, self.d2);
+        let mut i = 0usize;
+        while i < rows.len() {
+            let run = run1[rows[i] as usize];
+            let a1 = cur1.runs[run as usize].0;
+            let srow = t.switch_row(a1 as usize);
+            part.clear();
+            part.resize(d2, f64::NEG_INFINITY);
+            part_arg.clear();
+            part_arg.resize(d2, 0);
+            for (r, &(ar, _, _)) in self.group_runs.iter().enumerate() {
+                let at = part.len() - d2;
+                if ar == a1 {
+                    part.resize(at + 2 * d2, f64::NEG_INFINITY);
+                    part_arg.resize(at + 2 * d2, 0);
+                } else {
+                    sweep_add_max_arg(
+                        &self.run_max[r * d2..][..d2],
+                        srow[ar as usize],
+                        &self.run_arg[r * d2..][..d2],
+                        &mut part[at..],
+                        &mut part_arg[at..],
+                    );
+                }
+            }
+            while i < rows.len() && run1[rows[i] as usize] == run {
+                let s1 = rows[i] as usize;
+                let row = t.into_row(cur1.uniq_pairs[s1]);
+                let acc = &mut w2[s1 * d2..][..d2];
+                let acc_arg = &mut w2_arg[s1 * d2..][..d2];
+                acc.copy_from_slice(&part[..d2]);
+                acc_arg.copy_from_slice(&part_arg[..d2]);
+                let mut next_part = d2;
+                for &(ar, start, end) in self.group_runs {
+                    if ar != a1 {
+                        continue;
+                    }
+                    for g in start as usize..end as usize {
+                        let f1 = row[self.group_pair(g)];
+                        let (wg, ag) = (&self.w[g * d2..][..d2], &self.w_arg[g * d2..][..d2]);
+                        sweep_add_max_arg(wg, f1, ag, acc, acc_arg);
+                    }
+                    let (p, pa) = (&part[next_part..][..d2], &part_arg[next_part..][..d2]);
+                    sweep_max_arg(p, pa, acc, acc_arg);
+                    next_part += d2;
+                }
+                i += 1;
             }
         }
-        while s1 < d1 && t.activity_of(cur1.uniq_pairs[s1]) as u32 == a1 {
-            let row = t.into_row(cur1.uniq_pairs[s1]);
-            let acc = &mut w2[s1 * d2..][..d2];
-            let acc_arg = &mut w2_arg[s1 * d2..][..d2];
-            acc.copy_from_slice(&part[..d2]);
-            acc_arg.copy_from_slice(&part_arg[..d2]);
-            let mut next_part = d2;
-            for &(ar, start, end) in group_runs.iter() {
-                if ar != a1 {
-                    continue;
+    }
+
+    /// The backpointer [`fold_rows`](Self::fold_rows) writes for the one
+    /// slot pair `(s1, s2)`: the same candidates, in the same order.
+    fn cell_back(&self, cur1: &Slice, run1: &[u32], s1: usize, s2: usize) -> u32 {
+        let (t, d2) = (self.t, self.d2);
+        let dp1 = cur1.uniq_pairs[s1];
+        let a1 = cur1.runs[run1[s1] as usize].0;
+        let (row, srow) = (t.into_row(dp1), t.switch_row(a1 as usize));
+        let (mut best, mut arg) = (f64::NEG_INFINITY, 0);
+        for (r, &(ar, start, end)) in self.group_runs.iter().enumerate() {
+            if ar != a1 {
+                let x = self.run_max[r * d2 + s2] + srow[ar as usize];
+                if x > best {
+                    (best, arg) = (x, self.run_arg[r * d2 + s2]);
                 }
-                for g in start as usize..end as usize {
-                    let f1 = row[pairs[group_first[g] as usize][0] as usize];
-                    let (wg, ag) = (&w[g * d2..][..d2], &w_arg[g * d2..][..d2]);
-                    sweep_add_max_arg(wg, f1, ag, acc, acc_arg);
-                }
-                let (p, pa) = (&part[next_part..][..d2], &part_arg[next_part..][..d2]);
-                sweep_max_arg(p, pa, acc, acc_arg);
-                next_part += d2;
+                continue;
             }
-            s1 += 1;
+            for g in start as usize..end as usize {
+                let x = self.w[g * d2 + s2] + row[self.group_pair(g)];
+                if x > best {
+                    (best, arg) = (x, self.w_arg[g * d2 + s2]);
+                }
+            }
         }
+        arg
+    }
+
+    /// Bounds every chain-1 row of `next`, the frontier pass 2 writes, into
+    /// `ub`: no score of row `s1` exceeds
+    ///
+    /// ```text
+    /// UB(s1) = max_c fl(A*_c + B_c(s1)) + ((F1max[s1] + max F2max) + max_G2 g(G1(s1), G2))
+    /// ```
+    ///
+    /// where `c` runs over the row's candidates, `A*_c` is the largest
+    /// entry of the candidate's pass-1 or run-cache row and `B_c(s1)` its
+    /// transition score. That is a slot pair's `top` with every operand
+    /// replaced by one at least as large, in the same addition tree, and
+    /// IEEE rounding is monotone, so no slack is needed; a `top` that is
+    /// NaN scans members whose non-NaN scores obey the same bound.
+    ///
+    /// The maxima skip NaN where the fold does: a candidate sum `∞ − ∞`
+    /// leaves every sum of its candidate `−∞` or NaN, and a NaN coupling
+    /// makes every member of its slot pairs NaN. An offset maximum does
+    /// not (a slot's `F2max` is NaN when its first member's offset is,
+    /// whatever the others hold), so a NaN offset makes the bound NaN.
+    /// Returns whether every bound is free of NaN.
+    fn row_bounds(
+        &self,
+        cur1: &Slice,
+        next: &JointFrontier,
+        group_top: &mut Vec<f64>,
+        run_top: &mut Vec<f64>,
+        ub: &mut Vec<f64>,
+    ) -> bool {
+        let (t, d2) = (self.t, self.d2);
+        let max = |m: f64, x: f64| if x > m { x } else { m };
+        let n_groups = self.group_first.len();
+        group_top.clear();
+        group_top.extend(
+            self.w[..n_groups * d2]
+                .chunks_exact(d2)
+                .map(|row| fold_max(row).0),
+        );
+        run_top.clear();
+        run_top.extend(self.group_runs.iter().map(|&(_, start, end)| {
+            let tops = &group_top[start as usize..end as usize];
+            tops.iter().copied().fold(f64::NEG_INFINITY, max)
+        }));
+        let [a1, a2] = &next.axes;
+        let f2 = a2.fmax.iter().fold(
+            f64::NEG_INFINITY,
+            |m, &x| {
+                if x > m || x.is_nan() {
+                    x
+                } else {
+                    m
+                }
+            },
+        );
+        ub.clear();
+        // Per chain-1 run: its activity, the largest switch candidate, the
+        // survivor runs of its own activity and the largest coupling.
+        let (mut run, mut a, mut switch, mut same, mut g_max) =
+            (u32::MAX, 0, f64::NEG_INFINITY, 0..0, f64::NEG_INFINITY);
+        for (s1, &dp1) in cur1.uniq_pairs.iter().enumerate() {
+            if a1.group[s1] != run {
+                run = a1.group[s1];
+                a = cur1.runs[run as usize].0;
+                let srow = t.switch_row(a as usize);
+                (switch, same) = (f64::NEG_INFINITY, 0..0);
+                for (r, &(ar, _, _)) in self.group_runs.iter().enumerate() {
+                    if ar != a {
+                        switch = max(switch, run_top[r] + srow[ar as usize]);
+                    } else if same.is_empty() {
+                        same = r..r + 1;
+                    } else {
+                        same.end = r + 1;
+                    }
+                }
+                let grow = &next.g[run as usize * next.n_g2..][..next.n_g2];
+                g_max = grow.iter().copied().fold(f64::NEG_INFINITY, max);
+            }
+            let row = t.into_row(dp1);
+            let mut fold = switch;
+            for &(ar, start, end) in &self.group_runs[same.clone()] {
+                if ar == a {
+                    for g in start as usize..end as usize {
+                        fold = max(fold, group_top[g] + row[self.group_pair(g)]);
+                    }
+                }
+            }
+            ub.push(fold + ((a1.fmax[s1] + f2) + g_max));
+        }
+        !ub.iter().any(|x| x.is_nan())
     }
 }
 
-/// The dominance selection over the slot pairs of `v`, the frontier over
-/// `s1 × s2` (every state when nothing can be pruned): the survivors, with
-/// their scores, pair ids and runs, into `out`.
+/// Which chain-1 rows of the slot-pair grid a joint fold folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// Those a row bound cannot rule out (what a stream's step folds).
+    Bounded,
+    /// Every row (what the differential suite's dense steps fold).
+    Every,
+}
+
+/// The selection over the slot pairs of `v`, the frontier over `s1 × s2`
+/// (every state when nothing can be pruned): the survivors, with their
+/// scores, pair ids and runs, into `out`.
 pub(crate) fn joint_select_into(
     p: &HdbnParams,
     s1: &Slice,
@@ -796,9 +990,39 @@ pub(crate) fn joint_select_into(
     }
 }
 
-/// The joint fold out of the survivors `src` into the tick `cur1 × cur2`:
-/// the new frontier lands in `next`, its per-slot-pair backpointers in
-/// `back`.
+/// One joint DP step out of the survivors `src` into the tick
+/// `cur1 × cur2`: the new frontier lands in `next`, its backpointers —
+/// flattened source states, so backtracking is oblivious to pruning — in
+/// `back`, both per destination slot pair (`s1 * d2 + s2`); all buffers
+/// reused, so a warmed caller allocates nothing. Returns how many chain-1
+/// rows it folded.
+///
+/// Folds chain 2, then chain 1, each with the run collapse of the module
+/// docs, restricted to the survivors. On a dominance survivor set every
+/// candidate that attains a destination's maximum survives, with the same
+/// value and index as in the full-frontier fold, so the result is the
+/// same bit for bit (see [`crate::dominance`]). Transition scores are flat
+/// loads from the dense [`ScoreTables`], bit-identical to evaluating
+/// [`HdbnParams::transition_score`] per edge (which is how the table was
+/// built).
+///
+/// Under [`Rows::Bounded`] pass 2 folds only the chain-1 rows whose bound
+/// ([`Pass2::row_bounds`]) says they can matter:
+///
+/// 1. the row with the largest bound, then every row whose bound reaches
+///    that row's largest score — so every row that can hold the frontier
+///    maximum, which fixes it and both its first and last state;
+/// 2. every row whose bound can pass the selection's row test
+///    `(row_top + D₁) + max D₂ ≥ cut` against that maximum — so every row
+///    that can hold a survivor;
+/// 3. of state 0's row, which a backtrack may read whatever survives,
+///    only state 0's backpointer.
+///
+/// It folds every row when some bound is NaN or the cut is undefined. The
+/// survivors, their scores, both maxima and the backpointers of the
+/// survivors, the last maximum and state 0 are those of folding every
+/// row, bit for bit; nothing reads the rest (see [`JointFrontier`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn joint_fold_into(
     p: &HdbnParams,
     src: &JointSurvivors,
@@ -807,9 +1031,84 @@ pub(crate) fn joint_fold_into(
     arena: &mut TrellisArena,
     next: &mut JointFrontier,
     back: &mut Vec<u32>,
-) {
-    joint_step_pruned_into(p, src, cur1, cur2, arena, &mut next.w, back);
+    rows: Rows,
+) -> usize {
+    let t = &p.tables;
     next.factor(p, cur1, cur2, false);
+    pass1_into(t, src, cur2, arena);
+    let TrellisArena {
+        joint,
+        w,
+        w_arg,
+        run_max,
+        run_arg,
+        dom_col,
+        ..
+    } = arena;
+    let JointScratch {
+        group_first,
+        group_runs,
+        part,
+        part_arg,
+        group_top,
+        run_top,
+        row_ub,
+        rows: batch,
+        ..
+    } = joint;
+    let pass = Pass2 {
+        t,
+        d2: cur2.n_slots(),
+        pairs: &src.pairs,
+        group_first,
+        group_runs,
+        w,
+        w_arg,
+        run_max,
+        run_arg,
+    };
+    let d1 = cur1.n_slots();
+    // Every row pass 2 folds is overwritten before it is read.
+    next.w.resize(d1 * pass.d2, f64::NEG_INFINITY);
+    back.resize(d1 * pass.d2, 0);
+    let mut fold = |batch: &[u32], next: &mut JointFrontier| {
+        let JointFrontier { w, axes, .. } = next;
+        pass.fold_rows(cur1, &axes[0].group, batch, part, part_arg, w, back);
+        next.settle_rows(batch.iter().copied());
+        batch.len()
+    };
+    let unfolded = |next: &JointFrontier, s1: usize| next.row_top[s1].is_nan();
+
+    batch.clear();
+    if rows == Rows::Every || !pass.row_bounds(cur1, next, group_top, run_top, row_ub) {
+        batch.extend(0..d1 as u32);
+        fold(batch, next);
+        next.maxima();
+        return d1;
+    }
+    batch.push(fold_max(row_ub).1);
+    let mut folded = fold(batch, next);
+    let top = next.row_top[batch[0] as usize];
+    batch.clear();
+    batch.extend(
+        (0..d1 as u32).filter(|&s1| unfolded(next, s1 as usize) && row_ub[s1 as usize] >= top),
+    );
+    folded += fold(batch, next);
+    next.maxima();
+
+    batch.clear();
+    match t.dominance().joint_cut(cur1, cur2, next, dom_col) {
+        Some(c) => batch.extend((0..d1 as u32).filter(|&s1| {
+            let s1 = s1 as usize;
+            unfolded(next, s1) && (row_ub[s1] + c.d1(cur1, next, s1)) + c.d2_max >= c.cut
+        })),
+        None => batch.extend((0..d1 as u32).filter(|&s1| unfolded(next, s1 as usize))),
+    }
+    folded += fold(batch, next);
+    if unfolded(next, 0) {
+        back[0] = pass.cell_back(cur1, &next.axes[0].group, 0, 0);
+    }
+    folded
 }
 
 /// The dense transition-op charge of one joint step out of a tick of
@@ -821,7 +1120,7 @@ pub(crate) fn joint_step_charge(k: [u32; 2], cur1: &Slice, cur2: &Slice) -> u64 
 }
 
 #[cfg(feature = "testkit")]
-pub use testkit::{joint_step, joint_step_from, JointStep};
+pub use testkit::{joint_step, joint_step_from, serve_joint_steps, JointStep, ServedStep};
 
 /// One exact joint step out of a dense or factored frontier, for the
 /// differential suite (`tests/dominance_differential.rs`), which checks
@@ -913,7 +1212,10 @@ mod testkit {
         }
         let (mut src, mut next, mut back) = Default::default();
         joint_select_into(p, &prev1, &prev2, v, &mut arena, &mut src);
-        joint_fold_into(p, &src, &cur1, &cur2, &mut arena, &mut next, &mut back);
+        let every = Rows::Every;
+        joint_fold_into(
+            p, &src, &cur1, &cur2, &mut arena, &mut next, &mut back, every,
+        );
         let JointSurvivors { states, .. } = src;
         Ok(JointStep {
             frontier: next.to_dense(),
@@ -922,6 +1224,102 @@ mod testkit {
             kept: states,
             factored: next,
         })
+    }
+
+    /// What one step of a coupled stream decides, as
+    /// [`serve_joint_steps`] reports it: all a stream keeps or a backtrack
+    /// reads of the step's frontier. Scores are kept as bits.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServedStep {
+        /// The new frontier's survivors, ascending, with their score bits.
+        pub survivors: Vec<(u32, u64)>,
+        /// Its first maximum: state and score bits.
+        pub first_max: (usize, u64),
+        /// Its last maximum, the argmax a backtrack starts from.
+        pub argmax: (usize, u64),
+        /// `(state, backpointer)` of every survivor, the argmax and state
+        /// 0, ascending by state.
+        pub back: Vec<(u32, u32)>,
+        /// The step's dense transition-op charge.
+        pub transition_ops: u64,
+        /// Chain-1 rows of slot pairs the step folded, and all of them.
+        pub rows: [usize; 2],
+    }
+
+    /// Runs the steps a coupled stream runs over `ticks` — a selection,
+    /// then the fold out of its survivors — starting from `start`, a
+    /// frontier over `ticks[0]`'s joint states, and reports each step.
+    /// With `every_row` each fold folds every chain-1 row of slot pairs;
+    /// without, only those its row bound cannot rule out, as a stream's.
+    ///
+    /// # Errors
+    /// As [`joint_step_from`].
+    pub fn serve_joint_steps(
+        p: &HdbnParams,
+        ticks: &[TickInput],
+        start: &JointFrontier,
+        every_row: bool,
+    ) -> Result<Vec<ServedStep>, ModelError> {
+        for (t, tick) in ticks.iter().enumerate() {
+            validate_tick(tick, t)?;
+        }
+        let mut arena = TrellisArena::new();
+        let mut slices = Vec::with_capacity(ticks.len());
+        for tick in ticks {
+            let [mut s1, mut s2] = [Slice::default(), Slice::default()];
+            fill_slice(p, tick, 0, &mut arena, &mut s1);
+            fill_slice(p, tick, 1, &mut arena, &mut s2);
+            slices.push([s1, s2]);
+        }
+        let Some([first1, first2]) = slices.first() else {
+            return Ok(Vec::new());
+        };
+        if [start.axes[0].len(), start.axes[1].len()] != [first1.len(), first2.len()] {
+            return Err(ModelError::InsufficientData {
+                what: "joint frontier states".into(),
+                available: start.len(),
+                required: first1.len() * first2.len(),
+            });
+        }
+        let rows = if every_row {
+            Rows::Every
+        } else {
+            Rows::Bounded
+        };
+        let mut src = JointSurvivors::default();
+        joint_select_into(p, first1, first2, start, &mut arena, &mut src);
+        let mut steps = Vec::new();
+        for [cur1, cur2] in &slices[1..] {
+            let (mut next, mut back, mut kept) = Default::default();
+            let folded =
+                joint_fold_into(p, &src, cur1, cur2, &mut arena, &mut next, &mut back, rows);
+            joint_select_into(p, cur1, cur2, &next, &mut arena, &mut kept);
+            let (first, last) = (next.first_max(), Frontier::argmax(&next));
+            let k2 = cur2.len();
+            let back_of = |j: u32| {
+                let (s1, s2) = (cur1.slots[j as usize / k2], cur2.slots[j as usize % k2]);
+                (j, back[s1 as usize * cur2.n_slots() + s2 as usize])
+            };
+            let mut named: Vec<u32> = kept.states.clone();
+            named.extend([0, last.0 as u32]);
+            named.sort_unstable();
+            named.dedup();
+            steps.push(ServedStep {
+                survivors: kept
+                    .states
+                    .iter()
+                    .copied()
+                    .zip(kept.scores.iter().map(|x| x.to_bits()))
+                    .collect(),
+                first_max: (first.0, first.1.to_bits()),
+                argmax: (last.0, last.1.to_bits()),
+                back: named.into_iter().map(back_of).collect(),
+                transition_ops: joint_step_charge(src.k, cur1, cur2),
+                rows: [folded, cur1.n_slots()],
+            });
+            src = kept;
+        }
+        Ok(steps)
     }
 
     /// Joint states of one user's chain at `tick` (allowed macros ×
@@ -1017,6 +1415,7 @@ impl CoupledHdbn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::fill_slice;
     use crate::params::{HdbnConfig, HdbnParams};
     use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
     use cace_mining::HierarchicalStats;
@@ -1186,6 +1585,263 @@ mod tests {
         assert!(pruned_path.transition_ops * 16 <= full_path.transition_ops);
         // And the answer on this easy input is unchanged.
         assert_eq!(pruned_path.macros[0], full_path.macros[0]);
+    }
+
+    /// xorshift64*, seeded per case.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.below(1 << 20) as f64 / (1u64 << 20) as f64
+        }
+    }
+
+    /// A random normalized row of `n` entries, zeros allowed.
+    fn dist(rng: &mut Rng, n: usize) -> Vec<f64> {
+        let mut row: Vec<f64> = (0..n)
+            .map(|_| [0.0, 0.05 + rng.unit()][rng.below(3).min(1)])
+            .collect();
+        row[rng.below(n)] += 0.5;
+        let total: f64 = row.iter().sum();
+        row.iter().map(|x| x / total).collect()
+    }
+
+    /// Random statistics over up to 4 activities and 3 posturals, with a
+    /// coupling weight drawn from `coupling`.
+    fn random_params(rng: &mut Rng, coupling: &[f64]) -> HdbnParams {
+        let (n_macro, n_postural, n_location) = (1 + rng.below(4), 1 + rng.below(3), 2);
+        let rows = |rng: &mut Rng, n: usize, m: usize| -> Vec<Vec<f64>> {
+            (0..n).map(|_| dist(rng, m)).collect()
+        };
+        let stats = HierarchicalStats {
+            n_macro,
+            n_postural,
+            n_gestural: 1,
+            n_location,
+            macro_prior: dist(rng, n_macro),
+            intra_trans: rows(rng, n_macro, n_macro),
+            inter_cooc: rows(rng, n_macro, n_macro),
+            end_prob: (0..n_macro).map(|_| rng.unit()).collect(),
+            postural_given_macro: rows(rng, n_macro, n_postural),
+            gestural_given_macro: rows(rng, n_macro, 1),
+            location_given_macro: rows(rng, n_macro, n_location),
+            postural_trans: rows(rng, n_postural, n_postural),
+        };
+        let config = HdbnConfig {
+            coupling_weight: coupling[rng.below(coupling.len())],
+            ..HdbnConfig::default()
+        };
+        HdbnParams::new(stats, config).unwrap()
+    }
+
+    /// A random tick, each observation score drawn by `obs`.
+    fn random_tick(
+        rng: &mut Rng,
+        p: &HdbnParams,
+        obs: &mut impl FnMut(&mut Rng) -> f64,
+    ) -> TickInput {
+        let stats = &p.stats;
+        let mut user = |rng: &mut Rng| -> Vec<MicroCandidate> {
+            (0..1 + rng.below(4))
+                .map(|_| MicroCandidate {
+                    postural: rng.below(stats.n_postural),
+                    gestural: Some(0),
+                    location: rng.below(stats.n_location),
+                    obs_loglik: obs(rng),
+                })
+                .collect()
+        };
+        TickInput {
+            candidates: [user(rng), user(rng)],
+            macro_candidates: [None, None],
+            macro_bonus: Vec::new(),
+        }
+    }
+
+    fn slices(p: &HdbnParams, tick: &TickInput, arena: &mut TrellisArena) -> [Slice; 2] {
+        let [mut s1, mut s2] = [Slice::default(), Slice::default()];
+        fill_slice(p, tick, 0, arena, &mut s1);
+        fill_slice(p, tick, 1, arena, &mut s2);
+        [s1, s2]
+    }
+
+    /// Survivors of `prev`: a random subset of its states (or, with
+    /// `one_group`, of one chain-1 state's), each scored by `score`.
+    fn random_survivors(
+        rng: &mut Rng,
+        [s1, s2]: &[Slice; 2],
+        one_group: bool,
+        score: &mut impl FnMut(&mut Rng) -> f64,
+    ) -> JointSurvivors {
+        let k2 = s2.len();
+        let group = rng.below(s1.len());
+        let mut out = JointSurvivors {
+            k: [s1.len() as u32, k2 as u32],
+            ..JointSurvivors::default()
+        };
+        for j in 0..s1.len() * k2 {
+            let (j1, j2) = (j / k2, j % k2);
+            let keep = if one_group {
+                j1 == group
+            } else {
+                rng.below(2) == 0
+            };
+            if keep || (j + 1 == s1.len() * k2 && out.is_empty()) {
+                out.states.push(j as u32);
+                out.scores.push(score(rng));
+                out.pairs.push([s1.pairs[j1], s2.pairs[j2]]);
+                out.runs.push([s1.run_of(j1), s2.run_of(j2)]);
+            }
+        }
+        out
+    }
+
+    /// One step out of `src` into `cur`, bounded and over every row: the
+    /// bounded frontier, the rows it folded and the row bounds, then the
+    /// full grid's frontier.
+    fn both_folds(
+        p: &HdbnParams,
+        src: &JointSurvivors,
+        cur: &[Slice; 2],
+    ) -> (JointFrontier, usize, Vec<f64>, JointFrontier) {
+        let mut arena = TrellisArena::new();
+        let (mut bounded, mut full, mut back) = Default::default();
+        let [c1, c2] = cur;
+        let folded = joint_fold_into(
+            p,
+            src,
+            c1,
+            c2,
+            &mut arena,
+            &mut bounded,
+            &mut back,
+            Rows::Bounded,
+        );
+        let bounds = arena.joint.row_ub.clone();
+        joint_fold_into(
+            p,
+            src,
+            c1,
+            c2,
+            &mut arena,
+            &mut full,
+            &mut back,
+            Rows::Every,
+        );
+        (bounded, folded, bounds, full)
+    }
+
+    /// Every row's bound is at least its exact largest score, on random
+    /// inputs and adversarial ones: `−∞` emissions, `±∞` coupling and a
+    /// single surviving group. A NaN bound folds every row, and the
+    /// bounded fold keeps the full grid's maxima.
+    #[test]
+    fn row_bounds_cover_every_row_top() {
+        let coupling = [0.0, 1.0, 3.5, f64::MAX, -f64::MAX];
+        let (mut pruned, mut checked) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let p = random_params(&mut rng, &coupling);
+            let mut obs = |rng: &mut Rng| match rng.below(6) {
+                0 => f64::NEG_INFINITY,
+                _ => -20.0 * rng.unit(),
+            };
+            let (prev, cur) = (
+                random_tick(&mut rng, &p, &mut obs),
+                random_tick(&mut rng, &p, &mut obs),
+            );
+            let mut arena = TrellisArena::new();
+            let (prev, cur) = (slices(&p, &prev, &mut arena), slices(&p, &cur, &mut arena));
+            let mut score = |rng: &mut Rng| match rng.below(8) {
+                0 => f64::NEG_INFINITY,
+                _ => -50.0 * rng.unit(),
+            };
+            let src = random_survivors(&mut rng, &prev, seed % 4 == 0, &mut score);
+            let (bounded, folded, bounds, full) = both_folds(&p, &src, &cur);
+            assert_eq!(bounds.len(), cur[0].n_slots(), "seed {seed}");
+            for (s1, (&ub, &top)) in bounds.iter().zip(&full.row_top).enumerate() {
+                assert!(
+                    ub.is_nan() || ub >= top,
+                    "seed {seed} row {s1}: bound {ub} < {top}"
+                );
+            }
+            if bounds.iter().any(|x| x.is_nan()) {
+                assert_eq!(
+                    folded,
+                    cur[0].n_slots(),
+                    "seed {seed}: a NaN bound folds every row"
+                );
+            }
+            assert_eq!(bounded.first_max().0, full.first_max().0, "seed {seed}");
+            assert_eq!(
+                bounded.first_max().1.to_bits(),
+                full.first_max().1.to_bits()
+            );
+            assert_eq!(bounded.argmax().0, full.argmax().0, "seed {seed}");
+            assert_eq!(bounded.argmax().1.to_bits(), full.argmax().1.to_bits());
+            checked += 1;
+            pruned += usize::from(folded < cur[0].n_slots());
+        }
+        assert!(
+            checked == 400 && pruned >= 40,
+            "{pruned} of {checked} steps left a row out"
+        );
+    }
+
+    /// A NaN offset makes every bound NaN, and a cut left undefined by
+    /// magnitudes near `f64::MAX` (or by a frontier with no score above
+    /// `−∞`) keeps every state: either way, every row is folded.
+    #[test]
+    fn nan_bounds_and_undefined_cuts_fold_every_row() {
+        for seed in 0..64u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let p = random_params(&mut rng, &[1.0]);
+            let mut arena = TrellisArena::new();
+            let mut obs = |rng: &mut Rng| -10.0 * rng.unit();
+            let prev = slices(&p, &random_tick(&mut rng, &p, &mut obs), &mut arena);
+            let mut cur = random_tick(&mut rng, &p, &mut obs);
+            let cases: [(&str, fn(&mut Rng) -> f64); 2] = [
+                ("near f64::MAX", |rng| {
+                    -(f64::MAX / 8.0) * (1.0 + rng.unit())
+                }),
+                ("all −∞", |_| f64::NEG_INFINITY),
+            ];
+            for (what, mut score) in cases {
+                let src = random_survivors(&mut rng, &prev, false, &mut score);
+                let cur = slices(&p, &cur, &mut arena);
+                let (bounded, folded, bounds, _) = both_folds(&p, &src, &cur);
+                assert!(bounds.iter().all(|x| !x.is_nan()), "seed {seed} {what}");
+                let d1 = cur[0].n_slots();
+                assert_eq!(folded, d1, "seed {seed} {what}: every row folded");
+                assert!(
+                    bounded.row_top.iter().all(|x| !x.is_nan()),
+                    "seed {seed} {what}"
+                );
+            }
+            for c in &mut cur.candidates[1] {
+                c.obs_loglik = f64::NAN;
+            }
+            let mut score = |rng: &mut Rng| -10.0 * rng.unit();
+            let src = random_survivors(&mut rng, &prev, false, &mut score);
+            let cur = slices(&p, &cur, &mut arena);
+            let (_, folded, bounds, _) = both_folds(&p, &src, &cur);
+            assert!(
+                bounds.iter().all(|x| x.is_nan()),
+                "seed {seed}: NaN offsets"
+            );
+            assert_eq!(
+                folded,
+                cur[0].n_slots(),
+                "seed {seed}: a NaN bound folds every row"
+            );
+        }
     }
 
     #[test]

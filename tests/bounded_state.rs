@@ -257,3 +257,40 @@ fn window_holds_only_the_live_tree() {
         }
     }
 }
+
+/// The coupled step folds only the chain-1 rows of slot pairs a row bound
+/// cannot rule out: on an ambiguous CASAS session at lag 10, the mean
+/// share of rows folded per step stays at most twice the measured
+/// [`ROWS_FOLDED`]. A bound that rules nothing out (say, one forced to
+/// `+∞`) folds every row and fails here.
+#[test]
+fn coupled_steps_fold_few_chain1_rows() {
+    let (model, inputs) = casas_session();
+    let mut online = OnlineCoupledViterbi::new(model, Lag::Fixed(10));
+    let mut shares = Vec::new();
+    for input in &inputs {
+        online.push(input).expect("push");
+        if let Some([folded, rows]) = online.last_rows_folded() {
+            assert!(folded <= rows && folded > 0, "{folded} of {rows} rows");
+            shares.push(folded as f64 / rows as f64);
+        }
+    }
+    assert_eq!(
+        shares.len(),
+        inputs.len() - 1,
+        "one step per push after the first"
+    );
+    let mean = shares.iter().sum::<f64>() / shares.len() as f64;
+    assert!(
+        mean <= 2.0 * ROWS_FOLDED,
+        "steps folded {:.1}% of their chain-1 rows on average (measured {:.1}%)",
+        100.0 * mean,
+        100.0 * ROWS_FOLDED
+    );
+}
+
+/// Mean share of chain-1 rows folded per step on [`casas_session`] at lag
+/// 10, as measured when the row bound was introduced (27.5%; a session's
+/// narrow ticks have few rows, so their share runs higher than the 16% of
+/// servebench's `casas-decode`).
+const ROWS_FOLDED: f64 = 0.275;
