@@ -11,15 +11,15 @@ use cace_hdbn::{
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_mining::rules::mine_negative_rules;
 use cace_mining::{
-    initial_cace_rules, mine_rules, AprioriConfig, AtomSpace, HierarchicalStats, PruningEngine,
-    RuleSet,
+    initial_cace_rules, mine_rules, AprioriConfig, AtomSpace, HierarchicalStats, Mask,
+    PruningEngine, RuleSet,
 };
 use cace_model::{ModelError, StateMask};
 
 use crate::classifiers::{extract_all, MicroClassifiers};
 use crate::evidence::{EvidenceConfig, PrevState};
 use crate::nh;
-use crate::statespace::TickPreparer;
+use crate::statespace::{PreparedTick, TickPreparer};
 use crate::strategy::Strategy;
 use crate::stream::stream_session;
 use crate::transactions::corpus;
@@ -155,7 +155,11 @@ fn prepare_session(
         .ticks
         .iter()
         .zip(&features.per_tick)
-        .map(|(tick, f)| preparer.prepare(&tick.observed, f, &mut prev).input)
+        .map(|(tick, f)| {
+            let mut prepared = PreparedTick::default();
+            preparer.prepare(&tick.observed, f, &mut prev, &mut prepared);
+            prepared.input
+        })
         .collect()
 }
 
@@ -197,6 +201,12 @@ impl CaceEngine {
             .flat_map(|t| t.labels);
         if labels.any(|l| l >= n_macro) {
             return Err(ModelError::InvalidConfig("label out of range".into()));
+        }
+        if n_macro > Mask::CAPACITY {
+            return Err(ModelError::InvalidConfig(format!(
+                "{n_macro} macro activities: a candidate mask holds at most {}",
+                Mask::CAPACITY
+            )));
         }
         let space = AtomSpace {
             n_macro,
@@ -529,6 +539,17 @@ impl CaceEngine {
             has_gestural: self.has_gestural,
             beam,
             evidence: self.config.evidence,
+        }
+    }
+
+    /// The preparer [`tick_preparer`](Self::tick_preparer) builds, under
+    /// modality mask `mask` instead of the configured one — for the
+    /// reference preparation of the differential suites.
+    #[cfg(feature = "testkit")]
+    pub fn preparer(&self, beam: usize, use_pruner: bool, mask: StateMask) -> TickPreparer<'_> {
+        TickPreparer {
+            mask,
+            ..self.tick_preparer(beam, use_pruner)
         }
     }
 

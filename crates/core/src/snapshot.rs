@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use cace_hdbn::wire::{self, ByteReader, ByteWriter};
 use cace_hdbn::{HdbnParams, ParkedChain, ParkedCoupled};
-use cace_mining::PruningEngine;
+use cace_mining::{AtomSpace, Mask, PruningEngine};
 use cace_model::ModelError;
 use serde::{Deserialize, Serialize};
 
@@ -155,6 +155,33 @@ fn verify_header(text: &str) -> Result<(u32, &str), ModelError> {
     Ok((version, payload))
 }
 
+/// Checks an engine snapshot's atom spaces — the engine's own and its rule
+/// set's — against what this build serves: `n_macro` macro activities (at
+/// most what one candidate mask holds) over the fixed postural, gestural,
+/// sub-location and room vocabularies and the floor plan's location→room
+/// map, exactly the space training builds.
+fn check_spaces(space: &AtomSpace, rules: &AtomSpace, n_macro: usize) -> Result<(), ModelError> {
+    if !(1..=Mask::CAPACITY).contains(&n_macro) {
+        return Err(persist_err(format!(
+            "field `n_macro`: {n_macro} macro activities, not 1..={}",
+            Mask::CAPACITY
+        )));
+    }
+    let served = AtomSpace {
+        n_macro,
+        ..AtomSpace::cace()
+    };
+    for (name, got) in [("space", space), ("rules", rules)] {
+        if *got != served {
+            return Err(persist_err(format!(
+                "field `{name}`: the atom space is not the served vocabulary \
+                 of {n_macro} macro activities ({got:?})"
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl CaceEngine {
     /// The engine's snapshot payload as a JSON value — shared between the
     /// standalone engine snapshot and the embedded engine inside a
@@ -227,6 +254,9 @@ impl CaceEngine {
         }
         let config: crate::engine::CaceConfig = field(payload, "config")?;
         let rules: cace_mining::RuleSet = field(payload, "rules")?;
+        let n_macro = field(payload, "n_macro")?;
+        let space = field(payload, "space")?;
+        check_spaces(&space, rules.space(), n_macro)?;
         // Derived state is rebuilt, not stored: the pruning engine from the
         // rules, the HDBN log tables (inside `HdbnParams::deserialize`)
         // from the mined statistics. Keys no field reads are ignored, such
@@ -241,13 +271,12 @@ impl CaceEngine {
         if nh_rows.iter().any(|row| row.len() != nh_rows.len()) {
             return Err(persist_err("field `nh_log_trans`: the table is not square"));
         }
-        let n_macro = field(payload, "n_macro")?;
         let classifiers: crate::classifiers::MicroClassifiers = field(payload, "classifiers")?;
         classifiers
             .check_shapes(n_macro)
             .map_err(|e| persist_err(format!("field `classifiers`: {e}")))?;
         Ok(Self {
-            space: field(payload, "space")?,
+            space,
             n_macro,
             has_gestural: field(payload, "has_gestural")?,
             classifiers,

@@ -9,6 +9,13 @@
 //! candidate is one id mapping plus flat-array loads, regardless of how
 //! many DP edges touch it.
 //!
+//! [`TickPreparer::prepare`] works on fixed-width masks: each user's
+//! candidate dimensions are `u64` bitsets ([`cace_mining::Mask`]), the
+//! pruner tests a rule with one mask compare against the tick's evidence
+//! bitset, and the scored tuples are kept in a bounded, sorted beam
+//! ([`TickInput::fill_candidates`]). It fills a [`PreparedTick`] the caller
+//! keeps, so a stream that reuses one prepares a tick without allocating.
+//!
 //! The *candidate* beam here ([`TickPreparer`]'s `beam` field, from
 //! [`CaceConfig::beam`](crate::CaceConfig)) caps how many scored micro
 //! tuples per user enter the decoder at all — it shapes the state space
@@ -20,7 +27,7 @@
 
 use cace_behavior::ObservedTick;
 use cace_features::TickFeatures;
-use cace_mining::{AtomSpace, CandidateTick, PruningEngine, UserCandidates};
+use cace_mining::{AtomSpace, CandidateTick, Mask, PruningEngine, UserCandidates};
 use cace_model::{Gestural, Postural, StateMask, SubLocation};
 
 use cace_hdbn::TickInput;
@@ -49,8 +56,20 @@ pub fn location_score(
     location: SubLocation,
     mask: StateMask,
 ) -> f64 {
+    location_scores(observed, user, location, mask)[usize::from(postural.is_moving())]
+}
+
+/// [`location_score`] of a still and of a moving postural state, in that
+/// order: the PIR term is the only one that depends on the postural
+/// state, and it is the last one added.
+fn location_scores(
+    observed: &ObservedTick,
+    user: usize,
+    location: SubLocation,
+    mask: StateMask,
+) -> [f64; 2] {
     if !mask.location {
-        return 0.0; // modality ablated: uninformative
+        return [0.0; 2]; // modality ablated: uninformative
     }
     let mut score = 0.0;
     let mut informed = false;
@@ -65,22 +84,19 @@ pub fn location_score(
         score += if fired[location.index()] { -0.2 } else { -2.5 };
         informed = true;
     }
+    if !informed {
+        return [0.0; 2];
+    }
     // PIR consistency: a *moving* resident in a room whose PIR stayed silent
     // is unlikely (PIRs are motion-gated); a firing PIR mildly supports
     // co-located moving candidates.
     let room = location.room().index();
-    if postural.is_moving() {
-        score += if observed.room_motion[room] {
-            0.3
-        } else {
-            -1.0
-        };
-    }
-    if informed {
-        score
+    let pir = if observed.room_motion[room] {
+        0.3
     } else {
-        0.0
-    }
+        -1.0
+    };
+    [score, score + pir]
 }
 
 /// Total observation log-likelihood of one candidate micro tuple.
@@ -116,12 +132,14 @@ fn classifier_score(
     total
 }
 
-/// Builds the tick's inference input from (possibly pruned) candidates.
+/// Builds the tick's inference input from (possibly pruned) candidates:
+/// [`TickPreparer::prepare`]'s candidate scoring and beam on a fresh
+/// input.
 ///
 /// Scores every tuple as [`micro_score`] does, bit for bit, but takes the
 /// location term — which depends on the postural state only through
-/// whether it is moving — once per `(user, location, moving)` instead of
-/// once per tuple.
+/// whether it is moving — for both kinds at once, once per
+/// `(user, location)` instead of once per tuple.
 pub fn build_tick_input(
     space: &AtomSpace,
     observed: &ObservedTick,
@@ -131,27 +149,49 @@ pub fn build_tick_input(
     use_gestural: bool,
     beam: usize,
 ) -> TickInput {
-    // Filled on first use: after pruning, most locations never come up.
-    let mut location_terms = [[[None; SubLocation::COUNT]; 2]; 2];
-    TickInput::from_candidates(
-        space,
+    let mut input = TickInput::default();
+    fill_candidates(
+        &mut input,
+        observed,
+        scores,
         pruned,
-        use_gestural && mask.gestural,
+        mask,
+        use_gestural,
         beam,
-        |u, p, g, l| {
-            let postural = Postural::ALL[p];
-            let term =
-                location_terms[u][usize::from(postural.is_moving())][l].get_or_insert_with(|| {
-                    location_score(observed, u, postural, SubLocation::ALL[l], mask)
-                });
-            classifier_score(scores, u, p, g, mask) + *term
-        },
-    )
+    );
+    input.restrict_macros(space, pruned, &mut Default::default());
+    input
+}
+
+/// The candidate half of [`build_tick_input`], into a reused input.
+fn fill_candidates(
+    input: &mut TickInput,
+    observed: &ObservedTick,
+    scores: &TickScores,
+    pruned: &[UserCandidates; 2],
+    mask: StateMask,
+    use_gestural: bool,
+    beam: usize,
+) {
+    // Each `(user, location)` pair's still and moving terms, once.
+    let moving = Postural::ALL.map(Postural::is_moving);
+    let mut location_terms = [[[0.0; 2]; SubLocation::COUNT]; 2];
+    for (u, cand) in pruned.iter().enumerate() {
+        for l in cand.locations {
+            location_terms[u][l] = location_scores(observed, u, SubLocation::ALL[l], mask);
+        }
+    }
+    input.fill_candidates(pruned, use_gestural && mask.gestural, beam, |u, p, g, l| {
+        classifier_score(scores, u, p, g, mask) + location_terms[u][l][usize::from(moving[p])]
+    });
 }
 
 /// A fully prepared inference tick: the decoder input plus the pruning
 /// accounting the overhead experiments report.
-#[derive(Debug, Clone)]
+///
+/// [`TickPreparer::prepare`] refills one in place; a stream keeps one and
+/// reuses its buffers on every push.
+#[derive(Debug, Clone, Default)]
 pub struct PreparedTick {
     /// The decoder-ready tick input (scored, beamed candidates plus macro
     /// restrictions and item-sensor bonus).
@@ -162,6 +202,9 @@ pub struct PreparedTick {
     pub joint_size: u128,
     /// Rules fired while pruning this tick (0 on the unpruned paths).
     pub rules_fired: u64,
+    /// Macro-restriction lists parked while their user is unrestricted
+    /// (see [`TickInput::restrict_macros`]).
+    spare_macros: [Vec<usize>; 2],
 }
 
 /// The per-tick preparation pipeline shared by every recognition path.
@@ -189,6 +232,40 @@ pub struct TickPreparer<'a> {
     pub(crate) has_gestural: bool,
     pub(crate) beam: usize,
     pub(crate) evidence: EvidenceConfig,
+}
+
+/// What a reference preparation needs to know of a preparer.
+#[cfg(feature = "testkit")]
+impl<'a> TickPreparer<'a> {
+    /// The atom space the candidate sets range over.
+    pub fn space(&self) -> &'a AtomSpace {
+        self.space
+    }
+
+    /// The rules the pruner applies, `None` on the unpruned paths.
+    pub fn rules(&self) -> Option<&'a cace_mining::RuleSet> {
+        self.pruner.map(PruningEngine::rules)
+    }
+
+    /// The modality mask.
+    pub fn mask(&self) -> StateMask {
+        self.mask
+    }
+
+    /// Whether the engine was trained with a gestural stream.
+    pub fn has_gestural(&self) -> bool {
+        self.has_gestural
+    }
+
+    /// The per-user candidate beam.
+    pub fn beam(&self) -> usize {
+        self.beam
+    }
+
+    /// The evidence thresholds.
+    pub fn evidence_config(&self) -> &EvidenceConfig {
+        &self.evidence
+    }
 }
 
 impl TickPreparer<'_> {
@@ -221,14 +298,12 @@ impl TickPreparer<'_> {
     }
 
     /// CASAS item-sensor evidence as a per-activity log-bonus (log-odds of
-    /// the fire/idle likelihoods; unattributed, so shared by both users).
-    fn item_bonus(&self, observed: &ObservedTick) -> Vec<f64> {
-        match &observed.items {
-            None => Vec::new(),
-            Some(items) => items
-                .iter()
-                .map(|&fired| if fired { 4.0 } else { -0.8 })
-                .collect(),
+    /// the fire/idle likelihoods; unattributed, so shared by both users),
+    /// written into `bonus`; empty when the tick has no item sensors.
+    fn item_bonus(&self, observed: &ObservedTick, bonus: &mut Vec<f64>) {
+        bonus.clear();
+        if let Some(items) = &observed.items {
+            bonus.extend(items.iter().map(|&fired| if fired { 4.0 } else { -0.8 }));
         }
     }
 
@@ -240,18 +315,15 @@ impl TickPreparer<'_> {
         let Some(fired) = &observed.subloc_motion else {
             return;
         };
-        if !fired.iter().any(|&f| f) {
+        let fired: Mask = (0..fired.len()).filter(|&l| fired[l]).collect();
+        if fired.is_empty() {
             return;
         }
         for user in &mut tick.users {
-            for (l, slot) in user.locations.iter_mut().enumerate() {
-                if !fired[l] {
-                    *slot = false;
-                }
-            }
-            if user.locations.iter().all(|&b| !b) {
+            user.locations = user.locations & fired;
+            if user.locations.is_empty() {
                 // Relax rather than empty the space (all-sensor dropout).
-                user.locations.iter_mut().for_each(|b| *b = true);
+                user.locations = Mask::full(self.space.n_location);
             }
         }
     }
@@ -297,26 +369,30 @@ impl TickPreparer<'_> {
         [emit(0), emit(1)]
     }
 
-    /// Prepares one tick end to end.
+    /// Prepares one tick end to end, into `out`.
     ///
     /// `prev` is the lag-1 evidence scratch: the committed state of the
     /// previous tick, which the pruner's lag-1 rules fire on. It is
     /// updated in place with this tick's committed observation, so driving
     /// `prepare` tick by tick (streaming) threads exactly the state the
     /// batch loop threads.
+    ///
+    /// Every field of `out` is overwritten; only its buffers carry over,
+    /// so a warmed `out` is refilled without allocating.
     pub fn prepare(
         &self,
         observed: &ObservedTick,
         features: &[TickFeatures; 2],
         prev: &mut [PrevState; 2],
-    ) -> PreparedTick {
+        out: &mut PreparedTick,
+    ) {
         let observed = self.masked_observation(observed);
         let scores = self.scores(features);
         let mut tick = CandidateTick::full(self.space);
         if self.mask.location {
             self.restrict_to_fired(&observed, &mut tick);
         }
-        let rules_fired = match self.pruner {
+        out.rules_fired = match self.pruner {
             Some(pruner) => {
                 let evidence = build_evidence(
                     self.space,
@@ -334,9 +410,10 @@ impl TickPreparer<'_> {
             }
             None => 0,
         };
-        let joint_size = tick.joint_size();
-        let mut input = build_tick_input(
-            self.space,
+        out.joint_size = tick.joint_size();
+        let input = &mut out.input;
+        fill_candidates(
+            input,
             &observed,
             &scores,
             &tick.users,
@@ -344,7 +421,8 @@ impl TickPreparer<'_> {
             self.has_gestural,
             self.beam,
         );
-        input.macro_bonus = self.item_bonus(&observed);
+        input.restrict_macros(self.space, &tick.users, &mut out.spare_macros);
+        self.item_bonus(&observed, &mut input.macro_bonus);
         // Commit observed location as lag-1 evidence for the next tick.
         for u in 0..2 {
             prev[u] = PrevState {
@@ -355,11 +433,6 @@ impl TickPreparer<'_> {
                     .filter(|b| b.in_home)
                     .map(|b| b.nearest.index()),
             };
-        }
-        PreparedTick {
-            input,
-            joint_size,
-            rules_fired,
         }
     }
 }

@@ -86,6 +86,7 @@ use cace_model::ModelError;
 use crate::engine::{CaceEngine, Recognition};
 use crate::evidence::PrevState;
 use crate::nh::{OnlineFlat, ParkedFlat};
+use crate::statespace::PreparedTick;
 use crate::strategy::Strategy;
 
 fn park_err(what: impl Into<String>) -> ModelError {
@@ -201,6 +202,9 @@ pub struct StreamingRecognizer<'a> {
     lag: Lag,
     decoder: Decoder,
     prev: [PrevState; 2],
+    /// The tick each push prepares into, reused so a warmed push
+    /// allocates nothing.
+    prepared: PreparedTick,
     pushed: usize,
     /// Drift-capture buffer; `None` (the default) costs nothing per push.
     drift: Option<Box<DriftBuffer>>,
@@ -245,6 +249,7 @@ fn fresh_stream(engine: EngineRef<'_>, lag: Lag) -> StreamingRecognizer<'_> {
         lag,
         decoder,
         prev: [PrevState::default(), PrevState::default()],
+        prepared: PreparedTick::default(),
         pushed: 0,
         drift: None,
         joint_size_sum: 0.0,
@@ -351,6 +356,7 @@ fn resume_impl<'a>(
         lag: parked.lag,
         decoder,
         prev: parked.prev,
+        prepared: PreparedTick::default(),
         pushed: parked.pushed,
         drift: None,
         joint_size_sum: parked.joint_size_sum,
@@ -444,7 +450,8 @@ impl StreamingRecognizer<'_> {
         // free function for the same reason).
         let engine: &CaceEngine = &self.engine;
         let preparer = engine.runtime_preparer();
-        let prepared = preparer.prepare(observed, &features, &mut self.prev);
+        let prepared = &mut self.prepared;
+        preparer.prepare(observed, &features, &mut self.prev, prepared);
         self.rules_fired = self.rules_fired.saturating_add(prepared.rules_fired);
 
         let strategy = engine.config.strategy;

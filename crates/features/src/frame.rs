@@ -1,5 +1,7 @@
 //! Frame-level feature extraction.
 
+use std::sync::OnceLock;
+
 use cace_sensing::IMU_RATE_HZ;
 use cace_signal::goertzel::GoertzelBank;
 use cace_signal::trajectory::ImuSample;
@@ -10,6 +12,23 @@ use crate::schema::FEATURE_COUNT;
 /// tilts in a stack array; longer ones put the same buffer on the heap.
 /// Frames are 1.5 s at 50 Hz (75 samples), so serving never takes the heap.
 const STACK_SAMPLES: usize = 128;
+
+/// A Goertzel bank at [`IMU_RATE_HZ`] for a frame of `len` samples. The
+/// coefficients of every length up to [`STACK_SAMPLES`] are computed once
+/// per process, so a frame costs no `cos`; a longer frame computes its own.
+fn goertzel_bank(len: usize) -> GoertzelBank {
+    static COEFFICIENTS: OnceLock<Vec<[f64; 5]>> = OnceLock::new();
+    let table = COEFFICIENTS.get_or_init(|| {
+        let lens = 0..=STACK_SAMPLES;
+        lens.map(|len| GoertzelBank::coefficients(len, IMU_RATE_HZ))
+            .collect()
+    });
+    let coeff = match table.get(len) {
+        Some(&coeff) => coeff,
+        None => GoertzelBank::coefficients(len, IMU_RATE_HZ),
+    };
+    GoertzelBank::with_coefficients(len, coeff)
+}
 
 /// The 32-dimensional feature vector of one frame (see
 /// [`crate::schema::feature_names`] for the layout).
@@ -86,7 +105,7 @@ impl FeatureVector {
 
         // Pass 3: centered moments, covariances, mean crossings and the
         // spectrum of the de-meaned magnitude (gravity DC removed).
-        let mut bank = GoertzelBank::new(len, IMU_RATE_HZ);
+        let mut bank = goertzel_bank(len);
         let (mut m2, mut m3, mut m4, mut abs_dev) = (-0.0, -0.0, -0.0, -0.0);
         let (mut ss_x, mut ss_y, mut ss_z, mut ss_tilt) = (-0.0, -0.0, -0.0, -0.0);
         let (mut cov_xy, mut cov_xz, mut cov_yz) = (0.0, 0.0, 0.0);

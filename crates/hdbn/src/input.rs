@@ -1,7 +1,12 @@
 //! Inference inputs: per-tick candidate micro states with observation
 //! log-likelihoods.
+//!
+//! [`TickInput::fill_candidates`] and [`TickInput::restrict_macros`] refill
+//! a tick input in place from the pruner's [`UserCandidates`] masks: the
+//! tuples are enumerated over the masks' set bits and kept in a bounded,
+//! sorted beam, so a reused input refills without touching the heap.
 
-use cace_mining::{AtomSpace, UserCandidates};
+use cace_mining::{AtomSpace, Mask, UserCandidates};
 
 /// One candidate micro tuple for one user at one tick, with the total
 //  observation log-likelihood of the wearable/ambient evidence given the
@@ -32,7 +37,27 @@ pub struct TickInput {
 
 impl TickInput {
     /// Builds a tick input from pruned factorized candidates plus a scoring
-    /// function `score(user, postural, gestural, location) -> log-lik`.
+    /// function `score(user, postural, gestural, location) -> log-lik`:
+    /// [`fill_candidates`](Self::fill_candidates) and
+    /// [`restrict_macros`](Self::restrict_macros) on a fresh input.
+    pub fn from_candidates<F>(
+        space: &AtomSpace,
+        pruned: &[UserCandidates; 2],
+        use_gestural: bool,
+        max_candidates: usize,
+        score: F,
+    ) -> Self
+    where
+        F: FnMut(usize, usize, Option<usize>, usize) -> f64,
+    {
+        let mut out = TickInput::default();
+        out.fill_candidates(pruned, use_gestural, max_candidates, score);
+        out.restrict_macros(space, pruned, &mut Default::default());
+        out
+    }
+
+    /// Refills [`candidates`](Self::candidates) from pruned factorized
+    /// candidates, scored by `score(user, postural, gestural, location)`.
     ///
     /// `use_gestural` controls whether the gestural dimension is expanded
     /// (CACE) or collapsed (CASAS / ablation).
@@ -40,75 +65,72 @@ impl TickInput {
     /// Candidates are capped at `max_candidates` per user, keeping the
     /// highest-scoring tuples — the beam that keeps the *unpruned* strategies
     /// finite (the paper's NH strategy similarly bounds its state space by
-    /// classifier hypotheses).
-    pub fn from_candidates<F>(
-        space: &AtomSpace,
+    /// classifier hypotheses). The order is best first; ties keep
+    /// generation order, ascending `(postural, gestural, location)`.
+    pub fn fill_candidates<F>(
+        &mut self,
         pruned: &[UserCandidates; 2],
         use_gestural: bool,
         max_candidates: usize,
         mut score: F,
-    ) -> Self
-    where
+    ) where
         F: FnMut(usize, usize, Option<usize>, usize) -> f64,
     {
-        let allowed = UserCandidates::allowed_iter;
-        let mut out = TickInput::default();
-        for u in 0..2 {
-            let cand = &pruned[u];
-            let count = |mask: &[bool]| allowed(mask).count();
-            let n_gestural = if use_gestural {
-                count(&cand.gesturals)
+        let keep = max_candidates.max(1);
+        for (u, (cand, top)) in pruned.iter().zip(&mut self.candidates).enumerate() {
+            top.clear();
+            let (gesturals, n_gestural) = if use_gestural {
+                (cand.gesturals, cand.gesturals.len())
             } else {
-                1
+                (Mask::EMPTY, 1)
             };
-            let mut tuples =
-                Vec::with_capacity(count(&cand.posturals) * n_gestural * count(&cand.locations));
-            for p in allowed(&cand.posturals) {
+            top.reserve(keep.min(cand.posturals.len() * n_gestural * cand.locations.len()));
+            for p in cand.posturals {
                 // `None` alone when the gestural dimension is collapsed.
-                let gesturals = allowed(if use_gestural { &cand.gesturals } else { &[] })
-                    .map(Some)
-                    .chain((!use_gestural).then_some(None));
-                for g in gesturals {
-                    for l in allowed(&cand.locations) {
+                let gesturals = gesturals.iter().map(Some);
+                for g in gesturals.chain((!use_gestural).then_some(None)) {
+                    for l in cand.locations {
                         // A NaN log-lik (degenerate classifier, adversarial
                         // feature vector) is clamped to -inf at ingestion,
                         // so it ranks below every finite candidate instead
                         // of poisoning the sort or the decode kernels.
                         let raw = score(u, p, g, l);
                         let obs_loglik = if raw.is_nan() { f64::NEG_INFINITY } else { raw };
-                        tuples.push(MicroCandidate {
+                        let candidate = MicroCandidate {
                             postural: p,
                             gestural: g,
                             location: l,
                             obs_loglik,
-                        });
+                        };
+                        insert_bounded(top, keep, candidate);
                     }
                 }
             }
-            // Best first; ties keep generation order, which is ascending
-            // `(postural, gestural, location)`. That makes the order total,
-            // so selecting the top tuples and sorting only those gives the
-            // stable sort's prefix.
-            let order = |a: &MicroCandidate, b: &MicroCandidate| {
-                b.obs_loglik.total_cmp(&a.obs_loglik).then_with(|| {
-                    (a.postural, a.gestural, a.location).cmp(&(b.postural, b.gestural, b.location))
-                })
-            };
-            let keep = max_candidates.max(1);
-            if tuples.len() > keep {
-                tuples.select_nth_unstable_by(keep - 1, order);
-                tuples.truncate(keep);
-            }
-            tuples.sort_unstable_by(order);
-            out.candidates[u] = tuples;
-
-            out.macro_candidates[u] = if count(&cand.macros) == space.n_macro {
-                None
-            } else {
-                Some(allowed(&cand.macros).collect())
-            };
         }
-        out
+    }
+
+    /// Sets [`macro_candidates`](Self::macro_candidates) from the pruned
+    /// macro masks: `None` for a user whose macros are all allowed, their
+    /// ids ascending otherwise. A list a user stops needing is parked in
+    /// `spare[user]` and taken back when the user is restricted again, so a
+    /// reused input refills without allocating.
+    pub fn restrict_macros(
+        &mut self,
+        space: &AtomSpace,
+        pruned: &[UserCandidates; 2],
+        spare: &mut [Vec<usize>; 2],
+    ) {
+        for ((cand, slot), spare) in pruned.iter().zip(&mut self.macro_candidates).zip(spare) {
+            if cand.macros.len() == space.n_macro {
+                if let Some(list) = slot.take() {
+                    *spare = list;
+                }
+            } else {
+                let list = slot.get_or_insert_with(|| std::mem::take(spare));
+                list.clear();
+                list.extend(cand.macros);
+            }
+        }
     }
 
     /// Macro-level observation bonus for activity `a` (0 when absent).
@@ -140,6 +162,25 @@ impl TickInput {
     }
 }
 
+/// Inserts `c` into `top`, which holds at most `keep` tuples, best first.
+///
+/// Tuples arrive in ascending `(postural, gestural, location)`, so `c`
+/// ranks below every held tuple of equal score: the order — score by
+/// `total_cmp`, descending, then generation order — is total, and `top`
+/// always holds its first `keep` tuples of those seen, sorted.
+#[inline]
+fn insert_bounded(top: &mut Vec<MicroCandidate>, keep: usize, c: MicroCandidate) {
+    let beaten = |held: &MicroCandidate| c.obs_loglik.total_cmp(&held.obs_loglik).is_gt();
+    if top.len() == keep && !top.last().is_some_and(beaten) {
+        return;
+    }
+    let at = top.partition_point(|held| !beaten(held));
+    if top.len() == keep {
+        top.pop();
+    }
+    top.insert(at, c);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,9 +203,7 @@ mod tests {
     fn pruned_macro_candidates_are_recorded() {
         let space = AtomSpace::cace();
         let mut cand = UserCandidates::full(&space);
-        for a in 1..space.n_macro {
-            cand.macros[a] = false;
-        }
+        cand.macros = cace_mining::Mask::single(0);
         let pruned = [cand, UserCandidates::full(&space)];
         let input = TickInput::from_candidates(&space, &pruned, true, 5, |_, _, _, _| 0.0);
         assert_eq!(input.macro_candidates[0], Some(vec![0]));

@@ -1068,9 +1068,17 @@ pub(crate) fn joint_fold_into(
         run_arg,
     };
     let d1 = cur1.n_slots();
-    // Every row pass 2 folds is overwritten before it is read.
-    next.w.resize(d1 * pass.d2, f64::NEG_INFINITY);
-    back.resize(d1 * pass.d2, 0);
+    // Every row pass 2 folds is overwritten before it is read, and no
+    // reader reaches an unfolded row (see `JointFrontier`) or past the
+    // grid, so the buffers only grow, to the widest grid seen, and a wider
+    // tick than the last writes nothing it does not fold.
+    let grid = d1 * pass.d2;
+    if next.w.len() < grid {
+        next.w.resize(grid, f64::NEG_INFINITY);
+    }
+    if back.len() < grid {
+        back.resize(grid, 0);
+    }
     let mut fold = |batch: &[u32], next: &mut JointFrontier| {
         let JointFrontier { w, axes, .. } = next;
         pass.fold_rows(cur1, &axes[0].group, batch, part, part_arg, w, back);

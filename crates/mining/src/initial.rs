@@ -120,7 +120,7 @@ pub fn initial_cace_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::{CandidateTick, PruningEngine, UserCandidates};
+    use crate::correlation::{CandidateTick, PruningEngine};
 
     #[test]
     fn initial_rules_cover_both_users() {
@@ -157,7 +157,7 @@ mod tests {
         let report = engine.prune(&evidence, &mut tick);
         assert!(report.positive_fired >= 1);
         assert_eq!(
-            UserCandidates::allowed(&tick.users[0].macros),
+            tick.users[0].macros.iter().collect::<Vec<_>>(),
             vec![MacroActivity::Exercising.index()]
         );
     }
@@ -177,7 +177,7 @@ mod tests {
             })];
             engine.prune(&evidence, &mut tick);
             assert!(
-                !tick.users[1 - user].locations[bath],
+                !tick.users[1 - user].locations.contains(bath),
                 "user {user} in bathroom must exclude partner"
             );
         }

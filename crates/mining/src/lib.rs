@@ -49,7 +49,7 @@ pub mod rules;
 
 pub use apriori::{mine_frequent_itemsets, mine_rules, AprioriConfig};
 pub use constraint::{ConstraintMiner, HierarchicalStats};
-pub use correlation::{CandidateTick, PruningEngine, UserCandidates};
+pub use correlation::{CandidateTick, Mask, PruningEngine, UserCandidates};
 pub use initial::initial_cace_rules;
 pub use item::{Atom, AtomSpace, Item, ItemId, Transaction};
 pub use rules::{NegativeRule, Rule, RuleSet};

@@ -85,6 +85,16 @@ impl GoertzelBank {
     /// # Panics
     /// As [`goertzel_power`], for each bin in ascending order.
     pub fn new(len: usize, sample_rate_hz: f64) -> Self {
+        Self::with_coefficients(len, Self::coefficients(len, sample_rate_hz))
+    }
+
+    /// The five recurrence coefficients a bank for `len` samples at
+    /// `sample_rate_hz` runs (one `cos` each), for callers that compute
+    /// them once per signal length.
+    ///
+    /// # Panics
+    /// As [`goertzel_power`], for each bin in ascending order.
+    pub fn coefficients(len: usize, sample_rate_hz: f64) -> [f64; 5] {
         for i in 0..5 {
             let target_hz = (i + 1) as f64;
             assert!(sample_rate_hz > 0.0, "sample rate must be positive");
@@ -100,8 +110,15 @@ impl GoertzelBank {
             let omega = 2.0 * std::f64::consts::PI * k / n;
             *c = 2.0 * omega.cos();
         }
+        coeff
+    }
+
+    /// A bank for a signal of `len` samples running `coeff`, as returned by
+    /// [`coefficients`](Self::coefficients) for `len` samples: bit-identical
+    /// to [`new`](Self::new) at the same rate.
+    pub fn with_coefficients(len: usize, coeff: [f64; 5]) -> Self {
         Self {
-            n,
+            n: len as f64,
             coeff,
             s_prev: [0.0; 5],
             s_prev2: [0.0; 5],

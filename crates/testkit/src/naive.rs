@@ -11,8 +11,11 @@
 //!
 //! The serving front end has references of the same kind:
 //! [`frame_features`] (one pass per feature over per-axis `Vec`s),
-//! [`forest_proba`] (one cloned leaf distribution per tree) and
-//! [`prune_linear`] (every rule checked on every tick).
+//! [`forest_proba`] (one cloned leaf distribution per tree),
+//! [`prune_linear`] (every rule checked on every tick, over the
+//! one-`bool`-per-value candidate sets of [`BoolTick`]) and [`prepare`]
+//! (a whole tick's preparation on those sets, every tuple scored by
+//! `micro_score` and stably sorted).
 //!
 //! Consumers:
 //!
@@ -20,18 +23,23 @@
 //!   **bit-identical** to these references over random mined statistics —
 //!   the differential gate for the dense-table scoring path.
 //! * `tests/front_end_oracles.rs` does the same for the fused frame
-//!   features, the borrowed-leaf forest and the indexed pruner.
+//!   features, the borrowed-leaf forest, the indexed pruner and the whole
+//!   tick preparation.
 //! * `crates/bench/benches/score_tables.rs` measures them as the "naive
 //!   scoring" baseline that the table path's per-tick speedup is claimed
 //!   against.
 
-use cace_features::FEATURE_COUNT;
+use cace_behavior::ObservedTick;
+use cace_core::evidence::{build_evidence, PrevState};
+use cace_core::statespace::{TickPreparer, TickScores};
+use cace_features::{TickFeatures, FEATURE_COUNT};
 use cace_hdbn::forward::normalize_log;
 use cace_hdbn::single::ExpectedCounts;
-use cace_hdbn::{log_sum_exp, HdbnParams, TickInput};
+use cace_hdbn::{log_sum_exp, HdbnParams, MicroCandidate, TickInput};
 use cace_learn::RandomForest;
 use cace_mining::correlation::PruneReport;
-use cace_mining::{CandidateTick, ItemId, RuleSet};
+use cace_mining::{Atom, AtomSpace, CandidateTick, ItemId, RuleSet, UserCandidates};
+use cace_model::{Postural, StateMask, SubLocation};
 use cace_sensing::IMU_RATE_HZ;
 use cace_signal::goertzel::goertzel_band;
 use cace_signal::stats::{
@@ -513,10 +521,162 @@ pub fn forest_proba(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
     acc
 }
 
+/// One user's candidate sets as they were before they became bitsets:
+/// one `bool` per value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoolCandidates {
+    /// Allowed macro activities.
+    pub macros: Vec<bool>,
+    /// Allowed postural states.
+    pub posturals: Vec<bool>,
+    /// Allowed gestural states.
+    pub gesturals: Vec<bool>,
+    /// Allowed sub-locations.
+    pub locations: Vec<bool>,
+}
+
+/// Indices of the allowed values of one dimension.
+pub fn allowed(dim: &[bool]) -> Vec<usize> {
+    dim.iter()
+        .enumerate()
+        .filter(|&(_, &b)| b)
+        .map(|(i, _)| i)
+        .collect()
+}
+
+impl BoolCandidates {
+    /// Everything allowed.
+    pub fn full(space: &AtomSpace) -> Self {
+        Self {
+            macros: vec![true; space.n_macro],
+            posturals: vec![true; space.n_postural],
+            gesturals: vec![true; space.n_gestural],
+            locations: vec![true; space.n_location],
+        }
+    }
+
+    fn dim_mut(&mut self, atom: Atom) -> (&mut Vec<bool>, usize) {
+        match atom {
+            Atom::Macro(i) => (&mut self.macros, i as usize),
+            Atom::Postural(i) => (&mut self.posturals, i as usize),
+            Atom::Gestural(i) => (&mut self.gesturals, i as usize),
+            Atom::Location(i) => (&mut self.locations, i as usize),
+            Atom::Room(_) => unreachable!("rooms are expanded before dispatch"),
+        }
+    }
+
+    /// Restricts a dimension to one value (a room: its sub-locations);
+    /// returns how many values were removed, refusing (0) when the value
+    /// is already excluded.
+    pub fn restrict(&mut self, space: &AtomSpace, atom: Atom) -> usize {
+        if let Atom::Room(r) = atom {
+            let mut removed = 0;
+            let allowed_any = self
+                .locations
+                .iter()
+                .enumerate()
+                .any(|(l, &ok)| ok && space.loc_to_room[l] == r as usize);
+            if !allowed_any {
+                return 0;
+            }
+            for (l, slot) in self.locations.iter_mut().enumerate() {
+                if *slot && space.loc_to_room[l] != r as usize {
+                    *slot = false;
+                    removed += 1;
+                }
+            }
+            return removed;
+        }
+        let (dim, idx) = self.dim_mut(atom);
+        if idx >= dim.len() || !dim[idx] {
+            return 0;
+        }
+        let mut removed = 0;
+        for (i, slot) in dim.iter_mut().enumerate() {
+            if i != idx && *slot {
+                *slot = false;
+                removed += 1;
+            }
+        }
+        removed
+    }
+
+    /// Forbids one value (a room: each of its sub-locations, ascending);
+    /// returns whether any was removed, never emptying a dimension.
+    pub fn forbid(&mut self, space: &AtomSpace, atom: Atom) -> bool {
+        if let Atom::Room(r) = atom {
+            let mut any = false;
+            for l in 0..self.locations.len() {
+                if space.loc_to_room[l] == r as usize {
+                    any |= self.forbid(space, Atom::Location(l as u16));
+                }
+            }
+            return any;
+        }
+        let (dim, idx) = self.dim_mut(atom);
+        if idx >= dim.len() || !dim[idx] {
+            return false;
+        }
+        if dim.iter().filter(|&&b| b).count() <= 1 {
+            return false;
+        }
+        dim[idx] = false;
+        true
+    }
+
+    /// Number of allowed (macro, micro) states.
+    pub fn joint_size(&self) -> usize {
+        let count = |v: &Vec<bool>| v.iter().filter(|&&b| b).count();
+        count(&self.macros)
+            * count(&self.posturals)
+            * count(&self.gesturals)
+            * count(&self.locations)
+    }
+
+    /// The same sets as masks.
+    pub fn to_masks(&self) -> UserCandidates {
+        let mask = |dim: &[bool]| allowed(dim).into_iter().collect();
+        UserCandidates {
+            macros: mask(&self.macros),
+            posturals: mask(&self.posturals),
+            gesturals: mask(&self.gesturals),
+            locations: mask(&self.locations),
+        }
+    }
+}
+
+/// Both users' [`BoolCandidates`] at one tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoolTick {
+    /// Per-user candidate sets.
+    pub users: [BoolCandidates; 2],
+}
+
+impl BoolTick {
+    /// Everything allowed for both users.
+    pub fn full(space: &AtomSpace) -> Self {
+        Self {
+            users: [BoolCandidates::full(space), BoolCandidates::full(space)],
+        }
+    }
+
+    /// Joint state count across both users.
+    pub fn joint_size(&self) -> u128 {
+        self.users.iter().map(|u| u.joint_size() as u128).product()
+    }
+
+    /// The same sets as a [`CandidateTick`].
+    pub fn to_masks(&self) -> CandidateTick {
+        CandidateTick {
+            users: [self.users[0].to_masks(), self.users[1].to_masks()],
+        }
+    }
+}
+
 /// `PruningEngine::prune` as it was before rules were indexed: every
 /// positive and negative rule checked against the evidence, in rule-set
 /// order, on each of the two passes.
-pub fn prune_linear(rules: &RuleSet, evidence: &[ItemId], tick: &mut CandidateTick) -> PruneReport {
+pub fn prune_linear(rules: &RuleSet, evidence: &[ItemId], tick: &mut BoolTick) -> PruneReport {
     let space = rules.space().clone();
     let mut report = PruneReport::default();
     for _ in 0..2 {
@@ -559,4 +719,155 @@ pub fn prune_linear(rules: &RuleSet, evidence: &[ItemId], tick: &mut CandidateTi
         }
     }
     report
+}
+
+/// `micro_score` as it was before the location term was split by postural
+/// kind: the classifier log-probabilities plus the beacon, sub-location
+/// motion and PIR terms, summed in that order.
+fn micro_score(
+    observed: &ObservedTick,
+    scores: &TickScores,
+    user: usize,
+    postural: usize,
+    gestural: Option<usize>,
+    location: usize,
+    mask: StateMask,
+) -> f64 {
+    let mut classifier = scores.postural_lp[user][postural];
+    if mask.gestural {
+        if let (Some(g), Some(glp)) = (gestural, &scores.gestural_lp[user]) {
+            classifier += glp[g];
+        }
+    }
+    let location = SubLocation::ALL[location];
+    let mut score = 0.0;
+    let mut informed = false;
+    if mask.location {
+        if let Some(beacon) = &observed.per_user[user].beacon {
+            let (bx, by) = beacon.position;
+            let (cx, cy) = location.centroid();
+            let d2 = (bx - cx).powi(2) + (by - cy).powi(2);
+            score += -0.5 * d2 / (1.2 * 1.2);
+            informed = true;
+        }
+        if let Some(fired) = &observed.subloc_motion {
+            score += if fired[location.index()] { -0.2 } else { -2.5 };
+            informed = true;
+        }
+        if Postural::ALL[postural].is_moving() {
+            score += if observed.room_motion[location.room().index()] {
+                0.3
+            } else {
+                -1.0
+            };
+        }
+    }
+    classifier + if informed { score } else { 0.0 }
+}
+
+/// `TickPreparer::prepare` on [`BoolTick`] candidate sets: the modality
+/// mask applied to a cloned observation, the candidates restricted to the
+/// fired sub-locations, the rules applied by [`prune_linear`], every
+/// candidate tuple scored by `micro_score` and stably sorted best first,
+/// then cut to the beam. Returns the tick input, the post-pruning joint
+/// size and the rules fired; `prev` is threaded as `prepare` threads it.
+///
+/// The classifier scores and the evidence items come from the preparer's
+/// own `scores` and from `build_evidence`, which it shares.
+pub fn prepare(
+    preparer: &TickPreparer<'_>,
+    observed: &ObservedTick,
+    features: &[TickFeatures; 2],
+    prev: &mut [PrevState; 2],
+) -> (TickInput, u128, u64) {
+    let space = preparer.space();
+    let mask = preparer.mask();
+    let mut observed = observed.clone();
+    if !mask.location {
+        observed.subloc_motion = None;
+        for user in &mut observed.per_user {
+            user.beacon = None;
+        }
+        observed.room_motion = [false; 6];
+    }
+    if !mask.gestural {
+        for user in &mut observed.per_user {
+            user.tag = None;
+        }
+    }
+    let scores = preparer.scores(features);
+    let mut tick = BoolTick::full(space);
+    if let Some(fired) = observed
+        .subloc_motion
+        .filter(|f| f.iter().any(|&x| x) && mask.location)
+    {
+        for user in &mut tick.users {
+            for (l, slot) in user.locations.iter_mut().enumerate() {
+                *slot &= fired[l];
+            }
+            if user.locations.iter().all(|&b| !b) {
+                user.locations.iter_mut().for_each(|b| *b = true);
+            }
+        }
+    }
+    let rules_fired = match preparer.rules() {
+        Some(rules) => {
+            let evidence = build_evidence(
+                space,
+                &observed,
+                [&scores.postural_lp[0], &scores.postural_lp[1]],
+                [
+                    scores.gestural_lp[0].as_ref().map(|g| &g[..]),
+                    scores.gestural_lp[1].as_ref().map(|g| &g[..]),
+                ],
+                prev,
+                preparer.evidence_config(),
+            );
+            let report = prune_linear(rules, &evidence, &mut tick);
+            (report.positive_fired + report.negative_fired) as u64
+        }
+        None => 0,
+    };
+    let use_gestural = preparer.has_gestural() && mask.gestural;
+    let mut input = TickInput::default();
+    for (u, cand) in tick.users.iter().enumerate() {
+        let gesturals: Vec<Option<usize>> = if use_gestural {
+            allowed(&cand.gesturals).into_iter().map(Some).collect()
+        } else {
+            vec![None]
+        };
+        let mut tuples = Vec::new();
+        for p in allowed(&cand.posturals) {
+            for &g in &gesturals {
+                for l in allowed(&cand.locations) {
+                    let raw = micro_score(&observed, &scores, u, p, g, l, mask);
+                    tuples.push(MicroCandidate {
+                        postural: p,
+                        gestural: g,
+                        location: l,
+                        obs_loglik: if raw.is_nan() { f64::NEG_INFINITY } else { raw },
+                    });
+                }
+            }
+        }
+        tuples.sort_by(|a, b| b.obs_loglik.total_cmp(&a.obs_loglik));
+        tuples.truncate(preparer.beam().max(1));
+        input.candidates[u] = tuples;
+        let macros = allowed(&cand.macros);
+        input.macro_candidates[u] = (macros.len() != space.n_macro).then_some(macros);
+    }
+    if let Some(items) = &observed.items {
+        input.macro_bonus = items.iter().map(|&f| if f { 4.0 } else { -0.8 }).collect();
+    }
+    for u in 0..2 {
+        prev[u] = PrevState {
+            macro_id: None,
+            location: observed.per_user[u]
+                .beacon
+                .as_ref()
+                .filter(|b| b.in_home)
+                .map(|b| b.nearest.index()),
+        };
+    }
+    (input, tick.joint_size(), rules_fired)
 }

@@ -16,8 +16,8 @@
 //!
 //! [`warmed_streaming_push_allocation_budget`] extends the count to a
 //! whole `StreamingRecognizer::push`: feature extraction allocates
-//! nothing, and a push allocates at most [`PUSH_RESIDUAL`] (see there for
-//! what those allocations are).
+//! nothing, and a push allocates at most [`PUSH_RESIDUAL`] — none (see
+//! there for what reuses which buffers).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,20 +193,19 @@ fn dominance_actually_prunes_in_steady_state() {
 }
 
 /// Allocations a warmed `StreamingRecognizer::push` on the serving shape
-/// may make — the per-tick values the push hands to the decoder:
+/// may make: none.
 ///
-/// * the `TickInput`'s candidate lists, `candidates[0]` and
-///   `candidates[1]` (2);
-/// * its macro restrictions, `macro_candidates[u]`, on ticks where the
-///   rules narrow a user's macro set (up to 2);
-/// * its `macro_bonus`, on CASAS ticks only (0 here);
-/// * the pruner's `CandidateTick`: four `Vec<bool>` masks per user (8).
-///
-/// Everything else — frame features, forest scoring, evidence, rule
-/// lookup, tuple scoring, the trellis step, the fixed-lag emit — runs on
-/// the stack or on reused buffers; the stream keeps no decision history
-/// that could grow.
-const PUSH_RESIDUAL: u64 = 2 + 2 + 8;
+/// * The stream prepares every tick into one `PreparedTick` it keeps: the
+///   `TickInput`'s candidate lists and `macro_bonus` are refilled in
+///   place, and a user's `macro_candidates` list is parked in the
+///   prepared tick while the rules leave that user's macros unrestricted,
+///   then taken back.
+/// * The pruner's `CandidateTick` is four `u64` masks per user, and the
+///   tick's evidence and the fired rules sit on the stack.
+/// * Frame features, forest scoring, tuple scoring and the beam, the
+///   trellis step and the fixed-lag emit run on the stack or on reused
+///   buffers; the stream keeps no decision history that could grow.
+const PUSH_RESIDUAL: u64 = 0;
 
 /// Whole-push allocation accounting on the serving shape (`fleet-live`):
 /// a tiny C2 engine with the exact decoder and a fixed lag of 6, warmed
@@ -215,7 +214,6 @@ const PUSH_RESIDUAL: u64 = 2 + 2 + 8;
 fn warmed_streaming_push_allocation_budget() {
     use cace::core::{CaceConfig, CaceEngine, Lag as StreamLag, Strategy};
     use cace::features::extract_tick;
-    const _: () = assert!(PUSH_RESIDUAL <= 16);
 
     let (train, test) = cace_testkit::tiny_corpus(6, 60, 4117);
     let config = CaceConfig::default()
@@ -243,8 +241,8 @@ fn warmed_streaming_push_allocation_budget() {
         let push = count_allocs(|| {
             stream.push(&tick.observed).expect("measured push");
         });
-        assert!(
-            push <= PUSH_RESIDUAL,
+        assert_eq!(
+            push, PUSH_RESIDUAL,
             "tick {t}: push allocated {push} times, budget {PUSH_RESIDUAL}"
         );
     }

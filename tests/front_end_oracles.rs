@@ -12,24 +12,38 @@
 //!   the per-tree-clone reference;
 //! * `PruningEngine::prune` (rules indexed by first antecedent) against a
 //!   linear scan of the rule set, on random rule sets and evidence;
-//! * `build_tick_input` (location term cached per `(user, location,
-//!   moving)`, top-k selection) against per-tuple `micro_score` and a full
-//!   stable sort, on random scores with ties and NaNs and random masks.
+//! * `build_tick_input` (location terms taken once per `(user,
+//!   location)`, bounded beam) against per-tuple `micro_score` and a full
+//!   stable sort, on random scores with ties and NaNs and random masks;
+//! * `TickPreparer::prepare` (bitset candidate sets and rule antecedents,
+//!   one reused `PreparedTick`) against the `Vec<bool>` preparation, tick
+//!   by tick over both corpora, both beams, pruner on and off, every
+//!   modality mask, with hostile ticks mixed in: every `TickInput` bit,
+//!   the joint size and the rules fired.
 
 use proptest::prelude::*;
 
-use cace::core::statespace::{build_tick_input, micro_score, TickScores};
-use cace::features::{extract_session, FeatureVector};
-use cace::hdbn::MicroCandidate;
+use std::sync::OnceLock;
+
+use cace::behavior::session::train_test_split;
+use cace::behavior::{generate_casas_dataset, CasasConfig, ObservedTick, Session};
+use cace::core::statespace::{
+    build_tick_input, micro_score, PreparedTick, TickPreparer, TickScores,
+};
+use cace::core::{CaceConfig, CaceEngine, Strategy};
+use cace::features::{extract_session, extract_tick, FeatureVector};
+use cace::hdbn::{MicroCandidate, TickInput};
 use cace::learn::{ForestConfig, RandomForest};
 use cace::mining::{
-    AtomSpace, CandidateTick, ItemId, NegativeRule, PruningEngine, Rule, RuleSet, UserCandidates,
+    AtomSpace, CandidateTick, ItemId, Mask, NegativeRule, PruningEngine, Rule, RuleSet,
+    UserCandidates,
 };
-use cace::model::{Gestural, Postural, StateMask};
-use cace::sensing::{ImuSynthesizer, NoiseConfig};
+use cace::model::{Gestural, Postural, Room, StateMask};
+use cace::sensing::{ImuSynthesizer, NoiseConfig, ObjectKind};
 use cace::signal::trajectory::ImuSample;
 use cace::signal::{GaussianSampler, Vec3};
-use cace_testkit::naive::{forest_proba, frame_features, prune_linear};
+use cace_testkit::naive::{self, forest_proba, frame_features, prune_linear, BoolTick};
+use cace_testkit::{engine_with, tiny_corpus};
 
 // ---------- frame features ----------
 
@@ -223,11 +237,11 @@ proptest! {
         let space = rules.space().clone();
         let engine = PruningEngine::new(rules.clone());
         let mut indexed = CandidateTick::full(&space);
-        let mut linear = CandidateTick::full(&space);
+        let mut linear = BoolTick::full(&space);
         let report = engine.prune(&evidence, &mut indexed);
         let reference = prune_linear(&rules, &evidence, &mut linear);
         prop_assert_eq!(report, reference);
-        prop_assert_eq!(indexed, linear);
+        prop_assert_eq!(indexed, linear.to_masks());
     }
 }
 
@@ -244,10 +258,10 @@ fn indexed_pruner_matches_linear_scan_on_the_initial_rules() {
             .collect();
         evidence.sort_unstable();
         evidence.dedup();
-        let (mut a, mut b) = (CandidateTick::full(&space), CandidateTick::full(&space));
+        let (mut a, mut b) = (CandidateTick::full(&space), BoolTick::full(&space));
         let report = engine.prune(&evidence, &mut a);
         assert_eq!(report, prune_linear(&rules, &evidence, &mut b));
-        assert_eq!(a, b);
+        assert_eq!(a, b.to_masks());
         fired += report.positive_fired + report.negative_fired;
     }
     assert!(fired > 0, "no rule ever fired: the check proved nothing");
@@ -269,17 +283,14 @@ fn reference_candidates(
     [0, 1].map(|u| {
         let cand = &pruned[u];
         let gesturals: Vec<Option<usize>> = if use_gestural {
-            UserCandidates::allowed(&cand.gesturals)
-                .into_iter()
-                .map(Some)
-                .collect()
+            cand.gesturals.iter().map(Some).collect()
         } else {
             vec![None]
         };
         let mut tuples = Vec::new();
-        for p in UserCandidates::allowed(&cand.posturals) {
+        for p in cand.posturals {
             for &g in &gesturals {
-                for l in UserCandidates::allowed(&cand.locations) {
+                for l in cand.locations {
                     let raw = micro_score(observed, scores, u, p, g, l, mask);
                     tuples.push(MicroCandidate {
                         postural: p,
@@ -319,11 +330,10 @@ proptest! {
         };
         let pruned = [0, 1].map(|_| {
             let mut cand = UserCandidates::full(&space);
-            for dim in [&mut cand.posturals, &mut cand.gesturals, &mut cand.locations] {
-                for slot in dim.iter_mut() {
-                    *slot = rng.below(3) > 0;
-                }
-            }
+            let mut draw = |n: usize| (0..n).filter(|_| rng.below(3) > 0).collect::<Mask>();
+            cand.posturals = draw(space.n_postural);
+            cand.gesturals = draw(space.n_gestural);
+            cand.locations = draw(space.n_location);
             cand
         });
         let mask = [StateMask::FULL, StateMask::NO_LOCATION, StateMask::NO_GESTURAL][rng.below(3)];
@@ -340,5 +350,174 @@ proptest! {
             };
             prop_assert_eq!(bits(&input.candidates[u]), bits(&reference[u]));
         }
+    }
+}
+
+// ---------- whole-tick preparation ----------
+
+/// A C2 engine (so a pruner exists) and its test sessions, for the CACE
+/// and the CASAS corpus, trained once per test binary.
+fn prepare_fixtures() -> &'static [(CaceEngine, Vec<Session>); 2] {
+    static FIXTURES: OnceLock<[(CaceEngine, Vec<Session>); 2]> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let config = CaceConfig::default().with_strategy(Strategy::CorrelationConstraint);
+        let (train, test) = tiny_corpus(4, 60, 41);
+        let casas = CasasConfig {
+            pairs: 2,
+            sessions_per_pair: 2,
+            ticks: 40,
+            ..CasasConfig::default()
+        };
+        let (casas_train, casas_test) = train_test_split(generate_casas_dataset(&casas, 5), 0.75);
+        [
+            (engine_with(&train, &config), test),
+            (engine_with(&casas_train, &config), casas_test),
+        ]
+    })
+}
+
+const MASKS: [StateMask; 4] = [
+    StateMask::FULL,
+    StateMask::NO_GESTURAL,
+    StateMask::NO_LOCATION,
+    StateMask {
+        gestural: false,
+        location: false,
+    },
+];
+
+/// `observed` damaged in the way `kind` selects: NaN or infinite IMU
+/// samples, emptied frames, a dropped wearable or location modality, or
+/// no sensor data at all.
+fn hostile(observed: &ObservedTick, kind: usize) -> ObservedTick {
+    fn frames(out: &mut ObservedTick) -> impl Iterator<Item = &mut Vec<ImuSample>> {
+        let users = out.per_user.iter_mut();
+        users.flat_map(|u| [&mut u.phone, &mut u.tag]).flatten()
+    }
+    let mut out = observed.clone();
+    match kind % 6 {
+        0 => frames(&mut out).for_each(|f| {
+            let mid = f.len() / 2;
+            if let Some(s) = f.get_mut(mid) {
+                s.accel.x = f64::NAN;
+            }
+        }),
+        1 => frames(&mut out).for_each(|f| f.iter_mut().for_each(|s| s.accel.y = f64::INFINITY)),
+        2 => frames(&mut out).for_each(Vec::clear),
+        3 => out
+            .per_user
+            .iter_mut()
+            .for_each(|u| (u.phone, u.tag) = (None, None)),
+        4 => {
+            out.subloc_motion = None;
+            out.per_user.iter_mut().for_each(|u| u.beacon = None);
+        }
+        _ => {
+            out.room_motion = [false; Room::COUNT];
+            out.subloc_motion = None;
+            out.items = None;
+            out.objects = [false; ObjectKind::COUNT];
+            out.per_user = Default::default();
+        }
+    }
+    out
+}
+
+/// Every bit of a tick input.
+fn input_bits(input: &TickInput) -> impl PartialEq + std::fmt::Debug {
+    let candidates = input.candidates.each_ref().map(|c| {
+        c.iter()
+            .map(|t| (t.postural, t.gestural, t.location, t.obs_loglik.to_bits()))
+            .collect::<Vec<_>>()
+    });
+    let bonus: Vec<u64> = input.macro_bonus.iter().map(|b| b.to_bits()).collect();
+    (candidates, input.macro_candidates.clone(), bonus)
+}
+
+/// Prepares `session` tick by tick through `preparer` — one reused
+/// `PreparedTick`, as a stream keeps — and through the `Vec<bool>`
+/// reference, replacing the ticks `hostile_at` picks with
+/// [`hostile`] ones, and asserts every tick agrees. Returns the rules
+/// fired and the macro restrictions made over the session.
+fn assert_prepare_matches(
+    preparer: &TickPreparer<'_>,
+    session: &Session,
+    mut hostile_at: impl FnMut(usize) -> Option<usize>,
+    label: &str,
+) -> (u64, usize) {
+    let mut prepared = PreparedTick::default();
+    let (mut prev, mut prev_ref) = Default::default();
+    let (mut fired, mut restricted) = (0, 0);
+    for (t, tick) in session.ticks.iter().enumerate() {
+        let observed = match hostile_at(t) {
+            Some(kind) => hostile(&tick.observed, kind),
+            None => tick.observed.clone(),
+        };
+        let features = extract_tick(&observed);
+        preparer.prepare(&observed, &features, &mut prev, &mut prepared);
+        let (input, joint_size, rules_fired) =
+            naive::prepare(preparer, &observed, &features, &mut prev_ref);
+        assert_eq!(
+            input_bits(&prepared.input),
+            input_bits(&input),
+            "{label}: tick {t} input"
+        );
+        assert_eq!(
+            prepared.joint_size, joint_size,
+            "{label}: tick {t} joint size"
+        );
+        assert_eq!(
+            prepared.rules_fired, rules_fired,
+            "{label}: tick {t} rules fired"
+        );
+        assert_eq!(prev, prev_ref, "{label}: tick {t} lag-1 state");
+        fired += rules_fired;
+        restricted += input.macro_candidates.iter().flatten().count();
+    }
+    (fired, restricted)
+}
+
+/// Every corpus, beam, pruner setting and modality mask, over a whole test
+/// session with every third tick hostile.
+#[test]
+fn prepare_matches_the_bool_mask_reference_in_every_configuration() {
+    let (mut fired, mut restricted) = (0, 0);
+    for (corpus, (engine, test)) in prepare_fixtures().iter().enumerate() {
+        for beam in [8, 64] {
+            for prune in [false, true] {
+                for mask in MASKS {
+                    let preparer = engine.preparer(beam, prune, mask);
+                    let label = format!("corpus {corpus} beam {beam} prune {prune} {mask:?}");
+                    let hostile_at = |t: usize| (t % 3 == 2).then_some(t / 3);
+                    let (f, r) = assert_prepare_matches(&preparer, &test[0], hostile_at, &label);
+                    assert!(prune || f == 0, "{label}: rules fired without a pruner");
+                    fired += f;
+                    restricted += r;
+                }
+            }
+        }
+    }
+    assert!(fired > 0, "no rule ever fired: the check proved nothing");
+    assert!(restricted > 0, "no macro set was ever narrowed");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prepare_matches_the_bool_mask_reference(
+        corpus in 0usize..2,
+        wide in 0u8..2,
+        prune in 0u8..2,
+        mask in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (engine, test) = &prepare_fixtures()[corpus];
+        let beam = if wide == 1 { 64 } else { 8 };
+        let preparer = engine.preparer(beam, prune == 1, MASKS[mask]);
+        let mut rng = GaussianSampler::seed_from_u64(seed);
+        let session = &test[rng.below(test.len())];
+        let hostile_at = |_| (rng.below(4) == 0).then(|| rng.below(6));
+        assert_prepare_matches(&preparer, session, hostile_at, &format!("seed {seed}"));
     }
 }

@@ -3,7 +3,7 @@
 
 use cace::hdbn::{CoupledHdbn, HdbnConfig, HdbnParams, MicroCandidate, SingleHdbn, TickInput};
 use cace::mining::constraint::{ConstraintMiner, LabeledSequence};
-use cace::mining::{AtomSpace, CandidateTick, PruningEngine, RuleSet, UserCandidates};
+use cace::mining::{AtomSpace, CandidateTick, Mask, PruningEngine, RuleSet, UserCandidates};
 use cace::signal::GaussianSampler;
 
 fn toy_params(coupled: bool) -> HdbnParams {
@@ -138,10 +138,16 @@ fn pruning_a_known_true_state_is_never_done_by_sound_rules() {
     let mut tick = CandidateTick::full(&space);
     engine.prune(&evidence, &mut tick);
     // Exercising (0) for user 1, Sleeping (6) for user 2 must survive.
-    assert!(tick.users[0].macros[0], "true macro pruned for user 1");
-    assert!(tick.users[1].macros[6], "true macro pruned for user 2");
-    assert!(tick.users[0].posturals[3]);
-    assert!(tick.users[1].locations[4]);
+    assert!(
+        tick.users[0].macros.contains(0),
+        "true macro pruned for user 1"
+    );
+    assert!(
+        tick.users[1].macros.contains(6),
+        "true macro pruned for user 2"
+    );
+    assert!(tick.users[0].posturals.contains(3));
+    assert!(tick.users[1].locations.contains(4));
     assert!(!tick.users[0].any_empty() && !tick.users[1].any_empty());
 }
 
@@ -187,7 +193,7 @@ fn rule_engine_is_idempotent() {
     evidence.sort_unstable();
     let mut once = CandidateTick::full(&space);
     engine.prune(&evidence, &mut once);
-    let mut twice = once.clone();
+    let mut twice = once;
     let report = engine.prune(&evidence, &mut twice);
     assert_eq!(once, twice, "second prune must be a no-op");
     assert_eq!(report.removed, 0);
@@ -210,6 +216,6 @@ fn candidate_arithmetic_matches_dimension_products() {
     let mut cand = UserCandidates::full(&space);
     assert_eq!(cand.micro_size(), 6 * 5 * 14);
     assert_eq!(cand.joint_size(), 11 * 6 * 5 * 14);
-    cand.posturals = vec![true, false, false, false, false, false];
+    cand.posturals = Mask::single(0);
     assert_eq!(cand.micro_size(), 5 * 14);
 }

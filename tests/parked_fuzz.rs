@@ -535,3 +535,61 @@ fn engine_snapshots_with_cyclic_or_out_of_range_trees_are_rejected() {
         }
     }
 }
+
+/// An engine snapshot whose atom space disagrees with the model it carries
+/// read `Ok` and then panicked on its first push: a postural vocabulary
+/// of 7 indexed past `Postural::ALL` when the candidate tuples were
+/// scored. Nothing checked the engine's `space` or its rule set's against
+/// the fixed vocabularies, the floor plan or the engine's `n_macro`. Each
+/// edit now fails the read, through the engine reader and a model-record
+/// import alike.
+#[test]
+fn engine_snapshots_whose_space_disagrees_with_the_model_are_rejected() {
+    let (train, _) = tiny_corpus(4, 60, 17);
+    let engine = engine_with(&train, &CaceConfig::default());
+    let engine_text = engine.to_snapshot_string();
+    let record_text = ModelRecord {
+        name: "cace".to_string(),
+        generation: 0,
+        engine,
+    }
+    .to_snapshot_string();
+    let import = |text: &str| ShardedRouter::new().import_model(text);
+    // `(from, to, n)`: replace the `n`th occurrence of `from`. The engine's
+    // `space` comes first in the payload and its rule set's second.
+    for (from, to, n) in [
+        (r#""n_postural":6"#, r#""n_postural":7"#, 0),
+        (r#""n_postural":6"#, r#""n_postural":7"#, 1),
+        (r#""n_gestural":5"#, r#""n_gestural":4"#, 0),
+        (r#""n_location":14"#, r#""n_location":13"#, 0),
+        (r#""n_room":6"#, r#""n_room":7"#, 1),
+        (r#""loc_to_room":[0"#, r#""loc_to_room":[1"#, 0),
+        (r#""space":{"n_macro":11"#, r#""space":{"n_macro":70"#, 0),
+        (r#""space":{"n_macro":11"#, r#""space":{"n_macro":12"#, 1),
+        (
+            r#""n_macro":11,"has_gestural""#,
+            r#""n_macro":12,"has_gestural""#,
+            0,
+        ),
+    ] {
+        let label = format!("{to} #{n}");
+        let edit = |text: &str| {
+            let payload = std::str::from_utf8(split_header(text.as_bytes()).1).unwrap();
+            let at = payload
+                .match_indices(from)
+                .nth(n)
+                .unwrap_or_else(|| panic!("tamper target {from} #{n} must exist"))
+                .0;
+            reseal_json(&format!(
+                "{}{to}{}",
+                &payload[..at],
+                &payload[at + from.len()..]
+            ))
+        };
+        let read = |t: &str| CaceEngine::from_snapshot_str(t).map(drop);
+        let accepted = check_json(&edit(&engine_text), &label, read).0.is_some();
+        assert!(!accepted, "{label}: the engine reader accepted it");
+        let accepted = check_json(&edit(&record_text), &label, import).0.is_some();
+        assert!(!accepted, "{label}: the import reader accepted it");
+    }
+}
